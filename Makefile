@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 vet lint race chaos serve-chaos bench bench-smoke bench-gate bench-native serve-smoke serve-gate serve-bench fuzz-smoke ci
+.PHONY: all build tier1 vet lint race chaos serve-chaos bench bench-smoke bench-gate scale-gate bench-native serve-smoke serve-gate serve-bench fuzz-smoke ci
 
 all: ci
 
@@ -91,6 +91,18 @@ bench-gate:
 	$(GO) run ./cmd/hdcps-bench -native -label ci-gate -scale tiny -reps 3 \
 		-o /tmp/hdcps-bench-gate.json -check BENCH_native.json -tol 0.25
 
+# Scaling gate, ROADMAP item 2's exit criterion ("two workers are not slower
+# than one on sssp-road"): one process solves sssp on the benchmark's
+# sssp-road input (road 240x240, hdcps-bench's large scale) with one worker
+# and with two in turn, 25 verified solves each after a discarded warm-up, and
+# fails when the two-worker median exceeds 1.5x the one-worker median. It
+# measured 1.7-1.9x before the drift-minimising controller and 1.2-1.4x with
+# it. 1.5 is a ratchet, not the goal: ROADMAP asks for 1.0, so lower it
+# whenever a change makes room, never raise it. Skips, saying so, on fewer
+# than two CPUs. A wall-clock verdict, so it stays out of Tier-1.
+scale-gate:
+	$(GO) run ./cmd/hdcps-bench -scale-gate 1.5 -scale large -reps 25
+
 # Refresh BENCH_native.json for the current tree (label with the short SHA).
 bench-native:
 	$(GO) run ./cmd/hdcps-bench -native -label $$(git rev-parse --short HEAD) -o BENCH_native.json
@@ -124,4 +136,4 @@ serve-bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
 
-ci: tier1 vet lint race chaos serve-chaos serve-smoke serve-gate fuzz-smoke
+ci: tier1 vet lint race chaos serve-chaos serve-smoke serve-gate scale-gate fuzz-smoke

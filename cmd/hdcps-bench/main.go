@@ -16,6 +16,7 @@
 //	hdcps-bench -serve -label pr8 -o BENCH_serve.json     # serving saturation sweep
 //	hdcps-bench -serve -label ci -scale tiny -o /tmp/serve.json \
 //	    -check BENCH_serve.json -tol 0.25                # serve CI gate
+//	hdcps-bench -scale-gate 1.5                           # 2 workers vs 1 on sssp/road
 package main
 
 import (
@@ -80,6 +81,7 @@ func main() {
 		reps    = flag.Int("reps", 20, "repetitions per workload for -native")
 		check   = flag.String("check", "", "regression gate: compare the fresh -native/-serve run against the latest run in this baseline document")
 		tol     = flag.Float64("tol", 0.25, "fractional collapse tolerance for -check: fail below (1-tol) of baseline")
+		gate    = flag.Float64("scale-gate", 0, "scaling gate: solve sssp/road with 1 and 2 workers in turn and fail when the 2-worker median exceeds this multiple of the 1-worker median (0: off; -reps solves each, at least 15)")
 		probeD  = flag.Duration("probe-dur", 400*time.Millisecond, "per-probe duration for the -serve knee search")
 		fixedD  = flag.Duration("fixed-dur", 0, "fixed-rate latency run duration for -serve (0: 2x probe-dur)")
 		streams = flag.Int("streams", 0, "persistent-stream fan-out for -serve probes (0: 4, negative: legacy one POST per batch)")
@@ -127,6 +129,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hdcps-bench: regression gate failed: %v\n", err)
 				os.Exit(1)
 			}
+		}
+		return
+	}
+
+	if *gate > 0 {
+		if err := runScaleGate(*scale, *seed, *reps, *gate); err != nil {
+			fmt.Fprintf(os.Stderr, "hdcps-bench: scale gate failed: %v\n", err)
+			os.Exit(1)
 		}
 		return
 	}

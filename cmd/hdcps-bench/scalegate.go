@@ -1,0 +1,68 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	stdruntime "runtime"
+	"sort"
+	"time"
+
+	"hdcps/internal/runtime"
+	"hdcps/internal/workload"
+)
+
+// scaleGateReps is the least number of solves behind each median, and
+// scaleGateWarm how long the two configurations run unrecorded first: a
+// process's first second or two can run a two-worker solve several times
+// slower than its steady state (the second CPU of a small VM is slow to
+// arrive), which is the host's start-up and not the scheduler's scaling.
+const (
+	scaleGateReps = 15
+	scaleGateWarm = 2 * time.Second
+)
+
+// runScaleGate is ROADMAP item 2's exit criterion as a gate: sssp on the
+// scale's road graph, solved with one worker and with two, must not take
+// more than limit times as long with two. The two configurations take turns
+// in one process after a discarded warm-up, so that a slow stretch of the
+// host falls on both, and every solve is verified. With fewer than two
+// CPUs a second worker cannot run beside the first and the gate skips.
+func runScaleGate(scale string, seed uint64, reps int, limit float64) error {
+	if n := min(stdruntime.NumCPU(), stdruntime.GOMAXPROCS(0)); n < 2 {
+		fmt.Fprintf(os.Stderr, "scale-gate: skipped, %d CPU: two workers need two\n", n)
+		return nil
+	}
+	g, gname, err := nativeGraph(scale, seed)
+	if err != nil {
+		return err
+	}
+	w, err := workload.New("sssp", g)
+	if err != nil {
+		return err
+	}
+	reps = max(reps, scaleGateReps)
+	var ms [2][]float64
+	for start := time.Now(); len(ms[1]) < reps; {
+		warm := time.Since(start) < scaleGateWarm
+		for i := range ms {
+			cfg := runtime.DefaultConfig(i + 1)
+			cfg.Seed = seed
+			res := runtime.Run(w, cfg)
+			if err := w.Verify(); err != nil {
+				return fmt.Errorf("scale-gate: sssp with %d workers, wrong result: %w", i+1, err)
+			}
+			if !warm {
+				ms[i] = append(ms[i], float64(res.Elapsed)/float64(time.Millisecond))
+			}
+		}
+	}
+	sort.Float64s(ms[0])
+	sort.Float64s(ms[1])
+	one, two := ms[0][reps/2], ms[1][reps/2]
+	fmt.Fprintf(os.Stderr, "scale-gate: sssp %s, median of %d solves: 1 worker %.2f ms, 2 workers %.2f ms, ratio %.2f (limit %.2f)\n",
+		gname, reps, one, two, two/one, limit)
+	if two > limit*one {
+		return fmt.Errorf("two workers take %.2f times one worker's time, limit %.2f", two/one, limit)
+	}
+	return nil
+}

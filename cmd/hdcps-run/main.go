@@ -180,7 +180,15 @@ func main() {
 	}
 	fmt.Printf("avg drift:       %.2f over %d samples\n", r.AvgDrift(), len(r.DriftTrace))
 	if len(r.TDFTrace) > 0 {
-		fmt.Printf("TDF trace:       %v\n", compact(r.TDFTrace, 16))
+		var tdfSum int
+		for _, tdf := range r.TDFTrace {
+			tdfSum += tdf
+		}
+		fmt.Printf("TDF trace:       %v (mean TDF %.1f, mean drift %.2f over %d intervals)\n",
+			compact(r.TDFTrace, 16), float64(tdfSum)/float64(len(r.TDFTrace)), r.AvgDrift(), len(r.TDFTrace))
+	}
+	if r.DriftClamped > 0 {
+		fmt.Printf("drift clamped:   %d priority reports out of range (negative ones count as 0: the controller is blind to them)\n", r.DriftClamped)
 	}
 	if !native {
 		fmt.Printf("breakdown:       %s\n", r.Breakdown)

@@ -72,7 +72,10 @@ type Config struct {
 	// OnImprove selects the adjustment applied when drift improves.
 	// Algorithm 2's pseudocode and its prose contradict each other here
 	// (see the Controller comment); the default, Increase, follows the
-	// prose and keeps distribution load-balancing the cores.
+	// prose and keeps distribution load-balancing the cores. It chooses
+	// between readings of Algorithm 2 (Update, UpdateDrift, UpdateWithRef),
+	// which the simulator runs; the native runtime steps with Climb, which
+	// ignores it.
 	OnImprove Decision
 }
 
@@ -109,10 +112,12 @@ func (c Config) sanitized() Config {
 	return c
 }
 
-// Controller is the feedback TDF heuristic of Algorithm 2. Each sampling
-// interval the master core feeds it the cores' priority reports; the
-// controller compares the interval's drift with the previous one and nudges
-// the TDF one step up or down.
+// Controller is the feedback TDF heuristic. Each sampling interval the
+// master core feeds it the cores' priority reports; the controller compares
+// the interval's drift with the previous one and nudges the TDF one step up
+// or down, by one of two rules over the same state: Algorithm 2 as the paper
+// gives it (Update, UpdateDrift, UpdateWithRef — the simulator's), or the
+// drift-minimising hill-climber the native runtime uses (Climb).
 //
 // Note on Algorithm 2: the paper's prose for the improving-drift case
 // contradicts its pseudocode (the prose says the TDF "is always increased",
@@ -209,41 +214,77 @@ func (c *Controller) sanitizeDrift(pd float64) float64 {
 // Invalid drifts (NaN/Inf/negative) are clamped first; see InvalidSamples.
 func (c *Controller) UpdateWithRef(pd float64, ref int64) int {
 	pd = c.sanitizeDrift(pd)
-	defer func() {
-		c.history = append(c.history, Record{Drift: pd, Ref: ref, TDF: c.tdf})
-		c.pdPrev = pd
-		c.havePrev = true
-	}()
-	if !c.havePrev {
-		return c.tdf // first interval: nothing to compare against
-	}
-	switch {
-	case pd >= c.pdPrev && c.prev == Increase:
-		// Drift worsened after raising TDF: more communication did not
-		// help, back off (Alg. 2 lines 5-7).
-		c.setTDF(c.tdf - c.cfg.Step)
-		c.prev = Decrease
-	case pd >= c.pdPrev && c.prev == Decrease:
-		// Drift worsened after lowering TDF: restore communication
-		// (Alg. 2 lines 8-10).
-		c.setTDF(c.tdf + c.cfg.Step)
-		c.prev = Increase
-	default: // pd < pdPrev
-		// Drift improving: apply the configured reading of Alg. 2
-		// lines 11-13 (see the type comment).
-		if c.cfg.OnImprove == Increase {
-			c.setTDF(c.tdf + c.cfg.Step)
-			c.prev = Increase
-		} else {
-			c.setTDF(c.tdf - c.cfg.Step)
-			c.prev = Decrease
+	if c.havePrev { // the first interval has nothing to compare against
+		switch {
+		case pd >= c.pdPrev && c.prev == Increase:
+			// Drift worsened after raising TDF: more communication did not
+			// help, back off (Alg. 2 lines 5-7).
+			c.move(Decrease)
+		case pd >= c.pdPrev && c.prev == Decrease:
+			// Drift worsened after lowering TDF: restore communication
+			// (Alg. 2 lines 8-10).
+			c.move(Increase)
+		default: // pd < pdPrev
+			// Drift improving: apply the configured reading of Alg. 2
+			// lines 11-13 (see the type comment).
+			c.move(c.cfg.OnImprove)
 		}
 	}
-	return c.tdf
+	return c.record(pd, ref)
 }
 
-func (c *Controller) setTDF(v int) {
-	c.tdf = clamp(v, c.cfg.MinTDF, c.cfg.MaxTDF)
+// noiseBand is the relative change in drift between two intervals that
+// Climb treats as no change. One interval's drift is a W-sample statistic
+// (|p0-p1|/2 with two workers), so at a constant TDF it swings by more than
+// its own size from one interval to the next (coefficient of variation
+// measured on sssp/road: 1.3 to 2.3 with two workers, 0.5 to 0.6 with four;
+// DESIGN.md §9.1). A quarter is well inside that noise: the band does not
+// separate signal from noise, it sets how often a walk on pure noise takes
+// the step down (a quarter to a half of the intervals).
+const noiseBand = 0.25
+
+// Climb runs one step of the native runtime's rule instead of Algorithm 2:
+// a hill-climber on drift that charges for communication. Drift improved by
+// more than noiseBand: the last move helped, repeat it. Worsened by more
+// than the band: it hurt, reverse it. A change inside the band says the move
+// bought nothing, and a remote dispatch costs a ring slot, a claim CAS and
+// the child's cache lines crossing cores, so the TDF steps down: under pure
+// noise the walk sinks instead of climbing, and distribution has to show a
+// gain in drift to be kept. With no drift in either interval there is no
+// priority information to act on and the TDF holds. Config.OnImprove plays
+// no part. History, clamping and sample sanitizing are UpdateWithRef's.
+func (c *Controller) Climb(pd float64, ref int64) int {
+	pd = c.sanitizeDrift(pd)
+	if c.havePrev && (pd > 0 || c.pdPrev > 0) {
+		switch {
+		case pd < c.pdPrev*(1-noiseBand):
+			c.move(c.prev)
+		case pd > c.pdPrev*(1+noiseBand):
+			c.move(Increase + Decrease - c.prev) // the other direction
+		default:
+			c.move(Decrease)
+		}
+	}
+	return c.record(pd, ref)
+}
+
+// move steps the TDF one Step in direction d (anything but Increase is a
+// Decrease), within [MinTDF, MaxTDF].
+func (c *Controller) move(d Decision) {
+	step := c.cfg.Step
+	if d != Increase {
+		d, step = Decrease, -step
+	}
+	c.tdf = clamp(c.tdf+step, c.cfg.MinTDF, c.cfg.MaxTDF)
+	c.prev = d
+}
+
+// record closes the interval: pd becomes the next comparison's baseline and
+// the interval joins the history with the TDF chosen for the next one.
+func (c *Controller) record(pd float64, ref int64) int {
+	c.history = append(c.history, Record{Drift: pd, Ref: ref, TDF: c.tdf})
+	c.pdPrev, c.havePrev = pd, true
+	return c.tdf
 }
 
 func clamp(v, lo, hi int) int {

@@ -113,6 +113,7 @@ func RunChaos(w workload.Workload, spec Spec) (stats.Run, *ChaosReport) {
 		DriftTrace:     res.DriftTrace,
 		RefTrace:       res.RefTrace,
 		TDFTrace:       res.TDFTrace,
+		DriftClamped:   res.DriftClamped,
 	}, rep
 }
 

@@ -1,30 +1,48 @@
 package exp
 
-// The drift-timeline experiment is the observability layer's fig-style
-// showcase: it runs the native runtime with the adaptive controller on, an
-// obs.Recorder attached, and a tight sampling interval, then reports the
-// control plane's time series — per-interval drift, reference priority, and
-// TDF — so the paper's feedback-convergence story (Algorithm 2 steering the
-// TDF away from its 0.5 starting point as measured drift moves) can be read
-// off real traces instead of a single end-of-run average. With
-// Options.TracePath set it also emits the full JSONL trace (recorder meta,
-// per-worker counters, sampled events, control series).
+// The drift-timeline experiment puts the native control plane on one page.
+// Its first rows compare the adaptive controller with constant TDFs on
+// native SSSP/road — tasks processed, work efficiency, mean drift, mean TDF
+// and solve time — which is the table that shows whether the controller
+// minimises drift and what a mis-set TDF costs in redundant work. The rows
+// after that are one adaptive run's time series — per-interval drift,
+// reference priority and TDF, recorded with an obs.Recorder attached — so the
+// feedback loop can be read off a real trace instead of an end-of-run
+// average. With Options.TracePath set it also emits the full JSONL trace
+// (recorder meta, per-worker counters, sampled events, control series).
 
 import (
 	"fmt"
 	"os"
+	stdruntime "runtime"
+	"sort"
+	"time"
 
 	"hdcps/internal/drift"
 	"hdcps/internal/obs"
 	"hdcps/internal/runtime"
+	"hdcps/internal/stats"
 )
 
 // driftTimeline is registered from experiments.go's init so the registry
 // keeps paper order regardless of file initialization order.
 
-// driftTimelineRows bounds the formatted table; the JSONL trace always
+// driftTimelineRows bounds the formatted timeline; the JSONL trace always
 // carries the full series.
 const driftTimelineRows = 40
+
+// driftTimelineFixed are the constant TDFs the adaptive run is compared
+// with, and driftTimelineReps the solves behind each comparison row. The
+// configurations take turns within a repetition, so a slow stretch of the
+// host falls on all of them, and rounds are thrown away until
+// driftTimelineWarm has passed: a small VM runs a process's first second or
+// so of two-worker solves several times slower than the rest.
+var driftTimelineFixed = []int{5, 20, 50, 90}
+
+const (
+	driftTimelineReps = 15
+	driftTimelineWarm = 1500 * time.Millisecond
+)
 
 func driftTimeline(o Options) (Result, error) {
 	o = o.normalized()
@@ -32,23 +50,58 @@ func driftTimeline(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	w, err := set.workloadFor(Pair{"sssp", "road"})
+	pair := Pair{"sssp", "road"}
+	w, err := set.workloadFor(pair)
 	if err != nil {
 		return Result{}, err
 	}
-	// Always run a real fleet: drift is a cross-worker signal, and four
-	// goroutine workers interleave (and disagree on priorities) even on a
-	// single-CPU host, which is exactly what the controller needs to see.
-	const workers = 4
+	seq, err := set.seqTasks(o, pair)
+	if err != nil {
+		return Result{}, err
+	}
+	// The benchmark's fleet: one worker per CPU up to four, and never fewer
+	// than two, because drift is a cross-worker signal (two goroutine
+	// workers interleave, and disagree on priorities, even on one CPU).
+	workers := min(max(stdruntime.GOMAXPROCS(0), 2), 4)
 	cfg := runtime.DefaultConfig(workers)
 	cfg.Seed = o.Seed
-	// A tight report interval gives the controller enough feedback steps to
-	// show convergence even at reduced input scales (the paper's Fig. 13A
-	// sweeps this; 2000-task intervals need billion-task runs).
-	cfg.Drift = drift.Config{SampleInterval: 25}
+
+	labels := []string{"adaptive"}
+	cfgs := []runtime.Config{cfg}
+	for _, tdf := range driftTimelineFixed {
+		fixed := cfg
+		fixed.UseTDF, fixed.FixedTDF = false, tdf
+		labels = append(labels, fmt.Sprintf("fixed-tdf-%02d", tdf))
+		cfgs = append(cfgs, fixed)
+	}
+	type tally struct {
+		tasks       float64
+		ms          []float64
+		drift, tdfs []float64
+	}
+	tallies := make([]tally, len(cfgs))
+	for start := time.Now(); len(tallies[0].ms) < driftTimelineReps; {
+		warm := time.Since(start) < driftTimelineWarm // so the first round always is
+		for i, c := range cfgs {
+			nr := runtime.Run(w, c)
+			if err := w.Verify(); err != nil {
+				return Result{}, fmt.Errorf("exp: drift-timeline %s run wrong: %w", labels[i], err)
+			}
+			if warm {
+				continue
+			}
+			t := &tallies[i]
+			t.tasks += float64(nr.TasksProcessed) / driftTimelineReps
+			t.ms = append(t.ms, float64(nr.Elapsed.Microseconds())/1e3)
+			t.drift = append(t.drift, nr.DriftTrace...)
+			for _, tdf := range nr.TDFTrace {
+				t.tdfs = append(t.tdfs, float64(tdf))
+			}
+		}
+	}
+
 	rec := obs.New(obs.Config{Workers: workers, SampleEvery: 32})
 	cfg.Obs = rec
-
 	nr := runtime.Run(w, cfg)
 	if err := w.Verify(); err != nil {
 		return Result{}, fmt.Errorf("exp: drift-timeline run wrong: %w", err)
@@ -61,7 +114,18 @@ func driftTimeline(o Options) (Result, error) {
 	res := Result{
 		ID:     "drift-timeline",
 		Title:  "Native drift/TDF feedback timeline",
-		Series: []string{"drift", "ref", "tdf"},
+		Series: []string{"tasks", "work_eff", "drift_mean", "tdf_mean", "ms", "drift", "ref", "tdf"},
+	}
+	for i, t := range tallies {
+		sort.Float64s(t.ms)
+		res.Rows = append(res.Rows, Row{
+			Label: labels[i],
+			Values: map[string]float64{
+				"tasks": t.tasks, "work_eff": float64(seq) / t.tasks,
+				"drift_mean": stats.Mean(t.drift), "tdf_mean": stats.Mean(t.tdfs),
+				"ms": t.ms[len(t.ms)/2],
+			},
+		})
 	}
 	step := 1
 	if len(pts) > driftTimelineRows {
@@ -83,18 +147,21 @@ func driftTimeline(o Options) (Result, error) {
 	}
 	moved := false
 	for _, p := range pts {
-		if p.TDF != cfg.Drift.InitialTDF && p.TDF != drift.DefaultConfig().InitialTDF {
+		if p.TDF != drift.DefaultConfig().InitialTDF {
 			moved = true
 			break
 		}
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("controller start TDF %d%% (the paper's 0.5); %d intervals over %d tasks, %d workers",
-			drift.DefaultConfig().InitialTDF, len(pts), nr.TasksProcessed, workers),
+		fmt.Sprintf("comparison rows: %d workers, sequential oracle %d tasks, %d solves a row after a warm-up, "+
+			"configurations taking turns; tasks and the means are over all of them, ms is the median solve",
+			workers, seq, driftTimelineReps),
+		fmt.Sprintf("interval rows: one traced adaptive run from TDF %d%% (the paper's 0.5); %d intervals over %d tasks",
+			drift.DefaultConfig().InitialTDF, len(pts), nr.TasksProcessed),
 		fmt.Sprintf("recorder: %d events retained (%d recorded), spills=%d parks=%d",
 			len(rec.Events()), rec.EventCount(), rec.Total(obs.COverflowSpills), rec.Total(obs.CIdleParks)))
 	if !moved {
-		res.Notes = append(res.Notes, "WARNING: TDF never left its initial value — interval too coarse for this scale?")
+		res.Notes = append(res.Notes, "WARNING: TDF never left its initial value — no drift between the workers, or too few intervals at this scale?")
 	}
 
 	if o.TracePath != "" {

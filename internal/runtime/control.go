@@ -2,7 +2,9 @@ package runtime
 
 // The control layer is the drift-feedback plane of §III-C: workers report
 // the priority of their latest task (Algorithm 3's send side), the layer
-// assembles per-interval snapshots, runs the Algorithm 2 controller, and
+// assembles per-interval snapshots, runs the controller — a hill-climber on
+// drift (drift.Controller.Climb) in place of Algorithm 2, whose walk under
+// the noise of a W-sample drift climbs to MaxTDF (DESIGN.md §9.1) — and
 // publishes the resulting TDF for every dispatch decision to read with one
 // atomic load. It is the only part of the runtime with any cross-worker
 // policy state, which is why it gets its own file and tests.
@@ -27,7 +29,6 @@ const neverReported = int64(1) << 62
 
 // controlPlane owns drift reporting and TDF propagation for one engine.
 type controlPlane struct {
-	useTDF  bool
 	workers int
 	rec     *obs.Recorder // nil when observability is disabled
 
@@ -38,15 +39,23 @@ type controlPlane struct {
 	// combined — one flat row would fabricate drift between tenants whose
 	// priorities are merely on different scales. The matrix is COW: addJob
 	// publishes a grown copy, readers pay one atomic pointer load.
-	reports     atomic.Pointer[[][]int64]
-	reportCount atomic.Int64
+	reports atomic.Pointer[[][]int64]
+	// An interval closes when every worker has reported at least once since
+	// the last close: reported[w] is set by worker w's first report of the
+	// interval and nReported counts the flags set. Each worker adds at most
+	// once, so exactly one report takes nReported to workers; that reporter
+	// runs the controller, and no other can until it has cleared the flags
+	// and reported again itself.
+	reported  []atomic.Bool
+	nReported atomic.Int64
 	// clamped counts out-of-range priority reports rejected at the
 	// boundary (negative, or colliding with the never-reported sentinel)
 	// before they could corrupt the drift signal.
 	clamped atomic.Int64
 
-	mu   sync.Mutex // serializes controller updates and history reads
-	ctrl *drift.Controller
+	mu       sync.Mutex // serializes controller updates and history reads
+	ctrl     *drift.Controller
+	snapshot []int64 // one job row's reports, reused by every interval's close
 
 	// tdf is the propagated task-distribution factor in percent; every
 	// dispatch reads it with one atomic load (the paper's non-blocking
@@ -56,25 +65,26 @@ type controlPlane struct {
 }
 
 // newControlPlane builds the plane for cfg.Workers workers. With UseTDF off
-// the TDF is pinned to FixedTDF (default 100: always distribute).
+// the controller's range is the single point FixedTDF (default 100: always
+// distribute), so intervals are measured and recorded but no move can land.
 func newControlPlane(cfg Config) *controlPlane {
+	if !cfg.UseTDF {
+		fixed := cfg.FixedTDF
+		if fixed <= 0 {
+			fixed = 100
+		}
+		cfg.Drift.InitialTDF, cfg.Drift.MinTDF, cfg.Drift.MaxTDF = fixed, fixed, fixed
+	}
 	cp := &controlPlane{
-		useTDF:  cfg.UseTDF,
-		workers: cfg.Workers,
-		rec:     cfg.Obs,
-		ctrl:    drift.NewController(cfg.Drift),
+		workers:  cfg.Workers,
+		rec:      cfg.Obs,
+		reported: make([]atomic.Bool, cfg.Workers),
+		ctrl:     drift.NewController(cfg.Drift),
+		snapshot: make([]int64, 0, cfg.Workers),
 	}
 	rows := [][]int64{cp.newRow()}
 	cp.reports.Store(&rows)
-	if cfg.UseTDF {
-		cp.tdf.Store(int64(cp.ctrl.TDF()))
-	} else {
-		tdf := int64(cfg.FixedTDF)
-		if tdf <= 0 {
-			tdf = 100
-		}
-		cp.tdf.Store(tdf)
-	}
+	cp.tdf.Store(int64(cp.ctrl.TDF()))
 	return cp
 }
 
@@ -108,10 +118,11 @@ func (cp *controlPlane) SampleInterval() int64 {
 	return int64(cp.ctrl.Config().SampleInterval)
 }
 
-// Report implements Algorithm 3's send plus the master-side Algorithm 2
+// Report implements Algorithm 3's send plus the master-side controller
 // step: the reporting worker stores its latest priority in its slot of the
-// task's job row, and whichever report completes an interval (one report per
-// worker's worth of sends) assembles the snapshot and runs the controller.
+// task's job row, and the report that completes an interval (every worker
+// heard from since the last close) assembles the snapshot and runs
+// drift.Controller.Climb.
 // Drift is measured within each job (priorities of different tenants live on
 // unrelated scales) and the per-job drifts are combined weighted by how many
 // workers reported for the job, so a tenant carrying most of the fleet's
@@ -143,22 +154,24 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 		rec.Add(id, obs.CDriftReports, 1)
 		rec.Event(id, obs.EvDriftReport, prio, int64(job), 0)
 	}
-	if cp.reportCount.Add(1) < int64(cp.workers) {
+	if cp.reported[id].Swap(true) || cp.nReported.Add(1) < int64(cp.workers) {
 		return
 	}
-	cp.reportCount.Store(0)
-	if !cp.useTDF {
-		return
+	// The count goes back to zero before any flag clears, so a worker whose
+	// flag has cleared counts toward the new interval, never the closed one.
+	cp.nReported.Store(0)
+	for i := range cp.reported {
+		cp.reported[i].Store(false)
 	}
 	var (
-		snapshot  = make([]int64, 0, cp.workers)
 		driftSum  float64
 		weightSum float64
 		ref       int64
 		refCount  int
 	)
+	cp.mu.Lock()
 	for _, row := range rows {
-		snapshot = snapshot[:0]
+		snapshot := cp.snapshot[:0]
 		for i := range row {
 			if p := atomic.LoadInt64(&row[i]); p != neverReported {
 				snapshot = append(snapshot, p)
@@ -175,12 +188,8 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 			ref = jref
 		}
 	}
-	if weightSum == 0 {
-		return
-	}
-	pd := driftSum / weightSum
-	cp.mu.Lock()
-	tdf := cp.ctrl.UpdateWithRef(pd, ref)
+	pd := driftSum / weightSum // the reporter's own slot is always counted
+	tdf := cp.ctrl.Climb(pd, ref)
 	cp.mu.Unlock()
 	cp.tdf.Store(int64(tdf))
 	if rec := cp.rec; rec != nil {

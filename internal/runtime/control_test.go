@@ -1,28 +1,76 @@
 package runtime
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"hdcps/internal/drift"
 	"hdcps/internal/obs"
 )
 
-// A fast worker completing a whole report interval alone must not drag the
-// other workers' never-reported (zero-valued) slots into the drift
-// snapshot: before the sentinel fix, three phantom zeros against priority
-// 1000 fabricated a drift of 750 and steered the controller's first moves.
-func TestControlPlaneExcludesNeverReported(t *testing.T) {
-	cfg := Config{Workers: 4, UseTDF: true}.withDefaults()
+// An interval closes when every worker has reported since the last close,
+// however often the fast ones report meanwhile: before the distinct-reporter
+// fix, four reports from worker 0 closed an interval over three slots nobody
+// had written. And a worker that has never reported for a job stays out of
+// that job's snapshot: before the sentinel fix, its zero-valued slot against
+// priority 1000 fabricated a drift of 500 and steered the first moves.
+func TestControlPlaneClosesOnDistinctReporters(t *testing.T) {
+	cfg := Config{Workers: 2, UseTDF: true}.withDefaults()
 	cp := newControlPlane(cfg)
+	cp.addJob()
 	for i := 0; i < 4; i++ {
-		cp.Report(0, 0, 1000)
+		cp.Report(0, 0, int64(100*i))
 	}
+	if h := cp.History(); len(h) != 0 {
+		t.Fatalf("interval closed on one worker's reports alone: %v", h)
+	}
+	cp.Report(1, 1, 1000) // worker 1's first report, for job 1 only
 	h := cp.History()
 	if len(h) != 1 {
-		t.Fatalf("controller updates %d, want 1 (interval completes at 4 reports)", len(h))
+		t.Fatalf("controller updates %d, want 1 (both workers have reported)", len(h))
 	}
+	// Job 0 saw worker 0 alone (latest report 300), job 1 worker 1 alone.
 	if h[0].Drift != 0 {
-		t.Fatalf("drift %v, want 0: never-reported workers leaked into the snapshot", h[0].Drift)
+		t.Fatalf("drift %v, want 0: a never-reported slot leaked into a job's snapshot", h[0].Drift)
+	}
+	cp.Report(1, 1, 1000)
+	cp.Report(1, 0, 500) // job 0 now has both workers: |500-300|/2
+	cp.Report(0, 0, 300)
+	if h = cp.History(); len(h) != 2 {
+		t.Fatalf("controller updates %d, want 2", len(h))
+	}
+	// Per-job drifts weighted by reporters: (100*2 + 0*1) / 3.
+	if want := 200.0 / 3; h[1].Drift != want {
+		t.Fatalf("drift %v, want %v", h[1].Drift, want)
+	}
+}
+
+// Racing reporters close each interval exactly once and only on all W: a
+// worker reporting ten times as often as the rest cannot add intervals, so
+// there are at most as many as the slowest worker has reports (counting
+// reports, the old rule, gave 3.25 times that).
+func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
+	const workers, n = 4, 500
+	cfg := Config{Workers: workers, UseTDF: true}.withDefaults()
+	cp := newControlPlane(cfg)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		reports := n
+		if w == 0 {
+			reports = 10 * n
+		}
+		wg.Add(1)
+		go func(w, reports int) {
+			defer wg.Done()
+			for i := 0; i < reports; i++ {
+				cp.Report(w, 0, int64(i+w))
+			}
+		}(w, reports)
+	}
+	wg.Wait()
+	if got := len(cp.History()); got < 1 || got > n {
+		t.Fatalf("%d intervals, want 1..%d: the slowest worker reported %d times", got, n, n)
 	}
 }
 
@@ -50,17 +98,23 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 	}
 	cp.Report(0, 0, 5)
 	cp.Report(1, 0, 10)
+	cp.Report(0, 0, 5)
+	cp.Report(1, 0, 105)
 	if cp.TDF() != 70 {
 		t.Fatalf("fixed TDF moved to %d", cp.TDF())
 	}
-	if h := cp.History(); len(h) != 0 {
-		t.Fatalf("fixed-TDF plane ran the controller: %v", h)
+	// Drift is measured and recorded all the same, against the constant TDF.
+	want := []drift.Record{{Drift: 2.5, Ref: 5, TDF: 70}, {Drift: 50, Ref: 5, TDF: 70}}
+	if h := cp.History(); !reflect.DeepEqual(h, want) {
+		t.Fatalf("fixed-TDF history %v, want %v", h, want)
 	}
 
 	// Unset FixedTDF defaults to 100 (always distribute).
 	cp2 := newControlPlane(Config{Workers: 2}.withDefaults())
-	if cp2.TDF() != 100 {
-		t.Fatalf("default fixed TDF %d, want 100", cp2.TDF())
+	cp2.Report(0, 0, 1)
+	cp2.Report(1, 0, 2)
+	if h := cp2.History(); cp2.TDF() != 100 || len(h) != 1 || h[0].TDF != 100 {
+		t.Fatalf("default fixed TDF %d (history %v), want 100", cp2.TDF(), h)
 	}
 }
 
@@ -104,21 +158,42 @@ func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
 }
 
 func TestControlPlaneAdaptive(t *testing.T) {
-	cfg := Config{Workers: 2, UseTDF: true, Drift: drift.Config{InitialTDF: 50, Step: 10}}.withDefaults()
+	cfg := Config{Workers: 2, UseTDF: true, Drift: drift.Config{InitialTDF: 50, Step: 10, OnImprove: drift.Increase}}.withDefaults()
 	cp := newControlPlane(cfg)
 	if cp.TDF() != 50 {
 		t.Fatalf("initial TDF %d, want 50", cp.TDF())
 	}
-	// First interval records a baseline, second (improving drift, default
-	// OnImprove=Increase) raises the TDF.
-	cp.Report(0, 0, 100)
-	cp.Report(1, 0, 300) // drift 100
-	cp.Report(0, 0, 100)
-	cp.Report(1, 0, 150) // drift 25: improved
-	if cp.TDF() != 60 {
-		t.Fatalf("TDF %d after improving drift, want 60", cp.TDF())
+	// The plane runs drift.Controller.Climb whatever OnImprove says: each
+	// interval is two reports, worker 1 ahead of worker 0 by twice the drift.
+	for i, s := range []struct {
+		drift int64
+		want  int64
+		why   string
+	}{
+		{100, 50, "first interval is the baseline"},
+		{90, 40, "change inside the noise band: communication has to earn its keep, step down"},
+		{25, 30, "improved after stepping down: repeat"},
+		{60, 40, "worsened after stepping down: reverse"},
+		{20, 50, "improved after stepping up: repeat (the only way up)"},
+	} {
+		cp.Report(0, 0, 100)
+		cp.Report(1, 0, 100+2*s.drift)
+		if got := cp.TDF(); got != s.want {
+			t.Fatalf("interval %d (%s): TDF %d, want %d", i, s.why, got, s.want)
+		}
 	}
-	if len(cp.History()) != 2 {
-		t.Fatalf("history %d entries, want 2", len(cp.History()))
+	if len(cp.History()) != 5 {
+		t.Fatalf("history %d entries, want 5", len(cp.History()))
+	}
+
+	// All-zero drift (every report equal, or every report clamped to zero as
+	// pagerank's negative priorities are) carries no information: hold.
+	flat := newControlPlane(cfg)
+	for i := 0; i < 20; i++ {
+		flat.Report(0, 0, -7)
+		flat.Report(1, 0, -9)
+	}
+	if flat.TDF() != 50 || len(flat.History()) != 20 {
+		t.Fatalf("blind controller moved: TDF %d after %d intervals", flat.TDF(), len(flat.History()))
 	}
 }

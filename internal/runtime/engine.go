@@ -1565,6 +1565,7 @@ func (e *Engine) Result() Result {
 		res.BagsCreated += me.pubBags.Load()
 		res.EdgesExamined += me.pubEdges.Load()
 	}
+	res.DriftClamped = e.control.Clamped()
 	if hist := e.control.History(); len(hist) > 0 {
 		res.DriftTrace = make([]float64, 0, len(hist))
 		res.RefTrace = make([]int64, 0, len(hist))

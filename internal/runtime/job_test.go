@@ -60,10 +60,41 @@ func seedTasks(n int) []task.Task {
 // constant population, so throughput is arrival-limited and the
 // work-conserving scheduler legitimately equalizes it regardless of
 // weight — weights govern backlogged tenants only.
+//
+// The window is cut by the tasks themselves at exact global task counts, not
+// by a polling goroutine, so it cannot land late on a slow or single-CPU
+// host. Leaf tasks never move between workers and each worker holds 75k of
+// job 0's, which it drains, at 4:2:1, after 75k*7/4 = 131k tasks of its own;
+// while fewer than that have run fleet-wide, every tenant is backlogged on
+// every worker however unevenly the workers progress, and each worker's own
+// share is the weights'.
 func TestJobWeightedFairness(t *testing.T) {
 	weights := []int{4, 2, 1}
-	leaf := func(tk task.Task, emit func(task.Task)) int { return 1 }
-	const backlog = 300_000
+	const (
+		backlog     = 300_000
+		windowOpens = 20_000 // fleet-wide tasks processed: past the ramp
+		windowShuts = 120_000
+	)
+	var (
+		total       atomic.Int64
+		perJob      [3]atomic.Int64
+		first, last [3]atomic.Int64
+	)
+	cut := func(dst *[3]atomic.Int64) {
+		for i := range perJob {
+			dst[i].Store(perJob[i].Load())
+		}
+	}
+	leaf := func(tk task.Task, emit func(task.Task)) int {
+		perJob[tk.Job].Add(1)
+		switch total.Add(1) {
+		case windowOpens:
+			cut(&first)
+		case windowShuts:
+			cut(&last)
+		}
+		return 1
+	}
 	cfg := Config{Workers: 4, Seed: 7, DefaultJob: JobConfig{Weight: weights[0]}}
 	e := NewEngine(&fnWorkload{fn: leaf}, cfg)
 	jobs := []*Job{e.DefaultJob()}
@@ -82,49 +113,30 @@ func TestJobWeightedFairness(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Skip the ramp, then measure the contention window as a snapshot delta.
-	// The window ends well before job 0 (the fastest) drains its backlog, so
-	// every tenant is backlogged throughout.
-	waitProcessed := func(job int, min int64) Snapshot {
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			s := e.Snapshot()
-			if s.Jobs[job].Processed >= min {
-				return s
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %d never reached %d processed (at %d)", job, min, s.Jobs[job].Processed)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	first := waitProcessed(0, 20_000)
-	last := waitProcessed(0, 220_000)
 
-	var total int64
+	var sum int64
 	deltas := make([]int64, len(jobs))
 	for i := range jobs {
-		deltas[i] = last.Jobs[i].Processed - first.Jobs[i].Processed
-		total += deltas[i]
+		deltas[i] = last[i].Load() - first[i].Load()
+		sum += deltas[i]
 	}
 	var wsum int
 	for _, w := range weights {
 		wsum += w
 	}
 	for i, w := range weights {
-		got := float64(deltas[i]) / float64(total)
+		got := float64(deltas[i]) / float64(sum)
 		want := float64(w) / float64(wsum)
 		if diff := got - want; diff > 0.1*want || diff < -0.1*want {
 			t.Errorf("job %d share %.4f, want %.4f ±10%% (deltas %v)", i, got, want, deltas)
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := e.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
 	s := e.Snapshot()
 	checkLedger(t, s)
 	checkJobLedgers(t, s)

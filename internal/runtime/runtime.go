@@ -47,10 +47,14 @@ type Config struct {
 	RingSize int
 	// Bags selects the bag policy (default: the paper's selective policy).
 	Bags bag.Policy
-	// UseTDF enables the adaptive controller; FixedTDF applies otherwise.
+	// UseTDF enables the adaptive controller; FixedTDF applies otherwise
+	// (drift is measured and recorded either way).
 	UseTDF   bool
 	FixedTDF int
-	// Drift configures the controller.
+	// Drift configures the controller: start, step, range and report
+	// spacing. The native controller is drift.Controller.Climb; OnImprove,
+	// which picks a reading of Algorithm 2, is the simulator's and has no
+	// effect here.
 	Drift drift.Config
 	// Seed makes destination selection reproducible per worker.
 	Seed uint64
@@ -212,6 +216,10 @@ type Result struct {
 	DriftTrace     []float64
 	RefTrace       []int64
 	TDFTrace       []int
+	// DriftClamped counts priority reports the control plane clamped into
+	// range (negative, or at the never-reported sentinel). When it is about
+	// the number of reports, the controller is blind: it sees drift 0.
+	DriftClamped int64
 }
 
 // Run executes w to completion with cfg and returns the run metrics: the
@@ -252,5 +260,6 @@ func RunAsStats(w workload.Workload, cfg Config) stats.Run {
 		DriftTrace:     res.DriftTrace,
 		RefTrace:       res.RefTrace,
 		TDFTrace:       res.TDFTrace,
+		DriftClamped:   res.DriftClamped,
 	}
 }

@@ -84,6 +84,10 @@ type Run struct {
 	DriftTrace []float64 // per-interval priority drift (Eq. 1)
 	RefTrace   []int64   // per-interval reference priority (Eq. 1's P0; native runtime)
 	TDFTrace   []int     // per-interval TDF (HD-CPS only)
+	// DriftClamped counts out-of-range priority reports the native control
+	// plane clamped (negative ones to 0); near the report count, the
+	// controller saw no drift at all.
+	DriftClamped int64
 }
 
 // WorkEfficiency returns SeqTasks / TasksProcessed: 1.0 is perfectly
