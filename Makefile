@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 vet lint race chaos serve-chaos bench bench-smoke bench-gate scale-gate bench-native serve-smoke serve-gate serve-bench fuzz-smoke ci
+.PHONY: all build tier1 vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate bench-native serve-smoke serve-gate serve-bench fuzz-smoke ci
 
 all: ci
 
@@ -36,6 +36,15 @@ lint:
 race:
 	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/...
 	$(GO) test -race -run 'TestParallel' -count=1 ./internal/exp/
+
+# Procs axis (ROADMAP item 5b): the engine, its fault-injection soaks and the
+# executor registry at GOMAXPROCS 1, 2 and 4. The ledger's settle-before-ship
+# rule and the soaks' "mix injected nothing" assertions must hold however many
+# workers really run at once, not only at the host's own CPU count.
+procs:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/runtime/ ./internal/chaos/ ./internal/exec/ || exit 1; \
+	done
 
 # Chaos tier: the fault-injection soaks (internal/chaos) under the race
 # detector — every mix (delay, duplication, reorder, ring-full, stall,
@@ -91,17 +100,22 @@ bench-gate:
 	$(GO) run ./cmd/hdcps-bench -native -label ci-gate -scale tiny -reps 3 \
 		-o /tmp/hdcps-bench-gate.json -check BENCH_native.json -tol 0.25
 
-# Scaling gate, ROADMAP item 2's exit criterion ("two workers are not slower
-# than one on sssp-road"): one process solves sssp on the benchmark's
-# sssp-road input (road 240x240, hdcps-bench's large scale) with one worker
-# and with two in turn, 25 verified solves each after a discarded warm-up, and
-# fails when the two-worker median exceeds 1.5x the one-worker median. It
-# measured 1.7-1.9x before the drift-minimising controller and 1.2-1.4x with
-# it. 1.5 is a ratchet, not the goal: ROADMAP asks for 1.0, so lower it
-# whenever a change makes room, never raise it. Skips, saying so, on fewer
-# than two CPUs. A wall-clock verdict, so it stays out of Tier-1.
+# Scaling gate, ROADMAP item 1's exit criterion ("two workers at least as fast
+# as one"): one process solves sssp on a road graph with one worker and with
+# two in turn, 25 verified solves each after a discarded warm-up, and fails
+# when the two-worker median exceeds limit x the one-worker median. It runs on
+# hdcps-bench's small scale (road 120x120) with limit 1.1 and on its large
+# scale (road 240x240, the benchmark's sssp-road input) with limit 1.0.
+# History, large / small: 1.7-1.9 / 2.0-2.6 before the drift-minimising
+# controller, 1.2-1.4 / 1.5-1.8 with it (limit 1.5, large only), 0.73-0.78 /
+# 0.78-0.98 with the per-batch ledger and the dispatch gate. The limits are
+# ratchets: lower them whenever a change makes room, never raise them. Skips,
+# saying so, on fewer than two CPUs; on a box busy with anything else a
+# descheduled worker makes two workers several times slower than one (DESIGN.md
+# §9.1), so run it alone. A wall-clock verdict, so it stays out of Tier-1.
 scale-gate:
-	$(GO) run ./cmd/hdcps-bench -scale-gate 1.5 -scale large -reps 25
+	$(GO) run ./cmd/hdcps-bench -scale-gate 1.1 -scale small -reps 25
+	$(GO) run ./cmd/hdcps-bench -scale-gate 1.0 -scale large -reps 25
 
 # Refresh BENCH_native.json for the current tree (label with the short SHA).
 bench-native:
@@ -136,4 +150,4 @@ serve-bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
 
-ci: tier1 vet lint race chaos serve-chaos serve-smoke serve-gate scale-gate fuzz-smoke
+ci: tier1 vet lint race procs chaos serve-chaos serve-smoke serve-gate scale-gate fuzz-smoke

@@ -26,11 +26,14 @@ func soakRounds() int {
 	return 4
 }
 
+// soakGraph is wide enough for per-worker queues to reach BatchK: below that
+// the engine's dispatch gate keeps every child local and the transport, the
+// thing the mixes perturb, carries next to nothing.
 func soakGraph() *graph.CSR {
 	if os.Getenv("CHAOS_SOAK") != "" {
-		return graph.Road(48, 48, 3)
+		return graph.Road(96, 96, 3)
 	}
-	return graph.Road(20, 20, 3)
+	return graph.Road(48, 48, 3)
 }
 
 // soak drives one workload through rounds of Submit→Drain under the mix,

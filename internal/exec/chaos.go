@@ -109,6 +109,7 @@ func RunChaos(w workload.Workload, spec Spec) (stats.Run, *ChaosReport) {
 		CompletionTime: elapsed.Nanoseconds(),
 		TasksProcessed: res.TasksProcessed,
 		BagsCreated:    res.BagsCreated,
+		BaggedTasks:    res.BaggedTasks,
 		EdgesExamined:  res.EdgesExamined,
 		DriftTrace:     res.DriftTrace,
 		RefTrace:       res.RefTrace,

@@ -180,6 +180,7 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 		CompletionTime: rep.Elapsed.Nanoseconds(),
 		TasksProcessed: s.TasksProcessed,
 		BagsCreated:    s.BagsCreated,
+		BaggedTasks:    e.Result().BaggedTasks, // the fleet has stopped
 		EdgesExamined:  s.EdgesExamined,
 	}
 	return r, rep, nil

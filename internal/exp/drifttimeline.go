@@ -2,9 +2,11 @@ package exp
 
 // The drift-timeline experiment puts the native control plane on one page.
 // Its first rows compare the adaptive controller with constant TDFs on
-// native SSSP/road — tasks processed, work efficiency, mean drift, mean TDF
-// and solve time — which is the table that shows whether the controller
-// minimises drift and what a mis-set TDF costs in redundant work. The rows
+// native SSSP/road — tasks processed, work efficiency, mean drift, mean TDF,
+// the share of dispatched units the frontier-width gate kept local before the
+// TDF was consulted, and solve time — which is the table that shows whether
+// the controller minimises drift, what a mis-set TDF costs in redundant work
+// and how much of the run the gate, not the TDF, decided. The rows
 // after that are one adaptive run's time series — per-interval drift,
 // reference priority and TDF, recorded with an obs.Recorder attached — so the
 // feedback loop can be read off a real trace instead of an end-of-run
@@ -76,6 +78,7 @@ func driftTimeline(o Options) (Result, error) {
 	}
 	type tally struct {
 		tasks       float64
+		kept, units int64 // dispatch decisions the gate took, of all made
 		ms          []float64
 		drift, tdfs []float64
 	}
@@ -92,6 +95,8 @@ func driftTimeline(o Options) (Result, error) {
 			}
 			t := &tallies[i]
 			t.tasks += float64(nr.TasksProcessed) / driftTimelineReps
+			t.kept += nr.KeptLocal
+			t.units += nr.Dispatched
 			t.ms = append(t.ms, float64(nr.Elapsed.Microseconds())/1e3)
 			t.drift = append(t.drift, nr.DriftTrace...)
 			for _, tdf := range nr.TDFTrace {
@@ -114,7 +119,7 @@ func driftTimeline(o Options) (Result, error) {
 	res := Result{
 		ID:     "drift-timeline",
 		Title:  "Native drift/TDF feedback timeline",
-		Series: []string{"tasks", "work_eff", "drift_mean", "tdf_mean", "ms", "drift", "ref", "tdf"},
+		Series: []string{"tasks", "work_eff", "drift_mean", "tdf_mean", "kept_local", "ms", "drift", "ref", "tdf"},
 	}
 	for i, t := range tallies {
 		sort.Float64s(t.ms)
@@ -123,7 +128,8 @@ func driftTimeline(o Options) (Result, error) {
 			Values: map[string]float64{
 				"tasks": t.tasks, "work_eff": float64(seq) / t.tasks,
 				"drift_mean": stats.Mean(t.drift), "tdf_mean": stats.Mean(t.tdfs),
-				"ms": t.ms[len(t.ms)/2],
+				"kept_local": float64(t.kept) / float64(max(t.units, 1)),
+				"ms":         t.ms[len(t.ms)/2],
 			},
 		})
 	}
@@ -154,7 +160,8 @@ func driftTimeline(o Options) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("comparison rows: %d workers, sequential oracle %d tasks, %d solves a row after a warm-up, "+
-			"configurations taking turns; tasks and the means are over all of them, ms is the median solve",
+			"configurations taking turns; tasks and the means are over all of them, kept_local is the share of dispatched "+
+			"units (children and bag markers) the gate kept on the sender's short queue, ms is the median solve",
 			workers, seq, driftTimelineReps),
 		fmt.Sprintf("interval rows: one traced adaptive run from TDF %d%% (the paper's 0.5); %d intervals over %d tasks",
 			drift.DefaultConfig().InitialTDF, len(pts), nr.TasksProcessed),

@@ -13,8 +13,9 @@ package runtime
 //
 // Termination protocol (epoch-aware): every task in the system is counted
 // in `outstanding`, and the count for a task's children is added before any
-// child becomes visible to another worker, so outstanding can never dip to
-// zero while work exists. A worker that finds outstanding == 0 does not
+// child becomes visible to another worker (workers settle their deferred
+// ledger deltas before they ship — see worker.acct), so outstanding can never
+// dip to zero while work exists. A worker that finds outstanding == 0 does not
 // exit — it parks on the fleet's condition variable. Submit increments
 // outstanding, publishes the tasks through the transport, advances the
 // submission epoch, and broadcasts; because the parked worker re-checks
@@ -171,7 +172,9 @@ type worker struct {
 	// race-free while the worker runs. spawned and bagsRetired are the
 	// conservation ledger's add/retire sides and are additionally stored
 	// before the outstanding-count transition that makes them observable,
-	// so the ledger is exact at quiescence (fault.go).
+	// so the ledger is exact at quiescence (fault.go). keptLocal and
+	// baggedTasks are plain diagnostics summed at Result, once the worker
+	// has exited: children the dispatch gate held back, tasks put in bags.
 	processed   int64
 	bags        int64
 	edges       int64
@@ -180,6 +183,8 @@ type worker struct {
 	bagsRetired int64
 	cancelled   int64 // tasks discarded into the cancellation ledger sink
 	redirects   int64
+	keptLocal   int64
+	baggedTasks int64
 	sinceReport int64
 	sinceFlush  int
 
@@ -195,12 +200,21 @@ type worker struct {
 	rankErrSum  int64
 	rankErrMax  int64
 
-	// acct accumulates this worker's pending retirement decrements (-1 per
-	// childless task or unpacked bag) between batch boundaries, where they
-	// flush into the shared outstanding count as one atomic add. Deferring
-	// only the negative side keeps the termination invariant: outstanding
-	// reads high, never falsely zero, while work exists. runWorker's exit
-	// path flushes it, so a panic cannot strand the count.
+	// acct accumulates this worker's pending change to the shared outstanding
+	// count — spawned-1 per processed task, -1 per unpacked bag or discarded
+	// task — and flushBatchAccts settles it, with the per-job deltas
+	// (workerJQ.d*), in one atomic add per counter at the batch boundary, on
+	// idle entry and on worker exit. Both signs are deferred, so one rule
+	// carries the termination invariant: settle before any call that can make
+	// a task visible to another worker. Local pushes of the strict queue kinds
+	// show nothing; Engine.send settles before a Send that completes a
+	// destination batch (every Send of a custom Transport), every flush site
+	// follows flushBatchAccts, and Engine.push settles before a push into a
+	// shared multiqueue. Until it settles, a worker's whole popped batch is
+	// still counted, so outstanding (and each job's) can read low by at most
+	// one batch's spawn per worker but never zero while work exists and never
+	// negative — which is also why handleFault's immediate -1 is safe.
+	// runWorker's exit path settles, so a panic cannot strand the count.
 	acct int64
 
 	// parked is set while the worker blocks in the park/wake handshake
@@ -764,7 +778,8 @@ func (e *Engine) account(delta int64) {
 // transport calls through the devirtualized rt when the stock transport is
 // in use; a custom Transport pays the interface dispatch instead. send and
 // flush absorb flow-control rejects: tasks a saturated destination bounced
-// stay on the sending worker (spill-to-local).
+// stay on the sending worker (spill-to-local). send also enforces the
+// settle-before-ship rule; flush callers run flushBatchAccts first.
 func (e *Engine) recv(id int, buf []task.Task) []task.Task {
 	if e.rt != nil {
 		return e.rt.Recv(id, buf)
@@ -774,9 +789,16 @@ func (e *Engine) recv(id int, buf []task.Task) []task.Task {
 
 func (e *Engine) send(me *worker, dst int, t task.Task) {
 	var rej []task.Task
-	if e.rt != nil {
-		rej = e.rt.Send(me.id, dst, t)
+	if rt := e.rt; rt != nil {
+		// Settle before ship (worker.acct): only the Send that completes the
+		// destination's batch hands tasks to another worker.
+		if len(rt.eps[me.id].out[dst])+1 >= rt.batch {
+			e.flushBatchAccts(me)
+		}
+		rej = rt.Send(me.id, dst, t)
 	} else {
+		// A custom transport may deliver on any Send.
+		e.flushBatchAccts(me)
 		rej = e.transport.Send(me.id, dst, t)
 	}
 	if len(rej) > 0 {
@@ -829,10 +851,15 @@ func (e *Engine) push(me *worker, t task.Task) {
 		e.discard(me, q, t)
 		return
 	}
-	q.push(t)
-	if !me.mqKind {
-		me.activate(q)
+	if me.mqKind {
+		// The shared structure shows the task to the fleet at once: settle
+		// before ship (worker.acct).
+		e.flushBatchAccts(me)
+		q.push(t)
+		return
 	}
+	q.push(t)
+	me.activate(q)
 }
 
 // discard retires one unit of a cancelled job without executing it: a plain
@@ -1143,18 +1170,23 @@ func (e *Engine) drainCancelled(me *worker, q *workerJQ) {
 	}
 }
 
-// flushBatchAccts settles the batch's deferred retirement deltas: per-job
-// ledger terms first (retirements before the job's outstanding drop), then
-// the worker's published totals, then the global outstanding adjustment —
-// so any reader that observes a count transition already sees every ledger
-// term explaining it, per job and globally.
+// flushBatchAccts settles the worker's deferred ledger deltas (worker.acct):
+// the worker's published totals first, then per job the spawn and retirement
+// terms before the job's outstanding change, then the one global outstanding
+// adjustment — so any reader that observes a count transition already sees
+// every ledger term explaining it, per job and globally.
 func (e *Engine) flushBatchAccts(me *worker) {
 	if len(me.dirtyJQ) > 0 {
+		me.pubSpawned.Store(me.spawned)
 		me.pubProcessed.Store(me.processed)
 		me.pubBagsRetired.Store(me.bagsRetired)
 		me.pubCancelled.Store(me.cancelled)
 		for _, q := range me.dirtyJQ {
 			js := q.js
+			if q.dSpawned != 0 {
+				js.spawned.Add(q.dSpawned)
+				q.dSpawned = 0
+			}
 			if q.dProcessed != 0 {
 				js.processed.Add(q.dProcessed)
 				q.dProcessed = 0
@@ -1175,8 +1207,9 @@ func (e *Engine) flushBatchAccts(me *worker) {
 		}
 		me.dirtyJQ = me.dirtyJQ[:0]
 	}
+	// Every site that moves acct also marks a queue dirty, so the totals
+	// behind this adjustment were stored above.
 	if me.acct != 0 {
-		me.pubProcessed.Store(me.processed)
 		e.account(me.acct)
 		me.acct = 0
 	}
@@ -1302,7 +1335,8 @@ func (e *Engine) handleFault(id int, me *worker, js *jobState, t task.Task, pv a
 }
 
 // processOne executes one task and distributes its children. q is the
-// worker's queue for the task's job (its ledger delta accumulator).
+// worker's queue for the task's job: its ledger delta accumulator, and the
+// queue whose length gates dispatch.
 func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 	js := q.js
 	me.children = me.children[:0]
@@ -1328,15 +1362,10 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 		e.obs.TaskSample(id, t.Prio, me.processed, me.edges)
 	}
 
-	// Account all new work, retire this task, and settle any batch-deferred
-	// retirements in one shared atomic; the increment lands before any child
-	// becomes visible, so outstanding can never dip to zero while work
-	// exists (the deferred deltas are all negative, and the children being
-	// added here keep the post-add count strictly positive). The spawned
-	// total is published first so the conservation ledger's add side is
-	// never behind the outstanding count it explains — per job first, then
-	// globally. A childless task just deepens the batch deficit — no atomic
-	// at all.
+	// Account the new work and retire this task in the worker's deferred
+	// deltas only: no shared line is touched here. flushBatchAccts settles
+	// them at the batch boundary, or earlier when a child is about to become
+	// visible to another worker (worker.acct states the rule).
 	if len(me.children) > 0 {
 		// Children inherit the parent's tenant: identity flows with the
 		// work, so every spawned task is billed to the job that created it.
@@ -1344,19 +1373,13 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 			me.children[i].Job = t.Job
 		}
 		bags, singles := me.part.Partition(me.children, e.cfg.Bags, me.newBagID)
-		spawned := int64(len(bags)) + int64(countTasks(bags)) + int64(len(singles))
+		bagged := int64(countTasks(bags))
+		spawned := int64(len(bags)) + bagged + int64(len(singles))
 		me.spawned += spawned
-		me.pubSpawned.Store(me.spawned)
-		js.spawned.Add(spawned)
-		js.outstanding.Add(spawned)
-		// Publish the processed total BEFORE any task can leave
-		// `outstanding`: a reader that sees a retirement also sees the
-		// count (Snapshot's coherence contract). Retirement is only
-		// observable at account() calls, so the batched loop pays this
-		// store once per spawning task and once per batch, not per task.
-		me.pubProcessed.Store(me.processed)
-		e.account(spawned - 1 + me.acct)
-		me.acct = 0
+		me.baggedTasks += bagged
+		q.dSpawned += spawned
+		q.dOut += spawned
+		me.acct += spawned - 1
 		for _, b := range bags {
 			me.bags++
 			s := me.store.get(uint32(b.ID))
@@ -1366,10 +1389,10 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 				// publish points; only the trace event is recorded here.
 				rec.Event(id, obs.EvBagCreated, b.Prio, int64(len(b.Tasks)), 0)
 			}
-			e.dispatch(id, me, js, task.Task{Node: bagMarker, Job: t.Job, Prio: b.Prio, Data: b.ID})
+			e.dispatch(id, me, q, task.Task{Node: bagMarker, Job: t.Job, Prio: b.Prio, Data: b.ID})
 		}
 		for _, c := range singles {
-			e.dispatch(id, me, js, c)
+			e.dispatch(id, me, q, c)
 		}
 	} else {
 		me.acct--
@@ -1396,12 +1419,20 @@ func countTasks(bags []bag.Bag) int {
 // by the job's effective TDF: the drift controller's global signal scaled by
 // the job's TDFBias (percent, capped at always-scatter). Remote units go
 // through the transport's batching; local units go straight to the worker's
-// queue for the job.
-func (e *Engine) dispatch(id int, me *worker, js *jobState, t task.Task) {
+// queue for the job. Whatever the TDF, a unit stays local while that queue
+// (q) holds fewer than BatchK tasks: a worker that cannot fill its own next
+// dequeue batch has nothing to spare, and splitting a narrow frontier only
+// buys re-relaxations. A multiqueue is shared already, so it skips the gate.
+func (e *Engine) dispatch(id int, me *worker, q *workerJQ, t task.Task) {
 	dst := id
 	if n := len(e.workers); n > 1 {
+		if !me.mqKind && q.queue.Len() < e.cfg.BatchK {
+			me.keptLocal++
+			e.push(me, t)
+			return
+		}
 		tdf := e.control.TDF()
-		if b := js.tdfBias; b != 100 {
+		if b := q.js.tdfBias; b != 100 {
 			tdf = tdf * b / 100
 			if tdf > 100 {
 				tdf = 100
@@ -1442,9 +1473,16 @@ type WorkerStats struct {
 //
 // and once Drain has returned (Outstanding == 0 with no concurrent Submit),
 // TasksProcessed is exact — a mid-drain snapshot can no longer under-count
-// retired work. The remaining counters (Bags, EdgesExamined, spills, parks)
-// are published at flush/park/idle boundaries and may lag by at most one
-// flush interval.
+// retired work. Outstanding itself may read low by the children a worker has
+// spawned in its current dequeue batch and not yet settled (at most one
+// batch's spawn per worker; never zero while work exists, never negative),
+// and Spawned publishes at the same settle points, so in any snapshot
+//
+//	Submitted + Spawned >= TasksProcessed + BagsRetired + Quarantined + Cancelled
+//
+// (the add side may lag work in progress, the retire side never leads it).
+// The remaining counters (Bags, EdgesExamined, spills, parks) are published
+// at flush/park/idle boundaries and may lag by at most one flush interval.
 type Snapshot struct {
 	Epoch       uint64 // Submit calls so far
 	Outstanding int64  // tasks submitted or spawned but not yet retired
@@ -1503,13 +1541,15 @@ func (e *Engine) Snapshot() Snapshot {
 	// two reads inflates TasksProcessed, never loses the task — each
 	// worker stores its processed total before decrementing outstanding,
 	// and sync/atomic's total order makes that store visible to any reader
-	// that observed the decrement.
+	// that observed the decrement. The ledger's add side (Spawned,
+	// Submitted) is read last for the same reason: a retirement is only
+	// published after the spawn or submission behind it, so reading the
+	// retire side first keeps it from leading the add side.
 	jobs := *e.jobs.Load()
 	s := Snapshot{
 		Epoch:       e.epoch.Load(),
 		Outstanding: e.outstanding.Load(),
 		TDF:         int(e.control.TDF()),
-		Submitted:   e.submitted.Load(),
 		Quarantined: e.faults.nQuarantined.Load(),
 		Workers:     make([]WorkerStats, len(e.workers)),
 		Jobs:        make([]JobStats, len(jobs)),
@@ -1530,7 +1570,6 @@ func (e *Engine) Snapshot() Snapshot {
 		s.TasksProcessed += ws.Processed
 		s.BagsCreated += ws.Bags
 		s.EdgesExamined += me.pubEdges.Load()
-		s.Spawned += me.pubSpawned.Load()
 		s.BagsRetired += me.pubBagsRetired.Load()
 		s.Cancelled += me.pubCancelled.Load()
 		s.Redirects += ws.Redirects
@@ -1543,6 +1582,10 @@ func (e *Engine) Snapshot() Snapshot {
 			s.RankErrorMax = m
 		}
 	}
+	for i := range e.workers {
+		s.Spawned += e.workers[i].pubSpawned.Load()
+	}
+	s.Submitted = e.submitted.Load()
 	return s
 }
 
@@ -1554,6 +1597,13 @@ func (e *Engine) Result() Result {
 	select {
 	case <-e.done:
 		res.Elapsed = e.elapsed
+		// Plain worker-local counts: readable once every worker has exited.
+		for i := range e.workers {
+			me := &e.workers[i]
+			res.BaggedTasks += me.baggedTasks
+			res.KeptLocal += me.keptLocal
+			res.Dispatched += me.spawned - me.baggedTasks
+		}
 	default:
 		if e.state.Load() != stateNew {
 			res.Elapsed = time.Since(e.startedAt)

@@ -168,6 +168,7 @@ func (js *jobState) ledgerMark() int64 {
 // stats snapshots the job's ledger. Outstanding is read first so the same
 // coherence contract the global Snapshot documents holds per job: a task
 // retiring between the reads inflates the retirement side, never hides work.
+// The add side is read last, so the retire side never leads it.
 func (js *jobState) stats() JobStats {
 	s := JobStats{
 		Job:         js.id,
@@ -176,12 +177,12 @@ func (js *jobState) stats() JobStats {
 		Cancelled:   js.cancelled.Load(),
 		Outstanding: js.outstanding.Load(),
 	}
-	s.Submitted = js.submitted.Load()
-	s.Spawned = js.spawned.Load()
 	s.Processed = js.processed.Load()
 	s.BagsRetired = js.bagsRetired.Load()
 	s.Quarantined = js.quarantined.Load()
 	s.CancelledTasks = js.cancelledTasks.Load()
+	s.Submitted = js.submitted.Load()
+	s.Spawned = js.spawned.Load()
 	s.QuotaRejected = js.rejected.Load()
 	s.RankSamples = js.rankSamples.Load()
 	s.PrioInversions = js.inversions.Load()

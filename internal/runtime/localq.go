@@ -87,9 +87,9 @@ func newLocalQueue(cfg Config) LocalQueue {
 // kinds the queue is private to the worker; for multiqueue it is a handle
 // into the job's fleet-shared structure (jobState.mq), so relaxation and
 // work balancing stay within the tenant. The d* fields are the worker's
-// deferred per-job ledger deltas, flushed at batch boundaries in retirement-
-// before-outstanding order so the per-job ledger obeys the same publication
-// contract as the global one.
+// deferred per-job ledger deltas, settled by flushBatchAccts with the spawn
+// and retirement terms ahead of the outstanding change, so the per-job ledger
+// obeys the same publication contract as the global one.
 type workerJQ struct {
 	js    *jobState
 	queue LocalQueue
@@ -112,6 +112,7 @@ type workerJQ struct {
 
 	// dirty marks pending deltas (worker.dirtyJQ holds the dirty set).
 	dirty        bool
+	dSpawned     int64
 	dProcessed   int64
 	dBagsRetired int64
 	dCancelled   int64

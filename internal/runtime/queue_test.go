@@ -124,8 +124,10 @@ func TestEngineQueueCounters(t *testing.T) {
 		if err := e.Drain(testCtx(t)); err != nil {
 			t.Fatal(err)
 		}
-		snap := e.Snapshot()
+		// The fallback count publishes at park or exit, which the lone worker
+		// reaches after Drain has returned: read it once Stop has joined it.
 		_ = e.Stop(testCtx(t))
+		snap := e.Snapshot()
 		if snap.QueueFallbacks == 0 {
 			t.Error("a strictly decreasing stream never tripped the bucket-store fallback")
 		}

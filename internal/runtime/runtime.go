@@ -220,6 +220,13 @@ type Result struct {
 	// range (negative, or at the never-reported sentinel). When it is about
 	// the number of reports, the controller is blind: it sees drift 0.
 	DriftClamped int64
+	// BaggedTasks counts tasks shipped inside bags. Of the Dispatched units
+	// (bag markers and single children) KeptLocal never saw the TDF draw: the
+	// dispatch gate kept them on the sender's short queue. All three are
+	// filled once the engine has stopped.
+	BaggedTasks int64
+	Dispatched  int64
+	KeptLocal   int64
 }
 
 // Run executes w to completion with cfg and returns the run metrics: the
@@ -256,6 +263,7 @@ func RunAsStats(w workload.Workload, cfg Config) stats.Run {
 		CompletionTime: res.Elapsed.Nanoseconds(),
 		TasksProcessed: res.TasksProcessed,
 		BagsCreated:    res.BagsCreated,
+		BaggedTasks:    res.BaggedTasks,
 		EdgesExamined:  res.EdgesExamined,
 		DriftTrace:     res.DriftTrace,
 		RefTrace:       res.RefTrace,
