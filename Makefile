@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate bench-native serve-smoke serve-gate serve-bench fuzz-smoke ci
+.PHONY: all build tier1 vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate serve-smoke fuzz-smoke ci
 
 all: ci
 
@@ -79,26 +79,31 @@ bench:
 		-benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchmem ./internal/serve/
 
-# Bench smoke: prove every benchmark still runs and the native bench
-# harness still emits a report — a fixed tiny iteration count, not a
-# measurement (CI runs this; use `make bench` + benchstat for numbers).
-# The fairness-sweep run proves the multi-tenant path end to end (4 jobs,
-# weights 4:2:1:1, per-job ledgers exact); at tiny scale its shares are
-# informational, the ±10pp gate binds at small scale and up.
+# Bench smoke: prove every microbenchmark still runs — a fixed tiny
+# iteration count, not a measurement (CI runs this; use `make bench` +
+# benchstat for numbers; `go test ./benchmark` already runs a -smoke pass of
+# every benchmark workload in Tier-1). The fairness-sweep run proves the
+# multi-tenant path end to end (4 jobs, weights 4:2:1:1, per-job ledgers
+# exact); at tiny scale its shares are informational, the ±10pp gate binds
+# at small scale and up.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist' \
 		-benchtime 100x -benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchtime 100x -benchmem ./internal/serve/
-	$(GO) run ./cmd/hdcps-bench -native -label smoke -scale tiny -reps 2 -o -
 	$(GO) run ./cmd/hdcps-bench -exp fairness-sweep -scale tiny
 
-# Bench regression gate: a short native run compared against the newest
-# run recorded in BENCH_native.json. Fails on throughput collapse (beyond
-# 25%% of baseline) or an allocation blow-up, not on ordinary CI-runner
-# drift — see cmd/hdcps-bench's -check flag.
+# Bench regression gate: a same-box A/B of the whole benchmark (benchmark/,
+# BENCHMARK.json) between BASE and this tree, judged by `benchmark -compare`
+# (scripts/bench_ab.sh says how). ~5.5 min on 2 CPUs; wall-clock, so out of
+# Tier-1 and, like scale-gate, to be run alone. What it does not carry,
+# because a Tier-1 test or smoke already holds it: strict queue kinds invert
+# nothing (TestEngineRankCounters), ingest/encode allocate <= 1 per line
+# (internal/serve/ingest_test.go), no 5xx and a ledger-exact drain
+# (serve-smoke, and serve-ingest's failed count), the per-kind quality table
+# (hdcps-bench -exp queue-sweep).
+BASE = HEAD~1
 bench-gate:
-	$(GO) run ./cmd/hdcps-bench -native -label ci-gate -scale tiny -reps 3 \
-		-o /tmp/hdcps-bench-gate.json -check BENCH_native.json -tol 0.25
+	./scripts/bench_ab.sh $(BASE)
 
 # Scaling gate, ROADMAP item 1's exit criterion ("two workers at least as fast
 # as one"): one process solves sssp on a road graph with one worker and with
@@ -117,31 +122,11 @@ scale-gate:
 	$(GO) run ./cmd/hdcps-bench -scale-gate 1.1 -scale small -reps 25
 	$(GO) run ./cmd/hdcps-bench -scale-gate 1.0 -scale large -reps 25
 
-# Refresh BENCH_native.json for the current tree (label with the short SHA).
-bench-native:
-	$(GO) run ./cmd/hdcps-bench -native -label $$(git rev-parse --short HEAD) -o BENCH_native.json
-
 # Serving smoke: build hdcps-serve + hdcps-load, boot on an ephemeral port,
 # drive a fixed-rate open-loop run, SIGTERM, and require the graceful drain
 # to be ledger-exact (no accepted task lost). Artifacts in $$SMOKE_DIR.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Serving regression gate: a short saturation sweep through the real HTTP
-# front-end compared against the newest run in BENCH_serve.json. Fails on a
-# knee collapse (beyond 25%% of baseline), a p99 blow-up, or — tolerance-
-# exempt — any server 5xx; not on ordinary CI-runner drift. Knee searches
-# are noisy (sub-second probes), so one failed sweep gets one fresh retry:
-# a real collapse fails both, a noise spike only one.
-serve-gate:
-	$(GO) run ./cmd/hdcps-bench -serve -label ci-gate -scale tiny \
-		-o /tmp/hdcps-serve-gate.json -check BENCH_serve.json -tol 0.25 || \
-	$(GO) run ./cmd/hdcps-bench -serve -label ci-gate -scale tiny \
-		-o /tmp/hdcps-serve-gate.json -check BENCH_serve.json -tol 0.25
-
-# Refresh BENCH_serve.json for the current tree (label with the short SHA).
-serve-bench:
-	$(GO) run ./cmd/hdcps-bench -serve -label $$(git rev-parse --short HEAD) -o BENCH_serve.json
 
 # Fuzz smoke: a short differential fuzz of the zero-alloc TaskSpec parser
 # against encoding/json — any divergence in accept/reject decision, decoded
@@ -150,4 +135,4 @@ serve-bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
 
-ci: tier1 vet lint race procs chaos serve-chaos serve-smoke serve-gate scale-gate fuzz-smoke
+ci: tier1 vet lint race procs chaos serve-chaos serve-smoke scale-gate fuzz-smoke bench-gate

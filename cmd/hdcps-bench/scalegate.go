@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"hdcps/internal/graph"
 	"hdcps/internal/runtime"
 	"hdcps/internal/workload"
 )
@@ -20,6 +21,20 @@ const (
 	scaleGateReps = 15
 	scaleGateWarm = 2 * time.Second
 )
+
+// nativeGraph maps the -scale flag to the gate's road graph: small is
+// internal/exp's sizing, large the benchmark's sssp-road input.
+func nativeGraph(scale string, seed uint64) (*graph.CSR, string, error) {
+	switch scale {
+	case "tiny":
+		return graph.Road(48, 48, seed), "road-48x48", nil
+	case "small":
+		return graph.Road(120, 120, seed), "road-120x120", nil
+	case "large":
+		return graph.Road(240, 240, seed), "road-240x240", nil
+	}
+	return nil, "", fmt.Errorf("unknown scale %q (tiny, small, large)", scale)
+}
 
 // runScaleGate is ROADMAP item 2's exit criterion as a gate: sssp on the
 // scale's road graph, solved with one worker and with two, must not take

@@ -172,8 +172,8 @@ func TestFacadeMachines(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 20 {
-		t.Fatalf("got %d experiments, want 20", len(ids))
+	if len(ids) != 19 {
+		t.Fatalf("got %d experiments, want 19", len(ids))
 	}
 	var buf bytes.Buffer
 	res, err := RunExperiment("table2", ExperimentOptions{Scale: "tiny", Seed: 1}, &buf)

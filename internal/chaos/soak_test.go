@@ -112,6 +112,38 @@ func TestSoakDuplicate(t *testing.T) {
 	}
 }
 
+// TestSoakDuplicateSeeds runs a heavy duplicate mix over forty chaos seeds:
+// whichever tasks a seed picks to deliver twice, every round must drain, the
+// ledger must balance at each checkpoint and the answer must hold.
+func TestSoakDuplicateSeeds(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		w := soakWorkload(t)
+		rcfg := runtime.Config{Workers: 4, StallTimeout: 5 * time.Second}
+		e, _ := Engine(w, rcfg, Config{Seed: seed, Duplicate: 0.3})
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var chk Checker
+		for round := 0; round < 3; round++ {
+			if err := e.Submit(w.InitialTasks()...); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+			if err := e.Drain(testCtx(t)); err != nil {
+				t.Fatalf("seed %d round %d: Drain = %v", seed, round, err)
+			}
+			if err := chk.Quiescent(e.Snapshot()); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+		}
+		if err := e.Stop(testCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Verify(); err != nil {
+			t.Fatalf("seed %d: verify: %v", seed, err)
+		}
+	}
+}
+
 func TestSoakReorder(t *testing.T) {
 	w := soakWorkload(t)
 	_, ct := soak(t, w, runtime.Config{Workers: 4}, Config{Seed: 3, Reorder: 0.5})

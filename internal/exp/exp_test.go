@@ -15,8 +15,7 @@ func errAt(i int) error { return fmt.Errorf("cell %d failed", i) }
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"motivation", "drift-timeline", "queue-sweep", "fairness-sweep",
-		"serve-sweep"}
+		"motivation", "drift-timeline", "queue-sweep", "fairness-sweep"}
 	ids := IDs()
 	if len(ids) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(ids), len(want))

@@ -32,7 +32,6 @@ func init() {
 	register(Experiment{"drift-timeline", "Native drift/TDF feedback timeline (obs trace)", driftTimeline})
 	register(Experiment{"queue-sweep", "Native local-queue shapes: heap vs dheap vs twolevel", queueSweep})
 	register(Experiment{"fairness-sweep", "Multi-tenant weighted fairness: measured vs entitled shares", fairnessSweep})
-	register(Experiment{"serve-sweep", "Serving saturation: max open-loop task rate through the HTTP front-end", serveSweep})
 }
 
 // runOne executes one (scheduler, pair) combination, verifies the workload

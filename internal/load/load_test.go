@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hdcps/internal/obs"
 )
 
 // fastSubmitter accepts everything instantly.
@@ -145,75 +143,5 @@ func TestRunRespectsContextCancel(t *testing.T) {
 	Run(ctx, fastSubmitter(&calls), Options{Rate: 100, Batch: 1, Duration: 10 * time.Second, Seed: 5})
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("cancelled run did not stop promptly")
-	}
-}
-
-// stepTarget models a target with a hard capacity knee: rates at or below
-// cap are fully accepted with low latency; above it the excess is refused.
-func stepTarget(cap float64) Probe {
-	return func(rate float64, d time.Duration) (Result, error) {
-		res := Result{Hist: newTestHist(2 * time.Millisecond)}
-		res.Elapsed = d
-		res.Offered = int64(rate * d.Seconds())
-		acc := res.Offered
-		if rate > cap {
-			acc = int64(cap * d.Seconds())
-			res.Rejected = res.Offered - acc
-		}
-		res.Accepted = acc
-		return res, nil
-	}
-}
-
-func newTestHist(lat time.Duration) *obs.Histogram {
-	h := obs.NewHistogram()
-	for i := 0; i < 100; i++ {
-		h.ObserveDuration(lat)
-	}
-	return h
-}
-
-func TestSaturateFindsTheKnee(t *testing.T) {
-	max, trace, err := Saturate(stepTarget(10000), 1000, 1e6, 100*time.Millisecond, 8, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The knee is 10k: everything <= 10k accepts 100%, above it the
-	// accept fraction falls below 0.9 once offered > cap/0.9 ≈ 11.1k.
-	if max < 9000 || max > 11200 {
-		t.Fatalf("knee estimate %.0f outside [9000, 11200] (trace %+v)", max, trace)
-	}
-	if len(trace) < 4 {
-		t.Fatalf("expected doubling + bisection probes, got %d", len(trace))
-	}
-}
-
-func TestSaturateUnsustainableStart(t *testing.T) {
-	max, trace, err := Saturate(stepTarget(10), 1000, 1e6, 50*time.Millisecond, 4, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max != 0 {
-		t.Fatalf("unsustainable floor must report 0, got %.0f", max)
-	}
-	if len(trace) == 0 || trace[0].Sustainable {
-		t.Fatalf("trace must record the failed floor probe: %+v", trace)
-	}
-}
-
-func TestSaturateSustainedAtCap(t *testing.T) {
-	max, _, err := Saturate(stepTarget(1e9), 1000, 8000, 50*time.Millisecond, 4, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(max-8000) > 1 {
-		t.Fatalf("cap-sustained search must return the cap's accepted rate, got %.0f", max)
-	}
-}
-
-func TestPolicyServerErrorAlwaysFails(t *testing.T) {
-	r := Result{Offered: 100, Accepted: 100, ServerErrs: 1, Hist: obs.NewHistogram(), Elapsed: time.Second}
-	if ok, why := (Policy{}).Sustainable(r); ok || why == "" {
-		t.Fatal("a server error must make the probe unsustainable")
 	}
 }

@@ -28,14 +28,9 @@ import (
 	"time"
 )
 
-// TraceSchema identifies the JSONL trace layout. TraceSchemaV1 and
-// TraceSchemaV2 are prior layouts (v1: no job rows or cancellation counters;
-// v2: no serve resilience counters) that readers still accept.
-const (
-	TraceSchema   = "hdcps-obs/v3"
-	TraceSchemaV2 = "hdcps-obs/v2"
-	TraceSchemaV1 = "hdcps-obs/v1"
-)
+// TraceSchema identifies the JSONL trace layout: the one the writers below
+// emit and the only one ReadTrace accepts.
+const TraceSchema = "hdcps-obs/v3"
 
 // jsonFields renders an event's kind-specific payload. Keeping the mapping
 // here (not on Event) makes the wire names the single source of truth.

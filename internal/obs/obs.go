@@ -205,11 +205,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Row is one worker's counters, indexed by Counter.
+type Row [numCounters]atomic.Int64
+
 // row is one worker's slice of the recorder: a padded block of counter
 // atomics plus the event ring. Workers write only their own row, so the
 // atomics are uncontended; the pad keeps adjacent rows off one cache line.
 type row struct {
-	c [numCounters]atomic.Int64
+	c Row
 	_ [8]int64
 
 	mu   sync.Mutex
@@ -344,8 +347,8 @@ func (r *Recorder) TaskProcessed(worker int, prio, processed, edges int64) {
 }
 
 // TaskSample records one sampled task retirement: it refreshes the edge
-// counter and appends a task event. Writers that own their counter slots
-// directly (see CounterSlot) call this on sample boundaries only — the
+// counter and appends a task event. Writers that own their counter row
+// directly (see Row) call this on sample boundaries only — the
 // SampleMask tells them which — instead of going through TaskProcessed.
 func (r *Recorder) TaskSample(worker int, prio, processed, edges int64) {
 	r.row(worker).c[CEdgesExamined].Store(edges)
@@ -356,13 +359,13 @@ func (r *Recorder) TaskSample(worker int, prio, processed, edges int64) {
 // processed&mask == 0. A negative mask means task events are disabled.
 func (r *Recorder) SampleMask() int64 { return r.sampleMask }
 
-// CounterSlot exposes one counter's backing atomic so a single-writer
-// owner (the engine's worker loop) can publish straight into the
-// recorder's row — its own mirror and the recorder's then share one slot,
-// making an attached recorder cost no additional per-task atomics. The
-// caller must be the slot's only writer.
-func (r *Recorder) CounterSlot(worker int, c Counter) *atomic.Int64 {
-	return &r.row(worker).c[c]
+// Row exposes worker's backing counters so a single-writer owner (the
+// engine's worker loop) can publish straight into them — its own mirror and
+// the recorder's then share one row, making an attached recorder cost no
+// additional per-task atomics. For each counter it publishes this way the
+// caller must be the only writer; Add and Store keep working on the rest.
+func (r *Recorder) Row(worker int) *Row {
+	return &r.row(worker).c
 }
 
 // EventCount returns how many events have ever been appended (including

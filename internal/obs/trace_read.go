@@ -1,11 +1,10 @@
 package obs
 
-// Trace read-back: the inverse of WriteJSONL for consumers that post-process
-// a trace (the experiment harness, offline fairness analysis, CI schema
-// checks). The reader is deliberately tolerant — JSONL is append-oriented
-// and versions only add line types and fields — so it accepts every schema
-// the repo has ever written: hdcps-obs/v1 traces simply come back with no
-// job rows and zeroes for the v2 counters.
+// Trace read-back: the inverse of WriteJSONL, WriteJobsJSONL and
+// WriteControlJSONL. Nothing in the tree consumes a trace through it yet; it
+// is the round-trip check that what the writers emit decodes to what they
+// were given (trace_read_test.go). It reads the current schema only and
+// skips line types and fields it does not know.
 
 import (
 	"bufio"
@@ -37,22 +36,14 @@ type TraceEvent struct {
 type Trace struct {
 	Meta     TraceMeta
 	Counters []map[string]int64 // one map per counters line, "worker" included
-	Jobs     []JobRow           // empty for v1 traces
+	Jobs     []JobRow
 	Events   []TraceEvent
 	Control  []ControlPoint
 }
 
-// traceSchemas lists every schema version ReadTrace accepts.
-var traceSchemas = map[string]bool{
-	TraceSchemaV1: true,
-	TraceSchemaV2: true,
-	TraceSchema:   true,
-}
-
 // ReadTrace decodes a JSONL trace written by WriteJSONL (plus the job and
-// control appendices). It accepts every schema from hdcps-obs/v1 through v3
-// and rejects unknown ones; unknown line types and fields are skipped, which
-// is what lets readers and writers of adjacent versions coexist.
+// control appendices). A meta line naming any schema but TraceSchema is an
+// error; unknown line types and fields are skipped.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -76,7 +67,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err := json.Unmarshal(raw, &tr.Meta); err != nil {
 				return nil, fmt.Errorf("obs: trace line %d (meta): %w", line, err)
 			}
-			if !traceSchemas[tr.Meta.Schema] {
+			if tr.Meta.Schema != TraceSchema {
 				return nil, fmt.Errorf("obs: unknown trace schema %q", tr.Meta.Schema)
 			}
 			sawMeta = true
@@ -124,9 +115,6 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("obs: trace line %d (control): %w", line, err)
 			}
 			tr.Control = append(tr.Control, p)
-		default:
-			// Forward compatibility: later schemas add line types; a reader
-			// that chokes on them would defeat the append-only design.
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestReadTraceV2RoundTrip writes a full v2 trace — counters, events, job
+// TestReadTraceV2RoundTrip writes a full trace — counters, events, job
 // ledger rows, control series — and reads it back, pinning the fields a
 // post-processor depends on.
 func TestReadTraceV2RoundTrip(t *testing.T) {
@@ -62,45 +62,15 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadTraceV1Compat pins backward compatibility: a literal hdcps-obs/v1
-// trace (the schema every pre-multi-tenant release wrote — no job lines, no
-// per-job fields) must still decode, with Jobs simply empty. This fixture is
-// frozen text on purpose: it must keep decoding even after the writer moves
-// on, so do not regenerate it from the current writer.
-func TestReadTraceV1Compat(t *testing.T) {
-	const v1 = `{"type":"meta","schema":"hdcps-obs/v1","workers":2,"ring_size":1024,"sample_every":1,"events_total":1}
-{"type":"counters","worker":0,"tasks_processed":9,"edges_examined":4}
-{"type":"counters","worker":1,"overflow_spills":1}
-{"type":"event","ts_ns":123,"worker":1,"kind":"spill","n":3}
-{"type":"control","interval":0,"drift":1.5,"ref":10,"tdf":50}
-`
-	tr, err := ReadTrace(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Meta.Schema != TraceSchemaV1 {
-		t.Errorf("schema %q, want %q", tr.Meta.Schema, TraceSchemaV1)
-	}
-	if len(tr.Jobs) != 0 {
-		t.Errorf("v1 trace decoded %d job rows, want 0", len(tr.Jobs))
-	}
-	if len(tr.Counters) != 2 || tr.Counters[0]["tasks_processed"] != 9 {
-		t.Errorf("counters = %+v", tr.Counters)
-	}
-	if len(tr.Events) != 1 || tr.Events[0].Kind != "spill" || tr.Events[0].TS != 123 {
-		t.Errorf("events = %+v", tr.Events)
-	}
-	if len(tr.Control) != 1 || tr.Control[0].Drift != 1.5 {
-		t.Errorf("control = %+v", tr.Control)
-	}
-}
-
 // TestReadTraceRejectsUnknownSchema: versioning has teeth — a trace from a
-// future incompatible layout fails loudly instead of decoding garbage.
+// future incompatible layout, or from a retired one, fails loudly instead of
+// decoding garbage.
 func TestReadTraceRejectsUnknownSchema(t *testing.T) {
-	const future = `{"type":"meta","schema":"hdcps-obs/v99","workers":1}` + "\n"
-	if _, err := ReadTrace(strings.NewReader(future)); err == nil {
-		t.Fatal("unknown schema accepted")
+	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1"} {
+		meta := `{"type":"meta","schema":"` + schema + `","workers":1}` + "\n"
+		if _, err := ReadTrace(strings.NewReader(meta)); err == nil {
+			t.Fatalf("schema %s accepted", schema)
+		}
 	}
 	if _, err := ReadTrace(strings.NewReader("")); err == nil {
 		t.Fatal("empty trace accepted")

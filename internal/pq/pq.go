@@ -1,13 +1,17 @@
-// Package pq provides the priority-queue substrates used by the schedulers:
-// a binary heap (the per-core software PQ of RELD and HD-CPS), a bucket
-// queue (the bag-map index of OBIM/PMOD and sequential delta-stepping), a
-// pairing heap (meldable alternative, used by ablation benches), and a small
-// bounded heap modeling the paper's hardware priority queue (hPQ).
+// Package pq provides the priority queues under the schedulers: a binary
+// heap (the software PQ of the simulated schedulers and the sequential
+// oracles, and the native runtime's heap kind), a d-ary heap (the dheap
+// kind, and the two-level queue's fallback), the two-level queue (a sorted
+// hot buffer over a monotone bucket store: the native default and the
+// simulator's hPQ) and the relaxed MultiQueue (shared shards, one handle per
+// worker). Bounded, a small bounded heap with the hPQ's eviction rule, has
+// one user: TestTwoLevelHotEviction holds the two-level queue's hot tier to
+// it as the reference.
 //
 // All queues are min-queues over task.Task: Pop returns the task with the
-// numerically smallest Prio. None of them is safe for concurrent use; the
-// schedulers add their own synchronization, exactly as the paper's software
-// designs do.
+// numerically smallest Prio. Only MultiQueue is safe for concurrent use,
+// through its handles; the others are single-owner and the schedulers add
+// their own synchronization, exactly as the paper's software designs do.
 package pq
 
 import "hdcps/internal/task"

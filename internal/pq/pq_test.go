@@ -11,8 +11,6 @@ import (
 func impls() map[string]func() Queue {
 	return map[string]func() Queue{
 		"binheap":  func() Queue { return NewBinaryHeap(0) },
-		"bucket":   func() Queue { return NewBucketQueue() },
-		"pairing":  func() Queue { return NewPairingHeap() },
 		"4-ary":    func() Queue { return NewQuadHeap(0) },
 		"8-ary":    func() Queue { return NewDHeap(8, 0) },
 		"twolevel": func() Queue { return NewTwoLevel(TwoLevelConfig{}) },
@@ -85,10 +83,8 @@ func TestQueueEquivalence(t *testing.T) {
 	err := quick.Check(func(raw []int16) bool {
 		ref := NewBinaryHeap(len(raw))
 		others := map[string]Queue{
-			"bucket":  NewBucketQueue(),
-			"pairing": NewPairingHeap(),
-			"4-ary":   NewQuadHeap(0),
-			"8-ary":   NewDHeap(8, 0),
+			"4-ary": NewQuadHeap(0),
+			"8-ary": NewDHeap(8, 0),
 			"twolevel": NewTwoLevel(TwoLevelConfig{
 				HotCap: 4, MaxBuckets: 128, QuantShift: 2,
 			}),
@@ -146,78 +142,6 @@ func TestInterleavedPushPop(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestBucketRewind(t *testing.T) {
-	// Pushing below the cursor after pops must still surface the low task.
-	q := NewBucketQueue()
-	q.Push(task.Task{Prio: 100})
-	if got, _ := q.Pop(); got.Prio != 100 {
-		t.Fatalf("got %d", got.Prio)
-	}
-	q.Push(task.Task{Prio: 5})
-	q.Push(task.Task{Prio: 200})
-	if got, _ := q.Pop(); got.Prio != 5 {
-		t.Fatalf("rewind failed: got %d, want 5", got.Prio)
-	}
-}
-
-func TestBucketSparsePriorities(t *testing.T) {
-	// Forces the map-sweep fallback path (gap > linear scan limit).
-	q := NewBucketQueue()
-	q.Push(task.Task{Prio: 0})
-	q.Push(task.Task{Prio: 1 << 40})
-	if got, _ := q.Pop(); got.Prio != 0 {
-		t.Fatalf("got %d, want 0", got.Prio)
-	}
-	if got, ok := q.Pop(); !ok || got.Prio != 1<<40 {
-		t.Fatalf("sparse pop failed: %v %v", got, ok)
-	}
-}
-
-func TestBucketPopBucket(t *testing.T) {
-	q := NewBucketQueue()
-	for i := 0; i < 5; i++ {
-		q.Push(task.Task{Node: uint32(i), Prio: 7})
-	}
-	q.Push(task.Task{Node: 99, Prio: 9})
-	prio, bag, ok := q.PopBucket()
-	if !ok || prio != 7 || len(bag) != 5 {
-		t.Fatalf("PopBucket = %d/%d/%v", prio, len(bag), ok)
-	}
-	// FIFO within the bag.
-	for i, tk := range bag {
-		if tk.Node != uint32(i) {
-			t.Fatalf("bag order broken at %d: %v", i, tk)
-		}
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-}
-
-func TestPairingMeld(t *testing.T) {
-	a, b := NewPairingHeap(), NewPairingHeap()
-	for i := 0; i < 20; i++ {
-		a.Push(task.Task{Prio: int64(2 * i)})
-		b.Push(task.Task{Prio: int64(2*i + 1)})
-	}
-	a.Meld(b)
-	if b.Len() != 0 {
-		t.Fatalf("melded source not empty: %d", b.Len())
-	}
-	if a.Len() != 40 {
-		t.Fatalf("meld target Len = %d, want 40", a.Len())
-	}
-	for i := 0; i < 40; i++ {
-		got, ok := a.Pop()
-		if !ok || got.Prio != int64(i) {
-			t.Fatalf("pop %d = %v/%v", i, got, ok)
-		}
-	}
-	// Melding an empty/nil heap is a no-op.
-	a.Meld(nil)
-	a.Meld(NewPairingHeap())
 }
 
 func TestBoundedEviction(t *testing.T) {
@@ -365,14 +289,6 @@ func BenchmarkHeapPushPop(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkBucketQueue(b *testing.B) {
-	benchQueue(b, NewBucketQueue())
-}
-
-func BenchmarkPairingHeap(b *testing.B) {
-	benchQueue(b, NewPairingHeap())
 }
 
 func benchQueue(b *testing.B, q Queue) {

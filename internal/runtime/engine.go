@@ -221,26 +221,15 @@ type worker struct {
 	// (StallError diagnostics read it).
 	parked atomic.Bool
 
-	// The pub* pointers are the atomic shadows the loop publishes into:
-	// the worker's own pubLocal slots normally, or the attached recorder's
-	// counter row when observability is on. Sharing the slot means an
-	// enabled recorder costs the per-task path no atomics beyond the ones
-	// the engine already pays.
-	pubProcessed   *atomic.Int64
-	pubBags        *atomic.Int64
-	pubEdges       *atomic.Int64
-	pubIdleParks   *atomic.Int64
-	pubSpawned     *atomic.Int64
-	pubBagsRetired *atomic.Int64
-	pubCancelled   *atomic.Int64
-	pubRedirects   *atomic.Int64
-	pubHotSpills   *atomic.Int64
-	pubFallbacks   *atomic.Int64
-	pubRankSamples *atomic.Int64
-	pubInversions  *atomic.Int64
-	pubRankErrSum  *atomic.Int64
-	pubRankErrMax  *atomic.Int64
-	pubLocal       [14]atomic.Int64
+	// pub is the row of atomic shadows the loop publishes into, indexed by
+	// obs.Counter: the worker's own pubLocal normally, or the attached
+	// recorder's row for this worker when observability is on. Sharing the
+	// row means an enabled recorder costs the per-task path no atomics
+	// beyond the ones the engine already pays, and the recorder's view of
+	// these counters is exactly the engine's. The worker is the only writer
+	// of the slots it publishes.
+	pub      *obs.Row
+	pubLocal obs.Row
 
 	// prefetchSink receives the batched loop's CSR-offset loads; writing
 	// them to a field keeps the loads from being dead-code-eliminated.
@@ -349,14 +338,14 @@ func (me *worker) qpop() (task.Task, bool) {
 
 // publish mirrors the worker-local counters into their atomic shadows.
 func (me *worker) publish() {
-	me.pubProcessed.Store(me.processed)
-	me.pubBags.Store(me.bags)
-	me.pubEdges.Store(me.edges)
-	me.pubIdleParks.Store(me.idleParks)
-	me.pubSpawned.Store(me.spawned)
-	me.pubBagsRetired.Store(me.bagsRetired)
-	me.pubCancelled.Store(me.cancelled)
-	me.pubRedirects.Store(me.redirects)
+	me.pub[obs.CTasksProcessed].Store(me.processed)
+	me.pub[obs.CBagsCreated].Store(me.bags)
+	me.pub[obs.CEdgesExamined].Store(me.edges)
+	me.pub[obs.CIdleParks].Store(me.idleParks)
+	me.pub[obs.CTasksSpawned].Store(me.spawned)
+	me.pub[obs.CBagsRetired].Store(me.bagsRetired)
+	me.pub[obs.CTasksCancelled].Store(me.cancelled)
+	me.pub[obs.COverflowRedirects].Store(me.redirects)
 	var spills, fallbacks int64
 	for _, q := range me.jqs {
 		if q != nil && q.tl != nil {
@@ -365,12 +354,12 @@ func (me *worker) publish() {
 			fallbacks += st.Fallbacks
 		}
 	}
-	me.pubHotSpills.Store(spills)
-	me.pubFallbacks.Store(fallbacks)
-	me.pubRankSamples.Store(me.rankSamples)
-	me.pubInversions.Store(me.inversions)
-	me.pubRankErrSum.Store(me.rankErrSum)
-	me.pubRankErrMax.Store(me.rankErrMax)
+	me.pub[obs.CHotSpills].Store(spills)
+	me.pub[obs.CQueueFallbacks].Store(fallbacks)
+	me.pub[obs.CRankSamples].Store(me.rankSamples)
+	me.pub[obs.CPrioInversions].Store(me.inversions)
+	me.pub[obs.CRankErrSum].Store(me.rankErrSum)
+	me.pub[obs.CRankErrMax].Store(me.rankErrMax)
 }
 
 // NewEngine builds an engine over w (which is Reset) with cfg defaults
@@ -397,14 +386,14 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 	if cfg.NewTransport != nil {
 		e.transport = cfg.NewTransport(cfg)
 	} else {
-		e.transport = newRingTransport(cfg.Workers, cfg.RingSize, cfg.BatchSize, cfg.OverflowCap, cfg.Obs)
+		e.transport = NewDefaultTransport(cfg)
 	}
 	e.rt, _ = e.transport.(*ringTransport)
 	for i := range e.workers {
 		me := &e.workers[i]
 		me.id = i
 		me.eng = e
-		me.mqKind = cfg.Queue == nil && cfg.QueueKind == QueueMultiQueue
+		me.mqKind = cfg.QueueKind == QueueMultiQueue
 		me.rng = graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
 		me.batch = make([]task.Task, cfg.BatchK)
 		me.children = make([]task.Task, 0, 16)
@@ -414,39 +403,9 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.newBagID = func() uint64 {
 			return uint64(me.id)<<32 | uint64(me.store.alloc().idx)
 		}
+		me.pub = &me.pubLocal
 		if rec := cfg.Obs; rec != nil {
-			// Publish straight into the recorder's row: the worker remains
-			// the slot's only writer, and the recorder's view of these
-			// counters is exactly the engine's.
-			me.pubProcessed = rec.CounterSlot(i, obs.CTasksProcessed)
-			me.pubBags = rec.CounterSlot(i, obs.CBagsCreated)
-			me.pubEdges = rec.CounterSlot(i, obs.CEdgesExamined)
-			me.pubIdleParks = rec.CounterSlot(i, obs.CIdleParks)
-			me.pubSpawned = rec.CounterSlot(i, obs.CTasksSpawned)
-			me.pubBagsRetired = rec.CounterSlot(i, obs.CBagsRetired)
-			me.pubCancelled = rec.CounterSlot(i, obs.CTasksCancelled)
-			me.pubRedirects = rec.CounterSlot(i, obs.COverflowRedirects)
-			me.pubHotSpills = rec.CounterSlot(i, obs.CHotSpills)
-			me.pubFallbacks = rec.CounterSlot(i, obs.CQueueFallbacks)
-			me.pubRankSamples = rec.CounterSlot(i, obs.CRankSamples)
-			me.pubInversions = rec.CounterSlot(i, obs.CPrioInversions)
-			me.pubRankErrSum = rec.CounterSlot(i, obs.CRankErrSum)
-			me.pubRankErrMax = rec.CounterSlot(i, obs.CRankErrMax)
-		} else {
-			me.pubProcessed = &me.pubLocal[0]
-			me.pubBags = &me.pubLocal[1]
-			me.pubEdges = &me.pubLocal[2]
-			me.pubIdleParks = &me.pubLocal[3]
-			me.pubSpawned = &me.pubLocal[4]
-			me.pubBagsRetired = &me.pubLocal[5]
-			me.pubCancelled = &me.pubLocal[6]
-			me.pubRedirects = &me.pubLocal[7]
-			me.pubHotSpills = &me.pubLocal[8]
-			me.pubFallbacks = &me.pubLocal[9]
-			me.pubRankSamples = &me.pubLocal[10]
-			me.pubInversions = &me.pubLocal[11]
-			me.pubRankErrSum = &me.pubLocal[12]
-			me.pubRankErrMax = &me.pubLocal[13]
+			me.pub = rec.Row(i)
 		}
 	}
 	if cfg.Obs != nil {
@@ -700,7 +659,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 func (e *Engine) ledgerMark() int64 {
 	m := e.submitted.Load() + e.faults.nQuarantined.Load() + e.faults.panics.Load()
 	for i := range e.workers {
-		m += e.workers[i].pubProcessed.Load() + e.workers[i].pubCancelled.Load()
+		m += e.workers[i].pub[obs.CTasksProcessed].Load() + e.workers[i].pub[obs.CTasksCancelled].Load()
 	}
 	return m
 }
@@ -835,7 +794,7 @@ func (e *Engine) redirect(me *worker, ts []task.Task) {
 		e.push(me, t)
 	}
 	me.redirects += int64(len(ts))
-	me.pubRedirects.Store(me.redirects)
+	me.pub[obs.COverflowRedirects].Store(me.redirects)
 	if rec := e.obs; rec != nil {
 		rec.Event(me.id, obs.EvRedirect, int64(len(ts)), 0, 0)
 	}
@@ -876,7 +835,7 @@ func (e *Engine) discard(me *worker, q *workerJQ, t task.Task) {
 		st.release(s)
 		me.cancelled += n
 		me.bagsRetired++
-		me.pubBagsRetired.Store(me.bagsRetired)
+		me.pub[obs.CBagsRetired].Store(me.bagsRetired)
 		q.dCancelled += n
 		q.dBagsRetired++
 		q.dOut -= n + 1
@@ -933,7 +892,7 @@ func (e *Engine) runWorker(id int) {
 		me.batchPos, me.batchLen = 0, 0
 	}
 	buf := make([]task.Task, 0, 64)
-	idle := 0
+	idle, spin := 0, idleSpin()
 	for {
 		if e.stop.Load() {
 			return
@@ -984,11 +943,11 @@ func (e *Engine) runWorker(id int) {
 			// stops costing the scheduler anything.
 			idle++
 			switch {
-			case idle <= e.cfg.IdleSpin:
-			case idle <= 2*e.cfg.IdleSpin:
+			case idle <= spin:
+			case idle <= 2*spin:
 				stdruntime.Gosched()
 			default:
-				time.Sleep(e.cfg.IdleSleep)
+				time.Sleep(idleSleep)
 			}
 			continue
 		}
@@ -1020,10 +979,10 @@ func (e *Engine) runWorker(id int) {
 				q.deficit -= int64(len(s.tasks)) - 1
 				st.release(s)
 				// Publish the bag's retirement before it leaves the
-				// outstanding count, mirroring pubProcessed's ordering
+				// outstanding count, mirroring the processed count's ordering
 				// (conservation ledger, global and per job).
 				me.bagsRetired++
-				me.pubBagsRetired.Store(me.bagsRetired)
+				me.pub[obs.CBagsRetired].Store(me.bagsRetired)
 				q.dBagsRetired++
 				q.dOut--
 				me.markDirty(q)
@@ -1036,7 +995,7 @@ func (e *Engine) runWorker(id int) {
 		// Flush the batch's accumulated retirements in one shared atomic per
 		// counter — the batched loop's other throughput lever besides the
 		// prefetch: up to BatchK childless tasks retire for the price of one
-		// outstanding.Add (and one pubProcessed store) instead of one each.
+		// outstanding.Add (and one processed-count store) instead of one each.
 		e.flushBatchAccts(me)
 
 		if me.sinceFlush >= e.cfg.FlushInterval && e.pending(id) > 0 {
@@ -1177,10 +1136,10 @@ func (e *Engine) drainCancelled(me *worker, q *workerJQ) {
 // every ledger term explaining it, per job and globally.
 func (e *Engine) flushBatchAccts(me *worker) {
 	if len(me.dirtyJQ) > 0 {
-		me.pubSpawned.Store(me.spawned)
-		me.pubProcessed.Store(me.processed)
-		me.pubBagsRetired.Store(me.bagsRetired)
-		me.pubCancelled.Store(me.cancelled)
+		me.pub[obs.CTasksSpawned].Store(me.spawned)
+		me.pub[obs.CTasksProcessed].Store(me.processed)
+		me.pub[obs.CBagsRetired].Store(me.bagsRetired)
+		me.pub[obs.CTasksCancelled].Store(me.cancelled)
 		for _, q := range me.dirtyJQ {
 			js := q.js
 			if q.dSpawned != 0 {
@@ -1260,10 +1219,10 @@ func (e *Engine) sampleRank(me *worker, q *workerJQ, t task.Task) {
 			}
 		}
 	}
-	me.pubRankSamples.Store(me.rankSamples)
-	me.pubInversions.Store(me.inversions)
-	me.pubRankErrSum.Store(me.rankErrSum)
-	me.pubRankErrMax.Store(me.rankErrMax)
+	me.pub[obs.CRankSamples].Store(me.rankSamples)
+	me.pub[obs.CPrioInversions].Store(me.inversions)
+	me.pub[obs.CRankErrSum].Store(me.rankErrSum)
+	me.pub[obs.CRankErrMax].Store(me.rankErrMax)
 	e.obs.Event(me.id, obs.EvRankSample, rank, t.Prio, int64(js.id))
 }
 
@@ -1326,11 +1285,11 @@ func (e *Engine) handleFault(id int, me *worker, js *jobState, t task.Task, pv a
 		rec.Event(id, obs.EvQuarantine, t.Prio, int64(attempt), 0)
 	}
 	// The quarantine record is in the ledger (recordPanic) before the task
-	// leaves the outstanding count, mirroring pubProcessed's ordering —
+	// leaves the outstanding count, mirroring the processed count's ordering —
 	// per job first, then globally.
 	js.quarantined.Add(1)
 	js.outstanding.Add(-1)
-	me.pubProcessed.Store(me.processed)
+	me.pub[obs.CTasksProcessed].Store(me.processed)
 	e.account(-1)
 }
 
@@ -1356,7 +1315,7 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 	q.dProcessed++
 	q.dOut--
 	me.markDirty(q)
-	// With a recorder attached pubProcessed IS the recorder's counter slot,
+	// With a recorder attached pub IS the recorder's row for this worker,
 	// so only the sampled trace path remains to record here.
 	if m := e.obsMask; m >= 0 && me.processed&m == 0 {
 		e.obs.TaskSample(id, t.Prio, me.processed, me.edges)
@@ -1385,7 +1344,7 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 			s := me.store.get(uint32(b.ID))
 			s.tasks = append(s.tasks[:0], b.Tasks...)
 			if rec := e.obs; rec != nil {
-				// The bags counter flows through the shared pubBags slot at
+				// The bags counter flows through the shared pub row at
 				// publish points; only the trace event is recorded here.
 				rec.Event(id, obs.EvBagCreated, b.Prio, int64(len(b.Tasks)), 0)
 			}
@@ -1560,30 +1519,30 @@ func (e *Engine) Snapshot() Snapshot {
 	for i := range e.workers {
 		me := &e.workers[i]
 		ws := WorkerStats{
-			Processed:      me.pubProcessed.Load(),
-			Bags:           me.pubBags.Load(),
+			Processed:      me.pub[obs.CTasksProcessed].Load(),
+			Bags:           me.pub[obs.CBagsCreated].Load(),
 			OverflowSpills: e.transport.Spills(i),
-			IdleParks:      me.pubIdleParks.Load(),
-			Redirects:      me.pubRedirects.Load(),
+			IdleParks:      me.pub[obs.CIdleParks].Load(),
+			Redirects:      me.pub[obs.COverflowRedirects].Load(),
 		}
 		s.Workers[i] = ws
 		s.TasksProcessed += ws.Processed
 		s.BagsCreated += ws.Bags
-		s.EdgesExamined += me.pubEdges.Load()
-		s.BagsRetired += me.pubBagsRetired.Load()
-		s.Cancelled += me.pubCancelled.Load()
+		s.EdgesExamined += me.pub[obs.CEdgesExamined].Load()
+		s.BagsRetired += me.pub[obs.CBagsRetired].Load()
+		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
-		s.HotSpills += me.pubHotSpills.Load()
-		s.QueueFallbacks += me.pubFallbacks.Load()
-		s.RankSamples += me.pubRankSamples.Load()
-		s.PrioInversions += me.pubInversions.Load()
-		s.RankErrorSum += me.pubRankErrSum.Load()
-		if m := me.pubRankErrMax.Load(); m > s.RankErrorMax {
+		s.HotSpills += me.pub[obs.CHotSpills].Load()
+		s.QueueFallbacks += me.pub[obs.CQueueFallbacks].Load()
+		s.RankSamples += me.pub[obs.CRankSamples].Load()
+		s.PrioInversions += me.pub[obs.CPrioInversions].Load()
+		s.RankErrorSum += me.pub[obs.CRankErrSum].Load()
+		if m := me.pub[obs.CRankErrMax].Load(); m > s.RankErrorMax {
 			s.RankErrorMax = m
 		}
 	}
 	for i := range e.workers {
-		s.Spawned += e.workers[i].pubSpawned.Load()
+		s.Spawned += e.workers[i].pub[obs.CTasksSpawned].Load()
 	}
 	s.Submitted = e.submitted.Load()
 	return s
@@ -1611,9 +1570,9 @@ func (e *Engine) Result() Result {
 	}
 	for i := range e.workers {
 		me := &e.workers[i]
-		res.TasksProcessed += me.pubProcessed.Load()
-		res.BagsCreated += me.pubBags.Load()
-		res.EdgesExamined += me.pubEdges.Load()
+		res.TasksProcessed += me.pub[obs.CTasksProcessed].Load()
+		res.BagsCreated += me.pub[obs.CBagsCreated].Load()
+		res.EdgesExamined += me.pub[obs.CEdgesExamined].Load()
 	}
 	res.DriftClamped = e.control.Clamped()
 	if hist := e.control.History(); len(hist) > 0 {

@@ -99,14 +99,15 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 }
 
 // Snapshot's coherence contract: at any instant, TasksProcessed +
-// Outstanding >= tasks submitted before the read. Before the pubProcessed
+// Outstanding >= tasks submitted before the read. Before the processed-count
 // publish was moved ahead of task retirement, a mid-drain Snapshot could
 // observe the retirement (Outstanding down) without the processed count
 // (stale until the next flush/park) and under-count — this pins the fix.
 func TestEngineSnapshotCoherentMidDrain(t *testing.T) {
 	w := newLeafWorkload()
 	// One worker with a long flush interval maximizes the staleness window
-	// the old code exposed: pubProcessed lagged by up to FlushInterval tasks.
+	// the old code exposed: the published count lagged by up to FlushInterval
+	// tasks.
 	cfg := Config{Workers: 1, RingSize: 256, FlushInterval: 10000}
 	rec := obs.New(obs.Config{Workers: 1, SampleEvery: -1})
 	cfg.Obs = rec

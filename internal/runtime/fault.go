@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hdcps/internal/obs"
 	"hdcps/internal/task"
 )
 
@@ -199,14 +200,14 @@ func (e *Engine) stallError(op string, cause error) *StallError {
 		me := &e.workers[i]
 		ws := WorkerState{
 			ID:        i,
-			Processed: me.pubProcessed.Load(),
-			IdleParks: me.pubIdleParks.Load(),
+			Processed: me.pub[obs.CTasksProcessed].Load(),
+			IdleParks: me.pub[obs.CIdleParks].Load(),
 			Spills:    e.transport.Spills(i),
 			Parked:    me.parked.Load(),
 		}
 		se.Workers[i] = ws
 		se.Processed += ws.Processed
-		se.Cancelled += me.pubCancelled.Load()
+		se.Cancelled += me.pub[obs.CTasksCancelled].Load()
 	}
 	return se
 }

@@ -143,8 +143,9 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 	if g := w.Graph(); g != nil {
 		js.off = g.Off
 	}
-	if cfg.Queue == nil && cfg.QueueKind == QueueMultiQueue {
-		js.mq = pq.NewMultiQueue(mqConfig(cfg))
+	if cfg.QueueKind == QueueMultiQueue {
+		// pq's defaults: 4 shards a worker, a shard pair kept for 8 operations.
+		js.mq = pq.NewMultiQueue(pq.MultiQueueConfig{Workers: cfg.Workers, Seed: cfg.Seed})
 	}
 	return js
 }

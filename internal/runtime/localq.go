@@ -20,11 +20,11 @@ const (
 	// QueueTwoLevel is the default: the paper's hPQ-style two-level queue —
 	// a sorted hot buffer (Config.HotBufferCap entries) spilling into a
 	// monotone bucket cold store, with automatic runtime fallback to a
-	// d-ary heap when the priority stream turns out non-monotone.
+	// 4-ary heap when the priority stream turns out non-monotone.
 	QueueTwoLevel = "twolevel"
-	// QueueDHeap is the PR-1 flat d-ary heap of Config.HeapArity.
+	// QueueDHeap is the flat 4-ary heap.
 	QueueDHeap = "dheap"
-	// QueueHeap is the classic binary heap (HeapArity 2 shorthand).
+	// QueueHeap is the classic binary heap.
 	QueueHeap = "heap"
 	// QueueMultiQueue is the relaxed MultiQueue (PR 6): one shared pool of
 	// c·P try-locked shards with pick-2 delete-min, accessed through a
@@ -42,42 +42,23 @@ func QueueKinds() []string {
 	return []string{QueueHeap, QueueDHeap, QueueTwoLevel, QueueMultiQueue}
 }
 
-// mqConfig maps the engine knobs onto the shared MultiQueue's sizing.
-func mqConfig(cfg Config) pq.MultiQueueConfig {
-	return pq.MultiQueueConfig{
-		Workers:    cfg.Workers,
-		Factor:     cfg.MQFactor,
-		Stickiness: cfg.MQStickiness,
-		Seed:       cfg.Seed,
-	}
-}
-
-// newLocalQueue builds one queue from the configured policy: Config.Queue
-// when set (the pluggable hook), else the shape named by Config.QueueKind.
+// newLocalQueue builds one queue of the shape named by Config.QueueKind.
 // The engine's hot path devirtualizes the two-level and multiqueue shapes
 // (workerJQ.tl / workerJQ.mq), so the interface boxing here is paid once
 // per worker per job. A multiqueue built here is a single-worker instance;
 // fleets share one structure per job via jobState.mq (see newWorkerJQ).
 func newLocalQueue(cfg Config) LocalQueue {
-	if cfg.Queue != nil {
-		return cfg.Queue()
-	}
 	switch cfg.QueueKind {
 	case QueueHeap:
 		return pq.NewBinaryHeap(64)
 	case QueueDHeap:
-		if cfg.HeapArity == 2 {
-			return pq.NewBinaryHeap(64)
-		}
-		return pq.NewDHeap(cfg.HeapArity, 64)
+		return pq.NewDHeap(heapArity, 64)
 	case QueueMultiQueue:
-		mc := mqConfig(cfg)
-		mc.Workers = 1
-		return pq.NewMultiQueue(mc).Handle()
+		return pq.NewMultiQueue(pq.MultiQueueConfig{Workers: 1, Seed: cfg.Seed}).Handle()
 	default:
 		return pq.NewTwoLevel(pq.TwoLevelConfig{
 			HotCap: cfg.HotBufferCap,
-			Arity:  cfg.HeapArity,
+			Arity:  heapArity,
 		})
 	}
 }

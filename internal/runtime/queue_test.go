@@ -28,10 +28,7 @@ func TestQueueKindSelection(t *testing.T) {
 		{Config{QueueKind: QueueTwoLevel, HotBufferCap: 16}, true, false},
 		{Config{QueueKind: QueueHeap}, false, false},
 		{Config{QueueKind: QueueDHeap}, false, false},
-		{Config{QueueKind: QueueDHeap, HeapArity: 2}, false, false},
 		{Config{QueueKind: QueueMultiQueue}, false, true},
-		{Config{QueueKind: QueueMultiQueue, MQFactor: 2, MQStickiness: 4}, false, true},
-		{Config{Queue: func() LocalQueue { return pq.NewBinaryHeap(8) }}, false, false},
 	}
 	for _, c := range cases {
 		q := newLocalQueue(c.cfg.withDefaults())
@@ -235,7 +232,7 @@ func TestEngineRestartMidRun(t *testing.T) {
 	pt := &panicOnceTransport{}
 	cfg := DefaultConfig(4)
 	cfg.NewTransport = func(c Config) Transport {
-		pt.Transport = newRingTransport(c.Workers, c.RingSize, c.BatchSize, c.OverflowCap, c.Obs)
+		pt.Transport = NewDefaultTransport(c)
 		return pt
 	}
 	e := NewEngine(w, cfg)

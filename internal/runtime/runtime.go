@@ -61,33 +61,16 @@ type Config struct {
 
 	// QueueKind selects the per-worker local queue shape: QueueTwoLevel
 	// (the default — the paper's hPQ-style hot buffer over a monotone
-	// bucket cold store, with runtime fallback to a d-ary heap on
-	// non-monotone priority streams), QueueDHeap (the PR-1 d-ary heap of
-	// HeapArity), QueueHeap (a classic binary heap), or QueueMultiQueue
-	// (the relaxed shared MultiQueue: c·P try-locked shards, pick-2
-	// delete-min, bounded priority inversion). Unknown values select the
-	// default.
+	// bucket cold store, with runtime fallback to a 4-ary heap on
+	// non-monotone priority streams), QueueDHeap (a 4-ary heap), QueueHeap
+	// (a classic binary heap), or QueueMultiQueue (the relaxed shared
+	// MultiQueue: 4·P try-locked shards, pick-2 delete-min, a shard pair
+	// kept for 8 operations, bounded priority inversion). Unknown values
+	// select the default.
 	QueueKind string
 	// HotBufferCap sizes the two-level queue's hot buffer (QueueTwoLevel
 	// only). 0 defaults to 48, the paper's hPQ capacity (§III-D).
 	HotBufferCap int
-	// HeapArity selects the d-ary local queue's branching factor when
-	// QueueKind is QueueDHeap (2 is the classic binary heap the simulator's
-	// cost model charges for) and the two-level queue's fallback heap.
-	// 0 defaults to 4, the cache-friendly choice.
-	HeapArity int
-	// MQFactor is the MultiQueue's c in the c·P shard count (QueueMultiQueue
-	// only). 0 defaults to 4, the literature's sweet spot; larger values
-	// lower contention but raise the expected rank error.
-	MQFactor int
-	// MQStickiness is how many consecutive operations a worker reuses its
-	// chosen MultiQueue shard (pair) before re-randomizing (QueueMultiQueue
-	// only). 0 defaults to 8; 1 disables stickiness. Higher values cut
-	// coordination cost and multiply the rank-error bound by O(S).
-	MQStickiness int
-	// Queue, when non-nil, overrides HeapArity with a custom per-worker
-	// local queue (the pluggable local-queue layer; called once per worker).
-	Queue func() LocalQueue
 	// NewTransport, when non-nil, replaces the ring fabric with a custom
 	// transport layer. It receives the fully defaulted Config.
 	NewTransport func(Config) Transport
@@ -132,20 +115,34 @@ type Config struct {
 	// preempt the rest of the batch). 0 defaults to 8; 1 restores the
 	// pop-one semantics.
 	BatchK int
-	// BatchSize is the per-destination dispatch buffer: remote children
-	// accumulate until BatchSize are ready, then ship with a single
-	// claim-CAS (rq.TryPushBatch). 0 defaults to 16.
-	BatchSize int
 	// FlushInterval bounds batching staleness: after this many processed
 	// tasks all partial buffers are force-flushed (a worker that goes idle
 	// always flushes immediately). 0 defaults to 32.
 	FlushInterval int
-	// IdleSpin is how many empty polls a worker performs before it starts
-	// yielding, and how many yields before it sleeps. 0 defaults to 64.
-	IdleSpin int
-	// IdleSleep is the park duration once spinning and yielding found no
-	// work. 0 defaults to 50µs.
-	IdleSleep time.Duration
+}
+
+// Values nothing sets apart from their defaults, so constants and not knobs.
+// heapArity is the branching factor of the dheap kind and of the two-level
+// queue's fallback heap: 4 keeps a node's children within a cache line.
+// sendBatch is the stock transport's per-destination buffer: remote children
+// accumulate until that many are ready, then ship with one claim-CAS
+// (rq.TryPushBatch). idleSleep is an idle worker's sleep once idleSpin()
+// empty polls and as many yields found no work.
+const (
+	heapArity = 4
+	sendBatch = 16
+	idleSleep = 50 * time.Microsecond
+)
+
+// idleSpin is how many empty polls an idle worker performs before it starts
+// yielding, and how many yields before it sleeps. Spinning only pays when a
+// producer can run concurrently; on a single P an idle worker's spin just
+// steals the producer's CPU, so it yields almost immediately instead.
+func idleSpin() int {
+	if stdruntime.GOMAXPROCS(0) == 1 {
+		return 4
+	}
+	return 64
 }
 
 // withDefaults fills unset knobs with the paper-tuned values.
@@ -165,32 +162,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HotBufferCap <= 0 {
 		cfg.HotBufferCap = 48
 	}
-	if cfg.HeapArity <= 0 {
-		cfg.HeapArity = 4
-	}
 	if cfg.BatchK <= 0 {
 		cfg.BatchK = 8
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
 	}
 	if cfg.OverflowCap == 0 {
 		cfg.OverflowCap = 4096
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 32
-	}
-	if cfg.IdleSpin <= 0 {
-		cfg.IdleSpin = 64
-		if stdruntime.GOMAXPROCS(0) == 1 {
-			// Spinning only pays when a producer can run concurrently; on a
-			// single P an idle worker's spin just steals the producer's CPU,
-			// so yield almost immediately instead.
-			cfg.IdleSpin = 4
-		}
-	}
-	if cfg.IdleSleep <= 0 {
-		cfg.IdleSleep = 50 * time.Microsecond
 	}
 	return cfg
 }

@@ -262,7 +262,7 @@ func TestDispatchGate(t *testing.T) {
 // Send that completes it hands the batch to the other worker.
 func TestSendSettlesBeforeShip(t *testing.T) {
 	e, me, q := gateEngine(t, QueueTwoLevel, 0)
-	batch := e.cfg.BatchSize
+	batch := sendBatch
 	e.outstanding.Store(1) // the parent being processed
 	q.js.outstanding.Store(1)
 	for i := 1; i <= 2*batch; i++ {

@@ -117,7 +117,7 @@ func newRingTransport(workers, ringSize, batch, overflowCap int, rec *obs.Record
 // Wrappers (fault injection, instrumentation) use it as their inner layer.
 func NewDefaultTransport(cfg Config) Transport {
 	cfg = cfg.withDefaults()
-	return newRingTransport(cfg.Workers, cfg.RingSize, cfg.BatchSize, cfg.OverflowCap, cfg.Obs)
+	return newRingTransport(cfg.Workers, cfg.RingSize, sendBatch, cfg.OverflowCap, cfg.Obs)
 }
 
 func (tr *ringTransport) Send(src, dst int, t task.Task) []task.Task {

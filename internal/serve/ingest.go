@@ -365,9 +365,9 @@ func IngestBenchBody(n, nodes int) []byte {
 // IngestBenchLoop runs the server's parse half of the ingest hot path —
 // framing, decoding, batch building, pool recycling — over one NDJSON body,
 // exactly as handleSubmit does but with the engine swapped out. It returns
-// the number of lines decoded. cmd/hdcps-bench measures allocs/line over
-// this loop for BENCH_serve.json's ingest_allocs_per_line; the
-// BenchmarkSubmitIngest family wraps it too.
+// the number of lines decoded. The benchmark's serve.parse_*_per_line rows,
+// TestIngestAllocsPerLine (the allocs/line gate) and the
+// BenchmarkSubmitIngest family all run this loop.
 func IngestBenchLoop(body []byte) (int, error) {
 	fr := newLineFramer(bytes.NewReader(body))
 	defer fr.release()
@@ -402,8 +402,8 @@ func IngestBenchLoop(body []byte) (int, error) {
 }
 
 // EncodeBenchLoop runs the client's encode half of the boundary — the
-// pooled pre-encoded line writer — over specs, returning bytes produced.
-// cmd/hdcps-bench measures allocs/line over it for encode_allocs_per_line.
+// pooled pre-encoded line writer — over specs, returning bytes produced
+// (the benchmark's serve.encode_*_per_line rows, TestEncodeAllocsPerLine).
 func EncodeBenchLoop(specs []TaskSpec) int {
 	b := getBody()
 	defer putBody(b)

@@ -17,8 +17,8 @@ import (
 //   - loopback: full client→HTTP→handler→engine admission over a loopback
 //     listener via the persistent-stream submitter, with lines/s reported.
 //
-// bench-smoke runs the parse variant; the allocs/line figure feeds
-// BENCH_serve.json's ingest_allocs_per_line canary.
+// bench-smoke runs every variant; the allocs/line gate is
+// TestIngestAllocsPerLine / TestEncodeAllocsPerLine in ingest_test.go.
 func BenchmarkSubmitIngest(b *testing.B) {
 	b.Run("parse", func(b *testing.B) {
 		const lines = 4096
