@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate serve-smoke fuzz-smoke ci
+.PHONY: all build tier1 quick vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate serve-smoke fuzz-smoke ci
 
 all: ci
 
@@ -10,6 +10,13 @@ build:
 # Tier-1: the gate every change must keep green (ROADMAP.md).
 tier1: build
 	$(GO) test ./...
+
+# Inner loop: Tier-1 without the figure grids of internal/exp and the serve
+# soaks (testing.Short). internal/sched's golden-cycles table is not skipped
+# and stands in for the grids: a semantic slip in the simulator fails here.
+# tier1, ci and every CI job run the full set.
+quick: build
+	$(GO) test -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -71,12 +78,13 @@ serve-chaos:
 	$(GO) test -race -count=1 ./internal/serve/
 
 # Hot-path microbenchmarks (ring push/batch, heap arity, partitioner,
-# native runtime throughput with and without the obs recorder). The root
-# package carries BenchmarkNativeRuntime{,Observed}; compare runs with
-# benchstat, see EXPERIMENTS.md.
+# native runtime throughput with and without the obs recorder; the
+# simulator's event queue, cache model and one simulated run a scheduler).
+# The root package carries BenchmarkNativeRuntime{,Observed} and
+# BenchmarkSchedulers; compare runs with benchstat, see EXPERIMENTS.md.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist' \
-		-benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/
+	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkEventQueue|BenchmarkMemAccess' \
+		-benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchmem ./internal/serve/
 
 # Bench smoke: prove every microbenchmark still runs — a fixed tiny
@@ -87,8 +95,8 @@ bench:
 # exact); at tiny scale its shares are informational, the ±10pp gate binds
 # at small scale and up.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist' \
-		-benchtime 100x -benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/
+	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkEventQueue|BenchmarkMemAccess' \
+		-benchtime 100x -benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchtime 100x -benchmem ./internal/serve/
 	$(GO) run ./cmd/hdcps-bench -exp fairness-sweep -scale tiny
 

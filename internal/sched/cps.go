@@ -232,7 +232,12 @@ type cpsHandler struct {
 	baggedTasks   int64
 	flowRedirects int64 // capacity-counter re-picks (§III-D flow control)
 
-	children []task.Task // scratch
+	// Per-task scratch: emit appends a child to children (one closure for
+	// the handler's lifetime, as the native worker does it), and part groups
+	// them without allocating.
+	children []task.Task
+	emit     func(task.Task)
+	part     bag.Partitioner
 }
 
 func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uint64) *cpsHandler {
@@ -246,6 +251,7 @@ func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uin
 		transport: cfg.Bags.Transport,
 		ctrl:      drift.NewController(cfg.Drift),
 	}
+	h.emit = func(ch task.Task) { h.children = append(h.children, ch) }
 	if cfg.UseTDF {
 		h.tdf = h.ctrl.TDF()
 	} else {
@@ -449,14 +455,14 @@ func (h *cpsHandler) processOne(m *sim.Machine, core int, t task.Task, at int64)
 	c := &h.cores[core]
 	c.curPrio = t.Prio
 	h.children = h.children[:0]
-	edges := h.w.Process(t, func(ch task.Task) { h.children = append(h.children, ch) })
+	edges := h.w.Process(t, h.emit)
 	h.processed++
 	c.processed++
 	cost := h.cm.taskCostAt(m, core, t, edges, at)
 	m.Charge(core, sim.Compute, cost)
 
 	// Partition children into bags and singles (Alg. 1 lines 4-10).
-	bags, singles := bag.Partition(h.children, h.cfg.Bags, h.bagIDs.Next)
+	bags, singles := h.part.Partition(h.children, h.cfg.Bags, h.bagIDs.Next)
 	for _, b := range bags {
 		h.bagsCreated++
 		h.baggedTasks += int64(len(b.Tasks))
@@ -553,7 +559,8 @@ func (h *cpsHandler) dispatchBag(m *sim.Machine, core int, b bag.Bag) int64 {
 		bits += h.mcfg.EntryBits * len(b.Tasks)
 		entries += len(b.Tasks)
 	}
-	h.bags[b.ID] = bagRecord{tasks: b.Tasks, owner: core}
+	// b.Tasks is the partitioner's scratch; the record outlives it.
+	h.bags[b.ID] = bagRecord{tasks: append([]task.Task(nil), b.Tasks...), owner: core}
 	if dst == core {
 		cost := h.insertLocal(&h.cores[core], meta)
 		m.Charge(core, sim.Enqueue, cost)

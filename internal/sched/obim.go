@@ -244,7 +244,11 @@ type obimHandler struct {
 	chunksTaken int64
 
 	children []task.Task
-	idle     []bool
+	emit     func(task.Task) // appends to children; built once
+	// spare holds published pending buffers for reuse: the global map copies
+	// a bucket's tasks on push, so nothing retains the buffer.
+	spare [][]task.Task
+	idle  []bool
 }
 
 // Message kinds.
@@ -271,6 +275,7 @@ func newOBIMHandler(s obimScheduler, w workload.Workload, mcfg sim.Config, seed 
 		rng:   graph.NewRNG(seed ^ 0x0b14),
 		idle:  make([]bool, mcfg.Cores),
 	}
+	h.emit = func(ch task.Task) { h.children = append(h.children, ch) }
 	h.workers = mcfg.Cores
 	if s.kind == kindSWMinnow {
 		h.workers = mcfg.Cores - s.minnows
@@ -478,6 +483,7 @@ func (h *obimHandler) minnowReady(m *sim.Machine, core int) (int64, bool) {
 			m.Charge(core, sim.Enqueue, hold+op)
 			cost += wait + hold + op
 			h.g.push(rec.bucket, rec.tasks)
+			h.spare = append(h.spare, rec.tasks[:0])
 			pushed = true
 		}
 		wc.outbox = wc.outbox[:0]
@@ -518,17 +524,21 @@ func (h *obimHandler) processOne(m *sim.Machine, core int, t task.Task, at int64
 	c := &h.cores[core]
 	c.curPrio = t.Prio
 	h.children = h.children[:0]
-	edges := h.w.Process(t, func(ch task.Task) { h.children = append(h.children, ch) })
+	edges := h.w.Process(t, h.emit)
 	h.processed++
 	cost := h.cm.taskCostAt(m, core, t, edges, at)
 	m.Charge(core, sim.Compute, cost)
 
 	for _, ch := range h.children {
 		b := h.g.bucketOf(ch.Prio)
-		if _, ok := c.pending[b]; !ok {
+		buf, ok := c.pending[b]
+		if !ok {
 			c.keys = append(c.keys, b)
+			if n := len(h.spare); n > 0 {
+				buf, h.spare = h.spare[n-1], h.spare[:n-1]
+			}
 		}
-		c.pending[b] = append(c.pending[b], ch)
+		c.pending[b] = append(buf, ch)
 		m.Charge(core, sim.Enqueue, obimAppendCycles)
 		cost += obimAppendCycles
 		// Publish a bucket when it fills, or immediately when it holds
@@ -570,6 +580,7 @@ func (h *obimHandler) emitBucket(m *sim.Machine, core int, bucket int64) int64 {
 		op := h.mcfg.SWLockCost/4 + h.opCost()/4
 		h.g.lock.acquire(m.Now(), op)
 		h.g.push(bucket, ts)
+		h.spare = append(h.spare, ts[:0])
 		m.Charge(core, sim.Enqueue, h.mcfg.HWQueueCycles)
 		h.wakeAll(m)
 		return h.mcfg.HWQueueCycles
@@ -580,6 +591,7 @@ func (h *obimHandler) emitBucket(m *sim.Machine, core int, bucket int64) int64 {
 		m.Charge(core, sim.Comm, wait)
 		m.Charge(core, sim.Enqueue, hold+op)
 		h.g.push(bucket, ts)
+		h.spare = append(h.spare, ts[:0])
 		h.wakeAll(m)
 		return wait + hold + op
 	}
@@ -589,13 +601,9 @@ func (h *obimHandler) emitBucket(m *sim.Machine, core int, bucket int64) int64 {
 // tasks are stranded while the core looks for new work.
 func (h *obimHandler) flush(m *sim.Machine, core int) int64 {
 	c := &h.cores[core]
-	if len(c.keys) == 0 {
-		return 0
-	}
 	var cost int64
-	keys := append([]int64(nil), c.keys...)
-	for _, b := range keys {
-		cost += h.emitBucket(m, core, b)
+	for len(c.keys) > 0 { // emitBucket removes the key it publishes
+		cost += h.emitBucket(m, core, c.keys[0])
 	}
 	return cost
 }

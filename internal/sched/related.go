@@ -90,6 +90,7 @@ type relatedHandler struct {
 	outstanding int64
 	processed   int64
 	children    []task.Task
+	emit        func(task.Task) // appends to children; built once
 }
 
 // multiQFactor is MultiQueue's c: queues per core.
@@ -104,6 +105,7 @@ func newRelatedHandler(s relatedScheduler, w workload.Workload, mcfg sim.Config,
 		curPrio: make([]int64, mcfg.Cores),
 		rngs:    make([]*graph.RNG, mcfg.Cores),
 	}
+	h.emit = func(c task.Task) { h.children = append(h.children, c) }
 	for i := range h.curPrio {
 		h.curPrio[i] = idlePrio
 		h.rngs[i] = graph.NewRNG(seed + uint64(i)*0x51ed)
@@ -170,7 +172,7 @@ func (h *relatedHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 	cost := acquireCost
 
 	h.children = h.children[:0]
-	edges := h.w.Process(t, func(c task.Task) { h.children = append(h.children, c) })
+	edges := h.w.Process(t, h.emit)
 	h.processed++
 	h.outstanding += int64(len(h.children)) - 1
 	comp := h.cm.taskCostAt(m, core, t, edges, cost)

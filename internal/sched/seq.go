@@ -27,6 +27,7 @@ func (Sequential) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Ru
 		w:  w,
 		q:  pq.NewBinaryHeap(1024),
 	}
+	h.emit = func(c task.Task) { h.children = append(h.children, c) }
 	w.Reset()
 	total, bds := m.Run(h)
 	r := newRun("seq", w, m.Config())
@@ -42,6 +43,7 @@ type seqHandler struct {
 	q         *pq.BinaryHeap
 	processed int64
 	children  []task.Task
+	emit      func(task.Task) // appends to children; built once
 }
 
 func (h *seqHandler) Start(m *sim.Machine) {
@@ -62,7 +64,7 @@ func (h *seqHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 	cost += deq
 
 	h.children = h.children[:0]
-	edges := h.w.Process(t, func(c task.Task) { h.children = append(h.children, c) })
+	edges := h.w.Process(t, h.emit)
 	h.processed++
 	comp := h.cm.taskCost(m, core, t, edges)
 	m.Charge(core, sim.Compute, comp)

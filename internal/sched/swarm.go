@@ -51,6 +51,7 @@ func (swarmScheduler) Run(w workload.Workload, cfg sim.Config, seed uint64) stat
 		donePrio: make([]int64, n),
 		idle:     make([]bool, m.Config().Cores),
 	}
+	h.emit = func(c task.Task) { h.children = append(h.children, c) }
 	for i := range h.curPrio {
 		h.curPrio[i] = idlePrio
 	}
@@ -81,6 +82,7 @@ type swarmHandler struct {
 	processed int64
 	aborts    int64
 	children  []task.Task
+	emit      func(task.Task) // appends to children; built once
 }
 
 func (h *swarmHandler) activePriorities() []int64 {
@@ -116,7 +118,7 @@ func (h *swarmHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 	m.Charge(core, sim.Comm, swarmXferCycles)
 
 	h.children = h.children[:0]
-	edges := h.w.Process(t, func(c task.Task) { h.children = append(h.children, c) })
+	edges := h.w.Process(t, h.emit)
 	h.processed++
 	comp := h.cm.taskCost(m, core, t, edges)
 	m.Charge(core, sim.Compute, comp)

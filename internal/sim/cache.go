@@ -11,6 +11,12 @@ type memory struct {
 	l1, l2 [][]uint64 // per-core tag arrays; tag 0 = empty
 	ctrls  []dramCtrl
 
+	// Line-to-slot maps of the two tag arrays and the home controller.
+	set1, set2, home modulus
+	// dramCap is the number of accesses one controller serves per window
+	// before later ones queue.
+	dramCap int64
+
 	// Stats counters (exported through Machine.MemStats for diagnostics).
 	hits1, hits2, misses int64
 }
@@ -29,13 +35,40 @@ const (
 	dramWindowBits = 10 // 1024-cycle bandwidth accounting windows
 )
 
+// modulus maps a line number onto n slots. Every size in both default
+// machines is a power of two, where the remainder is a mask; other sizes
+// keep the division, so the two paths index identically by construction.
+type modulus struct {
+	n, mask uint64
+	pow2    bool
+}
+
+func newModulus(n int) modulus {
+	u := uint64(n)
+	return modulus{n: u, mask: u - 1, pow2: u&(u-1) == 0}
+}
+
+func (d modulus) of(line uint64) uint64 {
+	if d.pow2 {
+		return line & d.mask
+	}
+	return line % d.n
+}
+
 func newMemory(cfg Config) *memory {
-	m := &memory{cfg: cfg, ctrls: make([]dramCtrl, cfg.DRAMControllers)}
+	m := &memory{
+		cfg:     cfg,
+		ctrls:   make([]dramCtrl, cfg.DRAMControllers),
+		set1:    newModulus(max(cfg.L1Lines, 1)),
+		set2:    newModulus(max(cfg.L2Lines, 1)),
+		home:    newModulus(cfg.DRAMControllers),
+		dramCap: int64(1) << dramWindowBits / max64(cfg.DRAMServiceGap, 1),
+	}
 	m.l1 = make([][]uint64, cfg.Cores)
 	m.l2 = make([][]uint64, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		m.l1[i] = make([]uint64, max(cfg.L1Lines, 1))
-		m.l2[i] = make([]uint64, max(cfg.L2Lines, 1))
+		m.l1[i] = make([]uint64, m.set1.n)
+		m.l2[i] = make([]uint64, m.set2.n)
 	}
 	return m
 }
@@ -58,13 +91,13 @@ func (m *memory) access(core int, addr uint64, bytes int, now int64) int64 {
 func (m *memory) accessLine(core int, line uint64, now int64) int64 {
 	tag := line + 1 // avoid the empty sentinel
 	l1 := m.l1[core]
-	s1 := line % uint64(len(l1))
+	s1 := m.set1.of(line)
 	if l1[s1] == tag {
 		m.hits1++
 		return m.cfg.L1Hit
 	}
 	l2 := m.l2[core]
-	s2 := line % uint64(len(l2))
+	s2 := m.set2.of(line)
 	if l2[s2] == tag {
 		m.hits2++
 		l1[s1] = tag
@@ -74,7 +107,7 @@ func (m *memory) accessLine(core int, line uint64, now int64) int64 {
 	m.misses++
 	l1[s1] = tag
 	l2[s2] = tag
-	c := &m.ctrls[line%uint64(len(m.ctrls))]
+	c := &m.ctrls[m.home.of(line)]
 	w := now >> dramWindowBits
 	if c.window != w {
 		c.window = w
@@ -82,8 +115,8 @@ func (m *memory) accessLine(core int, line uint64, now int64) int64 {
 	}
 	c.count++
 	var queue int64
-	if capacity := int64(1) << dramWindowBits / max64(m.cfg.DRAMServiceGap, 1); c.count > capacity {
-		queue = (c.count - capacity) * m.cfg.DRAMServiceGap
+	if c.count > m.dramCap {
+		queue = (c.count - m.dramCap) * m.cfg.DRAMServiceGap
 	}
 	return queue + m.cfg.DRAMLatency
 }

@@ -1,0 +1,128 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// refMemory is the cache model written the slow way — every index a
+// division — as the reference both index paths of memory must match.
+type refMemory struct {
+	cfg                  Config
+	l1, l2               [][]uint64
+	window, count        []int64
+	hits1, hits2, misses int64
+}
+
+func newRefMemory(cfg Config) *refMemory {
+	r := &refMemory{cfg: cfg, window: make([]int64, cfg.DRAMControllers), count: make([]int64, cfg.DRAMControllers)}
+	for i := 0; i < cfg.Cores; i++ {
+		r.l1 = append(r.l1, make([]uint64, cfg.L1Lines))
+		r.l2 = append(r.l2, make([]uint64, cfg.L2Lines))
+	}
+	return r
+}
+
+func (r *refMemory) access(core int, addr uint64, bytes int, now int64) int64 {
+	var total int64
+	for line := addr >> lineShift; line <= (addr+uint64(bytes)-1)>>lineShift; line++ {
+		at := now + total
+		tag := line + 1
+		s1, s2 := line%uint64(r.cfg.L1Lines), line%uint64(r.cfg.L2Lines)
+		switch {
+		case r.l1[core][s1] == tag:
+			r.hits1++
+			total += r.cfg.L1Hit
+		case r.l2[core][s2] == tag:
+			r.hits2++
+			r.l1[core][s1] = tag
+			total += r.cfg.L2Hit
+		default:
+			r.misses++
+			r.l1[core][s1], r.l2[core][s2] = tag, tag
+			c := line % uint64(r.cfg.DRAMControllers)
+			if w := at >> dramWindowBits; r.window[c] != w {
+				r.window[c], r.count[c] = w, 0
+			}
+			r.count[c]++
+			total += r.cfg.DRAMLatency
+			if capacity := int64(1) << dramWindowBits / r.cfg.DRAMServiceGap; r.count[c] > capacity {
+				total += (r.count[c] - capacity) * r.cfg.DRAMServiceGap
+			}
+		}
+	}
+	return total
+}
+
+// TestCacheIndexPaths drives one address stream through a power-of-two
+// machine (indexed by mask) and through one whose sizes are not (indexed by
+// %), each against the division-only reference: latencies and hit/miss
+// counts must agree access by access.
+func TestCacheIndexPaths(t *testing.T) {
+	odd := DefaultSW(4)
+	odd.L1Lines, odd.L2Lines, odd.DRAMControllers = 300, 3000, 3
+	for name, cfg := range map[string]Config{"pow2": DefaultSW(4).normalized(), "odd": odd.normalized()} {
+		mem, ref := newMemory(cfg), newRefMemory(cfg)
+		if wantMask := name == "pow2"; mem.set1.pow2 != wantMask || mem.set2.pow2 != wantMask || mem.home.pow2 != wantMask {
+			t.Fatalf("%s: mask paths %v %v %v, want all %v", name, mem.set1.pow2, mem.set2.pow2, mem.home.pow2, wantMask)
+		}
+		rng := rand.New(rand.NewSource(7))
+		var now int64
+		for i := 0; i < 200_000; i++ {
+			core := rng.Intn(cfg.Cores)
+			// A hot region that fits L1, a warm one that fits L2, a cold
+			// one that fits neither, and bursts inside one DRAM window so
+			// the controller queue fills.
+			var addr uint64
+			switch rng.Intn(4) {
+			case 0:
+				addr = uint64(rng.Intn(200)) << lineShift
+			case 1:
+				addr = 1<<20 + uint64(rng.Intn(2500))<<lineShift
+			default:
+				addr = 1<<28 + uint64(rng.Intn(1<<20))<<lineShift
+			}
+			addr += uint64(rng.Intn(64))
+			bytes := 1 + rng.Intn(200)
+			if rng.Intn(4) == 0 {
+				now += rng.Int63n(300)
+			}
+			if got, want := mem.access(core, addr, bytes, now), ref.access(core, addr, bytes, now); got != want {
+				t.Fatalf("%s: access %d (core %d addr %#x bytes %d at %d) = %d cycles, reference %d",
+					name, i, core, addr, bytes, now, got, want)
+			}
+		}
+		if mem.hits1 != ref.hits1 || mem.hits2 != ref.hits2 || mem.misses != ref.misses {
+			t.Errorf("%s: L1/L2/miss = %d/%d/%d, reference %d/%d/%d",
+				name, mem.hits1, mem.hits2, mem.misses, ref.hits1, ref.hits2, ref.misses)
+		}
+		if ref.hits1 == 0 || ref.hits2 == 0 || ref.misses == 0 {
+			t.Errorf("%s: stream did not reach every level: %d/%d/%d", name, ref.hits1, ref.hits2, ref.misses)
+		}
+	}
+}
+
+var sinkLatency int64
+
+// BenchmarkMemAccess measures one 8-byte access on the default software
+// machine: a stream that stays in L1 and one that misses to DRAM every time.
+func BenchmarkMemAccess(b *testing.B) {
+	cfg := DefaultSW(40).normalized()
+	for _, bc := range []struct {
+		name  string
+		lines uint64 // distinct lines the stream cycles through, a power of two
+	}{{"hit", 256}, {"miss", 1 << 16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			mem := newMemory(cfg)
+			var total int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				line := uint64(i) * 7919 & (bc.lines - 1)
+				total += mem.access(i&31, line<<lineShift, 8, int64(i)*4)
+			}
+			sinkLatency = total
+			b.ReportMetric(float64(mem.misses)/float64(b.N), "dram/op")
+		})
+	}
+}

@@ -134,6 +134,9 @@ func (c Config) normalized() Config {
 	if c.Cores <= 0 {
 		panic("sim: Config.Cores must be positive")
 	}
+	if c.Cores > 1<<16 {
+		panic("sim: Config.Cores must fit the event key's 16-bit core field")
+	}
 	if c.MeshW == 0 || c.MeshH == 0 {
 		c.MeshW, c.MeshH = squarest(c.Cores)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"hdcps/internal/stats"
@@ -43,7 +42,6 @@ type Handler interface {
 type Machine struct {
 	cfg  Config
 	now  int64
-	seq  uint64
 	evq  eventQueue
 	noc  *noc
 	mem  *memory
@@ -61,41 +59,6 @@ type Machine struct {
 	driftEvery    int64
 	driftTrace    []float64
 	driftMaxTrace int
-}
-
-type event struct {
-	at   int64
-	seq  uint64
-	core int
-	kind eventKind
-	msg  Message
-}
-
-type eventKind int
-
-const (
-	evReady eventKind = iota
-	evMessage
-	evDrift
-)
-
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
 }
 
 // New returns a machine with the given configuration.
@@ -129,13 +92,6 @@ func (m *Machine) Now() int64 { return m.now }
 // Cores returns the core count.
 func (m *Machine) Cores() int { return m.cfg.Cores }
 
-// push enqueues an event.
-func (m *Machine) push(e event) {
-	e.seq = m.seq
-	m.seq++
-	heap.Push(&m.evq, e)
-}
-
 // Wake re-arms an idle core's Ready loop at the current time (or when the
 // core's in-flight step completes, whichever is later). Safe to call for a
 // busy core: it is a no-op because the core is already armed.
@@ -148,7 +104,7 @@ func (m *Machine) Wake(core int) {
 		at = m.coreFree[core]
 	}
 	m.armed[core] = true
-	m.push(event{at: at, core: core, kind: evReady})
+	m.evq.push(at, core, evReady)
 }
 
 // Charge adds cycles to one component of a core's completion-time breakdown
@@ -188,10 +144,13 @@ const (
 // returns the in-network latency (for senders that block on delivery, e.g.
 // synchronous software transfers; asynchronous hardware senders ignore it).
 func (m *Machine) Send(msg Message, bits int, senderDelay int64) int64 {
+	if uint(msg.To) >= uint(m.cfg.Cores) {
+		panic(fmt.Sprintf("sim: Send to core %d of %d", msg.To, m.cfg.Cores))
+	}
 	depart := m.now + senderDelay
 	arrive := m.noc.route(msg.From, msg.To, m.cfg.Flits(bits), depart)
 	m.msgsSent++
-	m.push(event{at: arrive, core: msg.To, kind: evMessage, msg: msg})
+	m.evq.pushMessage(arrive, msg)
 	return arrive - depart
 }
 
@@ -220,8 +179,13 @@ func (m *Machine) Hops(a, b int) int64 { return m.noc.hops(a, b) }
 
 // SetDriftProbe installs a sampler: every interval cycles the machine
 // records Equation-1 drift over probe()'s per-core current priorities.
-// maxSamples bounds the trace (0 means unlimited).
+// maxSamples bounds the trace (0 means unlimited). A non-positive interval
+// installs no probe: a sampler that re-arms at the current cycle would never
+// let time advance.
 func (m *Machine) SetDriftProbe(probe func() []int64, interval int64, maxSamples int) {
+	if interval <= 0 {
+		probe = nil
+	}
 	m.driftFn = probe
 	m.driftEvery = interval
 	m.driftMaxTrace = maxSamples
@@ -239,50 +203,51 @@ func (m *Machine) Run(h Handler) (int64, []stats.Breakdown) {
 	m.done = true
 	h.Start(m)
 	if m.driftFn != nil {
-		m.push(event{at: m.driftEvery, kind: evDrift})
+		m.evq.push(m.driftEvery, 0, evDrift)
 	}
 	var lastReal int64 // completion excludes trailing drift-probe events
-	for m.evq.Len() > 0 {
-		e := heap.Pop(&m.evq).(event)
+	for m.evq.len() > 0 {
+		e := m.evq.pop()
+		core := int(e.core)
 		m.now = e.at
 		if e.kind != evDrift {
 			lastReal = e.at
 		}
 		switch e.kind {
 		case evReady:
-			m.armed[e.core] = false
-			m.endIdle(e.core)
-			cost, idle := h.Ready(m, e.core)
+			m.armed[core] = false
+			m.endIdle(core)
+			cost, idle := h.Ready(m, core)
 			if cost < 0 {
 				panic(fmt.Sprintf("sim: negative Ready cost %d", cost))
 			}
-			m.coreFree[e.core] = m.now + cost
+			m.coreFree[core] = m.now + cost
 			if idle {
-				m.beginIdle(e.core)
+				m.beginIdle(core)
 			} else {
-				m.armed[e.core] = true
-				m.push(event{at: m.coreFree[e.core], core: e.core, kind: evReady})
+				m.armed[core] = true
+				m.evq.push(m.coreFree[core], core, evReady)
 			}
 		case evMessage:
-			cost := h.Receive(m, e.core, e.msg)
+			cost := h.Receive(m, core, m.evq.takeMessage(e.ref))
 			if cost > 0 {
 				// Receiving consumed core time: push the core's free time
 				// out (the ISR preempts or queues behind the current step).
-				if m.coreFree[e.core] < m.now {
-					m.coreFree[e.core] = m.now
+				if m.coreFree[core] < m.now {
+					m.coreFree[core] = m.now
 				}
-				m.coreFree[e.core] += cost
+				m.coreFree[core] += cost
 			}
-			if m.coreIdle[e.core] {
-				m.endIdle(e.core)
-				m.Wake(e.core)
+			if m.coreIdle[core] {
+				m.endIdle(core)
+				m.Wake(core)
 			}
 		case evDrift:
 			if m.driftMaxTrace == 0 || len(m.driftTrace) < m.driftMaxTrace {
 				m.driftTrace = append(m.driftTrace, eq1(m.driftFn()))
 			}
-			if m.evq.Len() > 0 { // keep sampling while work remains
-				m.push(event{at: m.now + m.driftEvery, kind: evDrift})
+			if m.evq.len() > 0 { // keep sampling while work remains
+				m.evq.push(m.now+m.driftEvery, 0, evDrift)
 			}
 		}
 	}

@@ -282,6 +282,29 @@ func TestDriftProbe(t *testing.T) {
 	}
 }
 
+// TestDriftProbeNonPositiveInterval: a probe that re-arms at now+0 used to
+// keep Run at cycle 0 for ever, its trace growing without bound. It is now
+// "no probe".
+func TestDriftProbeNonPositiveInterval(t *testing.T) {
+	for _, interval := range []int64{0, -5} {
+		m := New(Config{Cores: 2, HopCycles: 2, FlitBits: 64})
+		calls := 0
+		m.SetDriftProbe(func() []int64 {
+			if calls++; calls > 1000 {
+				panic("drift probe is spinning at one cycle")
+			}
+			return []int64{1, 2}
+		}, interval, 0)
+		total, _ := m.Run(&pingPong{remaining: 10})
+		if total <= 0 || m.MessagesSent() != 11 {
+			t.Fatalf("interval %d: run did not finish: %d cycles, %d messages", interval, total, m.MessagesSent())
+		}
+		if len(m.DriftTrace()) != 0 || calls != 0 {
+			t.Fatalf("interval %d: %d samples from %d probe calls, want none", interval, len(m.DriftTrace()), calls)
+		}
+	}
+}
+
 func TestEq1(t *testing.T) {
 	if eq1(nil) != 0 {
 		t.Fatal("empty eq1 should be 0")
