@@ -36,12 +36,13 @@ lint:
 # Race tier: the concurrency-heavy packages under the race detector. The
 # native runtime (engine lifecycle, transport, control plane), the MPSC
 # ring, the payload transport, the observability recorder, the executor
-# registry that fronts the runtime, and the parallel experiment driver are
+# registry that fronts the runtime, the open-loop load harness (a goroutine
+# per arrival over shared counters), and the parallel experiment driver are
 # where a data race would actually live. The exp run is scoped to the
 # driver tests: racing the full figure suite is ~10min on one core and
 # exercises no concurrency the driver tests don't.
 race:
-	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/...
+	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/... ./internal/load/...
 	$(GO) test -race -run 'TestParallel' -count=1 ./internal/exp/
 
 # Procs axis (ROADMAP item 5b): the engine, its fault-injection soaks and the
@@ -67,7 +68,8 @@ chaos:
 
 # Serve-chaos tier: the network-boundary soaks under the race detector — a
 # real serve.Server behind the fault-injecting netchaos listener, driven by
-# the retrying client, across every connection-fault mix (RST, stall,
+# the persistent-stream client (one long-lived stream and many one-batch
+# streams), across every connection-fault mix (RST, stall,
 # short-read/partial-write, latency+throttle, combined with engine-transport
 # chaos). Each mix must end with three-way ledger agreement: client-confirmed
 # admissions == server accepted == engine Submitted (mod chaos duplicates),
@@ -131,8 +133,10 @@ scale-gate:
 	$(GO) run ./cmd/hdcps-bench -scale-gate 1.0 -scale large -reps 25
 
 # Serving smoke: build hdcps-serve + hdcps-load, boot on an ephemeral port,
-# drive a fixed-rate open-loop run, SIGTERM, and require the graceful drain
-# to be ledger-exact (no accepted task lost). Artifacts in $$SMOKE_DIR.
+# drive a fixed-rate open-loop run over persistent streams (-retries 1: any
+# terminal answer or transport error fails it), SIGTERM, and require the
+# graceful drain to be ledger-exact (no accepted task lost). Artifacts in
+# $$SMOKE_DIR when set; otherwise a temp directory kept only on failure.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

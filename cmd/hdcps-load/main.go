@@ -3,19 +3,23 @@
 // schedules) regardless of how fast the server absorbs them, and reports
 // the latency quantiles plus the accept/backpressure/error accounting.
 //
-// By default each batch is a resumable retrying stream: transport faults and
-// 429/503/408 answers are retried with capped exponential backoff plus full
-// jitter, honoring the server's Retry-After hints, and interrupted NDJSON
-// streams resume exactly-once via X-Stream-Id (no accepted task is ever
-// re-admitted). -strict disables all retries and makes any 5xx or transport
-// error exit nonzero — the CI gate's stance that saturation must surface as
-// 429/503 backpressure, never as a server failure.
+// There is one submit path: -streams persistent NDJSON streams held open for
+// the run, batches round-robined onto them and confirmed by the server's
+// per-flush acks. Transport faults and 429/503/408 answers are retried with
+// capped exponential backoff plus full jitter, honoring the server's
+// Retry-After hints, and an interrupted stream resumes exactly-once via
+// X-Stream-Id (no accepted task is ever re-admitted). A stream whose retry
+// policy runs out is replaced on its next batch. Batches refused while the
+// server kept answering 429/503/408 count as backpressure; a terminal answer,
+// or running out of retries on transport errors, is a server error and the
+// run exits nonzero. -retries 1 is the CI gate's stance: no second attempt,
+// so saturation must surface as backpressure and never as a server failure.
 //
 // Usage:
 //
 //	hdcps-load -url http://127.0.0.1:8080 -rate 4000 -duration 5s
 //	hdcps-load -url http://$(cat /tmp/addr) -rate 20000 -arrivals bursty -hist hist.json
-//	hdcps-load -url http://$(cat /tmp/addr) -wait-ready 10s -strict -rate 2000
+//	hdcps-load -url http://$(cat /tmp/addr) -wait-ready 10s -retries 1 -rate 2000
 package main
 
 import (
@@ -23,7 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -46,13 +49,15 @@ func main() {
 		seed     = flag.Int64("seed", 1, "arrival-schedule seed")
 		inflight = flag.Int("inflight", 128, "max concurrent submit requests (arrivals beyond are shed)")
 		histOut  = flag.String("hist", "", "write the latency histogram JSON here")
-		strict   = flag.Bool("strict", false, "no retries: any 5xx or transport error exits nonzero (the CI-gate stance)")
 		waitRdy  = flag.Duration("wait-ready", 0, "poll /readyz this long before driving load (0 skips the wait)")
-		retries  = flag.Int("retries", 8, "max attempts per stream in retrying mode")
+		retries  = flag.Int("retries", 8, "max consecutive failed attempts before a stream gives up (1: never retry)")
 		backoff  = flag.Duration("backoff", 25*time.Millisecond, "base backoff between retries (capped exponential, full jitter)")
-		streams  = flag.Int("streams", 0, "hold N persistent NDJSON streams open and round-robin batches onto them (0: one POST per batch)")
+		streams  = flag.Int("streams", 4, "persistent NDJSON streams held open; batches round-robin onto them (>= 1)")
 	)
 	flag.Parse()
+	if *streams < 1 {
+		fatal(fmt.Errorf("-streams %d: want at least 1", *streams))
+	}
 	base := strings.TrimSuffix(*url, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -80,21 +85,8 @@ func main() {
 		RequestTimeout: 10 * time.Second,
 		Seed:           uint64(*seed),
 	}
-	var submitter load.Submitter
-	switch {
-	case *streams > 0:
-		if *strict {
-			fatal(fmt.Errorf("-streams and -strict are mutually exclusive: persistent streams retry by design"))
-		}
-		var closer io.Closer
-		submitter, closer = cl.StreamSubmitter(ctx, uint32(*jobID), gen, *streams, pol, &retryStats)
-		defer closer.Close()
-		fmt.Printf("streams:  %d persistent\n", *streams)
-	case *strict:
-		submitter = cl.Submitter(ctx, uint32(*jobID), gen)
-	default:
-		submitter = cl.RetrySubmitter(ctx, uint32(*jobID), gen, pol, &retryStats)
-	}
+	submitter, closer := cl.StreamSubmitter(ctx, uint32(*jobID), gen, *streams, pol, &retryStats)
+	fmt.Printf("streams:  %d persistent\n", *streams)
 	res := load.Run(ctx, submitter, load.Options{
 		Rate:        *rate,
 		Batch:       *batch,
@@ -105,6 +97,9 @@ func main() {
 		Seed:        *seed,
 		MaxInFlight: *inflight,
 	})
+	// Every batch's outcome is already in res; Close only releases the
+	// streams, and its error would repeat one of them.
+	_ = closer.Close()
 
 	sum := res.Hist.Summary()
 	fmt.Printf("offered:  %d tasks (%.0f/s target %.0f/s, %s arrivals, %s)\n",
@@ -115,9 +110,7 @@ func main() {
 		sum.P50Ms, sum.P90Ms, sum.P99Ms, sum.P999Ms, sum.MaxMs)
 	fmt.Printf("outcomes: %d ok, %d backpressure, %d server-error batches\n",
 		res.BatchesByOut[load.Accepted], res.BatchesByOut[load.Backpressure], res.BatchesByOut[load.ServerError])
-	if !*strict {
-		fmt.Printf("retrying: %s\n", retryStats.String())
-	}
+	fmt.Printf("retrying: %s\n", retryStats.String())
 	if res.GenSlipped > 0 || res.GeneratorBound {
 		fmt.Printf("clock:    %d arrivals slipped, max lag %s%s\n",
 			res.GenSlipped, res.GenLagMax.Round(time.Microsecond),

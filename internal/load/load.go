@@ -40,9 +40,9 @@ const (
 )
 
 // Submitter tries to deliver one batch of n tasks to the target. It
-// returns how many tasks were actually admitted (0 on rejection) and the
-// outcome class. err carries detail for logging; the generator only
-// counts it.
+// returns how many tasks were actually admitted (under every outcome: a
+// refused or failed batch may have an admitted prefix) and the outcome
+// class. err carries detail for logging; the generator only counts it.
 type Submitter func(n int) (accepted int, out Outcome, err error)
 
 // Options configure one open-loop run.
@@ -101,7 +101,7 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	Offered      int64
 	Accepted     int64
-	Rejected     int64 // tasks in batches refused with backpressure
+	Rejected     int64 // tasks of dispatched batches the target did not admit
 	ServerErrs   int64 // batches that hit a server error (5xx/transport)
 	Shed         int64 // tasks shed because MaxInFlight was exhausted
 	Requests     int64
@@ -251,16 +251,11 @@ func Run(ctx context.Context, submit Submitter, o Options) Result {
 			o.Hist.ObserveDuration(time.Since(t0))
 			requests.Add(1)
 			byOut[out].Add(1)
-			switch out {
-			case Accepted:
-				accepted.Add(int64(n))
-				if n < o.Batch {
-					rejected.Add(int64(o.Batch - n))
-				}
-			case Backpressure:
-				accepted.Add(int64(n))
-				rejected.Add(int64(o.Batch - n))
-			case ServerError:
+			// Whatever the outcome, n is the prefix the target confirmed: a
+			// batch that failed part-way still admitted it.
+			accepted.Add(int64(n))
+			rejected.Add(int64(o.Batch - n))
+			if out == ServerError {
 				serverE.Add(1)
 			}
 			if err != nil {

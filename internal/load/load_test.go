@@ -135,6 +135,23 @@ func TestOutcomeAccounting(t *testing.T) {
 	}
 }
 
+// TestServerErrorKeepsAdmittedPrefix: a batch that fails after the target
+// admitted part of it counts that part as accepted and the rest as rejected,
+// so the client's total matches the target's ledger.
+func TestServerErrorKeepsAdmittedPrefix(t *testing.T) {
+	partial := func(n int) (int, Outcome, error) { return 5, ServerError, errors.New("boom") }
+	res := Run(context.Background(), partial, Options{
+		Rate: 4000, Batch: 8, Duration: 100 * time.Millisecond, Seed: 8,
+	})
+	if res.Requests == 0 || res.ServerErrs != res.Requests {
+		t.Fatalf("every batch is a server error: %+v", res)
+	}
+	if res.Accepted != 5*res.Requests || res.Rejected != 3*res.Requests {
+		t.Fatalf("accepted %d rejected %d over %d batches, want 5 and 3 a batch",
+			res.Accepted, res.Rejected, res.Requests)
+	}
+}
+
 func TestRunRespectsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -46,6 +46,17 @@ var ErrJobCancelled = errors.New("runtime: job cancelled")
 // unbounded table would let a runaway caller exhaust memory fleet-wide.
 const maxJobs = 1 << 20
 
+// MaxJobWeight and MaxTDFBias cap JobConfig.Weight and JobConfig.TDFBias.
+// Both feed int64 products on the worker loop (weight*drrQuantum in
+// fillBatch, tdf*bias/100 in dispatch); unbounded, a weight of 1<<62 makes
+// the deposit overflow to 0 and the rotation spin on a job whose balance
+// never turns positive. The caps are far past any useful value: a 65536:1
+// share, a bias that scatters always at a TDF of 1%.
+const (
+	MaxJobWeight = 1 << 16
+	MaxTDFBias   = 100 * 100
+)
+
 // JobConfig parameterizes one tenant of a multi-job engine.
 type JobConfig struct {
 	// Name labels the job in stats, traces, and stall diagnostics.
@@ -54,7 +65,8 @@ type JobConfig struct {
 	// Weight is the job's fair-share weight: each worker's deficit-round-
 	// robin rotation deposits weight*drrQuantum tasks of service per visit,
 	// so a weight-2 job is offered twice the task throughput of a weight-1
-	// job whenever both are backlogged. Values <= 0 default to 1.
+	// job whenever both are backlogged. Values <= 0 default to 1; values
+	// above MaxJobWeight are clamped to it.
 	Weight int
 	// MaxOutstanding is the admission quota: a Submit that would push the
 	// job's outstanding task count past it is rejected whole with a
@@ -66,7 +78,7 @@ type JobConfig struct {
 	// percent (100 = neutral, 50 = scatter half as often, 200 = twice as
 	// often, capped at always). It composes the drift controller's global
 	// signal with a per-tenant locality preference. Values <= 0 default
-	// to 100.
+	// to 100; values above MaxTDFBias are clamped to it.
 	TDFBias int
 	// Retry overrides the engine's RetryPolicy for this job's tasks
 	// (nil inherits Config.Retry).
@@ -130,12 +142,14 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 	if js.weight <= 0 {
 		js.weight = 1
 	}
+	js.weight = min(js.weight, MaxJobWeight)
 	if js.quota < 0 {
 		js.quota = 0
 	}
 	if js.tdfBias <= 0 {
 		js.tdfBias = 100
 	}
+	js.tdfBias = min(js.tdfBias, MaxTDFBias)
 	if jc.Retry != nil {
 		js.retry = *jc.Retry
 		js.hasRetry = true

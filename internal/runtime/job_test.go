@@ -219,6 +219,37 @@ func TestJobQuota(t *testing.T) {
 	_ = e.Stop(context.Background())
 }
 
+// TestJobWeightIsBounded: a weight whose DRR deposit would overflow int64
+// (1<<62 * drrQuantum wraps to 0) once left the job's balance at zero for
+// ever, and its worker spinning in fillBatch's rotation without reaching the
+// stop check. Weight and TDFBias are clamped, so such a job drains.
+func TestJobWeightIsBounded(t *testing.T) {
+	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int { return 1 }}
+	e := NewEngine(w, Config{Workers: 1})
+	j, err := e.NewJob(w, JobConfig{Name: "heavy", Weight: 1 << 62, TDFBias: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Snapshot().Weight; got != MaxJobWeight {
+		t.Errorf("weight %d, want it clamped to %d", got, MaxJobWeight)
+	}
+	if err := j.Submit(seedTasks(100)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatalf("a weight-1<<62 job never drained: %v", err)
+	}
+	checkJobLedgers(t, e.Snapshot())
+	if err := e.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJobCancel pins job-scoped cancellation: a cancelled tenant's queued
 // tasks are swept into its Cancelled sink, its ledger still balances, other
 // tenants are untouched, and further submits fail with ErrJobCancelled.

@@ -7,7 +7,8 @@ package serve
 // batches and still learn its admitted prefix with RTT latency. Failures
 // after the 200 are delivered in-band as a terminal ack line carrying the
 // same status / error text / retry_after_ms the buffered protocol would have
-// put on the wire.
+// put on the wire: both go through failSubmit and writeInBand below, with a
+// nil *ackWriter standing for the buffered protocol.
 
 import (
 	"errors"
@@ -19,7 +20,7 @@ import (
 
 // ackLine is one NDJSON line of a progress-ack response. Progress lines
 // carry only the cumulative accepted count; the terminal line adds the
-// status the legacy protocol would have returned, plus error text and a
+// status the buffered protocol would have returned, plus error text and a
 // retry hint when the stream failed.
 type ackLine struct {
 	Accepted     int64  `json:"accepted"`
@@ -42,14 +43,12 @@ type ackWriter struct {
 
 // startAckStream commits the 200 and flushes headers before any body byte
 // is read — without this the client (whose Do returns only on response
-// headers) and the server (blocked reading the body) deadlock. The request
-// header is echoed so a client can verify the server actually speaks the
-// protocol rather than buffering the response to EOF.
+// headers) and the server (blocked reading the body) deadlock. The caller
+// has enabled full duplex on w (handleSubmit does on seeing the request
+// header). The header is echoed so a client can verify the server actually
+// speaks the protocol rather than buffering the response to EOF.
 func startAckStream(w http.ResponseWriter) *ackWriter {
 	rc := http.NewResponseController(w)
-	// Best-effort: recorders used in tests support neither full duplex nor
-	// flush, and need neither — their body reads are never gated on writes.
-	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(HeaderAckFlush, "1")
 	w.WriteHeader(http.StatusOK)
@@ -65,9 +64,10 @@ func (a *ackWriter) close() {
 }
 
 // progress acks the cumulative accepted count. Zero-allocation: the line is
-// built in the pooled buffer with strconv.
+// built in the pooled buffer with strconv. A nil ackWriter is the buffered
+// protocol, which acks nothing until its one reply.
 func (a *ackWriter) progress(accepted int64) {
-	if a.done || accepted == a.acked {
+	if a == nil || a.done || accepted == a.acked {
 		return
 	}
 	a.acked = accepted
@@ -81,9 +81,9 @@ func (a *ackWriter) progress(accepted int64) {
 	_ = a.rc.Flush()
 }
 
-// fail writes the terminal line for an explicit (status, message) failure —
-// the in-band equivalent of a legacy error response.
-func (a *ackWriter) fail(status int, msg string, retryMs, accepted int64) {
+// final writes the terminal line: status 200 closes the stream cleanly, any
+// other status is the in-band equivalent of a buffered error reply.
+func (a *ackWriter) final(status int, msg string, retryMs, accepted int64) {
 	if a.done {
 		return
 	}
@@ -97,28 +97,10 @@ func (a *ackWriter) fail(status int, msg string, retryMs, accepted int64) {
 	_ = a.rc.Flush()
 }
 
-// terminal maps a submit error onto its terminal line, mirroring
-// submitFailure's status mapping exactly.
-func (a *ackWriter) terminal(err error, accepted int64) {
-	status, retryMs := submitErrShape(err)
-	a.fail(status, err.Error(), retryMs, accepted)
-}
-
-// final writes the success terminal line.
-func (a *ackWriter) final(accepted int64) {
-	if a.done {
-		return
-	}
-	a.done = true
-	a.acked = accepted
-	a.body.buf.Reset()
-	_ = a.body.enc.Encode(ackLine{Accepted: accepted, Status: http.StatusOK, Final: true})
-	_, _ = a.w.Write(a.body.buf.Bytes())
-	_ = a.rc.Flush()
-}
-
-// submitErrShape is the pure (status, retry hint) mapping shared by the
-// buffered error responses and the in-band terminal lines.
+// submitErrShape is the one table from a submit error to its wire shape:
+// HTTP status and retry hint. The mapping is the backpressure contract the
+// load harness keys off: 429, 503 and 408 are retryable pressure, 409 is
+// terminal for the job, 400 is a caller bug, 500 a server bug.
 func submitErrShape(err error) (status int, retryMs int64) {
 	var qe *runtime.QuotaError
 	switch {
@@ -126,6 +108,7 @@ func submitErrShape(err error) (status int, retryMs int64) {
 		errors.Is(err, errDeadline) || errors.Is(err, runtime.ErrStopped):
 		return http.StatusServiceUnavailable, 200
 	case errors.Is(err, errAborted):
+		// The peer is gone; the status is for the log, not the wire.
 		return http.StatusBadRequest, 0
 	case errors.As(err, &qe):
 		return http.StatusTooManyRequests, 50
@@ -136,9 +119,11 @@ func submitErrShape(err error) (status int, retryMs int64) {
 	}
 }
 
-// countSubmitFailure mirrors submitFailure's counter bumps for failures
-// delivered in-band.
-func (s *Server) countSubmitFailure(err error) {
+// failSubmit ends a request that err refused — a submit in either protocol,
+// or a job create (ack nil, nothing accepted), which meets the same drain
+// and engine errors: count the decision, look up its shape, and write it
+// with the admitted prefix.
+func (s *Server) failSubmit(w http.ResponseWriter, ack *ackWriter, err error, accepted int64) {
 	switch {
 	case errors.Is(err, errDraining) || errors.Is(err, errOverload):
 		s.countShed()
@@ -147,22 +132,32 @@ func (s *Server) countSubmitFailure(err error) {
 	case errors.Is(err, errAborted):
 		s.countConnAbort()
 	}
+	status, retryMs := submitErrShape(err)
+	writeInBand(w, ack, status, err.Error(), accepted, retryMs)
 }
 
-// writeInBand routes a line-level or read-level failure to the right
-// protocol: the terminal ack line when the request is in progress-ack mode,
-// the legacy buffered error response otherwise.
+// writeInBand routes a failure to the request's protocol: the terminal ack
+// line in progress-ack mode, the buffered error reply (ack nil) otherwise,
+// with a Retry-After header when the failure carries a retry hint.
 func writeInBand(w http.ResponseWriter, ack *ackWriter, status int, msg string, accepted, retryMs int64) {
 	if ack != nil {
-		ack.fail(status, msg, retryMs, accepted)
+		ack.final(status, msg, retryMs, accepted)
 		return
+	}
+	if retryMs > 0 {
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorBody{Error: msg, Accepted: accepted, RetryAfterMs: retryMs})
 }
 
-// writeSubmitOK is the legacy 200, byte-identical to
-// writeJSON(w, 200, submitResult{...}) but built in a pooled buffer.
-func writeSubmitOK(w http.ResponseWriter, accepted int64) {
+// writeSubmitOK closes a fully admitted request: the terminal ack line, or
+// the buffered 200 — byte-identical to writeJSON(w, 200, submitResult{...})
+// but built in a pooled buffer.
+func writeSubmitOK(w http.ResponseWriter, ack *ackWriter, accepted int64) {
+	if ack != nil {
+		ack.final(http.StatusOK, "", 0, accepted)
+		return
+	}
 	b := getBody()
 	buf := b.buf.AvailableBuffer()
 	buf = append(buf, `{"accepted":`...)

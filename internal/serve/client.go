@@ -1,9 +1,8 @@
 package serve
 
-// Client is the typed HTTP client over the /v1 API: what hdcps-load and the
-// saturation bench speak. It also adapts the API to the open-loop
-// harness's Submitter contract, including the status → Outcome mapping
-// (200 accepted, 429/503 backpressure, anything else a server error).
+// Client is the typed HTTP client over the /v1 API's control plane: what
+// hdcps-load and the benchmark speak. Tasks are submitted over a
+// PersistentStream (stream.go), the one client submit path.
 
 import (
 	"bytes"
@@ -13,12 +12,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
-
-	"hdcps/internal/load"
-	"hdcps/internal/runtime"
 )
 
 // Client talks to one hdcps-serve instance.
@@ -27,31 +22,6 @@ type Client struct {
 	Base string
 	// HC is the underlying HTTP client (nil: a 30s-timeout default).
 	HC *http.Client
-}
-
-// ndjsonPool recycles request-body buffers across submit attempts. Buffers
-// are returned only after the response has been read, when the transport is
-// done with the request body.
-var ndjsonPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 16<<10); return &b },
-}
-
-// encodeNDJSON renders specs as NDJSON into a pooled buffer with the same
-// hand-rolled encoder the persistent stream uses (appendTaskSpecLine), so
-// batch submission costs zero allocations per line instead of one
-// json.Encoder pass per batch.
-func encodeNDJSON(specs []TaskSpec) *[]byte {
-	bp := ndjsonPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	for _, sp := range specs {
-		b = appendTaskSpecLine(b, sp)
-	}
-	*bp = b
-	return bp
-}
-
-func (c *Client) submitURL(jobID uint32) string {
-	return c.Base + "/v1/jobs/" + strconv.FormatUint(uint64(jobID), 10) + "/submit"
 }
 
 func (c *Client) hc() *http.Client {
@@ -78,35 +48,26 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) (int, error) {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return 0, err
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, body)
+func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
+	buf, err := json.Marshal(in)
 	if err != nil {
-		return 0, err
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(buf))
+	if err != nil {
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc().Do(req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return resp.StatusCode, fmt.Errorf("serve client: POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(raw))
+		return fmt.Errorf("serve client: POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(raw))
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	return resp.StatusCode, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Info fetches /v1/info.
@@ -116,91 +77,15 @@ func (c *Client) Info(ctx context.Context) (Info, error) {
 	return info, err
 }
 
-// Snapshot fetches the engine-wide /v1/snapshot.
-func (c *Client) Snapshot(ctx context.Context) (runtime.Snapshot, error) {
-	var snap runtime.Snapshot
-	err := c.getJSON(ctx, "/v1/snapshot", &snap)
-	return snap, err
-}
-
 // CreateJob registers a new tenant and returns its ID.
 func (c *Client) CreateJob(ctx context.Context, spec JobSpec) (uint32, error) {
 	var out struct {
 		ID uint32 `json:"id"`
 	}
-	if _, err := c.postJSON(ctx, "/v1/jobs", spec, &out); err != nil {
+	if err := c.postJSON(ctx, "/v1/jobs", spec, &out); err != nil {
 		return 0, err
 	}
 	return out.ID, nil
-}
-
-// SubmitBatch posts one NDJSON batch to a job. It returns how many tasks
-// the server admitted and the HTTP status; err is non-nil only for
-// transport failures or undecodable bodies — a 429/503/409 is reported
-// through the status (with the partial accepted count), since backpressure
-// is an expected answer, not an error.
-func (c *Client) SubmitBatch(ctx context.Context, jobID uint32, specs []TaskSpec) (int64, int, error) {
-	body := encodeNDJSON(specs)
-	defer ndjsonPool.Put(body)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.submitURL(jobID), bytes.NewReader(*body))
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.hc().Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		var res submitResult
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			return 0, resp.StatusCode, err
-		}
-		return res.Accepted, resp.StatusCode, nil
-	}
-	var eb errorBody
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 64*1024)).Decode(&eb)
-	return eb.Accepted, resp.StatusCode, nil
-}
-
-// Drain blocks until the job quiesces server-side (or the server's drain
-// deadline passes) and returns the job's ledger row.
-func (c *Client) Drain(ctx context.Context, jobID uint32, timeout time.Duration) (runtime.JobStats, error) {
-	path := fmt.Sprintf("/v1/jobs/%d/drain", jobID)
-	if timeout > 0 {
-		path += "?timeout=" + timeout.String()
-	}
-	var st runtime.JobStats
-	_, err := c.postJSON(ctx, path, nil, &st)
-	return st, err
-}
-
-// Cancel cancels the job and returns its final ledger row.
-func (c *Client) Cancel(ctx context.Context, jobID uint32) (runtime.JobStats, error) {
-	var st runtime.JobStats
-	_, err := c.postJSON(ctx, fmt.Sprintf("/v1/jobs/%d/cancel", jobID), nil, &st)
-	return st, err
-}
-
-// Submitter adapts the API to the open-loop harness: each call submits one
-// batch of gen-generated tasks to jobID and classifies the reply. gen is
-// called from many generator goroutines and must be safe for concurrent use.
-func (c *Client) Submitter(ctx context.Context, jobID uint32, gen func(n int) []TaskSpec) load.Submitter {
-	return func(n int) (int, load.Outcome, error) {
-		acc, status, err := c.SubmitBatch(ctx, jobID, gen(n))
-		if err != nil {
-			return int(acc), load.ServerError, err
-		}
-		switch {
-		case status == http.StatusOK:
-			return int(acc), load.Accepted, nil
-		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-			return int(acc), load.Backpressure, nil
-		default:
-			return int(acc), load.ServerError, fmt.Errorf("serve client: submit status %d", status)
-		}
-	}
 }
 
 // RefreshGen returns a concurrency-safe task generator for the serving
@@ -209,7 +94,7 @@ func (c *Client) Submitter(ctx context.Context, jobID uint32, gen func(n int) []
 // touched nodes and then settles, so steady-state service cost is bounded
 // (examine the node's edges, rarely emit) — the right shape for measuring
 // the serving knee rather than algorithm convergence. The rand source is
-// mutex-guarded; contention is negligible next to the HTTP round-trip.
+// mutex-guarded; contention is negligible next to the wait for an ack.
 func RefreshGen(nodes int, seed int64) func(n int) []TaskSpec {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -101,43 +100,6 @@ func BenchmarkSubmitIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-}
-
-// BenchmarkSubmitIngestLegacy is the pr8 wire protocol (one buffered POST per
-// batch) over the same loopback, for the protocol-level before/after.
-func BenchmarkSubmitIngestLegacy(b *testing.B) {
-	srv, err := New(Config{
-		Workload: "sssp", Input: "road", Scale: "tiny", Seed: 42,
-		Workers: 2, MaxOutstanding: -1, DefaultQuota: 1 << 40,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if _, err := srv.Shutdown(ctx); err != nil {
-			b.Errorf("shutdown: %v", err)
-		}
-	}()
-	cl := &Client{Base: ts.URL, HC: &http.Client{Timeout: 30 * time.Second}}
-	const batch = 256
-	specs := make([]TaskSpec, batch)
-	for i := range specs {
-		specs[i] = TaskSpec{Node: uint32(i * 31 % srv.g.NumNodes())}
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc, status, err := cl.SubmitBatch(ctx, 0, specs)
-		if err != nil || status != http.StatusOK || acc != batch {
-			b.Fatalf("submit: acc %d status %d err %v", acc, status, err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
 }
 
 // Guard the bench-body builder itself: it must round-trip through the real

@@ -1,9 +1,10 @@
 package serve
 
 // The netchaos soak: a real serve.Server behind a fault-injecting listener,
-// driven by both client protocols — the one-shot retrying client and the
-// persistent-stream submitter — with engine-layer chaos composed in for the
-// final mix. The proof obligation is three-way ledger agreement at
+// driven by the persistent-stream client in both its shapes — one long-lived
+// stream fed batch by batch, and many short streams of one batch each (open,
+// Submit, Close: the one-shot submission) — with engine-layer chaos composed
+// in for the final mix. The proof obligation is three-way ledger agreement at
 // quiescence under every fault mix:
 //
 //	client-confirmed admissions == server accepted == engine Submitted (mod
@@ -162,12 +163,10 @@ func runNetchaosMix(t *testing.T, mix netchaosMix) {
 		go func(g int) {
 			defer wg.Done()
 			if g == 0 {
-				// One goroutine drives the persistent-stream submitter: a
-				// single long-lived NDJSON request held open across batches
-				// (pooled pre-encoded line buffers, per-flush acks), reconnected
-				// and resumed through the same exactly-once protocol when the
-				// fault layer kills it. Its confirmations enter the same
-				// three-way ledger proof as the one-shot retrying client's.
+				// One goroutine holds a single long-lived stream open across
+				// every round (pooled pre-encoded line buffers, per-flush
+				// acks), reconnected and resumed through the exactly-once
+				// protocol when the fault layer kills it.
 				const batch = 512
 				ps := cl.PersistentStream(0, pol, &st)
 				defer ps.Close()
@@ -192,12 +191,21 @@ func runNetchaosMix(t *testing.T, mix netchaosMix) {
 				}
 				return
 			}
+			// The others submit one-shot: a fresh stream per round carrying the
+			// whole round as one batch, so many short stream ids hit the
+			// server's tracker and a fault lands inside a batch — the resume
+			// must slice it at the confirmed line. Their confirmations enter
+			// the same three-way ledger proof.
 			for round := 0; round < streams; round++ {
 				specs := make([]TaskSpec, tasksPerStream)
 				for i := range specs {
 					specs[i] = gen(g, round, i)
 				}
-				admitted, err := cl.SubmitStream(ctx, 0, specs, pol, &st)
+				ps := cl.PersistentStream(0, pol, &st)
+				admitted, err := ps.Submit(ctx, specs)
+				if cerr := ps.Close(); err == nil {
+					err = cerr
+				}
 				mu.Lock()
 				confirmed += admitted
 				mu.Unlock()

@@ -6,7 +6,6 @@ package serve
 // client's backoff/resume loop against a scripted server.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,11 +15,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hdcps/internal/chaos"
+	"hdcps/internal/load"
 )
 
 func TestReadyzAndHealthzSplit(t *testing.T) {
@@ -34,6 +35,43 @@ func TestReadyzAndHealthzSplit(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s on a live ready server: %d, want 200", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestJobCreateRejectsOutOfRange: POST /v1/jobs is outside input. A weight
+// or TDF bias the engine would have to clamp, a negative quota and a body
+// past the size bound all answer 400 and create nothing.
+func TestJobCreateRejectsOutOfRange(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"weight":4611686018427387904}`,
+		`{"weight":65537}`,
+		`{"weight":-1}`,
+		`{"tdf_bias":10001}`,
+		`{"tdf_bias":-5}`,
+		`{"max_outstanding":-1}`,
+		`{"name":"` + strings.Repeat("x", maxJobSpecBytes) + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%.40s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(s.eng.Snapshot().Jobs); n != 1 {
+		t.Fatalf("%d jobs after seven refused creates, want the default job alone", n)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"name":"edge","weight":65536,"tdf_bias":10000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("in-range create: status %d, want 201", resp.StatusCode)
 	}
 }
 
@@ -235,44 +273,69 @@ func TestClientDisconnectMidStream(t *testing.T) {
 	}
 }
 
+// serveAckStream is the healthy half of a scripted server: it speaks the
+// progress-ack protocol, counts every task line as admitted, acks whenever
+// the body idles, closes with a 200 terminal line at EOF and returns the
+// count.
+func serveAckStream(w http.ResponseWriter, r *http.Request) int64 {
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	ack := startAckStream(w)
+	defer ack.close()
+	fr := newLineFramer(r.Body)
+	defer fr.release()
+	var lines int64
+	for {
+		if !fr.buffered() {
+			ack.progress(lines)
+		}
+		raw, err := fr.next()
+		if err != nil {
+			break
+		}
+		if len(raw) > 0 {
+			lines++
+		}
+	}
+	ack.final(http.StatusOK, "", 0, lines)
+	return lines
+}
+
 // TestRetryClientResumesAfterLostWork scripts the server side: attempt one
-// sheds mid-stream with an admitted prefix, attempt two must arrive with the
-// advanced offset and only then succeed.
+// sheds with an admitted prefix inside the batch, attempt two must arrive
+// with the advanced offset, carry only the unconfirmed suffix, and only then
+// succeed.
 func TestRetryClientResumesAfterLostWork(t *testing.T) {
-	var attempts atomic.Int64
-	var gotOffset atomic.Int64
+	var attempts, gotOffset, gotLines atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs/5/submit", func(w http.ResponseWriter, r *http.Request) {
-		n := attempts.Add(1)
-		lines := int64(0)
-		sc := bufio.NewScanner(r.Body)
-		for sc.Scan() {
-			if len(sc.Bytes()) > 0 {
-				lines++
-			}
-		}
-		switch n {
-		case 1:
+		if attempts.Add(1) == 1 {
+			// A plain buffered 503, as a shed before the ack stream opens
+			// (full duplex: the reply must not wait for the open body).
+			_ = http.NewResponseController(w).EnableFullDuplex()
 			w.Header().Set("Retry-After", "0")
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{
 				Error: "shed", Accepted: 7, RetryAfterMs: 1,
 			})
-		default:
-			gotOffset.Store(parseStreamOffset(r.Header.Get(HeaderStreamOffset)))
-			writeJSON(w, http.StatusOK, submitResult{Accepted: lines})
+			return
 		}
+		gotOffset.Store(parseStreamOffset(r.Header.Get(HeaderStreamOffset)))
+		gotLines.Store(serveAckStream(w, r))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	cl := &Client{Base: ts.URL}
 	var st RetryStats
-	specs := make([]TaskSpec, 20)
 	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Seed: 7}
-	admitted, err := cl.SubmitStream(context.Background(), 5, specs, pol, &st)
+	ps := cl.PersistentStream(5, pol, &st)
+	admitted, err := ps.Submit(context.Background(), make([]TaskSpec, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close() // waits for the handler, which stores gotLines after its last ack
 	if admitted != 20 {
 		t.Fatalf("admitted %d, want 20", admitted)
 	}
@@ -282,29 +345,47 @@ func TestRetryClientResumesAfterLostWork(t *testing.T) {
 	if gotOffset.Load() != 7 {
 		t.Fatalf("retry carried offset %d, want the admitted prefix 7", gotOffset.Load())
 	}
+	if gotLines.Load() != 13 {
+		t.Fatalf("retry resent %d lines, want the unconfirmed suffix 13", gotLines.Load())
+	}
 	if st.Retries.Load() != 1 || st.Resumes.Load() != 1 {
 		t.Fatalf("stats %s, want 1 retry / 1 resume", st.String())
 	}
+}
+
+// scriptedStatus answers every submit with a buffered error of the stored
+// status until it is set to 200, from when it serves the ack protocol.
+func scriptedStatus(t *testing.T, status *atomic.Int64) *Client {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs/1/submit", func(w http.ResponseWriter, r *http.Request) {
+		if st := int(status.Load()); st != http.StatusOK {
+			_ = http.NewResponseController(w).EnableFullDuplex()
+			writeJSON(w, st, errorBody{Error: "scripted"})
+			return
+		}
+		serveAckStream(w, r)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return &Client{Base: ts.URL}
 }
 
 // TestRetryClientTerminalAndExhaustion: terminal answers stop immediately;
 // persistent backpressure burns the attempt cap and reports exhaustion.
 func TestRetryClientTerminalAndExhaustion(t *testing.T) {
 	var status atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs/1/submit", func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		writeJSON(w, int(status.Load()), errorBody{Error: "scripted"})
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	cl := &Client{Base: ts.URL}
+	cl := scriptedStatus(t, &status)
 	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 3}
+	submit := func(st *RetryStats) error {
+		ps := cl.PersistentStream(1, pol, st)
+		defer ps.Close()
+		_, err := ps.Submit(context.Background(), make([]TaskSpec, 4))
+		return err
+	}
 
 	status.Store(http.StatusBadRequest)
 	var st RetryStats
-	if _, err := cl.SubmitStream(context.Background(), 1, make([]TaskSpec, 4), pol, &st); err == nil ||
-		errors.Is(err, ErrRetriesExhausted) {
+	if err := submit(&st); err == nil || errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("400 should be terminal, got %v", err)
 	}
 	if st.Attempts.Load() != 1 {
@@ -313,12 +394,108 @@ func TestRetryClientTerminalAndExhaustion(t *testing.T) {
 
 	status.Store(http.StatusServiceUnavailable)
 	var st2 RetryStats
-	_, err := cl.SubmitStream(context.Background(), 1, make([]TaskSpec, 4), pol, &st2)
-	if !errors.Is(err, ErrRetriesExhausted) {
+	if err := submit(&st2); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("persistent 503 should exhaust retries, got %v", err)
 	}
 	if st2.Attempts.Load() != 3 {
 		t.Fatalf("attempts %d, want the MaxAttempts cap 3", st2.Attempts.Load())
+	}
+}
+
+// TestStreamSubmitterReopensAfterGiveUp: an outage that spends the policy
+// kills the streams it met, not their slots — once the server recovers, the
+// next batches ride fresh streams and are accepted. Batches arrive from
+// several goroutines at once, as load.Run delivers them.
+func TestStreamSubmitterReopensAfterGiveUp(t *testing.T) {
+	var status atomic.Int64
+	status.Store(http.StatusServiceUnavailable)
+	cl := scriptedStatus(t, &status)
+	pol := RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 5}
+	var st RetryStats
+	gen := func(n int) []TaskSpec { return make([]TaskSpec, n) }
+	sub, closer := cl.StreamSubmitter(context.Background(), 1, gen, 2, pol, &st)
+	defer closer.Close()
+
+	wave := func(phase string, wantN int, want load.Outcome) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if n, out, err := sub(8); n != wantN || out != want {
+					t.Errorf("%s: %d admitted, outcome %v, err %v; want %d and %v", phase, n, out, err, wantN, want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	wave("during the outage", 0, load.Backpressure)
+	if st.GiveUps.Load() == 0 {
+		t.Fatalf("the outage should have spent the policy: %s", st.String())
+	}
+	status.Store(http.StatusOK)
+	wave("after recovery", 8, load.Accepted)
+}
+
+// TestStreamSubmitterClassifiesGiveUps: the policy running out is
+// Backpressure only while the server kept answering; a port nobody listens
+// on, or a terminal answer, is a ServerError.
+func TestStreamSubmitterClassifiesGiveUps(t *testing.T) {
+	var status atomic.Int64
+	pol := RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 9}
+	gen := func(n int) []TaskSpec { return make([]TaskSpec, n) }
+	live := scriptedStatus(t, &status)
+	dead := &Client{Base: "http://127.0.0.1:1", HC: &http.Client{Timeout: time.Second}}
+	for _, tc := range []struct {
+		name   string
+		cl     *Client
+		status int
+		want   load.Outcome
+	}{
+		{"persistent 503", live, http.StatusServiceUnavailable, load.Backpressure},
+		{"persistent 429", live, http.StatusTooManyRequests, load.Backpressure},
+		{"terminal 409", live, http.StatusConflict, load.ServerError},
+		{"dead port", dead, 0, load.ServerError},
+	} {
+		status.Store(int64(tc.status))
+		sub, closer := tc.cl.StreamSubmitter(context.Background(), 1, gen, 1, pol, nil)
+		n, out, err := sub(4)
+		closer.Close()
+		if n != 0 || out != tc.want {
+			t.Errorf("%s: %d admitted, outcome %v (err %v), want 0 and %v", tc.name, n, out, err, tc.want)
+		}
+		if (out == load.ServerError) != (err != nil) {
+			t.Errorf("%s: outcome %v with err %v", tc.name, out, err)
+		}
+	}
+
+	// A mixed outage — one attempt answered 503, the other cut without an
+	// answer — is a ServerError in either order: the server did not keep
+	// answering.
+	for _, script := range [][2]int{{http.StatusServiceUnavailable, 0}, {0, http.StatusServiceUnavailable}} {
+		var attempts atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			st := script[min(attempts.Add(1)-1, 1)]
+			if st == 0 {
+				if c, _, err := w.(http.Hijacker).Hijack(); err == nil {
+					c.Close()
+				}
+				return
+			}
+			_ = http.NewResponseController(w).EnableFullDuplex()
+			writeJSON(w, st, errorBody{Error: "scripted"})
+		}))
+		sub, closer := (&Client{Base: ts.URL}).StreamSubmitter(context.Background(), 1, gen, 1, pol, nil)
+		n, out, err := sub(4)
+		closer.Close()
+		ts.Close()
+		if n != 0 || out != load.ServerError || err == nil || errors.Is(err, ErrRetriesExhausted) {
+			t.Errorf("outage %v: %d admitted, outcome %v, err %v; want 0, ServerError and a plain error", script, n, out, err)
+		}
+		if attempts.Load() != 2 {
+			t.Errorf("outage %v: %d attempts, want the MaxAttempts cap 2", script, attempts.Load())
+		}
 	}
 }
 

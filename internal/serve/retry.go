@@ -1,11 +1,9 @@
 package serve
 
-// The resilient side of the client: SubmitStream retries one logical NDJSON
-// stream across transport faults and backpressure until every task is
-// admitted exactly once, the stream hits a terminal error, or the retry
-// policy runs out.
-//
-// The loop leans on two server contracts (resilience.go):
+// The retry vocabulary of the persistent stream (stream.go): the policy that
+// bounds one outage, the counters its decisions feed, and the classification
+// of an attempt's outcome. The manager loop in PersistentStream.run leans on
+// two server contracts (resilience.go):
 //
 //   - Every response — success, shed, deadline cut, stall abort — reports the
 //     admitted prefix of the request, so the client resends only the
@@ -18,29 +16,26 @@ package serve
 //
 // Backoff is capped exponential with full jitter, seeded so tests are
 // reproducible, and honors the server's Retry-After / retry_after_ms hints
-// as a floor. A per-stream attempt cap and cumulative backoff budget bound
-// how long one stream can stay in flight.
+// as a floor. An attempt cap and a cumulative backoff budget bound how long
+// one outage can keep a stream's lines in flight.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync/atomic"
 	"time"
-
-	"hdcps/internal/load"
 )
 
-// RetryPolicy bounds one stream's retry loop. The zero value means
-// "defaults", not "no retries" — use MaxAttempts: 1 for a single shot.
+// RetryPolicy bounds one outage of a stream: the counters below reset
+// whenever the server confirms progress. The zero value means "defaults",
+// not "no retries" — use MaxAttempts: 1 for a stream that dies on its first
+// failure.
 type RetryPolicy struct {
-	// MaxAttempts caps total attempts per stream (first try included).
+	// MaxAttempts caps consecutive failed attempts (first try included).
 	// 0 defaults to 8.
 	MaxAttempts int
 	// BaseBackoff seeds the exponential backoff window (full jitter:
@@ -48,11 +43,12 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the jitter window. 0 defaults to 2s.
 	MaxBackoff time.Duration
-	// Budget caps cumulative backoff sleep per stream; once spent, the next
+	// Budget caps cumulative backoff sleep per outage; once spent, the next
 	// retryable failure is terminal. 0 defaults to 30s.
 	Budget time.Duration
-	// RequestTimeout bounds each attempt and is propagated to the server as
-	// X-Request-Deadline-Ms, so both sides give up together. 0 disables.
+	// RequestTimeout is the ack-progress watchdog: an attempt whose
+	// unconfirmed lines see no ack for this long is cut and retried. 0
+	// disables.
 	RequestTimeout time.Duration
 	// Seed drives the jitter RNG (reproducible backoff in tests). 0
 	// defaults to 1.
@@ -95,8 +91,11 @@ func (s *RetryStats) String() string {
 }
 
 // ErrRetriesExhausted marks a stream abandoned for a bounded-policy reason
-// (attempt cap or backoff budget) while its last failure was retryable. The
-// load adapter maps it to Backpressure: the work was shed, not broken.
+// (attempt cap or backoff budget) while the server answered every attempt of
+// the outage with backpressure (429/503/408). StreamSubmitter maps it to
+// Backpressure: the work was shed, not broken. An outage with even one
+// attempt lost to a transport error is not this error — a server nobody can
+// reliably reach is a failure, not load shedding.
 var ErrRetriesExhausted = errors.New("serve client: retries exhausted")
 
 // streamIDs must be unique per logical stream (a collision would make the
@@ -125,52 +124,6 @@ func retryable(status int, err error) bool {
 	return false
 }
 
-// submitResumable posts one attempt of a resumable stream: the unconfirmed
-// suffix, tagged with the stream identity and believed-admitted offset.
-// Returns the admitted count of this attempt, the status (0 on transport
-// error), and the server's retry hint if any.
-func (c *Client) submitResumable(ctx context.Context, jobID uint32, streamID string,
-	offset int64, specs []TaskSpec, reqTimeout time.Duration) (int64, int, time.Duration, error) {
-	body := encodeNDJSON(specs)
-	defer ndjsonPool.Put(body)
-	if reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.submitURL(jobID), bytes.NewReader(*body))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	req.Header.Set(HeaderStreamID, streamID)
-	req.Header.Set(HeaderStreamOffset, strconv.FormatInt(offset, 10))
-	if reqTimeout > 0 {
-		req.Header.Set(HeaderDeadlineMs, strconv.FormatInt(reqTimeout.Milliseconds(), 10))
-	}
-	resp, err := c.hc().Do(req)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer resp.Body.Close()
-	hint := retryHint(resp.Header)
-	if resp.StatusCode == http.StatusOK {
-		var res submitResult
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			// The admissions landed but the response died mid-body: the next
-			// attempt reconciles through the stream tracker.
-			return 0, 0, hint, err
-		}
-		return res.Accepted, resp.StatusCode, hint, nil
-	}
-	var eb errorBody
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 64*1024)).Decode(&eb)
-	if ms := time.Duration(eb.RetryAfterMs) * time.Millisecond; ms > hint {
-		hint = ms
-	}
-	return eb.Accepted, resp.StatusCode, hint, nil
-}
-
 // retryHint parses a Retry-After header (delay-seconds form only).
 func retryHint(h http.Header) time.Duration {
 	v := h.Get("Retry-After")
@@ -182,112 +135,6 @@ func retryHint(h http.Header) time.Duration {
 		return 0
 	}
 	return time.Duration(sec) * time.Second
-}
-
-// SubmitStream submits specs as one exactly-once resumable stream, retrying
-// per pol until everything is admitted or the stream dies. It returns how
-// many tasks were durably admitted — on error, the admitted prefix is still
-// accurate, proven by the netchaos soak's three-way ledger agreement.
-func (c *Client) SubmitStream(ctx context.Context, jobID uint32, specs []TaskSpec,
-	pol RetryPolicy, st *RetryStats) (int64, error) {
-	return c.submitStreamID(ctx, jobID, newStreamID(), specs, pol, st)
-}
-
-func (c *Client) submitStreamID(ctx context.Context, jobID uint32, streamID string,
-	specs []TaskSpec, pol RetryPolicy, st *RetryStats) (int64, error) {
-	pol = pol.withDefaults()
-	rng := rand.New(rand.NewSource(int64(pol.Seed ^ streamSeq.Add(1))))
-	var (
-		admitted   int64
-		budgetLeft = pol.Budget
-		lastStatus int
-		lastErr    error
-	)
-	total := int64(len(specs))
-	for attempt := 1; ; attempt++ {
-		if st != nil {
-			st.Attempts.Add(1)
-			if attempt > 1 {
-				st.Retries.Add(1)
-			}
-			if admitted > 0 {
-				st.Resumes.Add(1)
-			}
-		}
-		acc, status, hint, err := c.submitResumable(ctx, jobID, streamID, admitted, specs[admitted:], pol.RequestTimeout)
-		admitted += acc
-		if status == http.StatusOK && err == nil && admitted >= total {
-			return admitted, nil
-		}
-		lastStatus, lastErr = status, err
-		if err == nil {
-			lastErr = fmt.Errorf("status %d", status)
-		}
-		if err != nil && status == 0 && ctx.Err() != nil {
-			// The caller's context died, not the attempt's: stop retrying.
-			if st != nil {
-				st.GiveUps.Add(1)
-			}
-			return admitted, fmt.Errorf("serve client: stream %s: %w", streamID, ctx.Err())
-		}
-		if !retryable(status, err) {
-			if st != nil {
-				st.GiveUps.Add(1)
-			}
-			return admitted, fmt.Errorf("serve client: stream %s: terminal after %d attempts: %w", streamID, attempt, lastErr)
-		}
-		if attempt >= pol.MaxAttempts {
-			break
-		}
-		// Full-jitter capped exponential window, floored at the server hint.
-		window := pol.BaseBackoff << min(attempt-1, 20)
-		if window > pol.MaxBackoff || window <= 0 {
-			window = pol.MaxBackoff
-		}
-		sleep := hint + time.Duration(rng.Int63n(int64(window)+1))
-		if sleep > budgetLeft {
-			break
-		}
-		budgetLeft -= sleep
-		if st != nil {
-			st.BackoffNs.Add(int64(sleep))
-		}
-		timer := time.NewTimer(sleep)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			if st != nil {
-				st.GiveUps.Add(1)
-			}
-			return admitted, fmt.Errorf("serve client: stream %s: %w", streamID, ctx.Err())
-		case <-timer.C:
-		}
-	}
-	if st != nil {
-		st.GiveUps.Add(1)
-	}
-	return admitted, fmt.Errorf("%w: stream %s: %d/%d admitted, last status %d: %v",
-		ErrRetriesExhausted, streamID, admitted, total, lastStatus, lastErr)
-}
-
-// RetrySubmitter adapts SubmitStream to the open-loop harness. A stream
-// that exhausts its retry policy on backpressure counts as shed
-// (Backpressure), matching the harness's view that refused work under
-// overload is expected; only terminal server answers become ServerError.
-// gen must be safe for concurrent use; st may be nil.
-func (c *Client) RetrySubmitter(ctx context.Context, jobID uint32, gen func(n int) []TaskSpec,
-	pol RetryPolicy, st *RetryStats) load.Submitter {
-	return func(n int) (int, load.Outcome, error) {
-		acc, err := c.SubmitStream(ctx, jobID, gen(n), pol, st)
-		switch {
-		case err == nil:
-			return int(acc), load.Accepted, nil
-		case errors.Is(err, ErrRetriesExhausted):
-			return int(acc), load.Backpressure, nil
-		default:
-			return int(acc), load.ServerError, err
-		}
-	}
 }
 
 // WaitReady polls /readyz until the server reports ready, ctx expires, or

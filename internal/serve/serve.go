@@ -63,9 +63,10 @@ type Config struct {
 	Input    string
 	Scale    string
 	Seed     uint64
-	// Workers is the engine fleet size (0: runtime default).
+	// Workers is the engine fleet size (0 defaults to 4).
 	Workers int
-	// QueueKind selects the local-queue shape (see runtime.QueueKinds).
+	// QueueKind selects the local-queue shape (see runtime.QueueKinds; empty
+	// defaults to runtime.QueueTwoLevel).
 	QueueKind string
 	// MaxOutstanding is the global overload shed: a submit that arrives
 	// while the engine-wide outstanding count exceeds it is refused with
@@ -125,6 +126,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
+	}
+	if c.Workers <= 0 {
+		c.Workers = 4
+	}
+	if c.QueueKind == "" {
+		c.QueueKind = runtime.QueueTwoLevel
 	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = 1 << 20
@@ -228,17 +235,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	rcfg := runtime.DefaultConfig(workers)
+	rcfg := runtime.DefaultConfig(cfg.Workers)
 	rcfg.Seed = cfg.Seed
 	rcfg.QueueKind = cfg.QueueKind
 	rcfg.DefaultJob = runtime.JobConfig{Name: cfg.Workload, MaxOutstanding: cfg.DefaultQuota}
 	var rec *obs.Recorder
 	if cfg.Obs {
-		rec = obs.New(obs.Config{Workers: workers})
+		rec = obs.New(obs.Config{Workers: cfg.Workers})
 		rcfg.Obs = rec
 	}
 	var ct *chaos.Transport
@@ -356,37 +359,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeSubmitErr maps an admission failure onto its HTTP shape. The mapping
-// is the backpressure contract the load harness keys off: 429 and 503 are
-// retryable pressure, 409 is terminal for the job, 400 is a caller bug.
-func writeSubmitErr(w http.ResponseWriter, err error, accepted int64) {
-	var qe *runtime.QuotaError
-	switch {
-	case errors.As(err, &qe):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
-			Error: err.Error(), Accepted: accepted, RetryAfterMs: 50,
-		})
-	case errors.Is(err, runtime.ErrJobCancelled):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Accepted: accepted})
-	case errors.Is(err, runtime.ErrStopped):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{
-			Error: err.Error(), Accepted: accepted, RetryAfterMs: 200,
-		})
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Accepted: accepted})
-	}
-}
-
-// shedErr is the 503 for a draining server or a global overload shed.
-func shedErr(w http.ResponseWriter, msg string, accepted int64) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{
-		Error: msg, Accepted: accepted, RetryAfterMs: 200,
-	})
-}
-
 // handleHealth is pure liveness: the process is up and able to answer. It
 // stays 200 while draining — a draining server is alive, just not ready —
 // so an orchestrator keeps it running through graceful shutdown instead of
@@ -400,12 +372,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // shed would refuse a submit; 200 otherwise. Probe refusals are not counted
 // as sheds — no offered work was turned away.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+	var err error
 	if s.draining.Load() {
-		shedErr(w, "draining", 0)
-		return
+		err = errDraining
+	} else if max := s.cfg.MaxOutstanding; max > 0 && s.eng.Outstanding() > max {
+		err = errOverload
 	}
-	if max := s.cfg.MaxOutstanding; max > 0 && s.eng.Outstanding() > max {
-		shedErr(w, "overloaded", 0)
+	if err != nil {
+		// The refusal a submit would get, minus failSubmit's count.
+		status, retryMs := submitErrShape(err)
+		writeInBand(w, nil, status, err.Error(), 0, retryMs)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "uptime_s": time.Since(s.started).Seconds()})
@@ -437,22 +413,14 @@ func (s *Server) info() Info {
 	s.mu.RLock()
 	jobs := len(s.jobs)
 	s.mu.RUnlock()
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	queue := s.cfg.QueueKind
-	if queue == "" {
-		queue = runtime.QueueTwoLevel
-	}
 	return Info{
 		Workload:    s.cfg.Workload,
 		Input:       s.cfg.Input,
 		Scale:       s.cfg.Scale,
 		Nodes:       s.g.NumNodes(),
 		Edges:       s.g.NumEdges(),
-		Workers:     workers,
-		Queue:       queue,
+		Workers:     s.cfg.Workers,
+		Queue:       s.cfg.QueueKind,
 		Jobs:        jobs,
 		Draining:    s.draining.Load(),
 		Accepted:    s.accepted.Load(),
@@ -477,6 +445,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.eng.Snapshot().Jobs)
 }
 
+// maxJobSpecBytes bounds the POST /v1/jobs body: a JobSpec is four fields.
+const maxJobSpecBytes = 64 << 10
+
 // JobSpec is the POST /v1/jobs body. The new tenant runs a fresh clone of
 // the server's workload over the same graph.
 type JobSpec struct {
@@ -488,13 +459,21 @@ type JobSpec struct {
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.countShed()
-		shedErr(w, "draining", 0)
+		s.failSubmit(w, nil, errDraining, 0)
 		return
 	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
+		return
+	}
+	// Zero means "default" for every field; the engine clamps what it is
+	// handed, but outside input that is out of range is refused, not bent.
+	if spec.Weight < 0 || spec.Weight > runtime.MaxJobWeight ||
+		spec.TDFBias < 0 || spec.TDFBias > runtime.MaxTDFBias || spec.MaxOutstanding < 0 {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
+			"bad job spec: want weight in [0,%d], tdf_bias in [0,%d], max_outstanding >= 0",
+			runtime.MaxJobWeight, runtime.MaxTDFBias)})
 		return
 	}
 	job, err := s.eng.NewJob(s.wl.Clone(), runtime.JobConfig{
@@ -504,7 +483,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		TDFBias:        spec.TDFBias,
 	})
 	if err != nil {
-		writeSubmitErr(w, err, 0)
+		s.failSubmit(w, nil, err, 0)
 		return
 	}
 	s.mu.Lock()
@@ -568,6 +547,16 @@ type submitResult struct {
 //     not re-submitted, but still counted in the response's accepted total
 //     so the client's accounting converges.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	acked := r.Header.Get(HeaderAckFlush) != ""
+	if acked {
+		// A progress-ack client holds its body open, so the ack stream needs
+		// full duplex — and so does a reply written before it starts (unknown
+		// job, a busy stream's deadline): without it net/http would first
+		// drain a body that does not end, and the client would see its own
+		// watchdog, not the reply. Best-effort: a test recorder supports
+		// neither this nor flush, and its body reads are never gated on writes.
+		_ = http.NewResponseController(w).EnableFullDuplex()
+	}
 	job := s.jobFor(w, r)
 	if job == nil {
 		return
@@ -616,7 +605,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// predecessor's still-draining handler would read a stale admitted
 		// count and duplicate the overlap.
 		if !s.streams.acquire(ctx, key) {
-			s.submitFailure(w, errDeadline, 0)
+			// Before the ack stream opens: a buffered reply in either protocol.
+			s.failSubmit(w, nil, errDeadline, 0)
 			return
 		}
 		defer s.streams.release(key)
@@ -633,10 +623,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and the handler emits one NDJSON ack line per flush, so a client
 	// holding a long-lived stream open learns its admitted prefix without
 	// closing the request. Every later failure is delivered in-band as a
-	// terminal ack line. Legacy requests (no header) keep the buffered
-	// single-response protocol byte for byte.
+	// terminal ack line. Requests without the header keep the buffered
+	// single-response protocol byte for byte: ack stays nil.
 	var ack *ackWriter
-	if r.Header.Get(HeaderAckFlush) != "" {
+	if acked {
 		ack = startAckStream(w)
 		defer ack.close()
 	}
@@ -700,14 +690,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		armStall()
 		return nil
 	}
-	fail := func(err error) {
-		if ack != nil {
-			s.countSubmitFailure(err)
-			ack.terminal(err, accepted)
-			return
-		}
-		s.submitFailure(w, err, accepted)
-	}
 	fr := newLineFramer(r.Body)
 	defer fr.release()
 	line := 0
@@ -717,7 +699,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// commit the batch and ack the client's admitted prefix now —
 			// ack latency tracks the RTT, not the flush cadence.
 			if err := flush(); err != nil {
-				fail(err)
+				s.failSubmit(w, ack, err, accepted)
 				return
 			}
 			ack.progress(accepted)
@@ -740,14 +722,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			case errors.Is(err, os.ErrDeadlineExceeded) && hasDeadline && ctx.Err() != nil:
 				// The read deadline that fired was the request deadline, not a
 				// stalled client: report it as retryable backpressure.
-				fail(errDeadline)
+				s.failSubmit(w, ack, errDeadline, accepted)
 			case errors.Is(err, os.ErrDeadlineExceeded):
 				// The body stopped making progress. The connection is poisoned
-				// past its read deadline, so close it — but report the admitted
-				// prefix so a recovered client can resume the stream.
-				if ack == nil {
-					w.Header().Set("Connection", "close")
-				}
+				// past its read deadline, so close it (the header is a no-op
+				// once an ack stream has committed its own) — but report the
+				// admitted prefix so a recovered client can resume the stream.
+				w.Header().Set("Connection", "close")
 				writeInBand(w, ack, http.StatusRequestTimeout, "submit body stalled: "+err.Error(), accepted, 0)
 			default:
 				writeInBand(w, ack, http.StatusBadRequest, "reading body: "+err.Error(), accepted, 0)
@@ -783,23 +764,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		batch = append(batch, taskFromSpec(spec))
 		if len(batch) >= submitFlush {
 			if err := flush(); err != nil {
-				fail(err)
+				s.failSubmit(w, ack, err, accepted)
 				return
 			}
-			if ack != nil {
-				ack.progress(accepted)
-			}
+			ack.progress(accepted)
 		}
 	}
 	if err := flush(); err != nil {
-		fail(err)
+		s.failSubmit(w, ack, err, accepted)
 		return
 	}
-	if ack != nil {
-		ack.final(accepted)
-		return
-	}
-	writeSubmitOK(w, accepted)
+	writeSubmitOK(w, ack, accepted)
 }
 
 var (
@@ -808,23 +783,6 @@ var (
 	errDeadline = errors.New("serve: request deadline exceeded")
 	errAborted  = errors.New("serve: client went away mid-stream")
 )
-
-func (s *Server) submitFailure(w http.ResponseWriter, err error, accepted int64) {
-	switch {
-	case errors.Is(err, errDraining) || errors.Is(err, errOverload):
-		s.countShed()
-		shedErr(w, err.Error(), accepted)
-	case errors.Is(err, errDeadline):
-		s.countDeadlineHit()
-		shedErr(w, err.Error(), accepted)
-	case errors.Is(err, errAborted):
-		// The peer is gone; the status is for the log, not the wire.
-		s.countConnAbort()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Accepted: accepted})
-	default:
-		writeSubmitErr(w, err, accepted)
-	}
-}
 
 // handleDrain blocks until the job is quiescent or ?timeout= (default the
 // server's DrainTimeout) expires — a stall returns 504 with the engine's

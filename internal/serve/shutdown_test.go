@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -41,7 +42,9 @@ func TestGracefulShutdownUnderTraffic(t *testing.T) {
 	}
 	gen := RefreshGen(info.Nodes, 7)
 
-	// Hammer submits from several goroutines while the shutdown fires.
+	// Hammer submits from several goroutines, a stream each, while the
+	// shutdown fires. One attempt per outage: the drain's in-band 503 (or the
+	// closed listener behind it) ends the stream instead of being retried.
 	var clientAccepted atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -49,25 +52,26 @@ func TestGracefulShutdownUnderTraffic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ps := cl.PersistentStream(0, RetryPolicy{MaxAttempts: 1}, nil)
+			defer ps.Close()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				acc, status, err := cl.SubmitBatch(ctx, 0, gen(32))
-				// Accepted work counts whatever the status: a shed stream
+				acc, err := ps.Submit(ctx, gen(32))
+				// Accepted work counts whatever the outcome: a shed stream
 				// reports its admitted prefix, and those tasks are in the
 				// engine.
 				clientAccepted.Add(acc)
-				if err != nil {
-					return // transport cut by shutdown: expected
+				if errors.Is(err, errTerminal) {
+					// Anything but 200/429/503(/408) in-band while the server
+					// drains: a submit error mapped to the wrong status.
+					t.Errorf("unexpected submit outcome during shutdown: %v", err)
 				}
-				switch status {
-				case http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				default:
-					t.Errorf("unexpected submit status %d", status)
-					return
+				if err != nil {
+					return // shed by the drain (ErrRetriesExhausted) or cut by the teardown: expected
 				}
 			}
 		}()
@@ -115,10 +119,14 @@ func TestSigtermPathDrainsExactly(t *testing.T) {
 	defer ts.Close()
 	cl := &Client{Base: ts.URL}
 	gen := RefreshGen(s.g.NumNodes(), 11)
+	ps := cl.PersistentStream(0, RetryPolicy{}, nil)
 	for i := 0; i < 4; i++ {
-		if _, status, err := cl.SubmitBatch(context.Background(), 0, gen(64)); err != nil || status != http.StatusOK {
-			t.Fatalf("seed submit: status %d err %v", status, err)
+		if n, err := ps.Submit(context.Background(), gen(64)); err != nil || n != 64 {
+			t.Fatalf("seed submit: admitted %d err %v", n, err)
 		}
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -8,16 +8,20 @@ package serve
 // lines; Submit blocks until its lines are covered, so accepted counts and
 // per-batch latency stay truthful in the open-loop harness.
 //
+// It is the only way this repo's Go code submits over the wire; a one-shot
+// submission is a stream of one batch (open, Submit, Close).
+//
 // Faults do not weaken the exactly-once contract — they route through the
-// same admitted-prefix resume protocol the one-shot retrying client uses:
-// every attempt of a stream carries the same X-Stream-Id, the reconnect
-// offset names the first line being resent, and the server-side tracker
-// skips (but still confirms) lines a prior attempt already admitted. The
-// netchaos soak drives this client through every fault mix and proves
+// admitted-prefix resume protocol (resilience.go): every attempt of a stream
+// carries the same X-Stream-Id, the reconnect offset is the confirmed count
+// and only the lines past it are resent, and the server-side tracker skips
+// (but still confirms) lines whose admission the client never heard about.
+// The netchaos soak drives this client through every fault mix and proves
 // client-confirmed == server-accepted == engine-submitted.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,7 +31,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hdcps/internal/load"
@@ -35,6 +38,10 @@ import (
 
 // errStreamClosed reports a Submit after Close.
 var errStreamClosed = errors.New("serve client: persistent stream closed")
+
+// errTerminal marks a give-up on an answer no retry can change (400, 404,
+// 409, 500, a server that does not speak the protocol).
+var errTerminal = errors.New("terminal")
 
 // streamBatch is one Submit's lines, pre-encoded: start is the absolute
 // line index of the first line in the stream's numbering.
@@ -250,6 +257,7 @@ func (ps *PersistentStream) run() {
 	defer close(ps.done)
 	rng := rand.New(rand.NewSource(int64(ps.pol.Seed ^ streamSeq.Add(1))))
 	attempt := 0 // consecutive failures this outage (reset on progress)
+	cut := false // an attempt of this outage ended with no answer at all
 	totalAttempts := 0
 	budgetLeft := ps.pol.Budget
 	for {
@@ -286,7 +294,10 @@ func (ps *PersistentStream) run() {
 		ps.mu.Unlock()
 		if progressed {
 			attempt = 0
+			cut = false
 			budgetLeft = ps.pol.Budget
+		} else if status == 0 {
+			cut = true
 		}
 		if closedAndDone {
 			return
@@ -298,11 +309,11 @@ func (ps *PersistentStream) run() {
 			continue
 		}
 		if err != nil && !retryable(status, err) {
-			ps.giveUp(fmt.Errorf("serve client: stream %s: terminal: %w", ps.id, err))
+			ps.giveUp(fmt.Errorf("serve client: stream %s: %w: %w", ps.id, errTerminal, err))
 			return
 		}
 		if attempt >= ps.pol.MaxAttempts {
-			ps.giveUp(fmt.Errorf("%w: stream %s: status %d: %v", ErrRetriesExhausted, ps.id, status, err))
+			ps.giveUp(exhausted(cut, fmt.Errorf("stream %s: %d attempts: %w", ps.id, attempt, err)))
 			return
 		}
 		// attempt may have just been reset to 0 by the progress check above:
@@ -313,7 +324,7 @@ func (ps *PersistentStream) run() {
 		}
 		sleep := hint + time.Duration(rng.Int63n(int64(window)+1))
 		if sleep > budgetLeft {
-			ps.giveUp(fmt.Errorf("%w: stream %s: backoff budget spent: status %d: %v", ErrRetriesExhausted, ps.id, status, err))
+			ps.giveUp(exhausted(cut, fmt.Errorf("stream %s: backoff budget spent: %w", ps.id, err)))
 			return
 		}
 		budgetLeft -= sleep
@@ -322,6 +333,17 @@ func (ps *PersistentStream) run() {
 		}
 		time.Sleep(sleep)
 	}
+}
+
+// exhausted words the give-up of a policy that ran out. Only a server that
+// answered every attempt of the outage (429/503/408) was shedding load, which
+// is what ErrRetriesExhausted means; an outage in which any attempt was cut
+// without an answer reports the last error alone.
+func exhausted(cut bool, err error) error {
+	if cut {
+		return fmt.Errorf("serve client: gave up: %w", err)
+	}
+	return fmt.Errorf("%w: %v", ErrRetriesExhausted, err)
 }
 
 func (ps *PersistentStream) giveUp(err error) {
@@ -337,13 +359,9 @@ func (ps *PersistentStream) giveUp(err error) {
 // attempt error (nil on a clean final ack).
 func (ps *PersistentStream) attempt() (int, time.Duration, error) {
 	ps.mu.Lock()
-	// Resend from the first batch not fully confirmed. Its start may lie
-	// below the confirmed watermark (a partially confirmed batch): the
-	// offset header names it and the server-side tracker skips the overlap.
+	// Resend from the confirmed watermark, which may fall inside a batch:
+	// the pump skips that batch's confirmed lines.
 	start := ps.confirmed
-	if len(ps.pending) > 0 && ps.pending[0].start < start {
-		start = ps.pending[0].start
-	}
 	ps.gen++
 	gen := ps.gen
 	ps.mu.Unlock()
@@ -466,8 +484,8 @@ func (ps *PersistentStream) pump(pw *io.PipeWriter, cursor int64, gen int64) {
 		var buf []byte
 		for ps.gen == gen && ps.err == nil {
 			if next, ok := ps.batchAt(cursor); ok {
+				buf = skipLines(next.buf, cursor-next.start)
 				cursor = next.start + next.lines
-				buf = next.buf
 				break
 			}
 			if ps.closed && cursor >= ps.written {
@@ -504,6 +522,15 @@ func (ps *PersistentStream) batchAt(cursor int64) (streamBatch, bool) {
 	return streamBatch{}, false
 }
 
+// skipLines returns buf past its first n lines (n <= 0: all of buf); every
+// encoded line ends in exactly one newline.
+func skipLines(buf []byte, n int64) []byte {
+	for ; n > 0; n-- {
+		buf = buf[bytes.IndexByte(buf, '\n')+1:]
+	}
+	return buf
+}
+
 // watchdog invokes cut when unconfirmed lines make no ack progress for wd.
 // An idle stream (nothing unconfirmed) is never cut.
 func (ps *PersistentStream) watchdog(wd time.Duration, cut func(), stop <-chan struct{}) {
@@ -535,20 +562,33 @@ func (ps *PersistentStream) watchdog(wd time.Duration, cut func(), stop <-chan s
 // StreamSubmitter adapts a fan-out of n persistent streams to the open-loop
 // harness: each batch round-robins onto a stream and blocks until the
 // server's ack covers it, so accepted counts and per-batch latency reflect
-// durable admission, not buffered writes. Close the returned closer after
-// the run to flush and release the streams.
+// durable admission, not buffered writes. A stream that has given up is
+// replaced by a fresh one on the slot's next batch — its unconfirmed lines
+// were already reported refused — so one outage costs the batches it
+// overlapped, not the rest of the run. Close the returned closer after the
+// run (not during it) to flush and release the streams.
 func (c *Client) StreamSubmitter(ctx context.Context, jobID uint32, gen func(n int) []TaskSpec,
 	n int, pol RetryPolicy, st *RetryStats) (load.Submitter, io.Closer) {
 	if n <= 0 {
 		n = 1
 	}
-	streams := make([]*PersistentStream, n)
+	streams := make(streamsCloser, n)
 	for i := range streams {
 		streams[i] = c.PersistentStream(jobID, pol, st)
 	}
-	var rr atomic.Uint64
+	var (
+		mu sync.Mutex
+		rr int
+	)
 	sub := func(want int) (int, load.Outcome, error) {
-		ps := streams[(rr.Add(1)-1)%uint64(n)]
+		mu.Lock()
+		i := rr % n
+		rr++
+		if streams[i].dead() {
+			streams[i] = c.PersistentStream(jobID, pol, st)
+		}
+		ps := streams[i]
+		mu.Unlock()
 		acc, err := ps.Submit(ctx, gen(want))
 		switch {
 		case err == nil:
@@ -559,7 +599,14 @@ func (c *Client) StreamSubmitter(ctx context.Context, jobID uint32, gen func(n i
 			return int(acc), load.ServerError, err
 		}
 	}
-	return sub, streamsCloser(streams)
+	return sub, streams
+}
+
+// dead reports whether the stream has given up (its manager has exited).
+func (ps *PersistentStream) dead() bool {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.err != nil
 }
 
 // streamsCloser closes every stream, returning the first error.

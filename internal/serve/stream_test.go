@@ -364,6 +364,27 @@ func TestPersistentStreamTerminalError(t *testing.T) {
 	}
 }
 
+// TestPersistentStreamUnknownJobFailsFast: a refusal that precedes the ack
+// stream (here a 404) is a buffered reply to a request whose body stays
+// open. It must reach the client at once, as the server's own words — not
+// after the client's watchdog has cut the attempt.
+func TestPersistentStreamUnknownJobFailsFast(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	cl := &Client{Base: ts.URL, HC: ts.Client()}
+	var st RetryStats
+	ps := cl.PersistentStream(99, streamPolicy(), &st)
+	defer ps.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_, err := ps.Submit(ctx, []TaskSpec{{Node: 1}})
+	if err == nil || !strings.Contains(err.Error(), "no job 99") {
+		t.Fatalf("submit to an unknown job: %v, want the server's 404 text", err)
+	}
+	if st.Attempts.Load() != 1 {
+		t.Fatalf("a 404 is terminal: %s", st.String())
+	}
+}
+
 func TestStreamSubmitterFanout(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	cl := &Client{Base: ts.URL, HC: ts.Client()}

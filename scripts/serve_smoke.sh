@@ -5,33 +5,40 @@
 # conservation ledger be the verdict. hdcps-serve exits nonzero unless the
 # graceful drain proves that every accepted task was processed (submitted +
 # spawned == processed + retired + quarantined + cancelled, outstanding 0),
-# and hdcps-load runs -strict (no retries; any 5xx or transport error exits
-# nonzero) — so this script passing means: the binaries build, the API
-# serves real traffic, backpressure never turns into server failure, and
-# shutdown loses nothing. Readiness is gated on GET /readyz (via
-# hdcps-load -wait-ready), not on liveness: the server answers /healthz the
-# moment the process is up, but only reports ready once it will admit work.
+# and hdcps-load submits over its persistent streams with -retries 1 (no
+# second attempt: a terminal answer or a transport error exits nonzero, and
+# a 429/503 is counted as backpressure, not retried away) — so this script
+# passing means: the binaries build, the progress-ack stream protocol serves
+# real traffic, backpressure never turns into server failure, and shutdown
+# loses nothing. Readiness is gated on GET /readyz (via hdcps-load
+# -wait-ready), not on liveness: the server answers /healthz the moment the
+# process is up, but only reports ready once it will admit work.
 #
 # Env knobs (defaults are the CI shape):
-#   SMOKE_DIR         artifact/work directory   (/tmp/hdcps-serve-smoke)
+#   SMOKE_DIR         artifact/work directory   (unset: a fresh mktemp -d,
+#                                               removed when the smoke passes)
 #   SERVE_SMOKE_RATE  offered tasks/second      (4000)
 #   SERVE_SMOKE_DUR   load duration             (2s)
 #   SERVE_SMOKE_SCALE input scale               (tiny)
 #
-# Artifacts on failure (and success): $SMOKE_DIR/serve.log, load.txt,
-# hist.json, addr.
+# Artifacts on failure (and, with SMOKE_DIR set, success):
+# $SMOKE_DIR/serve.log, load.txt, hist.json, addr.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SMOKE_DIR="${SMOKE_DIR:-/tmp/hdcps-serve-smoke}"
 RATE="${SERVE_SMOKE_RATE:-4000}"
 DUR="${SERVE_SMOKE_DUR:-2s}"
 SCALE="${SERVE_SMOKE_SCALE:-tiny}"
 GO="${GO:-go}"
 
-rm -rf "$SMOKE_DIR"
-mkdir -p "$SMOKE_DIR"
+if [ -n "${SMOKE_DIR:-}" ]; then
+    rm -rf "$SMOKE_DIR"
+    mkdir -p "$SMOKE_DIR"
+else
+    SMOKE_DIR="$(mktemp -d)"
+    trap '[ $? -eq 0 ] && rm -rf "$SMOKE_DIR"' EXIT
+fi
 
 echo "serve-smoke: building binaries into $SMOKE_DIR"
 "$GO" build -o "$SMOKE_DIR/hdcps-serve" ./cmd/hdcps-serve
@@ -59,7 +66,7 @@ echo "serve-smoke: server up at $ADDR (pid $SERVE_PID), waiting on /readyz"
 
 LOAD_RC=0
 "$SMOKE_DIR/hdcps-load" \
-    -url "http://$ADDR" -wait-ready 10s -strict \
+    -url "http://$ADDR" -wait-ready 10s -retries 1 \
     -rate "$RATE" -duration "$DUR" \
     -arrivals poisson -hist "$SMOKE_DIR/hist.json" \
     2>&1 | tee "$SMOKE_DIR/load.txt" || LOAD_RC=$?
