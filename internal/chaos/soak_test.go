@@ -202,18 +202,17 @@ func TestSoakCombined(t *testing.T) {
 }
 
 // The PR-5 queue matrix: the full fault mix over each local-queue shape
-// with a tiny hot buffer and batched dequeue, so delayed/duplicated/
-// reordered deliveries hammer the two-level spill, refill, and fallback
-// paths while the ledger is checked at every quiescent point.
+// with batched dequeue, so delayed/duplicated/reordered deliveries hammer
+// every queue kind's push/pop paths while the ledger is checked at every
+// quiescent point.
 func TestSoakQueueKinds(t *testing.T) {
 	for _, kind := range runtime.QueueKinds() {
 		t.Run(kind, func(t *testing.T) {
 			w := soakWorkload(t)
 			_, ct := soak(t, w, runtime.Config{
-				Workers:      4,
-				QueueKind:    kind,
-				HotBufferCap: 6,
-				BatchK:       4,
+				Workers:   4,
+				QueueKind: kind,
+				BatchK:    4,
 			}, DefaultMix(7))
 			st := ct.Stats()
 			if st.DelayedBatches.Load()+st.Duplicates.Load()+st.Reordered.Load()+

@@ -1,9 +1,9 @@
 package exp
 
 // The queue-sweep experiment measures the native runtime's local-queue
-// shapes: the classic binary heap, the PR-1 4-ary heap, the two-level
-// hPQ-style queue (sorted hot buffer over a monotone bucket cold store),
-// and the PR-6 relaxed MultiQueue, across the paper's workload mix. It
+// shapes: the classic binary heap, the PR-1 4-ary heap, the twolevel kind
+// (a ring of per-priority FIFO buckets over a fallback heap), and the PR-6
+// relaxed MultiQueue, across the paper's workload mix. It
 // reports two things per (queue, workload) cell — tasks/second, and the
 // scheduling-quality side of the trade: the p99 sampled rank error (how far
 // pops stray from the observable global minimum). Together the two row
@@ -64,8 +64,7 @@ func queueSweep(o Options) (Result, error) {
 				total += nr.Elapsed
 				if kind == runtime.QueueTwoLevel && i == reps-1 {
 					res.Notes = append(res.Notes, fmt.Sprintf(
-						"%s twolevel: %d hot spills, %d fallbacks",
-						row.Label, snap.HotSpills, snap.QueueFallbacks))
+						"%s twolevel: %d fallbacks", row.Label, snap.QueueFallbacks))
 				}
 			}
 			if err := w.Verify(); err != nil {

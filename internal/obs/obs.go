@@ -59,12 +59,11 @@ const (
 	CDriftClamped      // out-of-range priority reports clamped by control
 	CWorkerRestarts    // worker loops restarted after an engine-level panic
 
-	// Two-level local-queue counters (PR 5): how often the hot buffer
-	// spilled to the cold store, and whether a worker's queue abandoned the
-	// monotone bucket store for the comparison heap (non-monotone priority
-	// stream detected at runtime).
-	CHotSpills      // hot-buffer demotions/bounces into the cold store
-	CQueueFallbacks // bucket-store → heap migrations (0 or 1 per worker)
+	// Local-queue counters of the twolevel kind. CHotSpills is always 0
+	// since the kind became a FIFO bucket ring with no hot buffer; it keeps
+	// its slot so the trace schema's counter columns do not shift.
+	CHotSpills      // unused (always 0)
+	CQueueFallbacks // bucket-ring → heap migrations on span overflow (0 or 1 per job queue)
 
 	// Scheduling-quality counters (PR 6): how far the popped task strayed
 	// from the global minimum. Strict queue kinds (heap/dheap/twolevel) must

@@ -1,12 +1,14 @@
 // Package pq provides the priority queues under the schedulers: a binary
 // heap (the software PQ of the simulated schedulers and the sequential
 // oracles, and the native runtime's heap kind), a d-ary heap (the dheap
-// kind, and the two-level queue's fallback), the two-level queue (a sorted
-// hot buffer over a monotone bucket store: the native default and the
-// simulator's hPQ) and the relaxed MultiQueue (shared shards, one handle per
-// worker). Bounded, a small bounded heap with the hPQ's eviction rule, has
-// one user: TestTwoLevelHotEviction holds the two-level queue's hot tier to
-// it as the reference.
+// kind, and the fallback of the two bucket structures), TwoLevel (the native
+// runtime's default kind: a ring of per-priority FIFO buckets, exact in Prio
+// and FIFO among equal priorities), HPQ (the simulator's model of a core
+// with the paper's hardware queue: a sorted hot buffer over a mini-heap
+// bucket store, exact under task.Less) and the relaxed MultiQueue (shared
+// shards, one handle per worker). Bounded, a small bounded heap with the
+// hPQ's eviction rule, has one user: TestHPQHotEviction holds HPQ's hot tier
+// to it as the reference.
 //
 // All queues are min-queues over task.Task: Pop returns the task with the
 // numerically smallest Prio. Only MultiQueue is safe for concurrent use,

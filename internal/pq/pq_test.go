@@ -14,11 +14,9 @@ func impls() map[string]func() Queue {
 		"4-ary":    func() Queue { return NewQuadHeap(0) },
 		"8-ary":    func() Queue { return NewDHeap(8, 0) },
 		"twolevel": func() Queue { return NewTwoLevel(TwoLevelConfig{}) },
-		// A tiny hot buffer and bucket ring force the spill, refill, grow,
-		// and fallback paths through the same generic suites.
-		"twolevel-tiny": func() Queue {
-			return NewTwoLevel(TwoLevelConfig{HotCap: 2, MaxBuckets: 64, QuantShift: 1})
-		},
+		// A tiny bucket ring forces the grow and span-overflow fallback paths
+		// through the same generic suites.
+		"twolevel-tiny": func() Queue { return NewTwoLevel(TwoLevelConfig{MaxBuckets: 64}) },
 	}
 }
 
@@ -83,11 +81,9 @@ func TestQueueEquivalence(t *testing.T) {
 	err := quick.Check(func(raw []int16) bool {
 		ref := NewBinaryHeap(len(raw))
 		others := map[string]Queue{
-			"4-ary": NewQuadHeap(0),
-			"8-ary": NewDHeap(8, 0),
-			"twolevel": NewTwoLevel(TwoLevelConfig{
-				HotCap: 4, MaxBuckets: 128, QuantShift: 2,
-			}),
+			"4-ary":    NewQuadHeap(0),
+			"8-ary":    NewDHeap(8, 0),
+			"twolevel": NewTwoLevel(TwoLevelConfig{MaxBuckets: 128}),
 		}
 		for i, p := range raw {
 			tk := task.Task{Node: uint32(i), Prio: int64(p)}
@@ -241,13 +237,6 @@ func TestBoundedKeepsBest(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestDHeapArityClamp(t *testing.T) {

@@ -6,61 +6,57 @@ import (
 	"hdcps/internal/task"
 )
 
-// TwoLevel is the paper-faithful per-worker queue shape (§III-D): a small
-// fixed-capacity sorted **hot buffer** modeling the 48-entry hPQ — Pop is
-// O(1) off the front, Push is a binary search plus a memmove of at most
-// HotCap entries, all within one or two cache lines' worth of tasks — in
-// front of a **monotone bucket cold store** keyed on quantized priority
-// (Prio >> QuantShift), which absorbs spills in O(1) amortized instead of
-// the O(log n) sifts a comparison heap pays.
+// TwoLevel is the native runtime's default local queue (the "twolevel"
+// kind): a power-of-two ring of per-priority FIFO buckets with an occupancy
+// bitmap and a scan cursor, over a d-ary heap it falls back to when the
+// resident priority span does not fit the ring.
 //
-// The bucket store is a power-of-two ring of per-priority mini-heaps with an
-// occupancy bitmap and a scan cursor. It is built for the monotone traffic
-// integer-priority graph workloads emit (pops never decrease, pushes land at
-// or above the cursor): a push below the cursor simply rewinds it — cheap,
-// but counted — and a workload that keeps doing that (PageRank's residual
-// priorities, coloring's static negative degrees) trips the runtime
-// monotonicity detector, which migrates the cold store into the existing
-// d-ary heap once and for all (Stats.Fallbacks). The hot buffer keeps
-// serving either way.
+// It is exact in Prio and FIFO among equal priorities. The scheduler orders
+// work by integer priority only (§II); the (Prio, Node) order of task.Less
+// is a determinism device the simulator needs, and keeping it cost the
+// native runtime a sift per push and per pop. Here Push is one store at the
+// bucket's tail and Pop one load off the cursor bucket's head: no
+// comparison, no sift, no sort. A push below the cursor just lowers the
+// cursor, so non-monotone streams (PageRank's residual classes, coloring's
+// negative degrees) cost the same as monotone ones. FIFO is also the better
+// tie order for delta-stepping: earlier pushes come from earlier-settled
+// parents.
 //
-// Ordering is EXACT, not relaxed: every bucket is itself a min-heap under
-// task.Less and Pop compares the hot front against the cold minimum, so the
-// pop sequence equals a global heap's regardless of quantization, spills, or
-// fallback. That is what lets the simulator charge its hPQ cost model
-// against this same structure with bit-identical task ordering, and what
-// keeps every workload Verify() exact under the native runtime.
+// The one stream the ring cannot hold is a resident span wider than
+// MaxBuckets (arbitrary client priorities through hdcps-serve): the queue
+// then migrates, once and for all, into a d-ary heap under task.Less —
+// still exact in Prio, ties by Node from there on.
 //
-// Like every pq.Queue, a TwoLevel is single-owner: no internal locking.
+// The name and the HotCap field are what benchmark/replay.go builds the
+// "twolevel" kind with; the hot buffer they once sized lives on only in the
+// simulator's HPQ. Like every pq.Queue, a TwoLevel is single-owner: no
+// internal locking.
 type TwoLevel struct {
-	// hot[head:] is the resident window, ascending in task.Less order.
-	hot   []task.Task
-	head  int
-	cap   int
-	shift uint
+	buckets []fifo
+	occ     []uint64
+	// free chains the chunks no bucket holds; slab is what is left of the
+	// last chunkSlab-chunk allocation. Every bucket draws from and returns
+	// to the one freelist, so the queue allocates for its peak population
+	// once, whichever priorities that population moves through.
+	free *chunk
+	slab []chunk
+	cur  int64 // scan cursor: lower bound on the resident minimum
+	hi   int64 // upper bound on the resident maximum
+	size int   // tasks in the ring (0 once fallen back)
+	maxW int
+
 	arity int
-
-	cold coldBuckets
-	// heap is non-nil once the monotonicity detector has fired: the cold
-	// store's contents migrate here and all later spills follow.
+	// heap is non-nil once a span overflow has migrated the queue.
 	heap *DHeap
-
-	rewindScore int
-	size        int
-	stats       TwoLevelStats
 }
 
-// TwoLevelConfig sizes a TwoLevel. The zero value gives the paper's shape:
-// a 48-entry hot buffer, no priority quantization, a cold ring growing to
-// 64Ki buckets, and a 4-ary fallback heap.
+// TwoLevelConfig sizes a TwoLevel. The zero value gives a ring growing to
+// 64Ki buckets over a 4-ary fallback heap.
 type TwoLevelConfig struct {
-	// HotCap is the hot-buffer capacity (<=0 selects 48, §III-D's hPQ size).
+	// HotCap is accepted and ignored: benchmark/replay.go names it, and the
+	// ring has no hot buffer to size.
 	HotCap int
-	// QuantShift right-shifts priorities into bucket keys; 0 keeps one
-	// bucket per distinct priority. Ordering stays exact at any shift —
-	// quantization only trades bucket count against per-bucket heap depth.
-	QuantShift uint
-	// MaxBuckets caps the cold ring's growth (rounded up to a power of two,
+	// MaxBuckets caps the ring's growth (rounded up to a power of two,
 	// minimum 64; <=0 selects 1<<16). A resident priority span that cannot
 	// fit triggers the heap fallback instead of further growth.
 	MaxBuckets int
@@ -68,50 +64,35 @@ type TwoLevelConfig struct {
 	Arity int
 }
 
-// TwoLevelStats are the queue's behavior counters, surfaced through the
-// runtime's obs layer (hot_spills, queue_fallbacks).
-type TwoLevelStats struct {
-	Spills    int64 // tasks demoted or bounced from the hot buffer to cold
-	Refills   int64 // bulk cold→hot promotions when the hot buffer ran dry
-	Rewinds   int64 // cold pushes below the scan cursor (non-monotone events)
-	Fallbacks int64 // monotonicity-detector trips (0 or 1 per queue)
-}
-
-// Rewind-storm detector: a leaky-bucket score over the cold-push stream.
-// Every rewind adds rewindPenalty, every in-order push drains rewindForgive,
-// and the cold store migrates to the comparison heap when the score reaches
-// rewindStormScore. A sustained rewind rate above 1 in (1+rewindPenalty)
-// trips it; transient turbulence (SSSP/BFS relaxation fronts early in a run)
-// decays away instead of accumulating toward a trip the way a cumulative
-// ratio would.
-const (
-	rewindPenalty    = 3
-	rewindForgive    = 1
-	rewindStormScore = 96
-)
-
-// twoLevelStartW is the cold ring's initial bucket count.
+// twoLevelStartW is the ring's initial bucket count.
 const twoLevelStartW = 256
 
-// Bucket-storage slab parameters: fresh mini-heaps start with
-// bucketSeedCap entries of capacity carved from a bucketSlabLen-entry
-// arena chunk. A drained bucket that grew to bucketBigCap or beyond moves
-// to the freelist (up to bucketFreeMax entries) so the capacity follows
-// the deep frontier — BFS drains one level's bucket as the next fills —
-// while smaller ones stay parked at their ring index for the next
-// priority that wraps onto it.
+// Bucket storage: a chunk holds chunkLen tasks, and chunks are allocated
+// chunkSlab at a time (about 25 KB).
 const (
-	bucketSeedCap = 8
-	bucketSlabLen = 1024
-	bucketBigCap  = 16
-	bucketFreeMax = 256
+	chunkLen  = 16
+	chunkSlab = 64
 )
 
-// NewTwoLevel returns an empty two-level queue.
+// chunk is one link of a bucket's chain.
+type chunk struct {
+	next *chunk
+	buf  [chunkLen]task.Task
+}
+
+// fifo is one priority's bucket: a chain of chunks, pushed at tail.buf[ti]
+// and popped at head.buf[hi]; empty when head is nil. A chunk goes back to
+// the queue's freelist the moment its last task is popped, so a bucket that
+// lives for a whole solve — PageRank holds one class most of the time —
+// occupies what it holds now, not what has passed through it, and growing
+// never copies.
+type fifo struct {
+	head, tail *chunk
+	hi, ti     int
+}
+
+// NewTwoLevel returns an empty queue.
 func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
-	if cfg.HotCap <= 0 {
-		cfg.HotCap = 48
-	}
 	if cfg.MaxBuckets <= 0 {
 		cfg.MaxBuckets = 1 << 16
 	}
@@ -122,457 +103,200 @@ func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
 	if cfg.Arity <= 0 {
 		cfg.Arity = 4
 	}
-	q := &TwoLevel{
-		hot:   make([]task.Task, 0, 2*cfg.HotCap),
-		cap:   cfg.HotCap,
-		shift: cfg.QuantShift,
-		arity: cfg.Arity,
+	w := min(twoLevelStartW, maxW)
+	return &TwoLevel{
+		buckets: make([]fifo, w),
+		occ:     make([]uint64, w/64),
+		maxW:    maxW,
+		arity:   cfg.Arity,
 	}
-	w := twoLevelStartW
-	if w > maxW {
-		w = maxW
-	}
-	q.cold.init(w, maxW)
-	return q
 }
 
-// Len returns the number of queued tasks across both levels.
-func (q *TwoLevel) Len() int { return q.size }
-
-// HotLen returns the number of tasks resident in the hot buffer.
-func (q *TwoLevel) HotLen() int { return len(q.hot) - q.head }
-
-// ColdLen returns the number of tasks in the cold store (bucket ring or
-// fallback heap) — the "software PQ" side of the simulator's cost model.
-func (q *TwoLevel) ColdLen() int {
-	n := q.cold.size
+// Len returns the number of queued tasks.
+func (q *TwoLevel) Len() int {
 	if q.heap != nil {
-		n += q.heap.Len()
+		return q.heap.Len()
 	}
-	return n
+	return q.size
 }
 
-// Cap returns the hot buffer's fixed capacity.
-func (q *TwoLevel) Cap() int { return q.cap }
+// FellBack reports whether a span overflow has migrated the queue into its
+// fallback heap (surfaced as the runtime's queue_fallbacks counter).
+func (q *TwoLevel) FellBack() bool { return q.heap != nil }
 
-// Stats returns the queue's behavior counters so far.
-func (q *TwoLevel) Stats() TwoLevelStats { return q.stats }
-
-// Push inserts t.
-func (q *TwoLevel) Push(t task.Task) { q.PushEx(t) }
-
-// PushEx inserts t and reports whether the insert spilled a task into the
-// cold store (t itself, or the hot resident it displaced) — the hPQ-evict
-// signal the simulator's §III-D composition observes.
-func (q *TwoLevel) PushEx(t task.Task) (spilled bool) {
-	q.size++
-	if len(q.hot)-q.head < q.cap {
-		q.hotInsert(t)
-		return false
-	}
-	// Hot buffer full: keep the best HotCap tasks resident, exactly like
-	// the hardware queue — a task beating the current worst displaces it,
-	// anything else spills directly.
-	q.stats.Spills++
-	last := len(q.hot) - 1
-	if t.Less(q.hot[last]) {
-		ev := q.hot[last]
-		q.hot = q.hot[:last]
-		q.hotInsert(t)
-		q.coldPush(ev)
-		return true
-	}
-	q.coldPush(t)
-	return true
-}
-
-// PushCold inserts t directly into the cold store, bypassing the hot
-// buffer — the simulator's seeding and RELD remote-insert paths, which the
-// paper routes around the hPQ.
-func (q *TwoLevel) PushCold(t task.Task) {
-	q.size++
-	q.coldPush(t)
-}
-
-// Pop removes and returns the global minimum. An empty hot buffer refills
-// in bulk from the cold store (up to HotCap tasks, arriving sorted), so
-// steady-state pops are O(1) loads off the hot front.
-func (q *TwoLevel) Pop() (task.Task, bool) {
-	if q.size == 0 {
-		return task.Task{}, false
-	}
-	if q.head == len(q.hot) {
-		q.refill()
-	}
-	hf := q.hot[q.head]
-	if c, ok := q.coldPeek(); ok && c.Less(hf) {
-		q.size--
-		return q.coldPop(), true
-	}
-	q.head++
-	if q.head == len(q.hot) {
-		q.hot = q.hot[:0]
-		q.head = 0
-	}
-	q.size--
-	return hf, true
-}
-
-// PopEx pops the global minimum and reports whether the hot buffer served
-// it. Unlike Pop it never promotes cold tasks into the hot buffer, so each
-// task's hot/cold provenance — what the simulator charges hardware vs
-// software cycles for — matches the paper's hPQ+spill composition exactly.
-func (q *TwoLevel) PopEx() (t task.Task, fromHot, ok bool) {
-	if q.size == 0 {
-		return task.Task{}, false, false
-	}
-	if q.head < len(q.hot) {
-		hf := q.hot[q.head]
-		if c, cok := q.coldPeek(); !cok || hf.Less(c) {
-			q.head++
-			if q.head == len(q.hot) {
-				q.hot = q.hot[:0]
-				q.head = 0
-			}
-			q.size--
-			return hf, true, true
-		}
-	}
-	q.size--
-	return q.coldPop(), false, true
-}
-
-// Peek returns the global minimum without removing it.
-func (q *TwoLevel) Peek() (task.Task, bool) {
-	if q.size == 0 {
-		return task.Task{}, false
-	}
-	c, cok := q.coldPeek()
-	if q.head < len(q.hot) {
-		hf := q.hot[q.head]
-		if !cok || hf.Less(c) {
-			return hf, true
-		}
-	}
-	return c, cok
-}
-
-// hotInsert places t into the sorted hot window. Caller guarantees the
-// window is below capacity. The backing array is twice HotCap, so the
-// pop-front/push-back traffic graph workloads emit — head advances, new
-// children land at the end — runs as plain appends with one bulk
-// compaction per HotCap-ish inserts, instead of a per-insert memmove the
-// moment the append slack runs out. Middle inserts shift whichever side
-// is cheaper: the prefix into the head gap left by pops, the suffix into
-// the append slack.
-func (q *TwoLevel) hotInsert(t task.Task) {
-	live := q.hot[q.head:]
-	n := len(live)
-	if n == 0 || !t.Less(live[n-1]) {
-		// End insert: the hot case for monotone priority streams.
-		if len(q.hot) == cap(q.hot) {
-			copy(q.hot, live)
-			q.hot = q.hot[:n]
-			q.head = 0
-		}
-		q.hot = append(q.hot, t)
-		return
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.Less(live[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// A full backing array implies head > 0 (the live window is under
-	// HotCap), so the prefix branch always absorbs that case and the append
-	// below never reallocates.
-	if q.head > 0 && (lo <= n-lo || len(q.hot) == cap(q.hot)) {
-		copy(q.hot[q.head-1:], q.hot[q.head:q.head+lo])
-		q.head--
-		q.hot[q.head+lo] = t
-		return
-	}
-	q.hot = append(q.hot, task.Task{})
-	copy(q.hot[q.head+lo+1:], q.hot[q.head+lo:])
-	q.hot[q.head+lo] = t
-}
-
-// refill bulk-promotes up to HotCap cold minima into the empty hot buffer;
-// they pop off the cold store already sorted.
-func (q *TwoLevel) refill() {
-	q.stats.Refills++
-	q.hot = q.hot[:0]
-	q.head = 0
-	for i := 0; i < q.cap && q.ColdLen() > 0; i++ {
-		q.hot = append(q.hot, q.coldPop())
-	}
-}
-
-// coldPush routes a task to the cold store: the bucket ring while the
-// priority stream looks monotone, the fallback heap after the detector
-// fires (span overflow or a rewind storm).
-func (q *TwoLevel) coldPush(t task.Task) {
+// Push inserts t behind every queued task of its priority.
+func (q *TwoLevel) Push(t task.Task) {
 	if q.heap != nil {
 		q.heap.Push(t)
 		return
 	}
-	qp := t.Prio >> q.shift
-	if q.cold.size > 0 && qp < q.cold.curQ {
-		q.stats.Rewinds++
-		q.rewindScore += rewindPenalty
-	} else if q.rewindScore > 0 {
-		q.rewindScore -= rewindForgive
-	}
-	if q.cold.push(t, qp) {
-		if q.rewindScore >= rewindStormScore {
+	p := t.Prio
+	if q.size == 0 {
+		q.cur, q.hi = p, p
+	} else if p < q.cur || p > q.hi {
+		if !q.stretch(p) {
 			q.fallBack()
-		}
-		return
-	}
-	// The resident span cannot fit even at MaxBuckets: this priority
-	// distribution is not bucketable, migrate and insert into the heap.
-	q.fallBack()
-	q.heap.Push(t)
-}
-
-func (q *TwoLevel) coldPeek() (task.Task, bool) {
-	if q.cold.size > 0 {
-		return q.cold.peek(), true
-	}
-	if q.heap != nil {
-		return q.heap.Peek()
-	}
-	return task.Task{}, false
-}
-
-func (q *TwoLevel) coldPop() task.Task {
-	if q.cold.size > 0 {
-		return q.cold.pop()
-	}
-	t, _ := q.heap.Pop()
-	return t
-}
-
-// fallBack migrates the bucket ring's contents into a fresh d-ary heap and
-// retires the ring. One-way: a stream that proved non-monotone once is
-// assumed to stay that way (the hot buffer still serves the cache-resident
-// front either way).
-func (q *TwoLevel) fallBack() {
-	q.stats.Fallbacks++
-	h := NewDHeap(q.arity, q.cold.size+64)
-	for i := range q.cold.buckets {
-		for _, t := range q.cold.buckets[i] {
-			h.Push(t)
-		}
-	}
-	q.cold.size = 0
-	q.cold.buckets = nil
-	q.cold.occ = nil
-	q.cold.free = nil
-	q.cold.arena = nil
-	q.heap = h
-}
-
-// coldBuckets is the monotone radix level: a power-of-two ring of
-// per-quantized-priority buckets, each kept as a binary mini-heap under
-// task.Less, plus an occupancy bitmap the scan cursor advances over.
-//
-// Invariant: while size > 0, every resident quantized priority lies in
-// [curQ, curQ+W) with curQ <= the resident minimum and hiQ an upper bound
-// on the resident maximum — ring index q & (W-1) is then collision-free
-// (two's-complement AND handles negative priorities). A push stretching the
-// span doubles W up to maxW; beyond that push reports false and the caller
-// falls back to a comparison heap.
-type coldBuckets struct {
-	buckets [][]task.Task
-	occ     []uint64
-	// free recycles the storage of emptied buckets, and arena seeds fresh
-	// ones: new mini-heaps are carved bucketSeedCap entries at a time out of
-	// a shared slab, so filling the ring costs one allocation per
-	// slab-worth of buckets instead of one per bucket. Only a bucket that
-	// outgrows its seed capacity pays an append-grow of its own, which the
-	// freelist then keeps recycling. Together they take the bucket store's
-	// allocation count from O(distinct resident priorities) to O(slabs).
-	free  [][]task.Task
-	arena []task.Task
-	curQ  int64 // scan cursor: lower bound on the resident minimum
-	hiQ   int64 // upper bound on the resident maximum
-	size  int
-	maxW  int
-}
-
-func (c *coldBuckets) init(w, maxW int) {
-	c.buckets = make([][]task.Task, w)
-	c.occ = make([]uint64, w/64)
-	c.maxW = maxW
-}
-
-// push inserts t under quantized priority qp, growing the ring if the
-// resident span demands it. False means the span cannot fit at maxW.
-func (c *coldBuckets) push(t task.Task, qp int64) bool {
-	if c.size == 0 {
-		c.curQ, c.hiQ = qp, qp
-	} else {
-		lo, hi := c.curQ, c.hiQ
-		if qp < lo {
-			lo = qp
-		}
-		if qp > hi {
-			hi = qp
-		}
-		for uint64(hi-lo) >= uint64(len(c.buckets)) {
-			if len(c.buckets)*2 > c.maxW {
-				return false
-			}
-			c.grow()
-		}
-		c.curQ, c.hiQ = lo, hi
-	}
-	w := len(c.buckets)
-	idx := int(qp & int64(w-1))
-	b := c.buckets[idx]
-	if b == nil {
-		if n := len(c.free); n > 0 {
-			b = c.free[n-1]
-			c.free = c.free[:n-1]
-		} else {
-			if len(c.arena) < bucketSeedCap {
-				c.arena = make([]task.Task, bucketSlabLen)
-			}
-			b = c.arena[:0:bucketSeedCap]
-			c.arena = c.arena[bucketSeedCap:]
-		}
-	}
-	b = append(b, t)
-	siftUpTasks(b)
-	c.buckets[idx] = b
-	c.occ[idx>>6] |= 1 << uint(idx&63)
-	c.size++
-	return true
-}
-
-// grow doubles the ring, re-placing occupied buckets under the wider mask.
-// Bucket indices are reconstructed from the cursor: every resident q is
-// curQ + (its ring distance from curQ's slot), unique because the old span
-// fit the old width.
-func (c *coldBuckets) grow() {
-	oldW := len(c.buckets)
-	newW := oldW * 2
-	nb := make([][]task.Task, newW)
-	nocc := make([]uint64, newW/64)
-	if c.size > 0 {
-		baseIdx := int(c.curQ & int64(oldW-1))
-		for step := 0; step < oldW; step++ {
-			idx := (baseIdx + step) & (oldW - 1)
-			b := c.buckets[idx]
-			if len(b) == 0 {
-				// Parked capacity has no index in the wider ring yet;
-				// salvage it through the freelist.
-				if cap(b) > 0 && len(c.free) < bucketFreeMax {
-					c.free = append(c.free, b)
-				}
-				continue
-			}
-			q := c.curQ + int64(step)
-			nidx := int(q & int64(newW-1))
-			nb[nidx] = b
-			nocc[nidx>>6] |= 1 << uint(nidx&63)
-		}
-	}
-	c.buckets = nb
-	c.occ = nocc
-}
-
-// advance moves the cursor to the first occupied bucket at or above it,
-// scanning the occupancy bitmap a word at a time. Caller guarantees
-// size > 0, so an occupied bucket exists within one lap of the ring.
-func (c *coldBuckets) advance() {
-	w := len(c.buckets)
-	idx := int(c.curQ & int64(w-1))
-	for steps := 0; steps < w; {
-		word := c.occ[idx>>6] >> uint(idx&63)
-		if word != 0 {
-			c.curQ += int64(steps + bits.TrailingZeros64(word))
+			q.heap.Push(t)
 			return
+		}
+	}
+	idx := int(p & int64(len(q.buckets)-1))
+	b := &q.buckets[idx]
+	c := b.tail
+	if c == nil || b.ti == chunkLen {
+		c = q.chunk()
+		if b.tail == nil {
+			b.head, b.hi = c, 0
+			q.occ[idx>>6] |= 1 << uint(idx&63)
+		} else {
+			b.tail.next = c
+		}
+		b.tail, b.ti = c, 0
+	}
+	c.buf[b.ti] = t
+	b.ti++
+	q.size++
+}
+
+// Pop removes and returns the oldest task of the lowest queued priority.
+func (q *TwoLevel) Pop() (task.Task, bool) {
+	if q.size == 0 {
+		if q.heap != nil {
+			return q.heap.Pop()
+		}
+		return task.Task{}, false
+	}
+	idx := q.front()
+	b := &q.buckets[idx]
+	c := b.head
+	t := c.buf[b.hi]
+	b.hi++
+	q.size--
+	if c == b.tail {
+		if b.hi == b.ti {
+			b.head, b.tail = nil, nil
+			q.occ[idx>>6] &^= 1 << uint(idx&63)
+			c.next, q.free = q.free, c
+		}
+	} else if b.hi == chunkLen {
+		b.head, b.hi = c.next, 0
+		c.next, q.free = q.free, c
+	}
+	return t, true
+}
+
+// Peek returns the task Pop would return, without removing it.
+func (q *TwoLevel) Peek() (task.Task, bool) {
+	if q.size == 0 {
+		if q.heap != nil {
+			return q.heap.Peek()
+		}
+		return task.Task{}, false
+	}
+	b := &q.buckets[q.front()]
+	return b.head.buf[b.hi], true
+}
+
+// front moves the cursor to the first occupied bucket at or above it and
+// returns that bucket's ring index. Caller guarantees size > 0, so one
+// exists within a lap of the ring.
+func (q *TwoLevel) front() int {
+	w := len(q.buckets)
+	idx := int(q.cur & int64(w-1))
+	if q.buckets[idx].head != nil {
+		return idx
+	}
+	q.cur += int64(occScan(q.occ, idx, w))
+	return int(q.cur & int64(w-1))
+}
+
+// occScan returns the ring distance from idx to the first set bit of occ at
+// or after it, scanning a word at a time and wrapping at w bits. Caller
+// guarantees a bit is set.
+func occScan(occ []uint64, idx, w int) int {
+	for steps := 0; steps < w; {
+		word := occ[idx>>6] >> uint(idx&63)
+		if word != 0 {
+			return steps + bits.TrailingZeros64(word)
 		}
 		adv := 64 - (idx & 63)
 		steps += adv
 		idx = (idx + adv) & (w - 1)
 	}
+	return 0
 }
 
-// peek returns the minimum resident task. Caller guarantees size > 0.
-func (c *coldBuckets) peek() task.Task {
-	c.advance()
-	return c.buckets[int(c.curQ&int64(len(c.buckets)-1))][0]
-}
-
-// pop removes and returns the minimum resident task. Caller guarantees
-// size > 0.
-func (c *coldBuckets) pop() task.Task {
-	c.advance()
-	idx := int(c.curQ & int64(len(c.buckets)-1))
-	b := c.buckets[idx]
-	t := b[0]
-	n := len(b) - 1
-	b[0] = b[n]
-	b = b[:n]
-	if n > 0 {
-		if n > 1 {
-			siftDownTasks(b)
+// stretch widens [cur, hi] to take in p, doubling the ring while the span
+// does not fit. Invariant: while size > 0 every resident priority lies in
+// [cur, cur+W), so ring index p & (W-1) is collision-free (two's-complement
+// AND handles negative priorities). False means the span cannot fit at
+// maxW.
+func (q *TwoLevel) stretch(p int64) bool {
+	lo, hi := min(q.cur, p), max(q.hi, p)
+	for uint64(hi-lo) >= uint64(len(q.buckets)) {
+		if len(q.buckets)*2 > q.maxW {
+			return false
 		}
-		c.buckets[idx] = b
-	} else {
-		// Drained: big slices chase the frontier via the freelist, small
-		// ones wait in place for a priority to wrap back onto this index.
-		if cap(b) >= bucketBigCap && len(c.free) < bucketFreeMax {
-			c.buckets[idx] = nil
-			c.free = append(c.free, b)
-		} else {
-			c.buckets[idx] = b
-		}
-		c.occ[idx>>6] &^= 1 << uint(idx&63)
+		q.grow()
 	}
-	c.size--
-	return t
+	q.cur, q.hi = lo, hi
+	return true
 }
 
-// siftUpTasks restores the binary-min-heap property of b after its last
-// element was appended.
-func siftUpTasks(b []task.Task) {
-	i := len(b) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !b[i].Less(b[p]) {
-			return
+// grow doubles the ring, re-placing occupied buckets under the wider mask.
+// Each one's priority is reconstructed from the cursor: cur plus its ring
+// distance from cur's slot, unique because the old span fit the old width.
+func (q *TwoLevel) grow() {
+	oldW := len(q.buckets)
+	newW := oldW * 2
+	nb := make([]fifo, newW)
+	nocc := make([]uint64, newW/64)
+	base := int(q.cur & int64(oldW-1))
+	for step := 0; step < oldW; step++ {
+		b := q.buckets[(base+step)&(oldW-1)]
+		if b.head == nil {
+			continue
 		}
-		b[i], b[p] = b[p], b[i]
-		i = p
+		nidx := int((q.cur + int64(step)) & int64(newW-1))
+		nb[nidx] = b
+		nocc[nidx>>6] |= 1 << uint(nidx&63)
 	}
+	q.buckets = nb
+	q.occ = nocc
 }
 
-// siftDownTasks restores the binary-min-heap property of b after its root
-// was replaced.
-func siftDownTasks(b []task.Task) {
-	n := len(b)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && b[l].Less(b[least]) {
-			least = l
-		}
-		if r < n && b[r].Less(b[least]) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		b[i], b[least] = b[least], b[i]
-		i = least
+// chunk returns an unlinked chunk: off the freelist, else off the slab.
+func (q *TwoLevel) chunk() *chunk {
+	if c := q.free; c != nil {
+		q.free, c.next = c.next, nil
+		return c
 	}
+	if len(q.slab) == 0 {
+		q.slab = make([]chunk, chunkSlab)
+	}
+	c := &q.slab[0]
+	q.slab = q.slab[1:]
+	return c
+}
+
+// fallBack migrates the ring's contents into a fresh d-ary heap and retires
+// the ring. One-way: a priority distribution that proved unbucketable once
+// is assumed to stay that way.
+func (q *TwoLevel) fallBack() {
+	h := NewDHeap(q.arity, q.size+64)
+	for i := range q.buckets {
+		b := &q.buckets[i]
+		for c, lo := b.head, b.hi; c != nil; c, lo = c.next, 0 {
+			hi := chunkLen
+			if c == b.tail {
+				hi = b.ti
+			}
+			for _, t := range c.buf[lo:hi] {
+				h.Push(t)
+			}
+		}
+	}
+	q.size = 0
+	q.buckets, q.occ, q.free, q.slab = nil, nil, nil, nil
+	q.heap = h
 }

@@ -8,108 +8,191 @@ import (
 	"hdcps/internal/task"
 )
 
-// drainEqual pops both queues to exhaustion and fails on the first
-// divergence in (Node, Prio) — the exact-order contract, not just the
-// priority sequence.
-func drainEqual(t *testing.T, name string, got Queue, ref *BinaryHeap) {
-	t.Helper()
-	for i := 0; ; i++ {
-		want, wok := ref.Pop()
-		have, hok := got.Pop()
-		if wok != hok {
-			t.Fatalf("%s: pop %d: ok=%v, reference ok=%v", name, i, hok, wok)
+// ringCheck drives a TwoLevel beside a reference BinaryHeap and holds it to
+// the ring's contract on every pop: the same priority as the heap's pop
+// (exact in Prio), a task that was pushed and not yet popped (same multiset),
+// and — while the queue is still on its ring — the oldest queued task of
+// that priority (FIFO among equals). Push order is stamped into Data; Node
+// is scrambled so FIFO and the heap's (Prio, Node) order disagree.
+type ringCheck struct {
+	t      *testing.T
+	q      *TwoLevel
+	ref    *BinaryHeap
+	pushed []task.Task      // by stamp
+	popped []bool           // by stamp
+	last   map[int64]uint64 // per priority: 1 + the last popped stamp
+}
+
+func newRingCheck(t *testing.T, cfg TwoLevelConfig) *ringCheck {
+	return &ringCheck{t: t, q: NewTwoLevel(cfg), ref: NewBinaryHeap(0), last: map[int64]uint64{}}
+}
+
+func (c *ringCheck) push(prio int64) {
+	stamp := uint64(len(c.pushed))
+	tk := task.Task{Node: uint32(stamp*2654435761) % 1024, Prio: prio, Data: stamp}
+	c.pushed = append(c.pushed, tk)
+	c.popped = append(c.popped, false)
+	c.q.Push(tk)
+	c.ref.Push(tk)
+	if c.q.Len() != c.ref.Len() {
+		c.t.Fatalf("push %d: Len = %d, reference %d", stamp, c.q.Len(), c.ref.Len())
+	}
+}
+
+// pop pops both queues and returns the ring's task (ok false when empty).
+func (c *ringCheck) pop() (task.Task, bool) {
+	c.t.Helper()
+	onRing := !c.q.FellBack()
+	if peek, ok := c.q.Peek(); ok {
+		if want, _ := c.ref.Peek(); peek.Prio != want.Prio {
+			c.t.Fatalf("Peek prio %d, reference %d", peek.Prio, want.Prio)
 		}
-		if !wok {
-			return
+	}
+	want, wok := c.ref.Pop()
+	have, hok := c.q.Pop()
+	if wok != hok {
+		c.t.Fatalf("pop ok=%v, reference ok=%v", hok, wok)
+	}
+	if !hok {
+		return have, false
+	}
+	if have.Prio != want.Prio {
+		c.t.Fatalf("pop prio %d (stamp %d), reference %d", have.Prio, have.Data, want.Prio)
+	}
+	if have.Data >= uint64(len(c.pushed)) || c.pushed[have.Data] != have || c.popped[have.Data] {
+		c.t.Fatalf("pop %+v: never pushed, or popped twice", have)
+	}
+	c.popped[have.Data] = true
+	if onRing {
+		if have.Data+1 <= c.last[have.Prio] {
+			c.t.Fatalf("prio %d: stamp %d popped after stamp %d (not FIFO)",
+				have.Prio, have.Data, c.last[have.Prio]-1)
 		}
-		if have.Prio != want.Prio || have.Node != want.Node {
-			t.Fatalf("%s: pop %d = (node %d, prio %d), want (node %d, prio %d)",
-				name, i, have.Node, have.Prio, want.Node, want.Prio)
+		c.last[have.Prio] = have.Data + 1
+	}
+	return have, true
+}
+
+func (c *ringCheck) drain() {
+	c.t.Helper()
+	for {
+		if _, ok := c.pop(); !ok {
+			break
+		}
+	}
+	for stamp, done := range c.popped {
+		if !done {
+			c.t.Fatalf("stamp %d (%+v) pushed and never popped", stamp, c.pushed[stamp])
 		}
 	}
 }
 
-// TestTwoLevelExactOrderMonotone pins the tentpole contract on the traffic
-// the bucket store is built for: a delta-stepping-like monotone stream must
-// pop in exactly the order a binary heap would (same node, same priority,
-// every pop), with the cold store never falling back.
-func TestTwoLevelExactOrderMonotone(t *testing.T) {
-	q := NewTwoLevel(TwoLevelConfig{HotCap: 8})
-	ref := NewBinaryHeap(0)
-	rng := rand.New(rand.NewSource(7))
-	push := func(tk task.Task) { q.Push(tk); ref.Push(tk) }
-	push(task.Task{Node: 0, Prio: 0})
-	floor := int64(0)
-	for i := 1; i <= 5000 && ref.Len() > 0; i++ {
-		want, _ := ref.Peek()
-		have, ok := q.Pop()
-		if !ok || have != want {
-			t.Fatalf("pop %d = %+v/%v, want %+v", i, have, ok, want)
+// frontier runs a pop-then-spawn loop — the shape the engine's workers
+// drive — with each child's priority drawn by child from its parent's.
+func (c *ringCheck) frontier(rng *rand.Rand, pops, spawnUntil int, child func(parent int64) int64) {
+	c.t.Helper()
+	for i := 1; i <= pops; i++ {
+		tk, ok := c.pop()
+		if !ok {
+			return
 		}
-		ref.Pop()
-		if have.Prio < floor {
-			t.Fatalf("pop %d went backwards: %d after %d", i, have.Prio, floor)
-		}
-		floor = have.Prio
-		if i < 2000 {
-			// Children at or above the parent's priority: the monotone case.
-			for c := 0; c < 1+rng.Intn(3); c++ {
-				push(task.Task{Node: uint32(3*i + c), Prio: floor + int64(rng.Intn(64))})
+		if i < spawnUntil {
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				c.push(child(tk.Prio))
 			}
 		}
 	}
-	if got := q.Stats().Fallbacks; got != 0 {
-		t.Fatalf("monotone stream tripped the fallback detector (%d)", got)
+}
+
+// TestTwoLevelExactOrderMonotone pins the contract on a delta-stepping-like
+// stream (children at or above the parent's priority): heap-exact priority
+// sequence, FIFO ties, and no fallback.
+func TestTwoLevelExactOrderMonotone(t *testing.T) {
+	c := newRingCheck(t, TwoLevelConfig{})
+	rng := rand.New(rand.NewSource(7))
+	c.push(0)
+	c.frontier(rng, 5000, 2000, func(p int64) int64 { return p + int64(rng.Intn(64)) })
+	c.drain()
+	if c.q.FellBack() {
+		t.Fatal("a monotone stream fell back to the heap")
 	}
-	if q.Stats().Spills == 0 {
-		t.Fatal("an 8-entry hot buffer under thousands of pushes must spill")
+}
+
+// TestTwoLevelExactOrderRewinding: children land one class below, at, or
+// one above their parent, so the cursor rewinds constantly (and the minimum
+// sinks, stretching the resident span through several ring doublings) —
+// which must change nothing.
+func TestTwoLevelExactOrderRewinding(t *testing.T) {
+	c := newRingCheck(t, TwoLevelConfig{})
+	rng := rand.New(rand.NewSource(8))
+	c.push(0)
+	c.frontier(rng, 8000, 3000, func(p int64) int64 { return p + int64(rng.Intn(3)) - 1 })
+	c.drain()
+	if c.q.FellBack() {
+		t.Fatal("a ±1-rewinding stream fell back to the heap")
 	}
-	drainEqual(t, "monotone-tail", q, ref)
+}
+
+// TestTwoLevelExactOrderNegative is the PageRank shape: a wide frontier of
+// negative log-residual classes, non-monotone in both directions, most
+// tasks in a few classes that stay live for the whole run.
+func TestTwoLevelExactOrderNegative(t *testing.T) {
+	c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 500; i++ {
+		c.push(-int64(rng.Intn(40)))
+	}
+	c.frontier(rng, 20000, 6000, func(int64) int64 {
+		return -int64(rng.Intn(8) * rng.Intn(6))
+	})
+	c.drain()
+	if c.q.FellBack() {
+		t.Fatal("a 40-class stream fell back to the heap")
+	}
+}
+
+// TestTwoLevelExactOrderSpanOverflow spreads priorities over 2^20 on a
+// 64-bucket ring, so the queue falls back mid-stream with tasks resident:
+// the priority sequence and the multiset must come through the migration.
+func TestTwoLevelExactOrderSpanOverflow(t *testing.T) {
+	c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 200; i++ {
+		c.push(int64(rng.Intn(48))) // fits the ring
+	}
+	for i := 0; i < 50; i++ {
+		c.pop()
+	}
+	if c.q.FellBack() {
+		t.Fatal("a 48-class prefix fell back before the wide stream began")
+	}
+	c.frontier(rng, 6000, 2000, func(int64) int64 { return int64(rng.Intn(1 << 20)) })
+	c.drain()
+	if !c.q.FellBack() {
+		t.Fatal("a 2^20 priority span fit a 64-bucket ring")
+	}
 }
 
 // TestTwoLevelConservationRandom is the no-loss/no-duplication property
-// test: under arbitrary (non-monotone, negative, colliding) priorities the
-// two-level queue pops exactly the reference heap's sequence — which implies
-// the multisets match — across several adversarial configurations.
+// test: arbitrary (non-monotone, negative, colliding) priorities with pops
+// interleaved on a fuzzed schedule, on the default ring (grows, never falls
+// back on an int16 span) and on a tiny one (falls back).
 func TestTwoLevelConservationRandom(t *testing.T) {
 	cfgs := map[string]TwoLevelConfig{
 		"default":   {},
-		"tiny-hot":  {HotCap: 1},
-		"quantized": {QuantShift: 3},
-		"tiny-ring": {HotCap: 4, MaxBuckets: 64},
+		"tiny-ring": {MaxBuckets: 64},
 	}
 	for name, cfg := range cfgs {
-		cfg := cfg
 		err := quick.Check(func(raw []int16, popBits []bool) bool {
-			q := NewTwoLevel(cfg)
-			ref := NewBinaryHeap(0)
+			c := newRingCheck(t, cfg)
 			for i, p := range raw {
-				tk := task.Task{Node: uint32(i), Prio: int64(p)}
-				q.Push(tk)
-				ref.Push(tk)
-				// Interleave pops driven by the fuzzed schedule so the
-				// cursor rewinds and refills under partial drain.
+				c.push(int64(p))
 				if i < len(popBits) && popBits[i] {
-					want, wok := ref.Pop()
-					have, hok := q.Pop()
-					if wok != hok || have != want {
-						t.Logf("%s: interleaved pop %d = %+v/%v, want %+v/%v",
-							name, i, have, hok, want, wok)
-						return false
-					}
+					c.pop()
 				}
 			}
-			for {
-				want, wok := ref.Pop()
-				have, hok := q.Pop()
-				if wok != hok || have != want {
-					t.Logf("%s: drain pop = %+v/%v, want %+v/%v", name, have, hok, want, wok)
-					return false
-				}
-				if !wok {
-					return q.Len() == 0
-				}
-			}
+			c.drain()
+			return c.q.Len() == 0 && (name != "default" || !c.q.FellBack())
 		}, &quick.Config{MaxCount: 200})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -117,148 +200,96 @@ func TestTwoLevelConservationRandom(t *testing.T) {
 	}
 }
 
-// TestTwoLevelFallback drives the two non-monotone detectors: a strictly
-// decreasing stream (every cold push rewinds the cursor) and a priority
-// span wider than MaxBuckets. Both must migrate to the heap exactly once
-// and keep the pop order exact.
+// TestTwoLevelFallback pins the fallback's one trigger. A strictly
+// decreasing stream — every push rewinds the cursor, the storm that used to
+// migrate the queue — must stay on the ring; a resident span wider than
+// MaxBuckets must migrate, and keep the order exact in Prio.
 func TestTwoLevelFallback(t *testing.T) {
 	t.Run("rewind-storm", func(t *testing.T) {
-		q := NewTwoLevel(TwoLevelConfig{HotCap: 4})
-		ref := NewBinaryHeap(0)
+		c := newRingCheck(t, TwoLevelConfig{})
 		for i := 0; i < 512; i++ {
-			tk := task.Task{Node: uint32(i), Prio: int64(-i)}
-			q.Push(tk)
-			ref.Push(tk)
+			c.push(int64(-i))
 		}
-		if got := q.Stats().Fallbacks; got != 1 {
-			t.Fatalf("Fallbacks = %d, want 1 (rewinds %d)", got, q.Stats().Rewinds)
+		if c.q.FellBack() {
+			t.Fatal("rewinds alone fell back to the heap")
 		}
-		drainEqual(t, "rewind-storm", q, ref)
+		c.drain()
 	})
 	t.Run("span-overflow", func(t *testing.T) {
-		q := NewTwoLevel(TwoLevelConfig{HotCap: 1, MaxBuckets: 64})
-		ref := NewBinaryHeap(0)
+		c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
 		// Ascending but exponentially sparse: monotone, yet the resident
 		// span blows past any bucket ring.
 		for i := 0; i < 40; i++ {
-			tk := task.Task{Node: uint32(i), Prio: int64(1) << uint(i)}
-			q.Push(tk)
-			ref.Push(tk)
+			c.push(int64(1) << uint(i))
 		}
-		if got := q.Stats().Fallbacks; got != 1 {
-			t.Fatalf("Fallbacks = %d, want 1", got)
+		if !c.q.FellBack() {
+			t.Fatal("a 2^39 priority span fit a 64-bucket ring")
 		}
-		drainEqual(t, "span-overflow", q, ref)
+		c.drain()
 	})
 }
 
-// TestTwoLevelHotEviction checks the hPQ residency invariant against
-// pq.Bounded's semantics: with PopEx (no refill), the hot buffer always
-// holds the HotCap best tasks and every pop's provenance matches.
-func TestTwoLevelHotEviction(t *testing.T) {
-	const capacity = 8
-	q := NewTwoLevel(TwoLevelConfig{HotCap: capacity})
-	b := NewBounded(capacity)
-	sw := NewBinaryHeap(0)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 4096; i++ {
-		tk := task.Task{Node: uint32(i), Prio: int64(rng.Intn(1 << 14))}
-		q.Push(tk)
-		if ev, spilled := b.Push(tk); spilled {
-			sw.Push(ev)
+// TestTwoLevelBucketMemory: a bucket that stays live while tasks stream
+// through it (PageRank holds one class for most of a solve) must keep
+// storage on the order of its longest live length, however many tasks have
+// passed — consumed chunks are reused, not accumulated.
+func TestTwoLevelBucketMemory(t *testing.T) {
+	for _, live := range []int{5, 1000} {
+		q := NewTwoLevel(TwoLevelConfig{})
+		for i := 0; i < live; i++ {
+			q.Push(task.Task{Prio: 7, Data: uint64(i)})
 		}
-		if rng.Intn(3) == 0 {
-			// Reference composition: pop the better of hPQ front and
-			// software heap front, like the simulator's dequeue.
-			hw, hok := b.Peek()
-			s, sok := sw.Peek()
-			var want task.Task
-			var wantHot bool
-			switch {
-			case hok && (!sok || hw.Less(s)):
-				want, _ = b.Pop()
-				wantHot = true
-			case sok:
-				want, _ = sw.Pop()
-			}
-			have, fromHot, ok := q.PopEx()
-			if !ok || have != want || fromHot != wantHot {
-				t.Fatalf("push %d: PopEx = %+v hot=%v, want %+v hot=%v",
-					i, have, fromHot, want, wantHot)
+		for i := 0; i < 1_000_000; i++ {
+			q.Push(task.Task{Prio: 7, Data: uint64(live + i)})
+			if got, _ := q.Pop(); got.Data != uint64(i) {
+				t.Fatalf("live %d: pop %d returned stamp %d", live, i, got.Data)
 			}
 		}
-	}
-	if hl := q.HotLen(); hl != capacity {
-		t.Fatalf("HotLen = %d, want %d", hl, capacity)
-	}
-	if q.Len() != q.HotLen()+q.ColdLen() {
-		t.Fatalf("Len %d != HotLen %d + ColdLen %d", q.Len(), q.HotLen(), q.ColdLen())
+		chunks := len(q.slab)
+		for c := q.free; c != nil; c = c.next {
+			chunks++
+		}
+		for c := q.buckets[7].head; c != nil; c = c.next {
+			chunks++
+		}
+		// One chunk of slack at each end of the chain, rounded up to a slab.
+		if limit := (live/chunkLen + 2 + chunkSlab) / chunkSlab * chunkSlab; q.Len() != live || chunks > limit {
+			t.Fatalf("live %d: %d tasks queued in %d chunks (limit %d) after 1M push/pop pairs",
+				live, q.Len(), chunks, limit)
+		}
 	}
 }
 
-// TestTwoLevelPushCold pins the simulator's bypass path: cold-pushed tasks
-// never enter the hot buffer, yet Pop order stays exact.
-func TestTwoLevelPushCold(t *testing.T) {
-	q := NewTwoLevel(TwoLevelConfig{HotCap: 4})
-	ref := NewBinaryHeap(0)
-	for i := 0; i < 100; i++ {
-		tk := task.Task{Node: uint32(i), Prio: int64((i * 37) % 50)}
-		q.PushCold(tk)
-		ref.Push(tk)
-	}
-	if got := q.HotLen(); got != 0 {
-		t.Fatalf("PushCold leaked %d tasks into the hot buffer", got)
-	}
-	if got := q.ColdLen(); got != 100 {
-		t.Fatalf("ColdLen = %d, want 100", got)
-	}
-	drainEqual(t, "push-cold", q, ref)
-	if q.Stats().Refills == 0 {
-		t.Fatal("draining a cold-only queue via Pop must refill the hot buffer")
-	}
-}
-
-// FuzzTwoLevelVsBinaryHeap feeds a byte-driven op stream (push with varied
-// priority deltas, pop, cold-push) to the two-level queue and the reference
-// heap and requires identical observable behavior.
+// FuzzTwoLevelVsBinaryHeap feeds a byte-driven op stream (pop, push with a
+// small signed priority delta, push far away to stretch the span past the
+// 64-bucket ring) to the ring and the reference heap under ringCheck's
+// contract.
 func FuzzTwoLevelVsBinaryHeap(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0xff, 0x00, 0x7f})
 	f.Add([]byte("monotone-ish stream 0123456789"))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0x10, 0x10, 0x10, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q := NewTwoLevel(TwoLevelConfig{HotCap: 3, MaxBuckets: 64})
-		ref := NewBinaryHeap(0)
+		c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
 		prio := int64(0)
-		for i, op := range data {
+		for _, op := range data {
 			switch op % 4 {
-			case 0: // pop
-				want, wok := ref.Pop()
-				have, hok := q.Pop()
-				if wok != hok || have != want {
-					t.Fatalf("op %d: pop = %+v/%v, want %+v/%v", i, have, hok, want, wok)
-				}
-			case 1, 2: // push with a signed priority delta
-				prio += int64(int8(op)) * int64(1+op%5)
-				tk := task.Task{Node: uint32(i), Prio: prio}
-				q.Push(tk)
-				ref.Push(tk)
-			case 3: // cold-path push
-				tk := task.Task{Node: uint32(i), Prio: prio - int64(op>>2)}
-				q.PushCold(tk)
-				ref.Push(tk)
-			}
-			if q.Len() != ref.Len() {
-				t.Fatalf("op %d: Len = %d, reference %d", i, q.Len(), ref.Len())
+			case 0:
+				c.pop()
+			case 1, 2: // a nearby class, either side
+				prio += int64(int8(op)) / 16
+				c.push(prio)
+			case 3: // a far one: op>>2 is up to 63 classes of 2^14
+				c.push(prio - int64(op>>2)<<14)
 			}
 		}
-		drainEqual(t, "fuzz-drain", q, ref)
+		c.drain()
 	})
 }
 
-// BenchmarkQueueDist measures the queue shapes under the three adversarial
-// priority distributions of the tentpole: flat (every push collides into
-// few buckets), power-law (skewed like web-graph residuals), and strictly
-// increasing (the pure monotone case the bucket store is built for).
+// BenchmarkQueueDist measures the queue shapes under three adversarial
+// priority distributions: flat (every push collides into few buckets),
+// power-law (skewed like web-graph residuals), and strictly increasing (the
+// pure monotone case).
 func BenchmarkQueueDist(b *testing.B) {
 	dists := []struct {
 		name string
@@ -277,6 +308,7 @@ func BenchmarkQueueDist(b *testing.B) {
 		{"binary", func() Queue { return NewBinaryHeap(1024) }},
 		{"4-ary", func() Queue { return NewQuadHeap(1024) }},
 		{"twolevel", func() Queue { return NewTwoLevel(TwoLevelConfig{}) }},
+		{"hpq", func() Queue { return hpqQueue{NewHPQ(48)} }},
 		{"multiqueue", func() Queue { return NewMultiQueue(MultiQueueConfig{Workers: 1}).Handle() }},
 	}
 	for _, d := range dists {

@@ -143,7 +143,9 @@ type worker struct {
 	// mqKind notes the multiqueue regime once, off the engine config.
 	mqKind bool
 
-	rng *graph.RNG
+	// rng is held by value: separately allocated 8-byte generators would
+	// share a cache line across workers, and dispatch draws from it per child.
+	rng graph.RNG
 
 	// batch is the dequeue batch (Config.BatchK): the loop pops up to
 	// len(batch) tasks and processes them back to back, prefetching the
@@ -346,15 +348,12 @@ func (me *worker) publish() {
 	me.pub[obs.CBagsRetired].Store(me.bagsRetired)
 	me.pub[obs.CTasksCancelled].Store(me.cancelled)
 	me.pub[obs.COverflowRedirects].Store(me.redirects)
-	var spills, fallbacks int64
+	var fallbacks int64
 	for _, q := range me.jqs {
-		if q != nil && q.tl != nil {
-			st := q.tl.Stats()
-			spills += st.Spills
-			fallbacks += st.Fallbacks
+		if q != nil && q.tl != nil && q.tl.FellBack() {
+			fallbacks++
 		}
 	}
-	me.pub[obs.CHotSpills].Store(spills)
 	me.pub[obs.CQueueFallbacks].Store(fallbacks)
 	me.pub[obs.CRankSamples].Store(me.rankSamples)
 	me.pub[obs.CPrioInversions].Store(me.inversions)
@@ -394,7 +393,7 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.id = i
 		me.eng = e
 		me.mqKind = cfg.QueueKind == QueueMultiQueue
-		me.rng = graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
+		me.rng = *graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
 		me.batch = make([]task.Task, cfg.BatchK)
 		me.children = make([]task.Task, 0, 16)
 		// One closure for the whole engine, so Process calls do not allocate
@@ -1184,9 +1183,9 @@ func (e *Engine) flushBatchAccts(me *worker) {
 // better than the popped priority — a lower bound on the true global rank
 // error, zero exactly when no inversion was observable. For the strict
 // kinds the local queue IS the worker's priority order, so the sample
-// degrades to a Peek-after-pop canary: the queue's next task comparing
-// better than the one just popped can only mean a structural bug, which is
-// why the bench gate demands 0 inversions from heap/dheap/twolevel.
+// degrades to a Peek-after-pop canary: the queue's next task having a lower
+// Prio than the one just popped can only mean a structural bug, which is
+// why TestEngineRankCounters demands 0 inversions from heap/dheap/twolevel.
 func (e *Engine) sampleRank(me *worker, q *workerJQ, t task.Task) {
 	me.popCount++
 	if me.popCount&e.obsMask != 0 {
@@ -1197,8 +1196,9 @@ func (e *Engine) sampleRank(me *worker, q *workerJQ, t task.Task) {
 		r, _ := q.mq.Queue().RankEstimate(t.Prio)
 		rank = int64(r)
 	} else if next, ok := q.peek(); ok && next.Prio < t.Prio {
-		// Strictly-less on Prio, not task.Less: equal-priority tasks may
-		// legally pop in any order (the bucket store is FIFO per bucket).
+		// Strictly-less on Prio, not task.Less: the strict kinds promise the
+		// priority order only (twolevel pops equal priorities FIFO, the
+		// heaps by Node).
 		rank = 1
 	}
 	me.rankSamples++
@@ -1397,19 +1397,28 @@ func (e *Engine) dispatch(id int, me *worker, q *workerJQ, t task.Task) {
 				tdf = 100
 			}
 		}
-		if int64(me.rng.Uint32n(100)) < tdf {
-			d := int(me.rng.Uint32n(uint32(n - 1)))
-			if d >= id {
-				d++
-			}
-			dst = d
-		}
+		dst = scatter(me.rng.Uint64(), tdf, id, n)
 	}
 	if dst == id {
 		e.push(me, t)
 		return
 	}
 	e.send(me, dst, t)
+}
+
+// scatter places one unit from a single 64-bit draw x: the low half decides
+// the TDF test (remote with probability tdf percent), the high half picks
+// the destination, uniform over the n-1 workers other than id. Each half is
+// scaled by multiply-shift, so a placement costs one draw and no division.
+func scatter(x uint64, tdf int64, id, n int) int {
+	if int64(uint64(uint32(x))*100>>32) >= tdf {
+		return id
+	}
+	d := int((x >> 32) * uint64(n-1) >> 32)
+	if d >= id {
+		d++
+	}
+	return d
 }
 
 // WorkerStats is one worker's Snapshot row.
@@ -1465,10 +1474,10 @@ type Snapshot struct {
 	Cancelled   int64 // tasks discarded by job-scoped Cancel (ledger sink)
 	Redirects   int64 // flow-control bounces kept local (degradation signal)
 
-	// Two-level local-queue health (zero when QueueKind is not twolevel):
-	// HotSpills counts hot-buffer demotions into the cold store, and
-	// QueueFallbacks counts workers whose bucket store migrated to the heap
-	// because the priority stream proved non-monotone.
+	// Local-queue health (zero when QueueKind is not twolevel):
+	// QueueFallbacks counts the per-job queues whose bucket ring migrated to
+	// the heap because the resident priority span outgrew it. HotSpills is
+	// always 0 — the ring has no hot buffer; benchmark/solve.go reads it.
 	HotSpills      int64
 	QueueFallbacks int64
 
@@ -1532,7 +1541,6 @@ func (e *Engine) Snapshot() Snapshot {
 		s.BagsRetired += me.pub[obs.CBagsRetired].Load()
 		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
-		s.HotSpills += me.pub[obs.CHotSpills].Load()
 		s.QueueFallbacks += me.pub[obs.CQueueFallbacks].Load()
 		s.RankSamples += me.pub[obs.CRankSamples].Load()
 		s.PrioInversions += me.pub[obs.CPrioInversions].Load()

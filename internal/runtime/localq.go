@@ -17,10 +17,10 @@ type LocalQueue = pq.Queue
 
 // Local-queue kinds accepted by Config.QueueKind (see QueueKinds).
 const (
-	// QueueTwoLevel is the default: the paper's hPQ-style two-level queue —
-	// a sorted hot buffer (Config.HotBufferCap entries) spilling into a
-	// monotone bucket cold store, with automatic runtime fallback to a
-	// 4-ary heap when the priority stream turns out non-monotone.
+	// QueueTwoLevel is the default: a ring of per-priority FIFO buckets —
+	// exact in Prio, FIFO among equal priorities, no comparison on push or
+	// pop — falling back to a 4-ary heap only when the resident priority
+	// span outgrows the ring (DESIGN.md §12).
 	QueueTwoLevel = "twolevel"
 	// QueueDHeap is the flat 4-ary heap.
 	QueueDHeap = "dheap"
@@ -43,7 +43,7 @@ func QueueKinds() []string {
 }
 
 // newLocalQueue builds one queue of the shape named by Config.QueueKind.
-// The engine's hot path devirtualizes the two-level and multiqueue shapes
+// The engine's hot path devirtualizes the twolevel and multiqueue shapes
 // (workerJQ.tl / workerJQ.mq), so the interface boxing here is paid once
 // per worker per job. A multiqueue built here is a single-worker instance;
 // fleets share one structure per job via jobState.mq (see newWorkerJQ).
@@ -56,10 +56,7 @@ func newLocalQueue(cfg Config) LocalQueue {
 	case QueueMultiQueue:
 		return pq.NewMultiQueue(pq.MultiQueueConfig{Workers: 1, Seed: cfg.Seed}).Handle()
 	default:
-		return pq.NewTwoLevel(pq.TwoLevelConfig{
-			HotCap: cfg.HotBufferCap,
-			Arity:  heapArity,
-		})
+		return pq.NewTwoLevel(pq.TwoLevelConfig{Arity: heapArity})
 	}
 }
 

@@ -1,7 +1,7 @@
 package runtime
 
-// PR-5 coverage: the two-level local queue behind the engine (QueueKind
-// selection, spill/fallback counters) and the batched dequeue→process loop
+// The local queue behind the engine (QueueKind selection, the twolevel
+// kind's fallback counter) and the batched dequeue→process loop
 // (restart-requeue of an interrupted batch, correctness across workloads
 // and batch sizes).
 
@@ -25,7 +25,7 @@ func TestQueueKindSelection(t *testing.T) {
 		multi    bool
 	}{
 		{Config{}, true, false},
-		{Config{QueueKind: QueueTwoLevel, HotBufferCap: 16}, true, false},
+		{Config{QueueKind: QueueTwoLevel}, true, false},
 		{Config{QueueKind: QueueHeap}, false, false},
 		{Config{QueueKind: QueueDHeap}, false, false},
 		{Config{QueueKind: QueueMultiQueue}, false, true},
@@ -84,38 +84,14 @@ func TestEngineQueueKinds(t *testing.T) {
 	}
 }
 
-// TestEngineQueueCounters checks the two-level health counters end to end:
-// a monotone workload (sssp) must spill without falling back, while the
-// negative-priority workloads (pagerank, color) must trip the fallback
-// detector on at least one worker — and never lose work doing it.
+// TestEngineQueueCounters checks the twolevel kind's health counters end to
+// end. A strictly decreasing stream — the rewind storm that used to migrate
+// the queue to its heap — must stay on the bucket ring and drain exactly;
+// a priority span no ring can hold must fall back exactly once per queue,
+// and lose nothing doing it. HotSpills has nothing left to count.
 func TestEngineQueueCounters(t *testing.T) {
-	t.Run("monotone-spills", func(t *testing.T) {
-		w, err := workload.New("sssp", graph.Road(48, 48, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(w, DefaultConfig(4))
-		_ = e.Submit(w.InitialTasks()...)
-		_ = e.Start()
-		if err := e.Drain(testCtx(t)); err != nil {
-			t.Fatal(err)
-		}
-		snap := e.Snapshot()
-		_ = e.Stop(testCtx(t))
-		if err := w.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		if snap.HotSpills == 0 {
-			t.Error("sssp on a 48x48 grid never spilled a 48-entry hot buffer")
-		}
-	})
-	t.Run("anti-monotone-fallback", func(t *testing.T) {
-		// A strictly decreasing priority stream (every child below its
-		// parent) is the bucket store's worst case: the rewind storm must
-		// migrate the queue to the fallback heap — and lose nothing.
-		w := &antiMonotoneWorkload{depth: 4096}
-		cfg := Config{Workers: 1, HotBufferCap: 4}
-		e := NewEngine(w, cfg)
+	run := func(t *testing.T, w *antiMonotoneWorkload) Snapshot {
+		e := NewEngine(w, Config{Workers: 1})
 		_ = e.Submit(w.InitialTasks()...)
 		_ = e.Start()
 		if err := e.Drain(testCtx(t)); err != nil {
@@ -125,24 +101,39 @@ func TestEngineQueueCounters(t *testing.T) {
 		// reaches after Drain has returned: read it once Stop has joined it.
 		_ = e.Stop(testCtx(t))
 		snap := e.Snapshot()
-		if snap.QueueFallbacks == 0 {
-			t.Error("a strictly decreasing stream never tripped the bucket-store fallback")
-		}
 		if got := w.processed.Load(); got != int64(w.depth)+1 {
-			t.Errorf("processed %d tasks, want %d (no loss across the migration)", got, w.depth+1)
+			t.Errorf("processed %d tasks, want %d", got, w.depth+1)
 		}
 		if snap.Outstanding != 0 {
 			t.Errorf("outstanding %d after drain", snap.Outstanding)
+		}
+		if snap.HotSpills != 0 {
+			t.Errorf("HotSpills = %d from a queue with no hot buffer", snap.HotSpills)
+		}
+		return snap
+	}
+	t.Run("decreasing-no-fallback", func(t *testing.T) {
+		if snap := run(t, &antiMonotoneWorkload{depth: 4096}); snap.QueueFallbacks != 0 {
+			t.Errorf("QueueFallbacks = %d on a stream that only rewinds the cursor", snap.QueueFallbacks)
+		}
+	})
+	t.Run("span-overflow-fallback", func(t *testing.T) {
+		// Node n at priority -(n << 20): three live classes already span
+		// more than the ring's 64Ki buckets.
+		if snap := run(t, &antiMonotoneWorkload{depth: 4096, shift: 20}); snap.QueueFallbacks != 1 {
+			t.Errorf("QueueFallbacks = %d, want exactly 1 for the one queue", snap.QueueFallbacks)
 		}
 	})
 }
 
 // antiMonotoneWorkload spawns a wide frontier whose priorities strictly
 // decrease with depth — the adversarial stream for a monotone bucket store.
-// Node n at priority -n spawns children n+1..n+3 (capped at depth), so the
-// queue holds many tasks while every push rewinds below the current front.
+// Node n at priority -(n << shift) spawns children n+1..n+3 (capped at
+// depth), so the queue holds many tasks while every push rewinds below the
+// current front.
 type antiMonotoneWorkload struct {
 	depth     int
+	shift     uint
 	processed atomic.Int64
 	seen      []atomic.Bool
 }
@@ -162,12 +153,12 @@ func (w *antiMonotoneWorkload) Process(t task.Task, emit func(task.Task)) int {
 	}
 	w.processed.Add(1)
 	for c := int(t.Node) + 1; c <= int(t.Node)+3 && c <= w.depth; c++ {
-		emit(task.Task{Node: graph.NodeID(c), Prio: -int64(c)})
+		emit(task.Task{Node: graph.NodeID(c), Prio: -int64(c) << w.shift})
 	}
 	return 1
 }
 func (w *antiMonotoneWorkload) Clone() workload.Workload {
-	return &antiMonotoneWorkload{depth: w.depth}
+	return &antiMonotoneWorkload{depth: w.depth, shift: w.shift}
 }
 func (w *antiMonotoneWorkload) Verify() error { return nil }
 

@@ -60,17 +60,13 @@ type Config struct {
 	Seed uint64
 
 	// QueueKind selects the per-worker local queue shape: QueueTwoLevel
-	// (the default — the paper's hPQ-style hot buffer over a monotone
-	// bucket cold store, with runtime fallback to a 4-ary heap on
-	// non-monotone priority streams), QueueDHeap (a 4-ary heap), QueueHeap
-	// (a classic binary heap), or QueueMultiQueue (the relaxed shared
-	// MultiQueue: 4·P try-locked shards, pick-2 delete-min, a shard pair
-	// kept for 8 operations, bounded priority inversion). Unknown values
-	// select the default.
+	// (the default — a ring of per-priority FIFO buckets, falling back to a
+	// 4-ary heap when the resident priority span outgrows it), QueueDHeap
+	// (a 4-ary heap), QueueHeap (a classic binary heap), or QueueMultiQueue
+	// (the relaxed shared MultiQueue: 4·P try-locked shards, pick-2
+	// delete-min, a shard pair kept for 8 operations, bounded priority
+	// inversion). Unknown values select the default.
 	QueueKind string
-	// HotBufferCap sizes the two-level queue's hot buffer (QueueTwoLevel
-	// only). 0 defaults to 48, the paper's hPQ capacity (§III-D).
-	HotBufferCap int
 	// NewTransport, when non-nil, replaces the ring fabric with a custom
 	// transport layer. It receives the fully defaulted Config.
 	NewTransport func(Config) Transport
@@ -122,7 +118,7 @@ type Config struct {
 }
 
 // Values nothing sets apart from their defaults, so constants and not knobs.
-// heapArity is the branching factor of the dheap kind and of the two-level
+// heapArity is the branching factor of the dheap kind and of the twolevel
 // queue's fallback heap: 4 keeps a node's children within a cache line.
 // sendBatch is the stock transport's per-destination buffer: remote children
 // accumulate until that many are ready, then ship with one claim-CAS
@@ -158,9 +154,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.QueueKind == "" {
 		cfg.QueueKind = QueueTwoLevel
-	}
-	if cfg.HotBufferCap <= 0 {
-		cfg.HotBufferCap = 48
 	}
 	if cfg.BatchK <= 0 {
 		cfg.BatchK = 8

@@ -257,6 +257,38 @@ func TestDispatchGate(t *testing.T) {
 	}
 }
 
+// TestScatterDistribution holds the one-draw placement to what the two draws
+// it replaced gave: a unit leaves with probability TDF percent, lands on each
+// of the other workers equally often, and never on its own.
+func TestScatterDistribution(t *testing.T) {
+	const draws = 400_000
+	for _, n := range []int{2, 5} {
+		for _, tdf := range []int64{0, 5, 50, 100} {
+			for _, id := range []int{0, n - 1} {
+				rng := graph.NewRNG(uint64(97*n) + uint64(tdf) + uint64(id))
+				hits := make([]int, n)
+				for i := 0; i < draws; i++ {
+					hits[scatter(rng.Uint64(), tdf, id, n)]++
+				}
+				remote := draws - hits[id]
+				if (tdf == 0 && remote != 0) || (tdf == 100 && hits[id] != 0) {
+					t.Errorf("n=%d tdf=%d id=%d: %d units left, %d stayed", n, tdf, id, remote, hits[id])
+				}
+				if got := 100 * float64(remote) / draws; got < float64(tdf)-0.5 || got > float64(tdf)+0.5 {
+					t.Errorf("n=%d tdf=%d id=%d: %.2f%% of units left, want %d%%", n, tdf, id, got, tdf)
+				}
+				for d, h := range hits {
+					want := float64(remote) / float64(n-1)
+					if d != id && (float64(h) < 0.95*want || float64(h) > 1.05*want) {
+						t.Errorf("n=%d tdf=%d id=%d: worker %d got %d of %d remote units, want ~%.0f",
+							n, tdf, id, d, h, remote, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // The stock transport's half of the settle-before-ship rule: deltas stay
 // deferred while a destination batch fills, and are settled by the time the
 // Send that completes it hands the batch to the other worker.

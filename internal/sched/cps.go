@@ -162,7 +162,7 @@ type cpsCore struct {
 	// still charges the hPQ access for hot traffic and the software PQ for
 	// cold traffic.
 	swq    *pq.BinaryHeap
-	tl     *pq.TwoLevel
+	tl     *pq.HPQ
 	in     []inEntry // software receive queue (unbounded backing store)
 	hrqLen int       // entries currently resident in the hardware RQ
 
@@ -268,7 +268,7 @@ func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uin
 		if mcfg.HPQSize > 0 {
 			// Binary-heap buckets keep the cold store's pop order identical
 			// to the old spill heap's.
-			h.cores[i].tl = pq.NewTwoLevel(pq.TwoLevelConfig{HotCap: mcfg.HPQSize, Arity: 2})
+			h.cores[i].tl = pq.NewHPQ(mcfg.HPQSize)
 		} else {
 			h.cores[i].swq = pq.NewBinaryHeap(64)
 		}
