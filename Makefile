@@ -22,11 +22,20 @@ vet:
 	$(GO) vet ./...
 
 # Lint: gofmt is a hard gate everywhere; staticcheck runs when installed
-# (the CI workflow installs it, minimal containers may not have it).
+# (the CI workflow installs it, minimal containers may not have it). The size
+# ratchet keeps internal/runtime cut along its units (DESIGN.md §9): a
+# non-test file past 700 lines is a unit growing a second job — engine.go was
+# 1,662 lines before it was split.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$out"; exit 1; \
 	fi
+	@for f in internal/runtime/*.go; do \
+		case $$f in *_test.go) continue;; esac; \
+		n=$$(wc -l < $$f); if [ $$n -gt 700 ]; then \
+			echo "lint: $$f has $$n lines, over the 700-line ratchet: split it along a unit"; exit 1; \
+		fi; \
+	done
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

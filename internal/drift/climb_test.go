@@ -116,7 +116,7 @@ func TestClimbUnbiasedUnderNoise(t *testing.T) {
 	}
 }
 
-// The prose reading of Algorithm 2 (OnImprove: Increase) is a biased walk
+// Algorithm 2 (improving drift raises the TDF: the prose reading) is a biased walk
 // under the same noise, which is what pinned the native TDF at MaxTDF: after
 // a decrease every outcome raises the TDF, after an increase the odds are
 // even, so the TDF climbs a third of a step per interval when comparisons
@@ -125,7 +125,7 @@ func TestClimbUnbiasedUnderNoise(t *testing.T) {
 // figures depend on it; this test is here so that nobody "fixes" it unseen.
 func TestAlgorithm2ProseReadingClimbsUnderNoise(t *testing.T) {
 	wide := func(rng *rand.Rand) float64 { return math.Exp(2 * rng.NormFloat64()) }
-	mean, _ := meanStep(10000, wide, func(c *Controller, pd float64) { c.UpdateDrift(pd) })
+	mean, _ := meanStep(10000, wide, func(c *Controller, pd float64) { c.UpdateWithRef(pd, 0) })
 	if mean < 0.2 || mean > 0.4 {
 		t.Fatalf("mean step %.3f under noise, want the documented upward bias (0.2 to 0.4)", mean)
 	}

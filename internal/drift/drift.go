@@ -45,8 +45,7 @@ func MinReference(reports []int64) int64 {
 type Decision int
 
 const (
-	// Increase means the adjustment raised (or will raise) the TDF. It is
-	// the zero value, making it Config.OnImprove's default.
+	// Increase means the adjustment raised (or will raise) the TDF.
 	Increase Decision = iota
 	// Decrease means the adjustment lowered (or will lower) the TDF.
 	Decrease
@@ -69,21 +68,13 @@ type Config struct {
 	// reduced-scale run still gives the controller a comparable number of
 	// feedback updates (Fig. 13A sweeps this parameter).
 	SampleInterval int
-	// OnImprove selects the adjustment applied when drift improves.
-	// Algorithm 2's pseudocode and its prose contradict each other here
-	// (see the Controller comment); the default, Increase, follows the
-	// prose and keeps distribution load-balancing the cores. It chooses
-	// between readings of Algorithm 2 (Update, UpdateDrift, UpdateWithRef),
-	// which the simulator runs; the native runtime steps with Climb, which
-	// ignores it.
-	OnImprove Decision
 }
 
 // DefaultConfig returns the paper's tuned parameters.
 func DefaultConfig() Config {
 	return Config{
 		InitialTDF: 50, Step: 10, MinTDF: 5, MaxTDF: 95,
-		SampleInterval: 200, OnImprove: Increase,
+		SampleInterval: 200,
 	}
 }
 
@@ -116,16 +107,8 @@ func (c Config) sanitized() Config {
 // master core feeds it the cores' priority reports; the controller compares
 // the interval's drift with the previous one and nudges the TDF one step up
 // or down, by one of two rules over the same state: Algorithm 2 as the paper
-// gives it (Update, UpdateDrift, UpdateWithRef — the simulator's), or the
+// gives it (Update, UpdateWithRef — the simulator's), or the
 // drift-minimising hill-climber the native runtime uses (Climb).
-//
-// Note on Algorithm 2: the paper's prose for the improving-drift case
-// contradicts its pseudocode (the prose says the TDF "is always increased",
-// the pseudocode decreases it). Config.OnImprove selects the reading; the
-// default follows the prose — improving drift raises the TDF — because the
-// paper also stresses that distribution must keep load-balancing the cores,
-// and the pseudocode reading starves concentrated workloads by walking the
-// TDF to its floor. The worsening-drift cases steer it back either way.
 //
 // Controller is not safe for concurrent use; in HD-CPS only the master core
 // updates it (the heuristic is non-blocking for all other cores, which keep
@@ -142,8 +125,7 @@ type Controller struct {
 
 // Record is one interval's controller state, kept for drift traces and the
 // oracle comparison. Ref is the reference priority (Equation 1's P0) the
-// interval's drift was computed against; callers that feed UpdateDrift a
-// precomputed drift leave it zero.
+// interval's drift was computed against.
 type Record struct {
 	Drift float64
 	Ref   int64
@@ -175,10 +157,6 @@ func (c *Controller) Update(reports []int64) int {
 	ref := MinReference(reports)
 	return c.UpdateWithRef(Drift(reports, ref), ref)
 }
-
-// UpdateDrift is Update for callers that have already computed the drift
-// (the interval record's Ref stays zero).
-func (c *Controller) UpdateDrift(pd float64) int { return c.UpdateWithRef(pd, 0) }
 
 // InvalidSamples reports how many drift samples were rejected and clamped
 // (NaN, infinite, or negative) since the controller was built. A task
@@ -225,9 +203,12 @@ func (c *Controller) UpdateWithRef(pd float64, ref int64) int {
 			// (Alg. 2 lines 8-10).
 			c.move(Increase)
 		default: // pd < pdPrev
-			// Drift improving: apply the configured reading of Alg. 2
-			// lines 11-13 (see the type comment).
-			c.move(c.cfg.OnImprove)
+			// Drift improving: raise the TDF. Alg. 2's prose and pseudocode
+			// disagree here (lines 11-13: "always increased" against a
+			// decrement); this follows the prose, because the paper also
+			// stresses that distribution must keep load-balancing the cores
+			// and the pseudocode reading walks the TDF to its floor.
+			c.move(Increase)
 		}
 	}
 	return c.record(pd, ref)
@@ -251,8 +232,8 @@ const noiseBand = 0.25
 // the child's cache lines crossing cores, so the TDF steps down: under pure
 // noise the walk sinks instead of climbing, and distribution has to show a
 // gain in drift to be kept. With no drift in either interval there is no
-// priority information to act on and the TDF holds. Config.OnImprove plays
-// no part. History, clamping and sample sanitizing are UpdateWithRef's.
+// priority information to act on and the TDF holds. History, clamping and
+// sample sanitizing are UpdateWithRef's.
 func (c *Controller) Climb(pd float64, ref int64) int {
 	pd = c.sanitizeDrift(pd)
 	if c.havePrev && (pd > 0 || c.pdPrev > 0) {

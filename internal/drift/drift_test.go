@@ -62,68 +62,72 @@ func TestControllerDefaults(t *testing.T) {
 
 func TestControllerFirstIntervalHolds(t *testing.T) {
 	c := NewController(Config{InitialTDF: 40})
-	if got := c.UpdateDrift(100); got != 40 {
+	if got := c.UpdateWithRef(100, 0); got != 40 {
 		t.Fatalf("first interval changed TDF to %d", got)
 	}
 }
 
-// TestControllerAlgorithm2 walks the three branches of Algorithm 2 under
-// the pseudocode reading (OnImprove: Decrease).
+// TestControllerAlgorithm2 walks the three branches of Algorithm 2 (the
+// improving-drift branch under the prose's reading: increase).
 func TestControllerAlgorithm2(t *testing.T) {
-	c := NewController(Config{InitialTDF: 50, Step: 10, OnImprove: Decrease})
-	c.UpdateDrift(100) // prime pd_prev; TDF stays 50, prev=Increase
+	c := NewController(Config{InitialTDF: 50, Step: 10})
+	c.UpdateWithRef(100, 0) // prime pd_prev; TDF stays 50, prev=Increase
 
 	// Branch lines 5-7: drift worsened after an increase -> decrease.
-	if got := c.UpdateDrift(120); got != 40 {
+	if got := c.UpdateWithRef(120, 0); got != 40 {
 		t.Fatalf("worsen-after-increase: TDF = %d, want 40", got)
 	}
 	// Branch lines 8-10: drift worsened after a decrease -> increase.
-	if got := c.UpdateDrift(140); got != 50 {
+	if got := c.UpdateWithRef(140, 0); got != 50 {
 		t.Fatalf("worsen-after-decrease: TDF = %d, want 50", got)
 	}
-	// Branch lines 11-13: drift improving -> decrease.
-	if got := c.UpdateDrift(90); got != 40 {
-		t.Fatalf("improving: TDF = %d, want 40", got)
+	// Branch lines 11-13: drift improving -> increase, whatever came before.
+	if got := c.UpdateWithRef(90, 0); got != 60 {
+		t.Fatalf("improving after an increase: TDF = %d, want 60", got)
 	}
-	// Improving again -> keep decreasing.
-	if got := c.UpdateDrift(80); got != 30 {
-		t.Fatalf("improving again: TDF = %d, want 30", got)
+	c.UpdateWithRef(95, 0) // worsened after the increase: back to 50
+	if got := c.UpdateWithRef(80, 0); got != 60 {
+		t.Fatalf("improving after a decrease: TDF = %d, want 60", got)
 	}
 }
 
 func TestControllerImproveIncreases(t *testing.T) {
-	// Default (prose) reading: improving drift raises the TDF.
+	// Improving drift keeps raising the TDF.
 	c := NewController(Config{InitialTDF: 50, Step: 10})
-	c.UpdateDrift(100)
-	if got := c.UpdateDrift(50); got != 60 {
+	c.UpdateWithRef(100, 0)
+	if got := c.UpdateWithRef(50, 0); got != 60 {
 		t.Fatalf("improving drift: TDF = %d, want 60", got)
 	}
-	if got := c.UpdateDrift(20); got != 70 {
+	if got := c.UpdateWithRef(20, 0); got != 70 {
 		t.Fatalf("improving again: TDF = %d, want 70", got)
 	}
 	// Worsening after the increases backs off.
-	if got := c.UpdateDrift(90); got != 60 {
+	if got := c.UpdateWithRef(90, 0); got != 60 {
 		t.Fatalf("worsening: TDF = %d, want 60", got)
 	}
 }
 
 func TestControllerClamping(t *testing.T) {
-	c := NewController(Config{InitialTDF: 10, Step: 30, MinTDF: 5, MaxTDF: 95, OnImprove: Decrease})
-	c.UpdateDrift(10)
-	// Improving drift repeatedly: TDF must not go below MinTDF.
-	for d := 9.0; d > 0; d-- {
-		c.UpdateDrift(d)
+	c := NewController(Config{InitialTDF: 10, Step: 30, MinTDF: 5, MaxTDF: 95})
+	c.UpdateWithRef(10, 0)
+	// Worsened after the (implicit) increase: 10-30 must stop at MinTDF.
+	if got := c.UpdateWithRef(20, 0); got != 5 {
+		t.Fatalf("TDF = %d, want clamp at 5", got)
 	}
-	if c.TDF() != 5 {
-		t.Fatalf("TDF = %d, want clamp at 5", c.TDF())
+	// Improving drift repeatedly: TDF must not go above MaxTDF.
+	for d := 19.0; d > 0; d-- {
+		c.UpdateWithRef(d, 0)
+	}
+	if c.TDF() != 95 {
+		t.Fatalf("TDF = %d, want clamp at 95", c.TDF())
 	}
 	// Oscillate worsening: must not exceed MaxTDF.
 	c2 := NewController(Config{InitialTDF: 90, Step: 50, MinTDF: 5, MaxTDF: 95})
-	c2.UpdateDrift(1)
-	c2.UpdateDrift(2) // worsen after (implicit) increase -> decrease to 40
-	c2.UpdateDrift(3) // worsen after decrease -> increase to 90
-	c2.UpdateDrift(4) // worsen after increase -> decrease
-	c2.UpdateDrift(5) // worsen after decrease -> increase, clamped
+	c2.UpdateWithRef(1, 0)
+	c2.UpdateWithRef(2, 0) // worsen after (implicit) increase -> decrease to 40
+	c2.UpdateWithRef(3, 0) // worsen after decrease -> increase to 90
+	c2.UpdateWithRef(4, 0) // worsen after increase -> decrease
+	c2.UpdateWithRef(5, 0) // worsen after decrease -> increase, clamped
 	if c2.TDF() > 95 {
 		t.Fatalf("TDF = %d exceeds max", c2.TDF())
 	}
@@ -137,7 +141,7 @@ func TestControllerBoundsProperty(t *testing.T) {
 			if d < 0 {
 				d = -d
 			}
-			tdf := c.UpdateDrift(d)
+			tdf := c.UpdateWithRef(d, 0)
 			if tdf < c.Config().MinTDF || tdf > c.Config().MaxTDF {
 				return false
 			}
@@ -151,8 +155,8 @@ func TestControllerBoundsProperty(t *testing.T) {
 
 func TestControllerHistory(t *testing.T) {
 	c := NewController(Config{})
-	c.UpdateDrift(5)
-	c.UpdateDrift(7)
+	c.UpdateWithRef(5, 0)
+	c.UpdateWithRef(7, 0)
 	h := c.History()
 	if len(h) != 2 || h[0].Drift != 5 || h[1].Drift != 7 {
 		t.Fatalf("history = %+v", h)
@@ -244,11 +248,11 @@ func TestFixedSchedule(t *testing.T) {
 // the boundary and counted, and the controller must keep stepping sanely.
 func TestControllerSanitizesInvalidDrift(t *testing.T) {
 	c := NewController(Config{InitialTDF: 50, Step: 10})
-	c.UpdateDrift(100) // baseline; prev=Increase
+	c.UpdateWithRef(100, 0) // baseline; prev=Increase
 
 	// NaN holds the previous drift: same-drift-after-increase worsens,
 	// so the controller backs off rather than comparing against NaN.
-	if got := c.UpdateDrift(math.NaN()); got != 40 {
+	if got := c.UpdateWithRef(math.NaN(), 0); got != 40 {
 		t.Fatalf("NaN sample: TDF = %d, want 40", got)
 	}
 	if c.InvalidSamples() != 1 {
@@ -264,12 +268,12 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 	}
 
 	// -Inf likewise falls back to the previous interval's drift.
-	c.UpdateDrift(math.Inf(-1))
+	c.UpdateWithRef(math.Inf(-1), 0)
 	if c.InvalidSamples() != 2 {
 		t.Fatalf("invalid samples = %d, want 2", c.InvalidSamples())
 	}
 	// +Inf clamps to MaxFloat64: maximal worsening, a real comparison.
-	c.UpdateDrift(math.Inf(+1))
+	c.UpdateWithRef(math.Inf(+1), 0)
 	if c.InvalidSamples() != 3 {
 		t.Fatalf("invalid samples = %d, want 3", c.InvalidSamples())
 	}
@@ -278,7 +282,7 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 		t.Fatalf("+Inf sanitized to %v, want MaxFloat64", v)
 	}
 	// Negative drift clamps to zero (Equation 1 cannot go negative).
-	c.UpdateDrift(-42)
+	c.UpdateWithRef(-42, 0)
 	if c.InvalidSamples() != 4 {
 		t.Fatalf("invalid samples = %d, want 4", c.InvalidSamples())
 	}
@@ -288,7 +292,7 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 	}
 	// The controller still works after the garbage: a normal worsening
 	// sample moves the TDF and stays within bounds.
-	tdf := c.UpdateDrift(500)
+	tdf := c.UpdateWithRef(500, 0)
 	if tdf < c.Config().MinTDF || tdf > c.Config().MaxTDF {
 		t.Fatalf("TDF %d escaped [%d, %d] after invalid samples",
 			tdf, c.Config().MinTDF, c.Config().MaxTDF)
@@ -303,7 +307,7 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 // must sanitize to zero, not poison the stored baseline.
 func TestControllerNaNFirstInterval(t *testing.T) {
 	c := NewController(Config{InitialTDF: 50, Step: 10})
-	c.UpdateDrift(math.NaN())
+	c.UpdateWithRef(math.NaN(), 0)
 	if h := c.History(); h[0].Drift != 0 {
 		t.Fatalf("first-interval NaN stored as %v, want 0", h[0].Drift)
 	}
@@ -311,7 +315,7 @@ func TestControllerNaNFirstInterval(t *testing.T) {
 		t.Fatalf("invalid samples = %d, want 1", c.InvalidSamples())
 	}
 	// The baseline is usable: an improving second interval steps the TDF.
-	if got := c.UpdateDrift(0); got < c.Config().MinTDF {
+	if got := c.UpdateWithRef(0, 0); got < c.Config().MinTDF {
 		t.Fatalf("TDF %d below floor after NaN baseline", got)
 	}
 }
@@ -343,8 +347,8 @@ func TestControllerInvalidDriftProperty(t *testing.T) {
 // slice must not corrupt the controller's internal trace.
 func TestHistoryReturnsCopy(t *testing.T) {
 	c := NewController(Config{})
-	c.UpdateDrift(5)
-	c.UpdateDrift(3)
+	c.UpdateWithRef(5, 0)
+	c.UpdateWithRef(3, 0)
 	h := c.History()
 	if len(h) != 2 || h[0].Drift != 5 || h[1].Drift != 3 {
 		t.Fatalf("history = %v", h)
@@ -352,7 +356,7 @@ func TestHistoryReturnsCopy(t *testing.T) {
 	h[0].Drift = -99
 	h = append(h, Record{Drift: 123})
 	_ = h
-	c.UpdateDrift(1)
+	c.UpdateWithRef(1, 0)
 	h2 := c.History()
 	if len(h2) != 3 {
 		t.Fatalf("internal trace length %d, want 3", len(h2))

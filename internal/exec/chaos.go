@@ -44,22 +44,7 @@ type ChaosReport struct {
 // resolution as the plain native executor, plus a default stall watchdog so
 // a wedged run diagnoses itself instead of hanging the harness.
 func chaosConfig(spec Spec) runtime.Config {
-	var cfg runtime.Config
-	if spec.Native != nil {
-		cfg = *spec.Native
-	} else {
-		workers := spec.Cores
-		if workers <= 0 {
-			workers = 4
-		}
-		cfg = runtime.DefaultConfig(workers)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = spec.Seed
-	}
+	cfg := nativeConfig(spec)
 	if cfg.StallTimeout == 0 {
 		cfg.StallTimeout = 30 * time.Second
 	}
@@ -100,22 +85,7 @@ func RunChaos(w workload.Workload, spec Spec) (stats.Run, *ChaosReport) {
 		rep.ConservationErr = chk.Live(snap)
 	}
 
-	res := e.Result()
-	return stats.Run{
-		Scheduler:      ChaosName,
-		Workload:       w.Name(),
-		Input:          w.Graph().Name,
-		Cores:          cfg.Workers,
-		CompletionTime: elapsed.Nanoseconds(),
-		TasksProcessed: res.TasksProcessed,
-		BagsCreated:    res.BagsCreated,
-		BaggedTasks:    res.BaggedTasks,
-		EdgesExamined:  res.EdgesExamined,
-		DriftTrace:     res.DriftTrace,
-		RefTrace:       res.RefTrace,
-		TDFTrace:       res.TDFTrace,
-		DriftClamped:   res.DriftClamped,
-	}, rep
+	return nativeStats(ChaosName, w, cfg.Workers, elapsed, e.Result()), rep
 }
 
 // chaosExecutor adapts RunChaos to the Executor contract (the report is

@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"time"
 
 	"hdcps/internal/chaos"
 	"hdcps/internal/runtime"
@@ -111,18 +112,45 @@ type nativeExecutor struct{}
 func (nativeExecutor) Name() string { return NativeName }
 
 func (nativeExecutor) Run(w workload.Workload, spec Spec) stats.Run {
+	cfg := nativeConfig(spec)
+	res := runtime.Run(w, cfg)
+	return nativeStats("native-hdcps", w, cfg.Workers, res.Elapsed, res)
+}
+
+// nativeConfig resolves spec into a native runtime config: Spec.Native when
+// set, the paper-tuned defaults otherwise, four workers when neither says.
+func nativeConfig(spec Spec) runtime.Config {
 	var cfg runtime.Config
 	if spec.Native != nil {
 		cfg = *spec.Native
 	} else {
-		workers := spec.Cores
-		if workers <= 0 {
-			workers = 4
-		}
-		cfg = runtime.DefaultConfig(workers)
+		cfg = runtime.DefaultConfig(spec.Cores)
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = spec.Seed
 	}
-	return runtime.RunAsStats(w, cfg)
+	return cfg
+}
+
+// nativeStats adapts a native run's Result into the stats.Run vocabulary
+// shared with the simulator (completion time in nanoseconds).
+func nativeStats(scheduler string, w workload.Workload, workers int, elapsed time.Duration, res runtime.Result) stats.Run {
+	return stats.Run{
+		Scheduler:      scheduler,
+		Workload:       w.Name(),
+		Input:          w.Graph().Name,
+		Cores:          workers,
+		CompletionTime: elapsed.Nanoseconds(),
+		TasksProcessed: res.TasksProcessed,
+		BagsCreated:    res.BagsCreated,
+		BaggedTasks:    res.BaggedTasks,
+		EdgesExamined:  res.EdgesExamined,
+		DriftTrace:     res.DriftTrace,
+		RefTrace:       res.RefTrace,
+		TDFTrace:       res.TDFTrace,
+		DriftClamped:   res.DriftClamped,
+	}
 }

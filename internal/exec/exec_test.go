@@ -5,6 +5,7 @@ import (
 
 	"hdcps/internal/chaos"
 	"hdcps/internal/graph"
+	"hdcps/internal/runtime"
 	"hdcps/internal/sched"
 	"hdcps/internal/sim"
 	"hdcps/internal/workload"
@@ -125,5 +126,22 @@ func TestRunChaos(t *testing.T) {
 	}
 	if r2 := x.Run(w.Clone(), Spec{Cores: 2, Seed: 9}); r2.TasksProcessed <= 0 {
 		t.Fatalf("registry chaos run empty: %+v", r2)
+	}
+}
+
+// TestRunAsStats holds the native executor's adaptation of a runtime.Result
+// into the stats.Run vocabulary shared with the simulator.
+func TestRunAsStats(t *testing.T) {
+	w, _ := workload.New("bfs", graph.Road(10, 10, 1))
+	cfg := runtime.DefaultConfig(2)
+	r := (nativeExecutor{}).Run(w, Spec{Native: &cfg})
+	if r.Scheduler != "native-hdcps" || r.CompletionTime <= 0 || r.Cores != 2 {
+		t.Fatalf("stats adaptation wrong: %+v", r)
+	}
+	if r.EdgesExamined <= 0 {
+		t.Fatalf("EdgesExamined dropped in stats adaptation: %+v", r)
+	}
+	if r := (nativeExecutor{}).Run(w, Spec{Native: &runtime.Config{}}); r.Cores != 4 {
+		t.Fatalf("unset worker count reported as %d cores, want the default 4", r.Cores)
 	}
 }

@@ -72,19 +72,7 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 	if len(ws) == 0 || len(ws) != len(jcs) {
 		return stats.Run{}, nil, fmt.Errorf("exec: RunJobs needs matching workloads and job configs (%d vs %d)", len(ws), len(jcs))
 	}
-	var cfg runtime.Config
-	if spec.Native != nil {
-		cfg = *spec.Native
-	} else {
-		workers := spec.Cores
-		if workers <= 0 {
-			workers = 4
-		}
-		cfg = runtime.DefaultConfig(workers)
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = spec.Seed
-	}
+	cfg := nativeConfig(spec)
 	cfg.DefaultJob = jcs[0]
 
 	e := runtime.NewEngine(ws[0], cfg)

@@ -158,13 +158,13 @@ func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
 }
 
 func TestControlPlaneAdaptive(t *testing.T) {
-	cfg := Config{Workers: 2, UseTDF: true, Drift: drift.Config{InitialTDF: 50, Step: 10, OnImprove: drift.Increase}}.withDefaults()
+	cfg := Config{Workers: 2, UseTDF: true, Drift: drift.Config{InitialTDF: 50, Step: 10}}.withDefaults()
 	cp := newControlPlane(cfg)
 	if cp.TDF() != 50 {
 		t.Fatalf("initial TDF %d, want 50", cp.TDF())
 	}
-	// The plane runs drift.Controller.Climb whatever OnImprove says: each
-	// interval is two reports, worker 1 ahead of worker 0 by twice the drift.
+	// The plane runs drift.Controller.Climb, not Algorithm 2: each interval
+	// is two reports, worker 1 ahead of worker 0 by twice the drift.
 	for i, s := range []struct {
 		drift int64
 		want  int64

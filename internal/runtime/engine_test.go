@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hdcps/internal/graph"
+	"hdcps/internal/task"
 	"hdcps/internal/workload"
 )
 
@@ -300,5 +301,25 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	}
 	if err := e2.Submit(w.InitialTasks()...); err != ErrStopped {
 		t.Fatalf("Submit on stopped engine = %v, want ErrStopped", err)
+	}
+}
+
+// A Submit's round-robin starts at the submission epoch, so a stream of
+// one-task calls spreads over the fleet instead of piling onto worker 0.
+func TestSubmitRotatesAcrossWorkers(t *testing.T) {
+	const workers = 3
+	e := NewEngine(&fnWorkload{}, Config{Workers: workers})
+	for i := 0; i < 4*workers; i++ {
+		if err := e.Submit(task.Task{Node: graph.NodeID(i), Prio: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range e.workers {
+		if got := e.workers[i].sched.queue(e.jobStateFor(0)).queue.Len(); got != 4 {
+			t.Errorf("worker %d holds %d of %d one-task submits, want 4", i, got, 4*workers)
+		}
+	}
+	if err := e.Stop(testCtx(t)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -311,13 +311,14 @@ func TestEngineOverflowRedirectsToSender(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin lands index 0 on worker 0, index 1 on worker 1: block
-	// worker 1 first, then flood from worker 0.
+	// A Submit's round-robin starts at its epoch: the first call lands index
+	// 0 on worker 0 and index 1 on worker 1, the second the other way round.
+	// Block worker 1 first, then flood from worker 0.
 	if err := e.Submit(task.Task{Node: 1, Prio: 0, Data: 0}, task.Task{Node: 2, Prio: 0, Data: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if err := e.Submit(task.Task{Node: 3, Prio: 0, Data: 2}); err != nil {
+	if err := e.Submit(task.Task{Node: 3, Prio: 0, Data: 0}, task.Task{Node: 4, Prio: 0, Data: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the flow-control bounce to appear, then release the victim.
@@ -336,8 +337,8 @@ func TestEngineOverflowRedirectsToSender(t *testing.T) {
 	if s.Redirects == 0 {
 		t.Fatal("redirects lost")
 	}
-	if got := processed.Load(); got != fanout+3 {
-		t.Fatalf("processed %d, want %d (flow control must not lose tasks)", got, fanout+3)
+	if got := processed.Load(); got != fanout+4 {
+		t.Fatalf("processed %d, want %d (flow control must not lose tasks)", got, fanout+4)
 	}
 	checkLedger(t, s)
 	if err := e.Stop(testCtx(t)); err != nil {

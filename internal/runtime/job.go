@@ -8,12 +8,12 @@ package runtime
 //
 // Identity is carried by task.Task.Job, stamped at submission and inherited
 // by every child a handler emits, so a task can always be billed to its
-// tenant without any lookaside table. The per-worker queue set (workerJQ,
-// engine.go) keeps each job's tasks in a queue of their own; the worker's
-// batch fill walks the active jobs under deficit round robin — each visit
-// deposits weight*drrQuantum into the job's balance, each retired task
-// (bag contents included) withdraws one — which is what makes per-job task
-// shares track weight shares independently of per-task cost or bagging.
+// tenant without any lookaside table. Each worker keeps a job's tasks in a
+// queue of their own (workerJQ) and its job scheduler (jobsched.go) serves
+// those queues under deficit round robin — each visit deposits
+// weight*drrQuantum into the job's balance, each retired task (bag contents
+// included) withdraws one — which is what makes per-job task shares track
+// weight shares independently of per-task cost or bagging.
 //
 // Per-job ledger. Each jobState carries the same conservation equation the
 // engine proves globally, extended by the cancellation sink:
@@ -30,9 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	stdruntime "runtime"
 	"sync/atomic"
-	"time"
 
 	"hdcps/internal/pq"
 	"hdcps/internal/task"
@@ -48,7 +46,7 @@ const maxJobs = 1 << 20
 
 // MaxJobWeight and MaxTDFBias cap JobConfig.Weight and JobConfig.TDFBias.
 // Both feed int64 products on the worker loop (weight*drrQuantum in
-// fillBatch, tdf*bias/100 in dispatch); unbounded, a weight of 1<<62 makes
+// jobSched.next, tdf*bias/100 in place); unbounded, a weight of 1<<62 makes
 // the deposit overflow to 0 and the rotation spin on a job whose balance
 // never turns positive. The caps are far past any useful value: a 65536:1
 // share, a bias that scatters always at a TDF of 1%.
@@ -343,43 +341,8 @@ func (j *Job) Submit(ts ...task.Task) error {
 // only (another tenant's progress does not reset it).
 func (j *Job) Drain(ctx context.Context) error {
 	e, js := j.e, j.js
-	for spin := 0; spin < 256; spin++ {
-		if js.outstanding.Load() == 0 {
-			return nil
-		}
-		if e.stop.Load() {
-			return ErrStopped
-		}
-		if err := ctx.Err(); err != nil {
-			return e.stallJobError("drain-job", err, js)
-		}
-		stdruntime.Gosched()
-	}
-	tick := time.NewTicker(200 * time.Microsecond)
-	defer tick.Stop()
-	lastProgress := time.Now()
-	lastLedger := js.ledgerMark()
-	for {
-		if js.outstanding.Load() == 0 {
-			return nil
-		}
-		if e.stop.Load() {
-			return ErrStopped
-		}
-		if d := e.cfg.StallTimeout; d > 0 {
-			if mark := js.ledgerMark(); mark != lastLedger {
-				lastLedger = mark
-				lastProgress = time.Now()
-			} else if time.Since(lastProgress) > d {
-				return e.stallJobError("drain-job", ErrStalled, js)
-			}
-		}
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			return e.stallJobError("drain-job", ctx.Err(), js)
-		}
-	}
+	return e.waitQuiescent(ctx, &js.outstanding, js.ledgerMark,
+		func(cause error) error { return e.stallJobError("drain-job", cause, js) })
 }
 
 // Cancel marks the job cancelled and waits for its tasks to leave the

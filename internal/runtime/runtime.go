@@ -6,16 +6,31 @@
 // it is the "real machine" side of the paper's simulator-correlation
 // experiment (Fig. 10).
 //
-// The runtime is layered, one file per layer, each behind a small
-// interface so it can be tested and replaced independently:
+// One file per unit, each testable on its own. The mechanism layers, each
+// behind a small interface:
 //
 //   - transport.go — Transport: the inter-worker task-transfer fabric
 //     (MPSC ring + lock-free Treiber overflow + per-destination batching);
 //   - localq.go — LocalQueue: the per-worker private priority queue;
 //   - payload.go — payloadStore: the pull-transport bag-payload store;
-//   - control.go — controlPlane: drift reporting and TDF propagation;
-//   - engine.go — Engine: the long-lived worker fleet with the
-//     Start / Submit / Drain / Stop lifecycle and epoch-aware termination.
+//   - control.go — controlPlane: drift reporting and TDF propagation.
+//
+// The scheduling units a worker composes, none of which knows the others:
+//
+//   - jobsched.go — jobSched: which job's queue a worker pops next
+//     (deficit round robin over the tenants; no goroutine, no atomics);
+//   - place.go — place: where a spawned unit goes (the frontier-width gate
+//     and the TDF draw), a pure function;
+//   - ledger.go — ledger: what the tasks a worker ran did to the
+//     conservation ledger, recorded once per event and settled before any
+//     task can reach another worker;
+//   - worker.go — the worker loop that is left: receive, pop a batch, run
+//     each task, place its children.
+//
+// And the engine around them: engine.go (job.go, fault.go) is the long-lived
+// fleet's lifecycle — NewEngine / Start / Submit / Drain / Stop with
+// epoch-aware termination, tenants, and the failure model; snapshot.go is
+// the read side (Snapshot, Result, WriteTrace).
 //
 // The hot paths follow the levers that "Engineering MultiQueues" and
 // Wimmer et al. identify for this scheduler shape: remote children are
@@ -23,8 +38,9 @@
 // (rq.TryPushBatch); a full ring spills to a lock-free Treiber stack
 // instead of a mutex; bag payloads live in a per-worker store addressed by
 // the metadata (no global hash map bouncing between cores); the private
-// queue is a 4-ary heap by default; and idle workers back off
-// spin → Gosched → sleep instead of burning the scheduler.
+// queue is a ring of per-priority FIFO buckets by default (no comparison on
+// push or pop); and idle workers back off spin → Gosched → sleep instead of
+// burning the scheduler.
 package runtime
 
 import (
@@ -35,7 +51,6 @@ import (
 	"hdcps/internal/bag"
 	"hdcps/internal/drift"
 	"hdcps/internal/obs"
-	"hdcps/internal/stats"
 	"hdcps/internal/workload"
 )
 
@@ -52,9 +67,7 @@ type Config struct {
 	UseTDF   bool
 	FixedTDF int
 	// Drift configures the controller: start, step, range and report
-	// spacing. The native controller is drift.Controller.Climb; OnImprove,
-	// which picks a reading of Algorithm 2, is the simulator's and has no
-	// effect here.
+	// spacing. The native controller is drift.Controller.Climb.
 	Drift drift.Config
 	// Seed makes destination selection reproducible per worker.
 	Seed uint64
@@ -221,25 +234,4 @@ func Run(w workload.Workload, cfg Config) Result {
 	res := e.Result()
 	res.Elapsed = elapsed
 	return res
-}
-
-// RunAsStats adapts a native Result into the stats.Run vocabulary shared
-// with the simulator (completion time in nanoseconds).
-func RunAsStats(w workload.Workload, cfg Config) stats.Run {
-	res := Run(w, cfg)
-	return stats.Run{
-		Scheduler:      "native-hdcps",
-		Workload:       w.Name(),
-		Input:          w.Graph().Name,
-		Cores:          cfg.withDefaults().Workers,
-		CompletionTime: res.Elapsed.Nanoseconds(),
-		TasksProcessed: res.TasksProcessed,
-		BagsCreated:    res.BagsCreated,
-		BaggedTasks:    res.BaggedTasks,
-		EdgesExamined:  res.EdgesExamined,
-		DriftTrace:     res.DriftTrace,
-		RefTrace:       res.RefTrace,
-		TDFTrace:       res.TDFTrace,
-		DriftClamped:   res.DriftClamped,
-	}
 }

@@ -91,15 +91,3 @@ func TestNativeTDFAdaptation(t *testing.T) {
 		}
 	}
 }
-
-func TestRunAsStats(t *testing.T) {
-	g := graph.Road(10, 10, 1)
-	w, _ := workload.New("bfs", g)
-	r := RunAsStats(w, DefaultConfig(2))
-	if r.Scheduler != "native-hdcps" || r.CompletionTime <= 0 || r.Cores != 2 {
-		t.Fatalf("stats adaptation wrong: %+v", r)
-	}
-	if r.EdgesExamined <= 0 {
-		t.Fatalf("EdgesExamined dropped in stats adaptation: %+v", r)
-	}
-}

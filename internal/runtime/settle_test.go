@@ -1,10 +1,11 @@
 package runtime
 
-// Tests for the per-batch ledger (worker.acct's settle-before-ship rule) and
-// the dispatch gate. None of them sleeps or depends on how fast the host is:
-// the recording transport checks at the engine's own transport calls, the
-// white-box tests drive an un-started engine by hand, and the snapshot poll
-// asserts properties that hold for any number of snapshots, zero included.
+// The ledger's contract tests (ledger.go: settle before ship, the publication
+// order, the global move equal to the per-job moves). None of them sleeps or
+// depends on how fast the host is: the recording transport checks at the
+// engine's own transport calls, the white-box tests drive the ledger's verbs
+// on an un-started engine, and the snapshot poll asserts properties that hold
+// for any number of snapshots, zero included.
 
 import (
 	"fmt"
@@ -205,119 +206,39 @@ func TestLedgerCoversInFlight(t *testing.T) {
 	}
 }
 
-// gateEngine builds an un-started two-worker engine that would send every
-// child remotely (fixed TDF 100) and queues k tasks on worker 0.
-func gateEngine(t *testing.T, kind string, k int) (*Engine, *worker, *workerJQ) {
+// ledgerEngine builds an un-started two-worker engine of the given queue kind
+// and returns it with worker 0 and that worker's queue for job 0.
+func ledgerEngine(t *testing.T, kind string) (*Engine, *worker, *workerJQ) {
 	t.Helper()
-	e := NewEngine(mustWorkload(t, "sssp", graph.Road(4, 4, 1)),
-		Config{Workers: 2, FixedTDF: 100, QueueKind: kind, Seed: 1})
+	e := NewEngine(mustWorkload(t, "sssp", graph.Road(4, 4, 1)), Config{Workers: 2, QueueKind: kind, Seed: 1})
 	me := &e.workers[0]
-	for i := 0; i < k; i++ {
-		me.qpush(task.Task{Node: graph.NodeID(i), Prio: int64(i)})
-	}
-	return e, me, me.jobQueue(e.jobStateFor(0))
-}
-
-func TestDispatchGate(t *testing.T) {
-	batchK := Config{}.withDefaults().BatchK
-	child := task.Task{Node: 9, Prio: 99}
-	bag := task.Task{Node: bagMarker, Prio: 99}
-	for _, kind := range []string{QueueTwoLevel, QueueDHeap, QueueHeap} {
-		for _, k := range []int{0, 1, batchK - 1} {
-			for _, unit := range []task.Task{child, bag} {
-				e, me, q := gateEngine(t, kind, k)
-				e.dispatch(0, me, q, unit)
-				if got := q.queue.Len(); got != k+1 || e.pending(0) != 0 || me.keptLocal != 1 {
-					t.Errorf("%s, %d queued (< BatchK %d): queue %d, pending %d, keptLocal %d; want the unit kept local",
-						kind, k, batchK, got, e.pending(0), me.keptLocal)
-				}
-			}
-		}
-		for _, k := range []int{batchK, 3 * batchK} {
-			e, me, q := gateEngine(t, kind, k)
-			e.dispatch(0, me, q, child)
-			if got := q.queue.Len(); got != k || e.pending(0) != 1 || me.keptLocal != 0 {
-				t.Errorf("%s, %d queued (>= BatchK %d): queue %d, pending %d, keptLocal %d; want the unit in the transport",
-					kind, k, batchK, got, e.pending(0), me.keptLocal)
-			}
-		}
-	}
-	// The shared multiqueue is not gated: an empty queue still scatters.
-	e, me, q := gateEngine(t, QueueMultiQueue, 0)
-	e.dispatch(0, me, q, child)
-	if e.pending(0) != 1 || me.keptLocal != 0 {
-		t.Errorf("multiqueue, empty queue: pending %d, keptLocal %d; want the gate bypassed", e.pending(0), me.keptLocal)
-	}
-	// One worker has nowhere to send and nothing to gate.
-	e1 := NewEngine(mustWorkload(t, "sssp", graph.Road(4, 4, 1)), Config{Workers: 1, FixedTDF: 100})
-	me1 := &e1.workers[0]
-	e1.dispatch(0, me1, me1.jobQueue(e1.jobStateFor(0)), child)
-	if me1.keptLocal != 0 {
-		t.Errorf("single worker counted %d units kept by the gate", me1.keptLocal)
-	}
-}
-
-// TestScatterDistribution holds the one-draw placement to what the two draws
-// it replaced gave: a unit leaves with probability TDF percent, lands on each
-// of the other workers equally often, and never on its own.
-func TestScatterDistribution(t *testing.T) {
-	const draws = 400_000
-	for _, n := range []int{2, 5} {
-		for _, tdf := range []int64{0, 5, 50, 100} {
-			for _, id := range []int{0, n - 1} {
-				rng := graph.NewRNG(uint64(97*n) + uint64(tdf) + uint64(id))
-				hits := make([]int, n)
-				for i := 0; i < draws; i++ {
-					hits[scatter(rng.Uint64(), tdf, id, n)]++
-				}
-				remote := draws - hits[id]
-				if (tdf == 0 && remote != 0) || (tdf == 100 && hits[id] != 0) {
-					t.Errorf("n=%d tdf=%d id=%d: %d units left, %d stayed", n, tdf, id, remote, hits[id])
-				}
-				if got := 100 * float64(remote) / draws; got < float64(tdf)-0.5 || got > float64(tdf)+0.5 {
-					t.Errorf("n=%d tdf=%d id=%d: %.2f%% of units left, want %d%%", n, tdf, id, got, tdf)
-				}
-				for d, h := range hits {
-					want := float64(remote) / float64(n-1)
-					if d != id && (float64(h) < 0.95*want || float64(h) > 1.05*want) {
-						t.Errorf("n=%d tdf=%d id=%d: worker %d got %d of %d remote units, want ~%.0f",
-							n, tdf, id, d, h, remote, want)
-					}
-				}
-			}
-		}
-	}
+	return e, me, me.sched.queue(e.jobStateFor(0))
 }
 
 // The stock transport's half of the settle-before-ship rule: deltas stay
 // deferred while a destination batch fills, and are settled by the time the
 // Send that completes it hands the batch to the other worker.
 func TestSendSettlesBeforeShip(t *testing.T) {
-	e, me, q := gateEngine(t, QueueTwoLevel, 0)
+	e, me, q := ledgerEngine(t, QueueTwoLevel)
 	batch := sendBatch
 	e.outstanding.Store(1) // the parent being processed
 	q.js.outstanding.Store(1)
 	for i := 1; i <= 2*batch; i++ {
-		// What processOne records for a task with one child.
-		me.spawned++
-		q.dSpawned++
-		q.dOut++
-		me.acct++
-		me.markDirty(q)
+		me.led.spawn(q, 1) // the parent emits one more child
 		e.send(me, 1, task.Task{Node: graph.NodeID(i), Prio: int64(i)})
 		delivered := len(e.rt.Recv(1, nil))
 		switch {
 		case i%batch != 0:
-			if delivered != 0 || me.acct == 0 || e.Outstanding() != int64(1+(i/batch)*batch) {
+			if delivered != 0 || q.delta.out == 0 || e.Outstanding() != int64(1+(i/batch)*batch) {
 				t.Fatalf("send %d: delivered %d, deferred %d, outstanding %d; want the delta still deferred",
-					i, delivered, me.acct, e.Outstanding())
+					i, delivered, q.delta.out, e.Outstanding())
 			}
 		default:
 			snap := e.Snapshot()
-			if delivered != batch || me.acct != 0 || snap.Outstanding != int64(1+i) ||
+			if delivered != batch || q.delta != (jobDelta{}) || snap.Outstanding != int64(1+i) ||
 				snap.Jobs[0].Outstanding != int64(1+i) || snap.Spawned != int64(i) || snap.Jobs[0].Spawned != int64(i) {
-				t.Fatalf("send %d: delivered %d, deferred %d, outstanding %d/%d, spawned %d/%d; want all %d settled before the batch shipped",
-					i, delivered, me.acct, snap.Outstanding, snap.Jobs[0].Outstanding, snap.Spawned, snap.Jobs[0].Spawned, i)
+				t.Fatalf("send %d: delivered %d, deferred %+v, outstanding %d/%d, spawned %d/%d; want all %d settled before the batch shipped",
+					i, delivered, q.delta, snap.Outstanding, snap.Jobs[0].Outstanding, snap.Spawned, snap.Jobs[0].Spawned, i)
 			}
 		}
 	}
@@ -328,23 +249,74 @@ func TestSendSettlesBeforeShip(t *testing.T) {
 // deltas deferred.
 func TestMultiQueuePushSettles(t *testing.T) {
 	for _, kind := range []string{QueueMultiQueue, QueueTwoLevel} {
-		e, me, q := gateEngine(t, kind, 0)
+		e, me, q := ledgerEngine(t, kind)
 		e.outstanding.Store(1)
 		q.js.outstanding.Store(1)
-		// What processOne records for a task with two children.
-		me.spawned += 2
-		q.dSpawned += 2
-		q.dOut += 2
-		me.acct += 2
-		me.markDirty(q)
+		me.led.spawn(q, 2) // a task with two children
 		e.push(me, task.Task{Node: 1, Prio: 1})
 		want, deferred := int64(3), int64(0)
 		if kind == QueueTwoLevel {
 			want, deferred = 1, 2
 		}
-		if got := e.Outstanding(); got != want || q.js.outstanding.Load() != want || me.acct != deferred {
+		if got := e.Outstanding(); got != want || q.js.outstanding.Load() != want || q.delta.out != deferred {
 			t.Errorf("%s: outstanding %d (job %d), deferred %d after a push with two children unsettled; want %d and %d",
-				kind, got, q.js.outstanding.Load(), me.acct, want, deferred)
+				kind, got, q.js.outstanding.Load(), q.delta.out, want, deferred)
+		}
+	}
+}
+
+// After any sequence of verbs, one settle moves the engine's outstanding count
+// by exactly the sum of the per-job moves and the worker's published totals by
+// the sum of the per-job terms: what settle derives cannot part from what the
+// verbs recorded.
+func TestSettleGlobalMoveIsSumOfJobMoves(t *testing.T) {
+	e, me, q0 := ledgerEngine(t, QueueTwoLevel)
+	j1, err := e.NewJob(&fnWorkload{}, JobConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []*workerJQ{q0, me.sched.queue(j1.js)}
+	const base = int64(1) << 40 // keeps every count positive whatever the sequence
+	rng := graph.NewRNG(7)
+	for round := 0; round < 200; round++ {
+		e.outstanding.Store(base)
+		for _, q := range qs {
+			q.js.outstanding.Store(base)
+		}
+		for i := rng.Uint64() % 20; i > 0; i-- {
+			q, n := qs[rng.Uint64()%2], int64(1+rng.Uint64()%9)
+			switch rng.Uint64() % 4 {
+			case 0:
+				me.led.retire(q)
+			case 1:
+				me.led.spawn(q, n)
+			case 2:
+				me.led.retireBag(q)
+			case 3:
+				me.led.cancel(q, n)
+			}
+		}
+		e.settle(me)
+		snap := e.Snapshot()
+		var jobs JobStats
+		for _, j := range snap.Jobs {
+			jobs.Outstanding += j.Outstanding - base
+			jobs.Spawned += j.Spawned
+			jobs.Processed += j.Processed
+			jobs.BagsRetired += j.BagsRetired
+			jobs.CancelledTasks += j.CancelledTasks
+		}
+		if got := snap.Outstanding - base; got != jobs.Outstanding {
+			t.Fatalf("round %d: engine outstanding moved %d, the jobs' %d", round, got, jobs.Outstanding)
+		}
+		if snap.Spawned != jobs.Spawned || snap.TasksProcessed != jobs.Processed ||
+			snap.BagsRetired != jobs.BagsRetired || snap.Cancelled != jobs.CancelledTasks {
+			t.Fatalf("round %d: worker totals %d/%d/%d/%d (spawned/processed/bagsRetired/cancelled), jobs sum to %d/%d/%d/%d",
+				round, snap.Spawned, snap.TasksProcessed, snap.BagsRetired, snap.Cancelled,
+				jobs.Spawned, jobs.Processed, jobs.BagsRetired, jobs.CancelledTasks)
+		}
+		if len(me.led.dirty) != 0 || qs[0].delta != (jobDelta{}) || qs[1].delta != (jobDelta{}) {
+			t.Fatalf("round %d: deltas left unsettled: %+v %+v", round, qs[0].delta, qs[1].delta)
 		}
 	}
 }
