@@ -22,20 +22,6 @@ const (
 	scaleGateWarm = 2 * time.Second
 )
 
-// nativeGraph maps the -scale flag to the gate's road graph: small is
-// internal/exp's sizing, large the benchmark's sssp-road input.
-func nativeGraph(scale string, seed uint64) (*graph.CSR, string, error) {
-	switch scale {
-	case "tiny":
-		return graph.Road(48, 48, seed), "road-48x48", nil
-	case "small":
-		return graph.Road(120, 120, seed), "road-120x120", nil
-	case "large":
-		return graph.Road(240, 240, seed), "road-240x240", nil
-	}
-	return nil, "", fmt.Errorf("unknown scale %q (tiny, small, large)", scale)
-}
-
 // runScaleGate is ROADMAP item 2's exit criterion as a gate: sssp on the
 // scale's road graph, solved with one worker and with two, must not take
 // more than limit times as long with two. The two configurations take turns
@@ -47,7 +33,8 @@ func runScaleGate(scale string, seed uint64, reps int, limit float64) error {
 		fmt.Fprintf(os.Stderr, "scale-gate: skipped, %d CPU: two workers need two\n", n)
 		return nil
 	}
-	g, gname, err := nativeGraph(scale, seed)
+	// small is internal/exp's road sizing, large the benchmark's sssp-road input.
+	g, err := graph.Builtin("road", scale, seed)
 	if err != nil {
 		return err
 	}
@@ -75,7 +62,7 @@ func runScaleGate(scale string, seed uint64, reps int, limit float64) error {
 	sort.Float64s(ms[1])
 	one, two := ms[0][reps/2], ms[1][reps/2]
 	fmt.Fprintf(os.Stderr, "scale-gate: sssp %s, median of %d solves: 1 worker %.2f ms, 2 workers %.2f ms, ratio %.2f (limit %.2f)\n",
-		gname, reps, one, two, two/one, limit)
+		g.Name, reps, one, two, two/one, limit)
 	if two > limit*one {
 		return fmt.Errorf("two workers take %.2f times one worker's time, limit %.2f", two/one, limit)
 	}

@@ -32,7 +32,7 @@
 package main
 
 import (
-	"expvar"
+	_ "expvar" // /debug/vars on the -metrics mux
 	"flag"
 	"fmt"
 	"net/http"
@@ -123,7 +123,6 @@ func main() {
 		}
 		spec.Native = &cfg
 		if *metrics != "" {
-			expvar.Publish("hdcps_obs", expvar.Func(rec.Vars()))
 			http.Handle("/debug/obs", rec.Handler())
 			go func() {
 				if err := http.ListenAndServe(*metrics, nil); err != nil {
@@ -383,33 +382,15 @@ func compact(xs []int, max int) []int {
 	return xs[:max]
 }
 
+// buildInput is a builtin input at the scale, or else a graph file.
 func buildInput(name, scale string, seed uint64) (*graph.CSR, error) {
-	var roadW, cageN, webN, ljN, gridW int
-	switch scale {
-	case "tiny":
-		roadW, cageN, webN, ljN, gridW = 48, 1500, 1500, 1200, 32
-	case "small":
-		roadW, cageN, webN, ljN, gridW = 120, 8000, 8000, 6000, 64
-	case "large":
-		roadW, cageN, webN, ljN, gridW = 240, 30000, 30000, 20000, 128
-	default:
-		return nil, fmt.Errorf("unknown scale %q", scale)
-	}
-	switch name {
-	case "road":
-		return graph.Road(roadW, roadW, seed), nil
-	case "cage":
-		return graph.Cage(cageN, 34, 80, seed), nil
-	case "web":
-		return graph.Web(webN, seed), nil
-	case "lj":
-		return graph.LJ(ljN, seed), nil
-	case "grid":
-		return graph.Grid(gridW, gridW, 100, seed), nil
+	g, berr := graph.Builtin(name, scale, seed)
+	if berr == nil {
+		return g, nil
 	}
 	f, err := os.Open(name)
 	if err != nil {
-		return nil, fmt.Errorf("input %q is not a builtin and not readable: %w", name, err)
+		return nil, fmt.Errorf("input %q is not a builtin (%v) and not readable: %w", name, berr, err)
 	}
 	defer f.Close()
 	switch {

@@ -96,7 +96,6 @@ func main() {
 		SeedInitial:        *seedInit,
 		SubmitStallTimeout: *stallT,
 		Chaos:              engineChaos,
-		Log:                logger,
 	})
 	if err != nil {
 		logger.Fatal(err)

@@ -42,6 +42,9 @@ type sizing struct {
 	ljN          int
 }
 
+// sizes is not graph.Builtin's table, on purpose: web and lj are smaller here
+// at small and large (5000/4000, 20000/15000), and every recorded figure
+// (results_small.txt, EXPERIMENTS.md) was produced at these.
 func sizes(scale string) (sizing, error) {
 	// Sizes are chosen so the task frontier stays wide relative to the
 	// core count, as it is for the paper's multi-million-node inputs; a

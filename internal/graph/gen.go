@@ -233,3 +233,34 @@ func Grid(w, h int, maxWt uint32, seed uint64) *CSR {
 	}
 	return g
 }
+
+// builtinSizes sizes the builtin inputs at each scale: road and grid by
+// lattice side, the others by node count.
+var builtinSizes = map[string]struct{ road, cage, web, lj, grid int }{
+	"tiny":  {48, 1500, 1500, 1200, 32},
+	"small": {120, 8000, 8000, 6000, 64},
+	"large": {240, 30000, 30000, 20000, 128},
+}
+
+// Builtin generates the named synthetic input (road, cage, web, lj, grid) at
+// a scale (tiny, small, large): the one sizing the CLI tools and the server
+// share. (internal/exp sizes its own inputs, on purpose.)
+func Builtin(name, scale string, seed uint64) (*CSR, error) {
+	z, ok := builtinSizes[scale]
+	if !ok {
+		return nil, fmt.Errorf("graph: unknown scale %q (tiny, small, large)", scale)
+	}
+	switch name {
+	case "road":
+		return Road(z.road, z.road, seed), nil
+	case "cage":
+		return Cage(z.cage, 34, 80, seed), nil
+	case "web":
+		return Web(z.web, seed), nil
+	case "lj":
+		return LJ(z.lj, seed), nil
+	case "grid":
+		return Grid(z.grid, z.grid, 100, seed), nil
+	}
+	return nil, fmt.Errorf("graph: unknown input %q (road, cage, web, lj, grid)", name)
+}

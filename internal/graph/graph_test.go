@@ -154,6 +154,49 @@ func TestGeneratorShapes(t *testing.T) {
 	}
 }
 
+// TestBuiltinSizes pins the (name, scale) table the CLI tools and the server
+// share to the node counts they each carried by hand before it was one table.
+func TestBuiltinSizes(t *testing.T) {
+	want := map[string]map[string]int{
+		"tiny":  {"road": 48 * 48, "cage": 1500, "web": 1500, "lj": 1200, "grid": 32 * 32},
+		"small": {"road": 120 * 120, "cage": 8000, "web": 8000, "lj": 6000, "grid": 64 * 64},
+		"large": {"road": 240 * 240, "cage": 30000, "web": 30000, "lj": 20000, "grid": 128 * 128},
+	}
+	for scale, byName := range want {
+		for name, nodes := range byName {
+			g, err := Builtin(name, scale, 42)
+			if err != nil {
+				t.Fatalf("Builtin(%s, %s): %v", name, scale, err)
+			}
+			if g.NumNodes() != nodes {
+				t.Errorf("Builtin(%s, %s) has %d nodes, want %d", name, scale, g.NumNodes(), nodes)
+			}
+		}
+	}
+	if g := mustBuiltin(t, "road", "tiny", 7); g.Name != "road-48x48" || !g.HasCoords() {
+		t.Errorf("road/tiny is %q (coords %v), want the lattice generator's road-48x48 with coordinates", g.Name, g.HasCoords())
+	}
+	if a, b := mustBuiltin(t, "web", "tiny", 1), mustBuiltin(t, "web", "tiny", 2); a.NumEdges() == b.NumEdges() {
+		t.Errorf("web/tiny has %d edges under seeds 1 and 2: the seed must reach the generator", a.NumEdges())
+	}
+	// Both kinds of unknown are errors that name the valid set.
+	if _, err := Builtin("road", "huge", 1); err == nil || !strings.Contains(err.Error(), "tiny, small, large") {
+		t.Errorf("unknown scale: err = %v, want one naming tiny, small, large", err)
+	}
+	if _, err := Builtin("usa.gr", "tiny", 1); err == nil || !strings.Contains(err.Error(), "road, cage, web, lj, grid") {
+		t.Errorf("unknown input: err = %v, want one naming the five builtins", err)
+	}
+}
+
+func mustBuiltin(t *testing.T, name, scale string, seed uint64) *CSR {
+	t.Helper()
+	g, err := Builtin(name, scale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestGridCoords(t *testing.T) {
 	g := Grid(5, 4, 10, 3)
 	if !g.HasCoords() {

@@ -1,9 +1,8 @@
 package obs
 
 // Export paths for the recorder: a JSONL trace stream (one self-describing
-// JSON object per line, schema "hdcps-obs/v2"), an expvar.Func for the
-// /debug/vars ecosystem, and an http.Handler serving a point-in-time JSON
-// snapshot. The JSONL layout is deliberately grep/jq-friendly:
+// JSON object per line, schema "hdcps-obs/v2") and an http.Handler serving a
+// point-in-time JSON snapshot. The JSONL layout is deliberately grep/jq-friendly:
 //
 //	{"type":"meta","schema":"hdcps-obs/v2","workers":4,...}
 //	{"type":"counters","worker":0,"tasks_processed":123,...}
@@ -177,7 +176,7 @@ func WriteControlJSONL(w io.Writer, pts []ControlPoint) error {
 	return bw.Flush()
 }
 
-// snapshot is the structure Handler and Vars serve.
+// snapshot is the structure Handler serves.
 type snapshot struct {
 	Schema  string           `json:"schema"`
 	Workers int              `json:"workers"`
@@ -202,12 +201,6 @@ func (r *Recorder) snapshot() snapshot {
 		s.Rows = append(s.Rows, line)
 	}
 	return s
-}
-
-// Vars returns a function suitable for expvar.Publish(name, expvar.Func(...)):
-// the live counter snapshot as a JSON-encodable value.
-func (r *Recorder) Vars() func() any {
-	return func() any { return r.snapshot() }
 }
 
 // Handler serves the recorder over HTTP: a JSON counter snapshot by

@@ -20,8 +20,8 @@
 //     nothing.
 //
 // Export paths: WriteJSONL streams the trace as one JSON object per line
-// (schema documented in the README), Handler serves a JSON snapshot over
-// HTTP, and Vars plugs the counter totals into expvar.
+// (schema documented in the README) and Handler serves a JSON snapshot over
+// HTTP.
 package obs
 
 import (

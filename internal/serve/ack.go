@@ -7,16 +7,12 @@ package serve
 // batches and still learn its admitted prefix with RTT latency. Failures
 // after the 200 are delivered in-band as a terminal ack line carrying the
 // same status / error text / retry_after_ms the buffered protocol would have
-// put on the wire: both go through failSubmit and writeInBand below, with a
-// nil *ackWriter standing for the buffered protocol.
+// put on the wire: both leave through Server.reply below, with a nil
+// *ackWriter standing for the buffered protocol. Where the two protocols
+// differ inside a request (flush-on-idle, heartbeats, progress lines) the
+// difference is a nil-safe method here, not a branch in the loop.
 
-import (
-	"errors"
-	"net/http"
-	"strconv"
-
-	"hdcps/internal/runtime"
-)
+import "net/http"
 
 // ackLine is one NDJSON line of a progress-ack response. Progress lines
 // carry only the cumulative accepted count; the terminal line adds the
@@ -57,7 +53,7 @@ func startAckStream(w http.ResponseWriter) *ackWriter {
 }
 
 func (a *ackWriter) close() {
-	if a.body != nil {
+	if a != nil && a.body != nil {
 		putBody(a.body)
 		a.body = nil
 	}
@@ -71,13 +67,7 @@ func (a *ackWriter) progress(accepted int64) {
 		return
 	}
 	a.acked = accepted
-	a.body.buf.Reset()
-	buf := a.body.buf.AvailableBuffer()
-	buf = append(buf, `{"accepted":`...)
-	buf = strconv.AppendInt(buf, accepted, 10)
-	buf = append(buf, '}', '\n')
-	a.body.buf.Write(buf)
-	_, _ = a.w.Write(a.body.buf.Bytes())
+	_, _ = a.w.Write(a.body.acceptedLine(accepted))
 	_ = a.rc.Flush()
 }
 
@@ -97,75 +87,62 @@ func (a *ackWriter) final(status int, msg string, retryMs, accepted int64) {
 	_ = a.rc.Flush()
 }
 
-// submitErrShape is the one table from a submit error to its wire shape:
-// HTTP status and retry hint. The mapping is the backpressure contract the
-// load harness keys off: 429, 503 and 408 are retryable pressure, 409 is
-// terminal for the job, 400 is a caller bug, 500 a server bug.
-func submitErrShape(err error) (status int, retryMs int64) {
-	var qe *runtime.QuotaError
-	switch {
-	case errors.Is(err, errDraining) || errors.Is(err, errOverload) ||
-		errors.Is(err, errDeadline) || errors.Is(err, runtime.ErrStopped):
-		return http.StatusServiceUnavailable, 200
-	case errors.Is(err, errAborted):
-		// The peer is gone; the status is for the log, not the wire.
-		return http.StatusBadRequest, 0
-	case errors.As(err, &qe):
-		return http.StatusTooManyRequests, 50
-	case errors.Is(err, runtime.ErrJobCancelled):
-		return http.StatusConflict, 0
-	default:
-		return http.StatusInternalServerError, 0
-	}
+// behind reports whether an idle body is worth a flush and a progress line
+// now: lines are pending, or confirmed ones (a resumed request's skipped
+// prefix) are not yet on the wire. Never for the buffered protocol, which
+// admits in submitFlush units and answers once.
+func (a *ackWriter) behind(pending int, confirmed int64) bool {
+	return a != nil && (pending > 0 || confirmed > a.acked)
 }
 
-// failSubmit ends a request that err refused — a submit in either protocol,
-// or a job create (ack nil, nothing accepted), which meets the same drain
-// and engine errors: count the decision, look up its shape, and write it
-// with the admitted prefix.
-func (s *Server) failSubmit(w http.ResponseWriter, ack *ackWriter, err error, accepted int64) {
-	switch {
-	case errors.Is(err, errDraining) || errors.Is(err, errOverload):
-		s.countShed()
-	case errors.Is(err, errDeadline):
-		s.countDeadlineHit()
-	case errors.Is(err, errAborted):
-		s.countConnAbort()
-	}
-	status, retryMs := submitErrShape(err)
-	writeInBand(w, ack, status, err.Error(), accepted, retryMs)
-}
+// heartbeats reports whether empty lines are the client's sign of life on an
+// idle stream (they feed the stall guard) or just blank lines to skip.
+func (a *ackWriter) heartbeats() bool { return a != nil }
 
-// writeInBand routes a failure to the request's protocol: the terminal ack
-// line in progress-ack mode, the buffered error reply (ack nil) otherwise,
-// with a Retry-After header when the failure carries a retry hint.
-func writeInBand(w http.ResponseWriter, ack *ackWriter, status int, msg string, accepted, retryMs int64) {
-	if ack != nil {
-		ack.final(status, msg, retryMs, accepted)
+// reply is the one exit of a submit in either protocol — and of the two other
+// requests that meet the same refusals, a job create and a busy stream's
+// wait (ack nil, nothing accepted): a nil err is the 200, anything else is
+// looked up in the failure table, counted once, and written with the
+// admitted prefix.
+func (s *Server) reply(w http.ResponseWriter, ack *ackWriter, err error, accepted int64) {
+	if err == nil {
+		writeSubmitOK(w, ack, accepted)
 		return
 	}
-	if retryMs > 0 {
+	f := failureOf(err)
+	s.count(f.counter)
+	f.write(w, ack, err, accepted)
+}
+
+// write puts the failure on the wire, uncounted (a readiness probe turns no
+// offered work away): the terminal ack line in progress-ack mode, the
+// buffered error reply (ack nil) otherwise, with a Retry-After header when
+// the failure carries a retry hint.
+func (f failure) write(w http.ResponseWriter, ack *ackWriter, err error, accepted int64) {
+	if f.closeConn {
+		// A no-op once an ack stream has committed its own headers.
+		w.Header().Set("Connection", "close")
+	}
+	if ack != nil {
+		ack.final(f.status, err.Error(), f.retryMs, accepted)
+		return
+	}
+	if f.retryMs > 0 {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, errorBody{Error: msg, Accepted: accepted, RetryAfterMs: retryMs})
+	writeJSON(w, f.status, errorBody{Error: err.Error(), Accepted: accepted, RetryAfterMs: f.retryMs})
 }
 
 // writeSubmitOK closes a fully admitted request: the terminal ack line, or
-// the buffered 200 — byte-identical to writeJSON(w, 200, submitResult{...})
-// but built in a pooled buffer.
+// the buffered 200 built in a pooled buffer.
 func writeSubmitOK(w http.ResponseWriter, ack *ackWriter, accepted int64) {
 	if ack != nil {
 		ack.final(http.StatusOK, "", 0, accepted)
 		return
 	}
 	b := getBody()
-	buf := b.buf.AvailableBuffer()
-	buf = append(buf, `{"accepted":`...)
-	buf = strconv.AppendInt(buf, accepted, 10)
-	buf = append(buf, '}', '\n')
-	b.buf.Write(buf)
+	defer putBody(b)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b.buf.Bytes())
-	putBody(b)
+	_, _ = w.Write(b.acceptedLine(accepted))
 }

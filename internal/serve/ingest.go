@@ -22,6 +22,11 @@ package serve
 //
 // The same hand-rolled encoder is shared with the client side
 // (appendTaskSpecLine), so both halves of the boundary stay allocation-free.
+//
+// ingest is the loop that drives them: one function from a framed body to
+// flushed batches, which knows neither the engine nor the reply protocol —
+// those are its sink (admit.go's submission for a request, a discarding one
+// for IngestBenchLoop, so the benchmark measures this loop and not a copy).
 
 import (
 	"bytes"
@@ -29,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"strconv"
 	"sync"
 
@@ -36,10 +43,112 @@ import (
 	"hdcps/internal/task"
 )
 
-// taskFromSpec is the wire→engine conversion shared by the handler and the
-// ingest benchmarks.
-func taskFromSpec(sp TaskSpec) task.Task {
-	return task.Task{Node: graph.NodeID(sp.Node), Prio: sp.Prio, Data: sp.Data}
+// submitFlush is how many NDJSON task lines accumulate before one
+// Engine.Submit call: large enough to amortize the submission path, small
+// enough that a draining server bounces a streaming client promptly.
+const submitFlush = 256
+
+// ingestSink is where the loop's work goes.
+type ingestSink interface {
+	// flush takes batch. confirmed counts the request's lines once it is in,
+	// a resumed request's skipped prefix included; batch is empty when an
+	// idle body has only skipped lines to confirm. last marks the tail of a
+	// body that has ended: the reply confirms it, no progress ack does.
+	// An error ends the loop.
+	flush(batch []task.Task, confirmed int64, last bool) error
+	// idle is asked when the next read would block, with pending lines
+	// parsed but not flushed: true flushes them now, false waits for
+	// submitFlush.
+	idle(pending int, confirmed int64) bool
+	// heartbeat reports an empty line: a protocol no-op that is not counted.
+	heartbeat()
+}
+
+// lineError is a submit body line the server refuses, numbered from the
+// request's first line (a resumed request's skipped prefix counts).
+type lineError struct {
+	line int64
+	msg  string
+}
+
+func (e *lineError) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
+
+// The two ways reading a body fails. errStalled is the stall guard's read
+// deadline: the body stopped making progress (or, when the request carries a
+// deadline, ran into it — handleSubmit tells the two apart).
+var (
+	errStalled  = errors.New("submit body stalled")
+	errBodyRead = errors.New("reading body")
+)
+
+// readFailure names the error that ended a body short of EOF; line is the
+// one the stream would have yielded next.
+func readFailure(err error, line int64) error {
+	switch {
+	case errors.Is(err, errLineTooLong):
+		return &lineError{line, fmt.Sprintf("line too long (limit %d bytes)", maxLineBytes)}
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return fmt.Errorf("%w: %w", errStalled, err)
+	}
+	return fmt.Errorf("%w: %w", errBodyRead, err)
+}
+
+// ingest runs one submit body: frame → skip heartbeats → count the line →
+// confirm, without parsing, the first skip lines (a prior attempt admitted
+// them) → parse → range-check against nodes → batch → flush at submitFlush,
+// when the sink asks for it on an idle body, and at the end. It returns how
+// many of the request's lines are confirmed and the error that ended it; it
+// writes nothing.
+func ingest(fr *lineFramer, nodes uint32, skip int64, sk ingestSink) (int64, error) {
+	bb := batchPool.Get().(*[]task.Task)
+	batch := (*bb)[:0]
+	defer func() {
+		*bb = batch[:0]
+		batchPool.Put(bb)
+	}()
+	var confirmed, line int64
+	for {
+		// Flush-on-idle is the sink's call: commit the batch before blocking
+		// on the network, so ack latency tracks the RTT, not the flush cadence.
+		if len(batch) >= submitFlush || !fr.buffered() && sk.idle(len(batch), confirmed) {
+			n := confirmed + int64(len(batch))
+			if err := sk.flush(batch, n, false); err != nil {
+				return confirmed, err
+			}
+			confirmed, batch = n, batch[:0]
+		}
+		raw, err := fr.next()
+		if err != nil {
+			if err != io.EOF {
+				return confirmed, readFailure(err, line+1)
+			}
+			if len(batch) == 0 {
+				return confirmed, nil
+			}
+			n := confirmed + int64(len(batch))
+			if err := sk.flush(batch, n, true); err != nil {
+				return confirmed, err
+			}
+			return n, nil
+		}
+		if len(raw) == 0 {
+			sk.heartbeat()
+			continue
+		}
+		line++
+		if line <= skip {
+			confirmed++
+			continue
+		}
+		spec, perr := parseTaskSpecLine(raw)
+		if perr != nil {
+			return confirmed, &lineError{line, "bad task spec: " + perr.Error()}
+		}
+		if spec.Node >= nodes {
+			return confirmed, &lineError{line, fmt.Sprintf("node %d out of range [0,%d)", spec.Node, nodes)}
+		}
+		batch = append(batch, task.Task{Node: graph.NodeID(spec.Node), Prio: spec.Prio, Data: spec.Data})
+	}
 }
 
 // maxLineBytes caps one NDJSON line, matching the 1MB bufio.Scanner buffer
@@ -106,6 +215,7 @@ func dropCR(b []byte) []byte {
 // blocking on the network (the flush-on-idle policy for acked streams).
 func (fr *lineFramer) buffered() bool {
 	if i := bytes.IndexByte(fr.buf[fr.scan:fr.end], '\n'); i >= 0 {
+		fr.scan += i // next() finds it here without a second pass over the line
 		return true
 	}
 	fr.scan = fr.end
@@ -122,26 +232,23 @@ func (fr *lineFramer) next() ([]byte, error) {
 		if i := bytes.IndexByte(fr.buf[fr.scan:fr.end], '\n'); i >= 0 {
 			nl := fr.scan + i
 			line := dropCR(fr.buf[fr.start:nl])
-			fr.start = nl + 1
-			fr.scan = fr.start
+			fr.start, fr.scan = nl+1, nl+1
 			return line, nil
 		}
 		fr.scan = fr.end
-		if fr.eof || fr.err != nil {
-			if fr.start < fr.end {
-				// Final unterminated line (EOF) or the data framed ahead of a
-				// deferred error.
-				if fr.eof && fr.err == nil {
-					line := dropCR(fr.buf[fr.start:fr.end])
-					fr.start = fr.end
-					fr.scan = fr.start
-					return line, nil
-				}
+		if fr.err != nil {
+			// An unterminated tail ahead of a read error is dropped, as
+			// bufio.Scanner drops it.
+			return nil, fr.err
+		}
+		if fr.eof {
+			if fr.start == fr.end {
+				return nil, io.EOF
 			}
-			if fr.err != nil {
-				return nil, fr.err
-			}
-			return nil, io.EOF
+			// The final unterminated line.
+			line := dropCR(fr.buf[fr.start:fr.end])
+			fr.start, fr.scan = fr.end, fr.end
+			return line, nil
 		}
 		// Need more bytes: make room, then read.
 		if fr.end == len(fr.buf) {
@@ -347,6 +454,17 @@ func getBody() *bodyBuf {
 
 func putBody(b *bodyBuf) { bodyPool.Put(b) }
 
+// acceptedLine resets the buffer to {"accepted":n} plus a newline — the
+// buffered 200 body and the progress-ack line, byte-identical to what
+// json.Encoder makes of submitResult — without allocating.
+func (b *bodyBuf) acceptedLine(n int64) []byte {
+	b.buf.Reset()
+	line := append(b.buf.AvailableBuffer(), `{"accepted":`...)
+	line = append(strconv.AppendInt(line, n, 10), '}', '\n')
+	b.buf.Write(line)
+	return b.buf.Bytes()
+}
+
 // IngestBenchBody builds an n-line NDJSON submit body cycling nodes over
 // [0, nodes) — the corpus the ingest benchmarks and the allocs/line
 // measurement share.
@@ -362,43 +480,23 @@ func IngestBenchBody(n, nodes int) []byte {
 	return buf
 }
 
-// IngestBenchLoop runs the server's parse half of the ingest hot path —
-// framing, decoding, batch building, pool recycling — over one NDJSON body,
-// exactly as handleSubmit does but with the engine swapped out. It returns
-// the number of lines decoded. The benchmark's serve.parse_*_per_line rows,
-// TestIngestAllocsPerLine (the allocs/line gate) and the
-// BenchmarkSubmitIngest family all run this loop.
+// discard is the sink that takes everything and keeps nothing.
+type discard struct{}
+
+func (discard) flush([]task.Task, int64, bool) error { return nil }
+func (discard) idle(int, int64) bool                 { return false }
+func (discard) heartbeat()                           {}
+
+// IngestBenchLoop runs the server's ingest loop — framing, decoding, batch
+// building, pool recycling — over one NDJSON body with the engine swapped
+// out for a discarding sink, and returns the number of lines taken. The
+// benchmark's serve.parse_*_per_line rows, TestIngestAllocsPerLine (the
+// allocs/line gate) and the BenchmarkSubmitIngest family all run it.
 func IngestBenchLoop(body []byte) (int, error) {
 	fr := newLineFramer(bytes.NewReader(body))
 	defer fr.release()
-	bb := batchPool.Get().(*[]task.Task)
-	batch := (*bb)[:0]
-	defer func() {
-		*bb = batch[:0]
-		batchPool.Put(bb)
-	}()
-	lines := 0
-	for {
-		raw, err := fr.next()
-		if err == io.EOF {
-			return lines, nil
-		}
-		if err != nil {
-			return lines, err
-		}
-		if len(raw) == 0 {
-			continue
-		}
-		lines++
-		spec, err := parseTaskSpecLine(raw)
-		if err != nil {
-			return lines, fmt.Errorf("line %d: bad task spec: %w", lines, err)
-		}
-		batch = append(batch, taskFromSpec(spec))
-		if len(batch) >= submitFlush {
-			batch = batch[:0]
-		}
-	}
+	n, err := ingest(fr, math.MaxUint32, 0, discard{})
+	return int(n), err
 }
 
 // EncodeBenchLoop runs the client's encode half of the boundary — the

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hdcps/internal/obs"
 )
@@ -67,9 +68,6 @@ type streamTracker struct {
 }
 
 func newStreamTracker(max int) *streamTracker {
-	if max <= 0 {
-		max = 4096
-	}
 	return &streamTracker{
 		max:      max,
 		byKey:    make(map[streamKey]int64, max/4),
@@ -146,56 +144,44 @@ type resilStats struct {
 	resumes      atomic.Int64 // submit requests that resumed a tracked stream
 }
 
-func (s *Server) countShed() {
-	s.resil.shed.Add(1)
+// count moves one of the four; any other counter (a failure row's zero
+// value) counts nothing.
+func (s *Server) count(c obs.Counter) {
+	switch c {
+	case obs.CServeShed:
+		s.resil.shed.Add(1)
+	case obs.CServeDeadlineHits:
+		s.resil.deadlineHits.Add(1)
+	case obs.CServeConnAborts:
+		s.resil.connAborts.Add(1)
+	case obs.CServeResumes:
+		s.resil.resumes.Add(1)
+	default:
+		return
+	}
 	if s.rec != nil {
-		s.rec.Add(obs.External, obs.CServeShed, 1)
+		s.rec.Add(obs.External, c, 1)
 	}
 }
 
-func (s *Server) countDeadlineHit() {
-	s.resil.deadlineHits.Add(1)
-	if s.rec != nil {
-		s.rec.Add(obs.External, obs.CServeDeadlineHits, 1)
-	}
-}
+// maxRequestDeadline is the ceiling on X-Request-Deadline-Ms: longer than any
+// request lives, and far below where the conversion to a Duration wraps.
+const maxRequestDeadline = 24 * time.Hour
 
-func (s *Server) countConnAbort() {
-	s.resil.connAborts.Add(1)
-	if s.rec != nil {
-		s.rec.Add(obs.External, obs.CServeConnAborts, 1)
-	}
-}
-
-func (s *Server) countResume() {
-	s.resil.resumes.Add(1)
-	if s.rec != nil {
-		s.rec.Add(obs.External, obs.CServeResumes, 1)
-	}
-}
-
-// parseDeadlineMs reads HeaderDeadlineMs; 0 means no deadline. Malformed or
-// non-positive values are treated as absent rather than rejected — a clock
-// header should never turn a valid submit into a 400.
-func parseDeadlineMs(v string) int64 {
-	if v == "" {
-		return 0
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return ms
-}
-
-// parseStreamOffset reads HeaderStreamOffset; absent or malformed is 0.
+// parseStreamOffset reads HeaderStreamOffset, a decimal count: absent,
+// malformed and negative are all 0 — a resume or clock header should never
+// turn a valid submit into a 400.
 func parseStreamOffset(v string) int64 {
-	if v == "" {
-		return 0
-	}
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || n < 0 {
 		return 0
 	}
 	return n
+}
+
+// parseDeadlineMs reads HeaderDeadlineMs, another such count; 0 means no
+// deadline, and anything past maxRequestDeadline is clamped to it before the
+// conversion.
+func parseDeadlineMs(v string) time.Duration {
+	return time.Duration(min(parseStreamOffset(v), int64(maxRequestDeadline/time.Millisecond))) * time.Millisecond
 }

@@ -101,7 +101,7 @@ func TestSubmitQuotaMapsTo429(t *testing.T) {
 
 func TestSubmitWhileDrainingIs503(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	s.startDraining()
+	s.draining.Store(true)
 	defer s.draining.Store(false) // let cleanup Shutdown run normally
 	resp, err := http.Post(ts.URL+"/v1/jobs/0/submit", "application/x-ndjson", ndjson(TaskSpec{Node: 1}))
 	if err != nil {
