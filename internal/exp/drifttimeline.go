@@ -46,18 +46,13 @@ const (
 	driftTimelineWarm = 1500 * time.Millisecond
 )
 
-func driftTimeline(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func driftTimeline(o Options, set *inputSet) (Result, error) {
 	pair := Pair{"sssp", "road"}
 	w, err := set.workloadFor(pair)
 	if err != nil {
 		return Result{}, err
 	}
-	seq, err := set.seqTasks(o, pair)
+	seq, err := set.seqTasks(pair)
 	if err != nil {
 		return Result{}, err
 	}

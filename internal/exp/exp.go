@@ -1,9 +1,13 @@
 // Package exp is the experiment harness: one registered experiment per
 // table and figure in the paper's evaluation (Table I, Table II, Figures
-// 3-15). Each experiment re-runs the relevant schedulers on the simulator
-// (or the native runtime, for Fig. 10) and prints the same rows/series the
-// paper reports, normalized the same way. DESIGN.md carries the experiment
-// index; EXPERIMENTS.md records paper-vs-measured values.
+// 3-15), plus extensions. Each simulator figure is a declaration — a versus
+// table (one row per workload-input pair, columns against a baseline cell)
+// or a sweep (one row per variant against a per-pair baseline) — and both
+// drivers send every scheduler run through one cell runner that verifies
+// the answer (grid.go). Fig. 10 and the native experiments are wall-clock
+// and keep their own bodies. The registry normalizes the Options and builds
+// the input set once per run. DESIGN.md carries the experiment index;
+// EXPERIMENTS.md records paper-vs-measured values.
 package exp
 
 import (
@@ -78,9 +82,18 @@ type Experiment struct {
 var registry = map[string]Experiment{}
 var order []string
 
-func register(e Experiment) {
-	registry[e.ID] = e
-	order = append(order, e.ID)
+// register adds an experiment whose body sees normalized Options and the
+// input set they select.
+func register(id, title string, body func(Options, *inputSet) (Result, error)) {
+	registry[id] = Experiment{id, title, func(o Options) (Result, error) {
+		o = o.normalized()
+		set, err := inputs(o)
+		if err != nil {
+			return Result{}, err
+		}
+		return body(o, set)
+	}}
+	order = append(order, id)
 }
 
 // Get returns the experiment with the given ID (e.g. "fig3", "table2").
@@ -184,12 +197,6 @@ func parallelMap[T any](n, workers int, f func(int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// pairRows computes one Row per pair on the Options' worker pool,
-// preserving pair order.
-func pairRows(ps []Pair, o Options, f func(Pair) (Row, error)) ([]Row, error) {
-	return parallelMap(len(ps), o.Par, func(i int) (Row, error) { return f(ps[i]) })
 }
 
 // geomeanRow appends a geometric-mean row over the existing rows.

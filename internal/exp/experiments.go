@@ -13,45 +13,28 @@ import (
 )
 
 func init() {
-	register(Experiment{"table1", "Simulator parameters (Table I)", table1})
-	register(Experiment{"table2", "Input graphs and statistics (Table II)", table2})
-	register(Experiment{"fig3", "Software CPS completion time and drift vs PMOD (Fig. 3)", fig3})
-	register(Experiment{"fig4", "Thread scaling of PMOD vs HD-CPS:SW (Fig. 4)", fig4})
-	register(Experiment{"fig5", "HD-CPS:SW variants vs RELD with breakdowns (Fig. 5)", fig5})
-	register(Experiment{"fig6", "HD-CPS:HW variants vs HD-CPS:SW (Fig. 6)", fig6})
-	register(Experiment{"fig7", "Hardware queue sizing sweep (Fig. 7)", fig7})
-	register(Experiment{"fig8", "Speedup over sequential: Minnow, HD-CPS:HW, Swarm (Fig. 8)", fig8})
-	register(Experiment{"fig9", "Breakdowns vs Swarm (Fig. 9)", fig9})
-	register(Experiment{"fig10", "Simulator vs native runtime correlation (Fig. 10)", fig10})
-	register(Experiment{"fig11", "Software Minnow worker-minnow splits (Fig. 11)", fig11})
-	register(Experiment{"fig12", "HD-CPS:HW vs Dynamic Oracle vs PMOD (Fig. 12)", fig12})
-	register(Experiment{"fig13", "TDF tunables: interval, step, initial TDF (Fig. 13)", fig13})
-	register(Experiment{"fig14", "Bag transport: push vs pull (Fig. 14)", fig14})
-	register(Experiment{"fig15", "Bag-creation threshold sweep (Fig. 15)", fig15})
-	register(Experiment{"motivation", "Ordering spectrum: unordered vs relaxed vs ordered (§II, extension)", motivation})
-	register(Experiment{"drift-timeline", "Native drift/TDF feedback timeline (obs trace)", driftTimeline})
-	register(Experiment{"queue-sweep", "Native local-queue shapes: heap vs dheap vs twolevel", queueSweep})
-	register(Experiment{"fairness-sweep", "Multi-tenant weighted fairness: measured vs entitled shares", fairnessSweep})
+	register("table1", "Simulator parameters (Table I)", table1)
+	register("table2", "Input graphs and statistics (Table II)", table2)
+	register("fig3", "Software CPS completion time and drift vs PMOD (Fig. 3)", fig3)
+	register("fig4", "Thread scaling of PMOD vs HD-CPS:SW (Fig. 4)", fig4)
+	register("fig5", "HD-CPS:SW variants vs RELD with breakdowns (Fig. 5)", fig5)
+	register("fig6", "HD-CPS:HW variants vs HD-CPS:SW (Fig. 6)", fig6)
+	register("fig7", "Hardware queue sizing sweep (Fig. 7)", fig7)
+	register("fig8", "Speedup over sequential: Minnow, HD-CPS:HW, Swarm (Fig. 8)", fig8)
+	register("fig9", "Breakdowns vs Swarm (Fig. 9)", fig9)
+	register("fig10", "Simulator vs native runtime correlation (Fig. 10)", fig10)
+	register("fig11", "Software Minnow worker-minnow splits (Fig. 11)", fig11)
+	register("fig12", "HD-CPS:HW vs Dynamic Oracle vs PMOD (Fig. 12)", fig12)
+	register("fig13", "TDF tunables: interval, step, initial TDF (Fig. 13)", fig13)
+	register("fig14", "Bag transport: push vs pull (Fig. 14)", fig14)
+	register("fig15", "Bag-creation threshold sweep (Fig. 15)", fig15)
+	register("motivation", "Ordering spectrum: unordered vs relaxed vs ordered (§II, extension)", motivation)
+	register("drift-timeline", "Native drift/TDF feedback timeline (obs trace)", driftTimeline)
+	register("queue-sweep", "Native local-queue shapes: heap vs dheap vs twolevel", queueSweep)
+	register("fairness-sweep", "Multi-tenant weighted fairness: measured vs entitled shares", fairnessSweep)
 }
 
-// runOne executes one (scheduler, pair) combination, verifies the workload
-// result, and attaches the cached sequential task count.
-func runOne(s sched.Scheduler, set *inputSet, p Pair, cfg sim.Config, o Options) (stats.Run, error) {
-	w, err := set.workloadFor(p)
-	if err != nil {
-		return stats.Run{}, err
-	}
-	r := s.Run(w, cfg, o.Seed)
-	if err := w.Verify(); err != nil {
-		return r, fmt.Errorf("exp: %s on %s produced wrong result: %w", s.Name(), p.Label(), err)
-	}
-	if st, err := set.seqTasks(o, p); err == nil {
-		r.SeqTasks = st
-	}
-	return r, nil
-}
-
-func table1(o Options) (Result, error) {
+func table1(Options, *inputSet) (Result, error) {
 	cfg := sim.DefaultHW()
 	res := Result{ID: "table1", Title: "Multicore simulator parameters", Series: []string{"value"}}
 	add := func(label string, v float64) {
@@ -73,12 +56,7 @@ func table1(o Options) (Result, error) {
 	return res, nil
 }
 
-func table2(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func table2(_ Options, set *inputSet) (Result, error) {
 	res := Result{ID: "table2", Title: "Input graphs", Series: []string{"nodes", "edges", "avg_deg", "max_deg"}}
 	for _, name := range []string{"cage", "road", "web", "lj"} {
 		s := graph.ComputeStats(set.graphs[name])
@@ -92,314 +70,123 @@ func table2(o Options) (Result, error) {
 	return res, nil
 }
 
-func fig3(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+// adaptive is HD-CPS with the adaptive TDF under the given bag policy and
+// controller tunables: the scheduler fig13-15 vary one knob of.
+func adaptive(label string, bags bag.Policy, d drift.Config) sched.Scheduler {
+	return sched.NewCPS(sched.CPSConfig{Label: label, UseRQ: true, UseTDF: true, Bags: bags, Drift: d})
+}
+
+func fig3(o Options, set *inputSet) (Result, error) {
 	cfg := sim.DefaultSW(o.Cores)
-	names := []string{"reld", "obim", "swminnow", "hdcps-sw"}
-	res := Result{ID: "fig3", Title: "Completion time (and drift) normalized to PMOD, software mode",
-		Series: []string{"reld", "obim", "swminnow", "hdcps-sw", "drift-reld", "drift-hdcps"}}
-	rows, err := pairRows(pairs(), o, func(p Pair) (Row, error) {
-		base, err := runOne(sched.PMOD(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row := Row{Label: p.Label(), Values: map[string]float64{}}
-		for _, n := range names {
-			s, _ := sched.ByName(n)
-			r, err := runOne(s, set, p, cfg, o)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Values[n] = ratio(r.CompletionTime, base.CompletionTime)
-			switch n {
-			case "reld":
-				row.Values["drift-reld"] = ratioF(r.AvgDrift(), base.AvgDrift())
-			case "hdcps-sw":
-				row.Values["drift-hdcps"] = ratioF(r.AvgDrift(), base.AvgDrift())
-			}
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes, "values < 1 are faster than PMOD; paper: RELD >2.2x, HD-CPS:SW ~0.8x (1.25x speedup)")
-	return res, nil
+	return versus{id: "fig3", title: "Completion time (and drift) normalized to PMOD, software mode",
+		series: []string{"reld", "obim", "swminnow", "hdcps-sw", "drift-reld", "drift-hdcps"},
+		pairs:  pairs(), base: cell{s: sched.PMOD(), cfg: cfg}, cfg: cfg,
+		cols: []col{
+			{s: sched.RELD(), vals: vals{"reld": slower, "drift-reld": driftRatio}},
+			{s: sched.OBIM(), vals: vals{"obim": slower}},
+			{s: sched.SWMinnow(4), vals: vals{"swminnow": slower}},
+			{s: sched.HDCPSSW(), vals: vals{"hdcps-sw": slower, "drift-hdcps": driftRatio}},
+		},
+		note: "values < 1 are faster than PMOD; paper: RELD >2.2x, HD-CPS:SW ~0.8x (1.25x speedup)",
+	}.run(o, set)
 }
 
-func fig4(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
+func fig4(o Options, set *inputSet) (Result, error) {
+	sw := sweep{id: "fig4", title: "Speedup over sequential vs thread count",
+		pairs: []Pair{{"sssp", "cage"}, {"sssp", "road"}},
+		base:  cell{s: sched.Sequential{}, cfg: sim.DefaultSW(1)}, value: faster,
+		note: "paper: HD-CPS:SW at or above PMOD, gap widening with cores"}
+	for _, th := range []int{1, 5, 10, 20, 40} {
+		cfg := sim.DefaultSW(th)
+		sw.rows = append(sw.rows, variant{fmt.Sprintf("threads=%d", th),
+			[]cell{{s: sched.PMOD(), cfg: cfg}, {s: sched.HDCPSSW(), cfg: cfg}}})
 	}
-	threads := []int{1, 5, 10, 20, 40}
-	subset := []Pair{{"sssp", "cage"}, {"sssp", "road"}}
-	res := Result{ID: "fig4", Title: "Speedup over sequential vs thread count"}
-	for _, p := range subset {
-		for _, sname := range []string{"pmod", "hdcps-sw"} {
-			res.Series = append(res.Series, fmt.Sprintf("%s/%s", sname, p.Label()))
-		}
-	}
-	seqTimes := map[string]int64{}
-	for _, p := range subset {
-		r, err := runOne(sched.Sequential{}, set, p, sim.DefaultSW(1), o)
-		if err != nil {
-			return res, err
-		}
-		seqTimes[p.Label()] = r.CompletionTime
-	}
-	rows, err := parallelMap(len(threads), o.Par, func(i int) (Row, error) {
-		th := threads[i]
-		row := Row{Label: fmt.Sprintf("threads=%d", th), Values: map[string]float64{}}
-		for _, p := range subset {
-			for _, sname := range []string{"pmod", "hdcps-sw"} {
-				s, _ := sched.ByName(sname)
-				r, err := runOne(s, set, p, sim.DefaultSW(th), o)
-				if err != nil {
-					return Row{}, err
-				}
-				row.Values[fmt.Sprintf("%s/%s", sname, p.Label())] =
-					ratio(seqTimes[p.Label()], r.CompletionTime)
-			}
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	res.Notes = append(res.Notes, "paper: HD-CPS:SW at or above PMOD, gap widening with cores")
-	return res, nil
+	return sw.run(o, set)
 }
 
-func fig5(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func fig5(o Options, set *inputSet) (Result, error) {
 	cfg := sim.DefaultSW(o.Cores)
-	variants := []string{"srq", "srq+tdf", "srq+tdf+ac", "hdcps-sw"}
-	res := Result{ID: "fig5", Title: "HD-CPS:SW variants normalized to RELD",
-		Series: append([]string(nil), variants...)}
-	res.Series = append(res.Series, "drift-sc")
-	rows, err := pairRows(pairs(), o, func(p Pair) (Row, error) {
-		base, err := runOne(sched.RELD(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row := Row{Label: p.Label(), Values: map[string]float64{}}
-		for _, v := range variants {
-			s, _ := sched.ByName(v)
-			r, err := runOne(s, set, p, cfg, o)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Values[v] = ratio(r.CompletionTime, base.CompletionTime)
-			if v == "hdcps-sw" {
-				row.Values["drift-sc"] = ratioF(r.AvgDrift(), base.AvgDrift())
-			}
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes,
-		"paper speedups over RELD: sRQ 1.3x, +TDF 2x, +AC 1.9x, +SC 2.4x (values here are time ratios; lower is better)")
-	return res, nil
+	return versus{id: "fig5", title: "HD-CPS:SW variants normalized to RELD",
+		series: []string{"srq", "srq+tdf", "srq+tdf+ac", "hdcps-sw", "drift-sc"},
+		pairs:  pairs(), base: cell{s: sched.RELD(), cfg: cfg}, cfg: cfg,
+		cols: []col{
+			{s: sched.VariantSRQ(), vals: vals{"srq": slower}},
+			{s: sched.VariantSRQTDF(), vals: vals{"srq+tdf": slower}},
+			{s: sched.VariantSRQTDFAC(), vals: vals{"srq+tdf+ac": slower}},
+			{s: sched.HDCPSSW(), vals: vals{"hdcps-sw": slower, "drift-sc": driftRatio}},
+		},
+		note: "paper speedups over RELD: sRQ 1.3x, +TDF 2x, +AC 1.9x, +SC 2.4x (values here are time ratios; lower is better)",
+	}.run(o, set)
 }
 
-func fig6(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
-	base := sim.DefaultHW()
-	base.HRQSize, base.HPQSize = 0, 0 // software-only on the Table I machine
-	res := Result{ID: "fig6", Title: "HD-CPS:HW variants normalized to HD-CPS:SW (64 cores)",
-		Series: []string{"hrq", "hrq+hpq", "enq", "deq", "comp", "comm"}}
-	rows, err := pairRows(pairs(), o, func(p Pair) (Row, error) {
-		sw, err := runOne(sched.HDCPSSW(), set, p, base, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row := Row{Label: p.Label(), Values: map[string]float64{}}
-		hr, err := runOne(sched.VariantHRQ(), set, p, base, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Values["hrq"] = ratio(hr.CompletionTime, sw.CompletionTime)
-		hb, err := runOne(sched.HDCPSHW(), set, p, base, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Values["hrq+hpq"] = ratio(hb.CompletionTime, sw.CompletionTime)
-		frac := hb.Breakdown.Normalized(hb.Breakdown.Total())
-		row.Values["enq"], row.Values["deq"], row.Values["comp"], row.Values["comm"] =
-			frac[0], frac[1], frac[2], frac[3]
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes, "paper: hRQ ~10% faster, hRQ+hPQ ~20% faster than HD-CPS:SW")
-	return res, nil
+func fig6(o Options, set *inputSet) (Result, error) {
+	cfg := sim.DefaultHW()
+	cfg.HRQSize, cfg.HPQSize = 0, 0 // software-only on the Table I machine
+	return versus{id: "fig6", title: "HD-CPS:HW variants normalized to HD-CPS:SW (64 cores)",
+		series: []string{"hrq", "hrq+hpq", "enq", "deq", "comp", "comm"},
+		pairs:  pairs(), base: cell{s: sched.HDCPSSW(), cfg: cfg}, cfg: cfg,
+		cols: []col{
+			{s: sched.VariantHRQ(), vals: vals{"hrq": slower}},
+			{s: sched.HDCPSHW(), vals: vals{"hrq+hpq": slower,
+				"enq": share(0), "deq": share(1), "comp": share(2), "comm": share(3)}},
+		},
+		note: "paper: hRQ ~10% faster, hRQ+hPQ ~20% faster than HD-CPS:SW",
+	}.run(o, set)
 }
 
-func fig7(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
-	sweeps := []struct{ hrq, hpq int }{
+func fig7(o Options, set *inputSet) (Result, error) {
+	// Queue sizing effects are small relative to scheduling-order noise at
+	// reduced scale, so the sweep uses order-stable pairs (PageRank's task
+	// count swings far more with order than any queue effect) and averages
+	// each configuration over a few seeds.
+	sw := sweep{id: "fig7", title: "Queue sizing (geomean speedup vs hRQ=32,hPQ=48)", geomean: "geomean",
+		pairs: []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"bfs", "road"}, {"mst", "road"}}, seeds: 3,
+		base: cell{s: sched.HDCPSHW(), cfg: sim.DefaultHW()}, value: faster,
+		note: "paper picks (32, 48): larger sizes saturate, smaller hRQ loses performance"}
+	for _, q := range [][2]int{
 		{1024, 32}, {256, 32}, {64, 32}, {32, 32}, {24, 32},
 		// Below the paper's range: at reduced scale the 24-32 entry regime
 		// never overflows, so the overflow cliff the paper sees at 24 shows
 		// up further down.
 		{8, 32}, {2, 32}, {1, 32},
 		{32, 48}, {32, 64}, {32, 8}, {32, 2},
+	} {
+		cfg := sim.DefaultHW()
+		cfg.HRQSize, cfg.HPQSize = q[0], q[1]
+		sw.rows = append(sw.rows, variant{fmt.Sprintf("hRQ=%d,hPQ=%d", q[0], q[1]),
+			[]cell{{s: sched.HDCPSHW(), cfg: cfg}}})
 	}
-	// Queue sizing effects are small relative to scheduling-order noise at
-	// reduced scale, so the sweep uses order-stable pairs (PageRank's task
-	// count swings far more with order than any queue effect) and averages
-	// each configuration over a few seeds.
-	subset := []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"bfs", "road"}, {"mst", "road"}}
-	seeds := []uint64{o.Seed, o.Seed + 1, o.Seed + 2}
-	res := Result{ID: "fig7", Title: "Queue sizing (geomean speedup vs hRQ=32,hPQ=48)",
-		Series: []string{"geomean"}}
-	timeFor := func(hrq, hpq int) (float64, error) {
-		var times []float64
-		for _, p := range subset {
-			for _, seed := range seeds {
-				cfg := sim.DefaultHW()
-				cfg.HRQSize, cfg.HPQSize = hrq, hpq
-				so := o
-				so.Seed = seed
-				r, err := runOne(sched.HDCPSHW(), set, p, cfg, so)
-				if err != nil {
-					return 0, err
-				}
-				times = append(times, float64(r.CompletionTime))
-			}
-		}
-		return stats.Geomean(times), nil
-	}
-	base, err := timeFor(32, 48)
-	if err != nil {
-		return res, err
-	}
-	rows, err := parallelMap(len(sweeps), o.Par, func(i int) (Row, error) {
-		sw := sweeps[i]
-		t, err := timeFor(sw.hrq, sw.hpq)
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{
-			Label:  fmt.Sprintf("hRQ=%d,hPQ=%d", sw.hrq, sw.hpq),
-			Values: map[string]float64{"geomean": base / t},
-		}, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	res.Notes = append(res.Notes, "paper picks (32, 48): larger sizes saturate, smaller hRQ loses performance")
-	return res, nil
+	return sw.run(o, set)
 }
 
-func fig8(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func fig8(o Options, set *inputSet) (Result, error) {
+	return versus{id: "fig8", title: "Speedup over sequential on the 64-core simulator",
+		series: []string{"hwminnow", "hdcps-hw", "swarm"},
+		pairs:  pairs(), base: cell{s: sched.Sequential{}, cfg: sim.DefaultSW(1)}, cfg: sim.DefaultHW(),
+		cols: []col{
+			{s: sched.HWMinnow(), vals: vals{"hwminnow": faster}},
+			{s: sched.HDCPSHW(), vals: vals{"hdcps-hw": faster}},
+			{s: sched.Swarm(), vals: vals{"swarm": faster}},
+		},
+		note: "paper geomeans: Minnow 48x, HD-CPS:HW 61x, Swarm 66x",
+	}.run(o, set)
+}
+
+func fig9(o Options, set *inputSet) (Result, error) {
 	cfg := sim.DefaultHW()
-	res := Result{ID: "fig8", Title: "Speedup over sequential on the 64-core simulator",
-		Series: []string{"hwminnow", "hdcps-hw", "swarm"}}
-	rows, err := pairRows(pairs(), o, func(p Pair) (Row, error) {
-		seq, err := runOne(sched.Sequential{}, set, p, sim.DefaultSW(1), o)
-		if err != nil {
-			return Row{}, err
-		}
-		row := Row{Label: p.Label(), Values: map[string]float64{}}
-		for _, n := range res.Series {
-			s, _ := sched.ByName(n)
-			r, err := runOne(s, set, p, cfg, o)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Values[n] = ratio(seq.CompletionTime, r.CompletionTime)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes, "paper geomeans: Minnow 48x, HD-CPS:HW 61x, Swarm 66x")
-	return res, nil
+	return versus{id: "fig9", title: "Completion time breakdowns normalized to Swarm",
+		series: []string{"hwminnow", "hdcps-hw", "hdcps-we", "minnow-we", "swarm-we"},
+		pairs:  pairs(), base: cell{s: sched.Swarm(), cfg: cfg}, cfg: cfg,
+		cols: []col{
+			{vals: vals{"swarm-we": workEff}},
+			{s: sched.HWMinnow(), vals: vals{"hwminnow": slower, "minnow-we": workEff}},
+			{s: sched.HDCPSHW(), vals: vals{"hdcps-hw": slower, "hdcps-we": workEff}},
+		},
+		note: "paper: HD-CPS:HW within ~7% of Swarm, ~8% faster than Minnow; Swarm has the best work efficiency",
+	}.run(o, set)
 }
 
-func fig9(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg := sim.DefaultHW()
-	res := Result{ID: "fig9", Title: "Completion time breakdowns normalized to Swarm",
-		Series: []string{"hwminnow", "hdcps-hw", "hdcps-we", "minnow-we", "swarm-we"}}
-	rows, err := pairRows(pairs(), o, func(p Pair) (Row, error) {
-		sw, err := runOne(sched.Swarm(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row := Row{Label: p.Label(), Values: map[string]float64{"swarm-we": sw.WorkEfficiency()}}
-		mn, err := runOne(sched.HWMinnow(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Values["hwminnow"] = ratio(mn.CompletionTime, sw.CompletionTime)
-		row.Values["minnow-we"] = mn.WorkEfficiency()
-		hd, err := runOne(sched.HDCPSHW(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Values["hdcps-hw"] = ratio(hd.CompletionTime, sw.CompletionTime)
-		row.Values["hdcps-we"] = hd.WorkEfficiency()
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes,
-		"paper: HD-CPS:HW within ~7% of Swarm, ~8% faster than Minnow; Swarm has the best work efficiency")
-	return res, nil
-}
-
-func fig10(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func fig10(o Options, set *inputSet) (Result, error) {
 	// The native runtime replaces the Tilera machine: compare each
 	// vehicle's per-workload times normalized by its own geomean, so the
 	// two trend lines are directly comparable. The comparison runs serial
@@ -414,13 +201,11 @@ func fig10(o Options) (Result, error) {
 	// Simulated times are deterministic cycle counts, so those cells fan out
 	// on the pool. Native times are wall-clock: concurrent native runs would
 	// contend for the CPU and distort Elapsed, so they stay sequential.
-	simT, err := parallelMap(len(subset), o.Par, func(i int) (float64, error) {
-		r, err := runOne(sched.HDCPSSW(), set, subset[i], sim.DefaultSW(workers), o)
-		if err != nil {
-			return 0, err
-		}
-		return float64(r.CompletionTime), nil
-	})
+	var jobs []job
+	for _, p := range subset {
+		jobs = append(jobs, job{cell{s: sched.HDCPSSW(), cfg: sim.DefaultSW(workers)}, p})
+	}
+	sims, err := set.measure(o, 1, jobs)
 	if err != nil {
 		return res, err
 	}
@@ -428,8 +213,8 @@ func fig10(o Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	var natT []float64
-	for _, p := range subset {
+	var simT, natT []float64
+	for i, p := range subset {
 		w, err := set.workloadFor(p)
 		if err != nil {
 			return res, err
@@ -438,7 +223,7 @@ func fig10(o Options) (Result, error) {
 		if err := w.Verify(); err != nil {
 			return res, fmt.Errorf("exp: native run wrong on %s: %w", p.Label(), err)
 		}
-		natT = append(natT, float64(nr.CompletionTime))
+		simT, natT = append(simT, sims[i].t), append(natT, float64(nr.CompletionTime))
 	}
 	gs, gn := stats.Geomean(simT), stats.Geomean(natT)
 	for i, p := range subset {
@@ -457,282 +242,103 @@ func fig10(o Options) (Result, error) {
 	return res, nil
 }
 
-func fig11(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
+func fig11(o Options, set *inputSet) (Result, error) {
+	cfg := sim.DefaultSW(o.Cores)
+	sw := sweep{id: "fig11", title: "Software Minnow splits (time normalized to 36-4)",
+		pairs: []Pair{{"sssp", "road"}, {"sssp", "cage"}, {"pagerank", "web"}},
+		base:  cell{s: sched.SWMinnow(4), cfg: cfg}, value: slower,
+		note: "paper: 36-4 is the best geomean split; sparse road likes more minnows, dense fewer"}
+	for _, m := range []int{1, 2, 4, 8, 10} {
+		sw.rows = append(sw.rows, variant{fmt.Sprintf("%d-%d", o.Cores-m, m),
+			[]cell{{s: sched.SWMinnow(m), cfg: cfg}}})
 	}
-	splits := []int{1, 2, 4, 8, 10}
-	subset := []Pair{{"sssp", "road"}, {"sssp", "cage"}, {"pagerank", "web"}}
-	res := Result{ID: "fig11", Title: "Software Minnow splits (time normalized to 36-4)"}
-	for _, p := range subset {
-		res.Series = append(res.Series, p.Label())
-	}
-	baseRuns, err := parallelMap(len(subset), o.Par, func(i int) (int64, error) {
-		r, err := runOne(sched.SWMinnow(4), set, subset[i], sim.DefaultSW(o.Cores), o)
-		if err != nil {
-			return 0, err
-		}
-		return r.CompletionTime, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	baseTimes := map[string]int64{}
-	for i, p := range subset {
-		baseTimes[p.Label()] = baseRuns[i]
-	}
-	rows, err := parallelMap(len(splits), o.Par, func(i int) (Row, error) {
-		m := splits[i]
-		row := Row{Label: fmt.Sprintf("%d-%d", o.Cores-m, m), Values: map[string]float64{}}
-		for _, p := range subset {
-			r, err := runOne(sched.SWMinnow(m), set, p, sim.DefaultSW(o.Cores), o)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Values[p.Label()] = ratio(r.CompletionTime, baseTimes[p.Label()])
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	res.Notes = append(res.Notes, "paper: 36-4 is the best geomean split; sparse road likes more minnows, dense fewer")
-	return res, nil
+	return sw.run(o, set)
 }
 
-func fig12(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func fig12(o Options, set *inputSet) (Result, error) {
 	cfg := sim.DefaultHW()
-	subset := []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"pagerank", "web"}}
-	candidates := []int{10, 30, 50, 70, 90}
-	const intervals = 3
-	res := Result{ID: "fig12", Title: "HD-CPS:HW vs Dynamic Oracle, normalized to PMOD",
-		Series: []string{"hdcps-hw", "oracle"}}
-	rows, err := pairRows(subset, o, func(p Pair) (Row, error) {
-		base, err := runOne(sched.PMOD(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		hd, err := runOne(sched.HDCPSHW(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		// Oracle: greedy per-interval sweep (§III-C), then a final run with
-		// the chosen schedule.
-		eval := func(schedule []int) float64 {
-			s := sched.NewCPS(sched.CPSConfig{
-				Label: "oracle-eval", UseRQ: true, Bags: bag.DefaultPolicy(),
-				TDFSchedule: drift.FixedSchedule(schedule, 50),
-			})
-			w, err := set.workloadFor(p)
-			if err != nil {
-				return 0
-			}
-			return float64(s.Run(w, cfg, o.Seed).CompletionTime)
-		}
-		schedule := drift.Oracle(intervals, candidates, eval)
-		or := sched.NewCPS(sched.CPSConfig{
-			Label: "oracle", UseRQ: true, Bags: bag.DefaultPolicy(),
-			TDFSchedule: drift.FixedSchedule(schedule, 50),
-		})
-		orr, err := runOne(or, set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: p.Label(), Values: map[string]float64{
-			"hdcps-hw": ratio(hd.CompletionTime, base.CompletionTime),
-			"oracle":   ratio(orr.CompletionTime, base.CompletionTime),
-		}}, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes, "paper: heuristic comparable to oracle; oracle slightly ahead on divergent-priority inputs")
-	return res, nil
+	return versus{id: "fig12", title: "HD-CPS:HW vs Dynamic Oracle, normalized to PMOD",
+		series: []string{"hdcps-hw", "oracle"},
+		pairs:  []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"pagerank", "web"}},
+		base:   cell{s: sched.PMOD(), cfg: cfg}, cfg: cfg,
+		cols: []col{
+			{s: sched.HDCPSHW(), vals: vals{"hdcps-hw": slower}},
+			{build: tdfOracle, vals: vals{"oracle": slower}},
+		},
+		note: "paper: heuristic comparable to oracle; oracle slightly ahead on divergent-priority inputs",
+	}.run(o, set)
 }
 
-func fig13(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
+// tdfOracle is fig12's Dynamic Oracle for one pair: a greedy per-interval
+// sweep of fixed TDFs (§III-C) whose every candidate is a verified run, then
+// HD-CPS under the chosen schedule. The first failed run fails the oracle.
+func tdfOracle(run runner) (sched.Scheduler, error) {
+	cps := func(label string, schedule []int) sched.Scheduler {
+		return sched.NewCPS(sched.CPSConfig{Label: label, UseRQ: true, Bags: bag.DefaultPolicy(),
+			TDFSchedule: drift.FixedSchedule(schedule, 50)})
 	}
-	cfg := sim.DefaultHW()
-	subset := []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"pagerank", "web"}}
-	baseRuns, err := parallelMap(len(subset), o.Par, func(i int) (int64, error) {
-		r, err := runOne(sched.PMOD(), set, subset[i], cfg, o)
+	var err error
+	schedule := drift.Oracle(3, []int{10, 30, 50, 70, 90}, func(schedule []int) float64 {
 		if err != nil {
-			return 0, err
+			return 0
 		}
-		return r.CompletionTime, nil
+		r, e := run(cps("oracle-eval", schedule))
+		err = e
+		return float64(r.CompletionTime)
 	})
-	if err != nil {
-		return res13(), err
+	return cps("oracle", schedule), err
+}
+
+func fig13(o Options, set *inputSet) (Result, error) {
+	sw := sweep{id: "fig13", title: "Adaptive TDF tunables (geomean speedup vs PMOD)", geomean: "speedup-vs-pmod",
+		pairs: []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"pagerank", "web"}},
+		base:  cell{s: sched.PMOD(), cfg: sim.DefaultHW()}, value: faster,
+		note: "paper picks interval 2000, step 10%, initial 50%; initial TDF is insensitive"}
+	add := func(label string, d drift.Config) {
+		sw.rows = append(sw.rows, variant{label,
+			[]cell{{s: adaptive(label, bag.DefaultPolicy(), d), cfg: sim.DefaultHW()}}})
 	}
-	base := map[string]int64{}
-	for i, p := range subset {
-		base[p.Label()] = baseRuns[i]
-	}
-	res := res13()
-	type cfgCase struct {
-		label string
-		d     drift.Config
-	}
-	var cases []cfgCase
 	for _, iv := range []int{100, 500, 1000, 2000, 2500} {
-		cases = append(cases, cfgCase{fmt.Sprintf("A:interval=%d", iv), drift.Config{SampleInterval: iv}})
+		add(fmt.Sprintf("A:interval=%d", iv), drift.Config{SampleInterval: iv})
 	}
 	for _, st := range []int{5, 10, 20, 30} {
-		cases = append(cases, cfgCase{fmt.Sprintf("B:step=%d", st), drift.Config{Step: st}})
+		add(fmt.Sprintf("B:step=%d", st), drift.Config{Step: st})
 	}
 	for _, it := range []int{10, 30, 50, 70, 90} {
-		cases = append(cases, cfgCase{fmt.Sprintf("C:init=%d", it), drift.Config{InitialTDF: it}})
+		add(fmt.Sprintf("C:init=%d", it), drift.Config{InitialTDF: it})
 	}
-	rows, err := parallelMap(len(cases), o.Par, func(i int) (Row, error) {
-		c := cases[i]
-		s := sched.NewCPS(sched.CPSConfig{
-			Label: c.label, UseRQ: true, UseTDF: true, Bags: bag.DefaultPolicy(), Drift: c.d,
-		})
-		var ratios []float64
-		for _, p := range subset {
-			r, err := runOne(s, set, p, cfg, o)
-			if err != nil {
-				return Row{}, err
-			}
-			ratios = append(ratios, float64(base[p.Label()])/float64(r.CompletionTime))
-		}
-		return Row{Label: c.label,
-			Values: map[string]float64{"speedup-vs-pmod": stats.Geomean(ratios)}}, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	res.Notes = append(res.Notes, "paper picks interval 2000, step 10%, initial 50%; initial TDF is insensitive")
-	return res, nil
+	return sw.run(o, set)
 }
 
-func res13() Result {
-	return Result{ID: "fig13", Title: "Adaptive TDF tunables (geomean speedup vs PMOD)",
-		Series: []string{"speedup-vs-pmod"}}
-}
-
-func fig14(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func fig14(o Options, set *inputSet) (Result, error) {
 	cfg := sim.DefaultHW()
-	res := Result{ID: "fig14", Title: "Bag transport vs PMOD (speedup; higher is better)",
-		Series: []string{"push", "pull"}}
-	// The push/pull gap is small relative to order noise at reduced scale,
-	// so every cell averages a few seeds.
-	seeds := []uint64{o.Seed, o.Seed + 1, o.Seed + 2}
-	rows, err := pairRows(pairs(), o, func(p Pair) (Row, error) {
-		avg := func(run func(Options) (stats.Run, error)) (float64, error) {
-			var times []float64
-			for _, seed := range seeds {
-				so := o
-				so.Seed = seed
-				r, err := run(so)
-				if err != nil {
-					return 0, err
-				}
-				times = append(times, float64(r.CompletionTime))
-			}
-			return stats.Geomean(times), nil
-		}
-		baseT, err := avg(func(so Options) (stats.Run, error) {
-			return runOne(sched.PMOD(), set, p, cfg, so)
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		row := Row{Label: p.Label(), Values: map[string]float64{}}
-		for _, tr := range []bag.Transport{bag.Push, bag.Pull} {
-			pol := bag.DefaultPolicy()
-			pol.Transport = tr
-			s := sched.NewCPS(sched.CPSConfig{
-				Label: "hdcps-" + tr.String(), UseRQ: true, UseTDF: true, Bags: pol,
-			})
-			t, err := avg(func(so Options) (stats.Run, error) {
-				return runOne(s, set, p, cfg, so)
-			})
-			if err != nil {
-				return Row{}, err
-			}
-			row.Values[tr.String()] = baseT / t
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
+	v := versus{id: "fig14", title: "Bag transport vs PMOD (speedup; higher is better)",
+		series: []string{"push", "pull"},
+		// The push/pull gap is small relative to order noise at reduced
+		// scale, so every cell averages a few seeds.
+		pairs: pairs(), seeds: 3, base: cell{s: sched.PMOD(), cfg: cfg}, cfg: cfg,
+		note: "paper: pull ~1.5x better than push; push roughly at par with PMOD"}
+	for _, tr := range []bag.Transport{bag.Push, bag.Pull} {
+		pol := bag.DefaultPolicy()
+		pol.Transport = tr
+		v.cols = append(v.cols, col{s: adaptive("hdcps-"+tr.String(), pol, drift.Config{}),
+			vals: vals{tr.String(): faster}})
 	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes, "paper: pull ~1.5x better than push; push roughly at par with PMOD")
-	return res, nil
+	return v.run(o, set)
 }
 
-func fig15(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg := sim.DefaultHW()
-	subset := []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"pagerank", "web"}, {"color", "web"}}
-	res := Result{ID: "fig15", Title: "Bag-creation threshold (geomean speedup vs PMOD)",
-		Series: []string{"speedup-vs-pmod"}}
-	baseRuns, err := parallelMap(len(subset), o.Par, func(i int) (int64, error) {
-		r, err := runOne(sched.PMOD(), set, subset[i], cfg, o)
-		if err != nil {
-			return 0, err
-		}
-		return r.CompletionTime, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	base := map[string]int64{}
-	for i, p := range subset {
-		base[p.Label()] = baseRuns[i]
-	}
-	thresholds := []int{1, 2, 3, 4, 5}
-	rows, err := parallelMap(len(thresholds), o.Par, func(i int) (Row, error) {
-		th := thresholds[i]
+func fig15(o Options, set *inputSet) (Result, error) {
+	sw := sweep{id: "fig15", title: "Bag-creation threshold (geomean speedup vs PMOD)", geomean: "speedup-vs-pmod",
+		pairs: []Pair{{"sssp", "cage"}, {"sssp", "road"}, {"pagerank", "web"}, {"color", "web"}},
+		base:  cell{s: sched.PMOD(), cfg: sim.DefaultHW()}, value: faster,
+		note: "paper: threshold 3 delivers the best overall performance"}
+	for th := 1; th <= 5; th++ {
 		pol := bag.DefaultPolicy()
 		pol.MinSize = th
-		s := sched.NewCPS(sched.CPSConfig{
-			Label: fmt.Sprintf("thresh-%d", th), UseRQ: true, UseTDF: true, Bags: pol,
-		})
-		var ratios []float64
-		for _, p := range subset {
-			r, err := runOne(s, set, p, cfg, o)
-			if err != nil {
-				return Row{}, err
-			}
-			ratios = append(ratios, float64(base[p.Label()])/float64(r.CompletionTime))
-		}
-		return Row{Label: fmt.Sprintf("threshold=%d", th),
-			Values: map[string]float64{"speedup-vs-pmod": stats.Geomean(ratios)}}, nil
-	})
-	if err != nil {
-		return res, err
+		sw.rows = append(sw.rows, variant{fmt.Sprintf("threshold=%d", th),
+			[]cell{{s: adaptive(fmt.Sprintf("thresh-%d", th), pol, drift.Config{}), cfg: sim.DefaultHW()}}})
 	}
-	res.Rows = rows
-	res.Notes = append(res.Notes, "paper: threshold 3 delivers the best overall performance")
-	return res, nil
+	return sw.run(o, set)
 }
 
 // motivation quantifies the paper's §II argument on the same simulator:
@@ -740,68 +346,23 @@ func fig15(o Options) (Result, error) {
 // execution (one locked global queue) wastes synchronization, and relaxed
 // priority schedulers (MultiQueue, RELD, PMOD, HD-CPS) live between. Not a
 // paper figure; an extension experiment.
-func motivation(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func motivation(o Options, set *inputSet) (Result, error) {
 	cfg := sim.DefaultSW(o.Cores)
-	// No sssp-road here: unordered execution of weighted SSSP on a
-	// high-diameter graph does unbounded rework — the extreme form of the
-	// very effect this experiment quantifies.
-	subset := []Pair{{"sssp", "cage"}, {"bfs", "road"}, {"color", "road"}}
-	names := []string{"steal", "ordered", "multiq", "reld", "pmod", "hdcps-sw"}
-	res := Result{ID: "motivation",
-		Title: "Time (vs hdcps-sw) and work efficiency across the ordering spectrum"}
-	for _, n := range names {
-		res.Series = append(res.Series, n, "we-"+n)
-	}
-	rows, err := pairRows(subset, o, func(p Pair) (Row, error) {
-		base, err := runOne(sched.HDCPSSW(), set, p, cfg, o)
-		if err != nil {
-			return Row{}, err
+	v := versus{id: "motivation",
+		title: "Time (vs hdcps-sw) and work efficiency across the ordering spectrum",
+		// No sssp-road here: unordered execution of weighted SSSP on a
+		// high-diameter graph does unbounded rework — the extreme form of
+		// the very effect this experiment quantifies.
+		pairs: []Pair{{"sssp", "cage"}, {"bfs", "road"}, {"color", "road"}},
+		base:  cell{s: sched.HDCPSSW(), cfg: cfg}, cfg: cfg,
+		note: "expected: steal has the worst work efficiency, ordered the best but the worst time at scale, relaxed schedulers win overall (§II)"}
+	for _, s := range []sched.Scheduler{sched.Steal(), sched.Ordered(), sched.MultiQ(), sched.RELD(), sched.PMOD(), nil} {
+		n := "hdcps-sw" // the nil column reads the baseline's run
+		if s != nil {
+			n = s.Name()
 		}
-		row := Row{Label: p.Label(), Values: map[string]float64{
-			"hdcps-sw": 1.0, "we-hdcps-sw": base.WorkEfficiency(),
-		}}
-		for _, n := range names {
-			if n == "hdcps-sw" {
-				continue
-			}
-			s, err := sched.ByName(n)
-			if err != nil {
-				return Row{}, err
-			}
-			r, err := runOne(s, set, p, cfg, o)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Values[n] = ratio(r.CompletionTime, base.CompletionTime)
-			row.Values["we-"+n] = r.WorkEfficiency()
-		}
-		return row, nil
-	})
-	if err != nil {
-		return res, err
+		v.series = append(v.series, n, "we-"+n)
+		v.cols = append(v.cols, col{s: s, vals: vals{n: slower, "we-" + n: workEff}})
 	}
-	res.Rows = rows
-	geomeanRow(&res)
-	res.Notes = append(res.Notes,
-		"expected: steal has the worst work efficiency, ordered the best but the worst time at scale, relaxed schedulers win overall (§II)")
-	return res, nil
-}
-
-func ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-func ratioF(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
+	return v.run(o, set)
 }

@@ -27,8 +27,7 @@ type fairnessTenant struct {
 	weight int
 }
 
-func fairnessSweep(o Options) (Result, error) {
-	o = o.normalized()
+func fairnessSweep(o Options, _ *inputSet) (Result, error) {
 	// Weighted fairness governs backlogged tenants, so the mix pairs
 	// sssp/bfs with inputs whose frontiers explode immediately and stay
 	// wide (cage's banded structure, web/lj's power-law hubs) — road-style

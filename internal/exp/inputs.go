@@ -66,6 +66,11 @@ func sizes(scale string) (sizing, error) {
 // are cached per (scale, seed) because generation dominates small runs.
 type inputSet struct {
 	graphs map[string]*graph.CSR
+	// seq caches each pair's sequential task count on these graphs, the
+	// denominator of work efficiency. Concurrent cells that miss together
+	// compute the same value; mu only protects the map.
+	mu  sync.Mutex
+	seq map[Pair]int64
 }
 
 // inputMu guards inputCache: experiments may build inputs from concurrent
@@ -88,7 +93,7 @@ func inputs(o Options) (*inputSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	s = &inputSet{graphs: map[string]*graph.CSR{
+	s = &inputSet{seq: map[Pair]int64{}, graphs: map[string]*graph.CSR{
 		"road": graph.Road(sz.roadW, sz.roadH, o.Seed),
 		"cage": graph.Cage(sz.cageN, 34, 80, o.Seed),
 		"web":  graph.Web(sz.webN, o.Seed),
@@ -113,20 +118,11 @@ func (s *inputSet) workloadFor(p Pair) (workload.Workload, error) {
 	return workload.New(p.Workload, g)
 }
 
-// seqTasks caches the sequential task count per (scale, seed, pair) for
-// work-efficiency columns. The count is deterministic, so concurrent grid
-// cells that miss simultaneously compute the same value; the mutex only
-// protects the map itself.
-var (
-	seqTaskMu    sync.Mutex
-	seqTaskCache = map[string]int64{}
-)
-
-func (s *inputSet) seqTasks(o Options, p Pair) (int64, error) {
-	key := fmt.Sprintf("%s-%d-%s", o.Scale, o.Seed, p.Label())
-	seqTaskMu.Lock()
-	v, ok := seqTaskCache[key]
-	seqTaskMu.Unlock()
+// seqTasks returns p's sequential task count on this set's graphs.
+func (s *inputSet) seqTasks(p Pair) (int64, error) {
+	s.mu.Lock()
+	v, ok := s.seq[p]
+	s.mu.Unlock()
 	if ok {
 		return v, nil
 	}
@@ -135,8 +131,8 @@ func (s *inputSet) seqTasks(o Options, p Pair) (int64, error) {
 		return 0, err
 	}
 	n := workload.RunSequential(w)
-	seqTaskMu.Lock()
-	seqTaskCache[key] = n
-	seqTaskMu.Unlock()
+	s.mu.Lock()
+	s.seq[p] = n
+	s.mu.Unlock()
 	return n, nil
 }

@@ -23,12 +23,7 @@ import (
 	"hdcps/internal/workload"
 )
 
-func queueSweep(o Options) (Result, error) {
-	o = o.normalized()
-	set, err := inputs(o)
-	if err != nil {
-		return Result{}, err
-	}
+func queueSweep(o Options, set *inputSet) (Result, error) {
 	pairs := []Pair{
 		{"sssp", "road"}, {"bfs", "road"}, {"pagerank", "web"}, {"color", "web"},
 	}
