@@ -116,17 +116,10 @@ func (v hwVariant) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.R
 func (s cpsScheduler) Name() string { return s.cfg.Label }
 
 func (s cpsScheduler) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Run {
-	m := sim.New(cfg)
-	h := newCPSHandler(s.cfg, w, m.Config(), seed)
-	w.Reset()
-	m.SetDriftProbe(h.activePriorities, driftProbeInterval, 0)
-	total, bds := m.Run(h)
-	r := newRun(s.cfg.Label, w, m.Config())
-	finishRun(&r, total, bds, m)
-	r.TasksProcessed = h.processed
-	r.BagsCreated = h.bagsCreated
-	r.BaggedTasks = h.baggedTasks
-	r.TDFTrace = h.tdfTrace
+	r, h := simulate(s.cfg.Label, w, cfg, true, func(mcfg sim.Config) *cpsHandler {
+		return newCPSHandler(s.cfg, w, mcfg, seed)
+	})
+	r.BagsCreated, r.BaggedTasks, r.TDFTrace = h.bagsCreated, h.baggedTasks, h.tdfTrace
 	return r
 }
 
@@ -166,11 +159,9 @@ type cpsCore struct {
 	in     []inEntry // software receive queue (unbounded backing store)
 	hrqLen int       // entries currently resident in the hardware RQ
 
-	curPrio   int64
-	processed int64
-	sinceRep  int64
-	lock      lockModel // PQ lock (RELD-style remote enqueues)
-	rng       *graph.RNG
+	sinceRep int64
+	lock     lockModel // PQ lock (RELD-style remote enqueues)
+	rng      *graph.RNG
 }
 
 // pushSW inserts into the software side of the core's queue: the cold store
@@ -207,10 +198,9 @@ type bagRecord struct {
 }
 
 type cpsHandler struct {
+	base
 	cfg    CPSConfig
 	mcfg   sim.Config
-	cm     costModel
-	w      workload.Workload
 	cores  []cpsCore
 	master int
 
@@ -227,31 +217,23 @@ type cpsHandler struct {
 	reports  []int64
 	tdfTrace []int
 
-	processed     int64
 	bagsCreated   int64
 	baggedTasks   int64
 	flowRedirects int64 // capacity-counter re-picks (§III-D flow control)
 
-	// Per-task scratch: emit appends a child to children (one closure for
-	// the handler's lifetime, as the native worker does it), and part groups
-	// them without allocating.
-	children []task.Task
-	emit     func(task.Task)
-	part     bag.Partitioner
+	part bag.Partitioner // groups a task's children without allocating
 }
 
 func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uint64) *cpsHandler {
 	h := &cpsHandler{
 		cfg:       cfg,
 		mcfg:      mcfg,
-		cm:        costModel{cfg: mcfg, g: w.Graph()},
-		w:         w,
 		cores:     make([]cpsCore, mcfg.Cores),
 		bags:      make(map[uint64]bagRecord),
 		transport: cfg.Bags.Transport,
 		ctrl:      drift.NewController(cfg.Drift),
 	}
-	h.emit = func(ch task.Task) { h.children = append(h.children, ch) }
+	h.init(w, mcfg)
 	if cfg.UseTDF {
 		h.tdf = h.ctrl.TDF()
 	} else {
@@ -261,10 +243,7 @@ func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uin
 		h.tdf = cfg.TDFSchedule(0)
 	}
 	for i := range h.cores {
-		h.cores[i] = cpsCore{
-			curPrio: idlePrio,
-			rng:     graph.NewRNG(seed + uint64(i)*0x9e37),
-		}
+		h.cores[i] = cpsCore{rng: graph.NewRNG(seed + uint64(i)*0x9e37)}
 		if mcfg.HPQSize > 0 {
 			// Binary-heap buckets keep the cold store's pop order identical
 			// to the old spill heap's.
@@ -274,18 +253,6 @@ func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uin
 		}
 	}
 	return h
-}
-
-// activePriorities reports each busy core's current task priority for the
-// machine-level drift probe.
-func (h *cpsHandler) activePriorities() []int64 {
-	out := make([]int64, 0, len(h.cores))
-	for i := range h.cores {
-		if p := h.cores[i].curPrio; p != idlePrio {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func (h *cpsHandler) Start(m *sim.Machine) {
@@ -338,11 +305,11 @@ func (h *cpsHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 	// 2. Dequeue the highest-priority task or bag.
 	t, fromHW, ok := h.dequeue(c)
 	if !ok {
-		c.curPrio = idlePrio
+		h.curPrio[core] = idlePrio
 		return cost, true
 	}
 	cost += h.chargeDequeue(m, core, c, fromHW)
-	c.curPrio = t.Prio
+	h.curPrio[core] = t.Prio
 
 	// 3. Process: a bag unpacks into its payload tasks; a single task runs
 	// alone. Children are partitioned and distributed per task (Alg. 1).
@@ -453,13 +420,7 @@ func (h *cpsHandler) insertLocal(c *cpsCore, t task.Task) int64 {
 // cycles consumed.
 func (h *cpsHandler) processOne(m *sim.Machine, core int, t task.Task, at int64) int64 {
 	c := &h.cores[core]
-	c.curPrio = t.Prio
-	h.children = h.children[:0]
-	edges := h.w.Process(t, h.emit)
-	h.processed++
-	c.processed++
-	cost := h.cm.taskCostAt(m, core, t, edges, at)
-	m.Charge(core, sim.Compute, cost)
+	cost := h.step(m, core, t, at)
 
 	// Partition children into bags and singles (Alg. 1 lines 4-10).
 	bags, singles := h.part.Partition(h.children, h.cfg.Bags, h.bagIDs.Next)
@@ -601,7 +562,7 @@ func (h *cpsHandler) transfer(m *sim.Machine, core, dst int, msg sim.Message, bi
 		// and the task reaches the destination only after the propagation
 		// latency.
 		dc := &h.cores[dst]
-		insert := h.cm.swPQCost(dc.swLen()+1) * max64(1, h.mcfg.RemoteOpPenalty)
+		insert := h.cm.swPQCost(dc.swLen()+1) * max(1, h.mcfg.RemoteOpPenalty)
 		hold := h.mcfg.SWLockCost + insert
 		wait := dc.lock.acquire(m.Now(), hold)
 		lat := m.Send(msg, bits, wait+hold+h.mcfg.SWTransferCycles)

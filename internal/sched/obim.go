@@ -76,14 +76,9 @@ func HWMinnow() Scheduler { return obimScheduler{kind: kindHWMinnow, label: "hwm
 func (s obimScheduler) Name() string { return s.label }
 
 func (s obimScheduler) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Run {
-	m := sim.New(cfg)
-	h := newOBIMHandler(s, w, m.Config(), seed)
-	w.Reset()
-	m.SetDriftProbe(h.activePriorities, driftProbeInterval, 0)
-	total, bds := m.Run(h)
-	r := newRun(s.label, w, m.Config())
-	finishRun(&r, total, bds, m)
-	r.TasksProcessed = h.processed
+	r, h := simulate(s.label, w, cfg, true, func(mcfg sim.Config) *obimHandler {
+		return newOBIMHandler(s, w, mcfg, seed)
+	})
 	r.BagsCreated = h.chunksTaken
 	r.BaggedTasks = h.processed
 	return r
@@ -224,27 +219,22 @@ type obimCore struct {
 	keys      []int64               // deterministic pending iteration order
 	buffer    []chunkRec            // Minnow prefetch buffer
 	outbox    []chunkRec            // SW Minnow: chunks awaiting global push
-	curPrio   int64
-	inflight  int  // chunk deliveries in flight
-	requested bool // a prefetch request was sent and not yet answered
+	inflight  int                   // chunk deliveries in flight
+	requested bool                  // a prefetch request was sent and not yet answered
 }
 
 type obimHandler struct {
-	sch   obimScheduler
+	base
+	kind  obimKind // kindOBIM for an SW Minnow with no core to spare
 	mcfg  sim.Config
-	cm    costModel
-	w     workload.Workload
 	g     globalMap
 	cores []obimCore
 	rng   *graph.RNG
 
 	workers int // cores that process tasks (rest are minnows)
 
-	processed   int64
 	chunksTaken int64
 
-	children []task.Task
-	emit     func(task.Task) // appends to children; built once
 	// spare holds published pending buffers for reuse: the global map copies
 	// a bucket's tasks on push, so nothing retains the buffer.
 	spare [][]task.Task
@@ -259,10 +249,8 @@ const (
 
 func newOBIMHandler(s obimScheduler, w workload.Workload, mcfg sim.Config, seed uint64) *obimHandler {
 	h := &obimHandler{
-		sch:  s,
+		kind: s.kind,
 		mcfg: mcfg,
-		cm:   costModel{cfg: mcfg, g: w.Graph()},
-		w:    w,
 		g: globalMap{
 			buckets:  make(map[int64][]task.Task),
 			order:    pq.NewBinaryHeap(64),
@@ -275,16 +263,20 @@ func newOBIMHandler(s obimScheduler, w workload.Workload, mcfg sim.Config, seed 
 		rng:   graph.NewRNG(seed ^ 0x0b14),
 		idle:  make([]bool, mcfg.Cores),
 	}
-	h.emit = func(ch task.Task) { h.children = append(h.children, ch) }
+	h.init(w, mcfg)
 	h.workers = mcfg.Cores
 	if s.kind == kindSWMinnow {
-		h.workers = mcfg.Cores - s.minnows
-		if h.workers < 1 {
-			h.workers = 1
+		// At least one core stays a worker. With no core to spare for a
+		// minnow (one core, or no minnows asked for) the workers do their
+		// own global-map traffic, as OBIM's do.
+		if spare := min(max(s.minnows, 0), mcfg.Cores-1); spare > 0 {
+			h.workers = mcfg.Cores - spare
+		} else {
+			h.kind = kindOBIM
 		}
 	}
 	for i := range h.cores {
-		h.cores[i] = obimCore{pending: make(map[int64][]task.Task), curPrio: idlePrio}
+		h.cores[i] = obimCore{pending: make(map[int64][]task.Task)}
 	}
 	return h
 }
@@ -295,17 +287,7 @@ func (h *obimHandler) minnowOf(worker int) int {
 }
 
 func (h *obimHandler) isMinnow(core int) bool {
-	return h.sch.kind == kindSWMinnow && core >= h.workers
-}
-
-func (h *obimHandler) activePriorities() []int64 {
-	out := make([]int64, 0, h.workers)
-	for i := 0; i < h.workers; i++ {
-		if p := h.cores[i].curPrio; p != idlePrio {
-			out = append(out, p)
-		}
-	}
-	return out
+	return h.kind == kindSWMinnow && core >= h.workers
 }
 
 func (h *obimHandler) Start(m *sim.Machine) {
@@ -353,7 +335,7 @@ func (h *obimHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 			// Park. Either the map is empty (a global push re-arms us via
 			// wakeAll) or a prefetch delivery is in flight (its message
 			// re-arms us); mark idle so wakeAll covers both.
-			c.curPrio = idlePrio
+			h.curPrio[core] = idlePrio
 			h.idle[core] = true
 			return cost, true
 		}
@@ -373,7 +355,7 @@ func (h *obimHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 // the delivery re-arms it).
 func (h *obimHandler) refill(m *sim.Machine, core int) (cost int64, wait bool) {
 	c := &h.cores[core]
-	switch h.sch.kind {
+	switch h.kind {
 	case kindOBIM, kindPMOD:
 		// The map is a concurrent structure: the serialized hand-off is
 		// shorter than the full operation, whose cost the core still pays.
@@ -522,12 +504,7 @@ func (h *obimHandler) minnowReady(m *sim.Machine, core int) (int64, bool) {
 // and publishes buckets that are full or better than the current chunk.
 func (h *obimHandler) processOne(m *sim.Machine, core int, t task.Task, at int64) int64 {
 	c := &h.cores[core]
-	c.curPrio = t.Prio
-	h.children = h.children[:0]
-	edges := h.w.Process(t, h.emit)
-	h.processed++
-	cost := h.cm.taskCostAt(m, core, t, edges, at)
-	m.Charge(core, sim.Compute, cost)
+	cost := h.step(m, core, t, at)
 
 	for _, ch := range h.children {
 		b := h.g.bucketOf(ch.Prio)
@@ -566,7 +543,7 @@ func (h *obimHandler) emitBucket(m *sim.Machine, core int, bucket int64) int64 {
 	if len(ts) == 0 {
 		return 0
 	}
-	switch h.sch.kind {
+	switch h.kind {
 	case kindSWMinnow:
 		// Hand the chunk to the minnow through the shared store buffer: the
 		// worker pays one flag write; the minnow publishes it to the map.

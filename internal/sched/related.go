@@ -56,22 +56,16 @@ type relatedScheduler struct {
 func (s relatedScheduler) Name() string { return s.label }
 
 func (s relatedScheduler) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Run {
-	m := sim.New(cfg)
-	h := newRelatedHandler(s, w, m.Config(), seed)
-	w.Reset()
-	m.SetDriftProbe(h.activePriorities, driftProbeInterval, 0)
-	total, bds := m.Run(h)
-	r := newRun(s.label, w, m.Config())
-	finishRun(&r, total, bds, m)
-	r.TasksProcessed = h.processed
+	r, _ := simulate(s.label, w, cfg, true, func(mcfg sim.Config) *relatedHandler {
+		return newRelatedHandler(s.kind, w, mcfg, seed)
+	})
 	return r
 }
 
 type relatedHandler struct {
+	base
 	kind relKind
 	mcfg sim.Config
-	cm   costModel
-	w    workload.Workload
 
 	// Steal: per-core LIFO deques with a lock each (victims contend).
 	deques []([]task.Task)
@@ -85,32 +79,20 @@ type relatedHandler struct {
 	queues []*pq.BinaryHeap
 	qlocks []lockModel
 
-	curPrio     []int64
 	rngs        []*graph.RNG
 	outstanding int64
-	processed   int64
-	children    []task.Task
-	emit        func(task.Task) // appends to children; built once
 }
 
 // multiQFactor is MultiQueue's c: queues per core.
 const multiQFactor = 2
 
-func newRelatedHandler(s relatedScheduler, w workload.Workload, mcfg sim.Config, seed uint64) *relatedHandler {
-	h := &relatedHandler{
-		kind:    s.kind,
-		mcfg:    mcfg,
-		cm:      costModel{cfg: mcfg, g: w.Graph()},
-		w:       w,
-		curPrio: make([]int64, mcfg.Cores),
-		rngs:    make([]*graph.RNG, mcfg.Cores),
-	}
-	h.emit = func(c task.Task) { h.children = append(h.children, c) }
-	for i := range h.curPrio {
-		h.curPrio[i] = idlePrio
+func newRelatedHandler(kind relKind, w workload.Workload, mcfg sim.Config, seed uint64) *relatedHandler {
+	h := &relatedHandler{kind: kind, mcfg: mcfg, rngs: make([]*graph.RNG, mcfg.Cores)}
+	h.init(w, mcfg)
+	for i := range h.rngs {
 		h.rngs[i] = graph.NewRNG(seed + uint64(i)*0x51ed)
 	}
-	switch s.kind {
+	switch kind {
 	case relSteal:
 		h.deques = make([][]task.Task, mcfg.Cores)
 		h.locks = make([]lockModel, mcfg.Cores)
@@ -125,16 +107,6 @@ func newRelatedHandler(s relatedScheduler, w workload.Workload, mcfg sim.Config,
 		}
 	}
 	return h
-}
-
-func (h *relatedHandler) activePriorities() []int64 {
-	out := make([]int64, 0, len(h.curPrio))
-	for _, p := range h.curPrio {
-		if p != idlePrio {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func (h *relatedHandler) Start(m *sim.Machine) {
@@ -168,17 +140,8 @@ func (h *relatedHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 		m.Charge(core, sim.Comm, stealBackoff)
 		return acquireCost + stealBackoff, false
 	}
-	h.curPrio[core] = t.Prio
-	cost := acquireCost
-
-	h.children = h.children[:0]
-	edges := h.w.Process(t, h.emit)
-	h.processed++
+	cost := acquireCost + h.step(m, core, t, acquireCost)
 	h.outstanding += int64(len(h.children)) - 1
-	comp := h.cm.taskCostAt(m, core, t, edges, cost)
-	m.Charge(core, sim.Compute, comp)
-	cost += comp
-
 	cost += h.release(m, core, cost)
 	return cost, false
 }
@@ -309,5 +272,3 @@ func (h *relatedHandler) wakeAll(m *sim.Machine) {
 		m.Wake(i)
 	}
 }
-
-func (h *relatedHandler) Receive(m *sim.Machine, core int, msg sim.Message) int64 { return 0 }

@@ -14,6 +14,13 @@
 // Each scheduler charges the simulator for every operation it models; the
 // cost constants live in sim.Config so software mode (Xeon-like) and
 // hardware mode (Table I) share one fabric.
+//
+// Every handler embeds base, whose step is the package's one task step
+// (current priority, Process, count, compute charge); every Run goes through
+// simulate, the one run harness (machine, drift probe, common stats.Run
+// fields); and ByName and Names both read registry, the one list of names.
+// A new scheduler is a base embedder, a Run over simulate and a registry
+// entry.
 package sched
 
 import (
@@ -64,11 +71,10 @@ const (
 func nodeAddr(u graph.NodeID) uint64 { return addrNodeBase + uint64(u)*8 }
 func edgeAddr(off uint32) uint64     { return addrEdgeBase + uint64(off)*8 }
 
-// taskCost charges the memory system for processing task t on core (reading
-// the node's state, streaming its adjacency list, touching each neighbor's
-// state) and returns the total compute cycles: fixed base + per-edge work +
-// memory latency.
-// taskCostAt is taskCost issued `at` cycles into the core's current step.
+// taskCostAt charges the memory system for processing task t on core, `at`
+// cycles into the core's current step (reading the node's state, streaming
+// its adjacency list, touching each neighbor's state), and returns the total
+// compute cycles: fixed base + per-edge work + memory latency.
 func (c *costModel) taskCostAt(m *sim.Machine, core int, t task.Task, edges int, at int64) int64 {
 	u := t.Node
 	cost := c.cfg.TaskBaseCycles + int64(edges)*c.cfg.EdgeCycles
@@ -82,10 +88,6 @@ func (c *costModel) taskCostAt(m *sim.Machine, core int, t task.Task, edges int,
 		}
 	}
 	return cost
-}
-
-func (c *costModel) taskCost(m *sim.Machine, core int, t task.Task, edges int) int64 {
-	return c.taskCostAt(m, core, t, edges, 0)
 }
 
 // swPQCost returns the software priority-queue operation cost for a queue
@@ -112,32 +114,105 @@ func (l *lockModel) acquire(t, hold int64) (wait int64) {
 	return wait
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// base is the plumbing every handler embeds: the workload and its cost
+// model, each core's current task priority (what the drift probe samples),
+// the processed-task count and the per-task child scratch.
+type base struct {
+	w         workload.Workload
+	cm        costModel
+	curPrio   []int64 // idlePrio while the core runs no task
+	processed int64
+
+	// emit appends a child to children: one closure for the handler's
+	// lifetime, as the native worker does it.
+	children []task.Task
+	emit     func(task.Task)
 }
 
-// runResult assembles the common stats.Run fields.
-func newRun(schedName string, w workload.Workload, cfg sim.Config) stats.Run {
-	return stats.Run{
-		Scheduler: schedName,
-		Workload:  w.Name(),
-		Input:     w.Graph().Name,
-		Cores:     cfg.Cores,
+// init readies b in place (emit closes over b, so b must not move after).
+func (b *base) init(w workload.Workload, mcfg sim.Config) {
+	b.w = w
+	b.cm = costModel{cfg: mcfg, g: w.Graph()}
+	b.curPrio = make([]int64, mcfg.Cores)
+	for i := range b.curPrio {
+		b.curPrio[i] = idlePrio
 	}
+	b.emit = func(ch task.Task) { b.children = append(b.children, ch) }
 }
 
-// finishRun folds the machine's outputs into r.
-func finishRun(r *stats.Run, total int64, bds []stats.Breakdown, m *sim.Machine) {
-	r.CompletionTime = total
-	for _, b := range bds {
-		r.Breakdown.Add(b)
+// step runs task t on core, `at` cycles into the core's current step: t's
+// priority becomes the core's, its children land in b.children, and its
+// compute cycles are charged and returned.
+func (b *base) step(m *sim.Machine, core int, t task.Task, at int64) int64 {
+	b.curPrio[core] = t.Prio
+	b.children = b.children[:0]
+	edges := b.w.Process(t, b.emit)
+	b.processed++
+	cost := b.cm.taskCostAt(m, core, t, edges, at)
+	m.Charge(core, sim.Compute, cost)
+	return cost
+}
+
+// activePriorities reports each busy core's current task priority for the
+// machine-level drift probe.
+func (b *base) activePriorities() []int64 {
+	out := make([]int64, 0, len(b.curPrio))
+	for _, p := range b.curPrio {
+		if p != idlePrio {
+			out = append(out, p)
+		}
 	}
-	r.MessagesSent = m.MessagesSent()
+	return out
+}
+
+// Receive ignores messages; handlers that send them override it.
+func (*base) Receive(*sim.Machine, int, sim.Message) int64 { return 0 }
+
+func (b *base) shared() *base { return b }
+
+// handler is a sim.Handler built on base.
+type handler interface {
+	sim.Handler
+	shared() *base
+}
+
+// simulate is the one run harness: a fresh machine, the handler build makes
+// for its normalised config, the workload reset, the drift probe when probe
+// is set, and the stats.Run fields every scheduler reports. The caller adds
+// its own fields from the returned handler.
+func simulate[H handler](label string, w workload.Workload, cfg sim.Config, probe bool,
+	build func(sim.Config) H) (stats.Run, H) {
+	m := sim.New(cfg)
+	h := build(m.Config())
+	b := h.shared()
+	w.Reset()
+	if probe {
+		m.SetDriftProbe(b.activePriorities, driftProbeInterval)
+	}
+	total, bds := m.Run(h)
+	r := stats.Run{
+		Scheduler:      label,
+		Workload:       w.Name(),
+		Input:          w.Graph().Name,
+		Cores:          m.Cores(),
+		CompletionTime: total,
+		TasksProcessed: b.processed,
+		MessagesSent:   m.MessagesSent(),
+		DriftTrace:     m.DriftTrace(),
+	}
+	for _, bd := range bds {
+		r.Breakdown.Add(bd)
+	}
 	r.L1Hits, r.L2Hits, r.MemMisses = m.MemStats()
-	r.DriftTrace = m.DriftTrace()
+	return r, h
+}
+
+// registry is every named scheduler, in the order Names lists them. A
+// Scheduler is an immutable value, so ByName hands out the entry itself.
+var registry = []Scheduler{
+	Sequential{}, RELD(), VariantSRQ(), VariantSRQTDF(), VariantSRQTDFAC(), HDCPSSW(),
+	VariantHRQ(), HDCPSHW(), OBIM(), PMOD(), SWMinnow(4), HWMinnow(), Swarm(),
+	Steal(), Ordered(), MultiQ(),
 }
 
 // ByName returns the scheduler registered under name. Available names:
@@ -145,49 +220,19 @@ func finishRun(r *stats.Run, total int64, bds []stats.Breakdown, m *sim.Machine)
 // HD-CPS ablation variants (srq, srq+tdf, srq+tdf+ac, hrq), and the §II
 // motivation baselines (steal, ordered, multiq).
 func ByName(name string) (Scheduler, error) {
-	switch name {
-	case "seq":
-		return Sequential{}, nil
-	case "reld":
-		return RELD(), nil
-	case "srq":
-		return VariantSRQ(), nil
-	case "srq+tdf":
-		return VariantSRQTDF(), nil
-	case "srq+tdf+ac":
-		return VariantSRQTDFAC(), nil
-	case "hdcps-sw":
-		return HDCPSSW(), nil
-	case "hrq":
-		return VariantHRQ(), nil
-	case "hdcps-hw":
-		return HDCPSHW(), nil
-	case "obim":
-		return OBIM(), nil
-	case "pmod":
-		return PMOD(), nil
-	case "swminnow":
-		return SWMinnow(4), nil
-	case "hwminnow":
-		return HWMinnow(), nil
-	case "swarm":
-		return Swarm(), nil
-	case "steal":
-		return Steal(), nil
-	case "ordered":
-		return Ordered(), nil
-	case "multiq":
-		return MultiQ(), nil
-	default:
-		return nil, fmt.Errorf("sched: unknown scheduler %q", name)
+	for _, s := range registry {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
+	return nil, fmt.Errorf("sched: unknown scheduler %q", name)
 }
 
 // Names lists the registered scheduler names.
 func Names() []string {
-	return []string{
-		"seq", "reld", "srq", "srq+tdf", "srq+tdf+ac", "hdcps-sw",
-		"hrq", "hdcps-hw", "obim", "pmod", "swminnow", "hwminnow", "swarm",
-		"steal", "ordered", "multiq",
+	out := make([]string, len(registry))
+	for i, s := range registry {
+		out[i] = s.Name()
 	}
+	return out
 }

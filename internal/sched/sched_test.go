@@ -249,6 +249,24 @@ func TestSWMinnowConfigs(t *testing.T) {
 	}
 }
 
+// TestSWMinnowOneCore: one core leaves none to spare for a minnow, so the
+// lone worker does its own global-map traffic (it used to divide by zero
+// mapping itself to a minnow).
+func TestSWMinnowOneCore(t *testing.T) {
+	s, err := ByName("swminnow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workload.New("sssp", graph.Road(14, 14, 3))
+	r := s.Run(w, sim.DefaultSW(1), 3)
+	if err := w.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Scheduler != "swminnow" || r.TasksProcessed <= 0 {
+		t.Fatalf("run %q processed %d tasks", r.Scheduler, r.TasksProcessed)
+	}
+}
+
 func TestDriftTraceNonEmpty(t *testing.T) {
 	g := graph.Cage(1500, 12, 30, 3)
 	for _, sname := range []string{"reld", "obim", "hdcps-sw", "swarm"} {

@@ -4,7 +4,6 @@ import (
 	"hdcps/internal/pq"
 	"hdcps/internal/sim"
 	"hdcps/internal/stats"
-	"hdcps/internal/task"
 	"hdcps/internal/workload"
 )
 
@@ -21,29 +20,18 @@ func (Sequential) Name() string { return "seq" }
 // Run implements Scheduler.
 func (Sequential) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Run {
 	cfg.Cores = 1
-	m := sim.New(cfg)
-	h := &seqHandler{
-		cm: costModel{cfg: m.Config(), g: w.Graph()},
-		w:  w,
-		q:  pq.NewBinaryHeap(1024),
-	}
-	h.emit = func(c task.Task) { h.children = append(h.children, c) }
-	w.Reset()
-	total, bds := m.Run(h)
-	r := newRun("seq", w, m.Config())
-	finishRun(&r, total, bds, m)
-	r.TasksProcessed = h.processed
+	r, h := simulate("seq", w, cfg, false, func(mcfg sim.Config) *seqHandler {
+		h := &seqHandler{q: pq.NewBinaryHeap(1024)}
+		h.init(w, mcfg)
+		return h
+	})
 	r.SeqTasks = h.processed
 	return r
 }
 
 type seqHandler struct {
-	cm        costModel
-	w         workload.Workload
-	q         *pq.BinaryHeap
-	processed int64
-	children  []task.Task
-	emit      func(task.Task) // appends to children; built once
+	base
+	q *pq.BinaryHeap
 }
 
 func (h *seqHandler) Start(m *sim.Machine) {
@@ -58,17 +46,10 @@ func (h *seqHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 	if !ok {
 		return 0, true
 	}
-	var cost int64
-	deq := h.cm.swPQCost(h.q.Len() + 1)
-	m.Charge(core, sim.Dequeue, deq)
-	cost += deq
-
-	h.children = h.children[:0]
-	edges := h.w.Process(t, h.emit)
-	h.processed++
-	comp := h.cm.taskCost(m, core, t, edges)
-	m.Charge(core, sim.Compute, comp)
-	cost += comp
+	cost := h.cm.swPQCost(h.q.Len() + 1)
+	m.Charge(core, sim.Dequeue, cost)
+	// Issued at offset 0, not after the dequeue: TestGoldenCycles pins it so.
+	cost += h.step(m, core, t, 0)
 
 	for _, c := range h.children {
 		h.q.Push(c)
@@ -78,5 +59,3 @@ func (h *seqHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 	}
 	return cost, false
 }
-
-func (h *seqHandler) Receive(m *sim.Machine, core int, msg sim.Message) int64 { return 0 }

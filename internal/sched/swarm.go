@@ -4,7 +4,6 @@ import (
 	"hdcps/internal/pq"
 	"hdcps/internal/sim"
 	"hdcps/internal/stats"
-	"hdcps/internal/task"
 	"hdcps/internal/workload"
 )
 
@@ -40,59 +39,34 @@ const swarmWindow = 4096
 const swarmXferCycles = 8
 
 func (swarmScheduler) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Run {
-	m := sim.New(cfg)
-	n := w.Graph().NumNodes()
-	h := &swarmHandler{
-		cm:       costModel{cfg: m.Config(), g: w.Graph()},
-		w:        w,
-		gq:       pq.NewBinaryHeap(1024),
-		curPrio:  make([]int64, m.Config().Cores),
-		doneAt:   make([]int64, n),
-		donePrio: make([]int64, n),
-		idle:     make([]bool, m.Config().Cores),
-	}
-	h.emit = func(c task.Task) { h.children = append(h.children, c) }
-	for i := range h.curPrio {
-		h.curPrio[i] = idlePrio
-	}
-	for i := range h.doneAt {
-		h.doneAt[i] = -swarmWindow - 1
-		h.donePrio[i] = int64(1) << 62
-	}
-	w.Reset()
-	m.SetDriftProbe(h.activePriorities, driftProbeInterval, 0)
-	total, bds := m.Run(h)
-	r := newRun("swarm", w, m.Config())
-	finishRun(&r, total, bds, m)
-	r.TasksProcessed = h.processed
+	r, h := simulate("swarm", w, cfg, true, func(mcfg sim.Config) *swarmHandler {
+		n := w.Graph().NumNodes()
+		h := &swarmHandler{
+			gq:       pq.NewBinaryHeap(1024),
+			doneAt:   make([]int64, n),
+			donePrio: make([]int64, n),
+			idle:     make([]bool, mcfg.Cores),
+		}
+		h.init(w, mcfg)
+		for i := range h.doneAt {
+			h.doneAt[i] = -swarmWindow - 1
+			h.donePrio[i] = int64(1) << 62
+		}
+		return h
+	})
 	r.Aborts = h.aborts
 	return r
 }
 
 type swarmHandler struct {
-	cm costModel
-	w  workload.Workload
+	base
 	gq *pq.BinaryHeap // idealized hardware global task queue
 
-	curPrio  []int64
 	doneAt   []int64 // per node: cycle its task last executed
 	donePrio []int64 // per node: priority of that task
 
-	idle      []bool
-	processed int64
-	aborts    int64
-	children  []task.Task
-	emit      func(task.Task) // appends to children; built once
-}
-
-func (h *swarmHandler) activePriorities() []int64 {
-	out := make([]int64, 0, len(h.curPrio))
-	for _, p := range h.curPrio {
-		if p != idlePrio {
-			out = append(out, p)
-		}
-	}
-	return out
+	idle   []bool
+	aborts int64
 }
 
 func (h *swarmHandler) Start(m *sim.Machine) {
@@ -111,18 +85,12 @@ func (h *swarmHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 		h.idle[core] = true
 		return 0, true
 	}
-	h.curPrio[core] = t.Prio
 	// Hardware dequeue + task steering across the NoC.
 	cost := h.cm.cfg.HWQueueCycles + swarmXferCycles
 	m.Charge(core, sim.Dequeue, h.cm.cfg.HWQueueCycles)
 	m.Charge(core, sim.Comm, swarmXferCycles)
-
-	h.children = h.children[:0]
-	edges := h.w.Process(t, h.emit)
-	h.processed++
-	comp := h.cm.taskCost(m, core, t, edges)
-	m.Charge(core, sim.Compute, comp)
-	cost += comp
+	// Issued at offset 0, not after the dequeue: TestGoldenCycles pins it so.
+	cost += h.step(m, core, t, 0)
 
 	now := m.Now()
 	for _, c := range h.children {
@@ -159,5 +127,3 @@ func (h *swarmHandler) wakeIdle(m *sim.Machine, n int) {
 		}
 	}
 }
-
-func (h *swarmHandler) Receive(m *sim.Machine, core int, msg sim.Message) int64 { return 0 }

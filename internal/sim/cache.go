@@ -62,7 +62,7 @@ func newMemory(cfg Config) *memory {
 		set1:    newModulus(max(cfg.L1Lines, 1)),
 		set2:    newModulus(max(cfg.L2Lines, 1)),
 		home:    newModulus(cfg.DRAMControllers),
-		dramCap: int64(1) << dramWindowBits / max64(cfg.DRAMServiceGap, 1),
+		dramCap: int64(1) << dramWindowBits / max(cfg.DRAMServiceGap, 1),
 	}
 	m.l1 = make([][]uint64, cfg.Cores)
 	m.l2 = make([][]uint64, cfg.Cores)
@@ -119,18 +119,4 @@ func (m *memory) accessLine(core int, line uint64, now int64) int64 {
 		queue = (c.count - m.dramCap) * m.cfg.DRAMServiceGap
 	}
 	return queue + m.cfg.DRAMLatency
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -55,10 +55,9 @@ type Machine struct {
 	breakdown []stats.Breakdown
 	msgsSent  int64
 
-	driftFn       func() []int64 // per-core current priorities, for sampling
-	driftEvery    int64
-	driftTrace    []float64
-	driftMaxTrace int
+	driftFn    func() []int64 // per-core current priorities, for sampling
+	driftEvery int64
+	driftTrace []float64
 }
 
 // New returns a machine with the given configuration.
@@ -178,17 +177,15 @@ func (m *Machine) MemAccessAt(core int, addr uint64, bytes int, delay int64) int
 func (m *Machine) Hops(a, b int) int64 { return m.noc.hops(a, b) }
 
 // SetDriftProbe installs a sampler: every interval cycles the machine
-// records Equation-1 drift over probe()'s per-core current priorities.
-// maxSamples bounds the trace (0 means unlimited). A non-positive interval
-// installs no probe: a sampler that re-arms at the current cycle would never
-// let time advance.
-func (m *Machine) SetDriftProbe(probe func() []int64, interval int64, maxSamples int) {
+// records Equation-1 drift over probe()'s per-core current priorities, for
+// as long as the run lasts. A non-positive interval installs no probe: a
+// sampler that re-arms at the current cycle would never let time advance.
+func (m *Machine) SetDriftProbe(probe func() []int64, interval int64) {
 	if interval <= 0 {
 		probe = nil
 	}
 	m.driftFn = probe
 	m.driftEvery = interval
-	m.driftMaxTrace = maxSamples
 }
 
 // DriftTrace returns the sampled machine-wide drift values.
@@ -243,9 +240,7 @@ func (m *Machine) Run(h Handler) (int64, []stats.Breakdown) {
 				m.Wake(core)
 			}
 		case evDrift:
-			if m.driftMaxTrace == 0 || len(m.driftTrace) < m.driftMaxTrace {
-				m.driftTrace = append(m.driftTrace, eq1(m.driftFn()))
-			}
+			m.driftTrace = append(m.driftTrace, eq1(m.driftFn()))
 			if m.evq.len() > 0 { // keep sampling while work remains
 				m.evq.push(m.now+m.driftEvery, 0, evDrift)
 			}

@@ -269,7 +269,7 @@ func TestDriftProbe(t *testing.T) {
 	m.SetDriftProbe(func() []int64 {
 		calls++
 		return []int64{10, 14}
-	}, 100, 0)
+	}, 100)
 	m.Run(&busyLoop{steps: 7})
 	trace := m.DriftTrace()
 	if len(trace) == 0 {
@@ -294,7 +294,7 @@ func TestDriftProbeNonPositiveInterval(t *testing.T) {
 				panic("drift probe is spinning at one cycle")
 			}
 			return []int64{1, 2}
-		}, interval, 0)
+		}, interval)
 		total, _ := m.Run(&pingPong{remaining: 10})
 		if total <= 0 || m.MessagesSent() != 11 {
 			t.Fatalf("interval %d: run did not finish: %d cycles, %d messages", interval, total, m.MessagesSent())
