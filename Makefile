@@ -46,20 +46,21 @@ lint:
 
 # Race tier: the concurrency-heavy packages under the race detector. The
 # native runtime (engine lifecycle, transport, control plane), the MPSC
-# ring, the payload transport, the observability recorder, the executor
-# registry that fronts the runtime, the open-loop load harness (a goroutine
-# per arrival over shared counters), and the parallel experiment driver are
-# where a data race would actually live. The exp run is scoped to the
+# ring, the payload transport, the observability recorder, exec.RunJobs
+# (the one native run: tenants, chaos, the fairness sampler), the open-loop
+# load harness (a goroutine per arrival over shared counters), and the
+# parallel experiment driver are where a data race would actually live. The exp run is scoped to the
 # driver tests: racing the full figure suite is ~10min on one core and
 # exercises no concurrency the driver tests don't.
 race:
 	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/... ./internal/load/...
 	$(GO) test -race -run 'TestParallel' -count=1 ./internal/exp/
 
-# Procs axis (ROADMAP item 5b): the engine, its fault-injection soaks and the
-# executor registry at GOMAXPROCS 1, 2 and 4. The ledger's settle-before-ship
-# rule and the soaks' "mix injected nothing" assertions must hold however many
-# workers really run at once, not only at the host's own CPU count.
+# Procs axis (ROADMAP item 5b): the engine, its fault-injection soaks and
+# exec.RunJobs (one- and three-job runs under chaos) at GOMAXPROCS 1, 2 and
+# 4. The ledger's settle-before-ship rule and the "mix injected nothing"
+# assertions must hold however many workers really run at once, not only at
+# the host's own CPU count.
 procs:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/runtime/ ./internal/chaos/ ./internal/exec/ || exit 1; \

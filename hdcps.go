@@ -29,7 +29,6 @@ import (
 
 	"hdcps/internal/chaos"
 	"hdcps/internal/drift"
-	"hdcps/internal/exec"
 	"hdcps/internal/exp"
 	"hdcps/internal/graph"
 	"hdcps/internal/obs"
@@ -112,11 +111,6 @@ type (
 	// ControlPoint is one interval of the control plane's time series:
 	// measured drift, reference priority, and the TDF chosen next.
 	ControlPoint = obs.ControlPoint
-	// Executor runs a workload under any registered execution vehicle — a
-	// simulated scheduler or the native runtime — behind one interface.
-	Executor = exec.Executor
-	// ExecutorSpec is the executor-independent run specification.
-	ExecutorSpec = exec.Spec
 	// DriftConfig holds the TDF controller tunables (§III-C).
 	DriftConfig = drift.Config
 	// ExperimentOptions control table/figure regeneration.
@@ -217,15 +211,6 @@ func NewChaosEngine(w Workload, cfg NativeConfig, mix ChaosConfig) (*Engine, *ch
 // NativeConfig.Obs before constructing the engine; read it back during or
 // after the run (Engine.Obs, Recorder.Counters/Events/WriteJSONL/Handler).
 func NewRecorder(cfg RecorderConfig) *Recorder { return obs.New(cfg) }
-
-// NewExecutor resolves an executor by name: every scheduler name
-// NewScheduler accepts (run on the simulator) plus "native" (the goroutine
-// runtime). One registry covers both execution vehicles.
-func NewExecutor(name string) (Executor, error) { return exec.ByName(name) }
-
-// ExecutorNames lists the registered executors: all simulator schedulers,
-// then "native".
-func ExecutorNames() []string { return exec.Names() }
 
 // Experiments lists the regenerable tables and figures ("table1", "table2",
 // "fig3" ... "fig15") plus the §II ordering-spectrum extension

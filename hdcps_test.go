@@ -119,29 +119,6 @@ func TestFacadeChaosEngine(t *testing.T) {
 	}
 }
 
-func TestFacadeExecutors(t *testing.T) {
-	for _, n := range ExecutorNames() {
-		if _, err := NewExecutor(n); err != nil {
-			t.Errorf("executor %q: %v", n, err)
-		}
-	}
-	x, err := NewExecutor("native")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWorkload("bfs", Road(12, 12, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := x.Run(w, ExecutorSpec{Cores: 2, Seed: 1})
-	if run.CompletionTime <= 0 || run.Cores != 2 {
-		t.Fatalf("native executor run: %+v", run)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeNames(t *testing.T) {
 	if len(WorkloadNames()) != 6 {
 		t.Fatalf("workloads: %v", WorkloadNames())

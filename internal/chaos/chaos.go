@@ -316,12 +316,13 @@ func (ct *Transport) Recv(id int, dst []task.Task) []task.Task {
 	}
 
 	if ct.cfg.Duplicate > 0 && ct.resubmit != nil && ep.rng.Float64() < ct.cfg.Duplicate {
-		dup := fresh[ep.rng.Intn(len(fresh))]
 		// Through Submit, not the ring: the duplicate becomes a counted
 		// submission, keeping the conservation ledger exact. A duplicate
 		// racing Stop may be refused (ErrStopped) — that is fine, it never
-		// entered the ledger.
-		if err := ct.resubmit(dup); err == nil {
+		// entered the ledger. A drawn bag marker is not duplicated: it names
+		// a payload slot that only one pop may open and release.
+		dup := fresh[ep.rng.Intn(len(fresh))]
+		if !runtime.IsBagMarker(dup) && ct.resubmit(dup) == nil {
 			ct.stats.Duplicates.Add(1)
 		}
 	}

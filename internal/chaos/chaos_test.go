@@ -114,6 +114,37 @@ func TestTransportDeterministicDecisions(t *testing.T) {
 	}
 }
 
+// Duplication re-submits workload tasks but never a bag marker: a second
+// copy would open its payload slot after the first released it, and a
+// bagging run under a duplicating mix would stall.
+func TestTransportNeverDuplicatesBagMarkers(t *testing.T) {
+	marker := task.Task{Node: ^graph.NodeID(0)}
+	if !runtime.IsBagMarker(marker) {
+		t.Fatal("test marker is not a bag marker")
+	}
+	inner := runtime.NewDefaultTransport(runtime.Config{Workers: 2, RingSize: 8})
+	ct := Wrap(inner, 2, Config{Seed: 3, Duplicate: 1})
+	var resubmitted []task.Task
+	ct.BindResubmit(func(ts ...task.Task) error {
+		resubmitted = append(resubmitted, ts...)
+		return nil
+	})
+	for i := 0; i < 20; i++ {
+		ct.Inject(1, []task.Task{marker})
+		if got := ct.Recv(1, nil); len(got) != 1 {
+			t.Fatalf("round %d: received %d tasks, want the marker", i, len(got))
+		}
+	}
+	if len(resubmitted) != 0 || ct.Stats().Duplicates.Load() != 0 {
+		t.Fatalf("duplicated bag markers: %v", resubmitted)
+	}
+	ct.Inject(1, []task.Task{{Node: 5}})
+	ct.Recv(1, nil)
+	if len(resubmitted) != 1 || resubmitted[0].Node != 5 {
+		t.Fatalf("dup=1 did not duplicate a workload task: %v", resubmitted)
+	}
+}
+
 // Checker.Quiescent flags a fabricated ledger hole, and Live flags
 // backwards counters — the harness can actually detect violations.
 func TestCheckerDetectsViolations(t *testing.T) {

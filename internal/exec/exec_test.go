@@ -1,147 +1,181 @@
 package exec
 
 import (
+	"bytes"
 	"testing"
 
 	"hdcps/internal/chaos"
 	"hdcps/internal/graph"
+	"hdcps/internal/obs"
 	"hdcps/internal/runtime"
-	"hdcps/internal/sched"
-	"hdcps/internal/sim"
+	"hdcps/internal/stats"
 	"hdcps/internal/workload"
 )
 
-func TestByNameNative(t *testing.T) {
-	x, err := ByName(NativeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Name() != NativeName {
-		t.Fatalf("name %q", x.Name())
-	}
-	g := graph.Road(12, 12, 3)
-	w, err := workload.New("sssp", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := x.Run(w, Spec{Cores: 2, Seed: 7})
-	if r.CompletionTime <= 0 || r.TasksProcessed <= 0 {
-		t.Fatalf("empty native run: %+v", r)
-	}
-	if r.EdgesExamined <= 0 {
-		t.Fatalf("native run dropped EdgesExamined: %+v", r)
-	}
-	if r.Cores != 2 {
-		t.Fatalf("cores %d, want 2", r.Cores)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestByNameSimulated(t *testing.T) {
-	x, err := ByName("hdcps-sw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Road(12, 12, 3)
-	w, err := workload.New("bfs", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := x.Run(w, Spec{Cores: 8, Seed: 3})
-	if r.CompletionTime <= 0 || r.Cores != 8 {
-		t.Fatalf("sim run wrong: %+v", r)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hardware flag selects the Table I machine.
-	hw := x.Run(w.Clone(), Spec{Seed: 3, Hardware: true})
-	if want := sim.DefaultHW().Cores; hw.Cores != want {
-		t.Fatalf("hardware cores %d, want %d", hw.Cores, want)
-	}
-}
-
-func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown executor must error")
-	}
-}
-
-func TestNamesCoverSchedulersPlusNative(t *testing.T) {
-	names := Names()
-	want := len(sched.Names()) + 2 // native + native-chaos
-	if len(names) != want {
-		t.Fatalf("%d executors, want %d", len(names), want)
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-		if _, err := ByName(n); err != nil {
-			t.Errorf("registered executor %q does not resolve: %v", n, err)
+// tenants builds n workloads over distinct inputs (sssp and bfs alternating)
+// and their job configs, weights n, n-1, ..., 1.
+func tenants(t *testing.T, n int) ([]workload.Workload, []runtime.JobConfig) {
+	t.Helper()
+	var ws []workload.Workload
+	var jcs []runtime.JobConfig
+	for i := 0; i < n; i++ {
+		kind := []string{"sssp", "bfs"}[i%2]
+		w, err := workload.New(kind, graph.Road(40, 40, uint64(3+i)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		ws = append(ws, w)
+		jcs = append(jcs, runtime.JobConfig{Name: kind, Weight: n - i})
 	}
-	if !seen[NativeName] || !seen[ChaosName] {
-		t.Fatalf("registry misses %q or %q: %v", NativeName, ChaosName, names)
-	}
+	return ws, jcs
 }
 
-func TestRunChaos(t *testing.T) {
-	g := graph.Road(12, 12, 3)
-	w, err := workload.New("sssp", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := chaos.Config{Seed: 9, Delay: 0.1, Reorder: 0.3, RingFull: 0.1}
-	r, rep := RunChaos(w, Spec{Cores: 2, Seed: 9, Chaos: &mix})
-	if r.Scheduler != ChaosName || r.TasksProcessed <= 0 {
-		t.Fatalf("empty chaos run: %+v", r)
-	}
+// checkRun fails t unless the run drained, balanced the global ledger and
+// every per-job ledger, quarantined nothing, and computed every answer.
+func checkRun(t *testing.T, ws []workload.Workload, r stats.Run, rep *JobsReport) {
+	t.Helper()
 	if rep.DrainErr != nil {
-		t.Fatalf("chaos run stalled: %v", rep.DrainErr)
+		t.Fatalf("run stalled: %v", rep.DrainErr)
 	}
 	if rep.ConservationErr != nil {
 		t.Fatalf("conservation violated: %v", rep.ConservationErr)
 	}
-	if rep.Snapshot.Outstanding != 0 {
-		t.Fatalf("outstanding %d after drain", rep.Snapshot.Outstanding)
+	if s := rep.Snapshot; s.Outstanding != 0 || s.Submitted+s.Spawned != s.TasksProcessed+s.BagsRetired+s.Quarantined+s.Cancelled {
+		t.Fatalf("global ledger off: %+v", s)
+	}
+	if len(rep.Jobs) != len(ws) {
+		t.Fatalf("%d job rows, want %d", len(rep.Jobs), len(ws))
+	}
+	for i, j := range rep.Jobs {
+		if j.Outstanding != 0 || j.Submitted+j.Spawned != j.Processed+j.BagsRetired+j.Quarantined+j.CancelledTasks {
+			t.Fatalf("job %d ledger off: %+v", i, j)
+		}
 	}
 	if len(rep.Quarantined) != 0 {
-		t.Fatalf("healthy workload quarantined %d tasks", len(rep.Quarantined))
+		t.Fatalf("healthy workloads quarantined %d tasks", len(rep.Quarantined))
 	}
-	if rep.Faults == "" || rep.Mix != mix {
-		t.Fatalf("report incomplete: %+v", rep)
+	if r.TasksProcessed != rep.Snapshot.TasksProcessed || r.CompletionTime <= 0 || r.EdgesExamined <= 0 {
+		t.Fatalf("run metrics wrong: %+v", r)
 	}
 	// Transport faults must not change the answer.
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The registry resolves the same path.
-	x, err := ByName(ChaosName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 := x.Run(w.Clone(), Spec{Cores: 2, Seed: 9}); r2.TasksProcessed <= 0 {
-		t.Fatalf("registry chaos run empty: %+v", r2)
+	for i, w := range ws {
+		if err := w.Verify(); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 }
 
-// TestRunAsStats holds the native executor's adaptation of a runtime.Result
-// into the stats.Run vocabulary shared with the simulator.
-func TestRunAsStats(t *testing.T) {
-	w, _ := workload.New("bfs", graph.Road(10, 10, 1))
-	cfg := runtime.DefaultConfig(2)
-	r := (nativeExecutor{}).Run(w, Spec{Native: &cfg})
-	if r.Scheduler != "native-hdcps" || r.CompletionTime <= 0 || r.Cores != 2 {
-		t.Fatalf("stats adaptation wrong: %+v", r)
+func faultCount(s *chaos.Stats) int64 {
+	return s.DelayedBatches.Load() + s.Duplicates.Load() + s.Reordered.Load() +
+		s.Rejected.Load() + s.Stalls.Load()
+}
+
+func TestRunJobsOneJobUnderChaos(t *testing.T) {
+	ws, jcs := tenants(t, 1)
+	mix := chaos.Config{Seed: 9, Delay: 0.1, Reorder: 0.3, RingFull: 0.2}
+	r, rep, err := RunJobs(ws, jcs, Spec{Cores: 2, Seed: 9, Chaos: &mix})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.EdgesExamined <= 0 {
-		t.Fatalf("EdgesExamined dropped in stats adaptation: %+v", r)
+	checkRun(t, ws, r, rep)
+	if rep.Faults == nil || faultCount(rep.Faults) == 0 {
+		t.Fatalf("mix injected nothing: %v", rep.Faults)
 	}
-	if r := (nativeExecutor{}).Run(w, Spec{Native: &runtime.Config{}}); r.Cores != 4 {
-		t.Fatalf("unset worker count reported as %d cores, want the default 4", r.Cores)
+	if r.Scheduler != "native-hdcps" || r.Cores != 2 {
+		t.Fatalf("run metrics wrong: %+v", r)
+	}
+	if rep.Shares != nil || rep.ShareError() != 0 {
+		t.Fatalf("one-job run measured a fairness window: shares %v", rep.Shares)
+	}
+}
+
+func TestRunJobsThreeJobsUnderChaos(t *testing.T) {
+	ws, jcs := tenants(t, 3)
+	mix := chaos.DefaultMix(5)
+	r, rep, err := RunJobs(ws, jcs, Spec{Cores: 2, Seed: 5, Chaos: &mix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, ws, r, rep)
+	if faultCount(rep.Faults) == 0 {
+		t.Fatalf("mix injected nothing: %v", rep.Faults)
+	}
+	if len(rep.Shares) != 3 || len(rep.WeightShares) != 3 {
+		t.Fatalf("shares %v, weight shares %v", rep.Shares, rep.WeightShares)
+	}
+}
+
+func TestRunJobsDefaultWorkers(t *testing.T) {
+	for _, spec := range []Spec{{}, {Native: &runtime.Config{}}} {
+		ws, jcs := tenants(t, 1)
+		r, rep, err := RunJobs(ws, jcs, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRun(t, ws, r, rep)
+		if r.Cores != 4 || len(rep.Snapshot.Workers) != 4 {
+			t.Fatalf("unset worker count ran %d workers, reported as %d cores; want the default 4",
+				len(rep.Snapshot.Workers), r.Cores)
+		}
+		if rep.Faults != nil {
+			t.Fatal("a run without Spec.Chaos reported fault counters")
+		}
+	}
+}
+
+// TestRunJobsTrace reads back the trace of a one-job run, a three-job run
+// and a three-job chaos run: each has a meta line, per-worker counters that
+// sum to the run's task count, one job row per tenant and one control line
+// per controller interval.
+func TestRunJobsTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		jobs  int
+		chaos bool
+	}{{"one-job", 1, false}, {"three-job", 3, false}, {"three-job-chaos", 3, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, jcs := tenants(t, tc.jobs)
+			cfg := runtime.DefaultConfig(2)
+			cfg.Obs = obs.New(obs.Config{Workers: cfg.Workers})
+			spec := Spec{Seed: 11, Native: &cfg}
+			if tc.chaos {
+				mix := chaos.DefaultMix(11)
+				spec.Chaos = &mix
+			}
+			r, rep, err := RunJobs(ws, jcs, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRun(t, ws, r, rep)
+			var buf bytes.Buffer
+			if err := rep.WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := obs.ReadTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Meta.Schema != obs.TraceSchema || tr.Meta.Workers != cfg.Workers {
+				t.Fatalf("meta line %+v", tr.Meta)
+			}
+			var processed int64
+			for _, row := range tr.Counters {
+				processed += row["tasks_processed"]
+			}
+			if processed != r.TasksProcessed {
+				t.Fatalf("counters sum to %d tasks, the run processed %d", processed, r.TasksProcessed)
+			}
+			if len(tr.Jobs) != tc.jobs {
+				t.Fatalf("%d job rows, want %d", len(tr.Jobs), tc.jobs)
+			}
+			for i, j := range tr.Jobs {
+				if j.Name != jcs[i].Name || j.Processed != rep.Jobs[i].Processed {
+					t.Fatalf("job row %d = %+v, want %s with %d processed", i, j, jcs[i].Name, rep.Jobs[i].Processed)
+				}
+			}
+			if len(r.TDFTrace) == 0 || len(tr.Control) != len(r.TDFTrace) {
+				t.Fatalf("%d control lines for %d controller intervals", len(tr.Control), len(r.TDFTrace))
+			}
+		})
 	}
 }

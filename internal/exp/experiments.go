@@ -5,8 +5,8 @@ import (
 
 	"hdcps/internal/bag"
 	"hdcps/internal/drift"
-	"hdcps/internal/exec"
 	"hdcps/internal/graph"
+	"hdcps/internal/runtime"
 	"hdcps/internal/sched"
 	"hdcps/internal/sim"
 	"hdcps/internal/stats"
@@ -209,21 +209,19 @@ func fig10(o Options, set *inputSet) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	native, err := exec.ByName(exec.NativeName)
-	if err != nil {
-		return res, err
-	}
+	ncfg := runtime.DefaultConfig(workers)
+	ncfg.Seed = o.Seed
 	var simT, natT []float64
 	for i, p := range subset {
 		w, err := set.workloadFor(p)
 		if err != nil {
 			return res, err
 		}
-		nr := native.Run(w, exec.Spec{Cores: workers, Seed: o.Seed})
+		nr := runtime.Run(w, ncfg)
 		if err := w.Verify(); err != nil {
 			return res, fmt.Errorf("exp: native run wrong on %s: %w", p.Label(), err)
 		}
-		simT, natT = append(simT, sims[i].t), append(natT, float64(nr.CompletionTime))
+		simT, natT = append(simT, sims[i].t), append(natT, float64(nr.Elapsed.Nanoseconds()))
 	}
 	gs, gn := stats.Geomean(simT), stats.Geomean(natT)
 	for i, p := range subset {

@@ -13,13 +13,15 @@ package exp
 // the computed answer (every cell is verified).
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"hdcps/internal/exec"
 	"hdcps/internal/obs"
 	"hdcps/internal/runtime"
+	"hdcps/internal/stats"
 	"hdcps/internal/workload"
 )
 
@@ -54,16 +56,16 @@ func queueSweep(o Options, set *inputSet) (Result, error) {
 			var tasks int64
 			var total time.Duration
 			for i := 0; i < reps; i++ {
-				nr, snap := runEngineOnce(w, cfg)
+				nr, rep, err := runOnce(w, cfg)
+				if err != nil {
+					return Result{}, fmt.Errorf("exp: queue-sweep %s/%s: %w", kind, p.Workload, err)
+				}
 				tasks += nr.TasksProcessed
-				total += nr.Elapsed
+				total += rep.Elapsed
 				if kind == runtime.QueueTwoLevel && i == reps-1 {
 					res.Notes = append(res.Notes, fmt.Sprintf(
-						"%s twolevel: %d fallbacks", row.Label, snap.QueueFallbacks))
+						"%s twolevel: %d fallbacks", row.Label, rep.Snapshot.QueueFallbacks))
 				}
-			}
-			if err := w.Verify(); err != nil {
-				return Result{}, fmt.Errorf("exp: queue-sweep %s/%s wrong: %w", kind, p.Workload, err)
 			}
 			row.Values[kind] = float64(tasks) / total.Seconds()
 
@@ -103,15 +105,11 @@ type rankQuality struct {
 func measureRankError(w workload.Workload, cfg runtime.Config) (rankQuality, error) {
 	rec := obs.New(obs.Config{Workers: cfg.Workers, RingSize: 1 << 14, SampleEvery: 16})
 	cfg.Obs = rec
-	e := runtime.NewEngine(w, cfg)
-	_ = e.Submit(w.InitialTasks()...)
-	_ = e.Start()
-	_ = e.Drain(context.Background())
-	snap := e.Snapshot()
-	_ = e.Stop(context.Background())
-	if err := w.Verify(); err != nil {
-		return rankQuality{}, fmt.Errorf("observed rep wrong: %w", err)
+	_, rep, err := runOnce(w, cfg)
+	if err != nil {
+		return rankQuality{}, fmt.Errorf("observed rep: %w", err)
 	}
+	snap := rep.Snapshot
 	q := rankQuality{
 		samples:    snap.RankSamples,
 		inversions: snap.PrioInversions,
@@ -139,15 +137,12 @@ func rankP99(ranks []int64) float64 {
 	return float64(ranks[int(0.99*float64(len(ranks)-1))])
 }
 
-// runEngineOnce drives one full Submit→Drain→Stop cycle on a fresh engine,
-// returning the run metrics and the final snapshot (runtime.Run alone
-// discards the engine, and with it the queue-health counters).
-func runEngineOnce(w workload.Workload, cfg runtime.Config) (runtime.Result, runtime.Snapshot) {
-	e := runtime.NewEngine(w, cfg)
-	_ = e.Submit(w.InitialTasks()...)
-	_ = e.Start()
-	_ = e.Drain(context.Background())
-	snap := e.Snapshot()
-	_ = e.Stop(context.Background())
-	return e.Result(), snap
+// runOnce is one run of cfg's engine through exec.RunJobs, failed unless it
+// drained, balanced its ledger and computed the right answer.
+func runOnce(w workload.Workload, cfg runtime.Config) (stats.Run, *exec.JobsReport, error) {
+	r, rep, err := exec.RunJobs([]workload.Workload{w}, []runtime.JobConfig{{}}, exec.Spec{Native: &cfg})
+	if err == nil {
+		err = errors.Join(rep.DrainErr, rep.ConservationErr, w.Verify())
+	}
+	return r, rep, err
 }

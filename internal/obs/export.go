@@ -1,10 +1,11 @@
 package obs
 
 // Export paths for the recorder: a JSONL trace stream (one self-describing
-// JSON object per line, schema "hdcps-obs/v2") and an http.Handler serving a
-// point-in-time JSON snapshot. The JSONL layout is deliberately grep/jq-friendly:
+// JSON object per line, schema TraceSchema, "hdcps-obs/v3") and an
+// http.Handler serving a point-in-time JSON snapshot. The JSONL layout is
+// deliberately grep/jq-friendly:
 //
-//	{"type":"meta","schema":"hdcps-obs/v2","workers":4,...}
+//	{"type":"meta","schema":"hdcps-obs/v3","workers":4,...}
 //	{"type":"counters","worker":0,"tasks_processed":123,...}
 //	{"type":"job","job":0,"name":"job-0","weight":1,"processed":123,...}
 //	{"type":"event","ts_ns":52100,"worker":1,"kind":"tdf-step","tdf":60,...}

@@ -1,10 +1,11 @@
 package obs
 
 // Trace read-back: the inverse of WriteJSONL, WriteJobsJSONL and
-// WriteControlJSONL. Nothing in the tree consumes a trace through it yet; it
-// is the round-trip check that what the writers emit decodes to what they
-// were given (trace_read_test.go). It reads the current schema only and
-// skips line types and fields it does not know.
+// WriteControlJSONL. Only tests consume a trace through it: the round-trip
+// check that what the writers emit decodes to what they were given
+// (trace_read_test.go), and the check that a native run's trace accounts for
+// the run (internal/exec). It reads the current schema only and skips line
+// types and fields it does not know.
 
 import (
 	"bufio"

@@ -56,7 +56,7 @@ import (
 
 // Config configures a native engine (and the one-shot Run wrapper).
 type Config struct {
-	// Workers is the number of worker goroutines (default GOMAXPROCS-ish 4).
+	// Workers is the number of worker goroutines (default 4).
 	Workers int
 	// RingSize is the per-worker receive ring capacity (default 256).
 	RingSize int
@@ -154,10 +154,13 @@ func idleSpin() int {
 	return 64
 }
 
+// defaultWorkers is the fleet size an unset Config.Workers selects.
+const defaultWorkers = 4
+
 // withDefaults fills unset knobs with the paper-tuned values.
 func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = defaultWorkers
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 256
@@ -180,8 +183,12 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// DefaultConfig returns the paper-tuned native configuration.
+// DefaultConfig returns the paper-tuned native configuration; workers <= 0
+// selects the default fleet of 4.
 func DefaultConfig(workers int) Config {
+	if workers <= 0 {
+		workers = defaultWorkers
+	}
 	return Config{
 		Workers:  workers,
 		RingSize: 256,

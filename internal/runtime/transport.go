@@ -33,6 +33,8 @@ import (
 // identity is an index in [0, workers); Send/Pending/Flush/Recv carry the
 // calling worker's own id and are single-caller per id, while Inject may be
 // called by any number of goroutines concurrently (the Engine.Submit path).
+// A transport may delay, reorder or bounce any task, but must deliver a bag
+// marker (IsBagMarker) exactly once.
 type Transport interface {
 	// Send queues t for delivery from worker src to worker dst (dst != src).
 	// Delivery may be deferred until a batch fills or Flush runs. Tasks
@@ -55,6 +57,12 @@ type Transport interface {
 	// endpoint so far (full-ring flow-control events, for Snapshot).
 	Spills(id int) int64
 }
+
+// IsBagMarker reports whether t is a bag marker: engine metadata naming a bag
+// payload in its creator's store, not a workload task. The worker that pops
+// the marker runs the payload and releases its slot, so a second copy would
+// open a released (or reused) slot.
+func IsBagMarker(t task.Task) bool { return t.Node == bagMarker }
 
 // ringTransport is the production Transport: one endpoint per worker, each
 // a Vyukov-style MPSC ring plus a bounded Treiber overflow stack, with

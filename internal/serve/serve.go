@@ -194,17 +194,12 @@ func New(cfg Config) (*Server, error) {
 		rec = obs.New(obs.Config{Workers: cfg.Workers})
 		rcfg.Obs = rec
 	}
+	var eng *runtime.Engine
 	var ct *chaos.Transport
 	if cfg.Chaos != nil {
-		ccfg := *cfg.Chaos
-		rcfg.NewTransport = func(fc runtime.Config) runtime.Transport {
-			ct = chaos.Wrap(runtime.NewDefaultTransport(fc), fc.Workers, ccfg)
-			return ct
-		}
-	}
-	eng := runtime.NewEngine(wl, rcfg)
-	if ct != nil {
-		ct.BindResubmit(func(ts ...task.Task) error { return eng.Submit(ts...) })
+		eng, ct = chaos.Engine(wl, rcfg, *cfg.Chaos)
+	} else {
+		eng = runtime.NewEngine(wl, rcfg)
 	}
 	s := &Server{
 		cfg:     cfg,
