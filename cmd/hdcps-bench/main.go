@@ -10,7 +10,7 @@
 //	hdcps-bench -list                # available experiments
 //	hdcps-bench -exp fig8 -scale large -seed 7
 //	hdcps-bench -exp all -par 8      # run the experiment grid on 8 workers
-//	hdcps-bench -scale-gate 1.1      # 2 workers vs 1 on sssp/road
+//	hdcps-bench -scale-gate 1.1      # 2 workers vs 1, 2 per CPU vs 2, on sssp/road
 //
 // Performance claims and the regression gate are the benchmark's
 // (benchmark/, make bench-gate), not this command's.
@@ -38,7 +38,7 @@ func main() {
 		trace  = flag.String("trace", "", "JSONL observability trace output for trace-producing experiments (e.g. drift-timeline; \"-\" for stdout)")
 
 		reps = flag.Int("reps", 20, "solves per worker count for -scale-gate (at least 15)")
-		gate = flag.Float64("scale-gate", 0, "scaling gate: solve sssp/road with 1 and 2 workers in turn and fail when the 2-worker median exceeds this multiple of the 1-worker median (0: off)")
+		gate = flag.Float64("scale-gate", 0, "scaling gate: solve sssp/road with 1 and 2 workers and 2 per CPU in turn and fail when the 2-worker median exceeds this multiple of the 1-worker median, or the 2-per-CPU median 2x the 2-worker one (0: off)")
 	)
 	flag.Parse()
 

@@ -180,8 +180,8 @@ func main() {
 			rep.ShareSamples, rep.ShareError())
 	}
 	s := rep.Snapshot
-	fmt.Printf("ledger:          submitted %d + spawned %d = processed %d + bagsRetired %d + quarantined %d + cancelled %d (outstanding %d, redirects %d)\n",
-		s.Submitted, s.Spawned, s.TasksProcessed, s.BagsRetired, s.Quarantined, s.Cancelled, s.Outstanding, s.Redirects)
+	fmt.Printf("ledger:          submitted %d + spawned %d = processed %d + bagsRetired %d + quarantined %d + cancelled %d (outstanding %d, redirects %d, stolen %d)\n",
+		s.Submitted, s.Spawned, s.TasksProcessed, s.BagsRetired, s.Quarantined, s.Cancelled, s.Outstanding, s.Redirects, s.Stolen)
 	if rep.ConservationErr != nil {
 		fatal(fmt.Errorf("conservation FAILED: %w", rep.ConservationErr))
 	}

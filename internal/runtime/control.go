@@ -40,13 +40,14 @@ type controlPlane struct {
 	// priorities are merely on different scales. The matrix is COW: addJob
 	// publishes a grown copy, readers pay one atomic pointer load.
 	reports atomic.Pointer[[][]int64]
-	// An interval closes when every worker has reported at least once since
-	// the last close: reported[w] is set by worker w's first report of the
-	// interval and nReported counts the flags set. Each worker adds at most
-	// once, so exactly one report takes nReported to workers; that reporter
-	// runs the controller, and no other can until it has cleared the flags
-	// and reported again itself.
-	reported  []atomic.Bool
+	// An interval closes on every W-th report, from whichever workers made
+	// them: nReported counts the reports since the last close, and the one
+	// report that would take it to W swaps it back to zero instead, so each
+	// interval has exactly one closer. Counting distinct reporters instead
+	// (until steal-when-behind) stalled the controller whenever one worker ran
+	// too few tasks to report, which thieves emptying its queue make routine;
+	// a worker that goes idle clears its slots instead (idle), so its last
+	// priority cannot pose as drift.
 	nReported atomic.Int64
 	// clamped counts out-of-range priority reports rejected at the
 	// boundary (negative, or colliding with the never-reported sentinel)
@@ -78,7 +79,6 @@ func newControlPlane(cfg Config) *controlPlane {
 	cp := &controlPlane{
 		workers:  cfg.Workers,
 		rec:      cfg.Obs,
-		reported: make([]atomic.Bool, cfg.Workers),
 		ctrl:     drift.NewController(cfg.Drift),
 		snapshot: make([]int64, 0, cfg.Workers),
 	}
@@ -120,9 +120,8 @@ func (cp *controlPlane) SampleInterval() int64 {
 
 // Report implements Algorithm 3's send plus the master-side controller
 // step: the reporting worker stores its latest priority in its slot of the
-// task's job row, and the report that completes an interval (every worker
-// heard from since the last close) assembles the snapshot and runs
-// drift.Controller.Climb.
+// task's job row, and the report that completes an interval (the W-th since
+// the last close) assembles the snapshot and runs drift.Controller.Climb.
 // Drift is measured within each job (priorities of different tenants live on
 // unrelated scales) and the per-job drifts are combined weighted by how many
 // workers reported for the job, so a tenant carrying most of the fleet's
@@ -154,14 +153,15 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 		rec.Add(id, obs.CDriftReports, 1)
 		rec.Event(id, obs.EvDriftReport, prio, int64(job), 0)
 	}
-	if cp.reported[id].Swap(true) || cp.nReported.Add(1) < int64(cp.workers) {
-		return
-	}
-	// The count goes back to zero before any flag clears, so a worker whose
-	// flag has cleared counts toward the new interval, never the closed one.
-	cp.nReported.Store(0)
-	for i := range cp.reported {
-		cp.reported[i].Store(false)
+	for {
+		n := cp.nReported.Load()
+		if n+1 < int64(cp.workers) {
+			if cp.nReported.CompareAndSwap(n, n+1) {
+				return
+			}
+		} else if cp.nReported.CompareAndSwap(n, 0) {
+			break // this report closes the interval
+		}
 	}
 	var (
 		driftSum  float64
@@ -195,6 +195,17 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 	if rec := cp.rec; rec != nil {
 		rec.Add(id, obs.CTDFSteps, 1)
 		rec.Event(id, obs.EvTDFStep, int64(tdf), int64(math.Float64bits(pd)), ref)
+	}
+}
+
+// idle takes an idle worker out of every job's drift snapshot until it
+// reports again: its slots go back to the never-reported sentinel. Only the
+// worker itself writes its slots, so this cannot erase a newer report.
+func (cp *controlPlane) idle(id int) {
+	for _, row := range *cp.reports.Load() {
+		if atomic.LoadInt64(&row[id]) != neverReported {
+			atomic.StoreInt64(&row[id], neverReported)
+		}
 	}
 }
 

@@ -9,34 +9,28 @@ import (
 	"hdcps/internal/obs"
 )
 
-// An interval closes when every worker has reported since the last close,
-// however often the fast ones report meanwhile: before the distinct-reporter
-// fix, four reports from worker 0 closed an interval over three slots nobody
-// had written. And a worker that has never reported for a job stays out of
-// that job's snapshot: before the sentinel fix, its zero-valued slot against
-// priority 1000 fabricated a drift of 500 and steered the first moves.
-func TestControlPlaneClosesOnDistinctReporters(t *testing.T) {
+// An interval closes on every W-th report, whichever workers made them: once
+// thieves can empty a worker's queue it may run too few tasks to report, and
+// waiting for every worker to report (the rule until steal-when-behind)
+// stalled the controller. A slot that was never written, or was cleared when
+// its worker went idle, stays out of its job's snapshot: before the sentinel,
+// a zero-valued slot against priority 1000 fabricated a drift of 500, and an
+// idle worker's last priority would pose as drift.
+func TestControlPlaneClosesEveryWReports(t *testing.T) {
 	cfg := Config{Workers: 2, UseTDF: true}.withDefaults()
 	cp := newControlPlane(cfg)
 	cp.addJob()
-	for i := 0; i < 4; i++ {
-		cp.Report(0, 0, int64(100*i))
-	}
+	cp.Report(0, 0, 100)
 	if h := cp.History(); len(h) != 0 {
-		t.Fatalf("interval closed on one worker's reports alone: %v", h)
+		t.Fatalf("interval closed on one report of two: %v", h)
 	}
-	cp.Report(1, 1, 1000) // worker 1's first report, for job 1 only
+	cp.Report(0, 0, 300) // the second report closes, worker 1 unheard
 	h := cp.History()
-	if len(h) != 1 {
-		t.Fatalf("controller updates %d, want 1 (both workers have reported)", len(h))
+	if len(h) != 1 || h[0].Drift != 0 {
+		t.Fatalf("history %v, want one interval of drift 0: a never-reported slot leaked into a job's snapshot", h)
 	}
-	// Job 0 saw worker 0 alone (latest report 300), job 1 worker 1 alone.
-	if h[0].Drift != 0 {
-		t.Fatalf("drift %v, want 0: a never-reported slot leaked into a job's snapshot", h[0].Drift)
-	}
-	cp.Report(1, 1, 1000)
-	cp.Report(1, 0, 500) // job 0 now has both workers: |500-300|/2
-	cp.Report(0, 0, 300)
+	cp.Report(1, 1, 1000) // worker 1, job 1 only
+	cp.Report(1, 0, 500)  // job 0 now has both workers: |500-300|/2
 	if h = cp.History(); len(h) != 2 {
 		t.Fatalf("controller updates %d, want 2", len(h))
 	}
@@ -44,22 +38,29 @@ func TestControlPlaneClosesOnDistinctReporters(t *testing.T) {
 	if want := 200.0 / 3; h[1].Drift != want {
 		t.Fatalf("drift %v, want %v", h[1].Drift, want)
 	}
+	cp.idle(1)
+	cp.Report(0, 0, 300)
+	cp.Report(0, 0, 300)
+	if h = cp.History(); len(h) != 3 || h[2].Drift != 0 {
+		t.Fatalf("history %v, want a third interval of drift 0: an idle worker's last priority posed as drift", h)
+	}
 }
 
-// Racing reporters close each interval exactly once and only on all W: a
-// worker reporting ten times as often as the rest cannot add intervals, so
-// there are at most as many as the slowest worker has reports (counting
-// reports, the old rule, gave 3.25 times that).
+// Racing reporters close exactly one interval per W reports, however unevenly
+// the workers report: the count is claimed by compare-and-swap, so no report
+// is lost to a concurrent close and no two reports close the same interval.
 func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 	const workers, n = 4, 500
 	cfg := Config{Workers: workers, UseTDF: true}.withDefaults()
 	cp := newControlPlane(cfg)
 	var wg sync.WaitGroup
+	total := 0
 	for w := 0; w < workers; w++ {
 		reports := n
 		if w == 0 {
 			reports = 10 * n
 		}
+		total += reports
 		wg.Add(1)
 		go func(w, reports int) {
 			defer wg.Done()
@@ -69,8 +70,8 @@ func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 		}(w, reports)
 	}
 	wg.Wait()
-	if got := len(cp.History()); got < 1 || got > n {
-		t.Fatalf("%d intervals, want 1..%d: the slowest worker reported %d times", got, n, n)
+	if got, want := len(cp.History()), total/workers; got != want {
+		t.Fatalf("%d intervals from %d reports, want %d", got, total, want)
 	}
 }
 

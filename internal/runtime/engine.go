@@ -63,7 +63,10 @@ type Engine struct {
 	// transport is the stock ringTransport, letting the worker loop make
 	// direct (inlinable) calls instead of paying interface dispatch on
 	// every iteration. Custom transports take the interface path.
-	rt      *ringTransport
+	rt *ringTransport
+	// steals is set when workers steal from each other (steal.go): a strict
+	// queue kind and more than one worker.
+	steals  bool
 	control *controlPlane
 	workers []worker
 	// obs is the optional observability recorder (Config.Obs). Every
@@ -138,6 +141,11 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		e.transport = NewDefaultTransport(cfg)
 	}
 	e.rt, _ = e.transport.(*ringTransport)
+	// Every job of a stealing fleet has front slots (newJobState).
+	e.steals = jobs[0].fronts != nil
+	if e.steals && e.rt != nil {
+		e.rt.shipped = e.shipped
+	}
 	for i := range e.workers {
 		me := &e.workers[i]
 		me.id = i
@@ -146,6 +154,7 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.rng = *graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
 		me.batch = make([]task.Task, cfg.BatchK)
 		me.children = make([]task.Task, 0, 16)
+		me.inbox = make([]task.Task, 0, 64)
 		// One closure for the whole engine, so Process calls do not allocate
 		// a fresh emit callback per task.
 		me.emit = func(c task.Task) { me.children = append(me.children, c) }
@@ -331,7 +340,10 @@ func (e *Engine) submitIdle(js *jobState, ts []task.Task) bool {
 	e.enter(js, int64(len(ts)))
 	nw, first := len(e.workers), e.firstWorker()
 	for i, t := range ts {
-		e.push(&e.workers[(first+i)%nw], t)
+		me := &e.workers[(first+i)%nw]
+		me.mu.Lock()
+		e.push(me, t)
+		me.mu.Unlock()
 	}
 	e.epoch.Add(1)
 	return true

@@ -100,6 +100,10 @@ type jobState struct {
 	// QueueMultiQueue: one c·P-shard structure per job, each worker holding a
 	// handle, so relaxation and work balancing stay within the tenant.
 	mq *pq.MultiQueue
+	// fronts holds each worker's published front for this job — the best
+	// priority left in its queue — where a thief compares them (steal.go); nil
+	// when the fleet does not steal (multiqueue, or one worker).
+	fronts []frontSlot
 
 	cancelled atomic.Bool
 
@@ -158,6 +162,8 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 	if cfg.QueueKind == QueueMultiQueue {
 		// pq's defaults: 4 shards a worker, a shard pair kept for 8 operations.
 		js.mq = pq.NewMultiQueue(pq.MultiQueueConfig{Workers: cfg.Workers, Seed: cfg.Seed})
+	} else if cfg.Workers > 1 {
+		js.fronts = newFronts(cfg.Workers)
 	}
 	return js
 }

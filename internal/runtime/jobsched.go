@@ -6,8 +6,12 @@ package runtime
 // queue's own priority order (localq.go), and the two do not know each other:
 // the worker loop asks next for a queue, pops it, and reports back a hit, a
 // miss, or a charge. One jobSched belongs to one worker and only that
-// worker's goroutine touches it (pre-start submits run under the fleet lock
-// before workers exist), so it holds no lock, no atomic and no engine.
+// worker's goroutine writes it (pre-start submits run under the fleet lock
+// before workers exist), so it holds no lock, no atomic and no engine. A
+// thief (steal.go) reads jqs and a queue's active flag under the owner's lock,
+// which is also where the owner grows jqs and activates or retires a queue.
+
+import "hdcps/internal/task"
 
 // drrQuantum is the deficit-round-robin deposit per unit of job weight, in
 // tasks, made each time the rotation visits a queue. It is the fairness
@@ -65,6 +69,15 @@ func (s *jobSched) queue(js *jobState) *workerJQ {
 	q := newWorkerJQ(*s.cfg, js)
 	s.jqs[id] = q
 	return q
+}
+
+// lookup returns this worker's queue for the given job, or nil when it has
+// none; unlike queue it never materializes one.
+func (s *jobSched) lookup(id task.JobID) *workerJQ {
+	if int(id) < len(s.jqs) {
+		return s.jqs[id]
+	}
+	return nil
 }
 
 // activate appends a queue to the rotation; deactivate takes it out, keeping

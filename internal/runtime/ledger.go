@@ -15,12 +15,16 @@ package runtime
 //
 // Contract (settle before ship). Both signs are deferred, so one rule carries
 // the termination invariant: settle before any call that can make a task
-// visible to another worker. A push into a strict kind's private queue shows
-// nothing; Engine.send settles before the Send that completes a destination
-// batch (every Send of a custom Transport), every Flush site follows a settle,
-// and Engine.push settles before a push into a shared multiqueue. The loop
-// also settles at each dequeue-batch boundary, before it idles or parks, and
-// on exit, so a panic cannot strand a count. Until a worker settles, its whole
+// visible to another worker. In a stealing fleet (steal.go) a strict queue is
+// visible to thieves whenever its owner's lock is free, so the point where a
+// task becomes visible is the cycle-start push under that lock: a unit the
+// worker keeps during a batch waits in its kept buffer, and the loop settles at
+// the batch end, before it idles or parks, and on exit — every way back to the
+// cycle start — so nothing it pushes there is uncounted. Engine.send settles
+// before the Send that completes a destination batch (every Send of a custom
+// Transport), every Flush site follows a settle, and Engine.push settles
+// before a push into a shared multiqueue; a panic cannot strand a count,
+// because the exit settles too. Until a worker settles, its whole
 // popped batch is still counted: outstanding — the engine's and each job's —
 // can read low by at most one batch's spawn per worker, but never zero while
 // work exists and never negative, which is also why handleFault may drop a

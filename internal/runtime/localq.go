@@ -2,9 +2,10 @@ package runtime
 
 // The local-queue layer is each worker's private priority queue (§III-A):
 // tasks drained from the transport land here, and the worker always
-// processes its locally-highest-priority task next. The queue is private to
-// one goroutine, so any pq.Queue implementation works without locks; the
-// policy knob is which shape backs it.
+// processes its locally-highest-priority task next. A queue is touched by its
+// worker alone or, in a fleet that steals, under that worker's lock
+// (steal.go), so any pq.Queue implementation works without locks of its own;
+// the policy knob is which shape backs it.
 
 import (
 	"hdcps/internal/pq"
@@ -65,7 +66,8 @@ func newLocalQueue(cfg Config) LocalQueue {
 // For the strict kinds the queue is private to the worker; for multiqueue it
 // is a handle into the job's fleet-shared structure (jobState.mq), so
 // relaxation and work balancing stay within the tenant. Only the owning
-// worker touches any of it.
+// worker touches the record; a thief (steal.go) touches the strict queue
+// itself, under the owner's lock, and reads active there.
 type workerJQ struct {
 	js    *jobState
 	queue LocalQueue
@@ -84,13 +86,19 @@ type workerJQ struct {
 	// delta is this worker's unsettled move on the job's ledger.
 	delta jobDelta
 
+	// spare is what the dispatch gate reads during a batch: the queue's
+	// length when the cycle start exposed it, plus the units the worker has
+	// kept for the job since (steal.go). A thief may shorten the queue in
+	// between; the gate does not look.
+	spare int
+
 	// The pad rounds the struct up to two cache lines, which is also an
 	// allocator size class: the owner writes deficit and delta for every
 	// task, and a pre-start Submit materializes different workers' queues
 	// back to back from one goroutine, where unpadded neighbours would share
 	// a line (measured on tenants-mixed: +3% CPU a task with one job's source
 	// seeded on worker 1).
-	_ [24]byte
+	_ [16]byte
 }
 
 func (q *workerJQ) push(t task.Task) {
@@ -120,6 +128,13 @@ func (q *workerJQ) peek() (task.Task, bool) {
 		return q.tl.Peek()
 	}
 	return q.queue.Peek()
+}
+
+func (q *workerJQ) len() int {
+	if q.tl != nil {
+		return q.tl.Len()
+	}
+	return q.queue.Len()
 }
 
 // newWorkerJQ builds one worker's queue for one job: a private queue of the

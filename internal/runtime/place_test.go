@@ -33,11 +33,14 @@ func TestDispatchGate(t *testing.T) {
 		t.Errorf("single worker: placed on %d, kept %v", dst, kept)
 	}
 
-	// Engine.dispatch follows the rule: a gated unit (a child or a bag marker)
-	// is pushed and counted, an ungated one at TDF 100 goes to the transport.
+	// Engine.dispatch follows the rule, reading the length the cycle start
+	// exposed plus the units kept since: a gated unit (a child or a bag marker)
+	// is kept for the next cycle start and counted in that length, so the
+	// queue itself does not grow; an ungated one at TDF 100 goes to the
+	// transport. A multiqueue fleet does not steal and exposes no length.
 	for _, tc := range []struct {
-		kind                                string
-		queued, wantLen, wantSent, wantKept int
+		kind                                  string
+		queued, wantSpare, wantSent, wantKept int
 	}{
 		{QueueTwoLevel, batchK - 2, batchK, 0, 2},
 		{QueueDHeap, batchK, batchK, 2, 0},
@@ -50,6 +53,7 @@ func TestDispatchGate(t *testing.T) {
 			e.push(me, task.Task{Node: graph.NodeID(i), Prio: int64(i)})
 		}
 		q := me.sched.queue(e.jobStateFor(0))
+		e.expose(me, q) // what a cycle start leaves the gate
 		rng := me.rng
 		e.dispatch(me, q, task.Task{Node: 9, Prio: 99})
 		e.dispatch(me, q, task.Task{Node: bagMarker, Prio: 99})
@@ -57,9 +61,11 @@ func TestDispatchGate(t *testing.T) {
 			t.Errorf("%s, %d queued: generator moved %v with %d units gated; want a draw spent per unit sent and none per unit kept",
 				tc.kind, tc.queued, me.rng != rng, tc.wantKept)
 		}
-		if got := q.queue.Len(); got != tc.wantLen || e.pending(0) != tc.wantSent || me.keptLocal != int64(tc.wantKept) {
-			t.Errorf("%s, %d queued: queue %d, pending %d, keptLocal %d; want %d, %d, %d",
-				tc.kind, tc.queued, got, e.pending(0), me.keptLocal, tc.wantLen, tc.wantSent, tc.wantKept)
+		if q.spare != tc.wantSpare || len(me.kept) != tc.wantKept || q.len() != tc.queued ||
+			e.pending(0) != tc.wantSent || me.keptLocal != int64(tc.wantKept) {
+			t.Errorf("%s, %d queued: spare %d, kept %d, queue %d, pending %d, keptLocal %d; want %d, %d, %d, %d, %d",
+				tc.kind, tc.queued, q.spare, len(me.kept), q.len(), e.pending(0), me.keptLocal,
+				tc.wantSpare, tc.wantKept, tc.queued, tc.wantSent, tc.wantKept)
 		}
 	}
 }

@@ -24,6 +24,9 @@
 //   - ledger.go — ledger: what the tasks a worker ran did to the
 //     conservation ledger, recorded once per event and settled before any
 //     task can reach another worker;
+//   - steal.go — steal-when-behind: the cycle-start section a worker runs
+//     under its queue lock, the fronts it publishes, and the steal a worker
+//     that popped stale work makes from a peer holding better tasks;
 //   - worker.go — the worker loop that is left: receive, pop a batch, run
 //     each task, place its children.
 //

@@ -18,6 +18,7 @@ type WorkerStats struct {
 	OverflowSpills int64 // full-ring spills that landed at this worker
 	IdleParks      int64 // times the worker parked on a quiescent fleet
 	Redirects      int64 // flow-control bounces this worker kept local
+	Stolen         int64 // tasks this worker took from peers (steal.go)
 }
 
 // Snapshot is a cheap point-in-time view of a running engine: per-worker
@@ -39,8 +40,9 @@ type WorkerStats struct {
 //	Submitted + Spawned >= TasksProcessed + BagsRetired + Quarantined + Cancelled
 //
 // (the add side may lag work in progress, the retire side never leads it).
-// The remaining counters (Bags, EdgesExamined, spills, parks) are published
-// at flush/park/idle boundaries and may lag by at most one flush interval.
+// The remaining counters (Bags, EdgesExamined, spills, parks, Stolen) are
+// published at flush/park/idle boundaries and may lag by at most one flush
+// interval.
 type Snapshot struct {
 	Epoch       uint64 // Submit calls so far
 	Outstanding int64  // tasks submitted or spawned but not yet retired
@@ -63,6 +65,7 @@ type Snapshot struct {
 	Quarantined int64 // poison tasks retired into Engine.Quarantined
 	Cancelled   int64 // tasks discarded by job-scoped Cancel (ledger sink)
 	Redirects   int64 // flow-control bounces kept local (degradation signal)
+	Stolen      int64 // tasks workers took from peers' queues and rings
 
 	// Local-queue health (zero when QueueKind is not twolevel):
 	// QueueFallbacks counts the per-job queues whose bucket ring migrated to
@@ -123,6 +126,7 @@ func (e *Engine) Snapshot() Snapshot {
 			OverflowSpills: e.transport.Spills(i),
 			IdleParks:      me.pub[obs.CIdleParks].Load(),
 			Redirects:      me.pub[obs.COverflowRedirects].Load(),
+			Stolen:         me.stolenPub.Load(),
 		}
 		s.Workers[i] = ws
 		s.TasksProcessed += ws.Processed
@@ -131,6 +135,7 @@ func (e *Engine) Snapshot() Snapshot {
 		s.BagsRetired += me.pub[obs.CBagsRetired].Load()
 		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
+		s.Stolen += ws.Stolen
 		s.QueueFallbacks += me.pub[obs.CQueueFallbacks].Load()
 		s.RankSamples += me.pub[obs.CRankSamples].Load()
 		s.PrioInversions += me.pub[obs.CPrioInversions].Load()

@@ -72,6 +72,10 @@ type ringTransport struct {
 	overflowCap int64         // max tasks parked in one endpoint's overflow; <=0 unbounded
 	rec         *obs.Recorder // nil when observability is disabled
 	eps         []endpoint
+	// shipped, when set, hears of every batch one worker has delivered to
+	// another, once it is in the destination's ring or overflow: the engine
+	// lowers the destination's published fronts with it (steal.go).
+	shipped func(dst int, ts []task.Task)
 }
 
 // endpoint is one worker's transport state. The receive side (ring,
@@ -161,6 +165,9 @@ func (tr *ringTransport) flushTo(src, dst int) []task.Task {
 		return nil
 	}
 	rejected := tr.deliver(dst, buf, true)
+	if tr.shipped != nil && len(rejected) < len(buf) {
+		tr.shipped(dst, buf[:len(buf)-len(rejected)])
+	}
 	ep.pending -= len(buf)
 	ep.out[dst] = buf[:0]
 	return rejected
@@ -222,6 +229,14 @@ func (tr *ringTransport) Recv(id int, dst []task.Task) []task.Task {
 
 func (tr *ringTransport) Inject(id int, ts []task.Task) { tr.deliver(id, ts, false) }
 
+// empty reports that nothing waits on id's receive side. Any goroutine may
+// ask; a send in flight may make it read non-empty early, never empty late
+// once the send has published.
+func (tr *ringTransport) empty(id int) bool {
+	ep := &tr.eps[id]
+	return ep.ring.Len() == 0 && ep.overflow.head.Load() == nil
+}
+
 func (tr *ringTransport) Spills(id int) int64 { return tr.eps[id].spills.Load() }
 
 // overflowStack is the receive-side flow-control fallback: when a
@@ -251,3 +266,71 @@ func (s *overflowStack) push(n *overflowNode) {
 // takeAll detaches the whole stack in one swap; popping everything at once
 // sidesteps the ABA hazard of per-node pops.
 func (s *overflowStack) takeAll() *overflowNode { return s.head.Swap(nil) }
+
+// recv, send, pending, and flush route the worker loop's per-iteration
+// transport calls through the devirtualized rt when the stock transport is
+// in use; a custom Transport pays the interface dispatch instead. send and
+// flush absorb flow-control rejects: tasks a saturated destination bounced
+// stay on the sending worker (spill-to-local). send also enforces the
+// ledger's settle-before-ship rule; flush callers settle first.
+func (e *Engine) recv(id int, buf []task.Task) []task.Task {
+	if e.rt != nil {
+		return e.rt.Recv(id, buf)
+	}
+	return e.transport.Recv(id, buf)
+}
+
+func (e *Engine) send(me *worker, dst int, t task.Task) {
+	var rej []task.Task
+	if rt := e.rt; rt != nil {
+		// Only the Send that completes the destination's batch hands tasks
+		// to another worker.
+		if len(rt.eps[me.id].out[dst])+1 >= rt.batch {
+			e.settle(me)
+		}
+		rej = rt.Send(me.id, dst, t)
+	} else {
+		// A custom transport may deliver on any Send.
+		e.settle(me)
+		rej = e.transport.Send(me.id, dst, t)
+	}
+	if len(rej) > 0 {
+		e.redirect(me, rej)
+	}
+}
+
+func (e *Engine) pending(id int) int {
+	if e.rt != nil {
+		return e.rt.Pending(id)
+	}
+	return e.transport.Pending(id)
+}
+
+func (e *Engine) flush(me *worker) {
+	var rej []task.Task
+	if e.rt != nil {
+		rej = e.rt.Flush(me.id)
+	} else {
+		rej = e.transport.Flush(me.id)
+	}
+	if len(rej) > 0 {
+		e.redirect(me, rej)
+	}
+	me.flushedAt = me.tasks
+}
+
+// redirect keeps flow-control-rejected tasks on the sending worker (keep):
+// they go into its own local queues instead of growing a saturated
+// destination's overflow without bound. Outstanding accounting is untouched —
+// the tasks were already counted when they were spawned (a cancelled job's
+// bounce is discarded by push like any other arrival).
+func (e *Engine) redirect(me *worker, ts []task.Task) {
+	for _, t := range ts {
+		e.keep(me, nil, t)
+	}
+	me.redirects += int64(len(ts))
+	me.pub[obs.COverflowRedirects].Store(me.redirects)
+	if rec := e.obs; rec != nil {
+		rec.Event(me.id, obs.EvRedirect, int64(len(ts)), 0, 0)
+	}
+}

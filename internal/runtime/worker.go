@@ -1,12 +1,14 @@
 package runtime
 
 // The worker loop: what is left of a worker once the job scheduler
-// (jobsched.go), the ledger (ledger.go) and the placement rule (place.go) are
-// cut out. It moves tasks — receive, pop a batch, run each one, place its
-// children — and calls those units at the points their contracts name.
+// (jobsched.go), the ledger (ledger.go), the placement rule (place.go) and the
+// cycle-start section thieves synchronize with (steal.go) are cut out. It moves
+// tasks — receive, pop a batch, run each one, place its children — and calls
+// those units at the points their contracts name.
 
 import (
 	stdruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,6 +42,14 @@ type worker struct {
 	batchPos int
 	batchLen int
 
+	// kept holds the units this worker placed on itself since its last cycle
+	// start (Engine.keep), inbox the scratch its receive side and a steal's
+	// drain of a peer's ring land in, and stale the job of a stale pop since
+	// the last cycle start: the trigger to steal (steal.go).
+	kept  []task.Task
+	inbox []task.Task
+	stale *jobState
+
 	// store holds this worker's outgoing bag payloads (pull transport): the
 	// consumer resolves the metadata's Data field against it and releases
 	// the slot when done.
@@ -64,13 +74,16 @@ type worker struct {
 	// Diagnostics outside the ledger: plain fields on the hot path, mirrored
 	// into pub by publish at flush/park/exit boundaries. keptLocal and
 	// baggedTasks are summed at Result, once the worker has exited: children
-	// the dispatch gate held back, tasks put in bags.
+	// the dispatch gate held back, tasks put in bags. stolen, the tasks this
+	// worker took from peers, publishes into stolenPub (it has no obs
+	// counter).
 	bags        int64
 	edges       int64
 	idleParks   int64
 	redirects   int64
 	keptLocal   int64
 	baggedTasks int64
+	stolen      int64
 
 	// Scheduling-quality accounting (obs-gated: all five stay untouched
 	// when no recorder is attached). popCount strides the sampler at the
@@ -96,14 +109,20 @@ type worker struct {
 	// these counters is exactly the engine's. The worker is the only writer
 	// of the slots it publishes: the four ledger terms at settle, the rest
 	// here.
-	pub      *obs.Row
-	pubLocal obs.Row
+	pub       *obs.Row
+	pubLocal  obs.Row
+	stolenPub atomic.Int64
 
 	// prefetchSink receives the batched loop's CSR-offset loads; writing
 	// them to a field keeps the loads from being dead-code-eliminated.
 	prefetchSink uint32
 
-	_pad [4]int64 // reduce false sharing between workers
+	// mu guards the worker's strict queues, its queue set and their rotation
+	// flags against thieves (steal.go). Thieves try it from other cores, so
+	// it sits on a line of its own.
+	_  [64]byte
+	mu sync.Mutex
+	_  [64]byte
 }
 
 // publish mirrors the worker-local diagnostics into their atomic shadows (the
@@ -113,12 +132,17 @@ func (me *worker) publish() {
 	me.pub[obs.CEdgesExamined].Store(me.edges)
 	me.pub[obs.CIdleParks].Store(me.idleParks)
 	me.pub[obs.COverflowRedirects].Store(me.redirects)
+	me.stolenPub.Store(me.stolen)
 	var fallbacks int64
+	// A thief's ring drain may push into these queues: read them under the
+	// lock.
+	me.mu.Lock()
 	for _, q := range me.sched.jqs {
 		if q != nil && q.tl != nil && q.tl.FellBack() {
 			fallbacks++
 		}
 	}
+	me.mu.Unlock()
 	me.pub[obs.CQueueFallbacks].Store(fallbacks)
 	me.pub[obs.CRankSamples].Store(me.rankSamples)
 	me.pub[obs.CPrioInversions].Store(me.inversions)
@@ -132,8 +156,9 @@ func (e *Engine) park(me *worker) bool {
 	me.idleParks++
 	// The caller has settled; publish() flushes the remaining counter slots
 	// (parks, edges, bags), so the recorder is fully caught up whenever the
-	// worker idles.
+	// worker idles; a parked worker reports no priority.
 	me.publish()
+	e.control.idle(me.id)
 	if rec := e.obs; rec != nil {
 		rec.Event(me.id, obs.EvPark, 0, 0, 0)
 	}
@@ -150,77 +175,10 @@ func (e *Engine) park(me *worker) bool {
 	return !e.stop.Load()
 }
 
-// recv, send, pending, and flush route the worker loop's per-iteration
-// transport calls through the devirtualized rt when the stock transport is
-// in use; a custom Transport pays the interface dispatch instead. send and
-// flush absorb flow-control rejects: tasks a saturated destination bounced
-// stay on the sending worker (spill-to-local). send also enforces the
-// ledger's settle-before-ship rule; flush callers settle first.
-func (e *Engine) recv(id int, buf []task.Task) []task.Task {
-	if e.rt != nil {
-		return e.rt.Recv(id, buf)
-	}
-	return e.transport.Recv(id, buf)
-}
-
-func (e *Engine) send(me *worker, dst int, t task.Task) {
-	var rej []task.Task
-	if rt := e.rt; rt != nil {
-		// Only the Send that completes the destination's batch hands tasks
-		// to another worker.
-		if len(rt.eps[me.id].out[dst])+1 >= rt.batch {
-			e.settle(me)
-		}
-		rej = rt.Send(me.id, dst, t)
-	} else {
-		// A custom transport may deliver on any Send.
-		e.settle(me)
-		rej = e.transport.Send(me.id, dst, t)
-	}
-	if len(rej) > 0 {
-		e.redirect(me, rej)
-	}
-}
-
-func (e *Engine) pending(id int) int {
-	if e.rt != nil {
-		return e.rt.Pending(id)
-	}
-	return e.transport.Pending(id)
-}
-
-func (e *Engine) flush(me *worker) {
-	var rej []task.Task
-	if e.rt != nil {
-		rej = e.rt.Flush(me.id)
-	} else {
-		rej = e.transport.Flush(me.id)
-	}
-	if len(rej) > 0 {
-		e.redirect(me, rej)
-	}
-	me.flushedAt = me.tasks
-}
-
-// redirect keeps flow-control-rejected tasks on the sending worker: they go
-// into its own local queues instead of growing a saturated destination's
-// overflow without bound. Outstanding accounting is untouched — the tasks
-// were already counted when they were spawned (a cancelled job's bounce is
-// discarded by push like any other arrival).
-func (e *Engine) redirect(me *worker, ts []task.Task) {
-	for _, t := range ts {
-		e.push(me, t)
-	}
-	me.redirects += int64(len(ts))
-	me.pub[obs.COverflowRedirects].Store(me.redirects)
-	if rec := e.obs; rec != nil {
-		rec.Event(me.id, obs.EvRedirect, int64(len(ts)), 0, 0)
-	}
-}
-
-// push lands one arriving task (recv, redirect, requeue, local dispatch, or
-// pre-start seed) in this worker's queue for the task's job — or, when the
-// job is cancelled, discards it straight into the cancellation sink.
+// push lands one task in this worker's queue for the task's job — or, when
+// the job is cancelled, discards it straight into the cancellation sink. The
+// caller holds the worker's lock: cycleStart (kept units, arrivals, a steal),
+// a restart's requeue, a pre-start seed.
 func (e *Engine) push(me *worker, t task.Task) {
 	js := e.jobStateFor(t.Job)
 	q := me.sched.queue(js)
@@ -291,30 +249,29 @@ func (e *Engine) runWorker(id int) {
 	// single-task loop, its accounting was already preserved by processOne's
 	// ordering, so only the untouched tail needs to go back.
 	if me.batchLen > 0 {
+		me.mu.Lock()
 		for _, t := range me.batch[me.batchPos+1 : me.batchLen] {
 			e.push(me, t)
 		}
+		me.mu.Unlock()
 		me.batchPos, me.batchLen = 0, 0
 	}
-	buf := make([]task.Task, 0, 64)
 	idle, spin := 0, idleSpin()
 	for {
 		if e.stop.Load() {
 			return
 		}
-		// Drain the receive side (ring + spilled batches) into the queues.
-		buf = e.recv(id, buf[:0])
-		for _, t := range buf {
-			e.push(me, t)
-		}
-
-		// Batched dequeue: the job scheduler fills up to BatchK tasks across
-		// the active jobs, then the tasks are processed back to back. The
-		// batch amortizes the stop/recv/flush checks and gives the loop a
-		// known next task whose CSR row it can prefetch; the cost is bounded
-		// priority relaxation (a child of batch[i] cannot preempt
-		// batch[i+1:], at most BatchK-1 tasks of it).
-		n := e.fillBatch(me)
+		// The cycle start (steal.go), under the worker's lock: the units kept
+		// during the last batch and the receive side (ring + spilled batches)
+		// go into the queues, a worker behind steals, and the job scheduler
+		// fills up to BatchK tasks across the active jobs, which are then
+		// processed back to back. The batch amortizes the stop/recv/flush
+		// checks and gives the loop a known next task whose CSR row it can
+		// prefetch; the cost is bounded priority relaxation (a child of
+		// batch[i] cannot preempt batch[i+1:], at most BatchK-1 tasks of it).
+		// Every way back here settles first, so nothing the section shows a
+		// thief is uncounted.
+		n := e.cycleStart(me)
 		if n == 0 {
 			// Cancellation sweeps may have retired work with no batch to
 			// process: settle those deltas before deciding the fleet is idle,
@@ -337,9 +294,11 @@ func (e *Engine) runWorker(id int) {
 			// Publish once on idle entry so a worker waiting out another
 			// worker's tail never holds counters stale (the hot loop only
 			// republishes at flush boundaries). Later idle iterations skip
-			// the stores: an empty-queue spin cannot change any counter.
+			// the stores: an empty-queue spin cannot change any counter. Its
+			// drift reports go too: an idle worker is at no priority.
 			if idle == 0 {
 				me.publish()
+				e.control.idle(id)
 			}
 			// Adaptive backoff: re-poll hot for a moment (work often lands
 			// within a few hundred ns), then yield the P so the workers
@@ -388,6 +347,8 @@ func (e *Engine) runWorker(id int) {
 // fillBatch fills the worker's dequeue batch from the queues the job
 // scheduler names, telling it how each pop went. Cancelled jobs met on the
 // way are swept into the cancellation sink without consuming batch slots.
+// Every strict queue it leaves in the rotation or takes out of it is exposed
+// (steal.go) before it returns.
 func (e *Engine) fillBatch(me *worker) int {
 	s := &me.sched
 	if s.shared {
@@ -409,12 +370,14 @@ func (e *Engine) fillBatch(me *worker) int {
 				s.miss(q)
 			} else {
 				s.deactivate(q)
+				e.expose(me, q)
 			}
 			continue
 		}
 		t, ok := q.pop()
 		if !ok {
 			s.miss(q)
+			e.expose(me, q)
 			continue
 		}
 		s.hit(q)
@@ -423,6 +386,11 @@ func (e *Engine) fillBatch(me *worker) int {
 		}
 		me.batch[n] = t
 		n++
+	}
+	if e.steals {
+		for _, q := range s.act {
+			e.expose(me, q)
+		}
 	}
 	return n
 }
@@ -572,7 +540,7 @@ func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
 			// brief stall here beats a timer wheel on the happy path.
 			time.Sleep(time.Duration(attempt) * b)
 		}
-		e.push(me, t) // still outstanding; retried by this worker
+		e.keep(me, nil, t) // still outstanding; retried by this worker
 		return
 	}
 	if rec := e.obs; rec != nil {
@@ -605,6 +573,11 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 		// so the retry map only holds tasks still cycling. One atomic load
 		// (of a line that is zero outside fault windows) on the hot path.
 		e.faults.clearRetry(t)
+	}
+	if edges == 0 {
+		// A stale pop: a better path reached the node first, so this worker
+		// is behind on the job (steal.go).
+		me.stale = js
 	}
 	me.edges += int64(edges)
 	me.tasks++
@@ -662,28 +635,22 @@ func countTasks(bags []bag.Bag) int {
 // dispatch routes one unit (task or bag metadata) where the placement rule
 // says, under the job's effective TDF: the drift controller's global signal
 // and the job's TDFBias. Remote units go through the transport's batching;
-// local units go straight to the worker's queue for the job (q).
+// local units are kept for the worker's queue for the job (q).
 func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task) {
-	shared := me.sched.shared
-	qlen := 0
-	if !shared {
-		// The gate reads the queue's length; a shared queue is not gated, and
-		// its Len is c·P atomic loads.
-		qlen = q.queue.Len()
-	}
 	// The draw comes from a copy of the generator that is kept only if the
 	// gate let the unit through: the gate uses no randomness, so the
-	// placements past it are one stream however often it fired.
+	// placements past it are one stream however often it fired. The gate
+	// reads the queue's spare (steal.go); a shared queue is not gated.
 	rng := me.rng
-	dst, kept := place(rng.Uint64(), qlen, e.cfg.BatchK, e.control.TDF(), q.js.tdfBias,
-		me.id, len(e.workers), shared)
+	dst, kept := place(rng.Uint64(), q.spare, e.cfg.BatchK, e.control.TDF(), q.js.tdfBias,
+		me.id, len(e.workers), me.sched.shared)
 	if kept {
 		me.keptLocal++
 	} else {
 		me.rng = rng
 	}
 	if dst == me.id {
-		e.push(me, t)
+		e.keep(me, q, t)
 		return
 	}
 	e.send(me, dst, t)
