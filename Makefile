@@ -68,14 +68,19 @@ procs:
 
 # Chaos tier: the fault-injection soaks (internal/chaos) under the race
 # detector — every mix (delay, duplication, reorder, ring-full, stall,
-# combined, quarantine), the worker-pause-mid-drain regression, and the
-# multi-tenant mixes (mid-drain job cancellation and quota saturation with
-# neighbours running), each asserting the global ledger, every per-job
-# ledger, and the partition identity at every quiescent checkpoint. Seeds
-# are fixed, so a failure reproduces. Set CHAOS_SOAK=1 (the nightly knob)
-# for longer soaks on bigger graphs.
+# combined, quarantine) on the default engine, the worker-pause-mid-drain
+# regression, and the multi-tenant mixes (mid-drain job cancellation and
+# quota saturation with neighbours running), each asserting the global
+# ledger, every per-job ledger, the partition identity and the answer at
+# every quiescent checkpoint — plus the runtime tests that drive the fault
+# hook (steal's drain of a peer through its filter, the shipped front, the
+# idle poll with held arrivals, the ledger's in-flight check, a restart out
+# of a drain): a thief runs a peer's receive filter while the peer's owner
+# runs its send side, which is the split the race detector holds. Seeds are
+# fixed, so a failure reproduces. Set CHAOS_SOAK=1 (the nightly knob) for
+# longer soaks on bigger graphs.
 chaos:
-	$(GO) test -race -count=1 -run 'TestSoak|TestEnginePanic|TestEngineRetry|TestEngineQuarantine|TestEngineDrain|TestEngineOverflow' \
+	$(GO) test -race -count=1 -run 'TestSoak|TestEnginePanic|TestEngineRetry|TestEngineQuarantine|TestEngineDrain|TestEngineOverflow|TestSteal|TestShipped|TestIdlePoll|TestLedgerCoversInFlight|TestEngineRestartMidRun' \
 		./internal/chaos/ ./internal/runtime/
 
 # Serve-chaos tier: the network-boundary soaks under the race detector — a

@@ -146,8 +146,8 @@ func main() {
 	if ncLis != nil {
 		logger.Printf("netchaos: %s", ncLis.Stats())
 	}
-	if ct := s.ChaosTransport(); ct != nil {
-		logger.Printf("chaos: %s", ct.Stats())
+	if st := s.ChaosStats(); st != nil {
+		logger.Printf("chaos: %s", st)
 	}
 	if err != nil {
 		logger.Printf("graceful drain FAILED: %v", err)

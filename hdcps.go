@@ -199,11 +199,12 @@ func DefaultNativeConfig(workers int) NativeConfig { return runtime.DefaultConfi
 func QueueKinds() []string { return runtime.QueueKinds() }
 
 // NewChaosEngine builds an Engine whose transport injects faults from the
-// given mix (see ChaosConfig; chaos.DefaultMix gives the stock mix). The
-// returned transport exposes the injected-fault counts. Use it with
+// given mix (see ChaosConfig; chaos.DefaultMix gives the stock mix) through
+// a hook on its one ring transport: the engine is otherwise the production
+// one. The returned Stats count the injected faults. Use it with
 // chaos.Checker to assert the no-task-loss and termination invariants
 // under fault; DESIGN.md §11 documents the failure model.
-func NewChaosEngine(w Workload, cfg NativeConfig, mix ChaosConfig) (*Engine, *chaos.Transport) {
+func NewChaosEngine(w Workload, cfg NativeConfig, mix ChaosConfig) (*Engine, *chaos.Stats) {
 	return chaos.Engine(w, cfg, mix)
 }
 

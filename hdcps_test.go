@@ -108,8 +108,8 @@ func TestFacadeChaosEngine(t *testing.T) {
 	if len(e.Quarantined()) != 0 {
 		t.Fatalf("healthy workload quarantined: %v", e.Quarantined())
 	}
-	if tp.Stats().String() == "" {
-		t.Fatal("chaos transport reported no stats")
+	if tp.String() == "" {
+		t.Fatal("chaos mix reported no stats")
 	}
 	if err := e.Stop(ctx); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,12 @@
 // Package chaos is the fault-injection harness for the native runtime: a
-// Transport wrapper that perturbs inter-worker task transfer with seeded,
-// deterministic faults — delivery delay, duplication, reordering, transient
-// ring-full rejections, and worker stalls — plus an invariant checker that
-// asserts the engine's conservation ledger and termination guarantees hold
-// under every mix.
+// runtime.FaultHook that perturbs inter-worker task transfer on the engine's
+// one ring transport with seeded, deterministic faults — delivery delay,
+// duplication, reordering, transient ring-full rejections, and worker
+// stalls — plus an invariant checker that asserts the engine's conservation
+// ledger and termination guarantees hold under every mix. The engine under
+// fault is the production engine: the hook only refuses sends and filters
+// drains, and everything else — batching, stealing, the idle skip — runs as
+// it does with no hook.
 //
 // The harness exists to *prove* the fault layer's two claims rather than
 // assume them:
@@ -14,16 +17,18 @@
 //   - termination: Drain always returns — quiescence or a *StallError —
 //     no matter which faults fire.
 //
-// Determinism: every fault decision comes from a per-endpoint seeded RNG
-// (the same splitmix/xorshift generator the engine uses for destination
-// selection), so a seed reproduces the same fault *decision stream*. The OS
-// scheduler still interleaves workers differently run to run — the harness
-// makes the faults reproducible, not the whole execution.
+// Determinism: every fault decision comes from seeded per-worker RNGs, one
+// for the send side and one for the receive side (the same splitmix/xorshift
+// generator the engine uses for destination selection), so a seed reproduces
+// the same fault *decision stream* per call sequence. The OS scheduler still
+// interleaves workers differently run to run — the harness makes the faults
+// reproducible, not the whole execution.
 //
-// Faults are measured in transport turns (Recv rounds), not wall-clock
-// time: a held batch is released after a fixed number of owner polls, and a
-// stalled endpoint wakes after a fixed number of rounds. Since workers keep
-// polling while work is outstanding, every held task is eventually
+// Faults are measured in transport turns (drains of a receive side), not
+// wall-clock time: a held batch is released after a fixed number of drains,
+// and a stalled endpoint wakes after a fixed number of rounds. The hook
+// reports what it holds (Holding), so an idle worker keeps polling its
+// receive side while anything is held; every held task is eventually
 // delivered and termination is preserved by construction.
 package chaos
 
@@ -53,7 +58,7 @@ type Config struct {
 	// from the batch is re-submitted through the engine (message
 	// duplication). Duplicates enter the conservation ledger as submissions,
 	// so the no-loss invariant stays exact; workloads tolerate duplicated
-	// tasks by contract. Requires BindResubmit (chaos.Engine wires it).
+	// tasks by contract. chaos.Engine wires the resubmission.
 	Duplicate float64
 	// Reorder is the probability that a drained Recv batch is shuffled
 	// before delivery (priority-order perturbation).
@@ -63,8 +68,8 @@ type Config struct {
 	// flow-control path.
 	RingFull float64
 	// Stall is the probability, per Recv round, that the endpoint goes deaf
-	// for StallFor rounds (a stalled/descheduled worker: its ring keeps
-	// filling, nothing drains).
+	// for StallFor rounds (a stalled/descheduled worker: whatever reaches it
+	// waits out the stall).
 	Stall float64
 	// StallFor is how many Recv rounds a stall lasts. 0 defaults to 8.
 	StallFor int
@@ -101,61 +106,46 @@ func DefaultMix(seed uint64) Config {
 // stall, stallfor. The spec "default" (or "seed=N" alone with "default")
 // is not special — an empty spec returns DefaultMix(1).
 func ParseSpec(spec string) (Config, error) {
-	cfg := Config{Seed: 1}
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "default" {
-		return DefaultMix(1), nil
+	if spec = strings.TrimSpace(spec); spec == "" {
+		spec = "default"
 	}
+	cfg := Config{Seed: 1}
+	probs := map[string]*float64{"delay": &cfg.Delay, "dup": &cfg.Duplicate, "duplicate": &cfg.Duplicate,
+		"reorder": &cfg.Reorder, "ringfull": &cfg.RingFull, "stall": &cfg.Stall}
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
 			continue
 		}
 		if kv == "default" {
-			base := DefaultMix(cfg.Seed)
-			base.Seed = cfg.Seed
-			cfg = base
+			cfg = DefaultMix(cfg.Seed)
 			continue
 		}
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
 			return Config{}, fmt.Errorf("chaos: bad spec element %q (want key=value)", kv)
 		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		switch k {
-		case "seed", "delayturns", "stallfor":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("chaos: bad %s %q: %v", k, v, err)
-			}
-			switch k {
-			case "seed":
-				cfg.Seed = n
-			case "delayturns":
-				cfg.DelayTurns = int(n)
-			case "stallfor":
-				cfg.StallFor = int(n)
-			}
-		case "delay", "dup", "duplicate", "reorder", "ringfull", "stall":
-			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		if p, ok := probs[k]; ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil || f < 0 || f > 1 {
 				return Config{}, fmt.Errorf("chaos: bad probability %s=%q (want [0,1])", k, v)
 			}
-			switch k {
-			case "delay":
-				cfg.Delay = p
-			case "dup", "duplicate":
-				cfg.Duplicate = p
-			case "reorder":
-				cfg.Reorder = p
-			case "ringfull":
-				cfg.RingFull = p
-			case "stall":
-				cfg.Stall = p
-			}
-		default:
+			*p = f
+			continue
+		}
+		n, err := strconv.ParseUint(v, 10, 64)
+		switch {
+		case k != "seed" && k != "delayturns" && k != "stallfor":
 			return Config{}, fmt.Errorf("chaos: unknown spec key %q", k)
+		case err != nil:
+			return Config{}, fmt.Errorf("chaos: bad %s %q: %v", k, v, err)
+		case k == "seed":
+			cfg.Seed = n
+		case k == "delayturns":
+			cfg.DelayTurns = int(n)
+		default:
+			cfg.StallFor = int(n)
 		}
 	}
 	return cfg, nil
@@ -200,149 +190,148 @@ type heldBatch struct {
 	tasks   []task.Task
 }
 
-// endpoint is one worker's chaos state. Recv and Send for a given id are
-// called only by that worker's goroutine (the Transport contract), so the
-// RNG and the held/stall state need no locks.
-type endpoint struct {
-	rng        *graph.RNG
-	round      uint64 // Recv polls so far (the endpoint's clock)
-	stallUntil uint64 // deaf until this round
-	held       []heldBatch
+// sendHalf is one worker's send-side state. Only that worker's goroutine
+// calls Refuse for it, so the RNG needs no lock.
+type sendHalf struct {
+	rng graph.RNG
+	_   [56]byte // off the neighbours' lines
 }
 
-// Transport wraps an inner runtime.Transport with fault injection. Build
-// one with Wrap (or let chaos.Engine do the wiring) and pass it to the
-// engine via runtime.Config.NewTransport.
-type Transport struct {
+// recvHalf is one worker's receive-side state. The engine never overlaps two
+// Filter calls for one worker — its owner drains under its lock in a stealing
+// fleet, and a thief drains it under the same lock — so the RNG, the round
+// clock, the stall and the held batches need no lock of their own. holding
+// is atomic because any goroutine may ask Holding.
+type recvHalf struct {
+	rng        graph.RNG
+	round      uint64 // drains so far (the endpoint's clock)
+	stallUntil uint64 // deaf until this round
+	held       []heldBatch
+	holding    atomic.Int64 // tasks inside held
+	_          [64]byte
+}
+
+// hook is the runtime.FaultHook a mix runs as.
+type hook struct {
 	cfg   Config
-	inner runtime.Transport
-	eps   []endpoint
+	send  []sendHalf
+	recv  []recvHalf
 	stats Stats
 
 	// resubmit re-enters duplicated tasks through Engine.Submit so they are
-	// ledger-counted submissions, not phantom deliveries. Set by
-	// BindResubmit before Start; nil disables duplication.
+	// ledger-counted submissions, not phantom deliveries. Set before Start;
+	// nil disables duplication.
 	resubmit func(...task.Task) error
 }
 
-// Wrap layers fault injection over inner for a fleet of `workers` endpoints.
-func Wrap(inner runtime.Transport, workers int, cfg Config) *Transport {
+func newHook(workers int, cfg Config) *hook {
 	cfg = cfg.withDefaults()
-	ct := &Transport{cfg: cfg, inner: inner, eps: make([]endpoint, workers)}
-	for i := range ct.eps {
-		// Distinct decision stream per endpoint, derived from the mix seed
-		// with the same odd-constant stride the engine uses per worker.
-		ct.eps[i].rng = graph.NewRNG((cfg.Seed ^ 0xc2b2ae3d27d4eb4f) + uint64(i)*0x9e3779b97f4a7c15)
+	h := &hook{cfg: cfg, send: make([]sendHalf, workers), recv: make([]recvHalf, workers)}
+	for i := range h.send {
+		// Distinct decision streams per worker and side, derived from the
+		// mix seed with the same odd-constant stride the engine uses per
+		// worker.
+		stride := uint64(i) * 0x9e3779b97f4a7c15
+		h.send[i].rng = *graph.NewRNG((cfg.Seed ^ 0xc2b2ae3d27d4eb4f) + stride)
+		h.recv[i].rng = *graph.NewRNG((cfg.Seed ^ 0x165667b19e3779f9) + stride)
 	}
-	return ct
+	return h
 }
 
-// BindResubmit wires the duplication path to the engine's Submit. Must be
-// called before the engine starts (chaos.Engine does this); without it the
-// Duplicate probability is ignored.
-func (ct *Transport) BindResubmit(fn func(...task.Task) error) { ct.resubmit = fn }
-
-// Stats exposes the live fault counters.
-func (ct *Transport) Stats() *Stats { return &ct.stats }
-
-func (ct *Transport) Send(src, dst int, t task.Task) []task.Task {
-	ep := &ct.eps[src]
-	if ct.cfg.RingFull > 0 && ep.rng.Float64() < ct.cfg.RingFull {
-		// Transient saturation: bounce the task exactly as a full
-		// destination would, driving the sender's spill-to-local path.
-		ct.stats.Rejected.Add(1)
-		return []task.Task{t}
+// Refuse bounces a send as if the destination were saturated, driving the
+// sender's spill-to-local path.
+func (h *hook) Refuse(src, _ int, _ task.Task) bool {
+	if h.cfg.RingFull > 0 && h.send[src].rng.Float64() < h.cfg.RingFull {
+		h.stats.Rejected.Add(1)
+		return true
 	}
-	return ct.inner.Send(src, dst, t)
+	return false
 }
 
-func (ct *Transport) Pending(src int) int { return ct.inner.Pending(src) }
-
-func (ct *Transport) Flush(src int) []task.Task { return ct.inner.Flush(src) }
-
-func (ct *Transport) Recv(id int, dst []task.Task) []task.Task {
-	ep := &ct.eps[id]
-	ep.round++
-
-	// A stalled endpoint is deaf: nothing drains, its ring keeps filling.
-	// Bounded in rounds, so the stall always ends while work remains.
-	if ep.round < ep.stallUntil {
-		return dst
+// Filter is one drain of worker id's receive side: the round clock ticks, a
+// stalled endpoint holds what it drained until the stall ends, a fresh batch
+// may be held for DelayTurns rounds, shuffled, or have one task duplicated,
+// and held batches whose time has come are delivered.
+func (h *hook) Filter(id int, ts []task.Task, from int) []task.Task {
+	r := &h.recv[id]
+	r.round++
+	// A stalled endpoint is deaf; bounded in rounds, so the stall always ends
+	// while work remains.
+	if r.round < r.stallUntil {
+		return r.hold(ts, from, r.stallUntil)
 	}
-	if ct.cfg.Stall > 0 && ep.rng.Float64() < ct.cfg.Stall {
-		ep.stallUntil = ep.round + uint64(ct.cfg.StallFor)
-		ct.stats.Stalls.Add(1)
-		return dst
+	if h.cfg.Stall > 0 && r.rng.Float64() < h.cfg.Stall {
+		r.stallUntil = r.round + uint64(h.cfg.StallFor)
+		h.stats.Stalls.Add(1)
+		return r.hold(ts, from, r.stallUntil)
 	}
-
-	// Release held batches that have served their delay.
-	if len(ep.held) > 0 {
-		kept := ep.held[:0]
-		for _, h := range ep.held {
-			if h.release <= ep.round {
-				dst = append(dst, h.tasks...)
-			} else {
-				kept = append(kept, h)
+	if fresh := ts[from:]; len(fresh) > 0 {
+		if h.cfg.Delay > 0 && r.rng.Float64() < h.cfg.Delay {
+			// The tasks stay outstanding the whole time, so no worker parks.
+			h.stats.DelayedBatches.Add(1)
+			h.stats.DelayedTasks.Add(int64(len(fresh)))
+			return r.release(r.hold(ts, from, r.round+uint64(h.cfg.DelayTurns)))
+		}
+		if h.cfg.Reorder > 0 && len(fresh) > 1 && r.rng.Float64() < h.cfg.Reorder {
+			for i := len(fresh) - 1; i > 0; i-- {
+				j := r.rng.Intn(i + 1)
+				fresh[i], fresh[j] = fresh[j], fresh[i]
+			}
+			h.stats.Reordered.Add(1)
+		}
+		if h.cfg.Duplicate > 0 && h.resubmit != nil && r.rng.Float64() < h.cfg.Duplicate {
+			// Through Submit, not the ring: the duplicate becomes a counted
+			// submission, keeping the conservation ledger exact. A duplicate
+			// racing Stop may be refused (ErrStopped) — that is fine, it never
+			// entered the ledger. A drawn bag marker is not duplicated: it
+			// names a payload slot that only one pop may open and release.
+			dup := fresh[r.rng.Intn(len(fresh))]
+			if !runtime.IsBagMarker(dup) && h.resubmit(dup) == nil {
+				h.stats.Duplicates.Add(1)
 			}
 		}
-		ep.held = kept
 	}
-
-	base := len(dst)
-	dst = ct.inner.Recv(id, dst)
-	fresh := dst[base:]
-	if len(fresh) == 0 {
-		return dst
-	}
-
-	if ct.cfg.Delay > 0 && ep.rng.Float64() < ct.cfg.Delay {
-		// Hold the freshly drained batch; it re-emerges DelayTurns polls
-		// from now. The tasks stay outstanding the whole time, so no park.
-		ep.held = append(ep.held, heldBatch{
-			release: ep.round + uint64(ct.cfg.DelayTurns),
-			tasks:   append([]task.Task(nil), fresh...),
-		})
-		ct.stats.DelayedBatches.Add(1)
-		ct.stats.DelayedTasks.Add(int64(len(fresh)))
-		return dst[:base]
-	}
-
-	if ct.cfg.Reorder > 0 && len(fresh) > 1 && ep.rng.Float64() < ct.cfg.Reorder {
-		for i := len(fresh) - 1; i > 0; i-- {
-			j := ep.rng.Intn(i + 1)
-			fresh[i], fresh[j] = fresh[j], fresh[i]
-		}
-		ct.stats.Reordered.Add(1)
-	}
-
-	if ct.cfg.Duplicate > 0 && ct.resubmit != nil && ep.rng.Float64() < ct.cfg.Duplicate {
-		// Through Submit, not the ring: the duplicate becomes a counted
-		// submission, keeping the conservation ledger exact. A duplicate
-		// racing Stop may be refused (ErrStopped) — that is fine, it never
-		// entered the ledger. A drawn bag marker is not duplicated: it names
-		// a payload slot that only one pop may open and release.
-		dup := fresh[ep.rng.Intn(len(fresh))]
-		if !runtime.IsBagMarker(dup) && ct.resubmit(dup) == nil {
-			ct.stats.Duplicates.Add(1)
-		}
-	}
-	return dst
+	return r.release(ts)
 }
 
-func (ct *Transport) Inject(id int, ts []task.Task) { ct.inner.Inject(id, ts) }
+// Holding reports whether worker id's receive side holds undelivered tasks.
+func (h *hook) Holding(id int) bool { return h.recv[id].holding.Load() > 0 }
 
-func (ct *Transport) Spills(id int) int64 { return ct.inner.Spills(id) }
-
-// Engine builds a native engine whose transport is wrapped with the fault
-// mix, wiring the duplication path back into Submit. The returned Transport
-// exposes the fault counters. Call Start on the engine as usual.
-func Engine(w workload.Workload, rcfg runtime.Config, ccfg Config) (*runtime.Engine, *Transport) {
-	var ct *Transport
-	rcfg.NewTransport = func(fc runtime.Config) runtime.Transport {
-		ct = Wrap(runtime.NewDefaultTransport(fc), fc.Workers, ccfg)
-		return ct
+// hold parks ts[from:] until round release and returns ts[:from].
+func (r *recvHalf) hold(ts []task.Task, from int, release uint64) []task.Task {
+	if fresh := ts[from:]; len(fresh) > 0 {
+		r.held = append(r.held, heldBatch{release: release, tasks: append([]task.Task(nil), fresh...)})
+		r.holding.Add(int64(len(fresh)))
 	}
+	return ts[:from]
+}
+
+// release appends the held batches due by this round to ts.
+func (r *recvHalf) release(ts []task.Task) []task.Task {
+	if len(r.held) == 0 {
+		return ts
+	}
+	kept := r.held[:0]
+	for _, b := range r.held {
+		if b.release <= r.round {
+			ts = append(ts, b.tasks...)
+			r.holding.Add(-int64(len(b.tasks)))
+		} else {
+			kept = append(kept, b)
+		}
+	}
+	clear(r.held[len(kept):])
+	r.held = kept
+	return ts
+}
+
+// Engine builds a native engine whose ring transport injects the fault mix,
+// wiring the duplication path back into Submit. The returned Stats count the
+// injected faults while the fleet runs. Call Start on the engine as usual.
+func Engine(w workload.Workload, rcfg runtime.Config, ccfg Config) (*runtime.Engine, *Stats) {
+	h := newHook(runtime.DefaultConfig(rcfg.Workers).Workers, ccfg)
+	rcfg.Faults = h
 	e := runtime.NewEngine(w, rcfg)
-	ct.BindResubmit(func(ts ...task.Task) error { return e.Submit(ts...) })
-	return e, ct
+	h.resubmit = func(ts ...task.Task) error { return e.Submit(ts...) }
+	return e, &h.stats
 }

@@ -51,15 +51,15 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// The wrapper with a zero mix is transparent: same results as the bare
-// transport, nothing counted.
+// The hook with a zero mix is transparent: same results as no hook,
+// nothing counted.
 func TestTransportZeroMixTransparent(t *testing.T) {
 	g := graph.Road(12, 12, 3)
 	w, err := workload.New("bfs", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ct := Engine(w, runtime.Config{Workers: 4}, Config{})
+	e, st := Engine(w, runtime.DefaultConfig(4), Config{})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,7 @@ func TestTransportZeroMixTransparent(t *testing.T) {
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
-	st := ct.Stats()
-	if st.DelayedBatches.Load()+st.Duplicates.Load()+st.Reordered.Load()+
-		st.Rejected.Load()+st.Stalls.Load() != 0 {
+	if faultCount(st) != 0 {
 		t.Fatalf("zero mix injected faults: %s", st)
 	}
 	if err := w.Verify(); err != nil {
@@ -86,20 +84,20 @@ func TestTransportZeroMixTransparent(t *testing.T) {
 	}
 }
 
-// Same seed, same fault decision stream: the per-endpoint RNG makes the
-// injected fault pattern a pure function of (seed, call sequence).
+// Same seed, same fault decision stream: the per-worker send and receive
+// RNGs make the injected fault pattern a pure function of (seed, call
+// sequence).
 func TestTransportDeterministicDecisions(t *testing.T) {
 	run := func(seed uint64) []int64 {
-		inner := runtime.NewDefaultTransport(runtime.Config{Workers: 2, RingSize: 8})
-		ct := Wrap(inner, 2, Config{Seed: seed, RingFull: 0.3, Reorder: 0.5})
+		h := newHook(2, Config{Seed: seed, RingFull: 0.3, Reorder: 0.5})
 		var rejected int64
 		for i := 0; i < 200; i++ {
-			if rej := ct.Send(0, 1, task.Task{Node: graph.NodeID(i)}); len(rej) > 0 {
+			if h.Refuse(0, 1, task.Task{Node: graph.NodeID(i)}) {
 				rejected++
 			}
-			ct.Recv(1, nil)
+			h.Filter(1, []task.Task{{Node: 1}, {Node: 2}, {Node: 3}}, 0)
 		}
-		return []int64{rejected, ct.Stats().Reordered.Load()}
+		return []int64{rejected, h.stats.Reordered.Load()}
 	}
 	a, b := run(11), run(11)
 	if a[0] != b[0] || a[1] != b[1] {
@@ -122,24 +120,21 @@ func TestTransportNeverDuplicatesBagMarkers(t *testing.T) {
 	if !runtime.IsBagMarker(marker) {
 		t.Fatal("test marker is not a bag marker")
 	}
-	inner := runtime.NewDefaultTransport(runtime.Config{Workers: 2, RingSize: 8})
-	ct := Wrap(inner, 2, Config{Seed: 3, Duplicate: 1})
+	h := newHook(2, Config{Seed: 3, Duplicate: 1})
 	var resubmitted []task.Task
-	ct.BindResubmit(func(ts ...task.Task) error {
+	h.resubmit = func(ts ...task.Task) error {
 		resubmitted = append(resubmitted, ts...)
 		return nil
-	})
+	}
 	for i := 0; i < 20; i++ {
-		ct.Inject(1, []task.Task{marker})
-		if got := ct.Recv(1, nil); len(got) != 1 {
-			t.Fatalf("round %d: received %d tasks, want the marker", i, len(got))
+		if got := h.Filter(1, []task.Task{marker}, 0); len(got) != 1 {
+			t.Fatalf("round %d: delivered %d tasks, want the marker", i, len(got))
 		}
 	}
-	if len(resubmitted) != 0 || ct.Stats().Duplicates.Load() != 0 {
+	if len(resubmitted) != 0 || h.stats.Duplicates.Load() != 0 {
 		t.Fatalf("duplicated bag markers: %v", resubmitted)
 	}
-	ct.Inject(1, []task.Task{{Node: 5}})
-	ct.Recv(1, nil)
+	h.Filter(1, []task.Task{{Node: 5}}, 0)
 	if len(resubmitted) != 1 || resubmitted[0].Node != 5 {
 		t.Fatalf("dup=1 did not duplicate a workload task: %v", resubmitted)
 	}
@@ -188,10 +183,9 @@ func TestFaultyWorkloadTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewFaulty(inner, FaultyConfig{PanicEvery: 7, FailAttempts: 1})
-	e, _ := Engine(w, runtime.Config{
-		Workers: 4,
-		Retry:   runtime.RetryPolicy{MaxAttempts: 3},
-	}, Config{})
+	rcfg := runtime.DefaultConfig(4)
+	rcfg.Retry = runtime.RetryPolicy{MaxAttempts: 3}
+	e, _ := Engine(w, rcfg, Config{})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hdcps/internal/runtime"
+	"hdcps/internal/workload"
 )
 
 // TestSoakMultiJobCancelUnderChaos cancels one tenant mid-drain every round
@@ -24,12 +25,9 @@ import (
 func TestSoakMultiJobCancelUnderChaos(t *testing.T) {
 	keeperA := soakWorkload(t)
 	keeperB := soakWorkload(t)
-	rcfg := runtime.Config{
-		Workers:      4,
-		StallTimeout: 30 * time.Second,
-		DefaultJob:   runtime.JobConfig{Name: "keeper-a", Weight: 2},
-	}
-	e, ct := Engine(keeperA, rcfg, Config{Seed: 11, Delay: 0.2, DelayTurns: 4, Duplicate: 0.1, Reorder: 0.5})
+	rcfg := soakConfig()
+	rcfg.DefaultJob = runtime.JobConfig{Name: "keeper-a", Weight: 2}
+	e, st := Engine(keeperA, rcfg, Config{Seed: 11, Delay: 0.2, DelayTurns: 4, Duplicate: 0.1, Reorder: 0.5})
 	ja := e.DefaultJob()
 	jb, err := e.NewJob(keeperB, runtime.JobConfig{Name: "keeper-b", Weight: 1})
 	if err != nil {
@@ -92,22 +90,26 @@ func TestSoakMultiJobCancelUnderChaos(t *testing.T) {
 				t.Fatalf("round %d: %s still has %d outstanding after Drain", round, name, js.Outstanding)
 			}
 		}
+		verifyAll(t, round, map[string]workload.Workload{"keeper-a": keeperA, "keeper-b": keeperB})
 	}
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
-	st := ct.Stats()
 	if st.DelayedBatches.Load()+st.Duplicates.Load()+st.Reordered.Load() == 0 {
 		t.Fatal("fault mix injected nothing")
 	}
 	if cancelledTotal == 0 {
 		t.Fatal("no victim task was ever discarded mid-flight; cancel raced nothing")
 	}
-	if err := keeperA.Verify(); err != nil {
-		t.Fatalf("keeper-a: %v", err)
-	}
-	if err := keeperB.Verify(); err != nil {
-		t.Fatalf("keeper-b: %v", err)
+}
+
+// verifyAll checks every named tenant's answer at a quiescent checkpoint.
+func verifyAll(t *testing.T, round int, ws map[string]workload.Workload) {
+	t.Helper()
+	for name, w := range ws {
+		if err := w.Verify(); err != nil {
+			t.Fatalf("round %d: %s: %v", round, name, err)
+		}
 	}
 }
 
@@ -118,12 +120,9 @@ func TestSoakMultiJobCancelUnderChaos(t *testing.T) {
 // work drains exactly, and both tenants verify.
 func TestSoakMultiJobQuota(t *testing.T) {
 	bulk := soakWorkload(t)
-	rcfg := runtime.Config{
-		Workers:      4,
-		StallTimeout: 30 * time.Second,
-		DefaultJob:   runtime.JobConfig{Name: "bulk", Weight: 4},
-	}
-	e, ct := Engine(bulk, rcfg, DefaultMix(12))
+	rcfg := soakConfig()
+	rcfg.DefaultJob = runtime.JobConfig{Name: "bulk", Weight: 4}
+	e, st := Engine(bulk, rcfg, DefaultMix(12))
 	jBulk := e.DefaultJob()
 	capped := soakWorkload(t)
 	jCap, err := e.NewJob(capped, runtime.JobConfig{Name: "capped", Weight: 1, MaxOutstanding: 8})
@@ -177,6 +176,7 @@ func TestSoakMultiJobQuota(t *testing.T) {
 		if err := chk.Quiescent(e.Snapshot()); err != nil {
 			t.Fatalf("round %d (quiescent): %v", round, err)
 		}
+		verifyAll(t, round, map[string]workload.Workload{"bulk": bulk, "capped": capped})
 	}
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
@@ -191,15 +191,7 @@ func TestSoakMultiJobQuota(t *testing.T) {
 	if got := jBulk.Snapshot().QuotaRejected; got != 0 {
 		t.Fatalf("unlimited bulk job recorded %d quota rejections", got)
 	}
-	st := ct.Stats()
-	if st.DelayedBatches.Load()+st.Duplicates.Load()+st.Reordered.Load()+
-		st.Rejected.Load()+st.Stalls.Load() == 0 {
+	if faultCount(st) == 0 {
 		t.Fatal("fault mix injected nothing")
-	}
-	if err := bulk.Verify(); err != nil {
-		t.Fatalf("bulk: %v", err)
-	}
-	if err := capped.Verify(); err != nil {
-		t.Fatalf("capped: %v", err)
 	}
 }

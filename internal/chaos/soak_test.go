@@ -1,13 +1,15 @@
 package chaos
 
-// Soak tests: repeated Submit→Drain rounds under every fault mix, with the
-// invariant checker asserting the conservation ledger at each quiescent
-// checkpoint and race-safe liveness checks while the fleet runs. These run
-// under -race in CI (`make chaos`); setting CHAOS_SOAK=1 (the nightly knob)
-// lengthens every soak.
+// Soak tests: repeated Submit→Drain rounds under every fault mix on the
+// default engine (bags on, adaptive TDF, stealing), with the invariant
+// checker asserting the conservation ledger and the workload's answer at
+// each quiescent checkpoint and race-safe liveness checks while the fleet
+// runs. These run under -race in CI (`make chaos`); setting CHAOS_SOAK=1 (the
+// nightly knob) lengthens every soak.
 
 import (
 	"os"
+	stdruntime "runtime"
 	"testing"
 	"time"
 
@@ -36,15 +38,21 @@ func soakGraph() *graph.CSR {
 	return graph.Road(48, 48, 3)
 }
 
+// soakConfig is the engine a soak runs: the default one at four workers, with
+// Drain's watchdog armed.
+func soakConfig() runtime.Config {
+	cfg := runtime.DefaultConfig(4)
+	cfg.StallTimeout = 30 * time.Second
+	return cfg
+}
+
 // soak drives one workload through rounds of Submit→Drain under the mix,
-// checking liveness invariants mid-drain and the conservation ledger at
-// every checkpoint. Returns the engine for mix-specific assertions.
-func soak(t *testing.T, w workload.Workload, rcfg runtime.Config, ccfg Config) (*runtime.Engine, *Transport) {
+// checking liveness invariants mid-drain, and the conservation ledger and —
+// unless a task was quarantined, which may change it — the workload's answer
+// at every checkpoint. Returns the engine for mix-specific assertions.
+func soak(t *testing.T, w workload.Workload, rcfg runtime.Config, ccfg Config) (*runtime.Engine, *Stats) {
 	t.Helper()
-	if rcfg.StallTimeout == 0 {
-		rcfg.StallTimeout = 30 * time.Second
-	}
-	e, ct := Engine(w, rcfg, ccfg)
+	e, st := Engine(w, rcfg, ccfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +81,16 @@ func soak(t *testing.T, w workload.Workload, rcfg runtime.Config, ccfg Config) (
 		if err := chk.Quiescent(e.Snapshot()); err != nil {
 			t.Fatalf("round %d (quiescent): %v", round, err)
 		}
+		if len(e.Quarantined()) == 0 {
+			if err := w.Verify(); err != nil {
+				t.Fatalf("round %d (verify): %v", round, err)
+			}
+		}
 	}
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
-	return e, ct
+	return e, st
 }
 
 func soakWorkload(t *testing.T) workload.Workload {
@@ -90,25 +103,17 @@ func soakWorkload(t *testing.T) workload.Workload {
 }
 
 func TestSoakDelay(t *testing.T) {
-	w := soakWorkload(t)
-	_, ct := soak(t, w, runtime.Config{Workers: 4}, Config{Seed: 1, Delay: 0.2, DelayTurns: 4})
-	if ct.Stats().DelayedBatches.Load() == 0 {
+	_, st := soak(t, soakWorkload(t), soakConfig(), Config{Seed: 1, Delay: 0.2, DelayTurns: 4})
+	if st.DelayedBatches.Load() == 0 {
 		t.Fatal("delay mix injected nothing")
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
+// Workloads tolerate duplicated tasks by contract; the answer must hold.
 func TestSoakDuplicate(t *testing.T) {
-	w := soakWorkload(t)
-	_, ct := soak(t, w, runtime.Config{Workers: 4}, Config{Seed: 2, Duplicate: 0.1})
-	if ct.Stats().Duplicates.Load() == 0 {
+	_, st := soak(t, soakWorkload(t), soakConfig(), Config{Seed: 2, Duplicate: 0.1})
+	if st.Duplicates.Load() == 0 {
 		t.Fatal("duplicate mix injected nothing")
-	}
-	// Workloads tolerate duplicated tasks by contract; the answer must hold.
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -118,7 +123,8 @@ func TestSoakDuplicate(t *testing.T) {
 func TestSoakDuplicateSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		w := soakWorkload(t)
-		rcfg := runtime.Config{Workers: 4, StallTimeout: 5 * time.Second}
+		rcfg := soakConfig()
+		rcfg.StallTimeout = 5 * time.Second
 		e, _ := Engine(w, rcfg, Config{Seed: seed, Duplicate: 0.3})
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
@@ -134,71 +140,75 @@ func TestSoakDuplicateSeeds(t *testing.T) {
 			if err := chk.Quiescent(e.Snapshot()); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
+			if err := w.Verify(); err != nil {
+				t.Fatalf("seed %d round %d: verify: %v", seed, round, err)
+			}
 		}
 		if err := e.Stop(testCtx(t)); err != nil {
 			t.Fatal(err)
-		}
-		if err := w.Verify(); err != nil {
-			t.Fatalf("seed %d: verify: %v", seed, err)
 		}
 	}
 }
 
 func TestSoakReorder(t *testing.T) {
-	w := soakWorkload(t)
-	_, ct := soak(t, w, runtime.Config{Workers: 4}, Config{Seed: 3, Reorder: 0.5})
-	if ct.Stats().Reordered.Load() == 0 {
+	_, st := soak(t, soakWorkload(t), soakConfig(), Config{Seed: 3, Reorder: 0.5})
+	if st.Reordered.Load() == 0 {
 		t.Fatal("reorder mix injected nothing")
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestSoakRingFull(t *testing.T) {
-	w := soakWorkload(t)
-	_, ct := soak(t, w, runtime.Config{Workers: 4, RingSize: 16, OverflowCap: 32},
-		Config{Seed: 4, RingFull: 0.2})
-	if ct.Stats().Rejected.Load() == 0 {
+	rcfg := soakConfig()
+	rcfg.RingSize, rcfg.OverflowCap = 16, 32
+	_, st := soak(t, soakWorkload(t), rcfg, Config{Seed: 4, RingFull: 0.2})
+	if st.Rejected.Load() == 0 {
 		t.Fatal("ringfull mix injected nothing")
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestSoakStall(t *testing.T) {
-	w := soakWorkload(t)
-	_, ct := soak(t, w, runtime.Config{Workers: 4}, Config{Seed: 5, Stall: 0.05, StallFor: 16})
-	if ct.Stats().Stalls.Load() == 0 {
+	_, st := soak(t, soakWorkload(t), soakConfig(), Config{Seed: 5, Stall: 0.05, StallFor: 16})
+	if st.Stalls.Load() == 0 {
 		t.Fatal("stall mix injected nothing")
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // Everything at once: transport faults plus transient handler panics, with
-// retries absorbing the panics so the run still converges and verifies.
+// retries absorbing the panics so the run still converges and verifies —
+// once as the host runs it, and once with the four workers sharing one P,
+// where a worker is descheduled while it holds the best work and the others
+// steal it.
 func TestSoakCombined(t *testing.T) {
-	w := NewFaulty(soakWorkload(t), FaultyConfig{PanicEvery: 13, FailAttempts: 1})
-	e, ct := soak(t, w,
-		runtime.Config{Workers: 4, Retry: runtime.RetryPolicy{MaxAttempts: 3}},
-		DefaultMix(6))
-	st := ct.Stats()
-	if st.DelayedBatches.Load()+st.Duplicates.Load()+st.Reordered.Load()+
-		st.Rejected.Load()+st.Stalls.Load() == 0 {
-		t.Fatal("combined mix injected nothing")
+	for _, procs := range []int{0, 1} {
+		name := "gomaxprocs-host"
+		if procs > 0 {
+			name = "gomaxprocs-1"
+		}
+		t.Run(name, func(t *testing.T) {
+			if procs > 0 {
+				defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(procs))
+			}
+			w := NewFaulty(soakWorkload(t), FaultyConfig{PanicEvery: 13, FailAttempts: 1})
+			rcfg := soakConfig()
+			rcfg.Retry = runtime.RetryPolicy{MaxAttempts: 3}
+			e, st := soak(t, w, rcfg, DefaultMix(6))
+			if faultCount(st) == 0 {
+				t.Fatal("combined mix injected nothing")
+			}
+			if w.Panics() == 0 {
+				t.Fatal("no handler panics injected")
+			}
+			if q := e.Quarantined(); len(q) != 0 {
+				t.Fatalf("transient faults quarantined %d tasks", len(q))
+			}
+		})
 	}
-	if w.Panics() == 0 {
-		t.Fatal("no handler panics injected")
-	}
-	if q := e.Quarantined(); len(q) != 0 {
-		t.Fatalf("transient faults quarantined %d tasks", len(q))
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// faultCount is every fault a mix injected.
+func faultCount(st *Stats) int64 {
+	return st.DelayedBatches.Load() + st.Duplicates.Load() + st.Reordered.Load() +
+		st.Rejected.Load() + st.Stalls.Load()
 }
 
 // The PR-5 queue matrix: the full fault mix over each local-queue shape
@@ -208,19 +218,11 @@ func TestSoakCombined(t *testing.T) {
 func TestSoakQueueKinds(t *testing.T) {
 	for _, kind := range runtime.QueueKinds() {
 		t.Run(kind, func(t *testing.T) {
-			w := soakWorkload(t)
-			_, ct := soak(t, w, runtime.Config{
-				Workers:   4,
-				QueueKind: kind,
-				BatchK:    4,
-			}, DefaultMix(7))
-			st := ct.Stats()
-			if st.DelayedBatches.Load()+st.Duplicates.Load()+st.Reordered.Load()+
-				st.Rejected.Load()+st.Stalls.Load() == 0 {
+			rcfg := soakConfig()
+			rcfg.QueueKind, rcfg.BatchK = kind, 4
+			_, st := soak(t, soakWorkload(t), rcfg, DefaultMix(7))
+			if faultCount(st) == 0 {
 				t.Fatal("mix injected nothing")
-			}
-			if err := w.Verify(); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
@@ -231,9 +233,9 @@ func TestSoakQueueKinds(t *testing.T) {
 // Drain must still terminate.
 func TestSoakQuarantine(t *testing.T) {
 	w := NewFaulty(soakWorkload(t), FaultyConfig{PanicEvery: 29, FailAttempts: 1 << 30})
-	e, _ := soak(t, w,
-		runtime.Config{Workers: 4, Retry: runtime.RetryPolicy{MaxAttempts: 2}},
-		DefaultMix(7))
+	rcfg := soakConfig()
+	rcfg.Retry = runtime.RetryPolicy{MaxAttempts: 2}
+	e, _ := soak(t, w, rcfg, DefaultMix(7))
 	if len(e.Quarantined()) == 0 {
 		t.Fatal("poison mix quarantined nothing")
 	}
@@ -268,8 +270,7 @@ func (p *pausing) Process(t task.Task, emit func(task.Task)) int {
 func TestSoakWorkerPauseMidDrain(t *testing.T) {
 	inner := soakWorkload(t)
 	p := &pausing{Workload: inner, started: make(chan struct{}, 1)}
-	e, _ := Engine(p, runtime.Config{Workers: 4, StallTimeout: 30 * time.Second},
-		Config{Seed: 8, Stall: 0.02, StallFor: 8})
+	e, _ := Engine(p, soakConfig(), Config{Seed: 8, Stall: 0.02, StallFor: 8})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +300,11 @@ func TestSoakWorkerPauseMidDrain(t *testing.T) {
 		if err := chk.Quiescent(e.Snapshot()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		if err := inner.Verify(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 	if err := e.Stop(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }

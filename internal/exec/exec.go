@@ -37,8 +37,8 @@ type Spec struct {
 	// when set (Seed still applies if Native.Seed is zero, and an unset
 	// Native.Workers is the default fleet).
 	Native *runtime.Config
-	// Chaos, when set, wraps the engine's transport in this fault mix
-	// (chaos.Engine); nil runs the plain transport.
+	// Chaos, when set, injects this fault mix into the engine's transport
+	// (chaos.Engine); nil runs without faults.
 	Chaos *chaos.Config
 }
 
@@ -75,7 +75,7 @@ type JobsReport struct {
 	// Quarantined is the poison-task list (empty unless a handler panics
 	// past its retry budget).
 	Quarantined []runtime.QuarantinedTask
-	// Faults is the chaos transport's injected-fault counters (nil without
+	// Faults is the chaos mix's injected-fault counters (nil without
 	// Spec.Chaos).
 	Faults *chaos.Stats
 
@@ -130,9 +130,7 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 
 	rep := &JobsReport{WeightShares: weightShares(jcs)}
 	if spec.Chaos != nil {
-		var ct *chaos.Transport
-		rep.eng, ct = chaos.Engine(ws[0], cfg, *spec.Chaos)
-		rep.Faults = ct.Stats()
+		rep.eng, rep.Faults = chaos.Engine(ws[0], cfg, *spec.Chaos)
 	} else {
 		rep.eng = runtime.NewEngine(ws[0], cfg)
 	}

@@ -58,12 +58,7 @@ const (
 type Engine struct {
 	cfg       Config
 	w         workload.Workload
-	transport Transport
-	// rt is the devirtualized view of the default transport: non-nil when
-	// transport is the stock ringTransport, letting the worker loop make
-	// direct (inlinable) calls instead of paying interface dispatch on
-	// every iteration. Custom transports take the interface path.
-	rt *ringTransport
+	transport *ringTransport
 	// steals is set when workers steal from each other (steal.go): a strict
 	// queue kind and more than one worker.
 	steals  bool
@@ -135,16 +130,11 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 	// table directly.
 	jobs := []*jobState{newJobState(0, w, cfg.DefaultJob, cfg)}
 	e.jobs.Store(&jobs)
-	if cfg.NewTransport != nil {
-		e.transport = cfg.NewTransport(cfg)
-	} else {
-		e.transport = NewDefaultTransport(cfg)
-	}
-	e.rt, _ = e.transport.(*ringTransport)
+	e.transport = newRingTransport(cfg.Workers, cfg.RingSize, sendBatch, cfg.OverflowCap, cfg.Obs, cfg.Faults)
 	// Every job of a stealing fleet has front slots (newJobState).
 	e.steals = jobs[0].fronts != nil
-	if e.steals && e.rt != nil {
-		e.rt.shipped = e.shipped
+	if e.steals {
+		e.transport.shipped = e.shipped
 	}
 	for i := range e.workers {
 		me := &e.workers[i]

@@ -21,9 +21,10 @@ package runtime
 // worker keeps during a batch waits in its kept buffer, and the loop settles at
 // the batch end, before it idles or parks, and on exit — every way back to the
 // cycle start — so nothing it pushes there is uncounted. Engine.send settles
-// before the Send that completes a destination batch (every Send of a custom
-// Transport), every Flush site follows a settle, and Engine.push settles
-// before a push into a shared multiqueue; a panic cannot strand a count,
+// before the Send that completes a destination batch (a fault hook only
+// refuses sends and filters drains, so the rule holds with one attached),
+// every Flush site follows a settle, and Engine.push settles before a push
+// into a shared multiqueue; a panic cannot strand a count,
 // because the exit settles too. Until a worker settles, its whole
 // popped batch is still counted: outstanding — the engine's and each job's —
 // can read low by at most one batch's spawn per worker, but never zero while

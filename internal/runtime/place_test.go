@@ -62,9 +62,9 @@ func TestDispatchGate(t *testing.T) {
 				tc.kind, tc.queued, me.rng != rng, tc.wantKept)
 		}
 		if q.spare != tc.wantSpare || len(me.kept) != tc.wantKept || q.len() != tc.queued ||
-			e.pending(0) != tc.wantSent || me.keptLocal != int64(tc.wantKept) {
+			e.transport.Pending(0) != tc.wantSent || me.keptLocal != int64(tc.wantKept) {
 			t.Errorf("%s, %d queued: spare %d, kept %d, queue %d, pending %d, keptLocal %d; want %d, %d, %d, %d, %d",
-				tc.kind, tc.queued, q.spare, len(me.kept), q.len(), e.pending(0), me.keptLocal,
+				tc.kind, tc.queued, q.spare, len(me.kept), q.len(), e.transport.Pending(0), me.keptLocal,
 				tc.wantSpare, tc.wantKept, tc.queued, tc.wantSent, tc.wantKept)
 		}
 	}

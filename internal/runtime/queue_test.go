@@ -188,21 +188,23 @@ func TestBatchRestartRequeue(t *testing.T) {
 	}
 }
 
-// panicOnceTransport wraps the stock transport and panics out of one Recv
-// call mid-run: an engine-internal fault (not a task panic), which must
-// restart the worker loop, not kill it — and the run must still finish
-// exactly.
-type panicOnceTransport struct {
-	Transport
-	recvs    atomic.Int64
+// panicOnceHook panics out of one drain mid-run, through the transport's
+// fault hook: an engine-internal fault (not a task panic), which must restart
+// the worker loop, not kill it — and the run must still finish exactly. It
+// panics on a drain that found nothing, so no drained task dies with it.
+type panicOnceHook struct {
+	drains   atomic.Int64
 	panicked atomic.Bool
 }
 
-func (p *panicOnceTransport) Recv(id int, dst []task.Task) []task.Task {
-	if p.recvs.Add(1) == 40 && p.panicked.CompareAndSwap(false, true) {
+func (*panicOnceHook) Refuse(int, int, task.Task) bool { return false }
+func (*panicOnceHook) Holding(int) bool                { return false }
+
+func (p *panicOnceHook) Filter(_ int, ts []task.Task, from int) []task.Task {
+	if p.drains.Add(1) >= 40 && len(ts) == from && p.panicked.CompareAndSwap(false, true) {
 		panic("injected transport fault")
 	}
-	return p.Transport.Recv(id, dst)
+	return ts
 }
 
 // TestEngineRestartMidRun injects one engine-level panic into a running
@@ -213,12 +215,9 @@ func TestEngineRestartMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := &panicOnceTransport{}
+	pt := &panicOnceHook{}
 	cfg := DefaultConfig(4)
-	cfg.NewTransport = func(c Config) Transport {
-		pt.Transport = NewDefaultTransport(c)
-		return pt
-	}
+	cfg.Faults = pt
 	e := NewEngine(w, cfg)
 	_ = e.Submit(w.InitialTasks()...)
 	_ = e.Start()

@@ -6,11 +6,12 @@
 // it is the "real machine" side of the paper's simulator-correlation
 // experiment (Fig. 10).
 //
-// One file per unit, each testable on its own. The mechanism layers, each
-// behind a small interface:
+// One file per unit, each testable on its own. The mechanism layers, each a
+// small type of its own:
 //
-//   - transport.go — Transport: the inter-worker task-transfer fabric
-//     (MPSC ring + lock-free Treiber overflow + per-destination batching);
+//   - transport.go — ringTransport: the inter-worker task-transfer fabric
+//     (MPSC ring + lock-free Treiber overflow + per-destination batching),
+//     with FaultHook, the seam fault injection plugs into;
 //   - localq.go — LocalQueue: the per-worker private priority queue;
 //   - payload.go — payloadStore: the pull-transport bag-payload store;
 //   - control.go — controlPlane: drift reporting and TDF propagation.
@@ -83,9 +84,10 @@ type Config struct {
 	// delete-min, a shard pair kept for 8 operations, bounded priority
 	// inversion). Unknown values select the default.
 	QueueKind string
-	// NewTransport, when non-nil, replaces the ring fabric with a custom
-	// transport layer. It receives the fully defaulted Config.
-	NewTransport func(Config) Transport
+	// Faults, when non-nil, is consulted by the ring transport at every Send
+	// and every drain of a receive side: fault injection (internal/chaos),
+	// or a test watching what crosses the transport. Nil in production.
+	Faults FaultHook
 
 	// Obs, when non-nil, enables the observability layer: per-worker
 	// counters, sampled event traces, and spill/park/control events are
@@ -110,8 +112,8 @@ type Config struct {
 	// OverflowCap bounds each transport endpoint's overflow stack, in
 	// tasks. A saturated destination (full ring AND full overflow) bounces
 	// further worker sends back to the sender, which keeps them in its own
-	// local queue (Snapshot.Redirects counts these). 0 defaults to 4096;
-	// negative means unbounded (the pre-flow-control behavior).
+	// local queue (Snapshot.Redirects counts these). 0 (or less) defaults to
+	// 4096. Inject (Submit) is never bounded.
 	OverflowCap int
 	// StallTimeout arms Drain's liveness watchdog: if the engine makes no
 	// progress (no task retired, no quarantine, no new submission) for this
@@ -136,7 +138,7 @@ type Config struct {
 // Values nothing sets apart from their defaults, so constants and not knobs.
 // heapArity is the branching factor of the dheap kind and of the twolevel
 // queue's fallback heap: 4 keeps a node's children within a cache line.
-// sendBatch is the stock transport's per-destination buffer: remote children
+// sendBatch is the transport's per-destination buffer: remote children
 // accumulate until that many are ready, then ship with one claim-CAS
 // (rq.TryPushBatch). idleSleep is an idle worker's sleep once idleSpin()
 // empty polls and as many yields found no work.
@@ -177,7 +179,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BatchK <= 0 {
 		cfg.BatchK = 8
 	}
-	if cfg.OverflowCap == 0 {
+	if cfg.OverflowCap <= 0 {
 		cfg.OverflowCap = 4096
 	}
 	if cfg.FlushInterval <= 0 {

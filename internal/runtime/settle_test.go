@@ -2,7 +2,7 @@ package runtime
 
 // The ledger's contract tests (ledger.go: settle before ship, the publication
 // order, the global move equal to the per-job moves). None of them sleeps or
-// depends on how fast the host is: the recording transport checks at the
+// depends on how fast the host is: the recording fault hook checks at the
 // engine's own transport calls, the white-box tests drive the ledger's verbs
 // on an un-started engine, and the snapshot poll asserts properties that hold
 // for any number of snapshots, zero included.
@@ -19,87 +19,96 @@ import (
 	"hdcps/internal/workload"
 )
 
-// ledgerTransport wraps the stock transport and, at every Send, Flush and
-// Recv, checks that the engine's outstanding counts — global and per job —
-// cover at least the units it holds in flight (handed to it and not yet
-// received; a bag marker counts one, which only lowers the bound). A count
-// below that is a child that became visible before its ledger entry.
-type ledgerTransport struct {
-	Transport
+// ledgerHook watches the transport through the fault hook and, at every Send
+// and every drain, checks that the engine's outstanding counts — global and
+// per job — cover at least the units in flight: shipped by a worker or
+// injected by a Submit, and not yet drained (a bag marker counts one, which
+// only lowers the bound). A count below that is a child that became visible
+// before its ledger entry. It refuses nothing and delivers every drain as is,
+// so the engine under test is the production one.
+type ledgerHook struct {
 	eng *Engine
-	// handed and received are per job, indexed by task.JobID.
-	handed, received [2]atomic.Int64
+	// Per worker and job: sent counts the tasks the worker handed to Send
+	// (its goroutine alone writes it), shipped how many of them had left its
+	// send buffers as of its last Send. Per job: injected counts what the
+	// test's Submits have returned from, received what drains delivered.
+	sent     [][2]int64
+	shipped  [][2]atomic.Int64
+	injected [2]atomic.Int64
+	received [2]atomic.Int64
 
 	mu   sync.Mutex
 	errs []string
 }
 
-func (lt *ledgerTransport) fail(format string, args ...any) {
-	lt.mu.Lock()
-	if len(lt.errs) < 8 {
-		lt.errs = append(lt.errs, fmt.Sprintf(format, args...))
-	}
-	lt.mu.Unlock()
+func newLedgerHook(workers int) *ledgerHook {
+	return &ledgerHook{sent: make([][2]int64, workers), shipped: make([][2]atomic.Int64, workers)}
 }
 
-// check reads handed, then the count, then received: all three only grow
-// while the count can fall, so the estimate is at most the true in-flight
-// number at the moment the count was read.
-func (lt *ledgerTransport) check(site string) {
-	var h [2]int64
-	for j := range h {
-		h[j] = lt.handed[j].Load()
+func (lh *ledgerHook) fail(format string, args ...any) {
+	lh.mu.Lock()
+	if len(lh.errs) < 8 {
+		lh.errs = append(lh.errs, fmt.Sprintf(format, args...))
 	}
-	out := lt.eng.Outstanding()
-	jobs := lt.eng.Snapshot().Jobs
+	lh.mu.Unlock()
+}
+
+// check reads shipped and injected, then the counts, then received: the first
+// two only grow while a count can fall, and received only grows, so the
+// estimate is at most the true in-flight number at the moment a count was
+// read. It lags — a worker's shipments show at its next Send, a Submit's once
+// it has returned — which only weakens the bound.
+func (lh *ledgerHook) check(site string) {
+	var est [2]int64
+	for j := range est {
+		est[j] = lh.injected[j].Load()
+		for w := range lh.shipped {
+			est[j] += lh.shipped[w][j].Load()
+		}
+	}
+	out := lh.eng.Outstanding()
+	jobs := lh.eng.Snapshot().Jobs
 	var inFlight int64
 	for j := range jobs {
-		f := h[j] - lt.received[j].Load()
+		f := est[j] - lh.received[j].Load()
 		inFlight += f
 		if o := jobs[j].Outstanding; o < 0 || o < f {
-			lt.fail("%s: job %d outstanding %d, in flight %d", site, j, o, f)
+			lh.fail("%s: job %d outstanding %d, in flight %d", site, j, o, f)
 		}
 	}
 	if out < 0 || out < inFlight {
-		lt.fail("%s: outstanding %d, in flight %d", site, out, inFlight)
+		lh.fail("%s: outstanding %d, in flight %d", site, out, inFlight)
 	}
 }
 
-func (lt *ledgerTransport) Send(src, dst int, t task.Task) []task.Task {
-	lt.handed[t.Job].Add(1)
-	rej := lt.Transport.Send(src, dst, t)
-	for _, r := range rej {
-		lt.handed[r.Job].Add(-1)
+// Refuse runs on the sending worker's goroutine before t is buffered: what
+// the worker sent and no longer buffers has shipped (the test's overflow cap
+// is never reached, so nothing bounced).
+func (lh *ledgerHook) Refuse(src, _ int, t task.Task) bool {
+	var buffered [2]int64
+	for _, out := range lh.eng.transport.eps[src].out {
+		for _, b := range out {
+			buffered[b.Job]++
+		}
 	}
-	lt.check("send")
-	return rej
+	for j := range buffered {
+		lh.shipped[src][j].Store(lh.sent[src][j] - buffered[j])
+	}
+	lh.sent[src][t.Job]++
+	lh.check("send")
+	return false
 }
 
-func (lt *ledgerTransport) Flush(src int) []task.Task {
-	rej := lt.Transport.Flush(src)
-	for _, r := range rej {
-		lt.handed[r.Job].Add(-1)
+// Filter runs on a drain, while the drained tasks are still in flight.
+func (lh *ledgerHook) Filter(_ int, ts []task.Task, from int) []task.Task {
+	lh.check("recv")
+	for _, t := range ts[from:] {
+		lh.received[t.Job].Add(1)
 	}
-	lt.check("flush")
-	return rej
+	return ts
 }
 
-func (lt *ledgerTransport) Recv(id int, dst []task.Task) []task.Task {
-	n := len(dst)
-	dst = lt.Transport.Recv(id, dst)
-	for _, t := range dst[n:] {
-		lt.received[t.Job].Add(1)
-	}
-	lt.check("recv")
-	return dst
-}
-
-func (lt *ledgerTransport) Inject(id int, ts []task.Task) {
-	for _, t := range ts {
-		lt.handed[t.Job].Add(1)
-	}
-	lt.Transport.Inject(id, ts)
-}
+func (*ledgerHook) Holding(int) bool { return false }
 
 // fanoutWorkload is the sharp case for the ledger check: one task's 64
 // children fill whole destination batches while the parent is almost all that
@@ -144,14 +153,12 @@ func TestLedgerCoversInFlight(t *testing.T) {
 			if tc.fixedTDF > 0 {
 				cfg.UseTDF, cfg.FixedTDF = false, tc.fixedTDF
 			}
-			lt := &ledgerTransport{}
-			cfg.NewTransport = func(c Config) Transport {
-				lt.Transport = NewDefaultTransport(c)
-				return lt
-			}
+			cfg.OverflowCap = 1 << 30 // no send ever bounces
+			lh := newLedgerHook(cfg.Workers)
+			cfg.Faults = lh
 			ws := tc.ws
 			e := NewEngine(ws[0], cfg)
-			lt.eng = e
+			lh.eng = e
 			jobs := []*Job{e.DefaultJob()}
 			for _, w := range ws[1:] {
 				j, err := e.NewJob(w, JobConfig{Weight: 2})
@@ -166,9 +173,11 @@ func TestLedgerCoversInFlight(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				// Submitted to a running fleet, so the seeds go through Inject.
 				for i, j := range jobs {
-					if err := j.Submit(ws[i].InitialTasks()...); err != nil {
+					seeds := ws[i].InitialTasks()
+					if err := j.Submit(seeds...); err != nil {
 						t.Fatal(err)
 					}
+					lh.injected[i].Add(int64(len(seeds)))
 				}
 				if err := e.Drain(testCtx(t)); err != nil {
 					t.Fatal(err)
@@ -178,19 +187,22 @@ func TestLedgerCoversInFlight(t *testing.T) {
 			if err := e.Stop(testCtx(t)); err != nil {
 				t.Fatal(err)
 			}
-			for _, msg := range lt.errs {
+			for _, msg := range lh.errs {
 				t.Error(msg)
 			}
-			var handed int64
-			for j := range lt.handed {
-				if h, r := lt.handed[j].Load(), lt.received[j].Load(); h != r {
-					t.Errorf("job %d: %d handed to the transport, %d received", j, h, r)
-				} else {
-					handed += h
+			var sent int64
+			for j := range lh.received {
+				h := lh.injected[j].Load()
+				for w := range lh.sent {
+					h += lh.sent[w][j]
 				}
+				if r := lh.received[j].Load(); h != r {
+					t.Errorf("job %d: %d handed to the transport, %d received", j, h, r)
+				}
+				sent += h - lh.injected[j].Load()
 			}
-			if handed < 100 {
-				t.Errorf("only %d tasks crossed the transport: the check saw next to nothing", handed)
+			if sent < 100 {
+				t.Errorf("only %d tasks crossed between workers: the check saw next to nothing", sent)
 			}
 			if tc.name == "pagerank-bags" && snap.BagsCreated == 0 {
 				t.Error("pagerank made no bags")
@@ -215,7 +227,7 @@ func ledgerEngine(t *testing.T, kind string) (*Engine, *worker, *workerJQ) {
 	return e, me, me.sched.queue(e.jobStateFor(0))
 }
 
-// The stock transport's half of the settle-before-ship rule: deltas stay
+// The transport's half of the settle-before-ship rule: deltas stay
 // deferred while a destination batch fills, and are settled by the time the
 // Send that completes it hands the batch to the other worker.
 func TestSendSettlesBeforeShip(t *testing.T) {
@@ -226,7 +238,7 @@ func TestSendSettlesBeforeShip(t *testing.T) {
 	for i := 1; i <= 2*batch; i++ {
 		me.led.spawn(q, 1) // the parent emits one more child
 		e.send(me, 1, task.Task{Node: graph.NodeID(i), Prio: int64(i)})
-		delivered := len(e.rt.Recv(1, nil))
+		delivered := len(e.transport.Recv(1, nil))
 		switch {
 		case i%batch != 0:
 			if delivered != 0 || q.delta.out == 0 || e.Outstanding() != int64(1+(i/batch)*batch) {

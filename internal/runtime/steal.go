@@ -21,7 +21,7 @@ package runtime
 // front with the peers' published fronts and, if one beats it, TryLocks that
 // peer (never blocking, so two thieves cannot deadlock, and a descheduled
 // peer's lock is free because the peer holds it only inside cycleStart). It
-// drains the peer's stock-transport ring into the peer's queues, moves up to
+// drains the peer's receive side into the peer's queues, moves up to
 // stealCap tasks strictly better than its own front into its own queue (at
 // most half the peer's queue, rounded up, when its own is empty) and
 // republishes the peer's front. So that work in a ring counts too, a worker
@@ -154,14 +154,15 @@ func take(from *workerJQ, mine int64, into func(task.Task)) int {
 // filled. The deferred unlock also runs when the section panics, so a
 // restarted loop (runWorkerGuarded) and its thieves never find the lock held.
 // A fleet that does not steal has nobody to lock out, and an idle worker with
-// nothing to push, nothing in its rotation, no steal due and an empty stock
-// receive side skips the section: it polls that on every iteration of its
-// idle ladder, and taking the lock each time doubled an empty poll's cost.
-// None of the four can change under it but by its own hand or a sender's
-// publish, which the next poll sees.
+// nothing to push, nothing in its rotation, no steal due and an empty
+// receive side — nothing in its ring or overflow, nothing the fault hook
+// holds — skips the section: it polls that on every iteration of its idle
+// ladder, and taking the lock each time doubled an empty poll's cost. None
+// of the four can change under it but by its own hand, a sender's publish or
+// a thief's drain, which the next poll sees.
 func (e *Engine) cycleStart(me *worker) int {
 	if e.steals {
-		if len(me.kept) == 0 && len(me.sched.act) == 0 && me.stale == nil && e.rt != nil && e.rt.empty(me.id) {
+		if len(me.kept) == 0 && len(me.sched.act) == 0 && me.stale == nil && e.transport.empty(me.id) {
 			return 0
 		}
 		me.mu.Lock()
@@ -171,7 +172,7 @@ func (e *Engine) cycleStart(me *worker) int {
 		e.push(me, t)
 	}
 	me.kept = me.kept[:0]
-	me.inbox = e.recv(me.id, me.inbox[:0])
+	me.inbox = e.transport.Recv(me.id, me.inbox[:0])
 	for _, t := range me.inbox {
 		e.push(me, t)
 	}
@@ -231,9 +232,7 @@ func (e *Engine) steal(me *worker, js *jobState) {
 		return
 	}
 	defer peer.mu.Unlock()
-	if e.rt != nil {
-		e.drainPeer(me, peer)
-	}
+	e.drainPeer(me, peer)
 	// A queue out of the peer's rotation is empty, and none at all is as good.
 	p := int64(noFront)
 	if from := peer.sched.lookup(js.id); from != nil && from.active {
@@ -243,14 +242,21 @@ func (e *Engine) steal(me *worker, js *jobState) {
 	js.fronts[v].set(p)
 }
 
-// drainPeer empties a peer's stock receive side while the thief holds the
-// peer's lock, so that work shipped to a descheduled worker is reachable. An
-// arrival goes into the peer's queue for its job when that queue is in the
+// drainPeer empties a peer's receive side while the thief holds the peer's
+// lock, so that work shipped to a descheduled worker is reachable. The drain
+// goes through the fault hook's Filter for the peer, as the peer's own would.
+// An arrival goes into the peer's queue for its job when that queue is in the
 // peer's rotation; any other arrival — its job has no such queue on the peer,
-// or is cancelled — goes through the thief's own push and counts as stolen. A
-// custom Transport's receive side stays the owner's.
+// or is cancelled — goes through the thief's own push and counts as stolen.
+//
+// A Filter that duplicates resubmits through Engine.Submit, here with two
+// worker locks held. That takes no worker lock: on a started engine Submit
+// injects lock-free and then takes e.mu to wake the fleet. The one place that
+// takes e.mu and then a worker's lock is submitIdle, which runs only before
+// Start, when no worker runs and no lock is held; so worker locks → e.mu is
+// the only order and there is no cycle.
 func (e *Engine) drainPeer(me, peer *worker) {
-	me.inbox = e.rt.Recv(peer.id, me.inbox[:0])
+	me.inbox = e.transport.Recv(peer.id, me.inbox[:0])
 	for _, t := range me.inbox {
 		if q := peer.sched.lookup(t.Job); q != nil && q.active && !q.js.cancelled.Load() {
 			q.push(t)

@@ -38,12 +38,12 @@ func TestStealVictim(t *testing.T) {
 	}
 }
 
-// stealEngine builds an un-started engine of workers strict queues and fills
-// worker i's queue for job 0 with prios[i], exposing each as a cycle start
-// would.
-func stealEngine(t *testing.T, prios ...[]int64) *Engine {
+// stealEngine builds an un-started engine of workers strict queues, with the
+// given fault hook (nil for none), and fills worker i's queue for job 0 with
+// prios[i], exposing each as a cycle start would.
+func stealEngine(t *testing.T, faults FaultHook, prios ...[]int64) *Engine {
 	t.Helper()
-	e := NewEngine(&fnWorkload{}, Config{Workers: len(prios), Seed: 1})
+	e := NewEngine(&fnWorkload{}, Config{Workers: len(prios), Seed: 1, Faults: faults})
 	for i, ps := range prios {
 		me := &e.workers[i]
 		q := me.sched.queue(e.jobStateFor(0))
@@ -77,7 +77,7 @@ func TestStealTakes(t *testing.T) {
 		{"half, still capped at 16", nil, span(0, 40), stealCap, 16},
 		{"the peer's front is no better", []int64{1}, []int64{1, 2}, 0, 1},
 	} {
-		e := stealEngine(t, tc.own, tc.peer)
+		e := stealEngine(t, nil, tc.own, tc.peer)
 		js := e.jobStateFor(0)
 		me, peer := &e.workers[0], &e.workers[1]
 		before := front(me.sched.queue(js))
@@ -105,8 +105,17 @@ func TestStealTakes(t *testing.T) {
 // with the rest); an arrival for a job the peer has no queue for, or of a
 // cancelled job, goes through the thief's own push — the peer's queue set
 // never grows, and a cancelled unit lands in the thief's ledger.
+//
+// With a fault hook attached the drain goes through it, and one that injects
+// nothing leaves the steal as it is.
 func TestStealDrainsPeerRing(t *testing.T) {
-	e := stealEngine(t, []int64{50}, []int64{10, 60})
+	for _, faults := range hooks {
+		t.Run(hookName(faults), func(t *testing.T) { testStealDrainsPeerRing(t, faults) })
+	}
+}
+
+func testStealDrainsPeerRing(t *testing.T, faults FaultHook) {
+	e := stealEngine(t, faults, []int64{50}, []int64{10, 60})
 	other, err := e.NewJob(&fnWorkload{}, JobConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +164,15 @@ func TestStealDrainsPeerRing(t *testing.T) {
 // Work another worker ships to a peer counts toward the peer's published
 // front before the peer has drained it, so a peer that is not running cannot
 // hide it. A Submit's injection does not count: it spreads over the fleet by
-// itself.
+// itself. A fault hook that injects nothing changes none of it.
 func TestShippedLowersFront(t *testing.T) {
-	e := stealEngine(t, []int64{50}, []int64{40})
+	for _, faults := range hooks {
+		t.Run(hookName(faults), func(t *testing.T) { testShippedLowersFront(t, faults) })
+	}
+}
+
+func testShippedLowersFront(t *testing.T, faults FaultHook) {
+	e := stealEngine(t, faults, []int64{50}, []int64{40})
 	js := e.jobStateFor(0)
 	me := &e.workers[0]
 	ship := func(prios ...int64) {
@@ -183,7 +198,7 @@ func TestShippedLowersFront(t *testing.T) {
 // A locked peer is skipped, never waited on: the thief's steal returns with
 // nothing and the peer's queue untouched.
 func TestStealSkipsLockedPeer(t *testing.T) {
-	e := stealEngine(t, []int64{50}, []int64{1, 2})
+	e := stealEngine(t, nil, []int64{50}, []int64{1, 2})
 	me, peer := &e.workers[0], &e.workers[1]
 	peer.mu.Lock()
 	e.steal(me, e.jobStateFor(0))
@@ -196,9 +211,10 @@ func TestStealSkipsLockedPeer(t *testing.T) {
 // An idle worker polls without its lock: with nothing kept, nothing in its
 // rotation, no steal due and an empty ring, its cycle start returns at once
 // even while a thief holds the lock, and a peer's batch landing in its ring
-// still reaches the next batch.
+// still reaches the next batch. Arrivals a fault hook holds keep the poll from
+// skipping: a held batch would otherwise wait for a poll that never comes.
 func TestIdlePollSkipsLock(t *testing.T) {
-	e := stealEngine(t, nil, nil)
+	e := stealEngine(t, nil, nil, nil)
 	me, peer := &e.workers[0], &e.workers[1]
 	me.mu.Lock() // as a thief would hold it
 	done := make(chan int)
@@ -219,6 +235,59 @@ func TestIdlePollSkipsLock(t *testing.T) {
 	if n := e.cycleStart(me); n != 1 {
 		t.Errorf("cycle start after a shipped task filled %d, want 1", n)
 	}
+
+	h := &holdOnce{}
+	e = stealEngine(t, h, nil, nil)
+	me, peer = &e.workers[0], &e.workers[1]
+	e.send(peer, 0, task.Task{Node: 1, Prio: 1})
+	e.flush(peer)
+	if n := e.cycleStart(me); n != 0 || !h.Holding(0) {
+		t.Fatalf("the hook's first drain delivered %d, want it held", n)
+	}
+	if n := e.cycleStart(me); n != 1 {
+		t.Errorf("cycle start with a held arrival filled %d, want 1: the poll skipped it", n)
+	}
+}
+
+// hooks are the fault hooks a steal test runs under: none, and one that
+// injects nothing.
+var hooks = []FaultHook{nil, noopHook{}}
+
+func hookName(h FaultHook) string {
+	if h == nil {
+		return "bare"
+	}
+	return "hooked"
+}
+
+// noopHook refuses nothing and delivers every drain as it is.
+type noopHook struct{}
+
+func (noopHook) Refuse(int, int, task.Task) bool                 { return false }
+func (noopHook) Filter(_ int, ts []task.Task, _ int) []task.Task { return ts }
+func (noopHook) Holding(int) bool                                { return false }
+
+// holdOnce holds the first batch it drains until the next drain, as a chaos
+// delay would.
+type holdOnce struct {
+	held []task.Task
+	done bool
+}
+
+func (*holdOnce) Refuse(int, int, task.Task) bool { return false }
+func (h *holdOnce) Holding(int) bool              { return len(h.held) > 0 }
+
+func (h *holdOnce) Filter(_ int, ts []task.Task, from int) []task.Task {
+	switch {
+	case len(h.held) > 0:
+		ts = append(ts, h.held...)
+		h.held = nil
+	case !h.done && len(ts) > from:
+		h.held = append(h.held, ts[from:]...)
+		h.done = true
+		ts = ts[:from]
+	}
+	return ts
 }
 
 // One worker and multiqueue have nobody to steal from: no front slots, no

@@ -16,10 +16,10 @@ package runtime
 // bypasses the cap: a Submit must always land somewhere, and the submitting
 // goroutine has no local queue to fall back to.
 //
-// The engine talks to the layer only through the Transport interface, so a
-// test (or an alternative fabric: NUMA-aware rings, a cross-process shim, a
-// chaos-injection wrapper) can replace the whole mechanism without touching
-// the worker loop.
+// There is one transport, and the engine owns it concretely, so the worker
+// loop's calls into it are direct. Fault injection does not replace it: it
+// is a FaultHook (Config.Faults) the ring transport consults at Send and at
+// every drain of a receive side, nil in production.
 
 import (
 	"sync/atomic"
@@ -29,33 +29,26 @@ import (
 	"hdcps/internal/task"
 )
 
-// Transport is the engine's view of inter-worker task transfer. Worker
-// identity is an index in [0, workers); Send/Pending/Flush/Recv carry the
-// calling worker's own id and are single-caller per id, while Inject may be
-// called by any number of goroutines concurrently (the Engine.Submit path).
-// A transport may delay, reorder or bounce any task, but must deliver a bag
-// marker (IsBagMarker) exactly once.
-type Transport interface {
-	// Send queues t for delivery from worker src to worker dst (dst != src).
-	// Delivery may be deferred until a batch fills or Flush runs. Tasks
-	// rejected by destination flow control (bounded overflow) are returned
-	// for the caller to keep local; nil means everything was accepted.
-	Send(src, dst int, t task.Task) []task.Task
-	// Pending reports how many tasks src has buffered but not yet shipped.
-	Pending(src int) int
-	// Flush ships every partial batch src has buffered, returning any tasks
-	// rejected by destination flow control (as in Send).
-	Flush(src int) []task.Task
-	// Recv appends every task currently deliverable to worker id onto dst
-	// and returns the extended slice. Owner-only, like a ring drain.
-	Recv(id int, dst []task.Task) []task.Task
-	// Inject delivers ts to worker id from outside the fleet, bypassing the
-	// sender-side batching and the overflow cap (external work must always
-	// land). Safe for concurrent use from any goroutine.
-	Inject(id int, ts []task.Task)
-	// Spills reports how many overflow spills have landed at worker id's
-	// endpoint so far (full-ring flow-control events, for Snapshot).
-	Spills(id int) int64
+// FaultHook is fault injection's seam in the ring transport (internal/chaos
+// implements it). Config.Faults is nil in production, which costs one
+// predictable branch at Send and one at each drain. Worker identity is an
+// index in [0, workers).
+type FaultHook interface {
+	// Refuse is asked by src's owner before each Send: true bounces t back
+	// to src as a saturated destination would (spill-to-local).
+	Refuse(src, dst int, t task.Task) bool
+	// Filter sees every drain of id's receive side, with the drained tasks at
+	// ts[from:], and returns what is delivered now: it may hold tasks back
+	// and deliver them on a later call, reorder them, or resubmit a copy of
+	// one through Engine.Submit, but it delivers every task exactly once and
+	// never copies a bag marker (IsBagMarker). id's owner calls it, or a
+	// thief holding id's lock (steal.go), so calls for one id never overlap,
+	// but consecutive ones may come from different goroutines.
+	Filter(id int, ts []task.Task, from int) []task.Task
+	// Holding reports whether id's Filter holds arrivals it has yet to
+	// deliver. Any goroutine may ask: an idle worker's poll skips its
+	// receive side only when this is false.
+	Holding(id int) bool
 }
 
 // IsBagMarker reports whether t is a bag marker: engine metadata naming a bag
@@ -64,13 +57,14 @@ type Transport interface {
 // open a released (or reused) slot.
 func IsBagMarker(t task.Task) bool { return t.Node == bagMarker }
 
-// ringTransport is the production Transport: one endpoint per worker, each
-// a Vyukov-style MPSC ring plus a bounded Treiber overflow stack, with
+// ringTransport is the transport: one endpoint per worker, each a
+// Vyukov-style MPSC ring plus a bounded Treiber overflow stack, with
 // sender-side per-destination batching.
 type ringTransport struct {
 	batch       int
-	overflowCap int64         // max tasks parked in one endpoint's overflow; <=0 unbounded
+	overflowCap int64         // max tasks parked in one endpoint's overflow
 	rec         *obs.Recorder // nil when observability is disabled
+	hook        FaultHook     // nil unless faults are injected
 	eps         []endpoint
 	// shipped, when set, hears of every batch one worker has delivered to
 	// another, once it is in the destination's ring or overflow: the engine
@@ -97,13 +91,14 @@ type endpoint struct {
 
 // newRingTransport builds the fabric for `workers` endpoints with rings of
 // ringSize slots, per-destination batches of `batch` tasks, and at most
-// overflowCap tasks parked in any endpoint's overflow (<=0: unbounded). A
+// overflowCap tasks parked in any endpoint's overflow by worker sends. A
 // non-nil rec records overflow-spill events at the destination endpoint.
-func newRingTransport(workers, ringSize, batch, overflowCap int, rec *obs.Recorder) *ringTransport {
+func newRingTransport(workers, ringSize, batch, overflowCap int, rec *obs.Recorder, hook FaultHook) *ringTransport {
 	tr := &ringTransport{
 		batch:       batch,
 		overflowCap: int64(overflowCap),
 		rec:         rec,
+		hook:        hook,
 		eps:         make([]endpoint, workers),
 	}
 	// All per-peer batch buffers come out of one slab: they are fixed-cap
@@ -124,15 +119,14 @@ func newRingTransport(workers, ringSize, batch, overflowCap int, rec *obs.Record
 	return tr
 }
 
-// NewDefaultTransport builds the stock ring transport for a fully defaulted
-// Config — the fabric an engine constructs when Config.NewTransport is nil.
-// Wrappers (fault injection, instrumentation) use it as their inner layer.
-func NewDefaultTransport(cfg Config) Transport {
-	cfg = cfg.withDefaults()
-	return newRingTransport(cfg.Workers, cfg.RingSize, sendBatch, cfg.OverflowCap, cfg.Obs)
-}
-
+// Send queues t for delivery from worker src to worker dst (dst != src); the
+// batch ships when it fills or on Flush. Tasks rejected by destination flow
+// control, or refused by the fault hook, are returned for the caller to keep
+// local; nil means everything was accepted.
 func (tr *ringTransport) Send(src, dst int, t task.Task) []task.Task {
+	if h := tr.hook; h != nil && h.Refuse(src, dst, t) {
+		return []task.Task{t}
+	}
 	ep := &tr.eps[src]
 	ep.out[dst] = append(ep.out[dst], t)
 	ep.pending++
@@ -142,8 +136,11 @@ func (tr *ringTransport) Send(src, dst int, t task.Task) []task.Task {
 	return nil
 }
 
+// Pending reports how many tasks src has buffered but not yet shipped.
 func (tr *ringTransport) Pending(src int) int { return tr.eps[src].pending }
 
+// Flush ships every partial batch src has buffered, returning any tasks
+// rejected by destination flow control (as in Send).
 func (tr *ringTransport) Flush(src int) []task.Task {
 	var rejected []task.Task
 	for dst := range tr.eps[src].out {
@@ -191,7 +188,7 @@ func (tr *ringTransport) deliver(dst int, ts []task.Task, bounded bool) []task.T
 	if len(rest) == 0 {
 		return nil
 	}
-	if bounded && tr.overflowCap > 0 && w.overflowLen.Load() >= tr.overflowCap {
+	if bounded && w.overflowLen.Load() >= tr.overflowCap {
 		// Destination saturated: bounce the remainder back to the sender.
 		// The cap check races concurrent spills, so it is a soft bound —
 		// overshoot is at most one in-flight batch per sender.
@@ -209,8 +206,13 @@ func (tr *ringTransport) deliver(dst int, ts []task.Task, bounded bool) []task.T
 	return nil
 }
 
+// Recv appends every task deliverable to worker id onto dst — its ring and
+// its overflow, through the fault hook's Filter when one is set — and
+// returns the extended slice. Calls for one id must not overlap: the owner
+// drains under its lock in a stealing fleet, a thief under the same lock.
 func (tr *ringTransport) Recv(id int, dst []task.Task) []task.Task {
 	ep := &tr.eps[id]
+	from := len(dst)
 	dst = ep.ring.Drain(dst, 0)
 	// A plain load gates the detach: the swap is an RMW on a line remote
 	// senders write, and this runs on every worker-loop iteration.
@@ -224,19 +226,29 @@ func (tr *ringTransport) Recv(id int, dst []task.Task) []task.Task {
 			ep.overflowLen.Add(-drained)
 		}
 	}
+	if h := tr.hook; h != nil {
+		dst = h.Filter(id, dst, from)
+	}
 	return dst
 }
 
+// Inject delivers ts to worker id from outside the fleet, bypassing the
+// sender-side batching and the overflow cap (external work must always
+// land). Safe for concurrent use from any goroutine.
 func (tr *ringTransport) Inject(id int, ts []task.Task) { tr.deliver(id, ts, false) }
 
-// empty reports that nothing waits on id's receive side. Any goroutine may
-// ask; a send in flight may make it read non-empty early, never empty late
-// once the send has published.
+// empty reports that nothing waits on id's receive side: its ring and
+// overflow, and arrivals the fault hook holds. Any goroutine may ask; a send
+// in flight may make it read non-empty early, never empty late once the send
+// has published.
 func (tr *ringTransport) empty(id int) bool {
 	ep := &tr.eps[id]
-	return ep.ring.Len() == 0 && ep.overflow.head.Load() == nil
+	return ep.ring.Len() == 0 && ep.overflow.head.Load() == nil &&
+		(tr.hook == nil || !tr.hook.Holding(id))
 }
 
+// Spills reports how many overflow spills have landed at worker id's
+// endpoint so far (full-ring flow-control events, for Snapshot).
 func (tr *ringTransport) Spills(id int) int64 { return tr.eps[id].spills.Load() }
 
 // overflowStack is the receive-side flow-control fallback: when a
@@ -267,53 +279,25 @@ func (s *overflowStack) push(n *overflowNode) {
 // sidesteps the ABA hazard of per-node pops.
 func (s *overflowStack) takeAll() *overflowNode { return s.head.Swap(nil) }
 
-// recv, send, pending, and flush route the worker loop's per-iteration
-// transport calls through the devirtualized rt when the stock transport is
-// in use; a custom Transport pays the interface dispatch instead. send and
-// flush absorb flow-control rejects: tasks a saturated destination bounced
-// stay on the sending worker (spill-to-local). send also enforces the
-// ledger's settle-before-ship rule; flush callers settle first.
-func (e *Engine) recv(id int, buf []task.Task) []task.Task {
-	if e.rt != nil {
-		return e.rt.Recv(id, buf)
-	}
-	return e.transport.Recv(id, buf)
-}
-
+// send and flush are the worker loop's ways into the transport (it calls
+// Recv and Pending directly). Both absorb flow-control rejects: tasks a
+// saturated destination bounced stay on the sending worker (spill-to-local).
+// send also enforces the ledger's settle-before-ship rule; flush callers
+// settle first.
 func (e *Engine) send(me *worker, dst int, t task.Task) {
-	var rej []task.Task
-	if rt := e.rt; rt != nil {
-		// Only the Send that completes the destination's batch hands tasks
-		// to another worker.
-		if len(rt.eps[me.id].out[dst])+1 >= rt.batch {
-			e.settle(me)
-		}
-		rej = rt.Send(me.id, dst, t)
-	} else {
-		// A custom transport may deliver on any Send.
+	tr := e.transport
+	// Only the Send that completes the destination's batch hands tasks to
+	// another worker.
+	if len(tr.eps[me.id].out[dst])+1 >= tr.batch {
 		e.settle(me)
-		rej = e.transport.Send(me.id, dst, t)
 	}
-	if len(rej) > 0 {
+	if rej := tr.Send(me.id, dst, t); len(rej) > 0 {
 		e.redirect(me, rej)
 	}
 }
 
-func (e *Engine) pending(id int) int {
-	if e.rt != nil {
-		return e.rt.Pending(id)
-	}
-	return e.transport.Pending(id)
-}
-
 func (e *Engine) flush(me *worker) {
-	var rej []task.Task
-	if e.rt != nil {
-		rej = e.rt.Flush(me.id)
-	} else {
-		rej = e.transport.Flush(me.id)
-	}
-	if len(rej) > 0 {
+	if rej := e.transport.Flush(me.id); len(rej) > 0 {
 		e.redirect(me, rej)
 	}
 	me.flushedAt = me.tasks

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTransportBatchingAndFlush(t *testing.T) {
-	tr := newRingTransport(2, 8, 4, 0, nil)
+	tr := newRingTransport(2, 8, 4, 4096, nil, nil)
 	for i := 0; i < 3; i++ {
 		tr.Send(0, 1, task.Task{Node: graph.NodeID(i)})
 	}
@@ -47,7 +47,7 @@ func TestTransportBatchingAndFlush(t *testing.T) {
 }
 
 func TestTransportOverflowSpill(t *testing.T) {
-	tr := newRingTransport(2, 2, 64, 0, nil) // 2-slot ring
+	tr := newRingTransport(2, 2, 64, 4096, nil, nil) // 2-slot ring
 	ts := make([]task.Task, 10)
 	for i := range ts {
 		ts[i].Node = graph.NodeID(i)
@@ -72,7 +72,7 @@ func TestTransportOverflowSpill(t *testing.T) {
 // Concurrent injectors racing the owning drainer: no task may be lost or
 // duplicated (run under -race for the memory-model half of the claim).
 func TestTransportConcurrentInject(t *testing.T) {
-	tr := newRingTransport(2, 4, 8, 0, nil)
+	tr := newRingTransport(2, 4, 8, 4096, nil, nil)
 	const senders = 4
 	const perSender = 500
 	var wg sync.WaitGroup

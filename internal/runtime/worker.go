@@ -277,7 +277,7 @@ func (e *Engine) runWorker(id int) {
 			// process: settle those deltas before deciding the fleet is idle,
 			// or the counts they hold back would stall quiescence.
 			e.settle(me)
-			if e.pending(id) > 0 {
+			if e.transport.Pending(id) > 0 {
 				// Out of local work: ship every partial batch before idling
 				// so no task waits on this worker's buffers.
 				e.flush(me)
@@ -337,7 +337,7 @@ func (e *Engine) runWorker(id int) {
 		// outstanding.Add (and one processed-count store) instead of one each.
 		e.settle(me)
 
-		if me.tasks-me.flushedAt >= int64(e.cfg.FlushInterval) && e.pending(id) > 0 {
+		if me.tasks-me.flushedAt >= int64(e.cfg.FlushInterval) && e.transport.Pending(id) > 0 {
 			e.flush(me)
 			me.publish()
 		}

@@ -256,8 +256,8 @@ func runNetchaosMix(t *testing.T, mix netchaosMix) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	if mix.engine != nil && s.ChaosTransport() == nil {
-		t.Fatal("engine chaos configured but no transport wrapped")
+	if mix.engine != nil && s.ChaosStats() == nil {
+		t.Fatal("engine chaos configured but no fault hook attached")
 	}
 	t.Logf("mix %-16s client[%s] net[%s] server[resumes %d aborts %d shed %d deadline %d] accepted %d",
 		mix.name, st.String(), lis.Stats(),

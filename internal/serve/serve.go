@@ -163,10 +163,10 @@ type Server struct {
 
 	// Network-boundary resilience state (resilience.go): the exactly-once
 	// stream tracker, the shed/deadline/abort/resume counters, and the
-	// engine-layer fault transport when Config.Chaos is set.
+	// engine-layer fault counters when Config.Chaos is set.
 	streams *streamTracker
 	resil   resilStats
-	chaosT  *chaos.Transport
+	faults  *chaos.Stats
 
 	hsMu sync.Mutex
 	hs   *http.Server
@@ -195,9 +195,9 @@ func New(cfg Config) (*Server, error) {
 		rcfg.Obs = rec
 	}
 	var eng *runtime.Engine
-	var ct *chaos.Transport
+	var faults *chaos.Stats
 	if cfg.Chaos != nil {
-		eng, ct = chaos.Engine(wl, rcfg, *cfg.Chaos)
+		eng, faults = chaos.Engine(wl, rcfg, *cfg.Chaos)
 	} else {
 		eng = runtime.NewEngine(wl, rcfg)
 	}
@@ -209,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 		rec:     rec,
 		jobs:    map[task.JobID]*runtime.Job{0: eng.DefaultJob()},
 		streams: newStreamTracker(streamCacheSize),
-		chaosT:  ct,
+		faults:  faults,
 		started: time.Now(),
 	}
 	if cfg.SeedInitial {
@@ -230,9 +230,9 @@ func New(cfg Config) (*Server, error) {
 // probes without a network round-trip).
 func (s *Server) Engine() *runtime.Engine { return s.eng }
 
-// ChaosTransport returns the engine-layer fault transport, or nil when
-// Config.Chaos is unset (the CLI prints its fault counters at exit).
-func (s *Server) ChaosTransport() *chaos.Transport { return s.chaosT }
+// ChaosStats returns the engine-layer injected-fault counters, or nil when
+// Config.Chaos is unset (the CLI prints them at exit).
+func (s *Server) ChaosStats() *chaos.Stats { return s.faults }
 
 // Handler returns the full mux: the /v1 API, /healthz + /readyz, and the
 // ops plane.
@@ -537,10 +537,10 @@ func (s *Server) Shutdown(ctx context.Context) (ShutdownReport, error) {
 		return rep, fmt.Errorf("serve: ledger: %w", err)
 	}
 	wantSubmitted := rep.Accepted
-	if s.chaosT != nil {
+	if s.faults != nil {
 		// Engine-layer chaos duplicates re-enter through Submit — ledger-
 		// counted submissions that never crossed the HTTP accept path.
-		wantSubmitted += s.chaosT.Stats().Duplicates.Load()
+		wantSubmitted += s.faults.Duplicates.Load()
 	}
 	if snap.Submitted != wantSubmitted {
 		return rep, fmt.Errorf("serve: accepted-task loss: server accepted %d (%d with chaos duplicates), engine ledger submitted %d",
