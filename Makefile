@@ -80,7 +80,7 @@ procs:
 # fixed, so a failure reproduces. Set CHAOS_SOAK=1 (the nightly knob) for
 # longer soaks on bigger graphs.
 chaos:
-	$(GO) test -race -count=1 -run 'TestSoak|TestEnginePanic|TestEngineRetry|TestEngineQuarantine|TestEngineDrain|TestEngineOverflow|TestSteal|TestShipped|TestIdlePoll|TestLedgerCoversInFlight|TestEngineRestartMidRun' \
+	$(GO) test -race -count=1 -run 'TestSoak|TestEnginePanic|TestEngineQuarantine|TestEngineDrain|TestEngineOverflow|TestSteal|TestShipped|TestIdlePoll|TestLedgerCoversInFlight|TestEngineRestartMidRun' \
 		./internal/chaos/ ./internal/runtime/
 
 # Serve-chaos tier: the network-boundary soaks under the race detector — a

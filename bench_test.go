@@ -131,41 +131,6 @@ func BenchmarkNativeRuntimeObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeRuntimeRetryDisabled is the fault-tolerance layer's
-// hot-path overhead guard: the same run as BenchmarkNativeRuntime/sssp with
-// the retry policy explicitly at its zero value (quarantine on first panic,
-// no retries), plus a variant with a retry budget configured but never
-// exercised. Compare against BenchmarkNativeRuntime/sssp with benchstat —
-// the panic-isolation recover, the retrying-gate load, and the ledger
-// publication must cost <= 2% when no fault ever fires:
-//
-//	go test -run XX -bench 'NativeRuntime(RetryDisabled)?/sssp' -count 10 .
-func BenchmarkNativeRuntimeRetryDisabled(b *testing.B) {
-	g := graph.Road(48, 48, 42)
-	for _, bc := range []struct {
-		name  string
-		retry runtime.RetryPolicy
-	}{
-		{"sssp", runtime.RetryPolicy{}},
-		{"sssp-budget3", runtime.RetryPolicy{MaxAttempts: 3}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := runtime.DefaultConfig(4)
-			cfg.Retry = bc.retry
-			var tasks int64
-			for i := 0; i < b.N; i++ {
-				w, err := workload.New("sssp", g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := runtime.Run(w, cfg)
-				tasks += res.TasksProcessed
-			}
-			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
-		})
-	}
-}
-
 // BenchmarkWorkloadProcess isolates per-task workload cost (the simulator's
 // inner loop) from scheduling: a full sequential drain per iteration.
 func BenchmarkWorkloadProcess(b *testing.B) {

@@ -74,7 +74,7 @@ type (
 	// default job).
 	JobID = task.JobID
 	// JobConfig parameterizes one tenant: name, fair-share weight, admission
-	// quota, TDF bias, and retry override.
+	// quota, and TDF bias.
 	JobConfig = runtime.JobConfig
 	// JobStats is one job's conservation-ledger row (Job.Snapshot,
 	// EngineSnapshot.Jobs).
@@ -82,13 +82,9 @@ type (
 	// QuotaError is the admission-control rejection returned when a Submit
 	// would push a job past JobConfig.MaxOutstanding.
 	QuotaError = runtime.QuotaError
-	// RetryPolicy is the per-task fault budget: how many times a panicking
-	// task is retried before quarantine (NativeConfig.Retry; the zero value
-	// quarantines on first panic).
-	RetryPolicy = runtime.RetryPolicy
-	// QuarantinedTask records a task retired after exhausting its retry
-	// budget: the task, its panic value, and the attempt count
-	// (Engine.Quarantined).
+	// QuarantinedTask records a task whose handler panicked, retired into
+	// quarantine on that first panic: the task, its panic value, and the
+	// worker that caught it (Engine.Quarantined).
 	QuarantinedTask = runtime.QuarantinedTask
 	// StallError is the diagnostic returned when Drain or Stop gives up —
 	// deadline, cancellation, or no ledger progress for

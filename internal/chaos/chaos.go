@@ -12,8 +12,9 @@
 // assume them:
 //
 //   - no task loss: Submitted + Spawned == Processed + BagsRetired +
-//     Quarantined at every quiescent checkpoint (runtime's conservation
-//     ledger, see internal/runtime/fault.go);
+//     Quarantined + Cancelled at every quiescent checkpoint (runtime's
+//     conservation ledger, see internal/runtime/fault.go), globally and per
+//     job;
 //   - termination: Drain always returns — quiescence or a *StallError —
 //     no matter which faults fire.
 //

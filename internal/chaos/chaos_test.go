@@ -173,42 +173,3 @@ func TestCheckerDetectsViolations(t *testing.T) {
 		t.Fatal("backwards counter not detected")
 	}
 }
-
-// Faulty injects deterministic panics and stops after FailAttempts, so a
-// retry budget above it converges with no quarantine.
-func TestFaultyWorkloadTransient(t *testing.T) {
-	g := graph.Road(12, 12, 3)
-	inner, err := workload.New("sssp", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewFaulty(inner, FaultyConfig{PanicEvery: 7, FailAttempts: 1})
-	rcfg := runtime.DefaultConfig(4)
-	rcfg.Retry = runtime.RetryPolicy{MaxAttempts: 3}
-	e, _ := Engine(w, rcfg, Config{})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Submit(w.InitialTasks()...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Stop(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Panics() == 0 {
-		t.Fatal("no faults injected (PanicEvery=7 over a 144-node graph)")
-	}
-	if q := e.Quarantined(); len(q) != 0 {
-		t.Fatalf("transient faults quarantined %d tasks, want 0", len(q))
-	}
-	var chk Checker
-	if err := chk.Quiescent(e.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatalf("transient faults must not change the answer: %v", err)
-	}
-}

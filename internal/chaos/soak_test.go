@@ -28,9 +28,10 @@ func soakRounds() int {
 	return 4
 }
 
-// soakGraph is wide enough for per-worker queues to reach BatchK: below that
-// the engine's dispatch gate keeps every child local and the transport, the
-// thing the mixes perturb, carries next to nothing.
+// soakGraph is wide enough for per-worker queues to reach the engine's
+// dequeue batch: below that the engine's dispatch gate keeps every child
+// local and the transport, the thing the mixes perturb, carries next to
+// nothing.
 func soakGraph() *graph.CSR {
 	if os.Getenv("CHAOS_SOAK") != "" {
 		return graph.Road(96, 96, 3)
@@ -173,11 +174,11 @@ func TestSoakStall(t *testing.T) {
 	}
 }
 
-// Everything at once: transport faults plus transient handler panics, with
-// retries absorbing the panics so the run still converges and verifies —
-// once as the host runs it, and once with the four workers sharing one P,
-// where a worker is descheduled while it holds the best work and the others
-// steal it.
+// Every transport fault at once, with the answer verified at every
+// checkpoint — once as the host runs it, and once with the four workers
+// sharing one P, where a worker is descheduled while it holds the best work
+// and the others steal it. Handler panics are TestSoakQuarantine's: a
+// quarantined relaxation may change the answer.
 func TestSoakCombined(t *testing.T) {
 	for _, procs := range []int{0, 1} {
 		name := "gomaxprocs-host"
@@ -188,18 +189,12 @@ func TestSoakCombined(t *testing.T) {
 			if procs > 0 {
 				defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(procs))
 			}
-			w := NewFaulty(soakWorkload(t), FaultyConfig{PanicEvery: 13, FailAttempts: 1})
-			rcfg := soakConfig()
-			rcfg.Retry = runtime.RetryPolicy{MaxAttempts: 3}
-			e, st := soak(t, w, rcfg, DefaultMix(6))
+			e, st := soak(t, soakWorkload(t), soakConfig(), DefaultMix(6))
 			if faultCount(st) == 0 {
 				t.Fatal("combined mix injected nothing")
 			}
-			if w.Panics() == 0 {
-				t.Fatal("no handler panics injected")
-			}
 			if q := e.Quarantined(); len(q) != 0 {
-				t.Fatalf("transient faults quarantined %d tasks", len(q))
+				t.Fatalf("a panic-free mix quarantined %d tasks", len(q))
 			}
 		})
 	}
@@ -211,15 +206,15 @@ func faultCount(st *Stats) int64 {
 		st.Rejected.Load() + st.Stalls.Load()
 }
 
-// The PR-5 queue matrix: the full fault mix over each local-queue shape
-// with batched dequeue, so delayed/duplicated/reordered deliveries hammer
+// The queue matrix: the full fault mix over each local-queue shape with
+// batched dequeue, so delayed/duplicated/reordered deliveries hammer
 // every queue kind's push/pop paths while the ledger is checked at every
 // quiescent point.
 func TestSoakQueueKinds(t *testing.T) {
 	for _, kind := range runtime.QueueKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rcfg := soakConfig()
-			rcfg.QueueKind, rcfg.BatchK = kind, 4
+			rcfg.QueueKind = kind
 			_, st := soak(t, soakWorkload(t), rcfg, DefaultMix(7))
 			if faultCount(st) == 0 {
 				t.Fatal("mix injected nothing")
@@ -228,16 +223,19 @@ func TestSoakQueueKinds(t *testing.T) {
 	}
 }
 
-// Poison mix: faults outlive the retry budget, so tasks quarantine — the
-// run is lossy by design, but the ledger must account for every loss and
+// Poison mix: handler panics under the full transport mix. Every panic
+// quarantines its task on the spot — the run is lossy by design, but the
+// ledger must account for every loss, each quarantine must be one panic, and
 // Drain must still terminate.
 func TestSoakQuarantine(t *testing.T) {
-	w := NewFaulty(soakWorkload(t), FaultyConfig{PanicEvery: 29, FailAttempts: 1 << 30})
-	rcfg := soakConfig()
-	rcfg.Retry = runtime.RetryPolicy{MaxAttempts: 2}
-	e, _ := soak(t, w, rcfg, DefaultMix(7))
-	if len(e.Quarantined()) == 0 {
+	w := NewFaulty(soakWorkload(t), FaultyConfig{PanicEvery: 29})
+	e, _ := soak(t, w, soakConfig(), DefaultMix(7))
+	q := len(e.Quarantined())
+	if q == 0 {
 		t.Fatal("poison mix quarantined nothing")
+	}
+	if p := w.Panics(); p != q {
+		t.Fatalf("%d injected panics, %d quarantined tasks: want one quarantine a panic", p, q)
 	}
 	// No Verify: quarantined relaxations may legitimately change the answer.
 	// The soak's Quiescent checks already proved no task left the ledger.

@@ -2,50 +2,38 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"hdcps/internal/graph"
 	"hdcps/internal/task"
 	"hdcps/internal/workload"
 )
 
-// FaultyConfig selects which tasks a Faulty wrapper poisons and for how
-// long. Selection is by node ID, so the fault set is deterministic and
-// independent of scheduling.
+// FaultyConfig selects which tasks a Faulty wrapper poisons. Selection is by
+// node ID, so the fault set is deterministic and independent of scheduling.
 type FaultyConfig struct {
 	// PanicEvery poisons tasks whose Node is a multiple of this value
-	// (0 disables injection entirely).
+	// (0 disables injection entirely). A poisoned task panics every time it
+	// runs, and the engine quarantines it on that first panic.
 	PanicEvery int
-	// FailAttempts is how many times a poisoned task panics before it
-	// succeeds. Keep it below the engine's Retry.MaxAttempts for transient
-	// faults (the run converges and Verify passes); at or above the budget
-	// the task is quarantined instead (a lossy run by design).
-	FailAttempts int
 }
 
 // Faulty wraps a workload with deterministic handler-panic injection, the
-// workload-side half of a chaos run (the Transport wrapper perturbs
-// transfer; this perturbs execution).
+// workload-side half of a chaos run (the fault hook perturbs transfer; this
+// perturbs execution).
 type Faulty struct {
-	inner workload.Workload
-	cfg   FaultyConfig
-
-	mu       sync.Mutex
-	attempts map[task.Task]int
-	panics   int
+	inner  workload.Workload
+	cfg    FaultyConfig
+	panics atomic.Int64
 }
 
 // NewFaulty wraps w with cfg's panic injection.
 func NewFaulty(w workload.Workload, cfg FaultyConfig) *Faulty {
-	return &Faulty{inner: w, cfg: cfg, attempts: make(map[task.Task]int)}
+	return &Faulty{inner: w, cfg: cfg}
 }
 
 // Panics reports how many injected panics have fired so far.
-func (f *Faulty) Panics() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.panics
-}
+func (f *Faulty) Panics() int { return int(f.panics.Load()) }
 
 func (f *Faulty) Name() string              { return f.inner.Name() }
 func (f *Faulty) Graph() *graph.CSR         { return f.inner.Graph() }
@@ -53,10 +41,7 @@ func (f *Faulty) InitialTasks() []task.Task { return f.inner.InitialTasks() }
 func (f *Faulty) Verify() error             { return f.inner.Verify() }
 
 func (f *Faulty) Reset() {
-	f.mu.Lock()
-	f.attempts = make(map[task.Task]int)
-	f.panics = 0
-	f.mu.Unlock()
+	f.panics.Store(0)
 	f.inner.Reset()
 }
 
@@ -66,15 +51,8 @@ func (f *Faulty) Clone() workload.Workload {
 
 func (f *Faulty) Process(t task.Task, emit func(task.Task)) int {
 	if f.cfg.PanicEvery > 0 && int(t.Node)%f.cfg.PanicEvery == 0 {
-		f.mu.Lock()
-		n := f.attempts[t]
-		if n < f.cfg.FailAttempts {
-			f.attempts[t] = n + 1
-			f.panics++
-			f.mu.Unlock()
-			panic(fmt.Sprintf("chaos: injected fault (node %d, attempt %d)", t.Node, n+1))
-		}
-		f.mu.Unlock()
+		f.panics.Add(1)
+		panic(fmt.Sprintf("chaos: injected fault (node %d)", t.Node))
 	}
 	return f.inner.Process(t, emit)
 }

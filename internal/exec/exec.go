@@ -72,8 +72,8 @@ type JobsReport struct {
 	// a clean drain, the live one otherwise.
 	DrainErr        error
 	ConservationErr error
-	// Quarantined is the poison-task list (empty unless a handler panics
-	// past its retry budget).
+	// Quarantined is the poison-task list (empty unless a handler panics:
+	// a panicking task is quarantined on its first panic).
 	Quarantined []runtime.QuarantinedTask
 	// Faults is the chaos mix's injected-fault counters (nil without
 	// Spec.Chaos).

@@ -1,11 +1,11 @@
 package obs
 
 // Export paths for the recorder: a JSONL trace stream (one self-describing
-// JSON object per line, schema TraceSchema, "hdcps-obs/v3") and an
+// JSON object per line, schema TraceSchema, "hdcps-obs/v4") and an
 // http.Handler serving a point-in-time JSON snapshot. The JSONL layout is
 // deliberately grep/jq-friendly:
 //
-//	{"type":"meta","schema":"hdcps-obs/v3","workers":4,...}
+//	{"type":"meta","schema":"hdcps-obs/v4","workers":4,...}
 //	{"type":"counters","worker":0,"tasks_processed":123,...}
 //	{"type":"job","job":0,"name":"job-0","weight":1,"processed":123,...}
 //	{"type":"event","ts_ns":52100,"worker":1,"kind":"tdf-step","tdf":60,...}
@@ -15,8 +15,14 @@ package obs
 // (tasks_cancelled, quota_rejects), and the cancel/quota-reject event kinds.
 // v3 extends v2 with the serving front-end's resilience counters
 // (serve_shed, serve_deadline_hits, serve_conn_aborts, serve_resumes) on the
-// counter lines. Every older line is still a valid newer line, and ReadTrace
-// (trace_read.go) accepts all versions.
+// counter lines. v4 follows the engine's one failure rule (a handler panic
+// quarantines its task at once) and its stealing: it removes the counters
+// task_panics, task_retries (the retry policy is gone; panics equal
+// tasks_quarantined) and hot_spills (always 0), and the "panic" event kind
+// with its "attempt" field; the "quarantine" event carries "job" in place of
+// "attempts"; and it adds the tasks_stolen counter. Counters are written by
+// name, so no other field moves. ReadTrace (trace_read.go) reads the current
+// schema only.
 
 import (
 	"bufio"
@@ -30,7 +36,7 @@ import (
 
 // TraceSchema identifies the JSONL trace layout: the one the writers below
 // emit and the only one ReadTrace accepts.
-const TraceSchema = "hdcps-obs/v3"
+const TraceSchema = "hdcps-obs/v4"
 
 // jsonFields renders an event's kind-specific payload. Keeping the mapping
 // here (not on Event) makes the wire names the single source of truth.
@@ -50,10 +56,8 @@ func (e Event) jsonFields() map[string]any {
 		return map[string]any{"prio": e.A, "job": e.B}
 	case EvTDFStep:
 		return map[string]any{"tdf": e.A, "drift": math.Float64frombits(uint64(e.B)), "ref": e.C}
-	case EvPanic:
-		return map[string]any{"prio": e.A, "attempt": e.B}
 	case EvQuarantine:
-		return map[string]any{"prio": e.A, "attempts": e.B}
+		return map[string]any{"prio": e.A, "job": e.B}
 	case EvRedirect:
 		return map[string]any{"tasks": e.A}
 	case EvRankSample:

@@ -52,18 +52,15 @@ const (
 	// failure paths a chaos run exercises).
 	CTasksSpawned      // children + bag units added by task processing
 	CBagsRetired       // bag units fully unpacked and retired
-	CTaskPanics        // task handler panics caught by the isolation layer
-	CTaskRetries       // panicked tasks re-queued under Config.Retry
-	CTasksQuarantined  // tasks that exhausted retries and were quarantined
+	CTasksQuarantined  // tasks whose handler panicked, retired into quarantine
 	COverflowRedirects // remote sends bounced back local by flow control
 	CDriftClamped      // out-of-range priority reports clamped by control
 	CWorkerRestarts    // worker loops restarted after an engine-level panic
 
-	// Local-queue counters of the twolevel kind. CHotSpills is always 0
-	// since the kind became a FIFO bucket ring with no hot buffer; it keeps
-	// its slot so the trace schema's counter columns do not shift.
-	CHotSpills      // unused (always 0)
+	// Local-queue counters: the twolevel kind's heap fallbacks, and the tasks
+	// a worker behind its peers took from their queues and rings.
 	CQueueFallbacks // bucket-ring → heap migrations on span overflow (0 or 1 per job queue)
+	CTasksStolen    // tasks this worker stole from peers (steal-when-behind)
 
 	// Scheduling-quality counters (PR 6): how far the popped task strayed
 	// from the global minimum. Strict queue kinds (heap/dheap/twolevel) must
@@ -97,9 +94,9 @@ const (
 var counterNames = [numCounters]string{
 	"tasks_processed", "tasks_submitted", "edges_examined", "bags_created",
 	"bags_opened", "overflow_spills", "idle_parks", "drift_reports",
-	"tdf_steps", "tasks_spawned", "bags_retired", "task_panics",
-	"task_retries", "tasks_quarantined", "overflow_redirects",
-	"drift_clamped", "worker_restarts", "hot_spills", "queue_fallbacks",
+	"tdf_steps", "tasks_spawned", "bags_retired", "tasks_quarantined",
+	"overflow_redirects", "drift_clamped", "worker_restarts",
+	"queue_fallbacks", "tasks_stolen",
 	"rank_samples", "prio_inversions", "rank_err_sum", "rank_err_max",
 	"tasks_cancelled", "quota_rejects",
 	"serve_shed", "serve_deadline_hits", "serve_conn_aborts", "serve_resumes",
@@ -127,8 +124,7 @@ const (
 	EvWake                           // worker woke from a park
 	EvDriftReport                    // Algorithm 3 report: A=reported prio, B=job
 	EvTDFStep                        // Algorithm 2 update: A=new TDF, B=drift bits, C=ref prio
-	EvPanic                          // caught handler panic: A=prio, B=attempt
-	EvQuarantine                     // task quarantined: A=prio, B=attempts
+	EvQuarantine                     // handler panic, task quarantined: A=prio, B=job
 	EvRedirect                       // flow-control bounce kept local: A=task count
 	EvWorkerRestart                  // worker loop restarted after an internal panic
 	EvRankSample                     // sampled pop rank error: A=rank, B=popped prio, C=job
@@ -140,7 +136,7 @@ const (
 
 var eventNames = [numEventKinds]string{
 	"task", "submit", "bag-created", "bag-opened", "spill", "park", "wake",
-	"drift-report", "tdf-step", "panic", "quarantine", "redirect",
+	"drift-report", "tdf-step", "quarantine", "redirect",
 	"worker-restart", "rank-sample", "cancel", "quota-reject",
 }
 
@@ -247,12 +243,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Workers returns the fleet size the recorder was built for.
-func (r *Recorder) Workers() int { return r.cfg.Workers }
-
-// Start returns the recorder's creation time (the trace's TS zero point).
-func (r *Recorder) Start() time.Time { return r.start }
-
 // row maps a worker index to its row, folding External and out-of-range
 // indices into the shared last row.
 func (r *Recorder) row(worker int) *row {
@@ -265,12 +255,6 @@ func (r *Recorder) row(worker int) *row {
 // Add increments worker's counter by delta (lock-free).
 func (r *Recorder) Add(worker int, c Counter, delta int64) {
 	r.row(worker).c[c].Add(delta)
-}
-
-// Store sets worker's counter to an absolute value (lock-free). The engine
-// uses it to mirror run-local totals so quiescent reads are exact.
-func (r *Recorder) Store(worker int, c Counter, v int64) {
-	r.row(worker).c[c].Store(v)
 }
 
 // Value reads one worker's counter.
@@ -330,25 +314,13 @@ func (r *Recorder) Event(worker int, k EventKind, a, b, c int64) {
 	rw.mu.Unlock()
 }
 
-// TaskProcessed is the engine's per-task recording site. The processed
-// total is mirrored into the counter row on every call (one uncontended
-// atomic store — the whole per-task cost when nothing samples); the edge
-// total and a task event are recorded only on sample boundaries, so
-// CEdgesExamined lags by at most one sample stride until the worker next
-// parks (the engine flushes it there). processed is the worker's task
-// total after this task, edges its running edge total.
-func (r *Recorder) TaskProcessed(worker int, prio, processed, edges int64) {
-	rw := r.row(worker)
-	rw.c[CTasksProcessed].Store(processed)
-	if m := r.sampleMask; m >= 0 && processed&m == 0 {
-		r.TaskSample(worker, prio, processed, edges)
-	}
-}
-
 // TaskSample records one sampled task retirement: it refreshes the edge
-// counter and appends a task event. Writers that own their counter row
-// directly (see Row) call this on sample boundaries only — the
-// SampleMask tells them which — instead of going through TaskProcessed.
+// counter and appends a task event. The writer owns its counter row (see Row)
+// and publishes the processed total there itself; it calls this on sample
+// boundaries only, which SampleMask tells it, so CEdgesExamined lags by at
+// most one sample stride until the worker next parks (the engine flushes it
+// there). processed is the worker's task total, edges its running edge
+// total.
 func (r *Recorder) TaskSample(worker int, prio, processed, edges int64) {
 	r.row(worker).c[CEdgesExamined].Store(edges)
 	r.Event(worker, EvTask, prio, processed, edges)
@@ -362,7 +334,7 @@ func (r *Recorder) SampleMask() int64 { return r.sampleMask }
 // engine's worker loop) can publish straight into them — its own mirror and
 // the recorder's then share one row, making an attached recorder cost no
 // additional per-task atomics. For each counter it publishes this way the
-// caller must be the only writer; Add and Store keep working on the rest.
+// caller must be the only writer; Add keeps working on the rest.
 func (r *Recorder) Row(worker int) *Row {
 	return &r.row(worker).c
 }

@@ -14,8 +14,8 @@ func TestCountersAddStoreTotal(t *testing.T) {
 	r := New(Config{Workers: 3})
 	r.Add(0, CBagsCreated, 2)
 	r.Add(1, CBagsCreated, 3)
-	r.Store(2, CTasksProcessed, 41)
-	r.Store(2, CTasksProcessed, 42) // Store is absolute, not cumulative
+	r.Row(2)[CTasksProcessed].Store(41)
+	r.Row(2)[CTasksProcessed].Store(42) // the owner's row: stores are absolute
 	r.Add(External, CTasksSubmitted, 7)
 
 	if got := r.Total(CBagsCreated); got != 5 {
@@ -85,11 +85,22 @@ func TestEventsMergedSorted(t *testing.T) {
 	}
 }
 
+// processTasks records n task retirements the way the engine's worker loop
+// does: the processed total stored into the worker's own row every task, a
+// TaskSample on the boundaries SampleMask names.
+func processTasks(r *Recorder, n int64) {
+	row := r.Row(0)
+	for i := int64(1); i <= n; i++ {
+		row[CTasksProcessed].Store(i)
+		if m := r.SampleMask(); m >= 0 && i&m == 0 {
+			r.TaskSample(0, 100-i, i, i*3)
+		}
+	}
+}
+
 func TestTaskProcessedSampling(t *testing.T) {
 	r := New(Config{Workers: 1, SampleEvery: 4})
-	for i := int64(1); i <= 64; i++ {
-		r.TaskProcessed(0, 100-i, i, i*3)
-	}
+	processTasks(r, 64)
 	if got := r.Value(0, CTasksProcessed); got != 64 {
 		t.Errorf("processed = %d, want 64 (Store semantics)", got)
 	}
@@ -102,9 +113,7 @@ func TestTaskProcessedSampling(t *testing.T) {
 	}
 	// Negative SampleEvery disables task events but keeps counters exact.
 	r2 := New(Config{Workers: 1, SampleEvery: -1})
-	for i := int64(1); i <= 64; i++ {
-		r2.TaskProcessed(0, 0, i, 0)
-	}
+	processTasks(r2, 64)
 	if got := len(r2.Events()); got != 0 {
 		t.Errorf("disabled sampling still recorded %d events", got)
 	}
@@ -148,7 +157,7 @@ func TestConcurrentWriters(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	r := New(Config{Workers: 2, SampleEvery: 1})
-	r.TaskProcessed(0, 9, 1, 4)
+	r.TaskSample(0, 9, 1, 4)
 	r.Add(1, COverflowSpills, 1)
 	r.Event(1, EvSpill, 3, 0, 0)
 	r.Event(0, EvTDFStep, 60, int64(floatBits(12.5)), 7)
@@ -183,6 +192,15 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"drift":12.5`) {
 		t.Error("tdf-step drift not decoded to float")
+	}
+	// The v4 counter set: tasks_stolen is in, the retired slots are out.
+	if !strings.Contains(lines[1], `"tasks_stolen":0`) {
+		t.Errorf("counters line lacks tasks_stolen: %s", lines[1])
+	}
+	for _, gone := range []string{"task_panics", "task_retries", "hot_spills"} {
+		if strings.Contains(buf.String(), gone) {
+			t.Errorf("retired counter %s still exported", gone)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // post-processor depends on.
 func TestReadTraceV2RoundTrip(t *testing.T) {
 	r := New(Config{Workers: 2, SampleEvery: 1})
-	r.TaskProcessed(0, 9, 1, 4)
+	r.TaskSample(0, 9, 1, 4)
 	r.Add(1, COverflowSpills, 1)
 	r.Event(1, EvSpill, 3, 0, 0)
 
@@ -47,7 +47,7 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 	if len(tr.Counters) != 3 { // 2 workers + the external row
 		t.Errorf("%d counter rows, want 3", len(tr.Counters))
 	}
-	// SampleEvery:1 makes TaskProcessed emit a task event too.
+	// The task sample is an event of its own.
 	if len(tr.Events) != 2 || tr.Events[1].Kind != "spill" {
 		t.Errorf("events = %+v, want [task, spill]", tr.Events)
 	}
@@ -66,7 +66,7 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 // future incompatible layout, or from a retired one, fails loudly instead of
 // decoding garbage.
 func TestReadTraceRejectsUnknownSchema(t *testing.T) {
-	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1"} {
+	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1", "hdcps-obs/v3"} {
 		meta := `{"type":"meta","schema":"` + schema + `","workers":1}` + "\n"
 		if _, err := ReadTrace(strings.NewReader(meta)); err == nil {
 			t.Fatalf("schema %s accepted", schema)

@@ -94,8 +94,8 @@ type Engine struct {
 	stop  atomic.Bool
 	state atomic.Int32
 
-	// faults is the panic-isolation ledger: retry attempts, the poison-task
-	// quarantine, and worker-restart counts (fault.go).
+	// faults is the panic-isolation ledger: the poison-task quarantine and
+	// worker-restart counts (fault.go).
 	faults faultState
 
 	mu   sync.Mutex // guards the park/wake handshake
@@ -142,7 +142,7 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.sched.cfg = &e.cfg
 		me.sched.shared = cfg.QueueKind == QueueMultiQueue
 		me.rng = *graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
-		me.batch = make([]task.Task, cfg.BatchK)
+		me.batch = make([]task.Task, batchK)
 		me.children = make([]task.Task, 0, 16)
 		me.inbox = make([]task.Task, 0, 64)
 		// One closure for the whole engine, so Process calls do not allocate
@@ -412,7 +412,7 @@ func (e *Engine) waitQuiescent(ctx context.Context, out *atomic.Int64, mark func
 // ledgerMark folds the conservation ledger's moving parts into one value
 // that changes whenever the engine makes progress.
 func (e *Engine) ledgerMark() int64 {
-	m := e.submitted.Load() + e.faults.nQuarantined.Load() + e.faults.panics.Load()
+	m := e.submitted.Load() + e.faults.nQuarantined.Load()
 	for i := range e.workers {
 		m += e.workers[i].pub[obs.CTasksProcessed].Load() + e.workers[i].pub[obs.CTasksCancelled].Load()
 	}

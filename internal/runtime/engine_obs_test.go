@@ -105,10 +105,10 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 // (stale until the next flush/park) and under-count — this pins the fix.
 func TestEngineSnapshotCoherentMidDrain(t *testing.T) {
 	w := newLeafWorkload()
-	// One worker with a long flush interval maximizes the staleness window
-	// the old code exposed: the published count lagged by up to FlushInterval
-	// tasks.
-	cfg := Config{Workers: 1, RingSize: 256, FlushInterval: 10000}
+	// One worker never has a pending send, so it never reaches a flush
+	// boundary: the widest staleness window the old code exposed, where the
+	// published count lagged until the next park.
+	cfg := Config{Workers: 1, RingSize: 256}
 	rec := obs.New(obs.Config{Workers: 1, SampleEvery: -1})
 	cfg.Obs = rec
 	e := NewEngine(w, cfg)

@@ -3,10 +3,11 @@ package runtime
 // The fault layer is the engine's failure model, grown out of a concrete
 // wedge: a panicking task handler used to kill its worker goroutine and
 // leave Drain blocked forever on an outstanding count that could no longer
-// reach zero. Now a handler panic is a per-task event — the worker
-// survives, the task is retried under the job's retry policy (JobConfig.Retry
-// falling back to Config.Retry) and quarantined when retries are exhausted,
-// and every failure path stays inside the engine's conservation ledger:
+// reach zero. Now a handler panic is a per-task event with one rule: the
+// worker survives and the task is quarantined on the spot — its children are
+// discarded, it never runs again, and it retires into the poison list
+// (Engine.Quarantined), so every failure path stays inside the engine's
+// conservation ledger:
 //
 //	Submitted + Spawned = Processed + BagsRetired + Quarantined + Cancelled + Outstanding
 //
@@ -26,88 +27,40 @@ import (
 	"hdcps/internal/task"
 )
 
-// RetryPolicy configures how the engine handles a task whose handler
-// panics. The zero value quarantines on the first panic.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of times a panicking task is run
-	// before quarantine. Values <= 1 mean no retries.
-	MaxAttempts int
-	// Backoff is the delay before retry attempt n, scaled linearly
-	// (attempt * Backoff) and served on the failing worker — panics are
-	// exceptional, so briefly stalling one worker is cheaper than a timer
-	// wheel. 0 retries immediately.
-	Backoff time.Duration
-}
-
-// QuarantinedTask is one poisoned task: it exhausted its retry budget (or
-// panicked with retries disabled) and was retired into quarantine instead
-// of processed. The task's priority, the panic value of the final attempt,
+// QuarantinedTask is one poisoned task: its handler panicked, so it was
+// retired into quarantine instead of processed. The task, the panic value,
 // and the worker that caught it are kept for diagnosis.
 type QuarantinedTask struct {
-	Task     task.Task
-	Worker   int // worker that caught the final panic
-	Attempts int // total handler invocations, including the first
-	Panic    any // recover() value of the final attempt
-	Time     time.Time
+	Task   task.Task
+	Worker int // worker that caught the panic
+	Panic  any // recover() value
+	Time   time.Time
 }
 
 func (q QuarantinedTask) String() string {
-	return fmt.Sprintf("task{node %d prio %d} worker %d after %d attempt(s): %v",
-		q.Task.Node, q.Task.Prio, q.Worker, q.Attempts, q.Panic)
+	return fmt.Sprintf("task{node %d prio %d} worker %d: %v",
+		q.Task.Node, q.Task.Prio, q.Worker, q.Panic)
 }
 
 // faultState is the engine's mutex-guarded fault ledger. Everything here is
-// off the hot path — it is touched only when a handler panics — except the
-// lock-free quarantined count Snapshot reads.
+// off the hot path — it is touched only when a handler panics or a worker
+// loop restarts — except the lock-free quarantined count Snapshot reads.
 type faultState struct {
 	mu          sync.Mutex
-	attempts    map[task.Task]int // panic count per retrying task value
 	quarantined []QuarantinedTask
 
 	nQuarantined atomic.Int64 // len(quarantined), readable without the lock
-	retrying     atomic.Int64 // tasks currently holding a retry map entry
-	panics       atomic.Int64
-	retries      atomic.Int64
 	restarts     atomic.Int64 // worker-loop restarts (engine-level panics)
 }
 
-// recordPanic registers one caught handler panic and decides the task's
-// fate: retry (true, with the attempt number) or quarantine (false).
-func (fs *faultState) recordPanic(t task.Task, worker int, pv any, policy RetryPolicy) (attempt int, retry bool) {
-	fs.panics.Add(1)
+// quarantine records one task whose handler panicked.
+func (fs *faultState) quarantine(t task.Task, worker int, pv any) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.attempts == nil {
-		fs.attempts = make(map[task.Task]int)
-	}
-	if _, ok := fs.attempts[t]; !ok {
-		fs.retrying.Add(1)
-	}
-	fs.attempts[t]++
-	attempt = fs.attempts[t]
-	if attempt < policy.MaxAttempts {
-		fs.retries.Add(1)
-		return attempt, true
-	}
-	delete(fs.attempts, t)
-	fs.retrying.Add(-1)
 	fs.quarantined = append(fs.quarantined, QuarantinedTask{
-		Task: t, Worker: worker, Attempts: attempt, Panic: pv, Time: time.Now(),
+		Task: t, Worker: worker, Panic: pv, Time: time.Now(),
 	})
-	fs.nQuarantined.Add(1)
-	return attempt, false
-}
-
-// clearRetry forgets a task's attempt count after it finally succeeded, so
-// the map only holds tasks currently cycling through retries. The caller
-// gates on fs.retrying, so the lock is only taken during fault windows.
-func (fs *faultState) clearRetry(t task.Task) {
-	fs.mu.Lock()
-	if _, ok := fs.attempts[t]; ok {
-		delete(fs.attempts, t)
-		fs.retrying.Add(-1)
-	}
 	fs.mu.Unlock()
+	fs.nQuarantined.Add(1)
 }
 
 // snapshot copies the quarantine list.
@@ -228,8 +181,8 @@ func (e *Engine) stallJobError(op string, cause error, js *jobState) *StallError
 	return se
 }
 
-// Quarantined returns a copy of the poison-task list: every task that
-// exhausted its retry budget. Safe from any goroutine at any lifecycle
-// stage; the engine retires quarantined tasks from the outstanding count,
-// so Drain completes even when tasks are poisoned.
+// Quarantined returns a copy of the poison-task list: every task whose
+// handler panicked. Safe from any goroutine at any lifecycle stage; the
+// engine retires quarantined tasks from the outstanding count, so Drain
+// completes even when tasks are poisoned.
 func (e *Engine) Quarantined() []QuarantinedTask { return e.faults.snapshot() }

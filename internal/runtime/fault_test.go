@@ -1,6 +1,6 @@
 package runtime
 
-// Tests for the fault layer: panic isolation, retry/quarantine, the Drain
+// Tests for the fault layer: panic isolation and quarantine, the Drain
 // deadline and watchdog diagnostics, and overflow flow control. The pinned
 // regression is TestEnginePanicDoesNotWedgeDrain — before the fault layer, a
 // panicking handler killed its worker goroutine and Drain blocked forever.
@@ -84,9 +84,6 @@ func TestEnginePanicDoesNotWedgeDrain(t *testing.T) {
 	if len(q) != 1 || q[0].Task.Node != poison {
 		t.Fatalf("quarantine = %v, want exactly the poison task", q)
 	}
-	if q[0].Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (zero-value policy: no retries)", q[0].Attempts)
-	}
 	if !strings.Contains(q[0].String(), "poisoned task") {
 		t.Fatalf("quarantine record lost the panic value: %s", q[0].String())
 	}
@@ -111,56 +108,18 @@ func TestEnginePanicDoesNotWedgeDrain(t *testing.T) {
 	}
 }
 
-// Retry: a task that panics on its first attempts but succeeds within the
-// budget is processed normally and leaves no quarantine record.
-func TestEngineRetrySucceeds(t *testing.T) {
-	const flaky = graph.NodeID(7)
-	var attempts, processed atomic.Int64
-	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
-		if tk.Node == flaky && attempts.Add(1) < 3 {
-			panic("transient fault")
-		}
-		processed.Add(1)
-		return 1
-	}}
-	e := NewEngine(w, Config{Workers: 2, Retry: RetryPolicy{MaxAttempts: 3}})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Submit(task.Task{Node: flaky}, task.Task{Node: 1}, task.Task{Node: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if q := e.Quarantined(); len(q) != 0 {
-		t.Fatalf("quarantine = %v, want empty (task recovered on retry)", q)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("flaky task ran %d times, want 3 (2 panics + 1 success)", got)
-	}
-	if got := processed.Load(); got != 3 {
-		t.Fatalf("processed %d, want 3", got)
-	}
-	// The retry map must be empty again after success (retrying gate closed).
-	if got := e.faults.retrying.Load(); got != 0 {
-		t.Fatalf("retrying = %d after success, want 0", got)
-	}
-	checkLedger(t, e.Snapshot())
-	if err := e.Stop(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Exhausted retries quarantine with the full attempt history, and the ledger
-// still balances with spawned children in flight.
-func TestEngineQuarantineAfterRetries(t *testing.T) {
+// A panic quarantines its task on the first attempt at W = 4 while healthy
+// tasks fan out two generations of children around it: the poison task runs
+// once, leaves one record, and the global and the per-job ledger both balance
+// with the spawned side covering every generation.
+func TestEngineQuarantineOnFirstPanic(t *testing.T) {
 	const poison = graph.NodeID(99)
+	var runs atomic.Int64
 	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
 		if tk.Node == poison {
+			runs.Add(1)
 			panic("permanent fault")
 		}
-		// Healthy tasks fan out two generations of children.
 		if tk.Data > 0 {
 			for i := uint64(0); i < 4; i++ {
 				emit(task.Task{Node: tk.Node + 1000*graph.NodeID(i+1), Prio: tk.Prio + 1, Data: tk.Data - 1})
@@ -168,7 +127,7 @@ func TestEngineQuarantineAfterRetries(t *testing.T) {
 		}
 		return 1
 	}}
-	e := NewEngine(w, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 2}})
+	e := NewEngine(w, Config{Workers: 4})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +141,12 @@ func TestEngineQuarantineAfterRetries(t *testing.T) {
 	if err := e.Drain(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("poison task ran %d times, want 1 (quarantined on its first panic)", got)
+	}
 	q := e.Quarantined()
-	if len(q) != 1 || q[0].Attempts != 2 {
-		t.Fatalf("quarantine = %v, want poison task after 2 attempts", q)
+	if len(q) != 1 || q[0].Task.Node != poison {
+		t.Fatalf("quarantine = %v, want the poison task once", q)
 	}
 	s := e.Snapshot()
 	if s.Quarantined != 1 {
@@ -196,6 +158,11 @@ func TestEngineQuarantineAfterRetries(t *testing.T) {
 		t.Fatalf("spawned = %d, want >= 160 (children + bag units)", s.Spawned)
 	}
 	checkLedger(t, s)
+	j0 := s.Jobs[0]
+	if j0.Quarantined != 1 || j0.Outstanding != 0 ||
+		j0.Submitted+j0.Spawned != j0.Processed+j0.BagsRetired+j0.Quarantined+j0.CancelledTasks {
+		t.Fatalf("job ledger unbalanced: %+v", j0)
+	}
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,32 +313,28 @@ func TestEngineOverflowRedirectsToSender(t *testing.T) {
 	}
 }
 
-// A panicking handler's partially emitted children are discarded: effects
-// land exactly once, on the attempt that completes.
+// A panicking handler's partially emitted children are discarded: the child
+// it emitted before the panic is never processed and never enters Spawned,
+// and the task is quarantined exactly once.
 func TestEnginePanicDiscardsPartialChildren(t *testing.T) {
 	const flaky = graph.NodeID(5)
-	var attempts atomic.Int64
 	var mu sync.Mutex
-	children := map[graph.NodeID]int{}
+	ran := map[graph.NodeID]int{}
 	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
+		mu.Lock()
+		ran[tk.Node]++
+		mu.Unlock()
 		if tk.Node == flaky {
 			emit(task.Task{Node: 500, Prio: 1}) // emitted, then the panic hits
-			if attempts.Add(1) < 2 {
-				panic("mid-emit fault")
-			}
-			emit(task.Task{Node: 501, Prio: 1})
-			return 1
+			panic("mid-emit fault")
 		}
-		mu.Lock()
-		children[tk.Node]++
-		mu.Unlock()
 		return 1
 	}}
-	e := NewEngine(w, Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2}})
+	e := NewEngine(w, Config{Workers: 1})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(task.Task{Node: flaky}); err != nil {
+	if err := e.Submit(task.Task{Node: flaky}, task.Task{Node: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Drain(testCtx(t)); err != nil {
@@ -379,44 +342,17 @@ func TestEnginePanicDiscardsPartialChildren(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if children[500] != 1 || children[501] != 1 {
-		t.Fatalf("children = %v, want exactly one of each (discard on panic, emit on success)", children)
+	if ran[flaky] != 1 || ran[500] != 0 || ran[1] != 1 {
+		t.Fatalf("runs = %v, want the flaky task and its sibling once and the orphan child never", ran)
 	}
-	checkLedger(t, e.Snapshot())
-	if err := e.Stop(testCtx(t)); err != nil {
-		t.Fatal(err)
+	if q := e.Quarantined(); len(q) != 1 || q[0].Task.Node != flaky {
+		t.Fatalf("quarantine = %v, want the flaky task once", q)
 	}
-}
-
-// Retry backoff is applied (linearly per attempt) without breaking ledger
-// accounting.
-func TestEngineRetryBackoff(t *testing.T) {
-	var attempts atomic.Int64
-	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
-		if attempts.Add(1) < 3 {
-			panic("transient")
-		}
-		return 1
-	}}
-	e := NewEngine(w, Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3, Backoff: 5 * time.Millisecond}})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
+	s := e.Snapshot()
+	if s.Spawned != 0 || s.Quarantined != 1 || s.TasksProcessed != 1 {
+		t.Fatalf("spawned %d, quarantined %d, processed %d; want 0, 1, 1", s.Spawned, s.Quarantined, s.TasksProcessed)
 	}
-	start := time.Now()
-	if err := e.Submit(task.Task{Node: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	// attempt 1 backs off 5ms, attempt 2 backs off 10ms.
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("drain returned after %v, want >= 15ms of backoff", d)
-	}
-	if q := e.Quarantined(); len(q) != 0 {
-		t.Fatalf("quarantine = %v, want empty", q)
-	}
-	checkLedger(t, e.Snapshot())
+	checkLedger(t, s)
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}

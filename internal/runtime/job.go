@@ -2,7 +2,7 @@ package runtime
 
 // The job layer turns the single-workload engine into a multi-tenant fleet
 // (DESIGN.md §14). A job is one tenant: its own workload instance, weight,
-// admission quota, retry policy, and a full conservation ledger of its own —
+// admission quota, TDF bias, and a full conservation ledger of its own —
 // while every global invariant (termination, the engine-wide ledger, the
 // publication-ordering contract) keeps holding across all jobs combined.
 //
@@ -78,9 +78,6 @@ type JobConfig struct {
 	// signal with a per-tenant locality preference. Values <= 0 default
 	// to 100; values above MaxTDFBias are clamped to it.
 	TDFBias int
-	// Retry overrides the engine's RetryPolicy for this job's tasks
-	// (nil inherits Config.Retry).
-	Retry *RetryPolicy
 }
 
 // jobState is the engine-side record of one job. The atomic counters form
@@ -93,9 +90,6 @@ type jobState struct {
 	weight  int64
 	quota   int64 // 0 = unlimited
 	tdfBias int64 // percent, 100 = neutral
-	retry   RetryPolicy
-	// hasRetry marks an explicit per-job policy; false inherits the engine's.
-	hasRetry bool
 	// mq is the job's fleet-shared relaxed MultiQueue when the engine runs
 	// QueueMultiQueue: one c·P-shard structure per job, each worker holding a
 	// handle, so relaxation and work balancing stay within the tenant.
@@ -152,10 +146,6 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 		js.tdfBias = 100
 	}
 	js.tdfBias = min(js.tdfBias, MaxTDFBias)
-	if jc.Retry != nil {
-		js.retry = *jc.Retry
-		js.hasRetry = true
-	}
 	if g := w.Graph(); g != nil {
 		js.off = g.Off
 	}
@@ -166,14 +156,6 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 		js.fronts = newFronts(cfg.Workers)
 	}
 	return js
-}
-
-// retryPolicy resolves the policy governing this job's panicking tasks.
-func (js *jobState) retryPolicy(engineDefault RetryPolicy) RetryPolicy {
-	if js.hasRetry {
-		return js.retry
-	}
-	return engineDefault
 }
 
 // ledgerMark folds the job's ledger terms into one progress value for the
@@ -262,7 +244,7 @@ type Job struct {
 
 // NewJob registers a new tenant on the engine: its own workload instance
 // (Reset here; it must not be shared with another engine or job), weight,
-// quota, and retry policy. Jobs may be added before Start or while the
+// quota, and TDF bias. Jobs may be added before Start or while the
 // fleet runs; they live until the engine stops — there is no job removal,
 // only Cancel. Returns an error once Stop has been requested.
 func (e *Engine) NewJob(w workload.Workload, jc JobConfig) (*Job, error) {
@@ -355,11 +337,11 @@ func (j *Job) Drain(ctx context.Context) error {
 // system. Cancellation is cooperative and terminal: new Submits are refused
 // with ErrJobCancelled, every queued task of the job is discarded into the
 // CancelledTasks ledger sink the next time a worker touches it, and tasks
-// already inside a worker's dequeue batch (at most BatchK per worker) finish
-// normally. Other tenants are untouched — their queues are never scanned.
-// Cancel returns when the job's outstanding count reaches zero (its ledger
-// is then exact) or ctx expires, with the same *StallError semantics as
-// Drain. Requires a started engine: on a never-started engine nothing
+// already inside a worker's dequeue batch (at most batchK per worker) finish
+// normally; a handler that panics is quarantined as always. Other tenants
+// are untouched — their queues are never scanned. Cancel returns when the
+// job's outstanding count reaches zero (its ledger is then exact) or ctx
+// expires, with the same *StallError semantics as Drain. Requires a started engine: on a never-started engine nothing
 // drains the queues, so Cancel would wait forever (bound it with ctx).
 func (j *Job) Cancel(ctx context.Context) error {
 	j.js.cancelled.Store(true)

@@ -8,6 +8,7 @@ import (
 
 	"hdcps/internal/chaos"
 	"hdcps/internal/graph"
+	"hdcps/internal/obs"
 	"hdcps/internal/runtime"
 	"hdcps/internal/workload"
 )
@@ -15,7 +16,8 @@ import (
 // TestStealOversubscribed runs four workers on one P, the fleet steal-when-
 // behind exists for: a descheduled worker holds tasks in its queue and ring
 // that the running one must reach. The answer must match the sequential
-// oracle and the ledger must balance; how long it takes is not asserted.
+// oracle, the ledger must balance and the recorder's tasks_stolen must be
+// the snapshot's Stolen; how long it takes is not asserted.
 func TestStealOversubscribed(t *testing.T) {
 	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
 	g := graph.Road(64, 64, 3)
@@ -26,6 +28,7 @@ func TestStealOversubscribed(t *testing.T) {
 		}
 		cfg := runtime.DefaultConfig(4)
 		cfg.Seed = 1
+		cfg.Obs = obs.New(obs.Config{Workers: cfg.Workers})
 		e := runtime.NewEngine(w, cfg)
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
@@ -49,6 +52,9 @@ func TestStealOversubscribed(t *testing.T) {
 		}
 		if err := w.Verify(); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+		if got := cfg.Obs.Total(obs.CTasksStolen); got != snap.Stolen {
+			t.Errorf("%s: recorder tasks_stolen %d, snapshot Stolen %d", name, got, snap.Stolen)
 		}
 		t.Logf("%s: %d tasks, %d stolen", name, snap.TasksProcessed, snap.Stolen)
 	}

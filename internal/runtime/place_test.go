@@ -12,16 +12,16 @@ import (
 )
 
 func TestDispatchGate(t *testing.T) {
-	const batchK, self, workers = 8, 0, 2
+	const self, workers = 0, 2
 	always := ^uint64(0) >> 1 // low half at its top: leaves only at TDF 100
 	for _, qlen := range []int{0, 1, batchK - 1} {
 		if dst, kept := place(always, qlen, batchK, 100, 100, self, workers, false); dst != self || !kept {
-			t.Errorf("%d queued (< BatchK %d): placed on %d, kept %v; want the unit kept local", qlen, batchK, dst, kept)
+			t.Errorf("%d queued (< batchK %d): placed on %d, kept %v; want the unit kept local", qlen, batchK, dst, kept)
 		}
 	}
 	for _, qlen := range []int{batchK, 3 * batchK} {
 		if dst, kept := place(always, qlen, batchK, 100, 100, self, workers, false); dst != 1 || kept {
-			t.Errorf("%d queued (>= BatchK %d): placed on %d, kept %v; want the unit sent", qlen, batchK, dst, kept)
+			t.Errorf("%d queued (>= batchK %d): placed on %d, kept %v; want the unit sent", qlen, batchK, dst, kept)
 		}
 	}
 	// A shared queue is not gated: an empty one still scatters.
@@ -47,7 +47,7 @@ func TestDispatchGate(t *testing.T) {
 		{QueueMultiQueue, 0, 0, 2, 0},
 	} {
 		e := NewEngine(mustWorkload(t, "sssp", graph.Road(4, 4, 1)),
-			Config{Workers: 2, FixedTDF: 100, QueueKind: tc.kind, BatchK: batchK, Seed: 1})
+			Config{Workers: 2, FixedTDF: 100, QueueKind: tc.kind, Seed: 1})
 		me := &e.workers[0]
 		for i := 0; i < tc.queued; i++ {
 			e.push(me, task.Task{Node: graph.NodeID(i), Prio: int64(i)})

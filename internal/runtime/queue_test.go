@@ -50,8 +50,7 @@ func TestQueueKindSelection(t *testing.T) {
 }
 
 // TestEngineQueueKinds runs every workload to completion under each queue
-// kind and a range of batch sizes: results must verify exactly and the
-// conservation ledger must balance regardless of the queue shape.
+// kind: results must verify exactly regardless of the queue shape.
 func TestEngineQueueKinds(t *testing.T) {
 	road := graph.Road(24, 24, 3)
 	web := graph.Web(400, 5)
@@ -63,22 +62,19 @@ func TestEngineQueueKinds(t *testing.T) {
 		{"color", web}, {"pagerank", web},
 	}
 	for _, kind := range QueueKinds() {
-		for _, batchK := range []int{1, 8} {
-			for _, c := range cases {
-				w, err := workload.New(c.wl, c.g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := DefaultConfig(4)
-				cfg.QueueKind = kind
-				cfg.BatchK = batchK
-				res := Run(w, cfg)
-				if err := w.Verify(); err != nil {
-					t.Errorf("%s/%s/batch%d: %v", kind, c.wl, batchK, err)
-				}
-				if res.TasksProcessed <= 0 {
-					t.Errorf("%s/%s/batch%d: no tasks processed", kind, c.wl, batchK)
-				}
+		for _, c := range cases {
+			w, err := workload.New(c.wl, c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(4)
+			cfg.QueueKind = kind
+			res := Run(w, cfg)
+			if err := w.Verify(); err != nil {
+				t.Errorf("%s/%s: %v", kind, c.wl, err)
+			}
+			if res.TasksProcessed <= 0 {
+				t.Errorf("%s/%s: no tasks processed", kind, c.wl)
 			}
 		}
 	}
@@ -170,7 +166,7 @@ func TestBatchRestartRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(w, Config{Workers: 1, BatchK: 8})
+	e := NewEngine(w, Config{Workers: 1})
 	me := &e.workers[0]
 	for i := 0; i < 4; i++ {
 		me.batch[i] = task.Task{Node: graph.NodeID(i), Prio: int64(i)}

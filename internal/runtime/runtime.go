@@ -97,17 +97,10 @@ type Config struct {
 	// out-of-range worker indices fold into the recorder's shared row.
 	Obs *obs.Recorder
 
-	// Retry configures per-task panic handling: a task whose handler panics
-	// is retried up to Retry.MaxAttempts times, then quarantined (see
-	// Engine.Quarantined). The zero value disables retries — the first
-	// panic quarantines — and costs the hot path nothing. Per-job overrides
-	// live in JobConfig.Retry.
-	Retry RetryPolicy
 	// DefaultJob parameterizes job 0, the tenant the engine is constructed
-	// over (name, fair-share weight, quota, TDF bias, retry override). The
-	// zero value keeps the historical single-tenant behavior: weight 1, no
-	// quota, neutral bias. Further tenants are registered with
-	// Engine.NewJob.
+	// over (name, fair-share weight, quota, TDF bias). The zero value keeps
+	// the historical single-tenant behavior: weight 1, no quota, neutral
+	// bias. Further tenants are registered with Engine.NewJob.
 	DefaultJob JobConfig
 	// OverflowCap bounds each transport endpoint's overflow stack, in
 	// tasks. A saturated destination (full ring AND full overflow) bounces
@@ -121,18 +114,6 @@ type Config struct {
 	// with per-worker diagnostics instead of blocking forever. 0 disables
 	// the watchdog (Drain then bounds its wait with ctx alone).
 	StallTimeout time.Duration
-
-	// BatchK is the worker loop's dequeue batch: up to this many tasks are
-	// popped and processed back to back, letting the loop prefetch the next
-	// task's CSR row and amortize the per-iteration stop/recv/flush checks.
-	// The cost is bounded extra relaxation (a child of batch[i] cannot
-	// preempt the rest of the batch). 0 defaults to 8; 1 restores the
-	// pop-one semantics.
-	BatchK int
-	// FlushInterval bounds batching staleness: after this many processed
-	// tasks all partial buffers are force-flushed (a worker that goes idle
-	// always flushes immediately). 0 defaults to 32.
-	FlushInterval int
 }
 
 // Values nothing sets apart from their defaults, so constants and not knobs.
@@ -141,11 +122,20 @@ type Config struct {
 // sendBatch is the transport's per-destination buffer: remote children
 // accumulate until that many are ready, then ship with one claim-CAS
 // (rq.TryPushBatch). idleSleep is an idle worker's sleep once idleSpin()
-// empty polls and as many yields found no work.
+// empty polls and as many yields found no work. batchK is the worker loop's
+// dequeue batch: up to that many tasks are popped and processed back to back,
+// letting the loop prefetch the next task's CSR row and amortize the
+// per-iteration stop/recv/flush checks, at the cost of bounded extra
+// relaxation (a child of batch[i] cannot preempt the rest of the batch); the
+// dispatch gate keeps a unit local while its queue holds fewer. flushInterval
+// bounds batching staleness: after that many processed tasks every partial
+// send buffer is flushed (a worker that goes idle flushes at once).
 const (
-	heapArity = 4
-	sendBatch = 16
-	idleSleep = 50 * time.Microsecond
+	heapArity     = 4
+	sendBatch     = 16
+	idleSleep     = 50 * time.Microsecond
+	batchK        = 8
+	flushInterval = 32
 )
 
 // idleSpin is how many empty polls an idle worker performs before it starts
@@ -176,14 +166,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.QueueKind == "" {
 		cfg.QueueKind = QueueTwoLevel
 	}
-	if cfg.BatchK <= 0 {
-		cfg.BatchK = 8
-	}
 	if cfg.OverflowCap <= 0 {
 		cfg.OverflowCap = 4096
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 32
 	}
 	return cfg
 }

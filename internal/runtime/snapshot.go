@@ -126,7 +126,7 @@ func (e *Engine) Snapshot() Snapshot {
 			OverflowSpills: e.transport.Spills(i),
 			IdleParks:      me.pub[obs.CIdleParks].Load(),
 			Redirects:      me.pub[obs.COverflowRedirects].Load(),
-			Stolen:         me.stolenPub.Load(),
+			Stolen:         me.pub[obs.CTasksStolen].Load(),
 		}
 		s.Workers[i] = ws
 		s.TasksProcessed += ws.Processed

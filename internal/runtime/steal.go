@@ -184,12 +184,11 @@ func (e *Engine) cycleStart(me *worker) int {
 }
 
 // keep holds a unit this worker places on itself until its next cycle start:
-// dispatch's local branch, a redirect bounce, a fault retry. Pop order does
-// not change — a child of batch[i] could not preempt batch[i+1:] anyway — and
-// the gate still counts it, in the spare of q, the worker's queue for the
-// unit's job (looked up when the caller passes nil). In a fleet that does not
-// steal the unit goes straight into its queue — for multiqueue the shared
-// structure — as before.
+// dispatch's local branch or a redirect bounce. Pop order does not change — a
+// child of batch[i] could not preempt batch[i+1:] anyway — and the gate still
+// counts it, in the spare of q, the worker's queue for the unit's job (looked
+// up when the caller passes nil). In a fleet that does not steal the unit goes
+// straight into its queue — for multiqueue the shared structure — as before.
 func (e *Engine) keep(me *worker, q *workerJQ, t task.Task) {
 	if !e.steals {
 		e.push(me, t)

@@ -33,7 +33,7 @@ type worker struct {
 	// share a cache line across workers, and dispatch draws from it per child.
 	rng graph.RNG
 
-	// batch is the dequeue batch (Config.BatchK): the loop pops up to
+	// batch is the dequeue batch (batchK long): the loop pops up to
 	// len(batch) tasks and processes them back to back, prefetching the
 	// next task's CSR row between items. batchPos/batchLen let a worker
 	// restart (runWorkerGuarded) requeue the not-yet-started tail so a
@@ -65,18 +65,17 @@ type worker struct {
 
 	// tasks is the loop's clock: tasks this worker has run to completion. It
 	// strides the trace sampler and, against flushedAt and reportedAt, spaces
-	// the forced transport flush (Config.FlushInterval) and the drift report
+	// the forced transport flush (flushInterval) and the drift report
 	// (Algorithm 3's send threshold).
 	tasks      int64
 	flushedAt  int64
 	reportedAt int64
 
 	// Diagnostics outside the ledger: plain fields on the hot path, mirrored
-	// into pub by publish at flush/park/exit boundaries. keptLocal and
+	// into pub by publish at flush/park/exit boundaries (stolen, the tasks
+	// this worker took from peers, as tasks_stolen). keptLocal and
 	// baggedTasks are summed at Result, once the worker has exited: children
-	// the dispatch gate held back, tasks put in bags. stolen, the tasks this
-	// worker took from peers, publishes into stolenPub (it has no obs
-	// counter).
+	// the dispatch gate held back, tasks put in bags.
 	bags        int64
 	edges       int64
 	idleParks   int64
@@ -109,9 +108,8 @@ type worker struct {
 	// these counters is exactly the engine's. The worker is the only writer
 	// of the slots it publishes: the four ledger terms at settle, the rest
 	// here.
-	pub       *obs.Row
-	pubLocal  obs.Row
-	stolenPub atomic.Int64
+	pub      *obs.Row
+	pubLocal obs.Row
 
 	// prefetchSink receives the batched loop's CSR-offset loads; writing
 	// them to a field keeps the loads from being dead-code-eliminated.
@@ -132,7 +130,7 @@ func (me *worker) publish() {
 	me.pub[obs.CEdgesExamined].Store(me.edges)
 	me.pub[obs.CIdleParks].Store(me.idleParks)
 	me.pub[obs.COverflowRedirects].Store(me.redirects)
-	me.stolenPub.Store(me.stolen)
+	me.pub[obs.CTasksStolen].Store(me.stolen)
 	var fallbacks int64
 	// A thief's ring drain may push into these queues: read them under the
 	// lock.
@@ -264,11 +262,11 @@ func (e *Engine) runWorker(id int) {
 		// The cycle start (steal.go), under the worker's lock: the units kept
 		// during the last batch and the receive side (ring + spilled batches)
 		// go into the queues, a worker behind steals, and the job scheduler
-		// fills up to BatchK tasks across the active jobs, which are then
+		// fills up to batchK tasks across the active jobs, which are then
 		// processed back to back. The batch amortizes the stop/recv/flush
 		// checks and gives the loop a known next task whose CSR row it can
 		// prefetch; the cost is bounded priority relaxation (a child of
-		// batch[i] cannot preempt batch[i+1:], at most BatchK-1 tasks of it).
+		// batch[i] cannot preempt batch[i+1:], at most batchK-1 tasks of it).
 		// Every way back here settles first, so nothing the section shows a
 		// thief is uncounted.
 		n := e.cycleStart(me)
@@ -333,11 +331,11 @@ func (e *Engine) runWorker(id int) {
 		me.batchLen = 0
 		// Settle the batch's accumulated retirements in one shared atomic per
 		// counter — the batched loop's other throughput lever besides the
-		// prefetch: up to BatchK childless tasks retire for the price of one
+		// prefetch: up to batchK childless tasks retire for the price of one
 		// outstanding.Add (and one processed-count store) instead of one each.
 		e.settle(me)
 
-		if me.tasks-me.flushedAt >= int64(e.cfg.FlushInterval) && e.transport.Pending(id) > 0 {
+		if me.tasks-me.flushedAt >= flushInterval && e.transport.Pending(id) > 0 {
 			e.flush(me)
 			me.publish()
 		}
@@ -515,42 +513,21 @@ func (e *Engine) runTask(me *worker, js *jobState, t task.Task) (edges int, pv a
 	return js.w.Process(t, me.emit), nil
 }
 
-// handleFault routes one caught handler panic: retry under the job's retry
-// policy (JobConfig.Retry, falling back to Config.Retry; the task stays
-// outstanding and goes back into this worker's queue) or quarantine (the
-// task retires into the poison list, keeping both conservation ledgers
-// balanced so Drain still terminates). Children emitted before the panic
-// are discarded — a task's effects land exactly once, on the attempt that
-// completes.
+// handleFault quarantines one task whose handler panicked: the children it
+// emitted before the panic are discarded (a task's effects land whole or not
+// at all), and the task retires into the poison list, keeping both
+// conservation ledgers balanced so Drain still terminates.
 func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
-	id := me.id
 	me.children = me.children[:0]
-	policy := js.retryPolicy(e.cfg.Retry)
-	attempt, retry := e.faults.recordPanic(t, id, pv, policy)
+	e.faults.quarantine(t, me.id, pv)
 	if rec := e.obs; rec != nil {
-		rec.Add(id, obs.CTaskPanics, 1)
-		rec.Event(id, obs.EvPanic, t.Prio, int64(attempt), 0)
+		rec.Add(me.id, obs.CTasksQuarantined, 1)
+		rec.Event(me.id, obs.EvQuarantine, t.Prio, int64(js.id), 0)
 	}
-	if retry {
-		if rec := e.obs; rec != nil {
-			rec.Add(id, obs.CTaskRetries, 1)
-		}
-		if b := policy.Backoff; b > 0 {
-			// Served on the failing worker: panics are exceptional, so a
-			// brief stall here beats a timer wheel on the happy path.
-			time.Sleep(time.Duration(attempt) * b)
-		}
-		e.keep(me, nil, t) // still outstanding; retried by this worker
-		return
-	}
-	if rec := e.obs; rec != nil {
-		rec.Add(id, obs.CTasksQuarantined, 1)
-		rec.Event(id, obs.EvQuarantine, t.Prio, int64(attempt), 0)
-	}
-	// The quarantine record is in the ledger (recordPanic) and this worker's
-	// totals are published (settle) before the task leaves the outstanding
-	// counts at once, per job first, then globally — the ledger's publication
-	// order, without waiting for the batch boundary.
+	// The quarantine record is in the ledger and this worker's totals are
+	// published (settle) before the task leaves the outstanding counts at
+	// once, per job first, then globally — the ledger's publication order,
+	// without waiting for the batch boundary.
 	js.quarantined.Add(1)
 	e.settle(me)
 	js.outstanding.Add(-1)
@@ -567,12 +544,6 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 	if pv != nil {
 		e.handleFault(me, js, t, pv)
 		return
-	}
-	if e.faults.retrying.Load() > 0 {
-		// A prior attempt of this task may have panicked; forget its count
-		// so the retry map only holds tasks still cycling. One atomic load
-		// (of a line that is zero outside fault windows) on the hot path.
-		e.faults.clearRetry(t)
 	}
 	if edges == 0 {
 		// A stale pop: a better path reached the node first, so this worker
@@ -642,7 +613,7 @@ func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task) {
 	// placements past it are one stream however often it fired. The gate
 	// reads the queue's spare (steal.go); a shared queue is not gated.
 	rng := me.rng
-	dst, kept := place(rng.Uint64(), q.spare, e.cfg.BatchK, e.control.TDF(), q.js.tdfBias,
+	dst, kept := place(rng.Uint64(), q.spare, batchK, e.control.TDF(), q.js.tdfBias,
 		me.id, len(e.workers), me.sched.shared)
 	if kept {
 		me.keptLocal++
