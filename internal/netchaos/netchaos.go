@@ -2,14 +2,14 @@
 // seeded, deterministic fault-injecting net.Listener / net.Conn wrapper that
 // perturbs the byte streams a serving front-end actually fails on — injected
 // latency, bandwidth throttling, mid-stream connection resets, short reads,
-// partial writes, and stalls (transient blackholes). Where chaos.Transport
-// exercises the engine's inter-worker transfer, netchaos exercises the HTTP
-// layer above it: half-written NDJSON submit streams, responses that never
-// arrive, clients that trickle bytes, connections cut between request and
-// response. Wrapping hdcps-serve's listener with both layers active (the
-// engine behind a chaos.Transport, the socket behind a netchaos.Listener) is
-// how one soak drives faults at the transport boundary and the network
-// boundary at once.
+// partial writes, and stalls (transient blackholes). Where the chaos
+// package's fault hook on the ring transport (chaos.Engine) exercises the
+// engine's inter-worker transfer, netchaos exercises the HTTP layer above it:
+// half-written NDJSON submit streams, responses that never arrive, clients
+// that trickle bytes, connections cut between request and response. Running
+// hdcps-serve with both layers active (the engine built by chaos.Engine, the
+// socket behind a netchaos.Listener) is how one soak drives faults at the
+// transport boundary and the network boundary at once.
 //
 // Determinism follows the chaos package's contract: every fault decision
 // comes from a per-connection seeded RNG (connection index striding the mix

@@ -5,11 +5,16 @@
 //
 // The design follows the constraints of the engine's hot path:
 //
-//   - Counters are per-worker rows of padded atomics. A worker only ever
-//     touches its own row, so every update is an uncontended atomic on a
-//     cache line nothing else writes: lock-free, race-clean, and cheap
-//     enough to sit on the task-retirement path. Readers aggregate rows
-//     with plain atomic loads at any time.
+//   - Counters are rows of padded atomics, one per worker plus one external
+//     row. The recorder owns no counter: every count has one home, a slot in
+//     its owner's Row, which the owner (the engine, the serving front-end)
+//     keeps locally when no recorder is attached and borrows from the
+//     recorder (Row) when one is. Most slots are written by the worker that
+//     owns the row alone, so an update is an uncontended atomic on a cache
+//     line nothing else writes; the exceptions are overflow spills, which a
+//     sender adds to the destination worker's row, and the external row,
+//     which any submitting goroutine adds to. Readers aggregate rows with
+//     plain atomic loads at any time.
 //   - Events land in a per-worker ring buffer guarded by a per-worker
 //     mutex. Events are orders of magnitude rarer than tasks (task events
 //     are sampled, the rest mark bag/spill/park/control transitions), so an
@@ -163,9 +168,10 @@ const External = -1
 
 // Config sizes a Recorder.
 type Config struct {
-	// Workers is the fleet size the recorder serves. Out-of-range worker
-	// indices (including External) fold into one extra shared row, so a
-	// recorder never rejects a write.
+	// Workers is the fleet size the recorder serves: it holds one row per
+	// worker plus the external row. Events from out-of-range worker indices
+	// fold into the external row's ring; Row hands out no counter row for
+	// them, so an undersized recorder never makes two workers share one.
 	Workers int
 	// RingSize is the per-worker event-trace capacity; the ring overwrites
 	// its oldest entries and is allocated lazily on a row's first event.
@@ -200,12 +206,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Row is one worker's counters, indexed by Counter.
+// Row is one owner's counters — a worker's, or the external row's — indexed
+// by Counter.
 type Row [numCounters]atomic.Int64
 
 // row is one worker's slice of the recorder: a padded block of counter
-// atomics plus the event ring. Workers write only their own row, so the
-// atomics are uncontended; the pad keeps adjacent rows off one cache line.
+// atomics plus the event ring. The pad keeps adjacent rows off one cache
+// line, so a worker's own slots stay uncontended even while senders add
+// spills to them.
 type row struct {
 	c Row
 	_ [8]int64
@@ -244,17 +252,12 @@ func New(cfg Config) *Recorder {
 }
 
 // row maps a worker index to its row, folding External and out-of-range
-// indices into the shared last row.
+// indices into the shared last row (for events and reads; Row does not fold).
 func (r *Recorder) row(worker int) *row {
 	if worker >= 0 && worker < r.cfg.Workers {
 		return &r.rows[worker]
 	}
 	return &r.rows[r.cfg.Workers]
-}
-
-// Add increments worker's counter by delta (lock-free).
-func (r *Recorder) Add(worker int, c Counter, delta int64) {
-	r.row(worker).c[c].Add(delta)
 }
 
 // Value reads one worker's counter.
@@ -314,29 +317,21 @@ func (r *Recorder) Event(worker int, k EventKind, a, b, c int64) {
 	rw.mu.Unlock()
 }
 
-// TaskSample records one sampled task retirement: it refreshes the edge
-// counter and appends a task event. The writer owns its counter row (see Row)
-// and publishes the processed total there itself; it calls this on sample
-// boundaries only, which SampleMask tells it, so CEdgesExamined lags by at
-// most one sample stride until the worker next parks (the engine flushes it
-// there). processed is the worker's task total, edges its running edge
-// total.
-func (r *Recorder) TaskSample(worker int, prio, processed, edges int64) {
-	r.row(worker).c[CEdgesExamined].Store(edges)
-	r.Event(worker, EvTask, prio, processed, edges)
-}
-
 // SampleMask returns the task-sampling bitmask: sample when
-// processed&mask == 0. A negative mask means task events are disabled.
+// processed&mask == 0 (an EvTask event, and a refresh of the owner's
+// CEdgesExamined slot). A negative mask means task events are disabled.
 func (r *Recorder) SampleMask() int64 { return r.sampleMask }
 
-// Row exposes worker's backing counters so a single-writer owner (the
-// engine's worker loop) can publish straight into them — its own mirror and
-// the recorder's then share one row, making an attached recorder cost no
-// additional per-task atomics. For each counter it publishes this way the
-// caller must be the only writer; Add keeps working on the rest.
+// Row lends worker's counter row to the row's owner, which writes its counts
+// there in place of a row of its own, so the recorder's view of them is
+// exactly the owner's and an attached recorder costs no extra atomics.
+// External is the one shared row; any other index outside [0, Workers) gets
+// nil, and the owner keeps its own row.
 func (r *Recorder) Row(worker int) *Row {
-	return &r.row(worker).c
+	if worker == External || (worker >= 0 && worker < r.cfg.Workers) {
+		return &r.row(worker).c
+	}
+	return nil
 }
 
 // EventCount returns how many events have ever been appended (including

@@ -12,11 +12,11 @@ import (
 
 func TestCountersAddStoreTotal(t *testing.T) {
 	r := New(Config{Workers: 3})
-	r.Add(0, CBagsCreated, 2)
-	r.Add(1, CBagsCreated, 3)
+	r.Row(0)[CBagsCreated].Add(2)
+	r.Row(1)[CBagsCreated].Add(3)
 	r.Row(2)[CTasksProcessed].Store(41)
 	r.Row(2)[CTasksProcessed].Store(42) // the owner's row: stores are absolute
-	r.Add(External, CTasksSubmitted, 7)
+	r.Row(External)[CTasksSubmitted].Add(7)
 
 	if got := r.Total(CBagsCreated); got != 5 {
 		t.Errorf("Total(bags) = %d, want 5", got)
@@ -36,14 +36,27 @@ func TestCountersAddStoreTotal(t *testing.T) {
 	}
 }
 
-// Out-of-range worker indices must fold into the shared row, never panic.
+// Out-of-range worker indices never panic: their events fold into the
+// external row's ring, but Row lends them no counter row — two workers
+// sharing one would Store over each other's totals — while External is the
+// one row every caller shares.
 func TestOutOfRangeWorkerFolds(t *testing.T) {
 	r := New(Config{Workers: 2})
-	r.Add(99, CIdleParks, 1)
-	r.Add(-5, CIdleParks, 1)
+	for _, w := range []int{2, 99, -5} {
+		if r.Row(w) != nil {
+			t.Errorf("Row(%d) lent a counter row past the recorder's 2 workers", w)
+		}
+	}
+	if r.Row(External) != r.Row(External) || r.Row(External) == r.Row(1) {
+		t.Error("Row(External) is not the one shared external row")
+	}
+	r.Row(External)[CIdleParks].Add(1)
 	r.Event(99, EvPark, 0, 0, 0)
-	if got := r.Total(CIdleParks); got != 2 {
-		t.Errorf("Total(parks) = %d, want 2", got)
+	if got := r.Total(CIdleParks); got != 1 {
+		t.Errorf("Total(parks) = %d, want 1", got)
+	}
+	if evs := r.Events(); len(evs) != 1 || evs[0].Worker != 99 {
+		t.Errorf("events = %+v, want the one park event of worker 99", evs)
 	}
 }
 
@@ -86,14 +99,15 @@ func TestEventsMergedSorted(t *testing.T) {
 }
 
 // processTasks records n task retirements the way the engine's worker loop
-// does: the processed total stored into the worker's own row every task, a
-// TaskSample on the boundaries SampleMask names.
+// does: the processed total stored into the worker's own row every task, the
+// edge total and a task event on the boundaries SampleMask names.
 func processTasks(r *Recorder, n int64) {
 	row := r.Row(0)
 	for i := int64(1); i <= n; i++ {
 		row[CTasksProcessed].Store(i)
 		if m := r.SampleMask(); m >= 0 && i&m == 0 {
-			r.TaskSample(0, 100-i, i, i*3)
+			row[CEdgesExamined].Store(i * 3)
+			r.Event(0, EvTask, 100-i, i, i*3)
 		}
 	}
 }
@@ -139,7 +153,7 @@ func TestConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := int64(0); i < 500; i++ {
-				r.Add(w%4, CBagsCreated, 1)
+				r.Row(w % 4)[CBagsCreated].Add(1)
 				r.Event(w%4, EvBagCreated, i, 2, 0)
 				if i%50 == 0 {
 					_ = r.Events()
@@ -157,8 +171,8 @@ func TestConcurrentWriters(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	r := New(Config{Workers: 2, SampleEvery: 1})
-	r.TaskSample(0, 9, 1, 4)
-	r.Add(1, COverflowSpills, 1)
+	r.Event(0, EvTask, 9, 1, 4)
+	r.Row(1)[COverflowSpills].Add(1)
 	r.Event(1, EvSpill, 3, 0, 0)
 	r.Event(0, EvTDFStep, 60, int64(floatBits(12.5)), 7)
 
@@ -235,7 +249,7 @@ func TestControlSeriesRagged(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	r := New(Config{Workers: 1})
-	r.Add(0, CIdleParks, 3)
+	r.Row(0)[CIdleParks].Store(3)
 	r.Event(0, EvPark, 0, 0, 0)
 
 	rr := httptest.NewRecorder()

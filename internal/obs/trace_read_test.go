@@ -11,8 +11,8 @@ import (
 // post-processor depends on.
 func TestReadTraceV2RoundTrip(t *testing.T) {
 	r := New(Config{Workers: 2, SampleEvery: 1})
-	r.TaskSample(0, 9, 1, 4)
-	r.Add(1, COverflowSpills, 1)
+	r.Event(0, EvTask, 9, 1, 4)
+	r.Row(1)[COverflowSpills].Add(1)
 	r.Event(1, EvSpill, 3, 0, 0)
 
 	jobs := []JobRow{

@@ -31,6 +31,9 @@ const neverReported = int64(1) << 62
 type controlPlane struct {
 	workers int
 	rec     *obs.Recorder // nil when observability is disabled
+	// counters are the engine's worker counter rows: a report's clamp and
+	// the TDF step it closes count on the reporting worker's row.
+	counters []*obs.Row
 
 	// reports is the per-job report matrix: reports[job][worker] holds the
 	// worker's latest priority within that job (atomic access), seeded with
@@ -49,10 +52,6 @@ type controlPlane struct {
 	// a worker that goes idle clears its slots instead (idle), so its last
 	// priority cannot pose as drift.
 	nReported atomic.Int64
-	// clamped counts out-of-range priority reports rejected at the
-	// boundary (negative, or colliding with the never-reported sentinel)
-	// before they could corrupt the drift signal.
-	clamped atomic.Int64
 
 	mu       sync.Mutex // serializes controller updates and history reads
 	ctrl     *drift.Controller
@@ -65,10 +64,11 @@ type controlPlane struct {
 	tdf atomic.Int64
 }
 
-// newControlPlane builds the plane for cfg.Workers workers. With UseTDF off
-// the controller's range is the single point FixedTDF (default 100: always
-// distribute), so intervals are measured and recorded but no move can land.
-func newControlPlane(cfg Config) *controlPlane {
+// newControlPlane builds the plane for cfg.Workers workers counting into
+// counters, one row per worker. With UseTDF off the controller's range is the
+// single point FixedTDF (default 100: always distribute), so intervals are
+// measured and recorded but no move can land.
+func newControlPlane(cfg Config, counters []*obs.Row) *controlPlane {
 	if !cfg.UseTDF {
 		fixed := cfg.FixedTDF
 		if fixed <= 0 {
@@ -79,6 +79,7 @@ func newControlPlane(cfg Config) *controlPlane {
 	cp := &controlPlane{
 		workers:  cfg.Workers,
 		rec:      cfg.Obs,
+		counters: counters,
 		ctrl:     drift.NewController(cfg.Drift),
 		snapshot: make([]int64, 0, cfg.Workers),
 	}
@@ -139,10 +140,7 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 		} else {
 			prio = neverReported - 1
 		}
-		cp.clamped.Add(1)
-		if rec := cp.rec; rec != nil {
-			rec.Add(id, obs.CDriftClamped, 1)
-		}
+		cp.counters[id][obs.CDriftClamped].Add(1)
 	}
 	rows := *cp.reports.Load()
 	if int(job) >= len(rows) {
@@ -150,7 +148,6 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 	}
 	atomic.StoreInt64(&rows[job][id], prio)
 	if rec := cp.rec; rec != nil {
-		rec.Add(id, obs.CDriftReports, 1)
 		rec.Event(id, obs.EvDriftReport, prio, int64(job), 0)
 	}
 	for {
@@ -192,8 +189,8 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 	tdf := cp.ctrl.Climb(pd, ref)
 	cp.mu.Unlock()
 	cp.tdf.Store(int64(tdf))
+	cp.counters[id][obs.CTDFSteps].Add(1)
 	if rec := cp.rec; rec != nil {
-		rec.Add(id, obs.CTDFSteps, 1)
 		rec.Event(id, obs.EvTDFStep, int64(tdf), int64(math.Float64bits(pd)), ref)
 	}
 }
@@ -208,10 +205,6 @@ func (cp *controlPlane) idle(id int) {
 		}
 	}
 }
-
-// Clamped reports how many out-of-range priority reports were clamped at
-// the boundary so far.
-func (cp *controlPlane) Clamped() int64 { return cp.clamped.Load() }
 
 // History returns the controller's per-interval drift/TDF records. Safe to
 // call while workers are still reporting.

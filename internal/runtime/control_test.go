@@ -18,7 +18,7 @@ import (
 // idle worker's last priority would pose as drift.
 func TestControlPlaneClosesEveryWReports(t *testing.T) {
 	cfg := Config{Workers: 2, UseTDF: true}.withDefaults()
-	cp := newControlPlane(cfg)
+	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	cp.addJob()
 	cp.Report(0, 0, 100)
 	if h := cp.History(); len(h) != 0 {
@@ -52,7 +52,7 @@ func TestControlPlaneClosesEveryWReports(t *testing.T) {
 func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 	const workers, n = 4, 500
 	cfg := Config{Workers: workers, UseTDF: true}.withDefaults()
-	cp := newControlPlane(cfg)
+	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	var wg sync.WaitGroup
 	total := 0
 	for w := 0; w < workers; w++ {
@@ -77,7 +77,7 @@ func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 
 func TestControlPlaneFullSnapshotDrift(t *testing.T) {
 	cfg := Config{Workers: 4, UseTDF: true}.withDefaults()
-	cp := newControlPlane(cfg)
+	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	for i, p := range []int64{100, 200, 300, 400} {
 		cp.Report(i, 0, p)
 	}
@@ -93,7 +93,7 @@ func TestControlPlaneFullSnapshotDrift(t *testing.T) {
 
 func TestControlPlaneFixedTDF(t *testing.T) {
 	cfg := Config{Workers: 2, FixedTDF: 70}.withDefaults()
-	cp := newControlPlane(cfg)
+	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	if cp.TDF() != 70 {
 		t.Fatalf("TDF %d, want 70", cp.TDF())
 	}
@@ -111,7 +111,7 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 	}
 
 	// Unset FixedTDF defaults to 100 (always distribute).
-	cp2 := newControlPlane(Config{Workers: 2}.withDefaults())
+	cp2 := newControlPlane(Config{Workers: 2}.withDefaults(), ownRows(2))
 	cp2.Report(0, 0, 1)
 	cp2.Report(1, 0, 2)
 	if h := cp2.History(); cp2.TDF() != 100 || len(h) != 1 || h[0].TDF != 100 {
@@ -125,17 +125,19 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 // TDF to its floor. Report must clamp such priorities at the boundary,
 // count them, and keep the drift signal finite.
 func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
-	rec := obs.New(obs.Config{Workers: 2})
-	cfg := Config{Workers: 2, UseTDF: true, Obs: rec}.withDefaults()
-	cp := newControlPlane(cfg)
+	cfg := Config{Workers: 2, UseTDF: true}.withDefaults()
+	rows := ownRows(cfg.Workers)
+	cp := newControlPlane(cfg, rows)
 
 	cp.Report(0, 0, -1<<40)          // negative: clamps to 0
 	cp.Report(1, 0, neverReported+7) // sentinel collision: clamps to neverReported-1
-	if got := cp.Clamped(); got != 2 {
-		t.Fatalf("clamped = %d, want 2", got)
+	for id, row := range rows {
+		if got := row[obs.CDriftClamped].Load(); got != 1 {
+			t.Fatalf("worker %d clamped = %d, want 1 (each report counts on its reporter's row)", id, got)
+		}
 	}
-	if got := rec.Total(obs.CDriftClamped); got != 2 {
-		t.Fatalf("obs CDriftClamped = %d, want 2", got)
+	if got := rows[1][obs.CTDFSteps].Load(); got != 1 {
+		t.Fatalf("worker 1 tdf_steps = %d, want 1 (its report closed the interval)", got)
 	}
 	h := cp.History()
 	if len(h) != 1 {
@@ -153,14 +155,24 @@ func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
 	// In-range reports don't touch the counter.
 	cp.Report(0, 0, 100)
 	cp.Report(1, 0, 200)
-	if got := cp.Clamped(); got != 2 {
+	if got := rows[0][obs.CDriftClamped].Load() + rows[1][obs.CDriftClamped].Load(); got != 2 {
 		t.Fatalf("in-range report counted as clamped: %d", got)
 	}
 }
 
+// ownRows gives n workers counter rows of their own, as an engine without a
+// recorder does.
+func ownRows(n int) []*obs.Row {
+	rows := make([]*obs.Row, n)
+	for i := range rows {
+		rows[i] = new(obs.Row)
+	}
+	return rows
+}
+
 func TestControlPlaneAdaptive(t *testing.T) {
 	cfg := Config{Workers: 2, UseTDF: true, Drift: drift.Config{InitialTDF: 50, Step: 10}}.withDefaults()
-	cp := newControlPlane(cfg)
+	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	if cp.TDF() != 50 {
 		t.Fatalf("initial TDF %d, want 50", cp.TDF())
 	}
@@ -189,7 +201,7 @@ func TestControlPlaneAdaptive(t *testing.T) {
 
 	// All-zero drift (every report equal, or every report clamped to zero as
 	// pagerank's negative priorities are) carries no information: hold.
-	flat := newControlPlane(cfg)
+	flat := newControlPlane(cfg, ownRows(cfg.Workers))
 	for i := 0; i < 20; i++ {
 		flat.Report(0, 0, -7)
 		flat.Report(1, 0, -9)

@@ -85,17 +85,19 @@ type Engine struct {
 	// outstanding counts every task (and bag) emitted but not yet fully
 	// processed; zero means the system is quiescent.
 	outstanding atomic.Int64
-	// submitted counts externally injected tasks — the left side of the
-	// conservation ledger (see fault.go). Incremented before outstanding so
-	// an observer that sees the work also sees its ledger entry.
-	submitted atomic.Int64
+	// ext is the engine's external counter row: what enters at Submit rather
+	// than in a worker (tasks_submitted, the left side of the conservation
+	// ledger, and quota_rejects). It is the recorder's external row when one
+	// is attached, else extLocal; every worker count lives in its pub row.
+	ext      *obs.Row
+	extLocal obs.Row
 	// epoch counts Submit calls; parked workers wake when it advances.
 	epoch atomic.Uint64
 	stop  atomic.Bool
 	state atomic.Int32
 
-	// faults is the panic-isolation ledger: the poison-task quarantine and
-	// worker-restart counts (fault.go).
+	// faults is the poison-task list (fault.go); the quarantine and restart
+	// counts live in the rows of the workers that caught them.
 	faults faultState
 
 	mu   sync.Mutex // guards the park/wake handshake
@@ -119,18 +121,27 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		cfg:     cfg,
 		w:       w,
 		workers: make([]worker, cfg.Workers),
-		control: newControlPlane(cfg),
 		obs:     cfg.Obs,
 		quiet:   make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
+	// Every count has one home: a worker's pub row, or the engine's external
+	// row. The transport and the control plane count into the workers' rows.
+	e.ext = counterRow(cfg.Obs, obs.External, &e.extLocal)
+	rows := make([]*obs.Row, cfg.Workers)
+	for i := range e.workers {
+		me := &e.workers[i]
+		me.pub = counterRow(cfg.Obs, i, &me.pubLocal)
+		rows[i] = me.pub
+	}
+	e.control = newControlPlane(cfg, rows)
 	e.sampleInterval = e.control.SampleInterval()
 	// w was already Reset above; NewJob would Reset it again, so seed the
 	// table directly.
 	jobs := []*jobState{newJobState(0, w, cfg.DefaultJob, cfg)}
 	e.jobs.Store(&jobs)
-	e.transport = newRingTransport(cfg.Workers, cfg.RingSize, sendBatch, cfg.OverflowCap, cfg.Obs, cfg.Faults)
+	e.transport = newRingTransport(cfg.Workers, cfg.RingSize, sendBatch, cfg.OverflowCap, rows, cfg.Obs, cfg.Faults)
 	// Every job of a stealing fleet has front slots (newJobState).
 	e.steals = jobs[0].fronts != nil
 	if e.steals {
@@ -151,10 +162,6 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.newBagID = func() uint64 {
 			return uint64(me.id)<<32 | uint64(me.store.alloc().idx)
 		}
-		me.pub = &me.pubLocal
-		if rec := cfg.Obs; rec != nil {
-			me.pub = rec.Row(i)
-		}
 	}
 	if cfg.Obs != nil {
 		e.obsMask = cfg.Obs.SampleMask()
@@ -162,6 +169,19 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		e.obsMask = -1
 	}
 	return e
+}
+
+// counterRow is where the owner of row i keeps its counts: the recorder's
+// row i when one is attached and has it, else the owner's own row. A worker
+// past an undersized recorder's rows keeps its own, so no two workers ever
+// share a row.
+func counterRow(rec *obs.Recorder, i int, own *obs.Row) *obs.Row {
+	if rec != nil {
+		if r := rec.Row(i); r != nil {
+			return r
+		}
+	}
+	return own
 }
 
 // Start launches the worker fleet. It returns an error if the engine was
@@ -263,8 +283,8 @@ func (e *Engine) admit(js *jobState, n int) error {
 	if q := js.quota; q > 0 {
 		if out := js.outstanding.Load(); out+int64(n) > q {
 			js.rejected.Add(int64(n))
+			e.ext[obs.CQuotaRejects].Add(int64(n))
 			if rec := e.obs; rec != nil {
-				rec.Add(obs.External, obs.CQuotaRejects, int64(n))
 				rec.Event(obs.External, obs.EvQuotaReject, int64(n), int64(js.id), 0)
 			}
 			return &QuotaError{Job: js.id, Name: js.name, Limit: q, Outstanding: out, Tasks: n}
@@ -412,9 +432,10 @@ func (e *Engine) waitQuiescent(ctx context.Context, out *atomic.Int64, mark func
 // ledgerMark folds the conservation ledger's moving parts into one value
 // that changes whenever the engine makes progress.
 func (e *Engine) ledgerMark() int64 {
-	m := e.submitted.Load() + e.faults.nQuarantined.Load()
+	m := e.ext[obs.CTasksSubmitted].Load()
 	for i := range e.workers {
-		m += e.workers[i].pub[obs.CTasksProcessed].Load() + e.workers[i].pub[obs.CTasksCancelled].Load()
+		pub := e.workers[i].pub
+		m += pub[obs.CTasksProcessed].Load() + pub[obs.CTasksQuarantined].Load() + pub[obs.CTasksCancelled].Load()
 	}
 	return m
 }

@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"hdcps/internal/bag"
 	"hdcps/internal/graph"
 	"hdcps/internal/obs"
 	"hdcps/internal/task"
@@ -94,6 +96,137 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 		t.Error("no events recorded across the hammer")
 	}
 	if err := e.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// total sums counter c over every row the engine counts in: each worker's and
+// the external one.
+func (e *Engine) total(c obs.Counter) int64 {
+	n := e.ext[c].Load()
+	for i := range e.workers {
+		n += e.workers[i].pub[c].Load()
+	}
+	return n
+}
+
+// Every engine counter has one home, a slot in an obs.Row, whether or not a
+// recorder is attached. One run drives each of them — a poison task, negative
+// priorities reported on every task, Submits through a ring of 8 slots, a
+// fan-out the Always bag policy bags, a batch over the default job's quota —
+// and each API value (Snapshot, Result, or the rows where no API field
+// exists) must equal the recorder's total, and still count without one.
+func TestEngineCountersHaveOneHome(t *testing.T) {
+	const poison, fan = graph.NodeID(7), graph.NodeID(1)
+	const quota = 1 << 12
+	run := func(rec *obs.Recorder) (*Engine, map[obs.Counter]int64) {
+		w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
+			switch tk.Node {
+			case poison:
+				panic("poisoned task")
+			case fan:
+				for c := 0; c < 6; c++ {
+					emit(task.Task{Node: graph.NodeID(1000 + c), Prio: 5})
+				}
+			}
+			return 1
+		}}
+		cfg := DefaultConfig(4)
+		cfg.RingSize = 8
+		cfg.Bags.Mode = bag.Always
+		cfg.Drift.SampleInterval = 1
+		cfg.DefaultJob.MaxOutstanding = quota
+		cfg.Obs = rec
+		e := NewEngine(w, cfg)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := testCtx(t)
+		ts := make([]task.Task, 1024)
+		for i := range ts {
+			ts[i] = task.Task{Node: graph.NodeID(i), Prio: -int64(i % 3)}
+		}
+		if err := e.Submit(ts...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var qe *QuotaError
+		if err := e.Submit(make([]task.Task, quota+1)...); !errors.As(err, &qe) {
+			t.Fatalf("submit past the quota: %v, want *QuotaError", err)
+		}
+		if err := e.Stop(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap, res := e.Snapshot(), e.Result()
+		checkLedger(t, snap)
+		var spills, rejects int64
+		for _, ws := range snap.Workers {
+			spills += ws.OverflowSpills
+		}
+		for _, js := range snap.Jobs {
+			rejects += js.QuotaRejected
+		}
+		return e, map[obs.Counter]int64{
+			obs.CTasksSubmitted:   snap.Submitted,
+			obs.CQuotaRejects:     rejects,
+			obs.CTasksQuarantined: snap.Quarantined,
+			obs.COverflowSpills:   spills,
+			obs.CDriftClamped:     res.DriftClamped,
+			obs.CTDFSteps:         int64(len(res.TDFTrace)),
+			obs.CDriftReports:     e.total(obs.CDriftReports),
+			obs.CBagsOpened:       e.total(obs.CBagsOpened),
+			obs.CWorkerRestarts:   e.total(obs.CWorkerRestarts),
+		}
+	}
+
+	rec := obs.New(obs.Config{Workers: 4})
+	e, api := run(rec)
+	for c, v := range api {
+		if got := rec.Total(c); got != v {
+			t.Errorf("%s: API value %d, recorder total %d", c, v, got)
+		}
+		if got := e.total(c); got != v {
+			t.Errorf("%s: API value %d, engine rows %d", c, v, got)
+		}
+	}
+	_, api = run(nil)
+	for c, v := range api {
+		if v == 0 && c != obs.CWorkerRestarts {
+			t.Errorf("%s: zero without a recorder", c)
+		}
+	}
+}
+
+// An undersized recorder once corrupted the ledger: Recorder.Row folded every
+// index past its Workers into the one external row, so workers 2 and 3 of a
+// four-worker engine Stored their processed and spawned totals into the same
+// slots and Snapshot read each slot twice. Such a worker keeps a row of its
+// own now, and the ledger is exact at quiescence.
+func TestEngineUndersizedRecorderKeepsLedgerExact(t *testing.T) {
+	w, err := workload.New("sssp", graph.Road(32, 32, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(4)
+	cfg.Obs = obs.New(obs.Config{Workers: 2})
+	e := NewEngine(w, cfg)
+	if err := e.Submit(w.InitialTasks()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkLedger(t, e.Snapshot())
+	if err := w.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,7 +20,6 @@ package runtime
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hdcps/internal/obs"
@@ -42,15 +41,13 @@ func (q QuarantinedTask) String() string {
 		q.Task.Node, q.Task.Prio, q.Worker, q.Panic)
 }
 
-// faultState is the engine's mutex-guarded fault ledger. Everything here is
-// off the hot path — it is touched only when a handler panics or a worker
-// loop restarts — except the lock-free quarantined count Snapshot reads.
+// faultState is the engine's mutex-guarded poison list, touched only when a
+// handler panics. Its count is not kept here: each quarantine counts in the
+// row of the worker that caught it (tasks_quarantined), as each worker-loop
+// restart does (worker_restarts).
 type faultState struct {
 	mu          sync.Mutex
 	quarantined []QuarantinedTask
-
-	nQuarantined atomic.Int64 // len(quarantined), readable without the lock
-	restarts     atomic.Int64 // worker-loop restarts (engine-level panics)
 }
 
 // quarantine records one task whose handler panicked.
@@ -60,7 +57,6 @@ func (fs *faultState) quarantine(t task.Task, worker int, pv any) {
 		Task: t, Worker: worker, Panic: pv, Time: time.Now(),
 	})
 	fs.mu.Unlock()
-	fs.nQuarantined.Add(1)
 }
 
 // snapshot copies the quarantine list.
@@ -138,14 +134,13 @@ func (e *StallError) Unwrap() error { return e.Err }
 // (no progress for the configured window), as opposed to ctx expiry.
 var ErrStalled = fmt.Errorf("runtime: no progress within the stall timeout")
 
-// stallError assembles the diagnostic from the engine's race-safe state.
+// stallError assembles the diagnostic from the engine's race-safe state, in
+// the ledger's read order: outstanding, the retire side, the add side.
 func (e *Engine) stallError(op string, cause error) *StallError {
 	se := &StallError{
 		Op:          op,
 		Err:         cause,
 		Outstanding: e.outstanding.Load(),
-		Submitted:   e.submitted.Load(),
-		Quarantined: e.faults.nQuarantined.Load(),
 		Epoch:       e.epoch.Load(),
 		Workers:     make([]WorkerState, len(e.workers)),
 	}
@@ -155,13 +150,15 @@ func (e *Engine) stallError(op string, cause error) *StallError {
 			ID:        i,
 			Processed: me.pub[obs.CTasksProcessed].Load(),
 			IdleParks: me.pub[obs.CIdleParks].Load(),
-			Spills:    e.transport.Spills(i),
+			Spills:    me.pub[obs.COverflowSpills].Load(),
 			Parked:    me.parked.Load(),
 		}
 		se.Workers[i] = ws
 		se.Processed += ws.Processed
+		se.Quarantined += me.pub[obs.CTasksQuarantined].Load()
 		se.Cancelled += me.pub[obs.CTasksCancelled].Load()
 	}
+	se.Submitted = e.ext[obs.CTasksSubmitted].Load()
 	return se
 }
 

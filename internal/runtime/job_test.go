@@ -219,6 +219,59 @@ func TestJobQuota(t *testing.T) {
 	_ = e.Stop(context.Background())
 }
 
+// TestEngineSubmitMixedJobs covers Engine.Submit's mixed-job path, which
+// groups a batch by job and admission-checks every group before it submits
+// any: one job over its quota refuses the whole batch, leaving both jobs'
+// ledgers untouched, and a batch within quota bills each task to its own job.
+func TestEngineSubmitMixedJobs(t *testing.T) {
+	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int { return 1 }}
+	e := NewEngine(w, Config{Workers: 2})
+	j, err := e.NewJob(w, JobConfig{Name: "quoted", MaxOutstanding: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mixed is n0 tasks of job 0 followed by n1 of the quoted job.
+	mixed := func(n0, n1 int) []task.Task {
+		ts := seedTasks(n0 + n1)
+		for i := n0; i < len(ts); i++ {
+			ts[i].Job = j.ID()
+		}
+		return ts
+	}
+
+	err = e.Submit(mixed(3, 5)...)
+	var qe *QuotaError
+	if !errors.As(err, &qe) || qe.Job != j.ID() || qe.Tasks != 5 {
+		t.Fatalf("mixed batch over the quoted job's quota: %v, want its *QuotaError for 5 tasks", err)
+	}
+	for _, js := range e.Snapshot().Jobs {
+		if js.Submitted != 0 || js.Outstanding != 0 {
+			t.Fatalf("job %d admitted work from a refused batch: %+v", js.Job, js)
+		}
+	}
+
+	if err := e.Submit(mixed(3, 4)...); err != nil {
+		t.Fatalf("mixed batch within quota: %v", err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	checkJobLedgers(t, snap)
+	for id, want := range []int64{3, 4} {
+		if js := snap.Jobs[id]; js.Submitted != want || js.Processed != want {
+			t.Errorf("job %d: submitted %d processed %d, want %d each", id, js.Submitted, js.Processed, want)
+		}
+	}
+	if got := snap.Jobs[j.ID()].QuotaRejected; got != 5 {
+		t.Errorf("quoted job QuotaRejected = %d, want 5", got)
+	}
+	_ = e.Stop(testCtx(t))
+}
+
 // TestJobWeightIsBounded: a weight whose DRR deposit would overflow int64
 // (1<<62 * drrQuantum wraps to 0) once left the job's balance at zero for
 // ever, and its worker spinning in fillBatch's rotation without reaching the

@@ -158,10 +158,9 @@ func (e *Engine) account(delta int64) {
 func (e *Engine) enter(js *jobState, n int64) {
 	js.submitted.Add(n)
 	js.outstanding.Add(n)
-	e.submitted.Add(n)
+	e.ext[obs.CTasksSubmitted].Add(n)
 	e.outstanding.Add(n)
 	if rec := e.obs; rec != nil {
-		rec.Add(obs.External, obs.CTasksSubmitted, n)
 		rec.Event(obs.External, obs.EvSubmit, n, int64(js.id), 0)
 	}
 }

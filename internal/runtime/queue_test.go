@@ -227,7 +227,7 @@ func TestEngineRestartMidRun(t *testing.T) {
 	if !pt.panicked.Load() {
 		t.Skip("fleet drained before the fault window (timing-dependent)")
 	}
-	if got := e.faults.restarts.Load(); got != 1 {
+	if got := e.total(obs.CWorkerRestarts); got != 1 {
 		t.Errorf("worker restarts = %d, want 1", got)
 	}
 }

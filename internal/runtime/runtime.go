@@ -89,12 +89,14 @@ type Config struct {
 	// or a test watching what crosses the transport. Nil in production.
 	Faults FaultHook
 
-	// Obs, when non-nil, enables the observability layer: per-worker
-	// counters, sampled event traces, and spill/park/control events are
-	// recorded into it by every runtime layer. A nil recorder costs the hot
-	// path one predictable branch per recording site. Size it for at least
-	// this engine's Workers (obs.New(obs.Config{Workers: n})); writes from
-	// out-of-range worker indices fold into the recorder's shared row.
+	// Obs, when non-nil, enables the observability layer: the engine keeps
+	// its counters in the recorder's rows instead of rows of its own, and
+	// every runtime layer records sampled task, spill, park and control
+	// events into it. A nil recorder costs the hot path one predictable
+	// branch per event site; the counters count either way. Size it for this
+	// engine's Workers (obs.New(obs.Config{Workers: n})): a worker past the
+	// recorder's rows keeps its counters in a row of its own, which the
+	// engine's views read but the recorder's totals do not.
 	Obs *obs.Recorder
 
 	// DefaultJob parameterizes job 0, the tenant the engine is constructed

@@ -111,7 +111,6 @@ func (e *Engine) Snapshot() Snapshot {
 		Epoch:       e.epoch.Load(),
 		Outstanding: e.outstanding.Load(),
 		TDF:         int(e.control.TDF()),
-		Quarantined: e.faults.nQuarantined.Load(),
 		Workers:     make([]WorkerStats, len(e.workers)),
 		Jobs:        make([]JobStats, len(jobs)),
 	}
@@ -123,7 +122,7 @@ func (e *Engine) Snapshot() Snapshot {
 		ws := WorkerStats{
 			Processed:      me.pub[obs.CTasksProcessed].Load(),
 			Bags:           me.pub[obs.CBagsCreated].Load(),
-			OverflowSpills: e.transport.Spills(i),
+			OverflowSpills: me.pub[obs.COverflowSpills].Load(),
 			IdleParks:      me.pub[obs.CIdleParks].Load(),
 			Redirects:      me.pub[obs.COverflowRedirects].Load(),
 			Stolen:         me.pub[obs.CTasksStolen].Load(),
@@ -133,6 +132,7 @@ func (e *Engine) Snapshot() Snapshot {
 		s.BagsCreated += ws.Bags
 		s.EdgesExamined += me.pub[obs.CEdgesExamined].Load()
 		s.BagsRetired += me.pub[obs.CBagsRetired].Load()
+		s.Quarantined += me.pub[obs.CTasksQuarantined].Load()
 		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
 		s.Stolen += ws.Stolen
@@ -147,7 +147,7 @@ func (e *Engine) Snapshot() Snapshot {
 	for i := range e.workers {
 		s.Spawned += e.workers[i].pub[obs.CTasksSpawned].Load()
 	}
-	s.Submitted = e.submitted.Load()
+	s.Submitted = e.ext[obs.CTasksSubmitted].Load()
 	return s
 }
 
@@ -176,8 +176,8 @@ func (e *Engine) Result() Result {
 		res.TasksProcessed += me.pub[obs.CTasksProcessed].Load()
 		res.BagsCreated += me.pub[obs.CBagsCreated].Load()
 		res.EdgesExamined += me.pub[obs.CEdgesExamined].Load()
+		res.DriftClamped += me.pub[obs.CDriftClamped].Load()
 	}
-	res.DriftClamped = e.control.Clamped()
 	if hist := e.control.History(); len(hist) > 0 {
 		res.DriftTrace = make([]float64, 0, len(hist))
 		res.RefTrace = make([]int64, 0, len(hist))

@@ -73,13 +73,14 @@ type ringTransport struct {
 }
 
 // endpoint is one worker's transport state. The receive side (ring,
-// overflow, spills) is written by remote senders and drained only by the
-// owner; the send side (out, pending) is owned exclusively by the worker.
+// overflow) is written by remote senders and drained only by the owner; the
+// send side (out, pending) is owned exclusively by the worker. counters is
+// the owner's counter row: a sender whose batch spills adds the spill there.
 type endpoint struct {
 	ring        *rq.Ring
 	overflow    overflowStack
 	overflowLen atomic.Int64 // tasks currently parked in overflow
-	spills      atomic.Int64
+	counters    *obs.Row
 
 	// out accumulates remote tasks per destination; a buffer ships via
 	// TryPushBatch when it reaches the batch size or on Flush.
@@ -91,9 +92,10 @@ type endpoint struct {
 
 // newRingTransport builds the fabric for `workers` endpoints with rings of
 // ringSize slots, per-destination batches of `batch` tasks, and at most
-// overflowCap tasks parked in any endpoint's overflow by worker sends. A
-// non-nil rec records overflow-spill events at the destination endpoint.
-func newRingTransport(workers, ringSize, batch, overflowCap int, rec *obs.Recorder, hook FaultHook) *ringTransport {
+// overflowCap tasks parked in any endpoint's overflow by worker sends.
+// Overflow spills count on the destination's row of counters; a non-nil rec
+// also records them as events.
+func newRingTransport(workers, ringSize, batch, overflowCap int, counters []*obs.Row, rec *obs.Recorder, hook FaultHook) *ringTransport {
 	tr := &ringTransport{
 		batch:       batch,
 		overflowCap: int64(overflowCap),
@@ -109,6 +111,7 @@ func newRingTransport(workers, ringSize, batch, overflowCap int, rec *obs.Record
 	for i := range tr.eps {
 		ep := &tr.eps[i]
 		ep.ring = rq.NewRing(ringSize)
+		ep.counters = counters[i]
 		ep.out = make([][]task.Task, workers)
 		for j := range ep.out {
 			if j != i {
@@ -198,9 +201,8 @@ func (tr *ringTransport) deliver(dst int, ts []task.Task, bounded bool) []task.T
 	// the tasks because the caller's buffer is reused.
 	w.overflow.push(&overflowNode{tasks: append([]task.Task(nil), rest...)})
 	w.overflowLen.Add(int64(len(rest)))
-	w.spills.Add(1)
+	w.counters[obs.COverflowSpills].Add(1)
 	if rec := tr.rec; rec != nil {
-		rec.Add(dst, obs.COverflowSpills, 1)
 		rec.Event(dst, obs.EvSpill, int64(len(rest)), 0, 0)
 	}
 	return nil
@@ -246,10 +248,6 @@ func (tr *ringTransport) empty(id int) bool {
 	return ep.ring.Len() == 0 && ep.overflow.head.Load() == nil &&
 		(tr.hook == nil || !tr.hook.Holding(id))
 }
-
-// Spills reports how many overflow spills have landed at worker id's
-// endpoint so far (full-ring flow-control events, for Snapshot).
-func (tr *ringTransport) Spills(id int) int64 { return tr.eps[id].spills.Load() }
 
 // overflowStack is the receive-side flow-control fallback: when a
 // destination's ring is full, the rejected batch is parked on this

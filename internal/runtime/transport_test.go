@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"hdcps/internal/graph"
+	"hdcps/internal/obs"
 	"hdcps/internal/task"
 )
 
 func TestTransportBatchingAndFlush(t *testing.T) {
-	tr := newRingTransport(2, 8, 4, 4096, nil, nil)
+	tr := newRingTransport(2, 8, 4, 4096, ownRows(2), nil, nil)
 	for i := 0; i < 3; i++ {
 		tr.Send(0, 1, task.Task{Node: graph.NodeID(i)})
 	}
@@ -47,14 +48,14 @@ func TestTransportBatchingAndFlush(t *testing.T) {
 }
 
 func TestTransportOverflowSpill(t *testing.T) {
-	tr := newRingTransport(2, 2, 64, 4096, nil, nil) // 2-slot ring
+	tr := newRingTransport(2, 2, 64, 4096, ownRows(2), nil, nil) // 2-slot ring
 	ts := make([]task.Task, 10)
 	for i := range ts {
 		ts[i].Node = graph.NodeID(i)
 	}
 	tr.Inject(1, ts)
-	if tr.Spills(1) == 0 {
-		t.Fatal("10 tasks through a 2-slot ring must spill")
+	if tr.eps[1].counters[obs.COverflowSpills].Load() == 0 {
+		t.Fatal("10 tasks through a 2-slot ring must spill, counted on the destination's row")
 	}
 	got := tr.Recv(1, nil)
 	if len(got) != 10 {
@@ -72,7 +73,7 @@ func TestTransportOverflowSpill(t *testing.T) {
 // Concurrent injectors racing the owning drainer: no task may be lost or
 // duplicated (run under -race for the memory-model half of the claim).
 func TestTransportConcurrentInject(t *testing.T) {
-	tr := newRingTransport(2, 4, 8, 4096, nil, nil)
+	tr := newRingTransport(2, 4, 8, 4096, ownRows(2), nil, nil)
 	const senders = 4
 	const perSender = 500
 	var wg sync.WaitGroup

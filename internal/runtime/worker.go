@@ -73,16 +73,19 @@ type worker struct {
 
 	// Diagnostics outside the ledger: plain fields on the hot path, mirrored
 	// into pub by publish at flush/park/exit boundaries (stolen, the tasks
-	// this worker took from peers, as tasks_stolen). keptLocal and
+	// this worker took from peers, as tasks_stolen; bagsOpened and
+	// driftReports as bags_opened and drift_reports). keptLocal and
 	// baggedTasks are summed at Result, once the worker has exited: children
 	// the dispatch gate held back, tasks put in bags.
-	bags        int64
-	edges       int64
-	idleParks   int64
-	redirects   int64
-	keptLocal   int64
-	baggedTasks int64
-	stolen      int64
+	bags         int64
+	bagsOpened   int64
+	edges        int64
+	idleParks    int64
+	redirects    int64
+	driftReports int64
+	keptLocal    int64
+	baggedTasks  int64
+	stolen       int64
 
 	// Scheduling-quality accounting (obs-gated: all five stay untouched
 	// when no recorder is attached). popCount strides the sampler at the
@@ -100,14 +103,15 @@ type worker struct {
 	// (StallError diagnostics read it).
 	parked atomic.Bool
 
-	// pub is the row of atomic shadows the loop publishes into, indexed by
-	// obs.Counter: the worker's own pubLocal normally, or the attached
-	// recorder's row for this worker when observability is on. Sharing the
-	// row means an enabled recorder costs the per-task path no atomics
-	// beyond the ones the engine already pays, and the recorder's view of
-	// these counters is exactly the engine's. The worker is the only writer
-	// of the slots it publishes: the four ledger terms at settle, the rest
-	// here.
+	// pub is the worker's counter row, indexed by obs.Counter and the one
+	// home of every count the worker causes: its own pubLocal normally, or
+	// the attached recorder's row for this worker. Sharing the row means an
+	// enabled recorder costs the per-task path no atomics beyond the ones the
+	// engine already pays, and the recorder's view of these counters is
+	// exactly the engine's. The worker is the only writer of every slot but
+	// overflow_spills, which senders add to (transport.go): the four ledger
+	// terms at settle, quarantines and restarts where they happen, the drift
+	// plane's clamped reports and TDF steps in Report, the rest in publish.
 	pub      *obs.Row
 	pubLocal obs.Row
 
@@ -124,12 +128,14 @@ type worker struct {
 }
 
 // publish mirrors the worker-local diagnostics into their atomic shadows (the
-// ledger's terms publish at settle).
+// ledger's terms publish at settle, the rank counters at each sample).
 func (me *worker) publish() {
 	me.pub[obs.CBagsCreated].Store(me.bags)
+	me.pub[obs.CBagsOpened].Store(me.bagsOpened)
 	me.pub[obs.CEdgesExamined].Store(me.edges)
 	me.pub[obs.CIdleParks].Store(me.idleParks)
 	me.pub[obs.COverflowRedirects].Store(me.redirects)
+	me.pub[obs.CDriftReports].Store(me.driftReports)
 	me.pub[obs.CTasksStolen].Store(me.stolen)
 	var fallbacks int64
 	// A thief's ring drain may push into these queues: read them under the
@@ -142,10 +148,6 @@ func (me *worker) publish() {
 	}
 	me.mu.Unlock()
 	me.pub[obs.CQueueFallbacks].Store(fallbacks)
-	me.pub[obs.CRankSamples].Store(me.rankSamples)
-	me.pub[obs.CPrioInversions].Store(me.inversions)
-	me.pub[obs.CRankErrSum].Store(me.rankErrSum)
-	me.pub[obs.CRankErrMax].Store(me.rankErrMax)
 }
 
 // park blocks the worker until work is submitted or the engine stops, and
@@ -222,9 +224,8 @@ func (e *Engine) runWorkerGuarded(id int) (clean bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			clean = false
-			e.faults.restarts.Add(1)
+			e.workers[id].pub[obs.CWorkerRestarts].Add(1)
 			if rec := e.obs; rec != nil {
-				rec.Add(id, obs.CWorkerRestarts, 1)
 				rec.Event(id, obs.EvWorkerRestart, 0, 0, 0)
 			}
 		}
@@ -486,8 +487,8 @@ func (e *Engine) prefetchRow(me *worker, t task.Task) {
 func (e *Engine) openBag(me *worker, q *workerJQ, t task.Task) {
 	st := &e.workers[int(t.Data>>32)].store
 	s := st.get(uint32(t.Data))
+	me.bagsOpened++
 	if rec := e.obs; rec != nil {
-		rec.Add(me.id, obs.CBagsOpened, 1)
 		rec.Event(me.id, obs.EvBagOpened, int64(len(s.tasks)), 0, 0)
 	}
 	for _, bt := range s.tasks {
@@ -520,8 +521,8 @@ func (e *Engine) runTask(me *worker, js *jobState, t task.Task) (edges int, pv a
 func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
 	me.children = me.children[:0]
 	e.faults.quarantine(t, me.id, pv)
+	me.pub[obs.CTasksQuarantined].Add(1)
 	if rec := e.obs; rec != nil {
-		rec.Add(me.id, obs.CTasksQuarantined, 1)
 		rec.Event(me.id, obs.EvQuarantine, t.Prio, int64(js.id), 0)
 	}
 	// The quarantine record is in the ledger and this worker's totals are
@@ -556,10 +557,12 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 	// deltas only: no shared line is touched here (ledger.go says when they
 	// settle).
 	me.led.retire(q)
-	// With a recorder attached pub IS the recorder's row for this worker,
-	// so only the sampled trace path remains to record here.
+	// With a recorder attached pub IS the recorder's row for this worker, so
+	// only the sampled trace path remains to record here, with an edge-count
+	// refresh so the total lags by at most one sample stride.
 	if m := e.obsMask; m >= 0 && me.tasks&m == 0 {
-		e.obs.TaskSample(me.id, t.Prio, me.tasks, me.edges)
+		me.pub[obs.CEdgesExamined].Store(me.edges)
+		e.obs.Event(me.id, obs.EvTask, t.Prio, me.tasks, me.edges)
 	}
 
 	if len(me.children) > 0 {
@@ -591,6 +594,7 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 	// Drift reporting (Algorithm 3's send threshold).
 	if me.tasks-me.reportedAt >= e.sampleInterval {
 		me.reportedAt = me.tasks
+		me.driftReports++
 		e.control.Report(me.id, js.id, t.Prio)
 	}
 }

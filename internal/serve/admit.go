@@ -31,7 +31,7 @@ type failure struct {
 	match     func(error) bool
 	status    int
 	retryMs   int64       // retry_after_ms, and a Retry-After header, when > 0
-	counter   obs.Counter // the one decision counter the outcome moves, if any
+	counter   obs.Counter // the one decision counter the outcome moves, or noCounter
 	closeConn bool        // the connection is poisoned: Connection: close
 }
 
@@ -50,10 +50,10 @@ var failures = []failure{
 	{match: is(errDraining), status: http.StatusServiceUnavailable, retryMs: 200, counter: obs.CServeShed},
 	{match: is(errOverload), status: http.StatusServiceUnavailable, retryMs: 200, counter: obs.CServeShed},
 	{match: is(errDeadline), status: http.StatusServiceUnavailable, retryMs: 200, counter: obs.CServeDeadlineHits},
-	{match: is(runtime.ErrStopped), status: http.StatusServiceUnavailable, retryMs: 200},
-	{match: as[*runtime.QuotaError], status: http.StatusTooManyRequests, retryMs: 50},
-	{match: is(runtime.ErrJobCancelled), status: http.StatusConflict},
-	{match: as[*lineError], status: http.StatusBadRequest},
+	{match: is(runtime.ErrStopped), status: http.StatusServiceUnavailable, retryMs: 200, counter: noCounter},
+	{match: as[*runtime.QuotaError], status: http.StatusTooManyRequests, retryMs: 50, counter: noCounter},
+	{match: is(runtime.ErrJobCancelled), status: http.StatusConflict, counter: noCounter},
+	{match: as[*lineError], status: http.StatusBadRequest, counter: noCounter},
 	// The peer is gone; the status is for the log, not the wire.
 	{match: is(errAborted), status: http.StatusBadRequest, counter: obs.CServeConnAborts},
 	// The body stopped making progress and the connection is past its read
@@ -69,7 +69,7 @@ func failureOf(err error) failure {
 			return f
 		}
 	}
-	return failure{status: http.StatusInternalServerError}
+	return failure{status: http.StatusInternalServerError, counter: noCounter}
 }
 
 // refusal is the server-wide half of admission — draining, or over the

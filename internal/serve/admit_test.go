@@ -24,7 +24,8 @@ import (
 
 // counters reads the four boundary counters in a fixed order.
 func (s *Server) counters() [4]int64 {
-	return [4]int64{s.resil.shed.Load(), s.resil.deadlineHits.Load(), s.resil.connAborts.Load(), s.resil.resumes.Load()}
+	row := s.row()
+	return [4]int64{row[obs.CServeShed].Load(), row[obs.CServeDeadlineHits].Load(), row[obs.CServeConnAborts].Load(), row[obs.CServeResumes].Load()}
 }
 
 // TestFailureTableBothProtocols walks the table once: every row, replied
@@ -63,6 +64,8 @@ func TestFailureTableBothProtocols(t *testing.T) {
 		var moved [4]int64
 		if at, ok := counterAt[row.counter]; ok {
 			moved[at] = 1
+		} else if row.counter != noCounter {
+			t.Fatalf("row %d counts %v: a row moves a serve decision counter or says noCounter", i, row.counter)
 		}
 
 		// Buffered: status line, Retry-After iff a hint, JSON envelope.
@@ -120,6 +123,76 @@ func TestFailureTableBothProtocols(t *testing.T) {
 	s.reply(rec, nil, nil, 3)
 	if rec.Code != http.StatusOK || rec.Body.String() != "{\"accepted\":3}\n" {
 		t.Fatalf("nil error: %d %q, want the 200 body", rec.Code, rec.Body.String())
+	}
+}
+
+// lateReader delivers its body only after delay: a client slower than its
+// request's deadline.
+type lateReader struct {
+	b     []byte
+	delay time.Duration
+	done  bool
+}
+
+func (r *lateReader) Read(p []byte) (int, error) {
+	if r.done {
+		return 0, io.EOF
+	}
+	time.Sleep(r.delay)
+	r.done = true
+	return copy(p, r.b), io.EOF
+}
+
+// TestServeCountersHaveOneHome drives each network-boundary decision once
+// through the submit handler — a resumed stream, a body that dies mid-stream,
+// a body slower than its deadline, a submit while draining — and reads them
+// back from Info: with a recorder attached each field equals the recorder's
+// total (the server counts on its external row), and without one they still
+// count.
+func TestServeCountersHaveOneHome(t *testing.T) {
+	for _, withObs := range []bool{true, false} {
+		s, _ := newTestServer(t, func(c *Config) { c.Obs = withObs })
+		line := ndjson(TaskSpec{Node: 1}).Bytes()
+		for _, tc := range []struct {
+			name   string
+			body   io.Reader
+			header map[string]string
+			status int
+		}{
+			{"resume", bytes.NewReader(line), map[string]string{HeaderStreamID: "x", HeaderStreamOffset: "1"}, http.StatusOK},
+			{"abort", &dataThenErrReader{b: line, err: io.ErrUnexpectedEOF}, nil, http.StatusBadRequest},
+			{"deadline", &lateReader{b: line, delay: 20 * time.Millisecond}, map[string]string{HeaderDeadlineMs: "1"}, http.StatusServiceUnavailable},
+			{"shed", bytes.NewReader(line), nil, http.StatusServiceUnavailable},
+		} {
+			if tc.name == "shed" {
+				s.draining.Store(true)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/jobs/0/submit", tc.body)
+			for k, v := range tc.header {
+				req.Header.Set(k, v)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if rec.Code != tc.status {
+				t.Fatalf("obs %v, %s: status %d %s, want %d", withObs, tc.name, rec.Code, rec.Body, tc.status)
+			}
+		}
+		info := s.info()
+		for c, v := range map[obs.Counter]int64{
+			obs.CServeShed:         info.Shed,
+			obs.CServeDeadlineHits: info.DeadlineHits,
+			obs.CServeConnAborts:   info.ConnAborts,
+			obs.CServeResumes:      info.Resumes,
+		} {
+			if v != 1 {
+				t.Errorf("obs %v: Info %s = %d, want 1", withObs, c, v)
+			}
+			if withObs {
+				if got := s.rec.Total(c); got != v {
+					t.Errorf("%s: Info %d, recorder total %d", c, v, got)
+				}
+			}
+		}
 	}
 }
 
@@ -188,7 +261,7 @@ func TestHugeDeadlineHeaderIsNotAnExpiredOne(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"accepted":1`)) {
 		t.Fatalf("status %d body %s, want 200 accepted 1", resp.StatusCode, body)
 	}
-	if n := s.resil.deadlineHits.Load(); n != 0 {
+	if n := s.info().DeadlineHits; n != 0 {
 		t.Fatalf("%d deadline hits counted on a request that met its deadline", n)
 	}
 }

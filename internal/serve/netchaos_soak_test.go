@@ -235,7 +235,8 @@ func runNetchaosMix(t *testing.T, mix netchaosMix) {
 	if mix.wantRetry && st.Retries.Load() == 0 {
 		t.Fatalf("mix %s never forced a retry (%s) — the resume path went unexercised", mix.name, st.String())
 	}
-	if mix.wantRetry && s.resil.resumes.Load() == 0 {
+	info := s.info()
+	if mix.wantRetry && info.Resumes == 0 {
 		t.Fatalf("mix %s never resumed a partially-admitted stream server-side — exactly-once went untested", mix.name)
 	}
 
@@ -259,8 +260,9 @@ func runNetchaosMix(t *testing.T, mix netchaosMix) {
 	if mix.engine != nil && s.ChaosStats() == nil {
 		t.Fatal("engine chaos configured but no fault hook attached")
 	}
+	info = s.info()
 	t.Logf("mix %-16s client[%s] net[%s] server[resumes %d aborts %d shed %d deadline %d] accepted %d",
 		mix.name, st.String(), lis.Stats(),
-		s.resil.resumes.Load(), s.resil.connAborts.Load(), s.resil.shed.Load(), s.resil.deadlineHits.Load(),
+		info.Resumes, info.ConnAborts, info.Shed, info.DeadlineHits,
 		rep.Accepted)
 }

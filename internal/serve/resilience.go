@@ -21,7 +21,6 @@ import (
 	"context"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hdcps/internal/obs"
@@ -134,33 +133,26 @@ func (t *streamTracker) record(k streamKey, admitted int64) {
 	t.order = append(t.order, k)
 }
 
-// resilStats are the server's network-boundary decision counters, mirrored
-// onto the obs recorder's external row when one is attached (HTTP handlers
-// run outside the worker fleet).
-type resilStats struct {
-	shed         atomic.Int64 // submits/creates refused: draining or global overload
-	deadlineHits atomic.Int64 // requests cut by their propagated deadline
-	connAborts   atomic.Int64 // submit bodies that died mid-stream (stall, reset)
-	resumes      atomic.Int64 // submit requests that resumed a tracked stream
+// noCounter marks a failure that moves no decision counter: the zero Counter
+// is tasks_processed, so a failure row names noCounter explicitly.
+const noCounter = ^obs.Counter(0)
+
+// row is the server's counter row, the one home of its network-boundary
+// decisions (serve_shed, serve_deadline_hits, serve_conn_aborts,
+// serve_resumes): the recorder's external row when one is attached (HTTP
+// handlers run outside the worker fleet), else the server's own — which is
+// also what a zero Server counts into.
+func (s *Server) row() *obs.Row {
+	if s.ext != nil {
+		return s.ext
+	}
+	return &s.own
 }
 
-// count moves one of the four; any other counter (a failure row's zero
-// value) counts nothing.
+// count moves one decision counter; noCounter moves none.
 func (s *Server) count(c obs.Counter) {
-	switch c {
-	case obs.CServeShed:
-		s.resil.shed.Add(1)
-	case obs.CServeDeadlineHits:
-		s.resil.deadlineHits.Add(1)
-	case obs.CServeConnAborts:
-		s.resil.connAborts.Add(1)
-	case obs.CServeResumes:
-		s.resil.resumes.Add(1)
-	default:
-		return
-	}
-	if s.rec != nil {
-		s.rec.Add(obs.External, c, 1)
+	if c != noCounter {
+		s.row()[c].Add(1)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestStreamResumeSkipsAdmitted(t *testing.T) {
 	if got := s.accepted.Load(); got != base {
 		t.Fatalf("replay re-admitted work: server accepted %d -> %d", base, got)
 	}
-	if s.resil.resumes.Load() == 0 {
+	if s.info().Resumes == 0 {
 		t.Fatal("replay did not count as a resume")
 	}
 
@@ -173,7 +173,7 @@ func TestSubmitDeadlineCutsPrefix(t *testing.T) {
 	if eb.Accepted%submitFlush != 0 || eb.Accepted >= 2*submitFlush {
 		t.Fatalf("admitted prefix %d, want a flush multiple below %d", eb.Accepted, 2*submitFlush)
 	}
-	if s.resil.deadlineHits.Load() == 0 {
+	if s.info().DeadlineHits == 0 {
 		t.Fatal("deadline hit not counted")
 	}
 }
@@ -211,7 +211,7 @@ func TestSubmitStallDetectorAborts(t *testing.T) {
 	if eb.Accepted != submitFlush {
 		t.Fatalf("stall abort reported %d admitted, want the flushed prefix %d", eb.Accepted, submitFlush)
 	}
-	if s.resil.connAborts.Load() == 0 {
+	if s.info().ConnAborts == 0 {
 		t.Fatal("stall abort not counted")
 	}
 	pw.Close()

@@ -80,13 +80,13 @@ type Config struct {
 	// SeedInitial submits the workload's InitialTasks at startup, so the
 	// algorithm state converges before external traffic lands.
 	SeedInitial bool
-	// Chaos, when non-nil, wraps the engine's transport with the seeded
-	// engine-layer fault mix (delay, duplication, reorder, ring-full, stall)
-	// so the serving path can be soaked against scheduler faults together
-	// with the connection-layer faults netchaos injects. Duplicated tasks
-	// re-enter through Submit and are ledger-counted; Shutdown's
-	// accepted==Submitted proof accounts for them via the transport's
-	// duplicate counter.
+	// Chaos, when non-nil, attaches the seeded engine-layer fault mix
+	// (delay, duplication, reorder, ring-full, stall) as the ring
+	// transport's fault hook (chaos.Engine), so the serving path can be
+	// soaked against scheduler faults together with the connection-layer
+	// faults netchaos injects. Duplicated tasks re-enter through Submit and
+	// are ledger-counted; Shutdown's accepted==Submitted proof accounts for
+	// them via the hook's duplicate counter.
 	Chaos *chaos.Config
 	// SubmitStallTimeout is the slow-client guard: a submit body that makes
 	// no progress for this long is aborted with 408 reporting the admitted
@@ -162,10 +162,12 @@ type Server struct {
 	draining atomic.Bool
 
 	// Network-boundary resilience state (resilience.go): the exactly-once
-	// stream tracker, the shed/deadline/abort/resume counters, and the
-	// engine-layer fault counters when Config.Chaos is set.
+	// stream tracker, the counter row the shed/deadline/abort/resume
+	// decisions count on (ext, the recorder's external row, or own; see
+	// row), and the engine-layer fault counters when Config.Chaos is set.
 	streams *streamTracker
-	resil   resilStats
+	ext     *obs.Row
+	own     obs.Row
 	faults  *chaos.Stats
 
 	hsMu sync.Mutex
@@ -211,6 +213,9 @@ func New(cfg Config) (*Server, error) {
 		streams: newStreamTracker(streamCacheSize),
 		faults:  faults,
 		started: time.Now(),
+	}
+	if rec != nil {
+		s.ext = rec.Row(obs.External)
 	}
 	if cfg.SeedInitial {
 		seeds := wl.InitialTasks()
@@ -328,6 +333,7 @@ func (s *Server) info() Info {
 	s.mu.RLock()
 	jobs := len(s.jobs)
 	s.mu.RUnlock()
+	row := s.row()
 	return Info{
 		Workload:    s.cfg.Workload,
 		Input:       s.cfg.Input,
@@ -341,10 +347,10 @@ func (s *Server) info() Info {
 		Accepted:    s.accepted.Load(),
 		Outstanding: s.eng.Outstanding(),
 
-		Shed:         s.resil.shed.Load(),
-		DeadlineHits: s.resil.deadlineHits.Load(),
-		ConnAborts:   s.resil.connAborts.Load(),
-		Resumes:      s.resil.resumes.Load(),
+		Shed:         row[obs.CServeShed].Load(),
+		DeadlineHits: row[obs.CServeDeadlineHits].Load(),
+		ConnAborts:   row[obs.CServeConnAborts].Load(),
+		Resumes:      row[obs.CServeResumes].Load(),
 	}
 }
 
