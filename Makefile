@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 quick vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate serve-smoke fuzz-smoke ci
+.PHONY: all build tier1 quick vet lint race procs chaos serve-chaos bench bench-smoke bench-gate scale-gate serve-smoke fuzz-smoke examples ci
 
 all: ci
 
@@ -20,6 +20,15 @@ quick: build
 
 vet:
 	$(GO) vet ./...
+
+# Examples: tier1 only compiles the examples/ programs; this runs each to its
+# end (every one verifies its own answer and exits non-zero on a failure),
+# which is how a change to the facade API they call shows. ~5 s in all with a
+# warm build cache.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d || exit 1; \
+	done
 
 # Lint: gofmt is a hard gate everywhere; staticcheck runs when installed
 # (the CI workflow installs it, minimal containers may not have it). The size
@@ -185,4 +194,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzTwoLevelVsBinaryHeap' -fuzztime 20s ./internal/pq/
 
-ci: tier1 vet lint race procs chaos serve-chaos serve-smoke scale-gate fuzz-smoke bench-gate
+ci: tier1 vet lint examples race procs chaos serve-chaos serve-smoke scale-gate fuzz-smoke bench-gate

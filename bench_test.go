@@ -3,6 +3,7 @@ package hdcps
 import (
 	"testing"
 
+	"hdcps/internal/exec"
 	"hdcps/internal/exp"
 	"hdcps/internal/graph"
 	"hdcps/internal/obs"
@@ -79,6 +80,20 @@ func BenchmarkSchedulers(b *testing.B) {
 	}
 }
 
+// solveNative is one native solve through exec.RunJobs, failed unless it
+// drained with its ledger exact; it returns the snapshot taken after Stop.
+func solveNative(b *testing.B, w workload.Workload, cfg runtime.Config) runtime.Snapshot {
+	b.Helper()
+	_, rep, err := exec.RunJobs([]workload.Workload{w}, []runtime.JobConfig{{}}, exec.Spec{Native: &cfg})
+	if err == nil {
+		err = rep.Err()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Final
+}
+
 // BenchmarkNativeRuntime measures the goroutine-based HD-CPS runtime on the
 // host: tasks per second across the paper's workloads.
 func BenchmarkNativeRuntime(b *testing.B) {
@@ -91,8 +106,7 @@ func BenchmarkNativeRuntime(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := runtime.Run(w, runtime.DefaultConfig(4))
-				tasks += res.TasksProcessed
+				tasks += solveNative(b, w, runtime.DefaultConfig(4)).TasksProcessed
 			}
 			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
 		})
@@ -108,22 +122,23 @@ func BenchmarkNativeRuntimeObserved(b *testing.B) {
 	g := graph.Road(48, 48, 42)
 	for _, name := range workload.Names() {
 		b.Run(name, func(b *testing.B) {
-			// One long-lived recorder across iterations, as a service would
-			// run it; worker rows hold absolute per-run totals, so the
-			// consistency check below stays per-iteration.
+			// A recorder serves one engine: the engine keeps its counts in the
+			// recorder's rows, so each solve gets a fresh one.
 			cfg := runtime.DefaultConfig(4)
-			rec := obs.New(obs.Config{Workers: cfg.Workers})
-			cfg.Obs = rec
 			var tasks int64
 			for i := 0; i < b.N; i++ {
 				w, err := workload.New(name, g)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := runtime.Run(w, cfg)
-				tasks += res.TasksProcessed
-				if rec.Total(obs.CTasksProcessed) != res.TasksProcessed {
-					b.Fatal("recorder disagrees with runtime result")
+				rec := obs.New(obs.Config{Workers: cfg.Workers})
+				cfg.Obs = rec
+				snap := solveNative(b, w, cfg)
+				tasks += snap.TasksProcessed
+				if rec.Total(obs.CTasksProcessed) != snap.TasksProcessed ||
+					rec.Total(obs.CTasksBagged) != snap.BaggedTasks ||
+					rec.Total(obs.CUnitsKeptLocal) != snap.KeptLocal {
+					b.Fatal("recorder disagrees with the engine's snapshot")
 				}
 			}
 			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	stdruntime "runtime"
 	"sort"
 	"time"
 
+	"hdcps/internal/exec"
 	"hdcps/internal/graph"
 	"hdcps/internal/runtime"
 	"hdcps/internal/workload"
@@ -58,12 +60,15 @@ func runScaleGate(scale string, seed uint64, reps int, limit float64) error {
 		for i, workers := range fleets {
 			cfg := runtime.DefaultConfig(workers)
 			cfg.Seed = seed
-			res := runtime.Run(w, cfg)
-			if err := w.Verify(); err != nil {
-				return fmt.Errorf("scale-gate: sssp with %d workers, wrong result: %w", workers, err)
+			_, rep, err := exec.RunJobs([]workload.Workload{w}, []runtime.JobConfig{{}}, exec.Spec{Native: &cfg})
+			if err == nil {
+				err = errors.Join(rep.Err(), w.Verify())
+			}
+			if err != nil {
+				return fmt.Errorf("scale-gate: sssp with %d workers: %w", workers, err)
 			}
 			if !warm {
-				ms[i] = append(ms[i], float64(res.Elapsed)/float64(time.Millisecond))
+				ms[i] = append(ms[i], float64(rep.Elapsed)/float64(time.Millisecond))
 			}
 		}
 	}

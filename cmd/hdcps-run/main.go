@@ -17,7 +17,7 @@
 // for a native run. Every native run goes through exec.RunJobs and prints one
 // report: the metrics, the engine's conservation ledger and its verdict, and
 // the check against the sequential reference. -trace writes the run's JSONL
-// trace (schema "hdcps-obs/v4": meta, per-worker counters, sampled events,
+// trace (schema "hdcps-obs/v5": meta, per-worker counters, sampled events,
 // one job row per tenant, the drift/ref/TDF control series) and -metrics
 // serves expvar + pprof + a live counter snapshot at /debug/obs while the
 // run executes.

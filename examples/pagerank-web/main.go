@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"time"
 
 	"hdcps"
 )
@@ -22,11 +23,15 @@ func main() {
 	}
 	cfg := hdcps.DefaultNativeConfig(4)
 	cfg.Drift = hdcps.DriftConfig{SampleInterval: 500} // more controller action to look at
-	res := hdcps.RunNative(w, cfg)
+	res, err := hdcps.RunNative(w, cfg)
+	if err != nil {
+		log.Fatalf("native run failed: %v", err)
+	}
 	if err := w.Verify(); err != nil {
 		log.Fatalf("ranks failed verification: %v", err)
 	}
-	fmt.Printf("converged in %v, %d tasks, %d bags\n", res.Elapsed, res.TasksProcessed, res.BagsCreated)
+	fmt.Printf("converged in %v, %d tasks, %d bags\n",
+		time.Duration(res.CompletionTime), res.TasksProcessed, res.BagsCreated)
 
 	// The workload interface is intentionally minimal; concrete types give
 	// access to results. Rank() returns 2^30 fixed-point values.

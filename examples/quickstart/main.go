@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"hdcps"
 )
@@ -20,12 +21,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := hdcps.RunNative(w, hdcps.DefaultNativeConfig(4))
+	nat, err := hdcps.RunNative(w, hdcps.DefaultNativeConfig(4))
+	if err != nil {
+		log.Fatalf("native run failed: %v", err)
+	}
 	if err := w.Verify(); err != nil {
 		log.Fatalf("native result wrong: %v", err)
 	}
 	fmt.Printf("native:    %v for %d tasks on 4 workers (verified)\n",
-		res.Elapsed, res.TasksProcessed)
+		time.Duration(nat.CompletionTime), nat.TasksProcessed)
 
 	// 2. Simulated execution: the paper's 40-core software-mode machine.
 	w2, err := hdcps.NewWorkload("sssp", g)

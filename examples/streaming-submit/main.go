@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"hdcps"
 )
@@ -27,6 +28,7 @@ func main() {
 	}
 
 	e := hdcps.NewEngine(w, hdcps.DefaultNativeConfig(4))
+	started := time.Now()
 	if err := e.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -48,6 +50,7 @@ func main() {
 			s.Epoch, waves, s.TasksProcessed, s.BagsCreated, s.TDF)
 	}
 
+	elapsed := time.Since(started)
 	if err := e.Stop(ctx); err != nil {
 		log.Fatal(err)
 	}
@@ -55,11 +58,13 @@ func main() {
 		log.Fatalf("ranks failed verification: %v", err)
 	}
 
-	res := e.Result()
+	// Once Stop has returned, every worker has published: the counters are
+	// exact.
+	final := e.Snapshot()
 	fmt.Printf("\nconverged in %v: %d tasks, %d edges examined\n",
-		res.Elapsed, res.TasksProcessed, res.EdgesExamined)
+		elapsed, final.TasksProcessed, final.EdgesExamined)
 	var parks int64
-	for _, ws := range e.Snapshot().Workers {
+	for _, ws := range final.Workers {
 		parks += ws.IdleParks
 	}
 	fmt.Printf("fleet parked %d times across %d waves — workers outlive the work\n",

@@ -29,6 +29,7 @@ import (
 
 	"hdcps/internal/chaos"
 	"hdcps/internal/drift"
+	"hdcps/internal/exec"
 	"hdcps/internal/exp"
 	"hdcps/internal/graph"
 	"hdcps/internal/obs"
@@ -58,8 +59,6 @@ type (
 	Run = stats.Run
 	// NativeConfig parameterizes the goroutine runtime.
 	NativeConfig = runtime.Config
-	// NativeResult is the goroutine runtime's metrics record.
-	NativeResult = runtime.Result
 	// Engine is the long-lived native runtime: a worker fleet with a
 	// Start / Submit / Drain / Stop lifecycle that accepts work while
 	// running and exposes Snapshot for mid-run visibility.
@@ -88,12 +87,14 @@ type (
 	QuarantinedTask = runtime.QuarantinedTask
 	// StallError is the diagnostic returned when Drain or Stop gives up —
 	// deadline, cancellation, or no ledger progress for
-	// NativeConfig.StallTimeout — carrying the outstanding count and
-	// per-worker state needed to tell a livelock from a slow handler.
+	// NativeConfig.StallTimeout — carrying the engine's snapshot (and the
+	// blocking job's ledger row for a job-scoped wait) needed to tell a
+	// livelock from a slow handler.
 	StallError = runtime.StallError
-	// ChaosConfig is the fault-injection mix for the chaos transport:
-	// per-turn probabilities for delay, duplication, reorder, ring-full
-	// rejection, and worker stalls, under one deterministic seed.
+	// ChaosConfig is the fault-injection mix a hook on the engine's ring
+	// transport applies: per-turn probabilities for delay, duplication,
+	// reorder, ring-full rejection, and worker stalls, under one
+	// deterministic seed.
 	ChaosConfig = chaos.Config
 	// Recorder is the native runtime's observability collector: per-worker
 	// lock-free counters plus ring-buffered event traces. Attach one via
@@ -171,9 +172,19 @@ func RunSim(s Scheduler, w Workload, cfg MachineConfig, seed uint64) Run {
 // clone of w and returns its task count (the work-efficiency denominator).
 func SequentialTasks(w Workload) int64 { return workload.RunSequential(w.Clone()) }
 
-// RunNative executes a workload on the goroutine-based HD-CPS runtime
-// (one-shot; for a long-lived service use NewEngine).
-func RunNative(w Workload, cfg NativeConfig) NativeResult { return runtime.Run(w, cfg) }
+// RunNative executes a workload to completion on the goroutine-based HD-CPS
+// runtime (one-shot; for a long-lived service use NewEngine) and returns the
+// same metrics record RunSim does, with CompletionTime in nanoseconds. A
+// refused seed (cfg.DefaultJob's quota), a drain that stalls, or a
+// conservation-ledger violation is its error; the answer is only to be
+// trusted without one.
+func RunNative(w Workload, cfg NativeConfig) (Run, error) {
+	r, rep, err := exec.RunJobs([]Workload{w}, []JobConfig{cfg.DefaultJob}, exec.Spec{Native: &cfg})
+	if err != nil {
+		return r, err
+	}
+	return r, rep.Err()
+}
 
 // NewEngine builds a long-lived native runtime over w. Call Start, then
 // Submit work (streaming is fine), Drain to wait for quiescence, and Stop

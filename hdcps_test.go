@@ -3,6 +3,7 @@ package hdcps
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -39,12 +40,35 @@ func TestFacadeNativeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunNative(w, DefaultNativeConfig(2))
-	if res.TasksProcessed <= 0 || res.Elapsed <= 0 {
+	res, err := RunNative(w, DefaultNativeConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TasksProcessed <= 0 || res.CompletionTime <= 0 {
 		t.Fatalf("empty native run: %+v", res)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A seed the default job's quota refuses is an error, not a run that
+// processed nothing and reported success.
+func TestFacadeNativeRunRefusedSeed(t *testing.T) {
+	w, err := NewWorkload("pagerank", Web(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultNativeConfig(2)
+	cfg.DefaultJob.MaxOutstanding = 10
+	res, err := RunNative(w, cfg)
+	var qe *QuotaError
+	if !errors.As(err, &qe) {
+		t.Fatalf("RunNative with %d seeds over a quota of 10: err %v, want a *QuotaError (run %+v)",
+			len(w.InitialTasks()), err, res)
+	}
+	if qe.Limit != 10 || qe.Tasks != len(w.InitialTasks()) {
+		t.Errorf("quota error %+v", qe)
 	}
 }
 

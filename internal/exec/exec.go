@@ -1,21 +1,26 @@
 // Package exec runs the native engine to a checked finish. RunJobs is the one
-// harness: one engine over one or more tenant workloads (behind the chaos
-// transport when Spec.Chaos is set), every tenant seeded before the fleet
-// starts, one drain under a no-progress watchdog, and one report — the final
-// snapshot, the conservation-ledger verdict, the quarantine list and the
-// injected-fault counts — beside the run's metrics in the stats.Run
-// vocabulary the simulator shares. cmd/hdcps-run, the queue-sweep and
-// fairness-sweep experiments and the benchmark's tenants-mixed workload run
-// the engine through it; simulated runs go through sched.ByName.
+// harness: one engine over one or more tenant workloads (with a fault hook on
+// its transport when Spec.Chaos is set), every tenant seeded before the fleet
+// starts, one drain under a no-progress watchdog, and one report — the
+// snapshots after the drain and after the stop, the controller's series, the
+// conservation-ledger verdict, the quarantine list and the injected-fault
+// counts — beside the run's metrics in the stats.Run vocabulary the simulator
+// shares. Every one-shot native run outside the benchmark goes through it:
+// cmd/hdcps-run, hdcps.RunNative, the fig10, drift-timeline, queue-sweep and
+// fairness-sweep experiments, hdcps-bench's scale gate, the root package's
+// native benchmarks, and the benchmark's tenants-mixed workload; simulated
+// runs go through sched.ByName.
 package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"hdcps/internal/chaos"
+	"hdcps/internal/obs"
 	"hdcps/internal/runtime"
 	"hdcps/internal/stats"
 	"hdcps/internal/workload"
@@ -42,13 +47,23 @@ type Spec struct {
 	Chaos *chaos.Config
 }
 
-// JobsReport is a run's outcome: the final engine snapshot, one JobStats row
-// per tenant, the contention-window fairness shares, and the fault side.
+// JobsReport is a run's outcome: the engine's snapshots, one JobStats row
+// per tenant, the controller's series, the contention-window fairness shares,
+// and the fault side.
 type JobsReport struct {
 	// Elapsed is Start to the engine-wide Drain's return.
-	Elapsed  time.Duration
+	Elapsed time.Duration
+	// Snapshot is read once Drain has returned: the view the ledger verdict
+	// (ConservationErr) is taken over. Final is read once Stop has returned,
+	// when every worker has published, so its diagnostic counters
+	// (BaggedTasks, KeptLocal, EdgesExamined...) are exact; the returned
+	// stats.Run is built from it.
 	Snapshot runtime.Snapshot
+	Final    runtime.Snapshot
 	Jobs     []runtime.JobStats
+	// Control is the control plane's series, one point per controller
+	// interval (Engine.ControlTrace).
+	Control []obs.ControlPoint
 
 	// WeightShares[i] is tenant i's weight divided by the weight total;
 	// Shares[i] is its share of the tasks processed across the contention
@@ -81,6 +96,11 @@ type JobsReport struct {
 
 	eng *runtime.Engine
 }
+
+// Err is the run's verdict as one error: the drain failure and the
+// conservation-ledger violation, joined (nil when the run drained with every
+// ledger exact).
+func (r *JobsReport) Err() error { return errors.Join(r.DrainErr, r.ConservationErr) }
 
 // ShareError returns the largest |measured - weight| share deviation across
 // the tenants (0 for a one-job run).
@@ -161,6 +181,8 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 	rep.Snapshot = e.Snapshot()
 	rep.Jobs = rep.Snapshot.Jobs
 	_ = e.Stop(context.Background())
+	rep.Final = e.Snapshot()
+	rep.Control = e.ControlTrace()
 	rep.Quarantined = e.Quarantined()
 
 	var ck chaos.Checker
@@ -169,7 +191,7 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 	} else {
 		rep.ConservationErr = ck.Live(rep.Snapshot)
 	}
-	return nativeStats(ws[0], cfg.Workers, rep.Elapsed, e.Result()), rep, nil
+	return nativeStats(ws[0], cfg.Workers, rep), rep, nil
 }
 
 // fairnessWindow samples snapshots until the first tenant quiesces,
@@ -228,24 +250,27 @@ func fairnessWindow(e *runtime.Engine, jcs []runtime.JobConfig, cfg runtime.Conf
 	return shares, total
 }
 
-// nativeStats adapts an engine's Result into the stats.Run vocabulary shared
-// with the simulator (completion time in nanoseconds, every tenant combined).
-func nativeStats(w workload.Workload, workers int, elapsed time.Duration, res runtime.Result) stats.Run {
-	return stats.Run{
+// nativeStats renders a report in the stats.Run vocabulary shared with the
+// simulator (completion time in nanoseconds, every tenant combined).
+func nativeStats(w workload.Workload, workers int, rep *JobsReport) stats.Run {
+	r := stats.Run{
 		Scheduler:      "native-hdcps",
 		Workload:       w.Name(),
 		Input:          w.Graph().Name,
 		Cores:          workers,
-		CompletionTime: elapsed.Nanoseconds(),
-		TasksProcessed: res.TasksProcessed,
-		BagsCreated:    res.BagsCreated,
-		BaggedTasks:    res.BaggedTasks,
-		EdgesExamined:  res.EdgesExamined,
-		DriftTrace:     res.DriftTrace,
-		RefTrace:       res.RefTrace,
-		TDFTrace:       res.TDFTrace,
-		DriftClamped:   res.DriftClamped,
+		CompletionTime: rep.Elapsed.Nanoseconds(),
+		TasksProcessed: rep.Final.TasksProcessed,
+		BagsCreated:    rep.Final.BagsCreated,
+		BaggedTasks:    rep.Final.BaggedTasks,
+		EdgesExamined:  rep.Final.EdgesExamined,
+		DriftClamped:   rep.Final.DriftClamped,
 	}
+	for _, p := range rep.Control {
+		r.DriftTrace = append(r.DriftTrace, p.Drift)
+		r.RefTrace = append(r.RefTrace, p.Ref)
+		r.TDFTrace = append(r.TDFTrace, p.TDF)
+	}
+	return r
 }
 
 func weightShares(jcs []runtime.JobConfig) []float64 {

@@ -179,3 +179,45 @@ func TestRunJobsTrace(t *testing.T) {
 		})
 	}
 }
+
+// The stats.Run a native run returns is the post-Stop snapshot and the
+// controller's series, read through no other record.
+func TestRunJobsStatsFromFinalSnapshot(t *testing.T) {
+	w, err := workload.New("pagerank", graph.Web(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := []workload.Workload{w}
+	cfg := runtime.DefaultConfig(2)
+	cfg.Drift.SampleInterval = 50
+	r, rep, err := RunJobs(ws, []runtime.JobConfig{{}}, Spec{Native: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, ws, r, rep)
+	final := rep.eng.Snapshot() // the engine has stopped: nothing moves
+	if rep.Final.TasksProcessed != final.TasksProcessed || rep.Final.KeptLocal != final.KeptLocal {
+		t.Fatalf("JobsReport.Final %+v is not the post-Stop snapshot %+v", rep.Final, final)
+	}
+	got := []int64{r.TasksProcessed, r.BagsCreated, r.BaggedTasks, r.EdgesExamined, r.DriftClamped}
+	want := []int64{final.TasksProcessed, final.BagsCreated, final.BaggedTasks, final.EdgesExamined, final.DriftClamped}
+	for i, name := range []string{"TasksProcessed", "BagsCreated", "BaggedTasks", "EdgesExamined", "DriftClamped"} {
+		if got[i] != want[i] {
+			t.Errorf("stats.Run.%s = %d, post-Stop snapshot %d", name, got[i], want[i])
+		}
+	}
+	if final.BaggedTasks < final.BagsCreated || final.BagsCreated == 0 {
+		t.Errorf("pagerank: %d bags holding %d tasks", final.BagsCreated, final.BaggedTasks)
+	}
+	if len(rep.Control) == 0 || len(r.TDFTrace) != len(rep.Control) ||
+		len(r.DriftTrace) != len(rep.Control) || len(r.RefTrace) != len(rep.Control) {
+		t.Fatalf("traces %d/%d/%d long for %d control points",
+			len(r.TDFTrace), len(r.DriftTrace), len(r.RefTrace), len(rep.Control))
+	}
+	for i, p := range rep.Control {
+		if p.Interval != i || r.TDFTrace[i] != p.TDF || r.DriftTrace[i] != p.Drift || r.RefTrace[i] != p.Ref {
+			t.Fatalf("interval %d: run has tdf %d drift %v ref %d, control point %+v",
+				i, r.TDFTrace[i], r.DriftTrace[i], r.RefTrace[i], p)
+		}
+	}
+}

@@ -11,7 +11,8 @@ package exp
 // reference priority and TDF, recorded with an obs.Recorder attached — so the
 // feedback loop can be read off a real trace instead of an end-of-run
 // average. With Options.TracePath set it also emits the full JSONL trace
-// (recorder meta, per-worker counters, sampled events, control series).
+// (recorder meta, per-worker counters, sampled events, the job row, control
+// series). Every solve is one exec.RunJobs call, verified.
 
 import (
 	"fmt"
@@ -81,18 +82,18 @@ func driftTimeline(o Options, set *inputSet) (Result, error) {
 	for start := time.Now(); len(tallies[0].ms) < driftTimelineReps; {
 		warm := time.Since(start) < driftTimelineWarm // so the first round always is
 		for i, c := range cfgs {
-			nr := runtime.Run(w, c)
-			if err := w.Verify(); err != nil {
-				return Result{}, fmt.Errorf("exp: drift-timeline %s run wrong: %w", labels[i], err)
+			nr, rep, err := runOnce(w, c)
+			if err != nil {
+				return Result{}, fmt.Errorf("exp: drift-timeline %s: %w", labels[i], err)
 			}
 			if warm {
 				continue
 			}
 			t := &tallies[i]
 			t.tasks += float64(nr.TasksProcessed) / driftTimelineReps
-			t.kept += nr.KeptLocal
-			t.units += nr.Dispatched
-			t.ms = append(t.ms, float64(nr.Elapsed.Microseconds())/1e3)
+			t.kept += rep.Final.KeptLocal
+			t.units += rep.Final.Spawned - rep.Final.BaggedTasks
+			t.ms = append(t.ms, float64(rep.Elapsed.Microseconds())/1e3)
 			t.drift = append(t.drift, nr.DriftTrace...)
 			for _, tdf := range nr.TDFTrace {
 				t.tdfs = append(t.tdfs, float64(tdf))
@@ -102,11 +103,11 @@ func driftTimeline(o Options, set *inputSet) (Result, error) {
 
 	rec := obs.New(obs.Config{Workers: workers, SampleEvery: 32})
 	cfg.Obs = rec
-	nr := runtime.Run(w, cfg)
-	if err := w.Verify(); err != nil {
-		return Result{}, fmt.Errorf("exp: drift-timeline run wrong: %w", err)
+	nr, rep, err := runOnce(w, cfg)
+	if err != nil {
+		return Result{}, fmt.Errorf("exp: drift-timeline traced run: %w", err)
 	}
-	pts := obs.ControlSeries(nr.DriftTrace, nr.RefTrace, nr.TDFTrace)
+	pts := rep.Control
 	if len(pts) == 0 {
 		return Result{}, fmt.Errorf("exp: drift-timeline produced no controller intervals (%d tasks)", nr.TasksProcessed)
 	}
@@ -176,10 +177,7 @@ func driftTimeline(o Options, set *inputSet) (Result, error) {
 			defer f.Close()
 			out = f
 		}
-		if err := rec.WriteJSONL(out); err != nil {
-			return res, err
-		}
-		if err := obs.WriteControlJSONL(out, pts); err != nil {
+		if err := rep.WriteTrace(out); err != nil {
 			return res, err
 		}
 		res.Notes = append(res.Notes, "JSONL trace written to "+o.TracePath)

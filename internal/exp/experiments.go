@@ -200,7 +200,7 @@ func fig10(o Options, set *inputSet) (Result, error) {
 		Series: []string{"sim", "native", "variation"}}
 	// Simulated times are deterministic cycle counts, so those cells fan out
 	// on the pool. Native times are wall-clock: concurrent native runs would
-	// contend for the CPU and distort Elapsed, so they stay sequential.
+	// contend for the CPU and distort their times, so they stay sequential.
 	var jobs []job
 	for _, p := range subset {
 		jobs = append(jobs, job{cell{s: sched.HDCPSSW(), cfg: sim.DefaultSW(workers)}, p})
@@ -217,11 +217,11 @@ func fig10(o Options, set *inputSet) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		nr := runtime.Run(w, ncfg)
-		if err := w.Verify(); err != nil {
-			return res, fmt.Errorf("exp: native run wrong on %s: %w", p.Label(), err)
+		nr, _, err := runOnce(w, ncfg)
+		if err != nil {
+			return res, fmt.Errorf("exp: native run on %s: %w", p.Label(), err)
 		}
-		simT, natT = append(simT, sims[i].t), append(natT, float64(nr.Elapsed.Nanoseconds()))
+		simT, natT = append(simT, sims[i].t), append(natT, float64(nr.CompletionTime))
 	}
 	gs, gn := stats.Geomean(simT), stats.Geomean(natT)
 	for i, p := range subset {

@@ -50,7 +50,9 @@ func queueSweep(o Options, set *inputSet) (Result, error) {
 			cfg.Seed = o.Seed
 			cfg.QueueKind = kind
 			// Warm-up run absorbs first-touch page faults and heap growth.
-			runtime.Run(w, cfg)
+			if _, _, err := runOnce(w, cfg); err != nil {
+				return Result{}, fmt.Errorf("exp: queue-sweep %s/%s warm-up: %w", kind, p.Workload, err)
+			}
 			// Throughput reps run with observability off, so the speed side
 			// of the frontier is the kind's unobserved hot path.
 			var tasks int64
@@ -142,7 +144,7 @@ func rankP99(ranks []int64) float64 {
 func runOnce(w workload.Workload, cfg runtime.Config) (stats.Run, *exec.JobsReport, error) {
 	r, rep, err := exec.RunJobs([]workload.Workload{w}, []runtime.JobConfig{{}}, exec.Spec{Native: &cfg})
 	if err == nil {
-		err = errors.Join(rep.DrainErr, rep.ConservationErr, w.Verify())
+		err = errors.Join(rep.Err(), w.Verify())
 	}
 	return r, rep, err
 }

@@ -1,11 +1,11 @@
 package obs
 
 // Export paths for the recorder: a JSONL trace stream (one self-describing
-// JSON object per line, schema TraceSchema, "hdcps-obs/v4") and an
+// JSON object per line, schema TraceSchema, "hdcps-obs/v5") and an
 // http.Handler serving a point-in-time JSON snapshot. The JSONL layout is
 // deliberately grep/jq-friendly:
 //
-//	{"type":"meta","schema":"hdcps-obs/v4","workers":4,...}
+//	{"type":"meta","schema":"hdcps-obs/v5","workers":4,...}
 //	{"type":"counters","worker":0,"tasks_processed":123,...}
 //	{"type":"job","job":0,"name":"job-0","weight":1,"processed":123,...}
 //	{"type":"event","ts_ns":52100,"worker":1,"kind":"tdf-step","tdf":60,...}
@@ -36,7 +36,7 @@ import (
 
 // TraceSchema identifies the JSONL trace layout: the one the writers below
 // emit and the only one ReadTrace accepts.
-const TraceSchema = "hdcps-obs/v4"
+const TraceSchema = "hdcps-obs/v5"
 
 // jsonFields renders an event's kind-specific payload. Keeping the mapping
 // here (not on Event) makes the wire names the single source of truth.
@@ -111,19 +111,13 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for _, ev := range r.Events() {
-		buf, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, `{"type":"event",%s`+"\n", buf[1:]); err != nil {
-			return err
-		}
+	if err := WriteLines(bw, "event", r.Events()); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// JobRow is one job's ledger line in a v2 trace: the per-tenant conservation
+// JobRow is one job's ledger line in a trace: the per-tenant conservation
 // equation (submitted+spawned == processed+bags_retired+quarantined+
 // cancelled_tasks+outstanding) plus scheduling-quality counters. The obs
 // layer does not depend on the runtime, so the engine maps its JobStats into
@@ -149,32 +143,17 @@ type JobRow struct {
 	RankErrorMax   int64 `json:"rank_err_max"`
 }
 
-// WriteJobsJSONL appends per-job ledger rows to a JSONL trace: one
-// {"type":"job",...} line per tenant (the v2 schema addition).
-func WriteJobsJSONL(w io.Writer, rows []JobRow) error {
+// WriteLines appends rows to a JSONL trace, one {"type":typ,...} line per
+// row with the row's own JSON fields after the tag: the "event", "job"
+// (JobRow) and "control" (ControlPoint) lines are all written here.
+func WriteLines[T any](w io.Writer, typ string, rows []T) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range rows {
 		buf, err := json.Marshal(r)
 		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(bw, `{"type":"job",%s`+"\n", buf[1:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteControlJSONL appends the control plane's time series to a JSONL
-// trace: one {"type":"control",...} line per interval.
-func WriteControlJSONL(w io.Writer, pts []ControlPoint) error {
-	bw := bufio.NewWriter(w)
-	for _, p := range pts {
-		buf, err := json.Marshal(p)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, `{"type":"control",%s`+"\n", buf[1:]); err != nil {
+		if _, err := fmt.Fprintf(bw, `{"type":%q,%s`+"\n", typ, buf[1:]); err != nil {
 			return err
 		}
 	}

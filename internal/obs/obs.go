@@ -67,6 +67,12 @@ const (
 	CQueueFallbacks // bucket-ring → heap migrations on span overflow (0 or 1 per job queue)
 	CTasksStolen    // tasks this worker stole from peers (steal-when-behind)
 
+	// Dispatch counters: the tasks a worker put in bags, and the units
+	// (single children and bag markers) the frontier-width gate kept on the
+	// sender's queue before the TDF draw was consulted.
+	CTasksBagged    // tasks shipped inside bags
+	CUnitsKeptLocal // dispatched units the gate kept local
+
 	// Scheduling-quality counters (PR 6): how far the popped task strayed
 	// from the global minimum. Strict queue kinds (heap/dheap/twolevel) must
 	// report zero inversions — the bench gate's structural canary — while
@@ -101,7 +107,7 @@ var counterNames = [numCounters]string{
 	"bags_opened", "overflow_spills", "idle_parks", "drift_reports",
 	"tdf_steps", "tasks_spawned", "bags_retired", "tasks_quarantined",
 	"overflow_redirects", "drift_clamped", "worker_restarts",
-	"queue_fallbacks", "tasks_stolen",
+	"queue_fallbacks", "tasks_stolen", "tasks_bagged", "units_kept_local",
 	"rank_samples", "prio_inversions", "rank_err_sum", "rank_err_max",
 	"tasks_cancelled", "quota_rejects",
 	"serve_shed", "serve_deadline_hits", "serve_conn_aborts", "serve_resumes",
@@ -379,31 +385,4 @@ type ControlPoint struct {
 	Drift    float64 `json:"drift"`
 	Ref      int64   `json:"ref"`
 	TDF      int     `json:"tdf"`
-}
-
-// ControlSeries zips parallel drift/ref/TDF traces (the shape stats.Run and
-// runtime.Result carry) into control points. Shorter slices are ragged-safe:
-// missing values stay zero.
-func ControlSeries(drift []float64, ref []int64, tdf []int) []ControlPoint {
-	n := len(drift)
-	if len(tdf) > n {
-		n = len(tdf)
-	}
-	if len(ref) > n {
-		n = len(ref)
-	}
-	pts := make([]ControlPoint, n)
-	for i := range pts {
-		pts[i].Interval = i
-		if i < len(drift) {
-			pts[i].Drift = drift[i]
-		}
-		if i < len(ref) {
-			pts[i].Ref = ref[i]
-		}
-		if i < len(tdf) {
-			pts[i].TDF = tdf[i]
-		}
-	}
-	return pts
 }

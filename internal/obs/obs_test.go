@@ -207,9 +207,12 @@ func TestWriteJSONL(t *testing.T) {
 	if !strings.Contains(buf.String(), `"drift":12.5`) {
 		t.Error("tdf-step drift not decoded to float")
 	}
-	// The v4 counter set: tasks_stolen is in, the retired slots are out.
-	if !strings.Contains(lines[1], `"tasks_stolen":0`) {
-		t.Errorf("counters line lacks tasks_stolen: %s", lines[1])
+	// The v5 counter set: tasks_stolen, tasks_bagged and units_kept_local
+	// are in, the retired slots are out.
+	for _, in := range []string{`"tasks_stolen":0`, `"tasks_bagged":0`, `"units_kept_local":0`} {
+		if !strings.Contains(lines[1], in) {
+			t.Errorf("counters line lacks %s: %s", in, lines[1])
+		}
 	}
 	for _, gone := range []string{"task_panics", "task_retries", "hot_spills"} {
 		if strings.Contains(buf.String(), gone) {
@@ -218,32 +221,29 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
+// The job and control appendices come from one writer, WriteLines, which
+// tags each row's own JSON fields with its line type: the bytes are pinned
+// here, the schema's wire shape for both line kinds.
 func TestWriteControlJSONL(t *testing.T) {
-	pts := ControlSeries([]float64{1.5, 2.5}, []int64{10, 11}, []int{50, 60})
+	pts := []ControlPoint{{Interval: 0, Drift: 1.5, Ref: 10, TDF: 50}, {Interval: 1, Drift: 2.5, Ref: 11, TDF: 60}}
 	var buf bytes.Buffer
-	if err := WriteControlJSONL(&buf, pts); err != nil {
+	if err := WriteLines(&buf, "control", pts); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d control lines, want 2", len(lines))
+	want := `{"type":"control","interval":0,"drift":1.5,"ref":10,"tdf":50}` + "\n" +
+		`{"type":"control","interval":1,"drift":2.5,"ref":11,"tdf":60}` + "\n"
+	if buf.String() != want {
+		t.Errorf("control lines:\ngot  %s\nwant %s", buf.String(), want)
 	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &m); err != nil {
+	buf.Reset()
+	if err := WriteLines(&buf, "job", []JobRow{{Job: 1, Name: "a", Weight: 2, Processed: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if m["type"] != "control" || m["tdf"] != float64(60) || m["ref"] != float64(11) {
-		t.Errorf("control line = %v", m)
-	}
-}
-
-func TestControlSeriesRagged(t *testing.T) {
-	pts := ControlSeries([]float64{1}, nil, []int{50, 60, 70})
-	if len(pts) != 3 {
-		t.Fatalf("len = %d, want 3 (longest input)", len(pts))
-	}
-	if pts[0].Drift != 1 || pts[2].TDF != 70 || pts[2].Drift != 0 {
-		t.Errorf("pts = %+v", pts)
+	want = `{"type":"job","job":1,"name":"a","weight":2,"cancelled":false,"outstanding":0,"submitted":0,` +
+		`"spawned":0,"processed":3,"bags_retired":0,"quarantined":0,"cancelled_tasks":0,"quota_rejected":0,` +
+		`"rank_samples":0,"prio_inversions":0,"rank_err_sum":0,"rank_err_max":0}` + "\n"
+	if buf.String() != want {
+		t.Errorf("job line:\ngot  %s\nwant %s", buf.String(), want)
 	}
 }
 

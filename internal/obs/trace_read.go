@@ -1,7 +1,7 @@
 package obs
 
-// Trace read-back: the inverse of WriteJSONL, WriteJobsJSONL and
-// WriteControlJSONL. Only tests consume a trace through it: the round-trip
+// Trace read-back: the inverse of WriteJSONL and the WriteLines appendices.
+// Only tests consume a trace through it: the round-trip
 // check that what the writers emit decodes to what they were given
 // (trace_read_test.go), and the check that a native run's trace accounts for
 // the run (internal/exec). It reads the current schema only and skips line

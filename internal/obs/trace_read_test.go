@@ -21,16 +21,16 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 		{Job: 1, Name: "victim", Weight: 1, Cancelled: true, Submitted: 3,
 			Spawned: 7, Processed: 4, CancelledTasks: 6, QuotaRejected: 2},
 	}
-	ctrl := ControlSeries([]float64{1.5, 2.5}, []int64{10, 11}, []int{50, 60})
+	ctrl := []ControlPoint{{Interval: 0, Drift: 1.5, Ref: 10, TDF: 50}, {Interval: 1, Drift: 2.5, Ref: 11, TDF: 60}}
 
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJobsJSONL(&buf, jobs); err != nil {
+	if err := WriteLines(&buf, "job", jobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteControlJSONL(&buf, ctrl); err != nil {
+	if err := WriteLines(&buf, "control", ctrl); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 	if tr.Jobs[0] != jobs[0] || tr.Jobs[1] != jobs[1] {
 		t.Errorf("job rows did not round-trip:\ngot  %+v\nwant %+v", tr.Jobs, jobs)
 	}
-	if len(tr.Control) != 2 || tr.Control[1].TDF != 60 {
+	if len(tr.Control) != 2 || tr.Control[0] != ctrl[0] || tr.Control[1] != ctrl[1] {
 		t.Errorf("control = %+v, want the 2-point series back", tr.Control)
 	}
 }
@@ -66,7 +66,7 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 // future incompatible layout, or from a retired one, fails loudly instead of
 // decoding garbage.
 func TestReadTraceRejectsUnknownSchema(t *testing.T) {
-	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1", "hdcps-obs/v3"} {
+	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1", "hdcps-obs/v3", "hdcps-obs/v4"} {
 		meta := `{"type":"meta","schema":"` + schema + `","workers":1}` + "\n"
 		if _, err := ReadTrace(strings.NewReader(meta)); err == nil {
 			t.Fatalf("schema %s accepted", schema)

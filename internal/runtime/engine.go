@@ -1,9 +1,9 @@
 package runtime
 
-// Engine is the long-lived form of the native runtime: a worker fleet that
-// accepts externally submitted work while running, quiesces without dying,
-// and only exits on Stop. The one-shot Run keeps its historical signature
-// as a thin wrapper (Start → Submit(InitialTasks) → Drain → Stop).
+// Engine is the native runtime: a worker fleet that accepts externally
+// submitted work while running, quiesces without dying, and only exits on
+// Stop. A one-shot solve is the same lifecycle driven by exec.RunJobs
+// (Submit(InitialTasks) before Start → Drain → Stop).
 //
 // This file is the lifecycle — NewEngine, Start, Submit, Drain, Stop. The
 // fleet it starts runs the worker loop (worker.go) over four units: the job
@@ -106,9 +106,6 @@ type Engine struct {
 	quiet chan struct{} // signaled when outstanding reaches zero
 	done  chan struct{} // closed when every worker has exited
 	wg    sync.WaitGroup
-
-	startedAt time.Time
-	elapsed   time.Duration // set by the monitor before done closes
 }
 
 // NewEngine builds an engine over w (which is Reset) with cfg defaults
@@ -196,7 +193,6 @@ func (e *Engine) Start() error {
 	if !ok {
 		return errors.New("runtime: engine already started")
 	}
-	e.startedAt = time.Now()
 	for i := range e.workers {
 		e.wg.Add(1)
 		go func(id int) {
@@ -217,7 +213,6 @@ func (e *Engine) Start() error {
 	}
 	go func() {
 		e.wg.Wait()
-		e.elapsed = time.Since(e.startedAt)
 		close(e.done)
 	}()
 	return nil
@@ -373,7 +368,7 @@ func (e *Engine) submitIdle(js *jobState, ts []task.Task) bool {
 // stall diagnostics carry the blocking job's ID and per-job ledger.
 func (e *Engine) Drain(ctx context.Context) error {
 	return e.waitQuiescent(ctx, &e.outstanding, e.ledgerMark,
-		func(cause error) error { return e.stallError("drain", cause) })
+		func(cause error) error { return e.stallError("drain", cause, nil) })
 }
 
 // waitQuiescent is the one wait behind Engine.Drain, Job.Drain and
@@ -461,7 +456,7 @@ func (e *Engine) Stop(ctx context.Context) error {
 		e.state.Store(stateStopped)
 		return nil
 	case <-ctx.Done():
-		return e.stallError("stop", ctx.Err())
+		return e.stallError("stop", ctx.Err(), nil)
 	}
 }
 

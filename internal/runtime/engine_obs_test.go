@@ -113,9 +113,10 @@ func (e *Engine) total(c obs.Counter) int64 {
 // Every engine counter has one home, a slot in an obs.Row, whether or not a
 // recorder is attached. One run drives each of them — a poison task, negative
 // priorities reported on every task, Submits through a ring of 8 slots, a
-// fan-out the Always bag policy bags, a batch over the default job's quota —
-// and each API value (Snapshot, Result, or the rows where no API field
-// exists) must equal the recorder's total, and still count without one.
+// fan-out the Always bag policy bags (and, run alone, the gate keeps), a
+// batch over the default job's quota — and each API value (Snapshot,
+// ControlTrace, or the rows where no API field exists) must equal the
+// recorder's total, and still count without one.
 func TestEngineCountersHaveOneHome(t *testing.T) {
 	const poison, fan = graph.NodeID(7), graph.NodeID(1)
 	const quota = 1 << 12
@@ -152,6 +153,14 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 		if err := e.Drain(ctx); err != nil {
 			t.Fatal(err)
 		}
+		// A lone fan-out on the quiet fleet: its worker's queue is empty, so
+		// the frontier-width gate keeps its units local.
+		if err := e.Submit(task.Task{Node: fan}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
 		var qe *QuotaError
 		if err := e.Submit(make([]task.Task, quota+1)...); !errors.As(err, &qe) {
 			t.Fatalf("submit past the quota: %v, want *QuotaError", err)
@@ -159,7 +168,7 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 		if err := e.Stop(ctx); err != nil {
 			t.Fatal(err)
 		}
-		snap, res := e.Snapshot(), e.Result()
+		snap := e.Snapshot()
 		checkLedger(t, snap)
 		var spills, rejects int64
 		for _, ws := range snap.Workers {
@@ -173,8 +182,10 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 			obs.CQuotaRejects:     rejects,
 			obs.CTasksQuarantined: snap.Quarantined,
 			obs.COverflowSpills:   spills,
-			obs.CDriftClamped:     res.DriftClamped,
-			obs.CTDFSteps:         int64(len(res.TDFTrace)),
+			obs.CDriftClamped:     snap.DriftClamped,
+			obs.CTasksBagged:      snap.BaggedTasks,
+			obs.CUnitsKeptLocal:   snap.KeptLocal,
+			obs.CTDFSteps:         int64(len(e.ControlTrace())),
 			obs.CDriftReports:     e.total(obs.CDriftReports),
 			obs.CBagsOpened:       e.total(obs.CBagsOpened),
 			obs.CWorkerRestarts:   e.total(obs.CWorkerRestarts),

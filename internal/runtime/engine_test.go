@@ -56,12 +56,12 @@ func TestEngineSubmitWhileRunning(t *testing.T) {
 	if snap.Outstanding != 0 {
 		t.Errorf("outstanding %d after drain", snap.Outstanding)
 	}
-	res := e.Result()
-	if res.TasksProcessed <= 0 {
+	final := e.Snapshot()
+	if final.TasksProcessed <= 0 {
 		t.Fatal("no tasks processed")
 	}
 	var parks int64
-	for _, ws := range e.Snapshot().Workers {
+	for _, ws := range final.Workers {
 		parks += ws.IdleParks
 	}
 	if parks == 0 {
@@ -172,18 +172,18 @@ func TestEngineConcurrentSubmit(t *testing.T) {
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	res := e.Result()
+	snap := e.Snapshot()
 	// Every submitted instance of the seed task must have been processed.
-	if min := int64(submitters * perSubmitter * len(initial)); res.TasksProcessed < min {
-		t.Fatalf("processed %d tasks, want >= %d", res.TasksProcessed, min)
+	if min := int64(submitters * perSubmitter * len(initial)); snap.TasksProcessed < min {
+		t.Fatalf("processed %d tasks, want >= %d", snap.TasksProcessed, min)
 	}
-	if got := e.Snapshot().Epoch; got != submitters*perSubmitter {
+	if got := snap.Epoch; got != submitters*perSubmitter {
 		t.Fatalf("epoch %d, want %d", got, submitters*perSubmitter)
 	}
 }
 
-// Snapshot must be readable while workers are mid-run and must agree with
-// Result once the engine has stopped.
+// Snapshot must be readable while workers are mid-run, and once the engine
+// has stopped its totals are the sums of its worker rows.
 func TestEngineSnapshot(t *testing.T) {
 	g := graph.Road(32, 32, 9)
 	w, err := workload.New("pagerank", g)
@@ -221,15 +221,21 @@ func TestEngineSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := e.Snapshot()
-	res := e.Result()
-	if final.TasksProcessed != res.TasksProcessed {
-		t.Errorf("snapshot tasks %d != result tasks %d", final.TasksProcessed, res.TasksProcessed)
+	var processed, bags int64
+	for i, ws := range final.Workers {
+		processed += ws.Processed
+		bags += ws.Bags
+		if ws.Parked {
+			t.Errorf("worker %d reads parked after Stop", i)
+		}
 	}
-	if final.BagsCreated != res.BagsCreated {
-		t.Errorf("snapshot bags %d != result bags %d", final.BagsCreated, res.BagsCreated)
+	if final.TasksProcessed != processed || final.BagsCreated != bags {
+		t.Errorf("totals %d tasks, %d bags; worker rows sum to %d, %d",
+			final.TasksProcessed, final.BagsCreated, processed, bags)
 	}
-	if final.EdgesExamined != res.EdgesExamined || res.EdgesExamined <= 0 {
-		t.Errorf("edges: snapshot %d, result %d", final.EdgesExamined, res.EdgesExamined)
+	if final.TasksProcessed < live.TasksProcessed || final.EdgesExamined <= 0 {
+		t.Errorf("final snapshot %d tasks (live read %d), %d edges",
+			final.TasksProcessed, live.TasksProcessed, final.EdgesExamined)
 	}
 	var spills int64
 	for _, ws := range final.Workers {

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"hdcps/internal/obs"
 	"hdcps/internal/task"
 )
 
@@ -66,64 +65,46 @@ func (fs *faultState) snapshot() []QuarantinedTask {
 	return append([]QuarantinedTask(nil), fs.quarantined...)
 }
 
-// WorkerState is one worker's row in a StallError: the race-safe view of
-// where the fleet was when the deadline hit.
-type WorkerState struct {
-	ID        int
-	Processed int64 // tasks retired by this worker
-	IdleParks int64 // park episodes so far
-	Spills    int64 // overflow spills landed at this worker's endpoint
-	Parked    bool  // currently blocked in the park/wake handshake
-}
-
 // StallError is the diagnostic Drain, Stop, and the job-scoped waits return
 // instead of blocking forever: the deadline (or the liveness watchdog) fired
 // while work was still outstanding. It wraps the triggering error
-// (ctx.Err(), or ErrStalled for the watchdog) and carries enough engine
-// state to tell a wedged fleet from a slow one — per-worker progress and
-// park state, the conservation ledger, and the submission epoch.
+// (ctx.Err(), or ErrStalled for the watchdog) and carries the engine's
+// Snapshot at that moment — per-worker progress and park state, the
+// conservation ledger, the submission epoch — enough to tell a wedged fleet
+// from a slow one.
 //
-// An engine-wide stall (Engine.Drain, Stop) reports the whole fleet's
-// ledger: every tenant's work counts toward Outstanding. A job-scoped stall
-// (Job.Drain, Job.Cancel) sets JobScoped and identifies the blocking tenant:
-// Job/JobName name it and the ledger fields hold that job's terms only, so
-// one stuck tenant is distinguishable from a wedged fleet.
+// An engine-wide stall (Engine.Drain, Stop) speaks for the whole fleet:
+// every tenant's work counts toward the Snapshot's Outstanding. A job-scoped
+// stall (Job.Drain, Job.Cancel) also sets Job, the blocking tenant's ledger
+// row, so one stuck tenant is distinguishable from a wedged fleet.
 type StallError struct {
 	Op  string // "drain", "stop", or "drain-job"
 	Err error  // ctx.Err() or ErrStalled
 
-	// JobScoped marks a single-tenant wait; Job and JobName then identify
-	// the blocking job, and the ledger fields below are its terms alone.
-	JobScoped bool
-	Job       task.JobID
-	JobName   string
-
-	Outstanding int64
-	Submitted   int64
-	Processed   int64
-	Quarantined int64
-	Cancelled   int64
-	Epoch       uint64 // submission epochs so far (park/wake generations)
-	Workers     []WorkerState
+	// Job is the blocking tenant's ledger row for a job-scoped wait, nil
+	// for an engine-wide one.
+	Job      *JobStats
+	Snapshot Snapshot
 }
 
 func (e *StallError) Error() string {
+	s := &e.Snapshot
 	parked := 0
-	for _, w := range e.Workers {
+	for _, w := range s.Workers {
 		if w.Parked {
 			parked++
 		}
 	}
-	if e.JobScoped {
+	if j := e.Job; j != nil {
 		return fmt.Sprintf(
 			"runtime: %s stalled (%v): job %d (%s) blocking with outstanding %d, submitted %d, processed %d, quarantined %d, cancelled %d; %d/%d workers parked",
-			e.Op, e.Err, e.Job, e.JobName, e.Outstanding, e.Submitted,
-			e.Processed, e.Quarantined, e.Cancelled, parked, len(e.Workers))
+			e.Op, e.Err, j.Job, j.Name, j.Outstanding, j.Submitted,
+			j.Processed, j.Quarantined, j.CancelledTasks, parked, len(s.Workers))
 	}
 	return fmt.Sprintf(
-		"runtime: %s stalled (%v): all jobs' outstanding %d, submitted %d, processed %d, quarantined %d, epoch %d, %d/%d workers parked",
-		e.Op, e.Err, e.Outstanding, e.Submitted, e.Processed, e.Quarantined,
-		e.Epoch, parked, len(e.Workers))
+		"runtime: %s stalled (%v): all jobs' outstanding %d, submitted %d, processed %d, quarantined %d, cancelled %d, epoch %d, %d/%d workers parked",
+		e.Op, e.Err, s.Outstanding, s.Submitted, s.TasksProcessed, s.Quarantined,
+		s.Cancelled, s.Epoch, parked, len(s.Workers))
 }
 
 // Unwrap exposes the triggering error, so errors.Is(err, context.Canceled)
@@ -134,47 +115,14 @@ func (e *StallError) Unwrap() error { return e.Err }
 // (no progress for the configured window), as opposed to ctx expiry.
 var ErrStalled = fmt.Errorf("runtime: no progress within the stall timeout")
 
-// stallError assembles the diagnostic from the engine's race-safe state, in
-// the ledger's read order: outstanding, the retire side, the add side.
-func (e *Engine) stallError(op string, cause error) *StallError {
-	se := &StallError{
-		Op:          op,
-		Err:         cause,
-		Outstanding: e.outstanding.Load(),
-		Epoch:       e.epoch.Load(),
-		Workers:     make([]WorkerState, len(e.workers)),
+// stallError assembles the diagnostic: the engine's Snapshot and, for a
+// job-scoped wait (js non-nil), the blocking job's ledger row.
+func (e *Engine) stallError(op string, cause error, js *jobState) *StallError {
+	se := &StallError{Op: op, Err: cause, Snapshot: e.Snapshot()}
+	if js != nil {
+		st := js.stats()
+		se.Job = &st
 	}
-	for i := range e.workers {
-		me := &e.workers[i]
-		ws := WorkerState{
-			ID:        i,
-			Processed: me.pub[obs.CTasksProcessed].Load(),
-			IdleParks: me.pub[obs.CIdleParks].Load(),
-			Spills:    me.pub[obs.COverflowSpills].Load(),
-			Parked:    me.parked.Load(),
-		}
-		se.Workers[i] = ws
-		se.Processed += ws.Processed
-		se.Quarantined += me.pub[obs.CTasksQuarantined].Load()
-		se.Cancelled += me.pub[obs.CTasksCancelled].Load()
-	}
-	se.Submitted = e.ext[obs.CTasksSubmitted].Load()
-	return se
-}
-
-// stallJobError assembles the job-scoped diagnostic: the fleet's worker rows
-// (the workers are shared) with the blocking job's own ledger terms.
-func (e *Engine) stallJobError(op string, cause error, js *jobState) *StallError {
-	se := e.stallError(op, cause)
-	se.Op = op
-	se.JobScoped = true
-	se.Job = js.id
-	se.JobName = js.name
-	se.Outstanding = js.outstanding.Load()
-	se.Submitted = js.submitted.Load()
-	se.Processed = js.processed.Load()
-	se.Quarantined = js.quarantined.Load()
-	se.Cancelled = js.cancelledTasks.Load()
 	return se
 }
 

@@ -330,7 +330,7 @@ func (j *Job) Submit(ts ...task.Task) error {
 func (j *Job) Drain(ctx context.Context) error {
 	e, js := j.e, j.js
 	return e.waitQuiescent(ctx, &js.outstanding, js.ledgerMark,
-		func(cause error) error { return e.stallJobError("drain-job", cause, js) })
+		func(cause error) error { return e.stallError("drain-job", cause, js) })
 }
 
 // Cancel marks the job cancelled and waits for its tasks to leave the

@@ -425,11 +425,18 @@ func TestJobStallErrorScoping(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("job drain on a stuck handler: got %v, want *StallError", err)
 	}
-	if !se.JobScoped || se.Job != j.ID() {
-		t.Errorf("StallError = %+v, want JobScoped for job %d", se, j.ID())
+	if se.Job == nil || se.Job.Job != j.ID() || se.Job.Outstanding != 1 || se.Job.Submitted != 1 {
+		t.Errorf("StallError = %+v, want job %d's ledger row", se, j.ID())
 	}
-	if msg := se.Error(); !strings.Contains(msg, "stuck") {
-		t.Errorf("job-scoped stall message %q does not name the blocking job", msg)
+	if len(se.Snapshot.Workers) != 1 || se.Snapshot.Workers[0].Parked {
+		t.Errorf("StallError snapshot %+v, want the one busy worker", se.Snapshot.Workers)
+	}
+	msg := se.Error()
+	for _, want := range []string{"drain-job stalled", "job 1 (stuck) blocking", "outstanding 1", "submitted 1",
+		"processed 0", "quarantined 0", "cancelled 0", "0/1 workers parked"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("job-scoped stall message lacks %q: %s", want, msg)
+		}
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
@@ -437,8 +444,8 @@ func TestJobStallErrorScoping(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("engine drain: got %v, want *StallError", err)
 	}
-	if se.JobScoped {
-		t.Errorf("engine-wide StallError marked JobScoped: %+v", se)
+	if se.Job != nil {
+		t.Errorf("engine-wide StallError names a job: %+v", se)
 	}
 	close(block)
 	if err := e.Drain(context.Background()); err != nil {

@@ -69,11 +69,11 @@ func TestEngineQueueKinds(t *testing.T) {
 			}
 			cfg := DefaultConfig(4)
 			cfg.QueueKind = kind
-			res := Run(w, cfg)
+			snap, _ := solve(t, w, cfg)
 			if err := w.Verify(); err != nil {
 				t.Errorf("%s/%s: %v", kind, c.wl, err)
 			}
-			if res.TasksProcessed <= 0 {
+			if snap.TasksProcessed <= 0 {
 				t.Errorf("%s/%s: no tasks processed", kind, c.wl)
 			}
 		}

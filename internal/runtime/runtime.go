@@ -34,7 +34,8 @@
 // And the engine around them: engine.go (job.go, fault.go) is the long-lived
 // fleet's lifecycle — NewEngine / Start / Submit / Drain / Stop with
 // epoch-aware termination, tenants, and the failure model; snapshot.go is
-// the read side (Snapshot, Result, WriteTrace).
+// the read side (Snapshot, ControlTrace, WriteTrace). A one-shot solve is
+// that lifecycle too, run to a checked finish by exec.RunJobs.
 //
 // The hot paths follow the levers that "Engineering MultiQueues" and
 // Wimmer et al. identify for this scheduler shape: remote children are
@@ -48,17 +49,15 @@
 package runtime
 
 import (
-	"context"
 	stdruntime "runtime"
 	"time"
 
 	"hdcps/internal/bag"
 	"hdcps/internal/drift"
 	"hdcps/internal/obs"
-	"hdcps/internal/workload"
 )
 
-// Config configures a native engine (and the one-shot Run wrapper).
+// Config configures a native engine.
 type Config struct {
 	// Workers is the number of worker goroutines (default 4).
 	Workers int
@@ -96,7 +95,9 @@ type Config struct {
 	// branch per event site; the counters count either way. Size it for this
 	// engine's Workers (obs.New(obs.Config{Workers: n})): a worker past the
 	// recorder's rows keeps its counters in a row of its own, which the
-	// engine's views read but the recorder's totals do not.
+	// engine's views read but the recorder's totals do not. A recorder serves
+	// one engine: a second engine on it would count into the first one's
+	// rows, and neither ledger would balance.
 	Obs *obs.Recorder
 
 	// DefaultJob parameterizes job 0, the tenant the engine is constructed
@@ -186,50 +187,4 @@ func DefaultConfig(workers int) Config {
 		Bags:     bag.DefaultPolicy(),
 		UseTDF:   true,
 	}
-}
-
-// Result reports a native run's metrics. DriftTrace, RefTrace, and TDFTrace
-// are index-aligned per controller interval (the control plane's time
-// series; obs.ControlSeries zips them into points).
-type Result struct {
-	Elapsed        time.Duration
-	TasksProcessed int64
-	BagsCreated    int64
-	EdgesExamined  int64
-	DriftTrace     []float64
-	RefTrace       []int64
-	TDFTrace       []int
-	// DriftClamped counts priority reports the control plane clamped into
-	// range (negative, or at the never-reported sentinel). When it is about
-	// the number of reports, the controller is blind: it sees drift 0.
-	DriftClamped int64
-	// BaggedTasks counts tasks shipped inside bags. Of the Dispatched units
-	// (bag markers and single children) KeptLocal never saw the TDF draw: the
-	// dispatch gate kept them on the sender's short queue. All three are
-	// filled once the engine has stopped.
-	BaggedTasks int64
-	Dispatched  int64
-	KeptLocal   int64
-}
-
-// Run executes w to completion with cfg and returns the run metrics: the
-// one-shot compatibility wrapper over the Engine lifecycle
-// (Submit(InitialTasks) → Start → Drain → Stop). Submitting before Start
-// seeds the worker queues directly — the transport never sees the initial
-// tasks, and the fleet wakes up with work already in hand instead of
-// spinning on empty rings. The workload is Reset first. Elapsed covers
-// start-of-fleet to quiescence. It is safe to call concurrently with
-// different workloads, but a single workload instance must not be shared
-// across simultaneous runs.
-func Run(w workload.Workload, cfg Config) Result {
-	e := NewEngine(w, cfg)
-	_ = e.Submit(w.InitialTasks()...)
-	_ = e.Start()
-	// Background contexts: neither call can fail on a running engine.
-	_ = e.Drain(context.Background())
-	elapsed := time.Since(e.startedAt)
-	_ = e.Stop(context.Background())
-	res := e.Result()
-	res.Elapsed = elapsed
-	return res
 }

@@ -6,8 +6,32 @@ import (
 	"hdcps/internal/bag"
 	"hdcps/internal/drift"
 	"hdcps/internal/graph"
+	"hdcps/internal/obs"
 	"hdcps/internal/workload"
 )
+
+// solve runs w to completion on a fresh engine, seeded before Start as
+// exec.RunJobs seeds it, and returns the snapshot taken after Stop (every
+// worker has published, so every counter is exact) and the control plane's
+// series.
+func solve(t *testing.T, w workload.Workload, cfg Config) (Snapshot, []obs.ControlPoint) {
+	t.Helper()
+	e := NewEngine(w, cfg)
+	if err := e.Submit(w.InitialTasks()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return e.Snapshot(), e.ControlTrace()
+}
 
 func TestNativeAllWorkloads(t *testing.T) {
 	g := graph.Road(16, 16, 3)
@@ -16,8 +40,8 @@ func TestNativeAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Run(w, DefaultConfig(4))
-		if res.TasksProcessed <= 0 {
+		snap, _ := solve(t, w, DefaultConfig(4))
+		if snap.TasksProcessed <= 0 {
 			t.Errorf("%s: no tasks processed", wname)
 		}
 		if err := w.Verify(); err != nil {
@@ -30,12 +54,12 @@ func TestNativeDenseGraph(t *testing.T) {
 	g := graph.Cage(600, 10, 24, 3)
 	for _, wname := range []string{"sssp", "pagerank", "color"} {
 		w, _ := workload.New(wname, g)
-		res := Run(w, DefaultConfig(4))
+		snap, _ := solve(t, w, DefaultConfig(4))
 		if err := w.Verify(); err != nil {
 			t.Errorf("%s: %v", wname, err)
 		}
-		if res.Elapsed <= 0 {
-			t.Errorf("%s: no elapsed time", wname)
+		if snap.TasksProcessed <= 0 {
+			t.Errorf("%s: no tasks processed", wname)
 		}
 	}
 }
@@ -43,11 +67,11 @@ func TestNativeDenseGraph(t *testing.T) {
 func TestNativeSingleWorker(t *testing.T) {
 	g := graph.Road(12, 12, 3)
 	w, _ := workload.New("sssp", g)
-	res := Run(w, Config{Workers: 1})
+	snap, _ := solve(t, w, Config{Workers: 1})
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if res.TasksProcessed <= 0 {
+	if snap.TasksProcessed <= 0 {
 		t.Fatal("no tasks")
 	}
 }
@@ -63,11 +87,11 @@ func TestNativeConfigVariants(t *testing.T) {
 	}
 	for name, cfg := range variants {
 		w, _ := workload.New("sssp", g)
-		res := Run(w, cfg)
+		_, control := solve(t, w, cfg)
 		if err := w.Verify(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if name == "tiny-intvl" && len(res.TDFTrace) == 0 {
+		if name == "tiny-intvl" && len(control) == 0 {
 			t.Errorf("%s: controller never updated", name)
 		}
 	}
@@ -78,16 +102,16 @@ func TestNativeTDFAdaptation(t *testing.T) {
 	w, _ := workload.New("sssp", g)
 	cfg := DefaultConfig(4)
 	cfg.Drift = drift.Config{SampleInterval: 25}
-	res := Run(w, cfg)
-	if len(res.TDFTrace) == 0 {
+	_, control := solve(t, w, cfg)
+	if len(control) == 0 {
 		t.Fatal("no TDF updates despite small sample interval")
 	}
-	if len(res.DriftTrace) != len(res.TDFTrace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(res.DriftTrace), len(res.TDFTrace))
-	}
-	for _, d := range res.DriftTrace {
-		if d < 0 {
-			t.Fatalf("negative drift %v", d)
+	for i, p := range control {
+		if p.Interval != i {
+			t.Fatalf("point %d numbered %d", i, p.Interval)
+		}
+		if p.Drift < 0 {
+			t.Fatalf("negative drift %v", p.Drift)
 		}
 	}
 }

@@ -416,21 +416,21 @@ func TestSnapshotLedgerMidRun(t *testing.T) {
 	}
 }
 
-// Result's worker-local diagnostics are filled once the fleet has stopped:
-// bagged tasks for a workload that bags, the gate's share for one with a
-// narrow frontier.
+// The dispatch counts live in the workers' rows and are exact in the
+// snapshot after Stop: bagged tasks for a workload that bags, the gate's
+// share for one with a narrow frontier.
 func TestResultBaggedAndKeptLocal(t *testing.T) {
 	pr := mustWorkload(t, "pagerank", graph.Web(2000, 5))
-	res := Run(pr, DefaultConfig(2))
-	if res.BagsCreated == 0 || res.BaggedTasks < res.BagsCreated {
-		t.Errorf("pagerank: %d bags holding %d tasks", res.BagsCreated, res.BaggedTasks)
+	snap, _ := solve(t, pr, DefaultConfig(2))
+	if snap.BagsCreated == 0 || snap.BaggedTasks < snap.BagsCreated {
+		t.Errorf("pagerank: %d bags holding %d tasks", snap.BagsCreated, snap.BaggedTasks)
 	}
 	sp := mustWorkload(t, "sssp", graph.Road(32, 32, 3))
-	res = Run(sp, DefaultConfig(2))
-	if res.KeptLocal == 0 || res.KeptLocal > res.Dispatched {
-		t.Errorf("sssp: gate kept %d of %d dispatched units", res.KeptLocal, res.Dispatched)
+	snap, _ = solve(t, sp, DefaultConfig(2))
+	if dispatched := snap.Spawned - snap.BaggedTasks; snap.KeptLocal == 0 || snap.KeptLocal > dispatched {
+		t.Errorf("sssp: gate kept %d of %d dispatched units", snap.KeptLocal, dispatched)
 	}
-	if one := Run(sp, DefaultConfig(1)); one.KeptLocal != 0 {
+	if one, _ := solve(t, sp, DefaultConfig(1)); one.KeptLocal != 0 {
 		t.Errorf("one worker: gate kept %d units", one.KeptLocal)
 	}
 }

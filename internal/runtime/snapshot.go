@@ -1,12 +1,12 @@
 package runtime
 
 // The read side of the engine: point-in-time views of its counters
-// (Snapshot, Result) and the trace export. Nothing here disturbs the workers;
-// the read orders follow the ledger's publication contract (ledger.go).
+// (Snapshot, ControlTrace) and the trace export. Nothing here disturbs the
+// workers; the read orders follow the ledger's publication contract
+// (ledger.go).
 
 import (
 	"io"
-	"time"
 
 	"hdcps/internal/obs"
 )
@@ -19,6 +19,7 @@ type WorkerStats struct {
 	IdleParks      int64 // times the worker parked on a quiescent fleet
 	Redirects      int64 // flow-control bounces this worker kept local
 	Stolen         int64 // tasks this worker took from peers (steal.go)
+	Parked         bool  // blocked in the park/wake handshake right now
 }
 
 // Snapshot is a cheap point-in-time view of a running engine: per-worker
@@ -40,9 +41,10 @@ type WorkerStats struct {
 //	Submitted + Spawned >= TasksProcessed + BagsRetired + Quarantined + Cancelled
 //
 // (the add side may lag work in progress, the retire side never leads it).
-// The remaining counters (Bags, EdgesExamined, spills, parks, Stolen) are
-// published at flush/park/idle boundaries and may lag by at most one flush
-// interval.
+// The remaining counters (Bags, EdgesExamined, spills, parks, Stolen, and the
+// dispatch counts BaggedTasks and KeptLocal) are published at
+// flush/park/idle boundaries and may lag by at most one flush interval; once
+// Stop has returned nil every worker has published, and they are exact.
 type Snapshot struct {
 	Epoch       uint64 // Submit calls so far
 	Outstanding int64  // tasks submitted or spawned but not yet retired
@@ -66,6 +68,17 @@ type Snapshot struct {
 	Cancelled   int64 // tasks discarded by job-scoped Cancel (ledger sink)
 	Redirects   int64 // flow-control bounces kept local (degradation signal)
 	Stolen      int64 // tasks workers took from peers' queues and rings
+
+	// Dispatch: BaggedTasks counts tasks shipped inside bags. Of the
+	// Spawned - BaggedTasks dispatched units (single children and bag
+	// markers), KeptLocal never saw the TDF draw: the dispatch gate kept them
+	// on the sender's short queue. DriftClamped counts priority reports the
+	// control plane clamped into range (negative, or at the never-reported
+	// sentinel); when it is about the number of reports, the controller is
+	// blind: it sees drift 0.
+	BaggedTasks  int64
+	KeptLocal    int64
+	DriftClamped int64
 
 	// Local-queue health (zero when QueueKind is not twolevel):
 	// QueueFallbacks counts the per-job queues whose bucket ring migrated to
@@ -126,6 +139,7 @@ func (e *Engine) Snapshot() Snapshot {
 			IdleParks:      me.pub[obs.CIdleParks].Load(),
 			Redirects:      me.pub[obs.COverflowRedirects].Load(),
 			Stolen:         me.pub[obs.CTasksStolen].Load(),
+			Parked:         me.parked.Load(),
 		}
 		s.Workers[i] = ws
 		s.TasksProcessed += ws.Processed
@@ -136,6 +150,9 @@ func (e *Engine) Snapshot() Snapshot {
 		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
 		s.Stolen += ws.Stolen
+		s.BaggedTasks += me.pub[obs.CTasksBagged].Load()
+		s.KeptLocal += me.pub[obs.CUnitsKeptLocal].Load()
+		s.DriftClamped += me.pub[obs.CDriftClamped].Load()
 		s.QueueFallbacks += me.pub[obs.CQueueFallbacks].Load()
 		s.RankSamples += me.pub[obs.CRankSamples].Load()
 		s.PrioInversions += me.pub[obs.CPrioInversions].Load()
@@ -149,46 +166,6 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 	s.Submitted = e.ext[obs.CTasksSubmitted].Load()
 	return s
-}
-
-// Result returns the engine's cumulative metrics. It is exact once Stop has
-// returned nil (every worker has flushed its counters); on a running engine
-// it is the same lagged view Snapshot provides.
-func (e *Engine) Result() Result {
-	var res Result
-	select {
-	case <-e.done:
-		res.Elapsed = e.elapsed
-		// Plain worker-local counts: readable once every worker has exited.
-		for i := range e.workers {
-			me := &e.workers[i]
-			res.BaggedTasks += me.baggedTasks
-			res.KeptLocal += me.keptLocal
-			res.Dispatched += me.led.spawned - me.baggedTasks
-		}
-	default:
-		if e.state.Load() != stateNew {
-			res.Elapsed = time.Since(e.startedAt)
-		}
-	}
-	for i := range e.workers {
-		me := &e.workers[i]
-		res.TasksProcessed += me.pub[obs.CTasksProcessed].Load()
-		res.BagsCreated += me.pub[obs.CBagsCreated].Load()
-		res.EdgesExamined += me.pub[obs.CEdgesExamined].Load()
-		res.DriftClamped += me.pub[obs.CDriftClamped].Load()
-	}
-	if hist := e.control.History(); len(hist) > 0 {
-		res.DriftTrace = make([]float64, 0, len(hist))
-		res.RefTrace = make([]int64, 0, len(hist))
-		res.TDFTrace = make([]int, 0, len(hist))
-		for _, rec := range hist {
-			res.DriftTrace = append(res.DriftTrace, rec.Drift)
-			res.RefTrace = append(res.RefTrace, rec.Ref)
-			res.TDFTrace = append(res.TDFTrace, rec.TDF)
-		}
-	}
-	return res
 }
 
 // Obs returns the engine's observability recorder (nil when Config.Obs was
@@ -217,23 +194,19 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 		if err := e.obs.WriteJSONL(w); err != nil {
 			return err
 		}
-		jobs := *e.jobs.Load()
-		stats := make([]JobStats, 0, len(jobs))
-		for _, js := range jobs {
-			stats = append(stats, js.stats())
-		}
-		if err := obs.WriteJobsJSONL(w, JobRows(stats)); err != nil {
+		if err := obs.WriteLines(w, "job", jobRows(*e.jobs.Load())); err != nil {
 			return err
 		}
 	}
-	return obs.WriteControlJSONL(w, e.control.Series())
+	return obs.WriteLines(w, "control", e.control.Series())
 }
 
-// JobRows adapts per-job ledger stats into the obs trace's job-row schema
-// (one {"type":"job"} JSONL line per tenant; see obs.WriteJobsJSONL).
-func JobRows(stats []JobStats) []obs.JobRow {
-	rows := make([]obs.JobRow, 0, len(stats))
-	for _, st := range stats {
+// jobRows adapts the tenants' ledger stats into the obs trace's job-row
+// schema (one {"type":"job"} JSONL line per tenant).
+func jobRows(jobs []*jobState) []obs.JobRow {
+	rows := make([]obs.JobRow, 0, len(jobs))
+	for _, js := range jobs {
+		st := js.stats()
 		rows = append(rows, obs.JobRow{
 			Job:            uint32(st.Job),
 			Name:           st.Name,

@@ -74,9 +74,9 @@ type worker struct {
 	// Diagnostics outside the ledger: plain fields on the hot path, mirrored
 	// into pub by publish at flush/park/exit boundaries (stolen, the tasks
 	// this worker took from peers, as tasks_stolen; bagsOpened and
-	// driftReports as bags_opened and drift_reports). keptLocal and
-	// baggedTasks are summed at Result, once the worker has exited: children
-	// the dispatch gate held back, tasks put in bags.
+	// driftReports as bags_opened and drift_reports; keptLocal, the units the
+	// dispatch gate held back, as units_kept_local; baggedTasks, the tasks
+	// put in bags, as tasks_bagged).
 	bags         int64
 	bagsOpened   int64
 	edges        int64
@@ -100,7 +100,7 @@ type worker struct {
 	rankErrMax  int64
 
 	// parked is set while the worker blocks in the park/wake handshake
-	// (StallError diagnostics read it).
+	// (Snapshot's WorkerStats.Parked, and so StallError, read it).
 	parked atomic.Bool
 
 	// pub is the worker's counter row, indexed by obs.Counter and the one
@@ -137,6 +137,8 @@ func (me *worker) publish() {
 	me.pub[obs.COverflowRedirects].Store(me.redirects)
 	me.pub[obs.CDriftReports].Store(me.driftReports)
 	me.pub[obs.CTasksStolen].Store(me.stolen)
+	me.pub[obs.CTasksBagged].Store(me.baggedTasks)
+	me.pub[obs.CUnitsKeptLocal].Store(me.keptLocal)
 	var fallbacks int64
 	// A thief's ring drain may push into these queues: read them under the
 	// lock.
