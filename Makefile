@@ -170,10 +170,16 @@ bench-gate:
 # none: 1.00-1.37 / 0.97-1.23 over nine runs (the parent read 1.05-1.48 /
 # 0.96-1.33 beside it in three), so both limits stay; its oversubscribed cell
 # read 1.09-1.25 / 0.99-1.08 times the two-worker median, where the parent's
-# four workers on two CPUs took 8-9 times it. Skips, saying so, on fewer than
-# two CPUs; run it alone — a wall-clock verdict, so it stays out of Tier-1.
+# four workers on two CPUs took 8-9 times it. Owner-affine placement (a unit
+# the TDF sends away goes to the worker owning its node) made room: 0.79-0.90 /
+# 0.92-1.17 over nine runs of the final build and 0.74-0.92 / 0.96-1.23 over
+# nine of its first cut (which divided per child; the parent read 0.93-1.09 /
+# 1.05-1.39 beside them in six), oversubscribed 1.05-1.20 / 0.98-1.19. The
+# limits came down to the top of all eighteen + 10%: 1.01 / 1.36. Skips,
+# saying so, on fewer than two CPUs; run it alone — a wall-clock verdict, so
+# it stays out of Tier-1.
 scale-gate:
-	./scripts/scale_gate.sh 1.5 1.25 $(BASE)
+	./scripts/scale_gate.sh 1.36 1.01 $(BASE)
 
 # Serving smoke: build hdcps-serve + hdcps-load, boot on an ephemeral port,
 # drive a fixed-rate open-loop run over persistent streams (-retries 1: any

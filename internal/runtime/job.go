@@ -49,7 +49,7 @@ const maxJobs = 1 << 20
 // jobSched.next, tdf*bias/100 in place); unbounded, a weight of 1<<62 makes
 // the deposit overflow to 0 and the rotation spin on a job whose balance
 // never turns positive. The caps are far past any useful value: a 65536:1
-// share, a bias that scatters always at a TDF of 1%.
+// share, a bias that sends every unit past the gate away at a TDF of 1%.
 const (
 	MaxJobWeight = 1 << 16
 	MaxTDFBias   = 100 * 100
@@ -73,7 +73,7 @@ type JobConfig struct {
 	// amplification.
 	MaxOutstanding int64
 	// TDFBias scales the global TDF for this job's dispatch decisions, in
-	// percent (100 = neutral, 50 = scatter half as often, 200 = twice as
+	// percent (100 = neutral, 50 = send away half as often, 200 = twice as
 	// often, capped at always). It composes the drift controller's global
 	// signal with a per-tenant locality preference. Values <= 0 default
 	// to 100; values above MaxTDFBias are clamped to it.
@@ -87,6 +87,7 @@ type jobState struct {
 	name    string
 	w       workload.Workload
 	off     []uint32 // CSR row offsets of the job's graph (prefetch), or nil
+	owners  uint64   // ownerMul of the job's node count and the fleet (place.go)
 	weight  int64
 	quota   int64 // 0 = unlimited
 	tdfBias int64 // percent, 100 = neutral
@@ -148,6 +149,7 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 	js.tdfBias = min(js.tdfBias, MaxTDFBias)
 	if g := w.Graph(); g != nil {
 		js.off = g.Off
+		js.owners = ownerMul(g.NumNodes(), cfg.Workers)
 	}
 	if cfg.QueueKind == QueueMultiQueue {
 		// pq's defaults: 4 shards a worker, a shard pair kept for 8 operations.

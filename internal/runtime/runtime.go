@@ -20,8 +20,8 @@
 //
 //   - jobsched.go — jobSched: which job's queue a worker pops next
 //     (deficit round robin over the tenants; no goroutine, no atomics);
-//   - place.go — place: where a spawned unit goes (the frontier-width gate
-//     and the TDF draw), a pure function;
+//   - place.go — place: where a spawned unit goes (the frontier-width gate,
+//     the TDF draw, and the worker owning the unit's node), a pure function;
 //   - ledger.go — ledger: what the tasks a worker ran did to the
 //     conservation ledger, recorded once per event and settled before any
 //     task can reach another worker;

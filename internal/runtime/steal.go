@@ -7,6 +7,8 @@ package runtime
 // Priority Schedulers"). Without it a busy or descheduled worker holds the best
 // tasks of a narrow frontier in its private queue and ring while the others
 // relax everything downstream of them at stale distances (DESIGN.md §9.1).
+// It is the one path that moves work against node ownership (place.go): a
+// thief takes a peer's better tasks whoever owns their nodes.
 //
 // Owner side. Each worker's strict queues are guarded by its mu, and the owner
 // holds it for one short section per dequeue cycle (cycleStart): it pushes the

@@ -586,10 +586,10 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 				// publish points; only the trace event is recorded here.
 				rec.Event(me.id, obs.EvBagCreated, b.Prio, int64(len(b.Tasks)), 0)
 			}
-			e.dispatch(me, q, task.Task{Node: bagMarker, Job: t.Job, Prio: b.Prio, Data: b.ID})
+			e.dispatch(me, q, task.Task{Node: bagMarker, Job: t.Job, Prio: b.Prio, Data: b.ID}, b.Tasks[0].Node)
 		}
 		for _, c := range singles {
-			e.dispatch(me, q, c)
+			e.dispatch(me, q, c, c.Node)
 		}
 	}
 
@@ -611,16 +611,18 @@ func countTasks(bags []bag.Bag) int {
 
 // dispatch routes one unit (task or bag metadata) where the placement rule
 // says, under the job's effective TDF: the drift controller's global signal
-// and the job's TDFBias. Remote units go through the transport's batching;
-// local units are kept for the worker's queue for the job (q).
-func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task) {
+// and the job's TDFBias. node is the unit's node — a bag marker's is its first
+// task's — and names the unit's owner. Remote units go through the
+// transport's batching; local units are kept for the worker's queue for the
+// job (q).
+func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task, node graph.NodeID) {
 	// The draw comes from a copy of the generator that is kept only if the
 	// gate let the unit through: the gate uses no randomness, so the
 	// placements past it are one stream however often it fired. The gate
 	// reads the queue's spare (steal.go); a shared queue is not gated.
 	rng := me.rng
 	dst, kept := place(rng.Uint64(), q.spare, batchK, e.control.TDF(), q.js.tdfBias,
-		me.id, len(e.workers), me.sched.shared)
+		me.id, ownerOf(node, q.js.owners, len(e.workers)), len(e.workers), me.sched.shared)
 	if kept {
 		me.keptLocal++
 	} else {
