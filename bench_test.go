@@ -1,6 +1,7 @@
 package hdcps
 
 import (
+	"fmt"
 	"testing"
 
 	"hdcps/internal/exec"
@@ -110,6 +111,44 @@ func BenchmarkNativeRuntime(b *testing.B) {
 			}
 			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
 		})
+	}
+}
+
+// BenchmarkNativeSolve is one native solve at the benchmark's shapes — sssp on
+// Road(240, 240) and pagerank on Web(10000), graph and engine seed 42 — at one
+// and two workers, the one workload reset by each solve's engine as the
+// benchmark does. Its ns/task (solve wall time over tasks run, engine setup
+// included) is the figure a CPU profile of the per-task path divides by:
+//
+//	go test -run '^$' -bench 'NativeSolve/sssp/w2' -cpuprofile cpu.out .
+//
+// A solve takes 10-60 ms, so bench-smoke's 100x leaves it out.
+func BenchmarkNativeSolve(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"sssp", graph.Road(240, 240, 42)},
+		{"pagerank", graph.Web(10000, 42)},
+	} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(b *testing.B) {
+				cfg := runtime.DefaultConfig(workers)
+				cfg.Seed = 42
+				// Each solve's engine resets the one workload.
+				w, err := workload.New(tc.name, tc.g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				var tasks int64
+				for i := 0; i < b.N; i++ {
+					tasks += solveNative(b, w, cfg).TasksProcessed
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
+				b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
+			})
+		}
 	}
 }
 

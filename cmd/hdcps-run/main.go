@@ -180,8 +180,8 @@ func main() {
 			rep.ShareSamples, rep.ShareError())
 	}
 	s := rep.Snapshot
-	fmt.Printf("ledger:          submitted %d + spawned %d = processed %d + bagsRetired %d + quarantined %d + cancelled %d (outstanding %d, redirects %d, stolen %d)\n",
-		s.Submitted, s.Spawned, s.TasksProcessed, s.BagsRetired, s.Quarantined, s.Cancelled, s.Outstanding, s.Redirects, s.Stolen)
+	fmt.Printf("ledger:          submitted %d + spawned %d = processed %d + bagsRetired %d + quarantined %d + cancelled %d (outstanding %d, redirects %d, stolen %d, kept off-block %d)\n",
+		s.Submitted, s.Spawned, s.TasksProcessed, s.BagsRetired, s.Quarantined, s.Cancelled, s.Outstanding, s.Redirects, s.Stolen, s.KeptOffBlock)
 	if rep.ConservationErr != nil {
 		fatal(fmt.Errorf("conservation FAILED: %w", rep.ConservationErr))
 	}

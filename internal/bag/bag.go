@@ -90,24 +90,37 @@ type Bag struct {
 	Tasks []task.Task
 }
 
+// sizes returns the group threshold and bag cap the policy's mode puts in
+// force: Always bags every group, and a cap never undercuts the threshold.
+func (p *Policy) sizes() (minSize, maxSize int) {
+	minSize, maxSize = p.MinSize, p.MaxSize
+	if p.Mode == Always || minSize < 1 {
+		minSize = 1
+	}
+	return minSize, max(maxSize, minSize)
+}
+
+// cannotBag reports that a list of n children, under group threshold
+// minSize, forms no bag and that grouping would not reorder it: every group
+// is smaller than the threshold, so all n ship as singles, and a list of at
+// most two keeps its order however it groups. Grouping such a list is a
+// no-op, and it is what nearly every task of a road-network SSSP emits, so
+// the partitioners return it as it is, without a pass.
+func cannotBag(n, minSize int) bool {
+	return n < min(minSize, 3)
+}
+
 // Partition implements Algorithm 1's COUNT_PRIORITY + CREATE_BAG step: it
 // groups children by priority (preserving generation order within a group)
 // and splits them into bags and individual tasks according to the policy.
-// nextID supplies fresh bag identifiers. The returned slices do not alias
-// children, so the caller may reuse its children buffer.
+// nextID supplies fresh bag identifiers. A list that cannot form a bag
+// (cannotBag) comes back as singles unchanged — the same slice, in the order
+// grouping would give it — so the caller must not reuse its children buffer
+// before it is done with singles; everything else does not alias children.
 func Partition(children []task.Task, p Policy, nextID func() uint64) (bags []Bag, singles []task.Task) {
-	if p.Mode == Never || len(children) == 0 {
+	minSize, maxSize := p.sizes()
+	if p.Mode == Never || cannotBag(len(children), minSize) {
 		return nil, children
-	}
-	minSize, maxSize := p.MinSize, p.MaxSize
-	if p.Mode == Always {
-		minSize = 1
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if maxSize < minSize {
-		maxSize = minSize
 	}
 	// Group by quantized priority, preserving order within a group.
 	// Children lists are tiny (bounded by node degree), so a simple map of
@@ -164,20 +177,12 @@ type Partitioner struct {
 }
 
 // Partition groups children exactly like the package-level Partition but
-// into reused scratch. See the type comment for the aliasing contract.
+// into reused scratch. See the type comment for the aliasing contract; like
+// Partition's, a list that cannot bag comes back as singles itself.
 func (pt *Partitioner) Partition(children []task.Task, p Policy, nextID func() uint64) (bags []Bag, singles []task.Task) {
-	if p.Mode == Never || len(children) == 0 {
+	minSize, maxSize := p.sizes()
+	if p.Mode == Never || cannotBag(len(children), minSize) {
 		return nil, children
-	}
-	minSize, maxSize := p.MinSize, p.MaxSize
-	if p.Mode == Always {
-		minSize = 1
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if maxSize < minSize {
-		maxSize = minSize
 	}
 	pt.keys = pt.keys[:0]
 	pt.bags = pt.bags[:0]

@@ -193,69 +193,148 @@ func TestPartitionConservation(t *testing.T) {
 // children list and policy shape, the reusable-scratch Partitioner must
 // produce exactly the bags and singles of the allocating Partition,
 // including bag boundaries, IDs, priorities, and ordering — and it must
-// keep doing so across reuse of the same Partitioner.
+// keep doing so across reuse of the same Partitioner. Random lists are
+// mostly long, so every policy shape is also swept over the short lengths
+// 0..MinSize+1, where the fast path hands over to grouping.
 func TestPartitionerMatchesPartition(t *testing.T) {
 	var pt Partitioner
-	err := quick.Check(func(raw []int8, mode uint8, minSize, maxSize uint8, shift uint8) bool {
-		children := make([]task.Task, len(raw))
-		for i, p := range raw {
-			children[i] = task.Task{Node: uint32(i), Prio: int64(p)}
-		}
-		pol := Policy{
+	policy := func(mode, minSize, maxSize, shift uint8) Policy {
+		return Policy{
 			Mode:       Mode(mode % 3),
 			MinSize:    int(minSize % 6),
 			MaxSize:    int(maxSize % 12),
 			QuantShift: uint(shift % 5),
 		}
-		var c1, c2 Counter
-		wantBags, wantSingles := Partition(children, pol, c1.Next)
-		gotBags, gotSingles := pt.Partition(children, pol, c2.Next)
-		if len(wantBags) != len(gotBags) || len(wantSingles) != len(gotSingles) {
-			t.Logf("shape mismatch: %d/%d bags, %d/%d singles",
-				len(gotBags), len(wantBags), len(gotSingles), len(wantSingles))
-			return false
+	}
+	err := quick.Check(func(raw []int8, mode uint8, minSize, maxSize uint8, shift uint8) bool {
+		children := make([]task.Task, len(raw))
+		for i, p := range raw {
+			children[i] = task.Task{Node: uint32(i), Prio: int64(p)}
 		}
-		for i := range wantBags {
-			w, g := wantBags[i], gotBags[i]
-			if w.ID != g.ID || w.Prio != g.Prio || len(w.Tasks) != len(g.Tasks) {
-				return false
-			}
-			for j := range w.Tasks {
-				if w.Tasks[j] != g.Tasks[j] {
-					return false
-				}
-			}
-		}
-		for i := range wantSingles {
-			if wantSingles[i] != gotSingles[i] {
-				return false
-			}
-		}
-		return true
+		return samePartition(t, &pt, children, policy(mode, minSize, maxSize, shift))
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Error(err)
 	}
+	var rng uint64 = 7
+	for mode := uint8(0); mode < 3; mode++ {
+		for minSize := uint8(0); minSize < 6; minSize++ {
+			for _, maxSize := range []uint8{0, 2, 5} {
+				for _, shift := range []uint8{0, 2} {
+					pol := policy(mode, minSize, maxSize, shift)
+					for n := 0; n <= pol.MinSize+1; n++ {
+						children := make([]task.Task, n)
+						for i := range children {
+							rng = rng*6364136223846793005 + 1442695040888963407
+							children[i] = task.Task{Node: uint32(i), Prio: int64(rng>>61) - 3}
+						}
+						if !samePartition(t, &pt, children, pol) {
+							t.Errorf("%+v, %d children: Partitioner and Partition differ", pol, n)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
+// samePartition runs children through Partition and pt under pol and reports
+// whether the two outputs agree exactly.
+func samePartition(t *testing.T, pt *Partitioner, children []task.Task, pol Policy) bool {
+	var c1, c2 Counter
+	wantBags, wantSingles := Partition(children, pol, c1.Next)
+	gotBags, gotSingles := pt.Partition(children, pol, c2.Next)
+	if len(wantBags) != len(gotBags) || len(wantSingles) != len(gotSingles) {
+		t.Logf("shape mismatch: %d/%d bags, %d/%d singles",
+			len(gotBags), len(wantBags), len(gotSingles), len(wantSingles))
+		return false
+	}
+	for i := range wantBags {
+		w, g := wantBags[i], gotBags[i]
+		if w.ID != g.ID || w.Prio != g.Prio || len(w.Tasks) != len(g.Tasks) {
+			return false
+		}
+		for j := range w.Tasks {
+			if w.Tasks[j] != g.Tasks[j] {
+				return false
+			}
+		}
+	}
+	for i := range wantSingles {
+		if wantSingles[i] != gotSingles[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPartitionFastPath: a list shorter than min(threshold, 3) cannot form a
+// bag, so both partitioners hand it back as it is — the very slice, in
+// order — without grouping, allocating, or drawing a bag ID. Under Always
+// the threshold is 1, so only the empty list qualifies.
+func TestPartitionFastPath(t *testing.T) {
+	noID := func() uint64 { t.Fatal("fast path drew a bag ID"); return 0 }
+	lists := [][]task.Task{nil, mkTasks(5), mkTasks(5, 5), mkTasks(9, 2), mkTasks(2, 9)}
+	var pt Partitioner
+	for _, mode := range []Mode{Selective, Always} {
+		for minSize := 0; minSize <= 5; minSize++ {
+			pol := DefaultPolicy()
+			pol.Mode, pol.MinSize = mode, minSize
+			limit := min(max(minSize, 1), 3)
+			if mode == Always {
+				limit = 1
+			}
+			for _, children := range lists {
+				if len(children) >= limit {
+					continue
+				}
+				for name, part := range map[string]func() ([]Bag, []task.Task){
+					"Partition":   func() ([]Bag, []task.Task) { return Partition(children, pol, noID) },
+					"Partitioner": func() ([]Bag, []task.Task) { return pt.Partition(children, pol, noID) },
+				} {
+					bags, singles := part()
+					if len(bags) != 0 || len(singles) != len(children) ||
+						(len(children) > 0 && &singles[0] != &children[0]) {
+						t.Errorf("%s %v min %d, %d children: got %d bags, %d singles (want the input slice)",
+							name, mode, minSize, len(children), len(bags), len(singles))
+					}
+					if allocs := testing.AllocsPerRun(100, func() { part() }); allocs != 0 {
+						t.Errorf("%s %v min %d, %d children: %.0f allocs", name, mode, minSize, len(children), allocs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPartition times both partitioners on a 12-child list that bags,
+// and on the one- and two-child lists a road-network solve mostly emits.
 func BenchmarkPartition(b *testing.B) {
-	children := mkTasks(4, 4, 4, 4, 5, 5, 8, 9, 4, 5, 5, 4)
 	pol := DefaultPolicy()
-	b.Run("map", func(b *testing.B) {
-		var c Counter
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Partition(children, pol, c.Next)
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		var c Counter
-		var pt Partitioner
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pt.Partition(children, pol, c.Next)
-		}
-	})
+	for _, tc := range []struct {
+		name     string
+		children []task.Task
+	}{
+		{"12", mkTasks(4, 4, 4, 4, 5, 5, 8, 9, 4, 5, 5, 4)},
+		{"1", mkTasks(4)},
+		{"2", mkTasks(4, 9)},
+	} {
+		b.Run("map/"+tc.name, func(b *testing.B) {
+			var c Counter
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Partition(tc.children, pol, c.Next)
+			}
+		})
+		b.Run("scratch/"+tc.name, func(b *testing.B) {
+			var c Counter
+			var pt Partitioner
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pt.Partition(tc.children, pol, c.Next)
+			}
+		})
+	}
 }
 
 func TestTransportString(t *testing.T) {

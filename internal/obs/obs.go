@@ -63,9 +63,12 @@ const (
 	CWorkerRestarts    // worker loops restarted after an engine-level panic
 
 	// Local-queue counters: the twolevel kind's heap fallbacks, and the tasks
-	// a worker behind its peers took from their queues and rings.
-	CQueueFallbacks // bucket-ring → heap migrations on span overflow (0 or 1 per job queue)
-	CTasksStolen    // tasks this worker stole from peers (steal-when-behind)
+	// a worker behind its peers took from their queues and rings. Beside the
+	// steals, the other way a unit runs away from the worker owning its node:
+	// the TDF draw kept it on its maker.
+	CQueueFallbacks    // bucket-ring → heap migrations on span overflow (0 or 1 per job queue)
+	CTasksStolen       // tasks this worker stole from peers (steal-when-behind)
+	CUnitsKeptOffBlock // dispatched units the TDF draw kept on a worker not owning their node
 
 	// Dispatch counters: the tasks a worker put in bags, and the units
 	// (single children and bag markers) the frontier-width gate kept on the
@@ -107,7 +110,8 @@ var counterNames = [numCounters]string{
 	"bags_opened", "overflow_spills", "idle_parks", "drift_reports",
 	"tdf_steps", "tasks_spawned", "bags_retired", "tasks_quarantined",
 	"overflow_redirects", "drift_clamped", "worker_restarts",
-	"queue_fallbacks", "tasks_stolen", "tasks_bagged", "units_kept_local",
+	"queue_fallbacks", "tasks_stolen", "units_kept_off_block", "tasks_bagged",
+	"units_kept_local",
 	"rank_samples", "prio_inversions", "rank_err_sum", "rank_err_max",
 	"tasks_cancelled", "quota_rejects",
 	"serve_shed", "serve_deadline_hits", "serve_conn_aborts", "serve_resumes",

@@ -207,9 +207,9 @@ func TestWriteJSONL(t *testing.T) {
 	if !strings.Contains(buf.String(), `"drift":12.5`) {
 		t.Error("tdf-step drift not decoded to float")
 	}
-	// The v5 counter set: tasks_stolen, tasks_bagged and units_kept_local
-	// are in, the retired slots are out.
-	for _, in := range []string{`"tasks_stolen":0`, `"tasks_bagged":0`, `"units_kept_local":0`} {
+	// The v5 counter set: tasks_stolen, units_kept_off_block, tasks_bagged
+	// and units_kept_local are in, the retired slots are out.
+	for _, in := range []string{`"tasks_stolen":0`, `"units_kept_off_block":0`, `"tasks_bagged":0`, `"units_kept_local":0`} {
 		if !strings.Contains(lines[1], in) {
 			t.Errorf("counters line lacks %s: %s", in, lines[1])
 		}

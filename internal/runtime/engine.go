@@ -151,6 +151,7 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.sched.shared = cfg.QueueKind == QueueMultiQueue
 		me.rng = *graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
 		me.batch = make([]task.Task, batchK)
+		me.batchQ = make([]*workerJQ, batchK)
 		me.children = make([]task.Task, 0, 16)
 		me.inbox = make([]task.Task, 0, 64)
 		// One closure for the whole engine, so Process calls do not allocate

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hdcps/internal/bag"
 	"hdcps/internal/graph"
 	"hdcps/internal/task"
 	"hdcps/internal/workload"
@@ -49,6 +50,60 @@ func checkLedger(t *testing.T, s Snapshot) {
 	if in != out {
 		t.Fatalf("ledger violated: submitted %d + spawned %d = %d, processed %d + bagsRetired %d + quarantined %d + cancelled %d = %d",
 			s.Submitted, s.Spawned, in, s.TasksProcessed, s.BagsRetired, s.Quarantined, s.Cancelled, out)
+	}
+}
+
+// TestEnginePanicResumesBatchAndBag pins where the loop goes on after a
+// handler panics: the recover frame belongs to the dequeue batch and to the
+// opened bag, not to each task, so the tasks after the poisoned one in the
+// same batch, and in the same bag, must still run, the bag must still
+// retire, and the ledger must balance. One worker is driven by hand.
+func TestEnginePanicResumesBatchAndBag(t *testing.T) {
+	ran := map[graph.NodeID]bool{}
+	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
+		switch tk.Node {
+		case 3, 12:
+			panic("poisoned task")
+		case 0:
+			for c := graph.NodeID(1); c <= 6; c++ {
+				emit(task.Task{Node: c, Prio: 20})
+			}
+		}
+		ran[tk.Node] = true
+		return 1
+	}}
+	cfg := Config{Workers: 1}
+	cfg.Bags.Mode = bag.Always
+	cfg.Bags.MaxSize = 10
+	e := NewEngine(w, cfg)
+	// One batch of eight with node 12 in the middle, then node 0, whose six
+	// children form one bag with node 3 in the middle.
+	ts := []task.Task{{Node: 0, Prio: 10}}
+	for n := graph.NodeID(10); n < 18; n++ {
+		ts = append(ts, task.Task{Node: n, Prio: 1})
+	}
+	if err := e.Submit(ts...); err != nil {
+		t.Fatal(err)
+	}
+	me := &e.workers[0]
+	for e.outstanding.Load() > 0 {
+		n := e.cycleStart(me)
+		if n == 0 {
+			t.Fatalf("queue empty with %d outstanding", e.outstanding.Load())
+		}
+		e.runBatch(me, n)
+	}
+	for _, n := range []graph.NodeID{0, 1, 2, 4, 5, 6, 10, 11, 13, 14, 15, 16, 17} {
+		if !ran[n] {
+			t.Errorf("node %d never ran", n)
+		}
+	}
+	me.publish()
+	s := e.Snapshot()
+	checkLedger(t, s)
+	if s.Quarantined != 2 || s.BagsCreated != 1 || s.BagsRetired != 1 {
+		t.Errorf("quarantined %d, bags created %d retired %d; want 2, 1, 1",
+			s.Quarantined, s.BagsCreated, s.BagsRetired)
 	}
 }
 

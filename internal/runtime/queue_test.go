@@ -184,6 +184,87 @@ func TestBatchRestartRequeue(t *testing.T) {
 	}
 }
 
+// TestBatchCarriesQueue drives a two-worker, three-job run by hand, one
+// cycle of each worker in turn, and checks every dequeue batch: the queue
+// stored beside each task is the worker's queue for that task's job, the one
+// the loop used to look up per task, and so is the queue stored beside each
+// unit the batch kept for the next cycle start. Job 1 is cancelled mid-run, so batches
+// are also filled around a cancellation sweep; the other two jobs must still
+// solve, and every ledger must balance.
+func TestBatchCarriesQueue(t *testing.T) {
+	newW := func(name string, g *graph.CSR) workload.Workload {
+		w, err := workload.New(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	ws := []workload.Workload{
+		newW("sssp", graph.Road(24, 24, 1)),
+		newW("sssp", graph.Road(24, 24, 2)),
+		newW("pagerank", graph.Web(600, 3)),
+	}
+	e := NewEngine(ws[0], DefaultConfig(2))
+	if err := e.Submit(ws[0].InitialTasks()...); err != nil {
+		t.Fatal(err)
+	}
+	jobs := []*Job{e.DefaultJob()}
+	for _, w := range ws[1:] {
+		j, err := e.NewJob(w, JobConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Submit(w.InitialTasks()...); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	batches := 0
+	for round := 0; e.outstanding.Load() > 0; round++ {
+		if round > 1_000_000 {
+			t.Fatalf("no quiescence after %d rounds: outstanding %d", round, e.outstanding.Load())
+		}
+		if round == 20 {
+			// What Job.Cancel does before it waits for the job to drain.
+			jobs[1].js.cancelled.Store(true)
+		}
+		for id := range e.workers {
+			me := &e.workers[id]
+			n := e.cycleStart(me)
+			for i := 0; i < n; i++ {
+				if want := me.sched.queue(e.jobStateFor(me.batch[i].Job)); me.batchQ[i] != want {
+					t.Fatalf("round %d worker %d: batchQ[%d] is job %d's queue, task is job %d's",
+						round, id, i, me.batchQ[i].js.id, me.batch[i].Job)
+				}
+			}
+			batches += min(n, 1)
+			e.runBatch(me, n)
+			for _, k := range me.kept {
+				if k.q != nil && k.q != me.sched.queue(e.jobStateFor(k.t.Job)) {
+					t.Fatalf("round %d worker %d: a job %d unit was kept for job %d's queue",
+						round, id, k.t.Job, k.q.js.id)
+				}
+			}
+			if n == 0 {
+				e.settle(me)
+				e.flush(me)
+			}
+		}
+	}
+	s := e.Snapshot()
+	checkLedger(t, s)
+	checkJobLedgers(t, s)
+	if batches < 100 || s.Jobs[1].CancelledTasks == 0 {
+		t.Errorf("%d batches, job 1 cancelled %d tasks: the run did not exercise a mid-run cancel",
+			batches, s.Jobs[1].CancelledTasks)
+	}
+	for _, i := range []int{0, 2} {
+		if err := ws[i].Verify(); err != nil {
+			t.Errorf("job %d: %v", i, err)
+		}
+	}
+}
+
 // panicOnceHook panics out of one drain mid-run, through the transport's
 // fault hook: an engine-internal fault (not a task panic), which must restart
 // the worker loop, not kill it — and the run must still finish exactly. It

@@ -42,7 +42,7 @@ type WorkerStats struct {
 //
 // (the add side may lag work in progress, the retire side never leads it).
 // The remaining counters (Bags, EdgesExamined, spills, parks, Stolen, and the
-// dispatch counts BaggedTasks and KeptLocal) are published at
+// dispatch counts BaggedTasks, KeptLocal and KeptOffBlock) are published at
 // flush/park/idle boundaries and may lag by at most one flush interval; once
 // Stop has returned nil every worker has published, and they are exact.
 type Snapshot struct {
@@ -68,6 +68,13 @@ type Snapshot struct {
 	Cancelled   int64 // tasks discarded by job-scoped Cancel (ledger sink)
 	Redirects   int64 // flow-control bounces kept local (degradation signal)
 	Stolen      int64 // tasks workers took from peers' queues and rings
+
+	// KeptOffBlock counts the dispatched units (single children and bag
+	// markers) that passed the gate and that the TDF draw left on their
+	// maker, a worker not owning their node — with Stolen, the largest way a
+	// task runs away from its owner's block (place.go). 0 on one worker and
+	// for jobs without a graph, which have no owner.
+	KeptOffBlock int64
 
 	// Dispatch: BaggedTasks counts tasks shipped inside bags. Of the
 	// Spawned - BaggedTasks dispatched units (single children and bag
@@ -150,6 +157,7 @@ func (e *Engine) Snapshot() Snapshot {
 		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
 		s.Stolen += ws.Stolen
+		s.KeptOffBlock += me.pub[obs.CUnitsKeptOffBlock].Load()
 		s.BaggedTasks += me.pub[obs.CTasksBagged].Load()
 		s.KeptLocal += me.pub[obs.CUnitsKeptLocal].Load()
 		s.DriftClamped += me.pub[obs.CDriftClamped].Load()

@@ -170,8 +170,12 @@ func (e *Engine) cycleStart(me *worker) int {
 		me.mu.Lock()
 		defer me.mu.Unlock()
 	}
-	for _, t := range me.kept {
-		e.push(me, t)
+	for _, k := range me.kept {
+		if k.q == nil {
+			e.push(me, k.t)
+		} else {
+			e.pushTo(me, k.q, k.t)
+		}
 	}
 	me.kept = me.kept[:0]
 	me.inbox = e.transport.Recv(me.id, me.inbox[:0])
@@ -196,10 +200,10 @@ func (e *Engine) keep(me *worker, q *workerJQ, t task.Task) {
 		e.push(me, t)
 		return
 	}
-	me.kept = append(me.kept, t)
 	if q == nil {
 		q = me.sched.lookup(t.Job)
 	}
+	me.kept = append(me.kept, keptUnit{t, q})
 	if q != nil {
 		q.spare++
 	}

@@ -21,6 +21,13 @@ import (
 // bagMarker tags a ring task as bag metadata (node IDs never reach 2^32-1).
 const bagMarker = ^graph.NodeID(0)
 
+// keptUnit is a unit kept for the next cycle start with the worker's queue
+// for its job, nil when the worker had none yet.
+type keptUnit struct {
+	t task.Task
+	q *workerJQ
+}
+
 type worker struct {
 	id int
 
@@ -35,10 +42,13 @@ type worker struct {
 
 	// batch is the dequeue batch (batchK long): the loop pops up to
 	// len(batch) tasks and processes them back to back, prefetching the
-	// next task's CSR row between items. batchPos/batchLen let a worker
-	// restart (runWorkerGuarded) requeue the not-yet-started tail so a
-	// mid-batch crash strands no tasks.
+	// next task's CSR row between items. batchQ[i] is the queue batch[i]
+	// came from — the worker's queue for its job — so the loop does not look
+	// the job up again per task. batchPos/batchLen let a worker restart
+	// (runWorkerGuarded) requeue the not-yet-started tail so a mid-batch
+	// crash strands no tasks.
 	batch    []task.Task
+	batchQ   []*workerJQ
 	batchPos int
 	batchLen int
 
@@ -46,7 +56,7 @@ type worker struct {
 	// start (Engine.keep), inbox the scratch its receive side and a steal's
 	// drain of a peer's ring land in, and stale the job of a stale pop since
 	// the last cycle start: the trigger to steal (steal.go).
-	kept  []task.Task
+	kept  []keptUnit
 	inbox []task.Task
 	stale *jobState
 
@@ -75,8 +85,10 @@ type worker struct {
 	// into pub by publish at flush/park/exit boundaries (stolen, the tasks
 	// this worker took from peers, as tasks_stolen; bagsOpened and
 	// driftReports as bags_opened and drift_reports; keptLocal, the units the
-	// dispatch gate held back, as units_kept_local; baggedTasks, the tasks
-	// put in bags, as tasks_bagged).
+	// dispatch gate held back, as units_kept_local; keptOffBlock, the units
+	// the TDF draw left here though a peer owns their node, as
+	// units_kept_off_block; baggedTasks, the tasks put in bags, as
+	// tasks_bagged).
 	bags         int64
 	bagsOpened   int64
 	edges        int64
@@ -84,6 +96,7 @@ type worker struct {
 	redirects    int64
 	driftReports int64
 	keptLocal    int64
+	keptOffBlock int64
 	baggedTasks  int64
 	stolen       int64
 
@@ -115,6 +128,11 @@ type worker struct {
 	pub      *obs.Row
 	pubLocal obs.Row
 
+	// inTask is set while a task handler runs (processOne): a panic that
+	// unwinds with it set is the task's, and is quarantined; any other is
+	// the engine's own and goes on to runWorkerGuarded.
+	inTask bool
+
 	// prefetchSink receives the batched loop's CSR-offset loads; writing
 	// them to a field keeps the loads from being dead-code-eliminated.
 	prefetchSink uint32
@@ -139,6 +157,7 @@ func (me *worker) publish() {
 	me.pub[obs.CTasksStolen].Store(me.stolen)
 	me.pub[obs.CTasksBagged].Store(me.baggedTasks)
 	me.pub[obs.CUnitsKeptLocal].Store(me.keptLocal)
+	me.pub[obs.CUnitsKeptOffBlock].Store(me.keptOffBlock)
 	var fallbacks int64
 	// A thief's ring drain may push into these queues: read them under the
 	// lock.
@@ -182,9 +201,12 @@ func (e *Engine) park(me *worker) bool {
 // caller holds the worker's lock: cycleStart (kept units, arrivals, a steal),
 // a restart's requeue, a pre-start seed.
 func (e *Engine) push(me *worker, t task.Task) {
-	js := e.jobStateFor(t.Job)
-	q := me.sched.queue(js)
-	if js.cancelled.Load() {
+	e.pushTo(me, me.sched.queue(e.jobStateFor(t.Job)), t)
+}
+
+// pushTo is push into q, already known to be the worker's queue for t's job.
+func (e *Engine) pushTo(me *worker, q *workerJQ, t task.Task) {
+	if q.js.cancelled.Load() {
 		e.discard(me, q, t)
 		return
 	}
@@ -215,8 +237,8 @@ func (e *Engine) discard(me *worker, q *workerJQ, t task.Task) {
 }
 
 // runWorkerGuarded runs the worker loop, recovering any panic that escapes
-// the per-task isolation in processOne — an engine-internal bug, not a task
-// handler fault. It reports true on a clean (stop-requested) exit and false
+// the task isolation of runBatchFrom and runPayload — an engine-internal
+// bug, not a task handler fault. It reports true on a clean (stop-requested) exit and false
 // when the loop died and should be restarted. Accounting already performed
 // by the interrupted iteration is preserved (counters are monotone and the
 // outstanding ledger is adjusted before work becomes visible), so a restart
@@ -316,33 +338,54 @@ func (e *Engine) runWorker(id int) {
 			continue
 		}
 		idle = 0
-
-		me.batchLen = n
-		for i := 0; i < n; i++ {
-			me.batchPos = i
-			if i+1 < n {
-				e.prefetchRow(me, me.batch[i+1])
-			}
-			t := me.batch[i]
-			q := me.sched.queue(e.jobStateFor(t.Job))
-			if t.Node == bagMarker {
-				e.openBag(me, q, t)
-			} else {
-				e.processOne(me, q, t)
-			}
-		}
-		me.batchLen = 0
-		// Settle the batch's accumulated retirements in one shared atomic per
-		// counter — the batched loop's other throughput lever besides the
-		// prefetch: up to batchK childless tasks retire for the price of one
-		// outstanding.Add (and one processed-count store) instead of one each.
-		e.settle(me)
-
+		e.runBatch(me, n)
 		if me.tasks-me.flushedAt >= flushInterval && e.transport.Pending(id) > 0 {
 			e.flush(me)
 			me.publish()
 		}
 	}
+}
+
+// runBatch processes the n tasks the cycle start put in the dequeue batch,
+// each against the queue it was popped from, then settles.
+func (e *Engine) runBatch(me *worker, n int) {
+	me.batchLen = n
+	for i := 0; i < n; i = e.runBatchFrom(me, i, n) {
+	}
+	me.batchLen = 0
+	// Settle the batch's accumulated retirements in one shared atomic per
+	// counter — the batched loop's other throughput lever besides the
+	// prefetch: up to batchK childless tasks retire for the price of one
+	// outstanding.Add (and one processed-count store) instead of one each.
+	e.settle(me)
+}
+
+// runBatchFrom runs batch[i:n] and returns n, or, when a task handler
+// panics, quarantines that task (batch[batchPos]) and returns the index after
+// it, where runBatch resumes. One deferred recover serves the whole batch, since a
+// frame per task made a solve 3-4% slower and a handler's panic is the rare
+// case. openBag's payload gets the same frame (runPayload).
+func (e *Engine) runBatchFrom(me *worker, i, n int) (next int) {
+	defer func() {
+		if me.inTask {
+			me.inTask = false
+			e.handleFault(me, me.batchQ[me.batchPos].js, me.batch[me.batchPos], recover())
+			next = me.batchPos + 1
+		}
+	}()
+	for ; i < n; i++ {
+		me.batchPos = i
+		if i+1 < n {
+			me.prefetchRow(me.batchQ[i+1], me.batch[i+1])
+		}
+		t, q := me.batch[i], me.batchQ[i]
+		if t.Node == bagMarker {
+			e.openBag(me, q, t)
+		} else {
+			e.processOne(me, q, t)
+		}
+	}
+	return n
 }
 
 // fillBatch fills the worker's dequeue batch from the queues the job
@@ -385,7 +428,7 @@ func (e *Engine) fillBatch(me *worker) int {
 		if e.obsMask >= 0 {
 			e.sampleRank(me, q, t)
 		}
-		me.batch[n] = t
+		me.batch[n], me.batchQ[n] = t, q
 		n++
 	}
 	if e.steals {
@@ -471,14 +514,14 @@ func (e *Engine) sampleRank(me *worker, q *workerJQ, t task.Task) {
 }
 
 // prefetchRow touches the next batched task's CSR row bounds (in its job's
-// graph) so the offset line is resident by the time processing reaches that
-// task. The summed loads land in prefetchSink to keep them alive past the
-// optimizer.
-func (e *Engine) prefetchRow(me *worker, t task.Task) {
+// graph, q being the worker's queue for the job) so the offset line is
+// resident by the time processing reaches that task. The summed loads land
+// in prefetchSink to keep them alive past the optimizer.
+func (me *worker) prefetchRow(q *workerJQ, t task.Task) {
 	if t.Node == bagMarker {
 		return
 	}
-	off := e.jobStateFor(t.Job).off
+	off := q.js.off
 	if i := int(t.Node); i+1 < len(off) {
 		me.prefetchSink = off[i] + off[i+1]
 	}
@@ -493,8 +536,7 @@ func (e *Engine) openBag(me *worker, q *workerJQ, t task.Task) {
 	if rec := e.obs; rec != nil {
 		rec.Event(me.id, obs.EvBagOpened, int64(len(s.tasks)), 0, 0)
 	}
-	for _, bt := range s.tasks {
-		e.processOne(me, q, bt)
+	for k := 0; k < len(s.tasks); k = e.runPayload(me, q, s.tasks, k) {
 	}
 	// The marker's pop paid for one task, but len(s.tasks) were just retired:
 	// the job's fairness balance owes the rest.
@@ -503,23 +545,26 @@ func (e *Engine) openBag(me *worker, q *workerJQ, t task.Task) {
 	me.led.retireBag(q)
 }
 
-// runTask executes one task handler under the panic-isolation recover: a
-// panicking handler yields its recover() value instead of killing the
-// worker. The open-coded defer keeps the no-panic cost to a few
-// nanoseconds, which is the whole fault layer's hot-path footprint.
-func (e *Engine) runTask(me *worker, js *jobState, t task.Task) (edges int, pv any) {
+// runPayload runs a bag's payload ts[k:] and returns len(ts), or, when a task
+// handler panics, quarantines that task and returns the index after it.
+func (e *Engine) runPayload(me *worker, q *workerJQ, ts []task.Task, k int) (next int) {
 	defer func() {
-		if r := recover(); r != nil {
-			pv = r
+		if me.inTask {
+			me.inTask = false
+			e.handleFault(me, q.js, ts[next], recover())
+			next++
 		}
 	}()
-	return js.w.Process(t, me.emit), nil
+	for next = k; next < len(ts); next++ {
+		e.processOne(me, q, ts[next])
+	}
+	return next
 }
 
-// handleFault quarantines one task whose handler panicked: the children it
-// emitted before the panic are discarded (a task's effects land whole or not
-// at all), and the task retires into the poison list, keeping both
-// conservation ledgers balanced so Drain still terminates.
+// handleFault quarantines one task whose handler panicked (pv is the recover
+// value): the children it emitted before the panic are discarded (a task's
+// effects land whole or not at all), and the task retires into the poison
+// list, keeping both conservation ledgers balanced so Drain still terminates.
 func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
 	me.children = me.children[:0]
 	e.faults.quarantine(t, me.id, pv)
@@ -539,15 +584,14 @@ func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
 
 // processOne executes one task and distributes its children. q is the
 // worker's queue for the task's job: its ledger delta accumulator, and the
-// queue whose length gates dispatch.
+// queue whose length gates dispatch. A handler that panics unwinds out of
+// here to the caller's recover (runBatchFrom, runPayload).
 func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 	js := q.js
 	me.children = me.children[:0]
-	edges, pv := e.runTask(me, js, t)
-	if pv != nil {
-		e.handleFault(me, js, t, pv)
-		return
-	}
+	me.inTask = true
+	edges := js.w.Process(t, me.emit)
+	me.inTask = false
 	if edges == 0 {
 		// A stale pop: a better path reached the node first, so this worker
 		// is behind on the job (steal.go).
@@ -621,14 +665,18 @@ func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task, node graph.NodeI
 	// placements past it are one stream however often it fired. The gate
 	// reads the queue's spare (steal.go); a shared queue is not gated.
 	rng := me.rng
+	owner := ownerOf(node, q.js.owners, len(e.workers))
 	dst, kept := place(rng.Uint64(), q.spare, batchK, e.control.TDF(), q.js.tdfBias,
-		me.id, ownerOf(node, q.js.owners, len(e.workers)), len(e.workers), me.sched.shared)
+		me.id, owner, len(e.workers), me.sched.shared)
 	if kept {
 		me.keptLocal++
 	} else {
 		me.rng = rng
 	}
 	if dst == me.id {
+		if !kept && owner >= 0 && owner != me.id {
+			me.keptOffBlock++
+		}
 		e.keep(me, q, t)
 		return
 	}
