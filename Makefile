@@ -110,12 +110,13 @@ serve-chaos:
 # Hot-path microbenchmarks (ring push/batch, heap arity, every queue shape
 # including the native bucket ring and the simulator's HPQ under three
 # priority distributions, partitioner, native runtime throughput with and
-# without the obs recorder; the simulator's event queue, cache model and one
-# simulated run a scheduler).
-# The root package carries BenchmarkNativeRuntime{,Observed} and
-# BenchmarkSchedulers; compare runs with benchstat, see EXPERIMENTS.md.
+# without the obs recorder; the simulator's event queue, cache model, one
+# simulated run a scheduler and the sim-sweep cells).
+# The root package carries BenchmarkNativeRuntime{,Observed},
+# BenchmarkSchedulers and BenchmarkSimSweep (too slow for bench-smoke);
+# compare runs with benchstat, see EXPERIMENTS.md.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkEventQueue|BenchmarkMemAccess' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkSimSweep|BenchmarkEventQueue|BenchmarkMemAccess' \
 		-benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchmem ./internal/serve/
 

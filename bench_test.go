@@ -81,6 +81,50 @@ func BenchmarkSchedulers(b *testing.B) {
 	}
 }
 
+// BenchmarkSimSweep is the simulator's host cost at the benchmark's
+// sim-sweep shapes: sssp on Road(120) and pagerank on Web(5000), seed 42,
+// under the six schedulers the sweep runs — the software ones on the 40-core
+// software machine, hdcps-hw and swarm on the 64-core Table I machine. Each
+// sub-benchmark is one cell and reports host ns per simulated task, the
+// number a change to internal/sim or internal/pq moves; pagerank is most of
+// the sweep's host time, and its spread accesses are what make the cache
+// model's footprint show. A pass of all twelve takes ~2 s, so bench-smoke
+// leaves it out; profile the sweep with
+// go test -run '^$' -bench BenchmarkSimSweep -cpuprofile cpu.out .
+func BenchmarkSimSweep(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		kind string
+		g    *graph.CSR
+	}{
+		{"sssp-road", "sssp", graph.Road(120, 120, 42)},
+		{"pagerank-web", "pagerank", graph.Web(5000, 42)},
+	} {
+		w, err := workload.New(in.kind, in.g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range []string{"reld", "obim", "pmod", "hdcps-sw", "hdcps-hw", "swarm"} {
+			s, err := sched.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := sim.DefaultSW(40)
+			if name == "hdcps-hw" || name == "swarm" {
+				cfg = sim.DefaultHW()
+			}
+			b.Run(name+"/"+in.name, func(b *testing.B) {
+				var tasks int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tasks += s.Run(w, cfg, 42).TasksProcessed
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
+			})
+		}
+	}
+}
+
 // solveNative is one native solve through exec.RunJobs, failed unless it
 // drained with its ledger exact; it returns the snapshot taken after Stop.
 func solveNative(b *testing.B, w workload.Workload, cfg runtime.Config) runtime.Snapshot {

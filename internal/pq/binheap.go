@@ -21,7 +21,7 @@ func (h *BinaryHeap) Len() int { return len(h.items) }
 // Push inserts t.
 func (h *BinaryHeap) Push(t task.Task) {
 	h.items = append(h.items, t)
-	h.siftUp(len(h.items) - 1)
+	siftUpTasks(h.items, len(h.items)-1)
 }
 
 // Pop removes and returns the minimum task.
@@ -34,7 +34,7 @@ func (h *BinaryHeap) Pop() (task.Task, bool) {
 	h.items[0] = h.items[last]
 	h.items = h.items[:last]
 	if last > 0 {
-		h.siftDown(0)
+		siftDownTasks(h.items, 0)
 	}
 	return top, true
 }
@@ -47,32 +47,45 @@ func (h *BinaryHeap) Peek() (task.Task, bool) {
 	return h.items[0], true
 }
 
-func (h *BinaryHeap) siftUp(i int) {
+// siftUpTasks restores the binary-min-heap property of b after b[i] was
+// written with a task that may beat its parent. The task is carried aside
+// and written once, at its final slot; the comparisons, and so the array,
+// are those of a swap at every level (TestSiftMatchesSwapForm). BinaryHeap,
+// Bounded, HPQ's buckets and MultiQueue's shards all sift here.
+func siftUpTasks(b []task.Task, i int) {
+	t := b[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.items[i].Less(h.items[parent]) {
-			return
+		p := (i - 1) / 2
+		if !t.Less(b[p]) {
+			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
+		b[i] = b[p]
+		i = p
 	}
+	b[i] = t
 }
 
-func (h *BinaryHeap) siftDown(i int) {
-	n := len(h.items)
+// siftDownTasks restores the binary-min-heap property of b after b[i] was
+// written with a task that may lose to its children, carrying the task down
+// through the hole the way siftUpTasks carries it up. The lesser child moves
+// up when it beats the task; of two equal children the left one does. Under
+// task.Less's strict weak order those are the swap form's choices exactly.
+func siftDownTasks(b []task.Task, i int) {
+	n := len(b)
+	t := b[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h.items[l].Less(h.items[least]) {
-			least = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.items[r].Less(h.items[least]) {
-			least = r
+		if r := c + 1; r < n && b[r].Less(b[c]) {
+			c = r
 		}
-		if least == i {
-			return
+		if !b[c].Less(t) {
+			break
 		}
-		h.items[i], h.items[least] = h.items[least], h.items[i]
-		i = least
+		b[i] = b[c]
+		i = c
 	}
+	b[i] = t
 }

@@ -44,7 +44,7 @@ func (b *Bounded) Push(t task.Task) (evicted task.Task, didEvict bool) {
 	}
 	if len(b.items) < b.cap {
 		b.items = append(b.items, t)
-		b.siftUp(len(b.items) - 1)
+		siftUpTasks(b.items, len(b.items)-1)
 		return task.Task{}, false
 	}
 	// Full: find the worst resident. In a min-heap the maximum lives among
@@ -60,7 +60,7 @@ func (b *Bounded) Push(t task.Task) (evicted task.Task, didEvict bool) {
 	}
 	evicted = b.items[worst]
 	b.items[worst] = t
-	b.siftUp(worst)
+	siftUpTasks(b.items, worst)
 	return evicted, true
 }
 
@@ -74,7 +74,7 @@ func (b *Bounded) Pop() (task.Task, bool) {
 	b.items[0] = b.items[last]
 	b.items = b.items[:last]
 	if last > 0 {
-		b.siftDown(0)
+		siftDownTasks(b.items, 0)
 	}
 	return top, true
 }
@@ -85,34 +85,4 @@ func (b *Bounded) Peek() (task.Task, bool) {
 		return task.Task{}, false
 	}
 	return b.items[0], true
-}
-
-func (b *Bounded) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !b.items[i].Less(b.items[parent]) {
-			return
-		}
-		b.items[i], b.items[parent] = b.items[parent], b.items[i]
-		i = parent
-	}
-}
-
-func (b *Bounded) siftDown(i int) {
-	n := len(b.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && b.items[l].Less(b.items[least]) {
-			least = l
-		}
-		if r < n && b.items[r].Less(b.items[least]) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		b.items[i], b.items[least] = b.items[least], b.items[i]
-		i = least
-	}
 }

@@ -333,7 +333,7 @@ func (c *coldBuckets) push(t task.Task, qp int64) bool {
 		}
 	}
 	b = append(b, t)
-	siftUpTasks(b)
+	siftUpTasks(b, len(b)-1)
 	c.buckets[idx] = b
 	c.occ[idx>>6] |= 1 << uint(idx&63)
 	c.size++
@@ -398,7 +398,7 @@ func (c *coldBuckets) pop() task.Task {
 	b = b[:n]
 	if n > 0 {
 		if n > 1 {
-			siftDownTasks(b)
+			siftDownTasks(b, 0)
 		}
 		c.buckets[idx] = b
 	} else {
@@ -414,40 +414,4 @@ func (c *coldBuckets) pop() task.Task {
 	}
 	c.size--
 	return t
-}
-
-// siftUpTasks restores the binary-min-heap property of b after its last
-// element was appended.
-func siftUpTasks(b []task.Task) {
-	i := len(b) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !b[i].Less(b[p]) {
-			return
-		}
-		b[i], b[p] = b[p], b[i]
-		i = p
-	}
-}
-
-// siftDownTasks restores the binary-min-heap property of b after its root
-// was replaced.
-func siftDownTasks(b []task.Task) {
-	n := len(b)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && b[l].Less(b[least]) {
-			least = l
-		}
-		if r < n && b[r].Less(b[least]) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		b[i], b[least] = b[least], b[i]
-		i = least
-	}
 }

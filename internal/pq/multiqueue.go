@@ -187,7 +187,7 @@ func (s *mqShard) stage(t task.Task, batchCap int) {
 func (s *mqShard) flushIbuf() {
 	for _, t := range s.ibuf {
 		s.heap = append(s.heap, t)
-		siftUpTasks(s.heap)
+		siftUpTasks(s.heap, len(s.heap)-1)
 	}
 	s.ibuf = s.ibuf[:0]
 }
@@ -220,7 +220,7 @@ func (s *mqShard) refill(batchCap int) {
 		s.heap[0] = s.heap[last]
 		s.heap = s.heap[:last]
 		if last > 1 {
-			siftDownTasks(s.heap)
+			siftDownTasks(s.heap, 0)
 		}
 	}
 }

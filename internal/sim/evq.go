@@ -9,6 +9,12 @@ package sim
 // without moving a simulated cycle. Sift steps move 24-byte keys; a Message
 // (80 bytes, with a slice) waits in msgs under the key's ref until its event
 // is popped.
+//
+// Run reads the earliest key with top and leaves it at the root while its
+// handler runs: every push made meanwhile lands on a cycle no earlier than
+// the root's, with a later seq, so it settles below the root. A core that
+// re-arms then takes the root's place with replaceTop, one sift-down where
+// pop plus push would be two sifts.
 type eventQueue struct {
 	keys []evKey
 	seq  uint64
@@ -83,6 +89,10 @@ func (q *eventQueue) insert(k evKey) {
 	q.keys = h
 }
 
+// top returns the earliest event without removing it; the queue must not be
+// empty.
+func (q *eventQueue) top() evKey { return q.keys[0] }
+
 // pop removes and returns the earliest event; the queue must not be empty.
 // For an evMessage key the caller collects the payload with takeMessage.
 func (q *eventQueue) pop() evKey {
@@ -90,11 +100,25 @@ func (q *eventQueue) pop() evKey {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h = h[:n]
-	q.keys = h
-	if n == 0 {
-		return top
+	q.keys = h[:n]
+	if n > 0 {
+		q.siftDown(last)
 	}
+	return top
+}
+
+// replaceTop removes the earliest event and queues a ready or drift event
+// for core at cycle at in its place: pop then push, in one sift.
+func (q *eventQueue) replaceTop(at int64, core int, kind eventKind) {
+	k := evKey{at: at, seq: q.seq, core: uint16(core), kind: kind}
+	q.seq++
+	q.siftDown(k)
+}
+
+// siftDown places k, moving from the root down through the hole it leaves.
+func (q *eventQueue) siftDown(k evKey) {
+	h := q.keys
+	n := len(h)
 	i := 0
 	for {
 		c := evArity*i + 1
@@ -111,14 +135,13 @@ func (q *eventQueue) pop() evKey {
 				best = j
 			}
 		}
-		if !h[best].before(&last) {
+		if !h[best].before(&k) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
-	h[i] = last
-	return top
+	h[i] = k
 }
 
 // takeMessage returns the payload of a popped evMessage key and recycles its

@@ -12,7 +12,10 @@ import (
 // bursts of events on one cycle, against a reference kept sorted by
 // (at, seq): the queue must pop exactly the reference's sequence, hand every
 // message back intact, and keep its payload slab no larger than the most
-// messages ever in flight at once.
+// messages ever in flight at once. Some steps go the way Run takes a ready
+// or drift event: top leaves it at the root while a handler pushes (bursts
+// at exactly that cycle, later events, messages), and then replaceTop
+// re-arms it in place or pop retires it.
 func TestEventQueueOrder(t *testing.T) {
 	type refEvent struct {
 		key evKey
@@ -49,15 +52,21 @@ func TestEventQueueOrder(t *testing.T) {
 				highWater = inFlight
 			}
 		}
-		pop := func() {
+		sortRef := func() {
 			sort.SliceStable(ref, func(i, j int) bool { return ref[i].key.before(&ref[j].key) })
+		}
+		same := func(what string, got, want evKey) {
+			if got.at != want.at || got.seq != want.seq || got.core != want.core || got.kind != want.kind {
+				t.Fatalf("seed %d: %s {at %d seq %d core %d kind %d}, reference {at %d seq %d core %d kind %d}",
+					seed, what, got.at, got.seq, got.core, got.kind, want.at, want.seq, want.core, want.kind)
+			}
+		}
+		pop := func() {
+			sortRef()
 			want := ref[0]
 			ref = ref[1:]
 			got := q.pop()
-			if got.at != want.key.at || got.seq != want.key.seq || got.core != want.key.core || got.kind != want.key.kind {
-				t.Fatalf("seed %d: popped {at %d seq %d core %d kind %d}, reference {at %d seq %d core %d kind %d}",
-					seed, got.at, got.seq, got.core, got.kind, want.key.at, want.key.seq, want.key.core, want.key.kind)
-			}
+			same("popped", got, want.key)
 			now = got.at
 			if got.kind != evMessage {
 				return
@@ -78,8 +87,35 @@ func TestEventQueueOrder(t *testing.T) {
 			}
 		}
 
+		// inPlace is one ready or drift event as Run handles it.
+		inPlace := func() {
+			sortRef()
+			e := q.top()
+			same("top", e, ref[0].key)
+			now = e.at
+			for i := rng.Intn(6); i > 0; i-- {
+				if rng.Intn(3) == 0 {
+					for j := 1 + rng.Intn(4); j > 0; j-- {
+						push(now) // a burst on the handler's own cycle
+					}
+				} else {
+					push(now + rng.Int63n(50))
+				}
+			}
+			same("top after the handler's pushes", q.top(), e)
+			if rng.Intn(3) == 0 {
+				pop() // the core parks
+				return
+			}
+			at, core, kind := now+rng.Int63n(50), int(e.core), e.kind
+			ref[0] = refEvent{key: evKey{at: at, seq: q.seq, core: e.core, kind: kind}}
+			q.replaceTop(at, core, kind)
+		}
+
 		for step := 0; step < 4000; step++ {
 			switch {
+			case q.len() > 0 && q.top().kind != evMessage && rng.Intn(4) == 0:
+				inPlace()
 			case q.len() == 0 || rng.Intn(5) < 2:
 				push(now + rng.Int63n(50))
 			case rng.Intn(10) == 0:
@@ -112,12 +148,16 @@ func TestEventQueueOrder(t *testing.T) {
 var sinkKey evKey
 
 // BenchmarkEventQueue holds the queue at a steady depth and measures one
-// pop plus one push; half the events carry a message.
+// event's turn; half the events carry a message. The depth cases pop the
+// event and push its successor; rearm takes the turn the way Run does: a
+// message is popped and its payload sent on, a ready event is re-armed in
+// place with replaceTop, so the mix stays half and half.
 func BenchmarkEventQueue(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		depth int
-	}{{"depth64", 64}, {"depth4096", 4096}} {
+		rearm bool
+	}{{"depth64", 64, false}, {"depth4096", 4096, false}, {"rearm", 64, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			var q eventQueue
@@ -139,11 +179,21 @@ func BenchmarkEventQueue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := q.pop()
-				if k.kind == evMessage {
-					q.takeMessage(k.ref)
+				k := q.top()
+				next := k.at + gaps[i%len(gaps)]
+				switch {
+				case !bc.rearm:
+					q.pop()
+					if k.kind == evMessage {
+						q.takeMessage(k.ref)
+					}
+					push(i, next)
+				case k.kind == evMessage:
+					q.pop()
+					q.pushMessage(next, q.takeMessage(k.ref))
+				default:
+					q.replaceTop(next, int(k.core), k.kind)
 				}
-				push(i, k.at+gaps[i%len(gaps)])
 				sinkKey = k
 			}
 		})

@@ -139,12 +139,18 @@ const (
 
 // Send injects a message of the given payload size into the NoC at the
 // current time plus senderDelay (the point within the sender's current step
-// at which the message leaves). Delivery is scheduled automatically. It
-// returns the in-network latency (for senders that block on delivery, e.g.
-// synchronous software transfers; asynchronous hardware senders ignore it).
+// at which the message leaves; a negative delay panics). Delivery is
+// scheduled automatically. It returns the in-network latency (for senders
+// that block on delivery, e.g. synchronous software transfers; asynchronous
+// hardware senders ignore it).
 func (m *Machine) Send(msg Message, bits int, senderDelay int64) int64 {
 	if uint(msg.To) >= uint(m.cfg.Cores) {
 		panic(fmt.Sprintf("sim: Send to core %d of %d", msg.To, m.cfg.Cores))
+	}
+	if senderDelay < 0 {
+		// A message departing before now could arrive before the event
+		// whose handler sent it, which Run holds at the queue's root.
+		panic(fmt.Sprintf("sim: Send with negative sender delay %d", senderDelay))
 	}
 	depart := m.now + senderDelay
 	arrive := m.noc.route(msg.From, msg.To, m.cfg.Flits(bits), depart)
@@ -204,7 +210,9 @@ func (m *Machine) Run(h Handler) (int64, []stats.Breakdown) {
 	}
 	var lastReal int64 // completion excludes trailing drift-probe events
 	for m.evq.len() > 0 {
-		e := m.evq.pop()
+		// The event stays at the root while a ready or drift handler runs
+		// (eventQueue says why that is safe); a re-arm replaces it.
+		e := m.evq.top()
 		core := int(e.core)
 		m.now = e.at
 		if e.kind != evDrift {
@@ -220,12 +228,14 @@ func (m *Machine) Run(h Handler) (int64, []stats.Breakdown) {
 			}
 			m.coreFree[core] = m.now + cost
 			if idle {
+				m.evq.pop()
 				m.beginIdle(core)
 			} else {
 				m.armed[core] = true
-				m.evq.push(m.coreFree[core], core, evReady)
+				m.evq.replaceTop(m.coreFree[core], core, evReady)
 			}
 		case evMessage:
+			m.evq.pop()
 			cost := h.Receive(m, core, m.evq.takeMessage(e.ref))
 			if cost > 0 {
 				// Receiving consumed core time: push the core's free time
@@ -241,8 +251,10 @@ func (m *Machine) Run(h Handler) (int64, []stats.Breakdown) {
 			}
 		case evDrift:
 			m.driftTrace = append(m.driftTrace, eq1(m.driftFn()))
-			if m.evq.len() > 0 { // keep sampling while work remains
-				m.evq.push(m.now+m.driftEvery, 0, evDrift)
+			if m.evq.len() > 1 { // keep sampling while work remains
+				m.evq.replaceTop(m.now+m.driftEvery, 0, evDrift)
+			} else {
+				m.evq.pop()
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hdcps/internal/stats"
@@ -236,6 +238,20 @@ func TestMachineRunTwicePanics(t *testing.T) {
 		}
 	}()
 	m.Run(&busyLoop{steps: 1})
+}
+
+// TestSendNegativeDelayPanics holds the guard the event loop's in-place top
+// rests on: a message may not depart before the step that sends it, or it
+// could be queued ahead of the event Run holds at the root.
+func TestSendNegativeDelayPanics(t *testing.T) {
+	m := New(Config{Cores: 2})
+	m.Send(Message{From: 0, To: 1}, 64, 0) // departing now is fine
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative sender delay") {
+			t.Fatalf("Send with delay -1 recovered %v, want a negative-sender-delay panic", r)
+		}
+	}()
+	m.Send(Message{From: 0, To: 1}, 64, -1)
 }
 
 // busyLoop runs core 0 for a fixed number of steps charging compute.
