@@ -73,7 +73,7 @@ func main() {
 		jobsN     = flag.Int("jobs", 1, "run this many concurrent clones of the workload as tenants of one native engine (native only)")
 		weightsCS = flag.String("weights", "", "comma-separated fair-share weights for -jobs tenants, e.g. 4,2,1,1 (default: all 1)")
 		// The accepted values come from runtime.QueueKinds() — both here and
-		// in validQueueKind — so a newly registered kind can never be
+		// in runtime.CheckQueueKind — so a newly registered kind can never be
 		// silently missing from the CLI.
 		queueKind = flag.String("queue", "", "native local-queue shape: "+
 			strings.Join(runtime.QueueKinds(), ", ")+
@@ -122,8 +122,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *queueKind != "" && !validQueueKind(*queueKind) {
-		fatal(fmt.Errorf("unknown -queue %q (valid: %s)", *queueKind, strings.Join(runtime.QueueKinds(), ", ")))
+	if err := runtime.CheckQueueKind(*queueKind); err != nil {
+		fatal(fmt.Errorf("-queue: %w", err))
 	}
 	cfg := runtime.DefaultConfig(*cores)
 	cfg.Seed = *seed
@@ -326,15 +326,6 @@ func writeTrace(path string, rep *exec.JobsReport) error {
 		return err
 	}
 	return f.Close()
-}
-
-func validQueueKind(kind string) bool {
-	for _, k := range runtime.QueueKinds() {
-		if k == kind {
-			return true
-		}
-	}
-	return false
 }
 
 // buildInput is a builtin input at the scale, or else a graph file.

@@ -15,7 +15,7 @@
 //	GET  /v1/info                  workload, input, node range, fleet shape
 //	GET  /v1/snapshot              full engine snapshot (ledger, quality)
 //	GET  /v1/jobs                  per-job ledger rows
-//	POST /v1/jobs                  create a tenant {name, weight, max_outstanding, tdf_bias}
+//	POST /v1/jobs                  create a tenant {name, weight, max_outstanding}; an unknown key is a 400
 //	GET  /v1/jobs/{id}             one job's ledger row
 //	POST /v1/jobs/{id}/submit      NDJSON {"node","prio","data"} lines
 //	POST /v1/jobs/{id}/drain       block until the job quiesces (?timeout=)

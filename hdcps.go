@@ -57,7 +57,9 @@ type (
 	MachineConfig = sim.Config
 	// Run is the metrics record of one execution.
 	Run = stats.Run
-	// NativeConfig parameterizes the goroutine runtime.
+	// NativeConfig parameterizes the goroutine runtime. Its zero value (with
+	// Workers set) is DefaultNativeConfig: selective bags under the adaptive
+	// TDF controller; a fixed TDF t is Drift{MinTDF: t, MaxTDF: t}.
 	NativeConfig = runtime.Config
 	// Engine is the long-lived native runtime: a worker fleet with a
 	// Start / Submit / Drain / Stop lifecycle that accepts work while
@@ -72,8 +74,9 @@ type (
 	// JobID is the tenant identity carried by Task.Job (0 is the engine's
 	// default job).
 	JobID = task.JobID
-	// JobConfig parameterizes one tenant: name, fair-share weight, admission
-	// quota, and TDF bias.
+	// JobConfig parameterizes one tenant: name, fair-share weight and
+	// admission quota. Every tenant dispatches under the engine's one
+	// adaptive TDF.
 	JobConfig = runtime.JobConfig
 	// JobStats is one job's conservation-ledger row (Job.Snapshot,
 	// EngineSnapshot.Jobs).

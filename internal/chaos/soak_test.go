@@ -158,10 +158,11 @@ func TestSoakReorder(t *testing.T) {
 	}
 }
 
+// The ring-full mix bounces sends through the hook's Refuse, the same
+// spill-to-local path a saturated destination takes at the production ring
+// and overflow sizes.
 func TestSoakRingFull(t *testing.T) {
-	rcfg := soakConfig()
-	rcfg.RingSize, rcfg.OverflowCap = 16, 32
-	_, st := soak(t, soakWorkload(t), rcfg, Config{Seed: 4, RingFull: 0.2})
+	_, st := soak(t, soakWorkload(t), soakConfig(), Config{Seed: 4, RingFull: 0.2})
 	if st.Rejected.Load() == 0 {
 		t.Fatal("ringfull mix injected nothing")
 	}

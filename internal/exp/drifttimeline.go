@@ -68,7 +68,7 @@ func driftTimeline(o Options, set *inputSet) (Result, error) {
 	cfgs := []runtime.Config{cfg}
 	for _, tdf := range driftTimelineFixed {
 		fixed := cfg
-		fixed.UseTDF, fixed.FixedTDF = false, tdf
+		fixed.Drift.MinTDF, fixed.Drift.MaxTDF = tdf, tdf
 		labels = append(labels, fmt.Sprintf("fixed-tdf-%02d", tdf))
 		cfgs = append(cfgs, fixed)
 	}

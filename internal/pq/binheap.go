@@ -51,7 +51,7 @@ func (h *BinaryHeap) Peek() (task.Task, bool) {
 // written with a task that may beat its parent. The task is carried aside
 // and written once, at its final slot; the comparisons, and so the array,
 // are those of a swap at every level (TestSiftMatchesSwapForm). BinaryHeap,
-// Bounded, HPQ's buckets and MultiQueue's shards all sift here.
+// HPQ's buckets, MultiQueue's shards and the tests' Bounded all sift here.
 func siftUpTasks(b []task.Task, i int) {
 	t := b[i]
 	for i > 0 {

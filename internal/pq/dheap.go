@@ -27,9 +27,6 @@ func NewDHeap(arity, capacity int) *DHeap {
 	return &DHeap{arity: arity, items: make([]task.Task, 0, capacity)}
 }
 
-// NewQuadHeap returns an empty 4-ary heap, the native runtime's default.
-func NewQuadHeap(capacity int) *DHeap { return NewDHeap(4, capacity) }
-
 // Arity returns the heap's branching factor.
 func (h *DHeap) Arity() int { return h.arity }
 

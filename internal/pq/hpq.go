@@ -15,8 +15,8 @@ import "hdcps/internal/task"
 // equals a global heap's — up to the order of Less-equal tasks (bag markers
 // of one priority), which depends on this structure's shape. The simulator's
 // cycle counts depend on that order (TestGoldenCycles), which is why this
-// type is the pre-PR-21 two-level queue kept verbatim rather than
-// pq.Bounded over a BinaryHeap, and why the native runtime's FIFO ring
+// type is the pre-PR-21 two-level queue kept verbatim rather than a bounded
+// heap over a BinaryHeap, and why the native runtime's FIFO ring
 // (TwoLevel) cannot stand in for it. Only internal/sched/cps.go uses it.
 //
 // Single-owner: no internal locking.

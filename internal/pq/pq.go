@@ -6,10 +6,10 @@
 // and FIFO among equal priorities), HPQ (the simulator's model of a core
 // with the paper's hardware queue: a sorted hot buffer over a mini-heap
 // bucket store, exact under task.Less) and the relaxed MultiQueue (shared
-// shards, one handle per worker). Bounded, a small bounded heap with the
-// hPQ's eviction rule, is used by tests only: TestHPQHotEviction holds HPQ's
-// hot tier to it as the reference. Every binary heap here but DHeap sifts
-// through siftUpTasks and siftDownTasks.
+// shards, one handle per worker). Every binary heap here but DHeap sifts
+// through siftUpTasks and siftDownTasks; so does Bounded (bounded_test.go), a
+// small bounded heap with the hPQ's eviction rule that TestHPQHotEviction
+// holds HPQ's hot tier to as the differential oracle.
 //
 // All queues are min-queues over task.Task: Pop returns the task with the
 // numerically smallest Prio. Only MultiQueue is safe for concurrent use,

@@ -11,12 +11,12 @@ import (
 func impls() map[string]func() Queue {
 	return map[string]func() Queue{
 		"binheap":  func() Queue { return NewBinaryHeap(0) },
-		"4-ary":    func() Queue { return NewQuadHeap(0) },
+		"4-ary":    func() Queue { return NewDHeap(4, 0) },
 		"8-ary":    func() Queue { return NewDHeap(8, 0) },
 		"twolevel": func() Queue { return NewTwoLevel(TwoLevelConfig{}) },
-		// A tiny bucket ring forces the grow and span-overflow fallback paths
+		// Spread priorities force the grow and span-overflow fallback paths
 		// through the same generic suites.
-		"twolevel-tiny": func() Queue { return NewTwoLevel(TwoLevelConfig{MaxBuckets: 64}) },
+		"twolevel-spread": func() Queue { return spreadQueue{NewTwoLevel(TwoLevelConfig{})} },
 	}
 }
 
@@ -81,9 +81,9 @@ func TestQueueEquivalence(t *testing.T) {
 	err := quick.Check(func(raw []int16) bool {
 		ref := NewBinaryHeap(len(raw))
 		others := map[string]Queue{
-			"4-ary":    NewQuadHeap(0),
+			"4-ary":    NewDHeap(4, 0),
 			"8-ary":    NewDHeap(8, 0),
-			"twolevel": NewTwoLevel(TwoLevelConfig{MaxBuckets: 128}),
+			"twolevel": spreadQueue{NewTwoLevel(TwoLevelConfig{})},
 		}
 		for i, p := range raw {
 			tk := task.Task{Node: uint32(i), Prio: int64(p)}
@@ -243,8 +243,8 @@ func TestDHeapArityClamp(t *testing.T) {
 	if got := NewDHeap(0, 0).Arity(); got != 2 {
 		t.Fatalf("arity clamp = %d, want 2", got)
 	}
-	if got := NewQuadHeap(16).Arity(); got != 4 {
-		t.Fatalf("quad heap arity = %d, want 4", got)
+	if got := NewDHeap(4, 16).Arity(); got != 4 {
+		t.Fatalf("4-ary heap arity = %d, want 4", got)
 	}
 }
 
@@ -261,7 +261,7 @@ func BenchmarkHeapPushPop(b *testing.B) {
 		mk   func() Queue
 	}{
 		{"binary", func() Queue { return NewBinaryHeap(1024) }},
-		{"4-ary", func() Queue { return NewQuadHeap(1024) }},
+		{"4-ary", func() Queue { return NewDHeap(4, 1024) }},
 	}
 	for _, im := range impls {
 		b.Run(im.name, func(b *testing.B) {

@@ -23,7 +23,7 @@ import (
 // parents.
 //
 // The one stream the ring cannot hold is a resident span wider than
-// MaxBuckets (arbitrary client priorities through hdcps-serve): the queue
+// twoLevelMaxW (arbitrary client priorities through hdcps-serve): the queue
 // then migrates, once and for all, into a d-ary heap under task.Less —
 // still exact in Prio, ties by Node from there on.
 //
@@ -43,29 +43,29 @@ type TwoLevel struct {
 	cur  int64 // scan cursor: lower bound on the resident minimum
 	hi   int64 // upper bound on the resident maximum
 	size int   // tasks in the ring (0 once fallen back)
-	maxW int
 
 	arity int
 	// heap is non-nil once a span overflow has migrated the queue.
 	heap *DHeap
 }
 
-// TwoLevelConfig sizes a TwoLevel. The zero value gives a ring growing to
-// 64Ki buckets over a 4-ary fallback heap.
+// TwoLevelConfig sizes a TwoLevel's fallback heap. The zero value gives a
+// 4-ary one.
 type TwoLevelConfig struct {
 	// HotCap is accepted and ignored: benchmark/replay.go names it, and the
 	// ring has no hot buffer to size.
 	HotCap int
-	// MaxBuckets caps the ring's growth (rounded up to a power of two,
-	// minimum 64; <=0 selects 1<<16). A resident priority span that cannot
-	// fit triggers the heap fallback instead of further growth.
-	MaxBuckets int
 	// Arity is the fallback d-ary heap's branching factor (<=0 selects 4).
 	Arity int
 }
 
-// twoLevelStartW is the ring's initial bucket count.
-const twoLevelStartW = 256
+// twoLevelStartW is the ring's initial bucket count; twoLevelMaxW caps its
+// growth. A resident priority span that cannot fit in twoLevelMaxW buckets
+// triggers the heap fallback instead of further growth.
+const (
+	twoLevelStartW = 256
+	twoLevelMaxW   = 1 << 16
+)
 
 // Bucket storage: a chunk holds chunkLen tasks, and chunks are allocated
 // chunkSlab at a time (about 25 KB).
@@ -93,21 +93,12 @@ type fifo struct {
 
 // NewTwoLevel returns an empty queue.
 func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
-	if cfg.MaxBuckets <= 0 {
-		cfg.MaxBuckets = 1 << 16
-	}
-	maxW := 64
-	for maxW < cfg.MaxBuckets {
-		maxW *= 2
-	}
 	if cfg.Arity <= 0 {
 		cfg.Arity = 4
 	}
-	w := min(twoLevelStartW, maxW)
 	return &TwoLevel{
-		buckets: make([]fifo, w),
-		occ:     make([]uint64, w/64),
-		maxW:    maxW,
+		buckets: make([]fifo, twoLevelStartW),
+		occ:     make([]uint64, twoLevelStartW/64),
 		arity:   cfg.Arity,
 	}
 }
@@ -230,11 +221,11 @@ func occScan(occ []uint64, idx, w int) int {
 // does not fit. Invariant: while size > 0 every resident priority lies in
 // [cur, cur+W), so ring index p & (W-1) is collision-free (two's-complement
 // AND handles negative priorities). False means the span cannot fit at
-// maxW.
+// twoLevelMaxW.
 func (q *TwoLevel) stretch(p int64) bool {
 	lo, hi := min(q.cur, p), max(q.hi, p)
 	for uint64(hi-lo) >= uint64(len(q.buckets)) {
-		if len(q.buckets)*2 > q.maxW {
+		if len(q.buckets)*2 > twoLevelMaxW {
 			return false
 		}
 		q.grow()

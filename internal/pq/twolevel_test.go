@@ -23,8 +23,34 @@ type ringCheck struct {
 	last   map[int64]uint64 // per priority: 1 + the last popped stamp
 }
 
-func newRingCheck(t *testing.T, cfg TwoLevelConfig) *ringCheck {
-	return &ringCheck{t: t, q: NewTwoLevel(cfg), ref: NewBinaryHeap(0), last: map[int64]uint64{}}
+func newRingCheck(t *testing.T) *ringCheck {
+	return &ringCheck{t: t, q: NewTwoLevel(TwoLevelConfig{}), ref: NewBinaryHeap(0), last: map[int64]uint64{}}
+}
+
+// spread scales priorities so that a span fits the ring at its cap
+// (twoLevelMaxW buckets) exactly when the unscaled span fits 64 buckets: a
+// test drives the ring's growth and its span-overflow fallback with the few
+// classes a 64-bucket ring would need.
+const spread = twoLevelMaxW / 64
+
+// spreadQueue is a TwoLevel seen through spread: it queues every priority
+// times spread and hands it back divided, so the generic queue suites reach
+// the growth and fallback paths with their own small priorities.
+type spreadQueue struct{ q *TwoLevel }
+
+func (s spreadQueue) Push(t task.Task) { t.Prio *= spread; s.q.Push(t) }
+func (s spreadQueue) Len() int         { return s.q.Len() }
+
+func (s spreadQueue) Pop() (task.Task, bool) {
+	t, ok := s.q.Pop()
+	t.Prio /= spread
+	return t, ok
+}
+
+func (s spreadQueue) Peek() (task.Task, bool) {
+	t, ok := s.q.Peek()
+	t.Prio /= spread
+	return t, ok
 }
 
 func (c *ringCheck) push(prio int64) {
@@ -108,7 +134,7 @@ func (c *ringCheck) frontier(rng *rand.Rand, pops, spawnUntil int, child func(pa
 // stream (children at or above the parent's priority): heap-exact priority
 // sequence, FIFO ties, and no fallback.
 func TestTwoLevelExactOrderMonotone(t *testing.T) {
-	c := newRingCheck(t, TwoLevelConfig{})
+	c := newRingCheck(t)
 	rng := rand.New(rand.NewSource(7))
 	c.push(0)
 	c.frontier(rng, 5000, 2000, func(p int64) int64 { return p + int64(rng.Intn(64)) })
@@ -123,7 +149,7 @@ func TestTwoLevelExactOrderMonotone(t *testing.T) {
 // sinks, stretching the resident span through several ring doublings) —
 // which must change nothing.
 func TestTwoLevelExactOrderRewinding(t *testing.T) {
-	c := newRingCheck(t, TwoLevelConfig{})
+	c := newRingCheck(t)
 	rng := rand.New(rand.NewSource(8))
 	c.push(0)
 	c.frontier(rng, 8000, 3000, func(p int64) int64 { return p + int64(rng.Intn(3)) - 1 })
@@ -135,15 +161,16 @@ func TestTwoLevelExactOrderRewinding(t *testing.T) {
 
 // TestTwoLevelExactOrderNegative is the PageRank shape: a wide frontier of
 // negative log-residual classes, non-monotone in both directions, most
-// tasks in a few classes that stay live for the whole run.
+// tasks in a few classes that stay live for the whole run. The classes are
+// spread, so the span stretches the ring most of the way to its cap.
 func TestTwoLevelExactOrderNegative(t *testing.T) {
-	c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
+	c := newRingCheck(t)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
-		c.push(-int64(rng.Intn(40)))
+		c.push(-int64(rng.Intn(40)) * spread)
 	}
 	c.frontier(rng, 20000, 6000, func(int64) int64 {
-		return -int64(rng.Intn(8) * rng.Intn(6))
+		return -int64(rng.Intn(8)*rng.Intn(6)) * spread
 	})
 	c.drain()
 	if c.q.FellBack() {
@@ -151,14 +178,15 @@ func TestTwoLevelExactOrderNegative(t *testing.T) {
 	}
 }
 
-// TestTwoLevelExactOrderSpanOverflow spreads priorities over 2^20 on a
-// 64-bucket ring, so the queue falls back mid-stream with tasks resident:
-// the priority sequence and the multiset must come through the migration.
+// TestTwoLevelExactOrderSpanOverflow spreads priorities over 2^20 after a
+// prefix that grew the ring towards its 2^16-bucket cap, so the queue falls
+// back mid-stream with tasks resident: the priority sequence and the
+// multiset must come through the migration.
 func TestTwoLevelExactOrderSpanOverflow(t *testing.T) {
-	c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
+	c := newRingCheck(t)
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 200; i++ {
-		c.push(int64(rng.Intn(48))) // fits the ring
+		c.push(int64(rng.Intn(48)) * spread) // fits the ring
 	}
 	for i := 0; i < 50; i++ {
 		c.pop()
@@ -169,24 +197,24 @@ func TestTwoLevelExactOrderSpanOverflow(t *testing.T) {
 	c.frontier(rng, 6000, 2000, func(int64) int64 { return int64(rng.Intn(1 << 20)) })
 	c.drain()
 	if !c.q.FellBack() {
-		t.Fatal("a 2^20 priority span fit a 64-bucket ring")
+		t.Fatal("a 2^20 priority span fit the ring")
 	}
 }
 
 // TestTwoLevelConservationRandom is the no-loss/no-duplication property
 // test: arbitrary (non-monotone, negative, colliding) priorities with pops
-// interleaved on a fuzzed schedule, on the default ring (grows, never falls
-// back on an int16 span) and on a tiny one (falls back).
+// interleaved on a fuzzed schedule, as they come (the ring grows, and never
+// falls back on an int16 span) and spread (it falls back).
 func TestTwoLevelConservationRandom(t *testing.T) {
-	cfgs := map[string]TwoLevelConfig{
-		"default":   {},
-		"tiny-ring": {MaxBuckets: 64},
+	scales := map[string]int64{
+		"default": 1,
+		"spread":  spread,
 	}
-	for name, cfg := range cfgs {
+	for name, scale := range scales {
 		err := quick.Check(func(raw []int16, popBits []bool) bool {
-			c := newRingCheck(t, cfg)
+			c := newRingCheck(t)
 			for i, p := range raw {
-				c.push(int64(p))
+				c.push(int64(p) * scale)
 				if i < len(popBits) && popBits[i] {
 					c.pop()
 				}
@@ -203,10 +231,10 @@ func TestTwoLevelConservationRandom(t *testing.T) {
 // TestTwoLevelFallback pins the fallback's one trigger. A strictly
 // decreasing stream — every push rewinds the cursor, the storm that used to
 // migrate the queue — must stay on the ring; a resident span wider than
-// MaxBuckets must migrate, and keep the order exact in Prio.
+// the ring's cap must migrate, and keep the order exact in Prio.
 func TestTwoLevelFallback(t *testing.T) {
 	t.Run("rewind-storm", func(t *testing.T) {
-		c := newRingCheck(t, TwoLevelConfig{})
+		c := newRingCheck(t)
 		for i := 0; i < 512; i++ {
 			c.push(int64(-i))
 		}
@@ -216,14 +244,14 @@ func TestTwoLevelFallback(t *testing.T) {
 		c.drain()
 	})
 	t.Run("span-overflow", func(t *testing.T) {
-		c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
+		c := newRingCheck(t)
 		// Ascending but exponentially sparse: monotone, yet the resident
 		// span blows past any bucket ring.
 		for i := 0; i < 40; i++ {
 			c.push(int64(1) << uint(i))
 		}
 		if !c.q.FellBack() {
-			t.Fatal("a 2^39 priority span fit a 64-bucket ring")
+			t.Fatal("a 2^39 priority span fit the ring")
 		}
 		c.drain()
 	})
@@ -262,14 +290,14 @@ func TestTwoLevelBucketMemory(t *testing.T) {
 
 // FuzzTwoLevelVsBinaryHeap feeds a byte-driven op stream (pop, push with a
 // small signed priority delta, push far away to stretch the span past the
-// 64-bucket ring) to the ring and the reference heap under ringCheck's
-// contract.
+// ring's 2^16-bucket cap) to the ring and the reference heap under
+// ringCheck's contract.
 func FuzzTwoLevelVsBinaryHeap(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0xff, 0x00, 0x7f})
 	f.Add([]byte("monotone-ish stream 0123456789"))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0x10, 0x10, 0x10, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := newRingCheck(t, TwoLevelConfig{MaxBuckets: 64})
+		c := newRingCheck(t)
 		prio := int64(0)
 		for _, op := range data {
 			switch op % 4 {
@@ -306,7 +334,7 @@ func BenchmarkQueueDist(b *testing.B) {
 		mk   func() Queue
 	}{
 		{"binary", func() Queue { return NewBinaryHeap(1024) }},
-		{"4-ary", func() Queue { return NewQuadHeap(1024) }},
+		{"4-ary", func() Queue { return NewDHeap(4, 1024) }},
 		{"twolevel", func() Queue { return NewTwoLevel(TwoLevelConfig{}) }},
 		{"hpq", func() Queue { return hpqQueue{NewHPQ(48)} }},
 		{"multiqueue", func() Queue { return NewMultiQueue(MultiQueueConfig{Workers: 1}).Handle() }},

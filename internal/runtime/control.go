@@ -65,17 +65,10 @@ type controlPlane struct {
 }
 
 // newControlPlane builds the plane for cfg.Workers workers counting into
-// counters, one row per worker. With UseTDF off the controller's range is the
-// single point FixedTDF (default 100: always distribute), so intervals are
-// measured and recorded but no move can land.
+// counters, one row per worker. A one-point Drift range (MinTDF == MaxTDF)
+// pins the TDF there: intervals are measured and recorded but no move can
+// land.
 func newControlPlane(cfg Config, counters []*obs.Row) *controlPlane {
-	if !cfg.UseTDF {
-		fixed := cfg.FixedTDF
-		if fixed <= 0 {
-			fixed = 100
-		}
-		cfg.Drift.InitialTDF, cfg.Drift.MinTDF, cfg.Drift.MaxTDF = fixed, fixed, fixed
-	}
 	cp := &controlPlane{
 		workers:  cfg.Workers,
 		rec:      cfg.Obs,

@@ -17,7 +17,7 @@ import (
 // a zero-valued slot against priority 1000 fabricated a drift of 500, and an
 // idle worker's last priority would pose as drift.
 func TestControlPlaneClosesEveryWReports(t *testing.T) {
-	cfg := Config{Workers: 2, UseTDF: true}.withDefaults()
+	cfg := Config{Workers: 2}.withDefaults()
 	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	cp.addJob()
 	cp.Report(0, 0, 100)
@@ -51,7 +51,7 @@ func TestControlPlaneClosesEveryWReports(t *testing.T) {
 // is lost to a concurrent close and no two reports close the same interval.
 func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 	const workers, n = 4, 500
-	cfg := Config{Workers: workers, UseTDF: true}.withDefaults()
+	cfg := Config{Workers: workers}.withDefaults()
 	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	var wg sync.WaitGroup
 	total := 0
@@ -76,7 +76,7 @@ func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 }
 
 func TestControlPlaneFullSnapshotDrift(t *testing.T) {
-	cfg := Config{Workers: 4, UseTDF: true}.withDefaults()
+	cfg := Config{Workers: 4}.withDefaults()
 	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	for i, p := range []int64{100, 200, 300, 400} {
 		cp.Report(i, 0, p)
@@ -92,7 +92,7 @@ func TestControlPlaneFullSnapshotDrift(t *testing.T) {
 }
 
 func TestControlPlaneFixedTDF(t *testing.T) {
-	cfg := Config{Workers: 2, FixedTDF: 70}.withDefaults()
+	cfg := Config{Workers: 2, Drift: fixedTDF(70)}.withDefaults()
 	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	if cp.TDF() != 70 {
 		t.Fatalf("TDF %d, want 70", cp.TDF())
@@ -110,12 +110,12 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 		t.Fatalf("fixed-TDF history %v, want %v", h, want)
 	}
 
-	// Unset FixedTDF defaults to 100 (always distribute).
+	// The zero Config pins nothing: it runs the adaptive controller from
+	// drift's default start over drift's default range.
 	cp2 := newControlPlane(Config{Workers: 2}.withDefaults(), ownRows(2))
-	cp2.Report(0, 0, 1)
-	cp2.Report(1, 0, 2)
-	if h := cp2.History(); cp2.TDF() != 100 || len(h) != 1 || h[0].TDF != 100 {
-		t.Fatalf("default fixed TDF %d (history %v), want 100", cp2.TDF(), h)
+	if c, d := cp2.ctrl.Config(), drift.DefaultConfig(); cp2.TDF() != int64(d.InitialTDF) || c.MinTDF != d.MinTDF || c.MaxTDF != d.MaxTDF {
+		t.Fatalf("zero Config: TDF %d over [%d, %d], want %d over [%d, %d]",
+			cp2.TDF(), c.MinTDF, c.MaxTDF, d.InitialTDF, d.MinTDF, d.MaxTDF)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 // TDF to its floor. Report must clamp such priorities at the boundary,
 // count them, and keep the drift signal finite.
 func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
-	cfg := Config{Workers: 2, UseTDF: true}.withDefaults()
+	cfg := Config{Workers: 2}.withDefaults()
 	rows := ownRows(cfg.Workers)
 	cp := newControlPlane(cfg, rows)
 
@@ -171,7 +171,7 @@ func ownRows(n int) []*obs.Row {
 }
 
 func TestControlPlaneAdaptive(t *testing.T) {
-	cfg := Config{Workers: 2, UseTDF: true, Drift: drift.Config{InitialTDF: 50, Step: 10}}.withDefaults()
+	cfg := Config{Workers: 2, Drift: drift.Config{InitialTDF: 50, Step: 10}}.withDefaults()
 	cp := newControlPlane(cfg, ownRows(cfg.Workers))
 	if cp.TDF() != 50 {
 		t.Fatalf("initial TDF %d, want 50", cp.TDF())

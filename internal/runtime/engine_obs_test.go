@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"hdcps/internal/bag"
 	"hdcps/internal/graph"
 	"hdcps/internal/obs"
 	"hdcps/internal/task"
@@ -112,11 +111,11 @@ func (e *Engine) total(c obs.Counter) int64 {
 
 // Every engine counter has one home, a slot in an obs.Row, whether or not a
 // recorder is attached. One run drives each of them — a poison task, negative
-// priorities reported on every task, Submits through a ring of 8 slots, a
-// fan-out the Always bag policy bags (and, run alone, the gate keeps), a
-// batch over the default job's quota — and each API value (Snapshot,
-// ControlTrace, or the rows where no API field exists) must equal the
-// recorder's total, and still count without one.
+// priorities reported on every task, a Submit of more than a ring's worth a
+// worker to a parked fleet, a fan-out the bag policy bags (and, run alone,
+// the gate keeps), a batch over the default job's quota — and each API value
+// (Snapshot, ControlTrace, or the rows where no API field exists) must equal
+// the recorder's total, and still count without one.
 func TestEngineCountersHaveOneHome(t *testing.T) {
 	const poison, fan = graph.NodeID(7), graph.NodeID(1)
 	const quota = 1 << 12
@@ -133,8 +132,6 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 			return 1
 		}}
 		cfg := DefaultConfig(4)
-		cfg.RingSize = 8
-		cfg.Bags.Mode = bag.Always
 		cfg.Drift.SampleInterval = 1
 		cfg.DefaultJob.MaxOutstanding = quota
 		cfg.Obs = rec
@@ -143,7 +140,8 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := testCtx(t)
-		ts := make([]task.Task, 1024)
+		waitParked(t, e) // so the rings fill and spill while nobody drains them
+		ts := make([]task.Task, 8*ringSize)
 		for i := range ts {
 			ts[i] = task.Task{Node: graph.NodeID(i), Prio: -int64(i % 3)}
 		}
@@ -252,7 +250,7 @@ func TestEngineSnapshotCoherentMidDrain(t *testing.T) {
 	// One worker never has a pending send, so it never reaches a flush
 	// boundary: the widest staleness window the old code exposed, where the
 	// published count lagged until the next park.
-	cfg := Config{Workers: 1, RingSize: 256}
+	cfg := Config{Workers: 1}
 	rec := obs.New(obs.Config{Workers: 1, SampleEvery: -1})
 	cfg.Obs = rec
 	e := NewEngine(w, cfg)
@@ -297,13 +295,12 @@ func TestEngineNilRecorderZeroAllocPerTask(t *testing.T) {
 	w := newLeafWorkload()
 	// Single worker: Submit's multi-worker scatter path allocates buckets,
 	// the 1-worker path injects directly.
-	cfg := Config{Workers: 1, RingSize: 512}
-	e := NewEngine(w, cfg)
+	e := NewEngine(w, Config{Workers: 1})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
-	batch := make([]task.Task, 256) // within ring capacity: no spill allocs
+	batch := make([]task.Task, ringSize-1) // within ring capacity: no spill allocs
 
 	// Warm up ring/overflow/queue capacity before measuring.
 	for i := 0; i < 4; i++ {

@@ -185,17 +185,19 @@ func TestEngineConcurrentSubmit(t *testing.T) {
 // Snapshot must be readable while workers are mid-run, and once the engine
 // has stopped its totals are the sums of its worker rows.
 func TestEngineSnapshot(t *testing.T) {
-	g := graph.Road(32, 32, 9)
+	g := graph.Road(48, 48, 9) // 2,304 seeds: 576 a worker
+
 	w, err := workload.New("pagerank", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(4)
-	cfg.RingSize = 8 // force overflow spills so the counter moves
-	e := NewEngine(w, cfg)
+	e := NewEngine(w, DefaultConfig(4))
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// The seeds reach a parked fleet, more than a ring's worth a worker, so
+	// the rings spill to overflow and the counter moves.
+	waitParked(t, e)
 	if err := e.Submit(w.InitialTasks()...); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestEngineSnapshot(t *testing.T) {
 		spills += ws.OverflowSpills
 	}
 	if spills == 0 {
-		t.Error("8-slot rings under pagerank never spilled to overflow")
+		t.Errorf("%d seeds to 4 parked workers never spilled past %d-slot rings", len(w.InitialTasks()), ringSize)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
@@ -327,5 +329,28 @@ func TestSubmitRotatesAcrossWorkers(t *testing.T) {
 	}
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitParked returns once every worker of e is parked. A parked worker drains
+// nothing until a Submit wakes the fleet, so a Submit made now lands in rings
+// nobody is emptying, and a worker's share past ringSize spills to overflow.
+func waitParked(t *testing.T, e *Engine) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		parked := 0
+		for _, ws := range e.Snapshot().Workers {
+			if ws.Parked {
+				parked++
+			}
+		}
+		if parked == len(e.workers) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers parked after 10s on an idle engine", parked, len(e.workers))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

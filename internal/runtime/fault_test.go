@@ -72,10 +72,7 @@ func TestEnginePanicResumesBatchAndBag(t *testing.T) {
 		ran[tk.Node] = true
 		return 1
 	}}
-	cfg := Config{Workers: 1}
-	cfg.Bags.Mode = bag.Always
-	cfg.Bags.MaxSize = 10
-	e := NewEngine(w, cfg)
+	e := NewEngine(w, Config{Workers: 1})
 	// One batch of eight with node 12 in the middle, then node 0, whose six
 	// children form one bag with node 3 in the middle.
 	ts := []task.Task{{Node: 0, Prio: 10}}
@@ -310,11 +307,13 @@ func TestEngineDrainWatchdogStall(t *testing.T) {
 // Flow control: flooding a blocked worker saturates its ring and bounded
 // overflow, and further sends bounce back to the sender's local queue
 // (Snapshot.Redirects) instead of growing the overflow without bound. No
-// task is lost: once the victim unblocks, everything processes.
+// task is lost: once the victim unblocks, everything processes. The flood is
+// more than ringSize + overflowCap children, each in a priority group of its
+// own so none of them bags.
 func TestEngineOverflowRedirectsToSender(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
-	const fanout = 2000
+	const fanout = ringSize + overflowCap + 1000
 	var processed atomic.Int64
 	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
 		switch tk.Data {
@@ -323,18 +322,16 @@ func TestEngineOverflowRedirectsToSender(t *testing.T) {
 			<-gate
 		case 2: // the flood generator
 			for i := 0; i < fanout; i++ {
-				emit(task.Task{Node: graph.NodeID(1000 + i), Prio: 10})
+				emit(task.Task{Node: graph.NodeID(1000 + i), Prio: int64(i) << bag.DefaultPolicy().QuantShift})
 			}
 		}
 		processed.Add(1)
 		return 1
 	}}
 	e := NewEngine(w, Config{
-		Workers:     2,
-		RingSize:    8,
-		OverflowCap: 16,
-		FixedTDF:    100, // always distribute: every child targets the victim
-		Seed:        1,
+		Workers: 2,
+		Drift:   fixedTDF(100), // always distribute: every child targets the victim
+		Seed:    1,
 	})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)

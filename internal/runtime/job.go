@@ -2,7 +2,7 @@ package runtime
 
 // The job layer turns the single-workload engine into a multi-tenant fleet
 // (DESIGN.md §14). A job is one tenant: its own workload instance, weight,
-// admission quota, TDF bias, and a full conservation ledger of its own —
+// admission quota, and a full conservation ledger of its own —
 // while every global invariant (termination, the engine-wide ledger, the
 // publication-ordering contract) keeps holding across all jobs combined.
 //
@@ -44,16 +44,12 @@ var ErrJobCancelled = errors.New("runtime: job cancelled")
 // unbounded table would let a runaway caller exhaust memory fleet-wide.
 const maxJobs = 1 << 20
 
-// MaxJobWeight and MaxTDFBias cap JobConfig.Weight and JobConfig.TDFBias.
-// Both feed int64 products on the worker loop (weight*drrQuantum in
-// jobSched.next, tdf*bias/100 in place); unbounded, a weight of 1<<62 makes
-// the deposit overflow to 0 and the rotation spin on a job whose balance
-// never turns positive. The caps are far past any useful value: a 65536:1
-// share, a bias that sends every unit past the gate away at a TDF of 1%.
-const (
-	MaxJobWeight = 1 << 16
-	MaxTDFBias   = 100 * 100
-)
+// MaxJobWeight caps JobConfig.Weight. The weight feeds an int64 product on
+// the worker loop (weight*drrQuantum in jobSched.next); unbounded, a weight of
+// 1<<62 makes the deposit overflow to 0 and the rotation spin on a job whose
+// balance never turns positive. The cap is far past any useful value: a
+// 65536:1 share.
+const MaxJobWeight = 1 << 16
 
 // JobConfig parameterizes one tenant of a multi-job engine.
 type JobConfig struct {
@@ -72,25 +68,18 @@ type JobConfig struct {
 	// children are not quota-checked — admission controls entry, not
 	// amplification.
 	MaxOutstanding int64
-	// TDFBias scales the global TDF for this job's dispatch decisions, in
-	// percent (100 = neutral, 50 = send away half as often, 200 = twice as
-	// often, capped at always). It composes the drift controller's global
-	// signal with a per-tenant locality preference. Values <= 0 default
-	// to 100; values above MaxTDFBias are clamped to it.
-	TDFBias int
 }
 
 // jobState is the engine-side record of one job. The atomic counters form
 // the job's conservation ledger; everything else is immutable after NewJob.
 type jobState struct {
-	id      task.JobID
-	name    string
-	w       workload.Workload
-	off     []uint32 // CSR row offsets of the job's graph (prefetch), or nil
-	owners  uint64   // ownerMul of the job's node count and the fleet (place.go)
-	weight  int64
-	quota   int64 // 0 = unlimited
-	tdfBias int64 // percent, 100 = neutral
+	id     task.JobID
+	name   string
+	w      workload.Workload
+	off    []uint32 // CSR row offsets of the job's graph (prefetch), or nil
+	owners uint64   // ownerMul of the job's node count and the fleet (place.go)
+	weight int64
+	quota  int64 // 0 = unlimited
 	// mq is the job's fleet-shared relaxed MultiQueue when the engine runs
 	// QueueMultiQueue: one c·P-shard structure per job, each worker holding a
 	// handle, so relaxation and work balancing stay within the tenant.
@@ -126,12 +115,11 @@ type jobState struct {
 // newJobState builds the record; cfg must already have defaults applied.
 func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *jobState {
 	js := &jobState{
-		id:      id,
-		name:    jc.Name,
-		w:       w,
-		weight:  int64(jc.Weight),
-		quota:   jc.MaxOutstanding,
-		tdfBias: int64(jc.TDFBias),
+		id:     id,
+		name:   jc.Name,
+		w:      w,
+		weight: int64(jc.Weight),
+		quota:  jc.MaxOutstanding,
 	}
 	if js.name == "" {
 		js.name = fmt.Sprintf("job-%d", id)
@@ -143,10 +131,6 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 	if js.quota < 0 {
 		js.quota = 0
 	}
-	if js.tdfBias <= 0 {
-		js.tdfBias = 100
-	}
-	js.tdfBias = min(js.tdfBias, MaxTDFBias)
 	if g := w.Graph(); g != nil {
 		js.off = g.Off
 		js.owners = ownerMul(g.NumNodes(), cfg.Workers)
@@ -245,8 +229,8 @@ type Job struct {
 }
 
 // NewJob registers a new tenant on the engine: its own workload instance
-// (Reset here; it must not be shared with another engine or job), weight,
-// quota, and TDF bias. Jobs may be added before Start or while the
+// (Reset here; it must not be shared with another engine or job), weight and
+// quota. Jobs may be added before Start or while the
 // fleet runs; they live until the engine stops — there is no job removal,
 // only Cancel. Returns an error once Stop has been requested.
 func (e *Engine) NewJob(w workload.Workload, jc JobConfig) (*Job, error) {

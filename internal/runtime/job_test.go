@@ -275,11 +275,11 @@ func TestEngineSubmitMixedJobs(t *testing.T) {
 // TestJobWeightIsBounded: a weight whose DRR deposit would overflow int64
 // (1<<62 * drrQuantum wraps to 0) once left the job's balance at zero for
 // ever, and its worker spinning in fillBatch's rotation without reaching the
-// stop check. Weight and TDFBias are clamped, so such a job drains.
+// stop check. The weight is clamped, so such a job drains.
 func TestJobWeightIsBounded(t *testing.T) {
 	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int { return 1 }}
 	e := NewEngine(w, Config{Workers: 1})
-	j, err := e.NewJob(w, JobConfig{Name: "heavy", Weight: 1 << 62, TDFBias: 1 << 62})
+	j, err := e.NewJob(w, JobConfig{Name: "heavy", Weight: 1 << 62})
 	if err != nil {
 		t.Fatal(err)
 	}

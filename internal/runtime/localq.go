@@ -8,6 +8,10 @@ package runtime
 // the policy knob is which shape backs it.
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"hdcps/internal/pq"
 	"hdcps/internal/task"
 )
@@ -37,10 +41,21 @@ const (
 )
 
 // QueueKinds lists the valid Config.QueueKind values. The engine test
-// matrix, the chaos soak, and the CLI flag validation all iterate this
-// list, so a new kind registered here is automatically covered everywhere.
+// matrix, the chaos soak, and CheckQueueKind all iterate this list, so a new
+// kind registered here is automatically covered everywhere.
 func QueueKinds() []string {
 	return []string{QueueHeap, QueueDHeap, QueueTwoLevel, QueueMultiQueue}
+}
+
+// CheckQueueKind is the one check for a queue kind that arrives from outside
+// (a CLI flag, a server's Config): nil for a kind QueueKinds lists or for ""
+// (the default), otherwise an error naming the valid kinds. NewEngine itself
+// runs the default for a kind it does not know.
+func CheckQueueKind(kind string) error {
+	if kind == "" || slices.Contains(QueueKinds(), kind) {
+		return nil
+	}
+	return fmt.Errorf("unknown queue kind %q (valid: %s)", kind, strings.Join(QueueKinds(), ", "))
 }
 
 // newLocalQueue builds one queue of the shape named by Config.QueueKind.

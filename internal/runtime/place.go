@@ -13,9 +13,8 @@ import "math/bits"
 // to spare, and splitting a narrow frontier only buys re-relaxations. A
 // shared queue is visible to the fleet already and is not gated.
 //
-// Past the gate the unit is sent away with probability tdf*bias/100 percent
-// (the controller's global TDF scaled by the job's bias, capped at always).
-// The TDF says how often, ownership says where: a unit sent away goes to
+// Past the gate the unit is sent away with probability tdf percent, the
+// controller's TDF. The TDF says how often, ownership says where: a unit sent away goes to
 // owner, the worker whose home block of the job's node IDs holds the unit's
 // node (ownerOf), so each worker relaxes its own region of the graph and the
 // fleet's cores stop writing the same lines. A self-owned unit sent away
@@ -25,15 +24,12 @@ import "math/bits"
 // low half takes the TDF test, the high half picks the ownerless
 // destination, each scaled by multiply-shift, so a placement costs one draw
 // and no division.
-func place(x uint64, qlen, batchK int, tdf, bias int64, self, owner, workers int, shared bool) (dst int, kept bool) {
+func place(x uint64, qlen, batchK int, tdf int64, self, owner, workers int, shared bool) (dst int, kept bool) {
 	if workers < 2 {
 		return self, false
 	}
 	if !shared && qlen < batchK {
 		return self, true
-	}
-	if bias != 100 {
-		tdf = min(tdf*bias/100, 100)
 	}
 	if int64(uint64(uint32(x))*100>>32) >= tdf {
 		return self, false

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"hdcps/internal/bag"
 	"hdcps/internal/graph"
 	"hdcps/internal/task"
 )
@@ -18,21 +17,21 @@ func TestDispatchGate(t *testing.T) {
 	const self, workers = 0, 2
 	always := ^uint64(0) >> 1 // low half at its top: leaves only at TDF 100
 	for _, qlen := range []int{0, 1, batchK - 1} {
-		if dst, kept := place(always, qlen, batchK, 100, 100, self, -1, workers, false); dst != self || !kept {
+		if dst, kept := place(always, qlen, batchK, 100, self, -1, workers, false); dst != self || !kept {
 			t.Errorf("%d queued (< batchK %d): placed on %d, kept %v; want the unit kept local", qlen, batchK, dst, kept)
 		}
 	}
 	for _, qlen := range []int{batchK, 3 * batchK} {
-		if dst, kept := place(always, qlen, batchK, 100, 100, self, -1, workers, false); dst != 1 || kept {
+		if dst, kept := place(always, qlen, batchK, 100, self, -1, workers, false); dst != 1 || kept {
 			t.Errorf("%d queued (>= batchK %d): placed on %d, kept %v; want the unit sent", qlen, batchK, dst, kept)
 		}
 	}
 	// A shared queue is not gated: an empty one still sends away.
-	if dst, kept := place(always, 0, batchK, 100, 100, self, -1, workers, true); dst != 1 || kept {
+	if dst, kept := place(always, 0, batchK, 100, self, -1, workers, true); dst != 1 || kept {
 		t.Errorf("shared, empty queue: placed on %d, kept %v; want the gate bypassed", dst, kept)
 	}
 	// One worker has nowhere to send and nothing to gate.
-	if dst, kept := place(always, 0, batchK, 100, 100, self, -1, 1, false); dst != self || kept {
+	if dst, kept := place(always, 0, batchK, 100, self, -1, 1, false); dst != self || kept {
 		t.Errorf("single worker: placed on %d, kept %v", dst, kept)
 	}
 
@@ -52,7 +51,7 @@ func TestDispatchGate(t *testing.T) {
 		{QueueMultiQueue, 0, 0, 2, 0},
 	} {
 		e := NewEngine(mustWorkload(t, "sssp", graph.Road(4, 4, 1)),
-			Config{Workers: 2, FixedTDF: 100, QueueKind: tc.kind, Seed: 1})
+			Config{Workers: 2, Drift: fixedTDF(100), QueueKind: tc.kind, Seed: 1})
 		me := &e.workers[0]
 		for i := 0; i < tc.queued; i++ {
 			e.push(me, task.Task{Node: graph.NodeID(i), Prio: int64(i)})
@@ -77,20 +76,19 @@ func TestDispatchGate(t *testing.T) {
 
 // TestScatterDistribution holds a graphless job's one-draw placement past the
 // gate to what two independent draws would give: a unit leaves with
-// probability TDF x bias percent (capped at always), lands on each of the
-// other workers equally often, and never on its own.
+// probability TDF percent, lands on each of the other workers equally often,
+// and never on its own.
 func TestScatterDistribution(t *testing.T) {
 	const draws = 400_000
 	for _, n := range []int{2, 5} {
-		for _, tc := range []struct{ tdf, bias, want int64 }{
-			{0, 100, 0}, {5, 100, 5}, {50, 100, 50}, {100, 100, 100},
-			{50, 50, 25}, {20, 200, 40}, {60, 300, 100},
+		for _, tc := range []struct{ tdf, want int64 }{
+			{0, 0}, {5, 5}, {50, 50}, {100, 100},
 		} {
 			for _, id := range []int{0, n - 1} {
-				rng := graph.NewRNG(uint64(97*n) + uint64(tc.tdf+tc.bias) + uint64(id))
+				rng := graph.NewRNG(uint64(97*n) + uint64(tc.tdf) + uint64(id))
 				hits := make([]int, n)
 				for i := 0; i < draws; i++ {
-					dst, kept := place(rng.Uint64(), 0, 0, tc.tdf, tc.bias, id, -1, n, false)
+					dst, kept := place(rng.Uint64(), 0, 0, tc.tdf, id, -1, n, false)
 					if kept {
 						t.Fatalf("n=%d: a unit past the gate reported kept", n)
 					}
@@ -98,16 +96,16 @@ func TestScatterDistribution(t *testing.T) {
 				}
 				remote := draws - hits[id]
 				if (tc.want == 0 && remote != 0) || (tc.want == 100 && hits[id] != 0) {
-					t.Errorf("n=%d tdf=%d bias=%d id=%d: %d units left, %d stayed", n, tc.tdf, tc.bias, id, remote, hits[id])
+					t.Errorf("n=%d tdf=%d id=%d: %d units left, %d stayed", n, tc.tdf, id, remote, hits[id])
 				}
 				if got := 100 * float64(remote) / draws; got < float64(tc.want)-0.5 || got > float64(tc.want)+0.5 {
-					t.Errorf("n=%d tdf=%d bias=%d id=%d: %.2f%% of units left, want %d%%", n, tc.tdf, tc.bias, id, got, tc.want)
+					t.Errorf("n=%d tdf=%d id=%d: %.2f%% of units left, want %d%%", n, tc.tdf, id, got, tc.want)
 				}
 				for d, h := range hits {
 					want := float64(remote) / float64(n-1)
 					if d != id && (float64(h) < 0.95*want || float64(h) > 1.05*want) {
-						t.Errorf("n=%d tdf=%d bias=%d id=%d: worker %d got %d of %d remote units, want ~%.0f",
-							n, tc.tdf, tc.bias, id, d, h, remote, want)
+						t.Errorf("n=%d tdf=%d id=%d: worker %d got %d of %d remote units, want ~%.0f",
+							n, tc.tdf, id, d, h, remote, want)
 					}
 				}
 			}
@@ -136,7 +134,7 @@ func TestPlaceOwner(t *testing.T) {
 		{"draw keeps a peer-owned unit", stay, batchK, 0, 2, 4, false, 0, false},
 		{"graphless: uniform pick, never self", leave, batchK, 0, -1, 2, false, 1, false},
 	} {
-		dst, kept := place(tc.x, tc.qlen, batchK, 50, 100, tc.self, tc.owner, tc.n, tc.shared)
+		dst, kept := place(tc.x, tc.qlen, batchK, 50, tc.self, tc.owner, tc.n, tc.shared)
 		if dst != tc.wantDst || kept != tc.wantKept {
 			t.Errorf("%s: placed on %d, kept %v; want %d, %v", tc.name, dst, kept, tc.wantDst, tc.wantKept)
 		}
@@ -231,7 +229,7 @@ func TestRemoteUnitsLandOnOwner(t *testing.T) {
 	g := graph.Road(16, 16, 1)
 	w := mustWorkload(t, "sssp", g)
 	h := &ownerHook{at: make([][]graph.NodeID, workers)}
-	e := NewEngine(w, Config{Workers: workers, FixedTDF: 100, Bags: bag.DefaultPolicy(), Seed: 1, Faults: h})
+	e := NewEngine(w, Config{Workers: workers, Drift: fixedTDF(100), Seed: 1, Faults: h})
 	h.e = e
 	if err := e.Submit(w.InitialTasks()...); err != nil {
 		t.Fatal(err)

@@ -52,23 +52,17 @@ import (
 	stdruntime "runtime"
 	"time"
 
-	"hdcps/internal/bag"
 	"hdcps/internal/drift"
 	"hdcps/internal/obs"
 )
 
-// Config configures a native engine.
+// Config configures a native engine. Its zero value is the engine
+// production runs: the paper's selective bags (§III-B) under the adaptive
+// TDF controller (§III-C), on DefaultConfig's fleet of 4 workers. A fixed TDF
+// t is the one-point range Drift{MinTDF: t, MaxTDF: t}.
 type Config struct {
 	// Workers is the number of worker goroutines (default 4).
 	Workers int
-	// RingSize is the per-worker receive ring capacity (default 256).
-	RingSize int
-	// Bags selects the bag policy (default: the paper's selective policy).
-	Bags bag.Policy
-	// UseTDF enables the adaptive controller; FixedTDF applies otherwise
-	// (drift is measured and recorded either way).
-	UseTDF   bool
-	FixedTDF int
 	// Drift configures the controller: start, step, range and report
 	// spacing. The native controller is drift.Controller.Climb.
 	Drift drift.Config
@@ -81,7 +75,8 @@ type Config struct {
 	// (a 4-ary heap), QueueHeap (a classic binary heap), or QueueMultiQueue
 	// (the relaxed shared MultiQueue: 4·P try-locked shards, pick-2
 	// delete-min, a shard pair kept for 8 operations, bounded priority
-	// inversion). Unknown values select the default.
+	// inversion). NewEngine runs the default for a value it does not know;
+	// input from outside goes through CheckQueueKind first.
 	QueueKind string
 	// Faults, when non-nil, is consulted by the ring transport at every Send
 	// and every drain of a receive side: fault injection (internal/chaos),
@@ -101,16 +96,10 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// DefaultJob parameterizes job 0, the tenant the engine is constructed
-	// over (name, fair-share weight, quota, TDF bias). The zero value keeps
-	// the historical single-tenant behavior: weight 1, no quota, neutral
-	// bias. Further tenants are registered with Engine.NewJob.
+	// over (name, fair-share weight, quota). The zero value keeps the
+	// historical single-tenant behavior: weight 1, no quota. Further tenants
+	// are registered with Engine.NewJob.
 	DefaultJob JobConfig
-	// OverflowCap bounds each transport endpoint's overflow stack, in
-	// tasks. A saturated destination (full ring AND full overflow) bounces
-	// further worker sends back to the sender, which keeps them in its own
-	// local queue (Snapshot.Redirects counts these). 0 (or less) defaults to
-	// 4096. Inject (Submit) is never bounded.
-	OverflowCap int
 	// StallTimeout arms Drain's liveness watchdog: if the engine makes no
 	// progress (no task retired, no quarantine, no new submission) for this
 	// long while work is still outstanding, Drain returns a *StallError
@@ -120,8 +109,13 @@ type Config struct {
 }
 
 // Values nothing sets apart from their defaults, so constants and not knobs.
-// heapArity is the branching factor of the dheap kind and of the twolevel
-// queue's fallback heap: 4 keeps a node's children within a cache line.
+// ringSize is each worker's receive-ring capacity, and overflowCap bounds the
+// tasks worker sends may park in one destination's overflow stack: a
+// destination with both full bounces further worker sends back to the
+// sender, which keeps them in its own local queue (Snapshot.Redirects counts
+// these; Submit is never bounded). heapArity is the branching factor of the
+// dheap kind and of the twolevel queue's fallback heap: 4 keeps a node's
+// children within a cache line.
 // sendBatch is the transport's per-destination buffer: remote children
 // accumulate until that many are ready, then ship with one claim-CAS
 // (rq.TryPushBatch). idleSleep is an idle worker's sleep once idleSpin()
@@ -140,6 +134,8 @@ type Config struct {
 // bounds batching staleness: after that many processed tasks every partial
 // send buffer is flushed (a worker that goes idle flushes at once).
 const (
+	ringSize      = 256
+	overflowCap   = 4096
 	heapArity     = 4
 	sendBatch     = 16
 	idleSleep     = 50 * time.Microsecond
@@ -166,31 +162,18 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
-	if cfg.Bags.Mode != bag.Never && cfg.Bags.MaxSize == 0 {
-		cfg.Bags = bag.DefaultPolicy()
-	}
 	if cfg.QueueKind == "" {
 		cfg.QueueKind = QueueTwoLevel
-	}
-	if cfg.OverflowCap <= 0 {
-		cfg.OverflowCap = 4096
 	}
 	return cfg
 }
 
-// DefaultConfig returns the paper-tuned native configuration; workers <= 0
-// selects the default fleet of 4.
+// DefaultConfig returns the paper-tuned native configuration, which is the
+// zero Config with the fleet size filled in; workers <= 0 selects the default
+// fleet of 4.
 func DefaultConfig(workers int) Config {
 	if workers <= 0 {
 		workers = defaultWorkers
 	}
-	return Config{
-		Workers:  workers,
-		RingSize: 256,
-		Bags:     bag.DefaultPolicy(),
-		UseTDF:   true,
-	}
+	return Config{Workers: workers}
 }

@@ -1,9 +1,10 @@
 package runtime
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
-	"hdcps/internal/bag"
 	"hdcps/internal/drift"
 	"hdcps/internal/graph"
 	"hdcps/internal/obs"
@@ -76,14 +77,15 @@ func TestNativeSingleWorker(t *testing.T) {
 	}
 }
 
+// fixedTDF is the one-point Drift range that pins the TDF at tdf.
+func fixedTDF(tdf int) drift.Config { return drift.Config{MinTDF: tdf, MaxTDF: tdf} }
+
 func TestNativeConfigVariants(t *testing.T) {
 	g := graph.Road(14, 14, 9)
 	variants := map[string]Config{
-		"no-bags":    {Workers: 3, Bags: bag.Policy{Mode: bag.Never}, UseTDF: true},
-		"always":     {Workers: 3, Bags: func() bag.Policy { p := bag.DefaultPolicy(); p.Mode = bag.Always; return p }(), UseTDF: true},
-		"fixed-tdf":  {Workers: 3, FixedTDF: 100},
-		"small-ring": {Workers: 3, RingSize: 4, UseTDF: true},
-		"tiny-intvl": {Workers: 3, UseTDF: true, Drift: drift.Config{SampleInterval: 10}},
+		"zero":       {Workers: 3},
+		"fixed-tdf":  {Workers: 3, Drift: fixedTDF(100)},
+		"tiny-intvl": {Workers: 3, Drift: drift.Config{SampleInterval: 10}},
 	}
 	for name, cfg := range variants {
 		w, _ := workload.New("sssp", g)
@@ -113,5 +115,54 @@ func TestNativeTDFAdaptation(t *testing.T) {
 		if p.Drift < 0 {
 			t.Fatalf("negative drift %v", p.Drift)
 		}
+	}
+}
+
+// TestZeroConfigIsDefault: the zero Config is the engine every caller outside
+// the tests runs (DefaultConfig), so a test that builds Config{Workers: n}
+// tests that engine: the paper's selective bags under the adaptive TDF
+// controller.
+func TestZeroConfigIsDefault(t *testing.T) {
+	zero, def := Config{Workers: 2}.withDefaults(), DefaultConfig(2).withDefaults()
+	if !reflect.DeepEqual(zero, def) {
+		t.Fatalf("Config{Workers: 2} is %+v, DefaultConfig(2) %+v", zero, def)
+	}
+	e := NewEngine(mustWorkload(t, "sssp", graph.Road(4, 4, 1)), Config{Workers: 2})
+	if c := e.control.ctrl.Config(); c.MinTDF == c.MaxTDF {
+		t.Fatalf("zero Config pins the TDF at %d; want the adaptive controller", c.MinTDF)
+	}
+}
+
+// TestConfigKnobs pins Config's settable values, counting the leaves of its
+// struct fields (Drift, DefaultJob). Every value here has a caller outside
+// the tests; one only a test sets is a second engine the tests run and
+// production does not.
+func TestConfigKnobs(t *testing.T) {
+	want := []string{
+		"Workers",
+		"Drift.InitialTDF", "Drift.Step", "Drift.MinTDF", "Drift.MaxTDF", "Drift.SampleInterval",
+		"Seed", "QueueKind", "Faults", "Obs",
+		"DefaultJob.Name", "DefaultJob.Weight", "DefaultJob.MaxOutstanding",
+		"StallTimeout",
+	}
+	var got []string
+	var walk func(typ reflect.Type, prefix string)
+	walk = func(typ reflect.Type, prefix string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case !f.IsExported():
+			case f.Type.Kind() == reflect.Struct:
+				walk(f.Type, prefix+f.Name+".")
+			default:
+				got = append(got, prefix+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "")
+	if !slices.Equal(got, want) {
+		t.Fatalf("runtime.Config has %d settable values %v, want the %d %v: a new "+
+			"settable value needs a caller outside the tests, and a CHANGES.md line "+
+			"naming the caller; one no caller sets any more goes", len(got), got, len(want), want)
 	}
 }

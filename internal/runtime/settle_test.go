@@ -23,7 +23,8 @@ import (
 // ledgerHook watches the transport through the fault hook and, at every Send
 // and every drain, checks that the engine's outstanding counts — global and
 // per job — cover at least the units in flight: shipped by a worker or
-// injected by a Submit, and not yet drained (a bag marker counts one, which
+// injected by a Submit, not bounced back by a saturated destination
+// (Snapshot.Redirects), and not yet drained (a bag marker counts one, which
 // only lowers the bound). A count below that is a child that became visible
 // before its ledger entry. It refuses nothing and delivers every drain as is,
 // so the engine under test is the production one.
@@ -54,11 +55,16 @@ func (lh *ledgerHook) fail(format string, args ...any) {
 	lh.mu.Unlock()
 }
 
-// check reads shipped and injected, then the counts, then received: the first
-// two only grow while a count can fall, and received only grows, so the
-// estimate is at most the true in-flight number at the moment a count was
-// read. It lags — a worker's shipments show at its next Send, a Submit's once
-// it has returned — which only weakens the bound.
+// check reads shipped and injected, then the counts and the redirects, then
+// received: the first two only grow while a count can fall, and the
+// redirects and received only grow, so the estimate is at most the true
+// in-flight number at the moment a count was read. A worker has counted a
+// bounced unit in its redirects before its next Send records the unit as
+// shipped, so every bounce in shipped is in the redirects read after it;
+// redirects are not kept per job, so each job's estimate drops by all of them,
+// which only weakens its bound. The estimate lags — a worker's shipments
+// show at its next Send, a Submit's once it has returned — which only
+// weakens the bound too.
 func (lh *ledgerHook) check(site string) {
 	var est [2]int64
 	for j := range est {
@@ -68,13 +74,14 @@ func (lh *ledgerHook) check(site string) {
 		}
 	}
 	out := lh.eng.Outstanding()
-	jobs := lh.eng.Snapshot().Jobs
-	var inFlight int64
+	snap := lh.eng.Snapshot()
+	jobs := snap.Jobs
+	inFlight := -snap.Redirects
 	for j := range jobs {
 		f := est[j] - lh.received[j].Load()
 		inFlight += f
-		if o := jobs[j].Outstanding; o < 0 || o < f {
-			lh.fail("%s: job %d outstanding %d, in flight %d", site, j, o, f)
+		if o := jobs[j].Outstanding; o < 0 || o < f-snap.Redirects {
+			lh.fail("%s: job %d outstanding %d, in flight %d", site, j, o, f-snap.Redirects)
 		}
 	}
 	if out < 0 || out < inFlight {
@@ -83,8 +90,8 @@ func (lh *ledgerHook) check(site string) {
 }
 
 // Refuse runs on the sending worker's goroutine before t is buffered: what
-// the worker sent and no longer buffers has shipped (the test's overflow cap
-// is never reached, so nothing bounced).
+// the worker sent and no longer buffers has shipped, or bounced off a
+// saturated destination (check allows for those).
 func (lh *ledgerHook) Refuse(src, _ int, t task.Task) bool {
 	var buffered [2]int64
 	for _, out := range lh.eng.transport.eps[src].out {
@@ -152,9 +159,8 @@ func TestLedgerCoversInFlight(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(4)
 			if tc.fixedTDF > 0 {
-				cfg.UseTDF, cfg.FixedTDF = false, tc.fixedTDF
+				cfg.Drift = fixedTDF(tc.fixedTDF)
 			}
-			cfg.OverflowCap = 1 << 30 // no send ever bounces
 			lh := newLedgerHook(cfg.Workers)
 			cfg.Faults = lh
 			ws := tc.ws
@@ -191,16 +197,25 @@ func TestLedgerCoversInFlight(t *testing.T) {
 			for _, msg := range lh.errs {
 				t.Error(msg)
 			}
-			var sent int64
+			// Every unit handed to the transport was received, or bounced
+			// back to its sender: exactly, summed over the jobs, and within
+			// the bounces for each job.
+			var sent, handed, received int64
 			for j := range lh.received {
 				h := lh.injected[j].Load()
 				for w := range lh.sent {
 					h += lh.sent[w][j]
 				}
-				if r := lh.received[j].Load(); h != r {
-					t.Errorf("job %d: %d handed to the transport, %d received", j, h, r)
+				r := lh.received[j].Load()
+				if r > h || h > r+snap.Redirects {
+					t.Errorf("job %d: %d handed to the transport, %d received, %d bounced in all", j, h, r, snap.Redirects)
 				}
+				handed += h
+				received += r
 				sent += h - lh.injected[j].Load()
+			}
+			if handed != received+snap.Redirects {
+				t.Errorf("%d handed to the transport, %d received + %d bounced", handed, received, snap.Redirects)
 			}
 			if sent < 100 {
 				t.Errorf("only %d tasks crossed between workers: the check saw next to nothing", sent)

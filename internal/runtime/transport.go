@@ -8,7 +8,7 @@ package runtime
 // full ring spills into, and the per-destination send buffers that turn
 // many remote children into one claim-CAS per batch (rq.TryPushBatch).
 //
-// Flow control: the overflow stack is bounded (Config.OverflowCap). A
+// Flow control: the overflow stack is bounded (overflowCap, runtime.go). A
 // destination whose ring AND overflow are saturated rejects further worker
 // sends, and the rejected tasks flow back to the sender, which keeps them
 // in its own local queue (spill-to-local) — graceful degradation instead of

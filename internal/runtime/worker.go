@@ -617,7 +617,7 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 		for i := range me.children {
 			me.children[i].Job = t.Job
 		}
-		bags, singles := me.part.Partition(me.children, e.cfg.Bags, me.newBagID)
+		bags, singles := me.part.Partition(me.children, bag.DefaultPolicy(), me.newBagID)
 		bagged := int64(countTasks(bags))
 		me.baggedTasks += bagged
 		me.led.spawn(q, int64(len(bags))+bagged+int64(len(singles)))
@@ -654,11 +654,10 @@ func countTasks(bags []bag.Bag) int {
 }
 
 // dispatch routes one unit (task or bag metadata) where the placement rule
-// says, under the job's effective TDF: the drift controller's global signal
-// and the job's TDFBias. node is the unit's node — a bag marker's is its first
-// task's — and names the unit's owner. Remote units go through the
-// transport's batching; local units are kept for the worker's queue for the
-// job (q).
+// says, under the drift controller's TDF. node is the unit's node — a bag
+// marker's is its first task's — and names the unit's owner. Remote units go
+// through the transport's batching; local units are kept for the worker's
+// queue for the job (q).
 func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task, node graph.NodeID) {
 	// The draw comes from a copy of the generator that is kept only if the
 	// gate let the unit through: the gate uses no randomness, so the
@@ -666,7 +665,7 @@ func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task, node graph.NodeI
 	// reads the queue's spare (steal.go); a shared queue is not gated.
 	rng := me.rng
 	owner := ownerOf(node, q.js.owners, len(e.workers))
-	dst, kept := place(rng.Uint64(), q.spare, batchK, e.control.TDF(), q.js.tdfBias,
+	dst, kept := place(rng.Uint64(), q.spare, batchK, e.control.TDF(),
 		me.id, owner, len(e.workers), me.sched.shared)
 	if kept {
 		me.keptLocal++

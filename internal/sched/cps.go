@@ -150,10 +150,10 @@ type cpsCore struct {
 	// Exactly one of swq/tl backs the core's priority queue: swq when the
 	// machine has no hPQ, tl (the two-level hot-buffer + cold-store shape,
 	// hot capacity = HPQSize) when it does. The two-level hot buffer
-	// reproduces pq.Bounded's residency semantics, so tl replaces the old
-	// hpq+swq composition with identical task ordering; the cost model
-	// still charges the hPQ access for hot traffic and the software PQ for
-	// cold traffic.
+	// reproduces the hPQ's residency semantics (pq's Bounded test oracle),
+	// so tl replaces the old hpq+swq composition with identical task
+	// ordering; the cost model still charges the hPQ access for hot traffic
+	// and the software PQ for cold traffic.
 	swq    *pq.BinaryHeap
 	tl     *pq.HPQ
 	in     []inEntry // software receive queue (unbounded backing store)
@@ -403,7 +403,7 @@ func (h *cpsHandler) drain(m *sim.Machine, core int) int64 {
 // queue, preferring the hardware queue when present, and returns the cost.
 func (h *cpsHandler) insertLocal(c *cpsCore, t task.Task) int64 {
 	if c.tl != nil {
-		// PushEx applies Bounded's residency rule (insert into the hot
+		// PushEx applies the hPQ's residency rule (insert into the hot
 		// buffer, demoting its worst to the cold store when full); the
 		// rebalance is asynchronous (§III-D), so only the hPQ access is
 		// charged.

@@ -39,33 +39,42 @@ func TestReadyzAndHealthzSplit(t *testing.T) {
 }
 
 // TestJobCreateRejectsOutOfRange: POST /v1/jobs is outside input. A weight
-// or TDF bias the engine would have to clamp, a negative quota and a body
-// past the size bound all answer 400 and create nothing.
+// the engine would have to clamp, a negative quota, a body past the size
+// bound and a key JobSpec does not have (tdf_bias, a setting the engine no
+// longer has, in or out of its old range) all answer 400 and create nothing;
+// an unknown key's answer names it.
 func TestJobCreateRejectsOutOfRange(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	for _, body := range []string{
+	bodies := []string{
 		`{"weight":4611686018427387904}`,
 		`{"weight":65537}`,
 		`{"weight":-1}`,
 		`{"tdf_bias":10001}`,
 		`{"tdf_bias":-5}`,
+		`{"tdf_bias":100}`,
 		`{"max_outstanding":-1}`,
 		`{"name":"` + strings.Repeat("x", maxJobSpecBytes) + `"}`,
-	} {
+	}
+	for _, body := range bodies {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%.40s: status %d, want 400", body, resp.StatusCode)
 		}
+		if strings.Contains(body, "tdf_bias") && !strings.Contains(eb.Error, "tdf_bias") {
+			t.Errorf("%s: error %q does not name the unknown key", body, eb.Error)
+		}
 	}
 	if n := len(s.eng.Snapshot().Jobs); n != 1 {
-		t.Fatalf("%d jobs after seven refused creates, want the default job alone", n)
+		t.Fatalf("%d jobs after %d refused creates, want the default job alone", n, len(bodies))
 	}
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"name":"edge","weight":65536,"tdf_bias":10000}`))
+		strings.NewReader(`{"name":"edge","weight":65536,"max_outstanding":0}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Config struct {
 	// Workers is the engine fleet size (0 defaults to 4).
 	Workers int
 	// QueueKind selects the local-queue shape (see runtime.QueueKinds; empty
-	// defaults to runtime.QueueTwoLevel).
+	// defaults to runtime.QueueTwoLevel). New refuses any other value.
 	QueueKind string
 	// MaxOutstanding is the global overload shed: a submit that arrives
 	// while the engine-wide outstanding count exceeds it is refused with
@@ -179,6 +179,9 @@ type Server struct {
 // New builds the engine, seeds it if configured, and starts the fleet.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if err := runtime.CheckQueueKind(cfg.QueueKind); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	g, err := graph.Builtin(cfg.Input, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -366,16 +369,16 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.eng.Snapshot().Jobs)
 }
 
-// maxJobSpecBytes bounds the POST /v1/jobs body: a JobSpec is four fields.
+// maxJobSpecBytes bounds the POST /v1/jobs body: a JobSpec is three fields.
 const maxJobSpecBytes = 64 << 10
 
 // JobSpec is the POST /v1/jobs body. The new tenant runs a fresh clone of
-// the server's workload over the same graph.
+// the server's workload over the same graph. A key JobSpec does not name is
+// refused, so a client sending a setting the server does not have learns so.
 type JobSpec struct {
 	Name           string `json:"name"`
 	Weight         int    `json:"weight"`
 	MaxOutstanding int64  `json:"max_outstanding"`
-	TDFBias        int    `json:"tdf_bias"`
 }
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
@@ -384,24 +387,23 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	// Zero means "default" for every field; the engine clamps what it is
 	// handed, but outside input that is out of range is refused, not bent.
-	if spec.Weight < 0 || spec.Weight > runtime.MaxJobWeight ||
-		spec.TDFBias < 0 || spec.TDFBias > runtime.MaxTDFBias || spec.MaxOutstanding < 0 {
+	if spec.Weight < 0 || spec.Weight > runtime.MaxJobWeight || spec.MaxOutstanding < 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
-			"bad job spec: want weight in [0,%d], tdf_bias in [0,%d], max_outstanding >= 0",
-			runtime.MaxJobWeight, runtime.MaxTDFBias)})
+			"bad job spec: want weight in [0,%d], max_outstanding >= 0", runtime.MaxJobWeight)})
 		return
 	}
 	job, err := s.eng.NewJob(s.wl.Clone(), runtime.JobConfig{
 		Name:           spec.Name,
 		Weight:         spec.Weight,
 		MaxOutstanding: spec.MaxOutstanding,
-		TDFBias:        spec.TDFBias,
 	})
 	if err != nil {
 		s.reply(w, nil, err, 0)

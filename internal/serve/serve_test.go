@@ -49,6 +49,24 @@ func ndjson(specs ...TaskSpec) *bytes.Buffer {
 	return &buf
 }
 
+// TestNewRefusesUnknownQueueKind: a queue kind arrives from outside
+// (hdcps-serve -queue), so a typo is an error naming the valid kinds, not a
+// server that reports the typo on /v1/info and runs the default kind.
+func TestNewRefusesUnknownQueueKind(t *testing.T) {
+	s, err := New(Config{Scale: "tiny", Workers: 2, QueueKind: "mutliqueue"})
+	if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_, _ = s.Shutdown(ctx)
+		t.Fatal("New accepted queue kind \"mutliqueue\"")
+	}
+	for _, kind := range append(runtime.QueueKinds(), "mutliqueue") {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("error %q does not name %q", err, kind)
+		}
+	}
+}
+
 func TestSubmitAcceptsAndCounts(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	resp, err := http.Post(ts.URL+"/v1/jobs/0/submit", "application/x-ndjson",
