@@ -11,10 +11,11 @@ build:
 tier1: build
 	$(GO) test ./...
 
-# Inner loop: Tier-1 without the figure grids of internal/exp and the serve
-# soaks (testing.Short). internal/sched's golden-cycles table is not skipped
-# and stands in for the grids: a semantic slip in the simulator fails here.
-# tier1, ci and every CI job run the full set.
+# Inner loop: Tier-1 without the figure grids of internal/exp (testing.Short).
+# internal/sched's golden-cycles table is not skipped and stands in for the
+# grids: a semantic slip in the simulator fails here. The serve soaks run
+# here too (~5 s for internal/serve), so reset recovery and the netchaos
+# mixes are in the inner loop. tier1, ci and every CI job run the full set.
 quick: build
 	$(GO) test -short ./...
 
@@ -59,7 +60,8 @@ lint:
 # native runtime (engine lifecycle, transport, control plane), the MPSC
 # ring, the payload transport, the observability recorder, exec.RunJobs
 # (the one native run: tenants, chaos, the fairness sampler), the open-loop
-# load harness (a goroutine per arrival over shared counters), and the
+# load harness (a clock goroutine handing stamped arrivals to one sender
+# goroutine per stream, over a shared histogram), and the
 # parallel experiment driver are where a data race would actually live. The exp run is scoped to the
 # driver tests: racing the full figure suite is ~10min on one core and
 # exercises no concurrency the driver tests don't.
@@ -103,7 +105,7 @@ chaos:
 # admissions == server accepted == engine Submitted (mod chaos duplicates),
 # proving zero loss and zero duplication through the resume protocol. The
 # whole serve package runs so the deadline/stall/disconnect regressions ride
-# along. CHAOS_SOAK=1 (the nightly knob) lengthens the soak.
+# along. ~15 s on 2 CPUs; CHAOS_SOAK=1 (the nightly knob) lengthens the soak.
 serve-chaos:
 	$(GO) test -race -count=1 ./internal/serve/
 

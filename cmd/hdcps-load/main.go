@@ -1,10 +1,14 @@
 // Command hdcps-load is the open-loop traffic driver for hdcps-serve: it
-// offers refresh tasks at a fixed arrival rate (Poisson, uniform, or bursty
-// schedules) regardless of how fast the server absorbs them, and reports
-// the latency quantiles plus the accept/backpressure/error accounting.
+// offers refresh tasks on a Poisson arrival schedule regardless of how fast
+// the server absorbs them, and reports the latency quantiles plus the
+// accept/backpressure/error accounting. Each batch's latency runs from its
+// scheduled arrival, so the clock's own lag and the wait behind a busy
+// stream count.
 //
 // There is one submit path: -streams persistent NDJSON streams held open for
-// the run, batches round-robined onto them and confirmed by the server's
+// the run, one sender each, which is also the run's concurrency bound.
+// Arrivals go to the streams in turn, and an arrival whose stream is already
+// far behind is shed and counted. Batches are confirmed by the server's
 // per-flush acks. Transport faults and 429/503/408 answers are retried with
 // capped exponential backoff plus full jitter, honoring the server's
 // Retry-After hints, and an interrupted stream resumes exactly-once via
@@ -18,7 +22,7 @@
 // Usage:
 //
 //	hdcps-load -url http://127.0.0.1:8080 -rate 4000 -duration 5s
-//	hdcps-load -url http://$(cat /tmp/addr) -rate 20000 -arrivals bursty -hist hist.json
+//	hdcps-load -url http://$(cat /tmp/addr) -rate 20000 -streams 8 -hist hist.json
 //	hdcps-load -url http://$(cat /tmp/addr) -wait-ready 10s -retries 1 -rate 2000
 package main
 
@@ -43,16 +47,12 @@ func main() {
 		rate     = flag.Float64("rate", 4000, "offered task rate, tasks/second")
 		duration = flag.Duration("duration", 5*time.Second, "how long to generate arrivals")
 		batch    = flag.Int("batch", 16, "tasks per submit request")
-		arrivals = flag.String("arrivals", "poisson", "arrival schedule: poisson, uniform, bursty")
-		burstF   = flag.Float64("burst-factor", 4, "bursty peak-to-mean ratio")
-		burstP   = flag.Duration("burst-period", 200*time.Millisecond, "bursty on+off cycle")
 		seed     = flag.Int64("seed", 1, "arrival-schedule seed")
-		inflight = flag.Int("inflight", 128, "max concurrent submit requests (arrivals beyond are shed)")
 		histOut  = flag.String("hist", "", "write the latency histogram JSON here")
 		waitRdy  = flag.Duration("wait-ready", 0, "poll /readyz this long before driving load (0 skips the wait)")
 		retries  = flag.Int("retries", 8, "max consecutive failed attempts before a stream gives up (1: never retry)")
 		backoff  = flag.Duration("backoff", 25*time.Millisecond, "base backoff between retries (capped exponential, full jitter)")
-		streams  = flag.Int("streams", 4, "persistent NDJSON streams held open; batches round-robin onto them (>= 1)")
+		streams  = flag.Int("streams", 4, "persistent NDJSON streams held open, one sender each: the concurrency bound (>= 1)")
 	)
 	flag.Parse()
 	if *streams < 1 {
@@ -85,25 +85,16 @@ func main() {
 		RequestTimeout: 10 * time.Second,
 		Seed:           uint64(*seed),
 	}
-	submitter, closer := cl.StreamSubmitter(ctx, uint32(*jobID), gen, *streams, pol, &retryStats)
+	senders, closer := cl.StreamSenders(ctx, uint32(*jobID), gen, *streams, pol, &retryStats)
 	fmt.Printf("streams:  %d persistent\n", *streams)
-	res := load.Run(ctx, submitter, load.Options{
-		Rate:        *rate,
-		Batch:       *batch,
-		Duration:    *duration,
-		Arrivals:    *arrivals,
-		BurstFactor: *burstF,
-		BurstPeriod: *burstP,
-		Seed:        *seed,
-		MaxInFlight: *inflight,
-	})
+	res := load.Run(ctx, senders, load.Options{Rate: *rate, Batch: *batch, Duration: *duration, Seed: *seed})
 	// Every batch's outcome is already in res; Close only releases the
 	// streams, and its error would repeat one of them.
 	_ = closer.Close()
 
 	sum := res.Hist.Summary()
-	fmt.Printf("offered:  %d tasks (%.0f/s target %.0f/s, %s arrivals, %s)\n",
-		res.Offered, res.OfferedRate(), *rate, *arrivals, res.Elapsed.Round(time.Millisecond))
+	fmt.Printf("offered:  %d tasks (%.0f/s target %.0f/s, poisson arrivals, %s)\n",
+		res.Offered, res.OfferedRate(), *rate, res.Window.Round(time.Millisecond))
 	fmt.Printf("accepted: %d (%.0f/s)  rejected: %d  shed: %d  requests: %d\n",
 		res.Accepted, res.AcceptedRate(), res.Rejected, res.Shed, res.Requests)
 	fmt.Printf("latency:  p50 %.2fms  p90 %.2fms  p99 %.2fms  p99.9 %.2fms  max %.2fms\n",
@@ -128,8 +119,8 @@ func main() {
 		fmt.Printf("histogram: %s\n", *histOut)
 	}
 
-	if res.ServerErrs > 0 {
-		fatal(fmt.Errorf("%d server errors (last: %v)", res.ServerErrs, res.LastErr))
+	if n := res.BatchesByOut[load.ServerError]; n > 0 {
+		fatal(fmt.Errorf("%d server errors (last: %v)", n, res.LastErr))
 	}
 	if res.Offered == 0 || res.Accepted == 0 {
 		fatal(fmt.Errorf("no traffic landed (offered %d, accepted %d)", res.Offered, res.Accepted))

@@ -51,9 +51,6 @@ type netchaosMix struct {
 }
 
 func TestNetchaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("netchaos soak skipped in -short")
-	}
 	mixes := []netchaosMix{
 		{
 			name: "rst",

@@ -411,29 +411,31 @@ func TestRetryClientTerminalAndExhaustion(t *testing.T) {
 	}
 }
 
-// TestStreamSubmitterReopensAfterGiveUp: an outage that spends the policy
-// kills the streams it met, not their slots — once the server recovers, the
-// next batches ride fresh streams and are accepted. Batches arrive from
-// several goroutines at once, as load.Run delivers them.
-func TestStreamSubmitterReopensAfterGiveUp(t *testing.T) {
+// TestStreamSendersReopenAfterGiveUp: an outage that spends the policy
+// kills the streams it met, not their senders — once the server recovers,
+// the next batches ride fresh streams and are accepted. Each sender runs on
+// a goroutine of its own, as load.Run drives them.
+func TestStreamSendersReopenAfterGiveUp(t *testing.T) {
 	var status atomic.Int64
 	status.Store(http.StatusServiceUnavailable)
 	cl := scriptedStatus(t, &status)
 	pol := RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 5}
 	var st RetryStats
 	gen := func(n int) []TaskSpec { return make([]TaskSpec, n) }
-	sub, closer := cl.StreamSubmitter(context.Background(), 1, gen, 2, pol, &st)
+	senders, closer := cl.StreamSenders(context.Background(), 1, gen, 2, pol, &st)
 	defer closer.Close()
 
 	wave := func(phase string, wantN int, want load.Outcome) {
 		t.Helper()
 		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
+		for _, send := range senders {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if n, out, err := sub(8); n != wantN || out != want {
-					t.Errorf("%s: %d admitted, outcome %v, err %v; want %d and %v", phase, n, out, err, wantN, want)
+				for k := 0; k < 4; k++ {
+					if n, out, err := send(8); n != wantN || out != want {
+						t.Errorf("%s: %d admitted, outcome %v, err %v; want %d and %v", phase, n, out, err, wantN, want)
+					}
 				}
 			}()
 		}
@@ -447,10 +449,10 @@ func TestStreamSubmitterReopensAfterGiveUp(t *testing.T) {
 	wave("after recovery", 8, load.Accepted)
 }
 
-// TestStreamSubmitterClassifiesGiveUps: the policy running out is
+// TestStreamSendersClassifyGiveUps: the policy running out is
 // Backpressure only while the server kept answering; a port nobody listens
 // on, or a terminal answer, is a ServerError.
-func TestStreamSubmitterClassifiesGiveUps(t *testing.T) {
+func TestStreamSendersClassifyGiveUps(t *testing.T) {
 	var status atomic.Int64
 	pol := RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 9}
 	gen := func(n int) []TaskSpec { return make([]TaskSpec, n) }
@@ -468,8 +470,8 @@ func TestStreamSubmitterClassifiesGiveUps(t *testing.T) {
 		{"dead port", dead, 0, load.ServerError},
 	} {
 		status.Store(int64(tc.status))
-		sub, closer := tc.cl.StreamSubmitter(context.Background(), 1, gen, 1, pol, nil)
-		n, out, err := sub(4)
+		senders, closer := tc.cl.StreamSenders(context.Background(), 1, gen, 1, pol, nil)
+		n, out, err := senders[0](4)
 		closer.Close()
 		if n != 0 || out != tc.want {
 			t.Errorf("%s: %d admitted, outcome %v (err %v), want 0 and %v", tc.name, n, out, err, tc.want)
@@ -495,8 +497,8 @@ func TestStreamSubmitterClassifiesGiveUps(t *testing.T) {
 			_ = http.NewResponseController(w).EnableFullDuplex()
 			writeJSON(w, st, errorBody{Error: "scripted"})
 		}))
-		sub, closer := (&Client{Base: ts.URL}).StreamSubmitter(context.Background(), 1, gen, 1, pol, nil)
-		n, out, err := sub(4)
+		senders, closer := (&Client{Base: ts.URL}).StreamSenders(context.Background(), 1, gen, 1, pol, nil)
+		n, out, err := senders[0](4)
 		closer.Close()
 		ts.Close()
 		if n != 0 || out != load.ServerError || err == nil || errors.Is(err, ErrRetriesExhausted) {

@@ -28,6 +28,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"hdcps/internal/obs"
 )
 
 // RetryPolicy bounds one outage of a stream: the counters below reset
@@ -75,24 +77,29 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // RetryStats aggregates the retry loop's decisions across streams (atomics:
-// share one across concurrent submitters and read it live).
+// share one across concurrent streams and read it live).
 type RetryStats struct {
 	Attempts  atomic.Int64 // HTTP attempts, first tries included
 	Retries   atomic.Int64 // attempts beyond each stream's first
-	Resumes   atomic.Int64 // attempts that resumed a partially-admitted stream
+	Resumes   atomic.Int64 // acked attempts that resumed a partially-admitted stream after a failed one
 	GiveUps   atomic.Int64 // streams abandoned with work unadmitted
 	BackoffNs atomic.Int64 // cumulative backoff slept
+	// Reconnect holds one sample a resume: the time from the failed
+	// attempt's end to the first ack of the attempt that resumed it (ns).
+	Reconnect obs.Histogram
 }
 
 func (s *RetryStats) String() string {
-	return fmt.Sprintf("attempts %d, retries %d, resumes %d, giveups %d, backoff %s",
+	return fmt.Sprintf("attempts %d, retries %d, resumes %d, giveups %d, backoff %s, reconnect p50 %s p99 %s",
 		s.Attempts.Load(), s.Retries.Load(), s.Resumes.Load(), s.GiveUps.Load(),
-		time.Duration(s.BackoffNs.Load()).Round(time.Millisecond))
+		time.Duration(s.BackoffNs.Load()).Round(time.Millisecond),
+		time.Duration(s.Reconnect.Quantile(0.50)).Round(time.Microsecond),
+		time.Duration(s.Reconnect.Quantile(0.99)).Round(time.Microsecond))
 }
 
 // ErrRetriesExhausted marks a stream abandoned for a bounded-policy reason
 // (attempt cap or backoff budget) while the server answered every attempt of
-// the outage with backpressure (429/503/408). StreamSubmitter maps it to
+// the outage with backpressure (429/503/408). StreamSenders' senders map it to
 // Backpressure: the work was shed, not broken. An outage with even one
 // attempt lost to a transport error is not this error — a server nobody can
 // reliably reach is a failure, not load shedding.

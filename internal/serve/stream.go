@@ -1,15 +1,22 @@
 package serve
 
 // PersistentStream is the client half of the progress-ack protocol (ack.go):
-// one long-lived NDJSON POST per (connection, job) held open across batches
-// via an io.Pipe, so the per-batch cost is an encode and a pipe write —
-// not a bytes.Buffer + json.Encoder + http.NewRequest + URL Sprintf + full
-// HTTP round-trip. Batches are confirmed by the server's per-flush ack
-// lines; Submit blocks until its lines are covered, so accepted counts and
+// one long-lived NDJSON POST per (connection, job) held open across batches,
+// so the per-batch cost is an encode and a copy into the request body — not
+// a bytes.Buffer + json.Encoder + http.NewRequest + URL Sprintf + full HTTP
+// round-trip. Batches are confirmed by the server's per-flush ack lines;
+// Submit blocks until its lines are covered, so accepted counts and
 // per-batch latency stay truthful in the open-loop harness.
 //
 // It is the only way this repo's Go code submits over the wire; a one-shot
 // submission is a stream of one batch (open, Submit, Close).
+//
+// Each request of the stream is an attempt, and the attempt is its own
+// request body: a reader over the pending batches from the attempt's cursor
+// (attempt.Read). An attempt runs one goroutine of its own, a ticker that
+// owes the body a heartbeat line and cuts the attempt when its acks stall.
+// Every way an attempt ends is one cut: its own exit, the watchdog, or a
+// read error on the connection it dialed (watchResets).
 //
 // Faults do not weaken the exactly-once contract — they route through the
 // admitted-prefix resume protocol (resilience.go): every attempt of a stream
@@ -28,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -36,12 +44,15 @@ import (
 	"hdcps/internal/load"
 )
 
-// errStreamClosed reports a Submit after Close.
-var errStreamClosed = errors.New("serve client: persistent stream closed")
-
-// errTerminal marks a give-up on an answer no retry can change (400, 404,
-// 409, 500, a server that does not speak the protocol).
-var errTerminal = errors.New("terminal")
+var (
+	// errStreamClosed reports a Submit after Close.
+	errStreamClosed = errors.New("serve client: persistent stream closed")
+	// errTerminal marks a give-up on an answer no retry can change (400,
+	// 404, 409, 500, a server that does not speak the protocol).
+	errTerminal = errors.New("terminal")
+	// errAttemptOver is the cut of an attempt that ended on its own.
+	errAttemptOver = errors.New("serve client: attempt over")
+)
 
 // streamBatch is one Submit's lines, pre-encoded: start is the absolute
 // line index of the first line in the stream's numbering.
@@ -70,7 +81,6 @@ type streamWaiter struct {
 // Safe for concurrent Submit calls; lines are confirmed in submission
 // order. Construct with Client.PersistentStream, finish with Close.
 type PersistentStream struct {
-	c     *Client
 	hc    *http.Client // no overall timeout: the request is open-ended
 	url   string
 	jobID uint32
@@ -84,9 +94,12 @@ type PersistentStream struct {
 	written   int64         // absolute lines queued
 	confirmed int64         // absolute lines the server has acked
 	waiters   []streamWaiter
-	gen       int64 // attempt generation: bumped to kill a stale pump
 	closed    bool
 	err       error // terminal stream error
+
+	// outage is when the first failed attempt since the last ack ended;
+	// zero while the stream is acked. Only the manager touches it.
+	outage time.Time
 
 	done chan struct{}
 }
@@ -101,10 +114,9 @@ type PersistentStream struct {
 func (c *Client) PersistentStream(jobID uint32, pol RetryPolicy, st *RetryStats) *PersistentStream {
 	base := c.hc()
 	ps := &PersistentStream{
-		c: c,
-		// Same transport, but never the wrapping client's overall Timeout —
-		// that clock would sever every stream that outlives it.
-		hc:    &http.Client{Transport: base.Transport, CheckRedirect: base.CheckRedirect, Jar: base.Jar},
+		// Never the wrapping client's overall Timeout — that clock would
+		// sever every stream that outlives it.
+		hc:    &http.Client{Transport: watchResets(base.Transport), CheckRedirect: base.CheckRedirect, Jar: base.Jar},
 		url:   fmt.Sprintf("%s/v1/jobs/%d/submit", c.Base, jobID),
 		jobID: jobID,
 		pol:   pol.withDefaults(),
@@ -115,6 +127,55 @@ func (c *Client) PersistentStream(jobID uint32, pol RetryPolicy, st *RetryStats)
 	ps.cond = sync.NewCond(&ps.mu)
 	go ps.run()
 	return ps
+}
+
+// watchResets returns the stream's own copy of rt whose dials hand every
+// connection's first read error to the cut of the attempt that dialed it,
+// found through the dial context's value. Without it a reset costs up to a
+// heartbeat: the transport's Do waits for its write loop (writeLoopDone),
+// and the write loop sits in attempt.Read until the body has a line to give.
+// Keep-alives are off so each attempt dials its own connection — an attempt
+// lives as long as its stream, so no pool is lost. A RoundTripper that is
+// not an *http.Transport is used as it is.
+func watchResets(rt http.RoundTripper) http.RoundTripper {
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	tr, ok := rt.(*http.Transport)
+	if !ok {
+		return rt
+	}
+	tr = tr.Clone()
+	tr.DisableKeepAlives = true
+	dial := tr.DialContext
+	if dial == nil {
+		dial = (&net.Dialer{}).DialContext
+	}
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, network, addr)
+		if a, ok := ctx.Value(attemptKey{}).(*attempt); ok && err == nil {
+			conn = &watchedConn{Conn: conn, a: a}
+		}
+		return conn, err
+	}
+	return tr
+}
+
+// attemptKey carries an attempt on its request's context to the dial.
+type attemptKey struct{}
+
+// watchedConn cuts its attempt on a read error.
+type watchedConn struct {
+	net.Conn
+	a *attempt
+}
+
+func (c *watchedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.a.cut(err)
+	}
+	return n, err
 }
 
 // Submit queues specs on the stream and blocks until the server confirms
@@ -256,8 +317,8 @@ func (ps *PersistentStream) fail(err error) {
 func (ps *PersistentStream) run() {
 	defer close(ps.done)
 	rng := rand.New(rand.NewSource(int64(ps.pol.Seed ^ streamSeq.Add(1))))
-	attempt := 0 // consecutive failures this outage (reset on progress)
-	cut := false // an attempt of this outage ended with no answer at all
+	attempt := 0        // consecutive failures this outage (reset on progress)
+	unanswered := false // an attempt of this outage ended with no answer at all
 	totalAttempts := 0
 	budgetLeft := ps.pol.Budget
 	for {
@@ -279,11 +340,11 @@ func (ps *PersistentStream) run() {
 			if totalAttempts > 1 {
 				ps.st.Retries.Add(1)
 			}
-			if totalAttempts > 1 && before > 0 {
-				ps.st.Resumes.Add(1)
-			}
 		}
-		status, hint, err := ps.attempt()
+		status, hint, err := ps.try()
+		if err != nil && ps.outage.IsZero() {
+			ps.outage = time.Now()
+		}
 
 		ps.mu.Lock()
 		// An attempt that confirmed new lines — or left nothing unconfirmed
@@ -294,10 +355,10 @@ func (ps *PersistentStream) run() {
 		ps.mu.Unlock()
 		if progressed {
 			attempt = 0
-			cut = false
+			unanswered = false
 			budgetLeft = ps.pol.Budget
 		} else if status == 0 {
-			cut = true
+			unanswered = true
 		}
 		if closedAndDone {
 			return
@@ -313,7 +374,7 @@ func (ps *PersistentStream) run() {
 			return
 		}
 		if attempt >= ps.pol.MaxAttempts {
-			ps.giveUp(exhausted(cut, fmt.Errorf("stream %s: %d attempts: %w", ps.id, attempt, err)))
+			ps.giveUp(exhausted(unanswered, fmt.Errorf("stream %s: %d attempts: %w", ps.id, attempt, err)))
 			return
 		}
 		// attempt may have just been reset to 0 by the progress check above:
@@ -324,7 +385,7 @@ func (ps *PersistentStream) run() {
 		}
 		sleep := hint + time.Duration(rng.Int63n(int64(window)+1))
 		if sleep > budgetLeft {
-			ps.giveUp(exhausted(cut, fmt.Errorf("stream %s: backoff budget spent: %w", ps.id, err)))
+			ps.giveUp(exhausted(unanswered, fmt.Errorf("stream %s: backoff budget spent: %w", ps.id, err)))
 			return
 		}
 		budgetLeft -= sleep
@@ -339,8 +400,8 @@ func (ps *PersistentStream) run() {
 // answered every attempt of the outage (429/503/408) was shedding load, which
 // is what ErrRetriesExhausted means; an outage in which any attempt was cut
 // without an answer reports the last error alone.
-func exhausted(cut bool, err error) error {
-	if cut {
+func exhausted(unanswered bool, err error) error {
+	if unanswered {
 		return fmt.Errorf("serve client: gave up: %w", err)
 	}
 	return fmt.Errorf("%w: %v", ErrRetriesExhausted, err)
@@ -353,76 +414,37 @@ func (ps *PersistentStream) giveUp(err error) {
 	ps.fail(err)
 }
 
-// attempt opens one request and runs it until the stream is done, the
-// connection dies, or the watchdog cuts a stalled attempt. Returns the
-// terminal status (0 if none reached), the server's retry hint, and the
-// attempt error (nil on a clean final ack).
-func (ps *PersistentStream) attempt() (int, time.Duration, error) {
+// acked notes an ack line on an attempt opened at line start. The first ack
+// after an outage ends it; if the attempt resumed a partly admitted stream,
+// the time since the outage began is its reconnect time.
+func (ps *PersistentStream) acked(start int64) {
+	if ps.outage.IsZero() {
+		return
+	}
+	if start > 0 && ps.st != nil {
+		ps.st.Resumes.Add(1)
+		ps.st.Reconnect.ObserveDuration(time.Since(ps.outage))
+	}
+	ps.outage = time.Time{}
+}
+
+// try runs one attempt until the stream is done or the attempt is cut.
+// Returns the terminal status (0 if none reached), the server's retry hint,
+// and the attempt error (nil on a clean final ack).
+func (ps *PersistentStream) try() (int, time.Duration, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	a := &attempt{ps: ps, cancel: cancel}
+	ctx = context.WithValue(ctx, attemptKey{}, a)
 	ps.mu.Lock()
 	// Resend from the confirmed watermark, which may fall inside a batch:
-	// the pump skips that batch's confirmed lines.
+	// the body skips that batch's confirmed lines.
 	start := ps.confirmed
-	ps.gen++
-	gen := ps.gen
+	a.cursor = start
 	ps.mu.Unlock()
+	defer a.cut(errAttemptOver)
+	go a.tick(ctx)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pr, pw := io.Pipe()
-	defer pr.CloseWithError(errStreamClosed) // unblock a pump mid-Write
-	go ps.pump(pw, start, gen)
-	defer func() {
-		// Retire this attempt's pump before the next attempt starts.
-		ps.mu.Lock()
-		if ps.gen == gen {
-			ps.gen++
-		}
-		ps.cond.Broadcast()
-		ps.mu.Unlock()
-	}()
-
-	// Ack-progress watchdog, armed for the WHOLE attempt including Do: when
-	// unconfirmed lines see no ack for pol.RequestTimeout, it cancels the
-	// request AND severs the pipe's read side. The second half matters: on a
-	// broken connection the transport's Do does not return until its write
-	// loop finishes, and the write loop sits in pr.Read — only closing the
-	// pipe unblocks that chain.
-	stopWD := make(chan struct{})
-	defer close(stopWD)
-	if wd := ps.pol.RequestTimeout; wd > 0 {
-		go ps.watchdog(wd, func() {
-			cancel()
-			pr.CloseWithError(context.DeadlineExceeded)
-		}, stopWD)
-	}
-
-	// Heartbeat: an empty NDJSON line (a protocol no-op the server skips
-	// without counting) written periodically. It does two jobs: it keeps the
-	// server's stall detector fed while the stream idles, and — the load-
-	// bearing one — it forces a real TCP write, so a silently dead
-	// connection fails the transport's write loop promptly instead of
-	// wedging Do until the watchdog's full window expires.
-	hb := time.Second
-	if wd := ps.pol.RequestTimeout; wd > 0 && wd/4 < hb {
-		hb = wd / 4
-	}
-	go func() {
-		tick := time.NewTicker(hb)
-		defer tick.Stop()
-		nl := []byte("\n")
-		for {
-			select {
-			case <-stopWD:
-				return
-			case <-tick.C:
-			}
-			if _, err := pw.Write(nl); err != nil {
-				return
-			}
-		}
-	}()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.url, pr)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.url, a)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -460,6 +482,7 @@ func (ps *PersistentStream) attempt() (int, time.Duration, error) {
 			return 0, 0, fmt.Errorf("serve client: stream %s: bad ack line %q: %w", ps.id, raw, err)
 		}
 		ps.advance(start + al.Accepted)
+		ps.acked(start)
 		if !al.Final {
 			continue
 		}
@@ -475,38 +498,98 @@ func (ps *PersistentStream) attempt() (int, time.Duration, error) {
 	return 0, 0, fmt.Errorf("serve client: stream %s: ack stream ended without a final line", ps.id)
 }
 
-// pump writes pending batches from cursor into the request body, in order,
-// as they arrive; on Close with everything written it closes the body so
-// the server runs its final flush. A generation bump retires it.
-func (ps *PersistentStream) pump(pw *io.PipeWriter, cursor int64, gen int64) {
+// attempt is one request of a stream, and that request's body: a reader
+// over the pending batches from cursor, in order, as they arrive. It gives a
+// blank heartbeat line when the stream is quiet and one is owed, and EOF
+// once the stream is closed and every line is written. Its fields are
+// guarded by the stream's mu.
+type attempt struct {
+	ps     *PersistentStream
+	cancel context.CancelFunc
+	cursor int64  // absolute line the body reads next
+	rest   []byte // the unread tail of the batch before cursor
+	beat   bool   // a heartbeat line is owed
+	err    error  // why the attempt was cut; nil while it runs
+}
+
+// Read hands the transport's write loop the next bytes of the stream,
+// blocking while there are none. The batches stay valid: they are recycled
+// only after the server confirms them, and a confirmed line is never resent.
+func (a *attempt) Read(p []byte) (int, error) {
+	ps := a.ps
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	for {
-		ps.mu.Lock()
-		var buf []byte
-		for ps.gen == gen && ps.err == nil {
-			if next, ok := ps.batchAt(cursor); ok {
-				buf = skipLines(next.buf, cursor-next.start)
-				cursor = next.start + next.lines
-				break
+		if a.err != nil {
+			return 0, a.err
+		}
+		if len(a.rest) > 0 {
+			n := copy(p, a.rest)
+			a.rest = a.rest[n:]
+			return n, nil
+		}
+		if next, ok := ps.batchAt(a.cursor); ok {
+			a.rest = skipLines(next.buf, a.cursor-next.start)
+			a.cursor = next.start + next.lines
+			continue
+		}
+		if ps.closed {
+			return 0, io.EOF
+		}
+		if a.beat {
+			a.beat = false
+			return copy(p, "\n"), nil
+		}
+		ps.cond.Wait()
+	}
+}
+
+// cut ends the attempt: the body's next Read returns cause, and the
+// request's context is cancelled, so neither the transport's write loop nor
+// Do outlives it. The first cause wins; later cuts are no-ops.
+func (a *attempt) cut(cause error) {
+	a.ps.mu.Lock()
+	if a.err == nil {
+		a.err = cause
+		a.ps.cond.Broadcast()
+	}
+	a.ps.mu.Unlock()
+	a.cancel()
+}
+
+// tick is the attempt's one goroutine. Every min(1s, RequestTimeout/4) it
+// owes the body a heartbeat line — an empty NDJSON line, a protocol no-op
+// the server skips without counting, which keeps the server's stall
+// detector fed while the stream idles — and it cuts the attempt once
+// unconfirmed lines have seen no ack for RequestTimeout (0: never).
+func (a *attempt) tick(ctx context.Context) {
+	ps := a.ps
+	wd := ps.pol.RequestTimeout
+	every := time.Second
+	if wd > 0 && wd/4 < every {
+		every = wd / 4
+	}
+	t := time.NewTicker(every)
+	defer t.Stop()
+	ps.mu.Lock()
+	last, progress := ps.confirmed, time.Now()
+	ps.mu.Unlock()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-t.C:
+			ps.mu.Lock()
+			a.beat = true
+			ps.cond.Broadcast()
+			if ps.confirmed != last || ps.confirmed == ps.written {
+				last, progress = ps.confirmed, now
 			}
-			if ps.closed && cursor >= ps.written {
-				ps.mu.Unlock()
-				pw.Close()
+			ps.mu.Unlock()
+			if wd > 0 && now.Sub(progress) > wd {
+				a.cut(context.DeadlineExceeded)
 				return
 			}
-			ps.cond.Wait()
-		}
-		if buf == nil {
-			ps.mu.Unlock()
-			pw.CloseWithError(errStreamClosed)
-			return
-		}
-		ps.mu.Unlock()
-		// Write outside the lock: the pipe blocks until the transport's
-		// write loop consumes the chunk. The buf stays valid — batches are
-		// recycled only after the server confirms them, and a confirmed
-		// batch is never resent.
-		if _, err := pw.Write(buf); err != nil {
-			return // attempt died; the manager reconciles
 		}
 	}
 }
@@ -531,75 +614,37 @@ func skipLines(buf []byte, n int64) []byte {
 	return buf
 }
 
-// watchdog invokes cut when unconfirmed lines make no ack progress for wd.
-// An idle stream (nothing unconfirmed) is never cut.
-func (ps *PersistentStream) watchdog(wd time.Duration, cut func(), stop <-chan struct{}) {
-	tick := time.NewTicker(wd / 4)
-	defer tick.Stop()
-	last := ps.Confirmed()
-	lastProgress := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		ps.mu.Lock()
-		confirmed, written := ps.confirmed, ps.written
-		ps.mu.Unlock()
-		if confirmed != last || confirmed == written {
-			last = confirmed
-			lastProgress = time.Now()
-			continue
-		}
-		if time.Since(lastProgress) > wd {
-			cut()
-			return
-		}
-	}
-}
-
-// StreamSubmitter adapts a fan-out of n persistent streams to the open-loop
-// harness: each batch round-robins onto a stream and blocks until the
-// server's ack covers it, so accepted counts and per-batch latency reflect
-// durable admission, not buffered writes. A stream that has given up is
-// replaced by a fresh one on the slot's next batch — its unconfirmed lines
-// were already reported refused — so one outage costs the batches it
-// overlapped, not the rest of the run. Close the returned closer after the
-// run (not during it) to flush and release the streams.
-func (c *Client) StreamSubmitter(ctx context.Context, jobID uint32, gen func(n int) []TaskSpec,
-	n int, pol RetryPolicy, st *RetryStats) (load.Submitter, io.Closer) {
-	if n <= 0 {
-		n = 1
-	}
-	streams := make(streamsCloser, n)
+// StreamSenders adapts n persistent streams (at least one) to the open-loop
+// harness, one load.Sender per stream: a batch blocks until the server's
+// ack covers it, so accepted counts and latency reflect durable admission,
+// not buffered writes. ErrRetriesExhausted is backpressure and any other
+// failure a server error. A stream that has given up is replaced by a fresh
+// one on its sender's next batch — its unconfirmed lines were already
+// reported refused — so one outage costs the batches it overlapped, not the
+// rest of the run. Close the returned closer after the run (not during it)
+// to flush and release the streams.
+func (c *Client) StreamSenders(ctx context.Context, jobID uint32, gen func(n int) []TaskSpec,
+	n int, pol RetryPolicy, st *RetryStats) ([]load.Sender, io.Closer) {
+	streams := make(streamsCloser, max(n, 1))
+	senders := make([]load.Sender, len(streams))
 	for i := range streams {
 		streams[i] = c.PersistentStream(jobID, pol, st)
-	}
-	var (
-		mu sync.Mutex
-		rr int
-	)
-	sub := func(want int) (int, load.Outcome, error) {
-		mu.Lock()
-		i := rr % n
-		rr++
-		if streams[i].dead() {
-			streams[i] = c.PersistentStream(jobID, pol, st)
-		}
-		ps := streams[i]
-		mu.Unlock()
-		acc, err := ps.Submit(ctx, gen(want))
-		switch {
-		case err == nil:
-			return int(acc), load.Accepted, nil
-		case errors.Is(err, ErrRetriesExhausted):
-			return int(acc), load.Backpressure, nil
-		default:
-			return int(acc), load.ServerError, err
+		senders[i] = func(want int) (int, load.Outcome, error) {
+			if streams[i].dead() {
+				streams[i] = c.PersistentStream(jobID, pol, st)
+			}
+			acc, err := streams[i].Submit(ctx, gen(want))
+			switch {
+			case err == nil:
+				return int(acc), load.Accepted, nil
+			case errors.Is(err, ErrRetriesExhausted):
+				return int(acc), load.Backpressure, nil
+			default:
+				return int(acc), load.ServerError, err
+			}
 		}
 	}
-	return sub, streams
+	return senders, streams
 }
 
 // dead reports whether the stream has given up (its manager has exited).

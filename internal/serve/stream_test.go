@@ -12,8 +12,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,9 +285,6 @@ func TestPersistentStreamConcurrentSubmits(t *testing.T) {
 // TestPersistentStreamReconnects: mid-stream RSTs must be healed by the
 // reconnect/resume path with exactly-once accounting.
 func TestPersistentStreamReconnects(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault test skipped in -short")
-	}
 	s, err := New(Config{
 		Workload: "sssp", Input: "road", Scale: "tiny", Seed: 42,
 		Workers: 2, SubmitStallTimeout: 2 * time.Second,
@@ -328,6 +327,11 @@ func TestPersistentStreamReconnects(t *testing.T) {
 	if st.Retries.Load() == 0 {
 		t.Fatalf("stream never reconnected (%s) — faults did not reach it", st.String())
 	}
+	if n := st.Reconnect.Count(); n != st.Resumes.Load() {
+		t.Fatalf("%d reconnect samples, want one a resume (%s)", n, st.String())
+	}
+	t.Logf("reconnect p99 %s (2x MaxBackoff %s); %s",
+		time.Duration(st.Reconnect.Quantile(0.99)), 2*streamPolicy().MaxBackoff, st.String())
 	rep, err := s.Shutdown(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -340,6 +344,71 @@ func TestPersistentStreamReconnects(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestResetEndsTheAttempt: a connection reset ends the attempt when it
+// arrives. The scripted server reads the first line of the first attempt,
+// then resets the connection before any reply; the second attempt is served
+// for real. The batch must be confirmed well inside the heartbeat's 1-s
+// spacing, which is all that noticed the reset while nothing read the
+// stream's connection.
+func TestResetEndsTheAttempt(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	real := s.Handler()
+	var attempts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if attempts.Add(1) > 1 {
+			real.ServeHTTP(w, r)
+			return
+		}
+		if _, err := bufio.NewReader(r.Body).ReadString('\n'); err != nil {
+			t.Errorf("first attempt: reading its first line: %v", err)
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Errorf("hijack: %v", err)
+			return
+		}
+		_ = conn.(*net.TCPConn).SetLinger(0)
+		conn.Close()
+	}))
+	t.Cleanup(ts.Close)
+
+	var st RetryStats
+	ps := (&Client{Base: ts.URL}).PersistentStream(0, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: 1}, &st)
+	defer ps.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	specs := []TaskSpec{{Node: 1}, {Node: 2}, {Node: 3}}
+	if acc, err := ps.Submit(ctx, specs); err != nil || acc != int64(len(specs)) {
+		t.Fatalf("admitted %d of %d, err %v (%s): the reset was noticed late", acc, len(specs), err, st.String())
+	}
+	if a := attempts.Load(); a != 2 {
+		t.Fatalf("%d attempts, want the reset one and its retry", a)
+	}
+}
+
+// TestIdleStreamOutlivesTheStallGuard: a stream with nothing to send gives
+// the server a heartbeat line every RequestTimeout/4, so an idle spell
+// several times the server's stall window costs no attempt.
+func TestIdleStreamOutlivesTheStallGuard(t *testing.T) {
+	const stall = 150 * time.Millisecond
+	_, ts := newTestServer(t, func(c *Config) { c.SubmitStallTimeout = stall })
+	var st RetryStats
+	ps := (&Client{Base: ts.URL, HC: ts.Client()}).PersistentStream(0, RetryPolicy{RequestTimeout: stall, Seed: 1}, &st)
+	ctx := context.Background()
+	for round := 0; round < 2; round++ {
+		if acc, err := ps.Submit(ctx, []TaskSpec{{Node: 1}}); err != nil || acc != 1 {
+			t.Fatalf("round %d: admitted %d, err %v", round, acc, err)
+		}
+		time.Sleep(3 * stall)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a := st.Attempts.Load(); a != 1 {
+		t.Fatalf("%d attempts, want the one request to outlive the idle spells (%s)", a, st.String())
 	}
 }
 
@@ -385,25 +454,38 @@ func TestPersistentStreamUnknownJobFailsFast(t *testing.T) {
 	}
 }
 
-func TestStreamSubmitterFanout(t *testing.T) {
+// TestStreamSendersFanout: one sender per stream, each on a goroutine of
+// its own, and every batch confirmed in full.
+func TestStreamSendersFanout(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	cl := &Client{Base: ts.URL, HC: ts.Client()}
 	ctx := context.Background()
 	gen := RefreshGen(s.g.NumNodes(), 1)
 	base := s.accepted.Load()
-	sub, closer := cl.StreamSubmitter(ctx, 0, gen, 4, streamPolicy(), nil)
-	var total int64
-	for i := 0; i < 64; i++ {
-		acc, out, err := sub(50)
-		if err != nil || out != load.Accepted {
-			t.Fatalf("batch %d: outcome %v err %v", i, out, err)
-		}
-		total += int64(acc)
+	senders, closer := cl.StreamSenders(ctx, 0, gen, 4, streamPolicy(), nil)
+	if len(senders) != 4 {
+		t.Fatalf("%d senders, want one per stream", len(senders))
 	}
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for _, send := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				acc, out, err := send(50)
+				if err != nil || out != load.Accepted {
+					t.Errorf("batch %d: outcome %v err %v", i, out, err)
+				}
+				total.Add(int64(acc))
+			}
+		}()
+	}
+	wg.Wait()
 	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.accepted.Load() - base; got != total || total != 64*50 {
-		t.Fatalf("server accepted %d, client %d, want %d", got, total, 64*50)
+	if got := s.accepted.Load() - base; got != total.Load() || got != 64*50 {
+		t.Fatalf("server accepted %d, client %d, want %d", got, total.Load(), 64*50)
 	}
 }

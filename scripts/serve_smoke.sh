@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end serving smoke: build hdcps-serve and
 # hdcps-load, boot the server on an ephemeral port, drive it with a
-# fixed-rate open-loop run, then SIGTERM it and let the server's own
+# fixed-rate Poisson open-loop run, then SIGTERM it and let the server's own
 # conservation ledger be the verdict. hdcps-serve exits nonzero unless the
 # graceful drain proves that every accepted task was processed (submitted +
 # spawned == processed + retired + quarantined + cancelled, outstanding 0),
@@ -67,8 +67,7 @@ echo "serve-smoke: server up at $ADDR (pid $SERVE_PID), waiting on /readyz"
 LOAD_RC=0
 "$SMOKE_DIR/hdcps-load" \
     -url "http://$ADDR" -wait-ready 10s -retries 1 \
-    -rate "$RATE" -duration "$DUR" \
-    -arrivals poisson -hist "$SMOKE_DIR/hist.json" \
+    -rate "$RATE" -duration "$DUR" -hist "$SMOKE_DIR/hist.json" \
     2>&1 | tee "$SMOKE_DIR/load.txt" || LOAD_RC=$?
 
 echo "serve-smoke: SIGTERM — graceful drain must be ledger-exact"
