@@ -112,13 +112,15 @@ serve-chaos:
 # Hot-path microbenchmarks (ring push/batch, heap arity, every queue shape
 # including the native bucket ring and the simulator's HPQ under three
 # priority distributions, partitioner, native runtime throughput with and
-# without the obs recorder; the simulator's event queue, cache model, one
+# without the obs recorder, a 256-task Submit into a running engine with its
+# allocations (BenchmarkEngineSubmit: 0 allocs/op); the simulator's event
+# queue, cache model, one
 # simulated run a scheduler and the sim-sweep cells).
 # The root package carries BenchmarkNativeRuntime{,Observed},
 # BenchmarkSchedulers and BenchmarkSimSweep (too slow for bench-smoke);
 # compare runs with benchstat, see EXPERIMENTS.md.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkSimSweep|BenchmarkEventQueue|BenchmarkMemAccess' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkEngineSubmit|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkSimSweep|BenchmarkEventQueue|BenchmarkMemAccess' \
 		-benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchmem ./internal/serve/
 
@@ -130,7 +132,7 @@ bench:
 # exact); at tiny scale its shares are informational, the ±10pp gate binds
 # at small scale and up.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkEventQueue|BenchmarkMemAccess' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRingPush|BenchmarkHeapPushPop|BenchmarkPartition|BenchmarkNativeRuntime|BenchmarkEngineSubmit|BenchmarkQueueDist|BenchmarkSchedulers|BenchmarkEventQueue|BenchmarkMemAccess' \
 		-benchtime 100x -benchmem . ./internal/rq/ ./internal/pq/ ./internal/bag/ ./internal/runtime/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitIngest' -benchtime 100x -benchmem ./internal/serve/
 	$(GO) run ./cmd/hdcps-bench -exp fairness-sweep -scale tiny

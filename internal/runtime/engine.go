@@ -227,8 +227,13 @@ func (e *Engine) Start() error {
 
 // Submit injects tasks into the engine, waking any parked workers. It is
 // safe to call from any number of goroutines, before or while the fleet
-// runs. Tasks are spread round-robin across workers through the transport,
-// each call starting where the submission epoch points (firstWorker).
+// runs. On a running fleet a call's tasks go through the transport in
+// contiguous blocks, one a worker, starting at the worker the submission
+// epoch points to (firstWorker); a single-job batch that fits the rings
+// allocates nothing (a mixed-job batch builds its per-job groups, and a
+// block that overflows its ring parks in a fresh overflow node). Before
+// Start they are dealt round-robin straight into the worker queues
+// (submitIdle).
 // Each task's Job field is honored (out-of-range IDs fold into job 0), so a
 // resubmitted task stays billed to its tenant; per-job admission quotas and
 // cancellation apply per job, all-or-nothing across the batch. Submitting to
@@ -309,27 +314,28 @@ func (e *Engine) submitJob(js *jobState, ts []task.Task) error {
 	// preserving both the outstanding-never-falsely-zero invariant and the
 	// conservation ledgers' at-quiescence exactness, per job and globally.
 	e.enter(js, int64(len(ts)))
-	if nw := len(e.workers); nw == 1 {
-		e.transport.Inject(0, ts)
-	} else {
-		buckets := make([][]task.Task, nw)
-		first := e.firstWorker()
-		for i, t := range ts {
-			d := (first + i) % nw
-			buckets[d] = append(buckets[d], t)
+	// Contiguous blocks, not a per-task deal: Inject copies each block into
+	// its worker's ring, so a batch that fits the rings allocates nothing.
+	// Block k goes to the
+	// k-th worker from the epoch's, and the first len(ts)%nw blocks hold the
+	// extra task, so each worker gets the count a round-robin deal would
+	// give it.
+	nw := len(e.workers)
+	first, base, extra := e.firstWorker(), len(ts)/nw, len(ts)%nw
+	for k, lo := 0, 0; lo < len(ts); k++ {
+		hi := lo + base
+		if k < extra {
+			hi++
 		}
-		for d, b := range buckets {
-			if len(b) > 0 {
-				e.transport.Inject(d, b)
-			}
-		}
+		e.transport.Inject((first+k)%nw, ts[lo:hi])
+		lo = hi
 	}
 	e.epoch.Add(1)
 	e.wakeAll()
 	return nil
 }
 
-// firstWorker is where a Submit call's round-robin starts: the submission
+// firstWorker is where a Submit call's spread starts: the submission
 // epoch, so a stream of short calls (one-task Submits, an acked serve
 // stream's flush-on-idle batches) spreads over the fleet instead of landing
 // on worker 0 call after call.

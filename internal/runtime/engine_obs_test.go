@@ -293,8 +293,9 @@ func TestEngineSnapshotCoherentMidDrain(t *testing.T) {
 // to (near) zero allocations per task.
 func TestEngineNilRecorderZeroAllocPerTask(t *testing.T) {
 	w := newLeafWorkload()
-	// Single worker: Submit's multi-worker scatter path allocates buckets,
-	// the 1-worker path injects directly.
+	// Single worker: every task goes through the one worker's park/wake,
+	// the hardest case for the per-task claim. Submit's own allocations at
+	// two workers are TestEngineSubmitAllocatesNothing's.
 	e := NewEngine(w, Config{Workers: 1})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -312,8 +313,11 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	}
 }
 
-// A Submit's round-robin starts at the submission epoch, so a stream of
-// one-task calls spreads over the fleet instead of piling onto worker 0.
+// A Submit's spread starts at the submission epoch, so a stream of
+// one-task calls covers the fleet instead of piling onto worker 0. Before
+// Start a call deals task by task; on a running fleet it hands out
+// contiguous blocks, the first len%W of them one task longer, block k to the
+// k-th worker from the epoch's.
 func TestSubmitRotatesAcrossWorkers(t *testing.T) {
 	const workers = 3
 	e := NewEngine(&fnWorkload{}, Config{Workers: workers})
@@ -329,6 +333,119 @@ func TestSubmitRotatesAcrossWorkers(t *testing.T) {
 	}
 	if err := e.Stop(testCtx(t)); err != nil {
 		t.Fatal(err)
+	}
+
+	// The hook sees each drain of a worker's receive side, by the owner or a
+	// thief alike, so it records the ring every task was injected into.
+	hook := &landingHook{at: map[graph.NodeID]int{}}
+	e = NewEngine(newLeafWorkload(), Config{Workers: workers, Faults: hook})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, e)
+	var firsts []int
+	for call := 0; call < 2; call++ {
+		first := int(e.epoch.Load() % workers)
+		firsts = append(firsts, first)
+		batch := make([]task.Task, 7)
+		for i := range batch {
+			batch[i].Node = graph.NodeID(len(batch)*call + i)
+		}
+		if err := e.Submit(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(testCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		hook.mu.Lock()
+		i := 0
+		for k, n := range []int{3, 2, 2} {
+			for want := (first + k) % workers; n > 0; n-- {
+				if got, ok := hook.at[batch[i].Node]; !ok || got != want {
+					t.Errorf("call %d: task %d of 7 landed on worker %d (seen %v), want block %d on worker %d",
+						call, i, got, ok, k, want)
+				}
+				i++
+			}
+		}
+		hook.mu.Unlock()
+	}
+	if firsts[1] != (firsts[0]+1)%workers {
+		t.Errorf("the second call starts at worker %d, want %d: the epoch rotates the start", firsts[1], (firsts[0]+1)%workers)
+	}
+	if err := e.Stop(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// landingHook records, for every task drained from a worker's receive side,
+// which worker's side it was, and otherwise delivers as it is.
+type landingHook struct {
+	mu sync.Mutex
+	at map[graph.NodeID]int
+}
+
+func (h *landingHook) Refuse(int, int, task.Task) bool { return false }
+func (h *landingHook) Holding(int) bool                { return false }
+func (h *landingHook) Filter(id int, ts []task.Task, from int) []task.Task {
+	h.mu.Lock()
+	for _, t := range ts[from:] {
+		h.at[t.Node] = id
+	}
+	h.mu.Unlock()
+	return ts
+}
+
+// submitSettled Submits batch to a running e and spins, without Drain's
+// ticker, until the fleet has retired it: the rings are empty again, so the
+// next call spills nothing to overflow.
+func submitSettled(tb testing.TB, e *Engine, batch []task.Task) {
+	if err := e.Submit(batch...); err != nil {
+		tb.Fatal(err)
+	}
+	for e.outstanding.Load() != 0 {
+		stdruntime.Gosched()
+	}
+}
+
+// A Submit into a running fleet allocates nothing: each worker's share is a
+// contiguous block of the caller's slice, which Inject copies into its ring.
+// 256 tasks is one flush of an acked serve stream.
+func TestEngineSubmitAllocatesNothing(t *testing.T) {
+	e := NewEngine(newLeafWorkload(), Config{Workers: 2})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]task.Task, 256)
+	for i := 0; i < 8; i++ {
+		submitSettled(t, e, batch)
+	}
+	allocs := testing.AllocsPerRun(200, func() { submitSettled(t, e, batch) })
+	if err := e.Stop(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a 256-task Submit into a running two-worker fleet allocates %v objects, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineSubmit is TestEngineSubmitAllocatesNothing's shape as a
+// benchmark: one 256-task Submit into a running two-worker fleet, and the
+// wait for the fleet to retire it.
+func BenchmarkEngineSubmit(b *testing.B) {
+	e := NewEngine(newLeafWorkload(), Config{Workers: 2})
+	if err := e.Start(); err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]task.Task, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submitSettled(b, e, batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/task")
+	if err := e.Stop(context.Background()); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -336,8 +336,8 @@ func TestEngineOverflowRedirectsToSender(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// A Submit's round-robin starts at its epoch: the first call lands index
-	// 0 on worker 0 and index 1 on worker 1, the second the other way round.
+	// A Submit's blocks start at its epoch: the first call lands index 0 on
+	// worker 0 and index 1 on worker 1, the second the other way round.
 	// Block worker 1 first, then flood from worker 0.
 	if err := e.Submit(task.Task{Node: 1, Prio: 0, Data: 0}, task.Task{Node: 2, Prio: 0, Data: 1}); err != nil {
 		t.Fatal(err)

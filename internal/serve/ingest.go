@@ -288,22 +288,14 @@ func (fr *lineFramer) next() ([]byte, error) {
 // content: encoding/json is the single source of truth for every edge.
 func parseTaskSpecFast(b []byte) (TaskSpec, bool) {
 	var spec TaskSpec
-	i, n := 0, len(b)
-	skipWS := func() {
-		for i < n && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-			i++
-		}
-	}
-	skipWS()
+	n := len(b)
+	i := skipWS(b, 0)
 	if i >= n || b[i] != '{' {
 		return spec, false
 	}
-	i++
-	skipWS()
+	i = skipWS(b, i+1)
 	if i < n && b[i] == '}' {
-		i++
-		skipWS()
-		return spec, i == n
+		return spec, skipWS(b, i+1) == n
 	}
 	for {
 		// Key: a plain, unescaped "node" / "prio" / "data".
@@ -321,13 +313,11 @@ func parseTaskSpecFast(b []byte) (TaskSpec, bool) {
 		default:
 			return spec, false
 		}
-		i += 6
-		skipWS()
+		i = skipWS(b, i+6)
 		if i >= n || b[i] != ':' {
 			return spec, false
 		}
-		i++
-		skipWS()
+		i = skipWS(b, i+1)
 		// Value: a plain JSON integer. '-' is only meaningful for prio —
 		// for the unsigned fields encoding/json errors, so fall back.
 		neg := false
@@ -338,11 +328,17 @@ func parseTaskSpecFast(b []byte) (TaskSpec, bool) {
 			neg = true
 			i++
 		}
+		// Nineteen digits cannot overflow a uint64, so they accumulate
+		// unchecked; only a 20th can. A 21st is no separator, so the line
+		// falls back below.
 		ds := i
 		var v uint64
-		for i < n && b[i] >= '0' && b[i] <= '9' {
+		for end := min(n, i+19); i < end && isDigit(b[i]); i++ {
+			v = v*10 + uint64(b[i]-'0')
+		}
+		if i < n && isDigit(b[i]) {
 			d := uint64(b[i] - '0')
-			if v > (1<<64-1-d)/10 {
+			if v > math.MaxUint64/10 || v == math.MaxUint64/10 && d > math.MaxUint64%10 {
 				return spec, false // overflow: let encoding/json phrase the error
 			}
 			v = v*10 + d
@@ -375,24 +371,32 @@ func parseTaskSpecFast(b []byte) (TaskSpec, bool) {
 		case 2:
 			spec.Data = v
 		}
-		skipWS()
+		i = skipWS(b, i)
 		if i >= n {
 			return spec, false
 		}
 		switch b[i] {
 		case ',':
-			i++
-			skipWS()
-			continue
+			i = skipWS(b, i+1)
 		case '}':
-			i++
-			skipWS()
-			return spec, i == n
+			return spec, skipWS(b, i+1) == n
 		default:
 			return spec, false
 		}
 	}
 }
+
+// skipWS returns the index of the first byte at or after i that is not JSON
+// whitespace. Every whitespace byte is <= ' ', so a key, a digit or a
+// separator leaves after one comparison.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // parseTaskSpecLine is the full ingest decode: the zero-alloc fast path,
 // with encoding/json as the semantic authority for every line the fast

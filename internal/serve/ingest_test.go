@@ -264,6 +264,71 @@ func TestParseTaskSpecParity(t *testing.T) {
 	}
 }
 
+// digitEdges are the lines where the fast parser's digit rule can slip:
+// nineteen digits accumulate unchecked, a 20th is checked for overflow and a
+// 21st falls back. Around them sit the signed bounds, a minus sign's leading
+// zero, and JSON whitespace around every key and colon. TestParseDigitEdges
+// and FuzzTaskSpecParser's seeds share them.
+var digitEdges = func() []string {
+	rows := []string{
+		// Nineteen digits: the most the loop takes unchecked.
+		`{"data":9999999999999999999}`,
+		`{"prio":1234567890123456789}`,
+		`{"prio":-1234567890123456789}`,
+		`{"node":1000000000000000000}`,
+		`{"prio":-9999999999999999999}`,
+		// Twenty digits: uint64's top, one past it, and further.
+		`{"data":10000000000000000000}`,
+		`{"data":18446744073709551615}`,
+		`{"data":18446744073709551616}`,
+		`{"data":18446744073709551619}`,
+		`{"data":18446744073709551620}`,
+		`{"data":99999999999999999999}`,
+		`{"prio":18446744073709551615}`,
+		`{"node":18446744073709551615}`,
+		// Twenty-one digits.
+		`{"data":100000000000000000000}`,
+		`{"data":184467440737095516150}`,
+		`{"prio":-100000000000000000000}`,
+		`{"data":000000000000000000001}`,
+		// int64's bounds.
+		`{"prio":-9223372036854775808}`,
+		`{"prio":-9223372036854775809}`,
+		`{"prio":9223372036854775807}`,
+		`{"prio":9223372036854775808}`,
+		// A leading zero after a minus sign.
+		`{"prio":-0}`,
+		`{"prio":-00}`,
+		`{"prio":-01}`,
+		`{"prio":-0123456789012345678901}`,
+		`{"prio":-0,"node":0}`,
+	}
+	// JSON whitespace around every key and colon, one kind at a time and
+	// mixed.
+	for _, ws := range []string{" ", "\t", "\r", "\n", " \t\r\n"} {
+		rows = append(rows, strings.NewReplacer("{", ws+"{"+ws, ":", ws+":"+ws, ",", ws+","+ws, "}", ws+"}"+ws).
+			Replace(`{"node":4294967295,"prio":-9223372036854775808,"data":18446744073709551615}`))
+	}
+	return rows
+}()
+
+// TestParseDigitEdges: on every digit edge the parser decides as
+// json.Unmarshal does, with the same fields or error text, and every line
+// json accepts here is one the fast path takes, 20-digit values included.
+func TestParseDigitEdges(t *testing.T) {
+	for _, c := range digitEdges {
+		b := []byte(c)
+		checkParserParity(t, b)
+		var spec TaskSpec
+		if json.Unmarshal(b, &spec) != nil {
+			continue
+		}
+		if _, ok := parseTaskSpecFast(b); !ok {
+			t.Errorf("fast parser fell back on %q, which json accepts", c)
+		}
+	}
+}
+
 // TestParseTaskSpecFastPath pins that the canonical client encoding — and
 // its whitespace/key-order variants — really take the zero-alloc path.
 // Without this, a parser regression would silently fall back to
@@ -328,7 +393,7 @@ func FuzzTaskSpecParser(f *testing.F) {
 		`{"node":1}`,
 		`{"node":4294967296}`,
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, digitEdges...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -135,8 +135,9 @@ func (c *Client) PersistentStream(jobID uint32, pol RetryPolicy, st *RetryStats)
 // heartbeat: the transport's Do waits for its write loop (writeLoopDone),
 // and the write loop sits in attempt.Read until the body has a line to give.
 // Keep-alives are off so each attempt dials its own connection — an attempt
-// lives as long as its stream, so no pool is lost. A RoundTripper that is
-// not an *http.Transport is used as it is.
+// lives as long as its stream, so no pool is lost. The write buffer holds a
+// whole batch (streamWriteBuffer), so each batch leaves in one write. A
+// RoundTripper that is not an *http.Transport is used as it is.
 func watchResets(rt http.RoundTripper) http.RoundTripper {
 	if rt == nil {
 		rt = http.DefaultTransport
@@ -147,6 +148,7 @@ func watchResets(rt http.RoundTripper) http.RoundTripper {
 	}
 	tr = tr.Clone()
 	tr.DisableKeepAlives = true
+	tr.WriteBufferSize = max(tr.WriteBufferSize, streamWriteBuffer)
 	dial := tr.DialContext
 	if dial == nil {
 		dial = (&net.Dialer{}).DialContext
@@ -160,6 +162,12 @@ func watchResets(rt http.RoundTripper) http.RoundTripper {
 	}
 	return tr
 }
+
+// streamWriteBuffer is the stream transport's least write buffer. A
+// 256-line batch is one ~9 KB chunk of the request body, which Go's default
+// 4 KB buffer sends in three writes, a syscall each: fill and flush, a
+// direct write, the trailing CRLF's flush.
+const streamWriteBuffer = 64 << 10
 
 // attemptKey carries an attempt on its request's context to the dial.
 type attemptKey struct{}

@@ -489,3 +489,65 @@ func TestStreamSendersFanout(t *testing.T) {
 		t.Fatalf("server accepted %d, client %d, want %d", got, total.Load(), 64*50)
 	}
 }
+
+// writeCountingConn records the size of every Write made on a connection.
+type writeCountingConn struct {
+	net.Conn
+	mu     *sync.Mutex
+	writes *[]int
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	*c.writes = append(*c.writes, len(p))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestStreamBatchIsOneWrite: a 256-line batch leaves the client in one write
+// on the connection, where Go's default 4 KB transport write buffer would
+// split its ~9 KB chunk into three (fill and flush, a direct write, the
+// CRLF's flush).
+func TestStreamBatchIsOneWrite(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	var mu sync.Mutex
+	var writes []int
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &writeCountingConn{Conn: conn, mu: &mu, writes: &writes}, nil
+	}}
+	ps := (&Client{Base: ts.URL, HC: &http.Client{Transport: tr}}).PersistentStream(0, streamPolicy(), nil)
+	defer ps.Close()
+	ctx := context.Background()
+	// The first ack: the request's headers and first chunk are behind us.
+	if acc, err := ps.Submit(ctx, []TaskSpec{{Node: 1}}); err != nil || acc != 1 {
+		t.Fatalf("first batch: admitted %d, err %v", acc, err)
+	}
+	mu.Lock()
+	from := len(writes)
+	mu.Unlock()
+	nodes := s.g.NumNodes()
+	specs := make([]TaskSpec, submitFlush)
+	for i := range specs {
+		specs[i] = TaskSpec{Node: uint32(i % nodes), Prio: int64(i), Data: uint64(i) << 20}
+	}
+	if acc, err := ps.Submit(ctx, specs); err != nil || acc != submitFlush {
+		t.Fatalf("batch: admitted %d, err %v", acc, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// A heartbeat that fell inside the batch's round trip is a write of its
+	// own (one chunk: "1\r\n\n\r\n"), not a piece of the batch.
+	var batch []int
+	for _, n := range writes[from:] {
+		if n != len("1\r\n\n\r\n") {
+			batch = append(batch, n)
+		}
+	}
+	if len(batch) != 1 {
+		t.Fatalf("a %d-line batch took %d writes of %v bytes, want one", submitFlush, len(batch), batch)
+	}
+}
