@@ -73,7 +73,7 @@ func table2(_ Options, set *inputSet) (Result, error) {
 // adaptive is HD-CPS with the adaptive TDF under the given bag policy and
 // controller tunables: the scheduler fig13-15 vary one knob of.
 func adaptive(label string, bags bag.Policy, d drift.Config) sched.Scheduler {
-	return sched.NewCPS(sched.CPSConfig{Label: label, UseRQ: true, UseTDF: true, Bags: bags, Drift: d})
+	return sched.NewCPS(sched.CPSConfig{Label: label, UseRQ: true, Bags: bags, Drift: d})
 }
 
 func fig3(o Options, set *inputSet) (Result, error) {

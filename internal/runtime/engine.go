@@ -191,13 +191,9 @@ func counterRow(rec *obs.Recorder, i int, own *obs.Row) *obs.Row {
 // Start launches the worker fleet. It returns an error if the engine was
 // already started.
 func (e *Engine) Start() error {
-	// The state transition happens under the fleet lock so a pre-start
-	// Submit (which seeds worker queues directly) cannot interleave with
-	// worker launch.
-	e.mu.Lock()
-	ok := e.state.CompareAndSwap(stateNew, stateRunning)
-	e.mu.Unlock()
-	if !ok {
+	// A Submit before Start left its tasks in the receive rings, where each
+	// worker's first cycle start finds them, so nothing here races it.
+	if !e.state.CompareAndSwap(stateNew, stateRunning) {
 		return errors.New("runtime: engine already started")
 	}
 	for i := range e.workers {
@@ -227,13 +223,12 @@ func (e *Engine) Start() error {
 
 // Submit injects tasks into the engine, waking any parked workers. It is
 // safe to call from any number of goroutines, before or while the fleet
-// runs. On a running fleet a call's tasks go through the transport in
-// contiguous blocks, one a worker, starting at the worker the submission
-// epoch points to (firstWorker); a single-job batch that fits the rings
-// allocates nothing (a mixed-job batch builds its per-job groups, and a
-// block that overflows its ring parks in a fresh overflow node). Before
-// Start they are dealt round-robin straight into the worker queues
-// (submitIdle).
+// runs. A call's tasks go through the transport in contiguous blocks, one a
+// worker, starting at the worker the submission epoch points to
+// (firstWorker); before Start they wait in the rings for each worker's
+// first cycle start. A single-job batch that fits the rings allocates
+// nothing (a mixed-job batch builds its per-job groups, and a block that
+// overflows its ring parks in a fresh overflow node).
 // Each task's Job field is honored (out-of-range IDs fold into job 0), so a
 // resubmitted task stays billed to its tenant; per-job admission quotas and
 // cancellation apply per job, all-or-nothing across the batch. Submitting to
@@ -307,9 +302,6 @@ func (e *Engine) submitJob(js *jobState, ts []task.Task) error {
 	if err := e.admit(js, len(ts)); err != nil {
 		return err
 	}
-	if e.state.Load() == stateNew && e.submitIdle(js, ts) {
-		return nil
-	}
 	// The ledger entries land first, then the tasks are published —
 	// preserving both the outstanding-never-falsely-zero invariant and the
 	// conservation ledgers' at-quiescence exactness, per job and globally.
@@ -341,30 +333,6 @@ func (e *Engine) submitJob(js *jobState, ts []task.Task) error {
 // on worker 0 call after call.
 func (e *Engine) firstWorker() int {
 	return int(e.epoch.Load() % uint64(len(e.workers)))
-}
-
-// submitIdle seeds ts straight into the worker queues while no worker is
-// running yet (Submit before Start), skipping the transport round-trip the
-// rings would charge. It re-checks the state under the fleet lock — Start
-// transitions out of stateNew under the same lock — so a racing Start either
-// sees the tasks already queued or makes this report false and the caller
-// falls back to the transport path.
-func (e *Engine) submitIdle(js *jobState, ts []task.Task) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.state.Load() != stateNew {
-		return false
-	}
-	e.enter(js, int64(len(ts)))
-	nw, first := len(e.workers), e.firstWorker()
-	for i, t := range ts {
-		me := &e.workers[(first+i)%nw]
-		me.mu.Lock()
-		e.push(me, t)
-		me.mu.Unlock()
-	}
-	e.epoch.Add(1)
-	return true
 }
 
 // Drain blocks until the whole engine is quiescent — every task of every

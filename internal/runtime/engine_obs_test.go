@@ -112,7 +112,7 @@ func (e *Engine) total(c obs.Counter) int64 {
 // Every engine counter has one home, a slot in an obs.Row, whether or not a
 // recorder is attached. One run drives each of them — a poison task, negative
 // priorities reported on every task, a Submit of more than a ring's worth a
-// worker to a parked fleet, a fan-out the bag policy bags (and, run alone,
+// worker before Start, a fan-out the bag policy bags (and, run alone,
 // the gate keeps), a batch over the default job's quota — and each API value
 // (Snapshot, ControlTrace, or the rows where no API field exists) must equal
 // the recorder's total, and still count without one.
@@ -136,11 +136,8 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 		cfg.DefaultJob.MaxOutstanding = quota
 		cfg.Obs = rec
 		e := NewEngine(w, cfg)
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		ctx := testCtx(t)
-		waitParked(t, e) // so the rings fill and spill while nobody drains them
+		// Submitted before Start, so the rings fill and spill while nobody
+		// drains them.
 		ts := make([]task.Task, 8*ringSize)
 		for i := range ts {
 			ts[i] = task.Task{Node: graph.NodeID(i), Prio: -int64(i % 3)}
@@ -148,6 +145,10 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 		if err := e.Submit(ts...); err != nil {
 			t.Fatal(err)
 		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := testCtx(t)
 		if err := e.Drain(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -135,51 +135,65 @@ func TestEngineStopCancelledContext(t *testing.T) {
 }
 
 // Concurrent Submit from many goroutines racing the draining workers; run
-// under -race this is the lifecycle's data-race hammer.
+// under -race this is the lifecycle's data-race hammer. With raceStart the
+// submitters are already going when Start runs: whichever side of the state
+// change a call lands on, it takes the one way in, the receive rings, so
+// every task is counted, drained and processed.
 func TestEngineConcurrentSubmit(t *testing.T) {
-	g := graph.Road(12, 12, 5)
-	w, err := workload.New("bfs", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(w, DefaultConfig(3))
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	initial := w.InitialTasks()
-	const submitters = 8
-	const perSubmitter = 100
-	var wg sync.WaitGroup
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perSubmitter; i++ {
-				if err := e.Submit(initial...); err != nil {
-					t.Errorf("submit: %v", err)
-					return
-				}
+	for _, raceStart := range []bool{false, true} {
+		g := graph.Road(12, 12, 5)
+		w, err := workload.New("bfs", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(w, DefaultConfig(3))
+		if !raceStart {
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	ctx := testCtx(t)
-	if err := e.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Stop(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
-	// Every submitted instance of the seed task must have been processed.
-	if min := int64(submitters * perSubmitter * len(initial)); snap.TasksProcessed < min {
-		t.Fatalf("processed %d tasks, want >= %d", snap.TasksProcessed, min)
-	}
-	if got := snap.Epoch; got != submitters*perSubmitter {
-		t.Fatalf("epoch %d, want %d", got, submitters*perSubmitter)
+		}
+		initial := w.InitialTasks()
+		const submitters = 8
+		const perSubmitter = 100
+		var wg sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSubmitter; i++ {
+					if err := e.Submit(initial...); err != nil {
+						t.Errorf("submit: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		if raceStart {
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		ctx := testCtx(t)
+		if err := e.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Stop(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		snap := e.Snapshot()
+		checkLedger(t, snap)
+		// Every submitted instance of the seed task must have been processed.
+		if want := int64(submitters * perSubmitter * len(initial)); snap.Submitted != want || snap.TasksProcessed < want {
+			t.Fatalf("raceStart %v: submitted %d, processed %d; want %d submitted and at least as many processed",
+				raceStart, snap.Submitted, snap.TasksProcessed, want)
+		}
+		if got := snap.Epoch; got != submitters*perSubmitter {
+			t.Fatalf("raceStart %v: epoch %d, want %d", raceStart, got, submitters*perSubmitter)
+		}
 	}
 }
 
@@ -193,13 +207,12 @@ func TestEngineSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(w, DefaultConfig(4))
-	if err := e.Start(); err != nil {
+	// The seeds reach a fleet not yet started, more than a ring's worth a
+	// worker, so the rings spill to overflow and the counter moves.
+	if err := e.Submit(w.InitialTasks()...); err != nil {
 		t.Fatal(err)
 	}
-	// The seeds reach a parked fleet, more than a ring's worth a worker, so
-	// the rings spill to overflow and the counter moves.
-	waitParked(t, e)
-	if err := e.Submit(w.InitialTasks()...); err != nil {
+	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
@@ -245,7 +258,7 @@ func TestEngineSnapshot(t *testing.T) {
 		spills += ws.OverflowSpills
 	}
 	if spills == 0 {
-		t.Errorf("%d seeds to 4 parked workers never spilled past %d-slot rings", len(w.InitialTasks()), ringSize)
+		t.Errorf("%d seeds to 4 workers before Start never spilled past %d-slot rings", len(w.InitialTasks()), ringSize)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
@@ -314,67 +327,63 @@ func TestEngineLifecycleErrors(t *testing.T) {
 }
 
 // A Submit's spread starts at the submission epoch, so a stream of
-// one-task calls covers the fleet instead of piling onto worker 0. Before
-// Start a call deals task by task; on a running fleet it hands out
-// contiguous blocks, the first len%W of them one task longer, block k to the
-// k-th worker from the epoch's.
+// one-task calls covers the fleet instead of piling onto worker 0. A call
+// hands out contiguous blocks, the first len%W of them one task longer,
+// block k to the k-th worker from the epoch's: the same before Start, when
+// the blocks wait in the rings, as on a running fleet.
 func TestSubmitRotatesAcrossWorkers(t *testing.T) {
 	const workers = 3
-	e := NewEngine(&fnWorkload{}, Config{Workers: workers})
-	for i := 0; i < 4*workers; i++ {
-		if err := e.Submit(task.Task{Node: graph.NodeID(i), Prio: int64(i)}); err != nil {
-			t.Fatal(err)
+	for _, started := range []bool{false, true} {
+		// The hook sees each drain of a worker's receive side, by the owner or
+		// a thief alike, so it records the ring every task was injected into.
+		hook := &landingHook{at: map[uint64]int{}}
+		e := NewEngine(newLeafWorkload(), Config{Workers: workers, Faults: hook})
+		if started {
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := range e.workers {
-		if got := e.workers[i].sched.queue(e.jobStateFor(0)).queue.Len(); got != 4 {
-			t.Errorf("worker %d holds %d of %d one-task submits, want 4", i, got, 4*workers)
+		// want is where each task (named by its Data) must land: the epoch
+		// counts the calls, so call c starts at worker c%W.
+		want, calls := map[uint64]int{}, 0
+		submit := func(sizes ...int) {
+			first := calls % workers
+			calls++
+			var batch []task.Task
+			for k, n := range sizes {
+				for ; n > 0; n-- {
+					id := uint64(len(want))
+					want[id] = (first + k) % workers
+					batch = append(batch, task.Task{Data: id})
+				}
+			}
+			if err := e.Submit(batch...); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := e.Stop(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The hook sees each drain of a worker's receive side, by the owner or a
-	// thief alike, so it records the ring every task was injected into.
-	hook := &landingHook{at: map[graph.NodeID]int{}}
-	e = NewEngine(newLeafWorkload(), Config{Workers: workers, Faults: hook})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	waitParked(t, e)
-	var firsts []int
-	for call := 0; call < 2; call++ {
-		first := int(e.epoch.Load() % workers)
-		firsts = append(firsts, first)
-		batch := make([]task.Task, 7)
-		for i := range batch {
-			batch[i].Node = graph.NodeID(len(batch)*call + i)
+		for i := 0; i < 4*workers; i++ {
+			submit(1)
 		}
-		if err := e.Submit(batch...); err != nil {
-			t.Fatal(err)
+		// Two 7-task calls: blocks of 3, 2 and 2, the second call's starting
+		// one worker on.
+		submit(3, 2, 2)
+		submit(3, 2, 2)
+		if !started {
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := e.Drain(testCtx(t)); err != nil {
 			t.Fatal(err)
 		}
-		hook.mu.Lock()
-		i := 0
-		for k, n := range []int{3, 2, 2} {
-			for want := (first + k) % workers; n > 0; n-- {
-				if got, ok := hook.at[batch[i].Node]; !ok || got != want {
-					t.Errorf("call %d: task %d of 7 landed on worker %d (seen %v), want block %d on worker %d",
-						call, i, got, ok, k, want)
-				}
-				i++
+		if err := e.Stop(testCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(0); id < uint64(len(want)); id++ {
+			if got, ok := hook.at[id]; !ok || got != want[id] {
+				t.Errorf("started %v: task %d landed on worker %d (seen %v), want worker %d", started, id, got, ok, want[id])
 			}
 		}
-		hook.mu.Unlock()
-	}
-	if firsts[1] != (firsts[0]+1)%workers {
-		t.Errorf("the second call starts at worker %d, want %d: the epoch rotates the start", firsts[1], (firsts[0]+1)%workers)
-	}
-	if err := e.Stop(testCtx(t)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -382,7 +391,7 @@ func TestSubmitRotatesAcrossWorkers(t *testing.T) {
 // which worker's side it was, and otherwise delivers as it is.
 type landingHook struct {
 	mu sync.Mutex
-	at map[graph.NodeID]int
+	at map[uint64]int // by the task's Data
 }
 
 func (h *landingHook) Refuse(int, int, task.Task) bool { return false }
@@ -390,7 +399,7 @@ func (h *landingHook) Holding(int) bool                { return false }
 func (h *landingHook) Filter(id int, ts []task.Task, from int) []task.Task {
 	h.mu.Lock()
 	for _, t := range ts[from:] {
-		h.at[t.Node] = id
+		h.at[t.Data] = id
 	}
 	h.mu.Unlock()
 	return ts
@@ -446,28 +455,5 @@ func BenchmarkEngineSubmit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/task")
 	if err := e.Stop(context.Background()); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// waitParked returns once every worker of e is parked. A parked worker drains
-// nothing until a Submit wakes the fleet, so a Submit made now lands in rings
-// nobody is emptying, and a worker's share past ringSize spills to overflow.
-func waitParked(t *testing.T, e *Engine) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		parked := 0
-		for _, ws := range e.Snapshot().Workers {
-			if ws.Parked {
-				parked++
-			}
-		}
-		if parked == len(e.workers) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d workers parked after 10s on an idle engine", parked, len(e.workers))
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

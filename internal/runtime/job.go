@@ -266,6 +266,17 @@ func (e *Engine) DefaultJob() *Job {
 	return &Job{e: e, js: (*e.jobs.Load())[0]}
 }
 
+// Job returns the handle for the job with the given ID, and false when the
+// engine has no such job. Unlike a task's Job field, an unknown ID does not
+// fold into job 0.
+func (e *Engine) Job(id task.JobID) (*Job, bool) {
+	jobs := *e.jobs.Load()
+	if int(id) >= len(jobs) {
+		return nil, false
+	}
+	return &Job{e: e, js: jobs[id]}, true
+}
+
 // jobStateFor resolves a task's JobID against the live table, folding
 // out-of-range IDs (a caller stamping a bogus value) into the default job.
 func (e *Engine) jobStateFor(id task.JobID) *jobState {

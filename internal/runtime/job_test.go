@@ -230,6 +230,14 @@ func TestEngineSubmitMixedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Engine.Job finds a registered job in the engine's table and refuses an
+	// ID past it, where a task's Job field would fold into job 0.
+	if got, ok := e.Job(j.ID()); !ok || got.ID() != j.ID() || got.Name() != "quoted" {
+		t.Fatalf("Job(%d) = %v, %v; want the quoted job's handle", j.ID(), got, ok)
+	}
+	if got, ok := e.Job(j.ID() + 1); ok || got != nil {
+		t.Fatalf("Job(%d) of a two-job engine = %v, %v; want nil, false", j.ID()+1, got, ok)
+	}
 	// mixed is n0 tasks of job 0 followed by n1 of the quoted job.
 	mixed := func(n0, n1 int) []task.Task {
 		ts := seedTasks(n0 + n1)

@@ -6,10 +6,10 @@ package runtime
 // queue's own priority order (localq.go), and the two do not know each other:
 // the worker loop asks next for a queue, pops it, and reports back a hit, a
 // miss, or a charge. One jobSched belongs to one worker and only that
-// worker's goroutine writes it (pre-start submits run under the fleet lock
-// before workers exist), so it holds no lock, no atomic and no engine. A
-// thief (steal.go) reads jqs and a queue's active flag under the owner's lock,
-// which is also where the owner grows jqs and activates or retires a queue.
+// worker's goroutine writes it, so it holds no lock, no atomic and no
+// engine. A thief (steal.go) reads jqs and a queue's active flag under the
+// owner's lock, which is also where the owner grows jqs and activates or
+// retires a queue.
 
 import "hdcps/internal/task"
 

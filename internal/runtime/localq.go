@@ -106,14 +106,6 @@ type workerJQ struct {
 	// kept for the job since (steal.go). A thief may shorten the queue in
 	// between; the gate does not look.
 	spare int
-
-	// The pad rounds the struct up to two cache lines, which is also an
-	// allocator size class: the owner writes deficit and delta for every
-	// task, and a pre-start Submit materializes different workers' queues
-	// back to back from one goroutine, where unpadded neighbours would share
-	// a line (measured on tenants-mixed: +3% CPU a task with one job's source
-	// seeded on worker 1).
-	_ [16]byte
 }
 
 func (q *workerJQ) push(t task.Task) {

@@ -223,7 +223,8 @@ func (h *ownerHook) Filter(id int, ts []task.Task, from int) []task.Task {
 // TestRemoteUnitsLandOnOwner runs a two-worker sssp with every past-gate unit
 // sent away (TDF 100) and holds each arrival to its owner: a worker receives
 // only nodes of its own home block, so the transport never hands it a peer's
-// region. The seed goes in before Start, past the transport.
+// region. The seed is the one arrival left out: Submit deals it to the
+// epoch's worker, whoever owns its node.
 func TestRemoteUnitsLandOnOwner(t *testing.T) {
 	const workers = 2
 	g := graph.Road(16, 16, 1)
@@ -231,7 +232,12 @@ func TestRemoteUnitsLandOnOwner(t *testing.T) {
 	h := &ownerHook{at: make([][]graph.NodeID, workers)}
 	e := NewEngine(w, Config{Workers: workers, Drift: fixedTDF(100), Seed: 1, Faults: h})
 	h.e = e
-	if err := e.Submit(w.InitialTasks()...); err != nil {
+	seeds := w.InitialTasks()
+	if len(seeds) != 1 {
+		t.Fatalf("sssp has %d seeds, want its one source", len(seeds))
+	}
+	seed := seeds[0].Node
+	if err := e.Submit(seeds...); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Start(); err != nil {
@@ -248,8 +254,11 @@ func TestRemoteUnitsLandOnOwner(t *testing.T) {
 	}
 	n, arrivals := g.NumNodes(), 0
 	for id, nodes := range h.at {
-		arrivals += len(nodes)
 		for _, v := range nodes {
+			if v == seed {
+				continue
+			}
+			arrivals++
 			if owner := int(v) * workers / n; owner != id {
 				t.Fatalf("node %d (owner %d of %d nodes) arrived at worker %d", v, owner, n, id)
 			}

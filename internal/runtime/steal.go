@@ -255,11 +255,10 @@ func (e *Engine) steal(me *worker, js *jobState) {
 // or is cancelled — goes through the thief's own push and counts as stolen.
 //
 // A Filter that duplicates resubmits through Engine.Submit, here with two
-// worker locks held. That takes no worker lock: on a started engine Submit
-// injects lock-free and then takes e.mu to wake the fleet. The one place that
-// takes e.mu and then a worker's lock is submitIdle, which runs only before
-// Start, when no worker runs and no lock is held; so worker locks → e.mu is
-// the only order and there is no cycle.
+// worker locks held. That takes no worker lock: Submit injects lock-free and
+// then takes e.mu to wake the fleet, and no code takes e.mu and then a
+// worker's lock, so worker locks → e.mu is the only order and there is no
+// cycle.
 func (e *Engine) drainPeer(me, peer *worker) {
 	me.inbox = e.transport.Recv(peer.id, me.inbox[:0])
 	for _, t := range me.inbox {

@@ -198,8 +198,8 @@ func (e *Engine) park(me *worker) bool {
 
 // push lands one task in this worker's queue for the task's job — or, when
 // the job is cancelled, discards it straight into the cancellation sink. The
-// caller holds the worker's lock: cycleStart (kept units, arrivals, a steal),
-// a restart's requeue, a pre-start seed.
+// caller holds the worker's lock: cycleStart (kept units, arrivals, a steal)
+// or a restart's requeue.
 func (e *Engine) push(me *worker, t task.Task) {
 	e.pushTo(me, me.sched.queue(e.jobStateFor(t.Job)), t)
 }

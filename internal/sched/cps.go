@@ -14,12 +14,16 @@ import (
 // CPSConfig parameterizes the distributed push-style CPS family. RELD and
 // every HD-CPS configuration in the paper are points in this space (§IV-A):
 //
-//	RELD         = {UseRQ: false, FixedTDF: 100, Bags: Never}
-//	sRQ          = {UseRQ: true,  FixedTDF: 100, Bags: Never}
-//	sRQ+TDF      = {UseRQ: true,  UseTDF: true,  Bags: Never}
-//	sRQ+TDF+AC   = {UseRQ: true,  UseTDF: true,  Bags: Always}
-//	HD-CPS:SW    = {UseRQ: true,  UseTDF: true,  Bags: Selective}
+//	RELD         = {UseRQ: false, Drift: TDF 100..100, Bags: Never}
+//	sRQ          = {UseRQ: true,  Drift: TDF 100..100, Bags: Never}
+//	sRQ+TDF      = {UseRQ: true,  Bags: Never}
+//	sRQ+TDF+AC   = {UseRQ: true,  Bags: Always}
+//	HD-CPS:SW    = {UseRQ: true,  Bags: Selective}
 //	hRQ / +hPQ   = HD-CPS:SW on a machine with HRQSize/HPQSize > 0
+//
+// The TDF is adaptive (§III-C) over Drift's [MinTDF, MaxTDF]; a fixed TDF t
+// is the one-point range Drift{MinTDF: t, MaxTDF: t}, which has nothing to
+// steer, so its cores send no drift reports.
 type CPSConfig struct {
 	// Label is the scheduler name shown in figures.
 	Label string
@@ -27,15 +31,10 @@ type CPSConfig struct {
 	// without it remote enqueues lock the destination's priority queue
 	// (RELD's behaviour).
 	UseRQ bool
-	// UseTDF enables the adaptive drift-feedback controller of §III-C.
-	UseTDF bool
-	// FixedTDF is the task distribution factor (percent) when UseTDF is
-	// false. RELD's continuous random distribution is 100.
-	FixedTDF int
 	// Bags selects the bag-creation policy of §III-B.
 	Bags bag.Policy
 	// Drift configures the TDF controller (zero fields take the paper's
-	// defaults).
+	// defaults). RELD's continuous random distribution is the fixed TDF 100.
 	Drift drift.Config
 	// TDFSchedule, when non-nil, overrides the controller with a fixed
 	// per-interval schedule — the dynamic-oracle hook (§III-C).
@@ -49,32 +48,35 @@ type cpsScheduler struct{ cfg CPSConfig }
 // space. The named constructors below cover the paper's configurations.
 func NewCPS(cfg CPSConfig) Scheduler { return cpsScheduler{cfg} }
 
+// fixedTDF is the one-point Drift range that pins the TDF at t.
+func fixedTDF(t int) drift.Config { return drift.Config{MinTDF: t, MaxTDF: t} }
+
 // RELD returns the paper's RELD baseline.
 func RELD() Scheduler {
-	return NewCPS(CPSConfig{Label: "reld", FixedTDF: 100, Bags: bag.Policy{Mode: bag.Never}})
+	return NewCPS(CPSConfig{Label: "reld", Drift: fixedTDF(100), Bags: bag.Policy{Mode: bag.Never}})
 }
 
 // VariantSRQ returns the sRQ configuration (receive-queue decoupling only).
 func VariantSRQ() Scheduler {
-	return NewCPS(CPSConfig{Label: "srq", UseRQ: true, FixedTDF: 100, Bags: bag.Policy{Mode: bag.Never}})
+	return NewCPS(CPSConfig{Label: "srq", UseRQ: true, Drift: fixedTDF(100), Bags: bag.Policy{Mode: bag.Never}})
 }
 
 // VariantSRQTDF returns sRQ + the adaptive TDF heuristic.
 func VariantSRQTDF() Scheduler {
-	return NewCPS(CPSConfig{Label: "srq+tdf", UseRQ: true, UseTDF: true, Bags: bag.Policy{Mode: bag.Never}})
+	return NewCPS(CPSConfig{Label: "srq+tdf", UseRQ: true, Bags: bag.Policy{Mode: bag.Never}})
 }
 
 // VariantSRQTDFAC returns sRQ + TDF + always-create bags.
 func VariantSRQTDFAC() Scheduler {
 	p := bag.DefaultPolicy()
 	p.Mode = bag.Always
-	return NewCPS(CPSConfig{Label: "srq+tdf+ac", UseRQ: true, UseTDF: true, Bags: p})
+	return NewCPS(CPSConfig{Label: "srq+tdf+ac", UseRQ: true, Bags: p})
 }
 
 // HDCPSSW returns the full software design (sRQ + TDF + selective bags),
 // the configuration the paper calls HD-CPS:SW.
 func HDCPSSW() Scheduler {
-	return NewCPS(CPSConfig{Label: "hdcps-sw", UseRQ: true, UseTDF: true, Bags: bag.DefaultPolicy()})
+	return NewCPS(CPSConfig{Label: "hdcps-sw", UseRQ: true, Bags: bag.DefaultPolicy()})
 }
 
 // VariantHRQ is HD-CPS:SW run on a machine with only the hardware receive
@@ -210,8 +212,10 @@ type cpsHandler struct {
 	bagIDs    bag.Counter
 	transport bag.Transport
 
-	// TDF state (owned by the master core).
+	// TDF state (owned by the master core). steers is false for a one-point
+	// Drift range: a fixed TDF, with no reports to send.
 	ctrl     *drift.Controller
+	steers   bool
 	tdf      int
 	interval int
 	reports  []int64
@@ -234,11 +238,9 @@ func newCPSHandler(cfg CPSConfig, w workload.Workload, mcfg sim.Config, seed uin
 		ctrl:      drift.NewController(cfg.Drift),
 	}
 	h.init(w, mcfg)
-	if cfg.UseTDF {
-		h.tdf = h.ctrl.TDF()
-	} else {
-		h.tdf = cfg.FixedTDF
-	}
+	dc := h.ctrl.Config()
+	h.steers = dc.MinTDF != dc.MaxTDF
+	h.tdf = h.ctrl.TDF()
 	if cfg.TDFSchedule != nil {
 		h.tdf = cfg.TDFSchedule(0)
 	}
@@ -442,7 +444,7 @@ func (h *cpsHandler) processOne(m *sim.Machine, core int, t task.Task, at int64)
 	// Drift reporting (Alg. 3): after send_threshold tasks, report the
 	// latest processed priority to the master core.
 	c.sinceRep++
-	if c.sinceRep >= h.sampleInterval() && (h.cfg.UseTDF || h.cfg.TDFSchedule != nil) {
+	if c.sinceRep >= h.sampleInterval() && (h.steers || h.cfg.TDFSchedule != nil) {
 		c.sinceRep = 0
 		if core == h.master {
 			h.recordReport(m, t.Prio)
@@ -583,7 +585,7 @@ func (h *cpsHandler) recordReport(m *sim.Machine, prio int64) {
 	if h.cfg.TDFSchedule != nil {
 		h.interval++
 		h.tdf = h.cfg.TDFSchedule(h.interval)
-	} else if h.cfg.UseTDF {
+	} else {
 		h.tdf = h.ctrl.Update(h.reports)
 	}
 	h.tdfTrace = append(h.tdfTrace, h.tdf)

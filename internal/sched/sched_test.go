@@ -179,7 +179,7 @@ func TestSwarmWorkEfficiency(t *testing.T) {
 func TestTDFTraceRecorded(t *testing.T) {
 	g := graph.Cage(2000, 12, 30, 3)
 	s := NewCPS(CPSConfig{
-		Label: "tdf-test", UseRQ: true, UseTDF: true,
+		Label: "tdf-test", UseRQ: true,
 		Drift: driftSmallInterval(),
 	})
 	w, _ := workload.New("sssp", g)
@@ -288,7 +288,7 @@ func TestFlowControlRedirects(t *testing.T) {
 	cfg.Cores = 8
 	cfg.HRQSize = 2
 	m := sim.New(cfg)
-	h := newCPSHandler(CPSConfig{Label: "fc", UseRQ: true, FixedTDF: 100,
+	h := newCPSHandler(CPSConfig{Label: "fc", UseRQ: true, Drift: fixedTDF(100),
 		Bags: bagNeverPolicy()}, w, m.Config(), 3)
 	w.Reset()
 	m.Run(h)
@@ -302,7 +302,7 @@ func TestFlowControlRedirects(t *testing.T) {
 	w2, _ := workload.New("sssp", g)
 	cfg.HRQSize = 1024
 	m2 := sim.New(cfg)
-	h2 := newCPSHandler(CPSConfig{Label: "fc", UseRQ: true, FixedTDF: 100,
+	h2 := newCPSHandler(CPSConfig{Label: "fc", UseRQ: true, Drift: fixedTDF(100),
 		Bags: bagNeverPolicy()}, w2, m2.Config(), 3)
 	w2.Reset()
 	m2.Run(h2)

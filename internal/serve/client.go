@@ -31,33 +31,24 @@ func (c *Client) hc() *http.Client {
 	return &http.Client{Timeout: 30 * time.Second}
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+// call sends in as a JSON body (none when nil) with method to path, and
+// decodes a 2xx reply into out.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc().Do(req)
-	if err != nil {
-		return err
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("serve client: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	buf, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc().Do(req)
 	if err != nil {
 		return err
@@ -65,7 +56,7 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("serve client: POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(raw))
+		return fmt.Errorf("serve client: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(raw))
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -73,7 +64,7 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 // Info fetches /v1/info.
 func (c *Client) Info(ctx context.Context) (Info, error) {
 	var info Info
-	err := c.getJSON(ctx, "/v1/info", &info)
+	err := c.call(ctx, http.MethodGet, "/v1/info", nil, &info)
 	return info, err
 }
 
@@ -82,7 +73,7 @@ func (c *Client) CreateJob(ctx context.Context, spec JobSpec) (uint32, error) {
 	var out struct {
 		ID uint32 `json:"id"`
 	}
-	if err := c.postJSON(ctx, "/v1/jobs", spec, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/jobs", spec, &out); err != nil {
 		return 0, err
 	}
 	return out.ID, nil

@@ -463,10 +463,29 @@ func putBody(b *bodyBuf) { bodyPool.Put(b) }
 // json.Encoder makes of submitResult — without allocating.
 func (b *bodyBuf) acceptedLine(n int64) []byte {
 	b.buf.Reset()
-	line := append(b.buf.AvailableBuffer(), `{"accepted":`...)
+	line := append(b.buf.AvailableBuffer(), acceptedPrefix...)
 	line = append(strconv.AppendInt(line, n, 10), '}', '\n')
 	b.buf.Write(line)
 	return b.buf.Bytes()
+}
+
+// acceptedPrefix is what acceptedLine writes before the count.
+const acceptedPrefix = `{"accepted":`
+
+// parseAcceptedLine is acceptedLine's inverse, for the client reading a
+// progress ack without reflection: it reads n back from a line that is
+// exactly {"accepted":n}, n a non-negative int64 in decimal without a
+// leading zero. Any other line — a terminal line, a sign, a leading zero, a
+// space, an overflow, a trailing byte — reports false and is left to
+// encoding/json.
+func parseAcceptedLine(line []byte) (int64, bool) {
+	digits, ok := bytes.CutPrefix(line, []byte(acceptedPrefix))
+	digits, closed := bytes.CutSuffix(digits, []byte("}"))
+	if !ok || !closed || len(digits) == 0 || digits[0] < '0' || digits[0] > '9' || digits[0] == '0' && len(digits) > 1 {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(digits), 10, 64)
+	return n, err == nil
 }
 
 // IngestBenchBody builds an n-line NDJSON submit body cycling nodes over

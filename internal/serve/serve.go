@@ -139,10 +139,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is one serving instance: an engine, its job handles, and the HTTP
-// mux. Construct with New, expose Handler (httptest) or Serve (a real
-// listener), and always finish with Shutdown — that is where the
-// no-accepted-task-lost proof runs.
+// Server is one serving instance: an engine and the HTTP mux, which finds a
+// job's handle in the engine's own table (Engine.Job). Construct with New,
+// expose Handler (httptest) or Serve (a real listener), and always finish
+// with Shutdown — that is where the no-accepted-task-lost proof runs.
 type Server struct {
 	cfg Config
 	eng *runtime.Engine
@@ -150,9 +150,6 @@ type Server struct {
 	wl  workload.Workload
 	rec *obs.Recorder
 	mux *http.ServeMux
-
-	mu   sync.RWMutex
-	jobs map[task.JobID]*runtime.Job
 
 	// accepted counts every task this server admitted into the engine
 	// (initial seeds included). Shutdown proves accepted == Submitted.
@@ -212,7 +209,6 @@ func New(cfg Config) (*Server, error) {
 		g:       g,
 		wl:      wl,
 		rec:     rec,
-		jobs:    map[task.JobID]*runtime.Job{0: eng.DefaultJob()},
 		streams: newStreamTracker(streamCacheSize),
 		faults:  faults,
 		started: time.Now(),
@@ -333,9 +329,6 @@ type Info struct {
 }
 
 func (s *Server) info() Info {
-	s.mu.RLock()
-	jobs := len(s.jobs)
-	s.mu.RUnlock()
 	row := s.row()
 	return Info{
 		Workload:    s.cfg.Workload,
@@ -345,7 +338,7 @@ func (s *Server) info() Info {
 		Edges:       s.g.NumEdges(),
 		Workers:     s.cfg.Workers,
 		Queue:       s.cfg.QueueKind,
-		Jobs:        jobs,
+		Jobs:        len(s.eng.Snapshot().Jobs),
 		Draining:    s.draining.Load(),
 		Accepted:    s.accepted.Load(),
 		Outstanding: s.eng.Outstanding(),
@@ -409,9 +402,6 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, nil, err, 0)
 		return
 	}
-	s.mu.Lock()
-	s.jobs[job.ID()] = job
-	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]any{"id": job.ID(), "name": job.Name()})
 }
 
@@ -423,10 +413,8 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *runtime.Job {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job id"})
 		return nil
 	}
-	s.mu.RLock()
-	job := s.jobs[task.JobID(id)]
-	s.mu.RUnlock()
-	if job == nil {
+	job, ok := s.eng.Job(task.JobID(id))
+	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
 		return nil
 	}

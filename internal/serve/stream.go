@@ -485,8 +485,11 @@ func (ps *PersistentStream) try() (int, time.Duration, error) {
 		if len(raw) == 0 {
 			continue
 		}
+		// A progress line, the common case, is read without reflection.
 		var al ackLine
-		if err := json.Unmarshal(raw, &al); err != nil {
+		if n, ok := parseAcceptedLine(raw); ok {
+			al.Accepted = n
+		} else if err := json.Unmarshal(raw, &al); err != nil {
 			return 0, 0, fmt.Errorf("serve client: stream %s: bad ack line %q: %w", ps.id, raw, err)
 		}
 		ps.advance(start + al.Accepted)

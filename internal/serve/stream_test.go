@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -549,5 +550,68 @@ func TestStreamBatchIsOneWrite(t *testing.T) {
 	}
 	if len(batch) != 1 {
 		t.Fatalf("a %d-line batch took %d writes of %v bytes, want one", submitFlush, len(batch), batch)
+	}
+}
+
+// The client reads a progress ack with parseAcceptedLine and every other
+// line with encoding/json, so the fast path must take only lines acceptedLine
+// writes — the progress lines — and read each as encoding/json reads it into
+// ackLine. The terminal lines come from ackWriter.final itself.
+func TestParseAcceptedLineMatchesJSON(t *testing.T) {
+	b := getBody()
+	defer putBody(b)
+	progress := func(n int64) string { return strings.TrimSuffix(string(b.acceptedLine(n)), "\n") }
+	final := func(status int, msg string, retryMs, accepted int64) string {
+		rec := httptest.NewRecorder()
+		a := &ackWriter{w: rec, rc: http.NewResponseController(rec), body: getBody()}
+		defer a.close()
+		a.final(status, msg, retryMs, accepted)
+		return strings.TrimSuffix(rec.Body.String(), "\n")
+	}
+	rows := []struct {
+		line string
+		fast bool // parseAcceptedLine takes it
+	}{
+		{progress(0), true},
+		{progress(1), true},
+		{progress(math.MaxInt64), true},
+		{final(http.StatusOK, "", 0, 7), false},
+		{final(http.StatusTooManyRequests, "job 0 over quota", 250, 3), false},
+		{final(http.StatusBadRequest, `line 4: bad "node" value`, 0, 3), false},
+		{`{"accepted":007}`, false},
+		{`{"accepted":00}`, false},
+		{`{"accepted":-1}`, false},
+		{`{"accepted":+1}`, false},
+		{`{"accepted":1234567890123456789}`, true},
+		{`{"accepted":9999999999999999999}`, false},
+		{`{"accepted":12345678901234567890}`, false},
+		{`{"accepted": 5}`, false},
+		{`{ "accepted":5}`, false},
+		{`{"accepted":5 }`, false},
+		{`{"accepted":5}x`, false},
+		{`{"accepted":5} `, false},
+		{`{"accepted":}`, false},
+		{`{"accepted":5`, false},
+		{`{"accepted":5x}`, false},
+		{`{"accepted":5,"final":true}`, false},
+		{"", false},
+	}
+	for _, row := range rows {
+		raw := []byte(row.line)
+		n, fast := parseAcceptedLine(raw)
+		if fast != row.fast {
+			t.Errorf("%s: fast path %v, want %v", row.line, fast, row.fast)
+		}
+		if fast && progress(n) != row.line {
+			t.Errorf("%s: fast path read %d, which acceptedLine writes as %s", row.line, n, progress(n))
+		}
+		var want ackLine
+		if err := json.Unmarshal(raw, &want); fast && (err != nil || want != (ackLine{Accepted: n})) {
+			t.Errorf("%s: fast path read %d; encoding/json reads %+v, %v", row.line, n, want, err)
+		}
+	}
+	line := []byte(progress(math.MaxInt64))
+	if allocs := testing.AllocsPerRun(100, func() { parseAcceptedLine(line) }); allocs != 0 {
+		t.Errorf("parseAcceptedLine allocates %v objects a line, want 0", allocs)
 	}
 }
