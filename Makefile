@@ -61,12 +61,15 @@ lint:
 # ring, the payload transport, the observability recorder, exec.RunJobs
 # (the one native run: tenants, chaos, the fairness sampler), the open-loop
 # load harness (a clock goroutine handing stamped arrivals to one sender
-# goroutine per stream, over a shared histogram), and the
-# parallel experiment driver are where a data race would actually live. The exp run is scoped to the
+# goroutine per stream, over a shared histogram), the workloads (one
+# instance through a serial oracle, a native solve, a simulated run and a
+# native solve again: a native engine that kept the plain-memory kernel of a
+# serial run races here), and the parallel experiment driver are where a
+# data race would actually live. The exp run is scoped to the
 # driver tests: racing the full figure suite is ~10min on one core and
 # exercises no concurrency the driver tests don't.
 race:
-	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/... ./internal/load/...
+	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/... ./internal/load/... ./internal/workload/...
 	$(GO) test -race -run 'TestParallel' -count=1 ./internal/exp/
 
 # Procs axis (ROADMAP item 5b): the engine, its fault-injection soaks and

@@ -229,22 +229,35 @@ func BenchmarkNativeRuntimeObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadProcess isolates per-task workload cost (the simulator's
-// inner loop) from scheduling: a full sequential drain per iteration.
+// BenchmarkWorkloadProcess isolates per-task workload cost from scheduling:
+// a full strict-order drain per iteration, once serial (plain memory
+// operations, what the simulator and the oracle run) and once shared
+// (atomic ones, what the native engine runs). The gap is what atomicity
+// costs one uncontended goroutine.
 func BenchmarkWorkloadProcess(b *testing.B) {
 	g := graph.Cage(600, 12, 30, 42)
+	modes := []struct {
+		name  string
+		reset func(workload.Workload)
+	}{
+		{"serial", workload.ResetSerial},
+		{"shared", workload.Workload.Reset},
+	}
 	for _, name := range workload.Names() {
-		b.Run(name, func(b *testing.B) {
-			w, err := workload.New(name, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			var tasks int64
-			for i := 0; i < b.N; i++ {
-				tasks = workload.RunSequential(w)
-			}
-			b.ReportMetric(float64(tasks), "tasks/op")
-		})
+		for _, m := range modes {
+			b.Run(name+"/"+m.name, func(b *testing.B) {
+				w, err := workload.New(name, g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				var tasks int64
+				for i := 0; i < b.N; i++ {
+					m.reset(w)
+					tasks = workload.DrainStrict(w)
+				}
+				b.ReportMetric(float64(tasks), "tasks/op")
+			})
+		}
 	}
 }

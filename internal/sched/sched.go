@@ -177,15 +177,16 @@ type handler interface {
 }
 
 // simulate is the one run harness: a fresh machine, the handler build makes
-// for its normalised config, the workload reset, the drift probe when probe
-// is set, and the stats.Run fields every scheduler reports. The caller adds
-// its own fields from the returned handler.
+// for its normalised config, the workload reset serial (one goroutine runs
+// every simulated core, so the kernels need no atomics), the drift probe
+// when probe is set, and the stats.Run fields every scheduler reports. The
+// caller adds its own fields from the returned handler.
 func simulate[H handler](label string, w workload.Workload, cfg sim.Config, probe bool,
 	build func(sim.Config) H) (stats.Run, H) {
 	m := sim.New(cfg)
 	h := build(m.Config())
 	b := h.shared()
-	w.Reset()
+	workload.ResetSerial(w)
 	if probe {
 		m.SetDriftProbe(b.activePriorities, driftProbeInterval)
 	}

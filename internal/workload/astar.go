@@ -21,6 +21,7 @@ import (
 // coordinates the heuristic is zero and A* degenerates to Dijkstra, which
 // keeps it correct everywhere.
 type AStar struct {
+	mem
 	g      *graph.CSR
 	src    graph.NodeID
 	target graph.NodeID
@@ -98,6 +99,7 @@ func (w *AStar) TargetDist() int64 { return atomic.LoadInt64(&w.dist[w.target]) 
 
 // Reset implements Workload.
 func (w *AStar) Reset() {
+	w.mem = mem{}
 	for i := range w.dist {
 		w.dist[i] = inf
 	}
@@ -128,15 +130,8 @@ func (w *AStar) Process(t task.Task, emit func(task.Task)) int {
 		if nd+w.h(v) >= atomic.LoadInt64(&w.dist[w.target]) {
 			continue // cannot improve the target
 		}
-		for {
-			cur := atomic.LoadInt64(&w.dist[v])
-			if nd >= cur {
-				break
-			}
-			if atomic.CompareAndSwapInt64(&w.dist[v], cur, nd) {
-				emit(task.Task{Node: v, Prio: (nd + w.h(v)) / w.delta, Data: uint64(nd)})
-				break
-			}
+		if w.lower64(&w.dist[v], nd) {
+			emit(task.Task{Node: v, Prio: (nd + w.h(v)) / w.delta, Data: uint64(nd)})
 		}
 	}
 	return len(dsts)

@@ -13,6 +13,7 @@ import (
 // source. Relaxed order makes depths settle out of order and produces the
 // redundant re-visits the paper's work-efficiency metric measures.
 type BFS struct {
+	mem
 	g     *graph.CSR
 	src   graph.NodeID
 	level []int64
@@ -38,6 +39,7 @@ func (w *BFS) Level() []int64 { return w.level }
 
 // Reset implements Workload.
 func (w *BFS) Reset() {
+	w.mem = mem{}
 	for i := range w.level {
 		w.level[i] = inf
 	}
@@ -57,17 +59,10 @@ func (w *BFS) Process(t task.Task, emit func(task.Task)) int {
 		return 0
 	}
 	dsts, _ := w.g.Neighbors(u)
+	nd := d + 1
 	for _, v := range dsts {
-		nd := d + 1
-		for {
-			cur := atomic.LoadInt64(&w.level[v])
-			if nd >= cur {
-				break
-			}
-			if atomic.CompareAndSwapInt64(&w.level[v], cur, nd) {
-				emit(task.Task{Node: v, Prio: nd, Data: uint64(nd)})
-				break
-			}
+		if w.lower64(&w.level[v], nd) {
+			emit(task.Task{Node: v, Prio: nd, Data: uint64(nd)})
 		}
 	}
 	return len(dsts)

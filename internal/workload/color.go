@@ -21,6 +21,7 @@ import (
 // The workload runs on the symmetrized input (coloring is an undirected
 // constraint).
 type Color struct {
+	mem
 	g     *graph.CSR // symmetrized
 	color []int32    // -1 = uncolored; atomic
 }
@@ -57,6 +58,7 @@ func (w *Color) NumColors() int {
 
 // Reset implements Workload.
 func (w *Color) Reset() {
+	w.mem = mem{}
 	for i := range w.color {
 		w.color[i] = uncolored
 	}
@@ -107,7 +109,7 @@ func (w *Color) Process(t task.Task, emit func(task.Task)) int {
 		if !conflict {
 			return len(dsts)
 		}
-		atomic.StoreInt32(&w.color[u], uncolored)
+		w.store32(&w.color[u], uncolored)
 	}
 	// Take the smallest color unused by currently colored neighbors.
 	used := make(map[int32]bool, len(dsts))
@@ -120,7 +122,7 @@ func (w *Color) Process(t task.Task, emit func(task.Task)) int {
 	for used[c] {
 		c++
 	}
-	atomic.StoreInt32(&w.color[u], c)
+	w.store32(&w.color[u], c)
 	// Validate against neighbors that raced us. The later writer of a
 	// conflicting pair is guaranteed to observe the earlier write here, and
 	// it queues a retry for the pair's *lower-priority* vertex — so every

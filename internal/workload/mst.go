@@ -20,6 +20,7 @@ import (
 // The input is treated as an undirected graph (each directed edge is a
 // connection); the total forest weight is compared against Kruskal.
 type MST struct {
+	mem
 	g *graph.CSR
 
 	mu     sync.Mutex // guards parent unions and adjacency merging
@@ -61,6 +62,7 @@ func (w *MST) Merges() int64 { return atomic.LoadInt64(&w.merges) }
 
 // Reset implements Workload.
 func (w *MST) Reset() {
+	w.mem = mem{}
 	n := w.g.NumNodes()
 	w.parent = make([]uint32, n)
 	w.adj = make([][]mstEdge, n)
@@ -141,8 +143,8 @@ func (w *MST) Process(t task.Task, emit func(task.Task)) int {
 	w.parent[b] = a
 	w.adj[a] = append(w.adj[a], w.adj[b]...)
 	w.adj[b] = nil
-	atomic.AddInt64(&w.weight, int64(best.wt))
-	atomic.AddInt64(&w.merges, 1)
+	w.add64(&w.weight, int64(best.wt))
+	w.add64(&w.merges, 1)
 	emit(task.Task{Node: graph.NodeID(a), Prio: int64(len(w.adj[a]))})
 	return scanned + 1
 }

@@ -22,6 +22,7 @@ import (
 // Arithmetic is 2^30 fixed point so the workload is deterministic and
 // atomically updatable.
 type PageRank struct {
+	mem
 	g   *graph.CSR
 	eps int64
 
@@ -66,6 +67,7 @@ func (w *PageRank) Rank() []int64 { return w.rank }
 
 // Reset implements Workload.
 func (w *PageRank) Reset() {
+	w.mem = mem{}
 	init := prScale * (prDampDen - prDampNum) / prDampDen // (1-d)
 	for i := range w.rank {
 		w.rank[i] = 0
@@ -105,16 +107,16 @@ func (w *PageRank) InitialTasks() []task.Task {
 // damped share to its out-neighbors.
 func (w *PageRank) Process(t task.Task, emit func(task.Task)) int {
 	u := t.Node
-	res := atomic.SwapInt64(&w.residual[u], 0)
+	res := w.swap64(&w.residual[u], 0)
 	if res < w.eps {
 		// Stale or already-drained task; put the residual back (it may
 		// still accumulate past eps later).
 		if res > 0 {
-			atomic.AddInt64(&w.residual[u], res)
+			w.add64(&w.residual[u], res)
 		}
 		return 0
 	}
-	atomic.AddInt64(&w.rank[u], res)
+	w.add64(&w.rank[u], res)
 	dsts, _ := w.g.Neighbors(u)
 	if len(dsts) == 0 {
 		return 0
@@ -124,7 +126,7 @@ func (w *PageRank) Process(t task.Task, emit func(task.Task)) int {
 		return len(dsts)
 	}
 	for _, v := range dsts {
-		old := atomic.AddInt64(&w.residual[v], share) - share
+		old := w.add64(&w.residual[v], share) - share
 		if old < w.eps && old+share >= w.eps {
 			emit(task.Task{Node: v, Prio: prPrio(old + share)})
 		}

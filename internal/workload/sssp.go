@@ -15,6 +15,7 @@ import (
 // (whose distance proposal has been beaten) are cheap no-ops that count as
 // redundant work.
 type SSSP struct {
+	mem
 	g     *graph.CSR
 	src   graph.NodeID
 	delta int64
@@ -67,6 +68,7 @@ func (w *SSSP) Dist() []int64 { return w.dist }
 
 // Reset implements Workload.
 func (w *SSSP) Reset() {
+	w.mem = mem{}
 	for i := range w.dist {
 		w.dist[i] = inf
 	}
@@ -88,16 +90,8 @@ func (w *SSSP) Process(t task.Task, emit func(task.Task)) int {
 	}
 	dsts, wts := w.g.Neighbors(u)
 	for i, v := range dsts {
-		nd := d + int64(wts[i])
-		for {
-			cur := atomic.LoadInt64(&w.dist[v])
-			if nd >= cur {
-				break
-			}
-			if atomic.CompareAndSwapInt64(&w.dist[v], cur, nd) {
-				emit(task.Task{Node: v, Prio: nd / w.delta, Data: uint64(nd)})
-				break
-			}
+		if nd := d + int64(wts[i]); w.lower64(&w.dist[v], nd) {
+			emit(task.Task{Node: v, Prio: nd / w.delta, Data: uint64(nd)})
 		}
 	}
 	return len(dsts)

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hdcps/internal/graph"
 	"hdcps/internal/pq"
@@ -22,15 +23,19 @@ import (
 // converges to the same answer regardless (possibly doing redundant work,
 // which is exactly what the paper's work-efficiency metric captures).
 //
-// Implementations use atomic operations on their state so Process may be
-// called concurrently by the native runtime; the simulator calls it from a
-// single goroutine.
+// After Reset, Process updates state with atomic read-modify-writes and
+// stores, so the native runtime's workers may call it at once. The simulator
+// and RunSequential call it from a single goroutine and start their runs
+// with ResetSerial instead, which makes this package's workloads update
+// state with plain memory operations until the next Reset; the answers, the
+// task counts and the simulated cycles are the same in both modes.
 type Workload interface {
 	// Name returns the benchmark's short name (e.g. "sssp").
 	Name() string
 	// Graph returns the input graph the workload runs over.
 	Graph() *graph.CSR
-	// Reset re-initializes all algorithm state for a fresh run.
+	// Reset re-initializes all algorithm state for a fresh run, in the
+	// shared (atomic) mode whatever ResetSerial set before.
 	Reset()
 	// InitialTasks returns the tasks that seed the computation.
 	InitialTasks() []task.Task
@@ -50,12 +55,21 @@ type Workload interface {
 // single priority queue and returns the number of tasks processed. It is
 // the sequential baseline of the paper's work-efficiency and speedup
 // metrics. Call it on a Clone, not on the instance a scheduler will run.
+// One goroutine drives the whole run, so it starts with ResetSerial.
 func RunSequential(w Workload) int64 {
-	w.Reset()
+	ResetSerial(w)
+	return DrainStrict(w)
+}
+
+// DrainStrict runs w from its InitialTasks to quiescence in strict priority
+// order with one binary heap, in whichever mode the last Reset or
+// ResetSerial left, and returns the number of tasks processed.
+func DrainStrict(w Workload) int64 {
 	q := pq.NewBinaryHeap(1024)
 	for _, t := range w.InitialTasks() {
 		q.Push(t)
 	}
+	push := q.Push // one method value a run, not one a task
 	var n int64
 	for {
 		t, ok := q.Pop()
@@ -63,9 +77,80 @@ func RunSequential(w Workload) int64 {
 			break
 		}
 		n++
-		w.Process(t, q.Push)
+		w.Process(t, push)
 	}
 	return n
+}
+
+// ResetSerial resets w for a run that one goroutine drives from start to
+// end: the simulator's and RunSequential's. This package's workloads then
+// update their state with plain memory operations, which read and write the
+// same values as the atomic ones when nothing else touches the state; any
+// other Workload is only Reset. The next Reset goes back to shared mode, so
+// a native engine, which Resets every workload it is given, never runs a
+// serial kernel.
+func ResetSerial(w Workload) {
+	w.Reset()
+	if s, ok := w.(interface{ mode() *mem }); ok {
+		s.mode().serial = true
+	}
+}
+
+// mem is how a kernel updates its state, embedded in every workload of this
+// package. Its zero value, which every Reset restores, is shared: atomic
+// read-modify-writes and stores, safe under concurrent Process calls.
+// Serial, set by ResetSerial, uses plain ones. Loads stay atomic.Load* in
+// both modes, a plain MOV on amd64.
+type mem struct{ serial bool }
+
+func (m *mem) mode() *mem { return m }
+
+// add64 adds d to *p and returns the new value.
+func (m *mem) add64(p *int64, d int64) int64 {
+	if m.serial {
+		v := *p + d
+		*p = v
+		return v
+	}
+	return atomic.AddInt64(p, d)
+}
+
+// swap64 stores v in *p and returns the old value.
+func (m *mem) swap64(p *int64, v int64) int64 {
+	if m.serial {
+		old := *p
+		*p = v
+		return old
+	}
+	return atomic.SwapInt64(p, v)
+}
+
+// lower64 sets *p to v when v is below it and reports whether it did: the
+// relaxation of SSSP, BFS and A*. Most relaxations improve nothing, so the
+// mode is tested only on the way to a write.
+func (m *mem) lower64(p *int64, v int64) bool {
+	for {
+		cur := atomic.LoadInt64(p)
+		if v >= cur {
+			return false
+		}
+		if m.serial {
+			*p = v
+			return true
+		}
+		if atomic.CompareAndSwapInt64(p, cur, v) {
+			return true
+		}
+	}
+}
+
+// store32 stores v in *p.
+func (m *mem) store32(p *int32, v int32) {
+	if m.serial {
+		*p = v
+		return
+	}
+	atomic.StoreInt32(p, v)
 }
 
 // New constructs a workload by name with default parameters. Recognized

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"hdcps/internal/graph"
@@ -398,5 +399,107 @@ func TestWorkEfficiencyDegradesWithBadOrder(t *testing.T) {
 	lifo := runLIFO(NewSSSP(g, src, 0))
 	if lifo <= seq {
 		t.Fatalf("LIFO (%d tasks) not worse than priority order (%d)", lifo, seq)
+	}
+}
+
+// modeOf reports whether w is in serial mode.
+func modeOf(t *testing.T, w Workload) bool {
+	t.Helper()
+	m, ok := w.(interface{ mode() *mem })
+	if !ok {
+		t.Fatalf("%s has no serial mode", w.Name())
+	}
+	return m.mode().serial
+}
+
+// ResetSerial puts every workload of this package in serial mode, and Reset
+// takes it back to shared whatever ran before. A Workload from outside the
+// package is only Reset.
+func TestResetSerialMode(t *testing.T) {
+	g := graph.Road(8, 8, 1)
+	for _, name := range Names() {
+		w, err := New(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if modeOf(t, w) {
+			t.Errorf("%s: New left serial mode", name)
+		}
+		RunSequential(w)
+		if !modeOf(t, w) {
+			t.Errorf("%s: RunSequential ran in shared mode", name)
+		}
+		w.Reset()
+		if modeOf(t, w) {
+			t.Errorf("%s: Reset after a serial run left serial mode", name)
+		}
+		RunSequential(w)
+		foreign := struct{ Workload }{w}
+		ResetSerial(foreign)
+		if modeOf(t, w) {
+			t.Errorf("%s: ResetSerial through a foreign Workload left serial mode", name)
+		}
+	}
+}
+
+// state is w's final state, compared bit for bit.
+func state(w Workload) any {
+	switch w := w.(type) {
+	case *SSSP:
+		return w.dist
+	case *BFS:
+		return w.level
+	case *AStar:
+		return w.dist
+	case *PageRank:
+		return [][]int64{w.rank, w.residual}
+	case *Color:
+		return w.color
+	case *MST:
+		return []any{w.weight, w.merges, w.parent}
+	}
+	panic("state: unknown workload " + w.Name())
+}
+
+// The serial and shared modes are one kernel with two kinds of memory
+// operation: driven by the same strict-order loop they process the same
+// number of tasks and leave the same state, bit for bit.
+func TestSerialMatchesShared(t *testing.T) {
+	graphs := map[string]*graph.CSR{"road": graph.Road(20, 20, 3), "web": graph.Web(400, 3)}
+	for gname, g := range graphs {
+		for _, name := range Names() {
+			shared, err := New(name, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := shared.Clone()
+			shared.Reset()
+			nShared := DrainStrict(shared)
+			ResetSerial(serial)
+			nSerial := DrainStrict(serial)
+			if modeOf(t, shared) || !modeOf(t, serial) {
+				t.Fatalf("%s/%s: modes not as set", name, gname)
+			}
+			if nShared != nSerial {
+				t.Errorf("%s/%s: %d tasks shared, %d serial", name, gname, nShared, nSerial)
+			}
+			if !reflect.DeepEqual(state(shared), state(serial)) {
+				t.Errorf("%s/%s: serial state differs from shared", name, gname)
+			}
+			if err := serial.Verify(); err != nil {
+				t.Errorf("%s/%s: %v", name, gname, err)
+			}
+		}
+	}
+}
+
+// The oracle allocates per run, not per task: a method value made for each
+// Process call cost one heap allocation a task.
+func TestRunSequentialAllocsPerRun(t *testing.T) {
+	w := NewPageRank(graph.Web(2000, 42), 0)
+	var n int64
+	allocs := testing.AllocsPerRun(3, func() { n = RunSequential(w) })
+	if allocs > 16 {
+		t.Fatalf("RunSequential on pagerank Web(2000): %.0f allocations for %d tasks, want <= 16", allocs, n)
 	}
 }
