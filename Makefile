@@ -72,7 +72,8 @@ race:
 	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/... ./internal/load/... ./internal/workload/...
 	$(GO) test -race -run 'TestParallel' -count=1 ./internal/exp/
 
-# Procs axis (ROADMAP item 5b): the engine, its fault-injection soaks and
+# Procs axis (ROADMAP, "Keep Tier-1 fast and box-independent, and prove the
+# rest under real parallelism"): the engine, its fault-injection soaks and
 # exec.RunJobs (one- and three-job runs under chaos) at GOMAXPROCS 1, 2 and
 # 4. The ledger's settle-before-ship rule and the "mix injected nothing"
 # assertions must hold however many workers really run at once, not only at
@@ -159,7 +160,9 @@ bench-gate:
 # 120x120) and its large scale (road 240x240, the benchmark's sssp-road input).
 # It fails when the two-worker median exceeds limit x the one-worker median,
 # when the oversubscribed median exceeds 2x the two-worker one (a constant in
-# hdcps-bench: ROADMAP item 4's exit), or when the one- or two-worker median is
+# hdcps-bench: the exit of the ROADMAP item "Reach a stalled worker's backlog:
+# steal-when-behind and the oversubscribed fleet"), or when the one- or
+# two-worker median is
 # more than 25% slower than BASE's, measured beside it on this box.
 # History of the ratio, large / small: 1.7-1.9 / 2.0-2.6 before the
 # drift-minimising controller, 1.2-1.4 / 1.5-1.8 with it, 0.73-0.78 / 0.78-0.98

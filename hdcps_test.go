@@ -104,54 +104,7 @@ func TestFacadeEngineLifecycle(t *testing.T) {
 	}
 }
 
-func TestFacadeChaosEngine(t *testing.T) {
-	g := Road(16, 16, 5)
-	w, err := NewWorkload("sssp", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultNativeConfig(2)
-	cfg.Seed = 11
-	mix := ChaosConfig{Seed: 11, Delay: 0.1, Reorder: 0.2, RingFull: 0.05}
-	e, tp := NewChaosEngine(w, cfg, mix)
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := e.Submit(w.InitialTasks()...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
-	if got := snap.Submitted + snap.Spawned -
-		(snap.TasksProcessed + snap.BagsRetired + snap.Quarantined); got != 0 {
-		t.Fatalf("conservation violated under fault injection (lost %d): %+v", got, snap)
-	}
-	if len(e.Quarantined()) != 0 {
-		t.Fatalf("healthy workload quarantined: %v", e.Quarantined())
-	}
-	if tp.String() == "" {
-		t.Fatal("chaos mix reported no stats")
-	}
-	if err := e.Stop(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeNames(t *testing.T) {
-	if len(WorkloadNames()) != 6 {
-		t.Fatalf("workloads: %v", WorkloadNames())
-	}
-	for _, n := range SchedulerNames() {
-		if _, err := NewScheduler(n); err != nil {
-			t.Errorf("scheduler %q: %v", n, err)
-		}
-	}
 	if _, err := NewScheduler("nope"); err == nil {
 		t.Error("unknown scheduler must error")
 	}
@@ -168,24 +121,6 @@ func TestFacadeMachines(t *testing.T) {
 	sw := SoftwareMachine(40)
 	if sw.Cores != 40 || sw.HRQSize != 0 || sw.HPQSize != 0 {
 		t.Fatalf("software machine wrong: %+v", sw)
-	}
-}
-
-func TestFacadeExperiments(t *testing.T) {
-	ids := Experiments()
-	if len(ids) != 19 {
-		t.Fatalf("got %d experiments, want 19", len(ids))
-	}
-	var buf bytes.Buffer
-	res, err := RunExperiment("table2", ExperimentOptions{Scale: "tiny", Seed: 1}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 || !strings.Contains(buf.String(), "table2") {
-		t.Fatalf("table2 output wrong: %d rows, %q", len(res.Rows), buf.String())
-	}
-	if _, err := RunExperiment("fig99", ExperimentOptions{}, nil); err == nil {
-		t.Fatal("unknown experiment must error")
 	}
 }
 

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hdcps/internal/graph"
 	"hdcps/internal/task"
@@ -22,9 +21,8 @@ type FaultyConfig struct {
 // workload-side half of a chaos run (the fault hook perturbs transfer; this
 // perturbs execution).
 type Faulty struct {
-	inner  workload.Workload
-	cfg    FaultyConfig
-	panics atomic.Int64
+	inner workload.Workload
+	cfg   FaultyConfig
 }
 
 // NewFaulty wraps w with cfg's panic injection.
@@ -32,18 +30,12 @@ func NewFaulty(w workload.Workload, cfg FaultyConfig) *Faulty {
 	return &Faulty{inner: w, cfg: cfg}
 }
 
-// Panics reports how many injected panics have fired so far.
-func (f *Faulty) Panics() int { return int(f.panics.Load()) }
-
 func (f *Faulty) Name() string              { return f.inner.Name() }
 func (f *Faulty) Graph() *graph.CSR         { return f.inner.Graph() }
 func (f *Faulty) InitialTasks() []task.Task { return f.inner.InitialTasks() }
 func (f *Faulty) Verify() error             { return f.inner.Verify() }
 
-func (f *Faulty) Reset() {
-	f.panics.Store(0)
-	f.inner.Reset()
-}
+func (f *Faulty) Reset() { f.inner.Reset() }
 
 func (f *Faulty) Clone() workload.Workload {
 	return NewFaulty(f.inner.Clone(), f.cfg)
@@ -51,7 +43,6 @@ func (f *Faulty) Clone() workload.Workload {
 
 func (f *Faulty) Process(t task.Task, emit func(task.Task)) int {
 	if f.cfg.PanicEvery > 0 && int(t.Node)%f.cfg.PanicEvery == 0 {
-		f.panics.Add(1)
 		panic(fmt.Sprintf("chaos: injected fault (node %d)", t.Node))
 	}
 	return f.inner.Process(t, emit)

@@ -120,7 +120,6 @@ type Controller struct {
 	havePrev bool
 	prev     Decision
 	history  []Record
-	invalid  int64
 }
 
 // Record is one interval's controller state, kept for drift traces and the
@@ -158,29 +157,22 @@ func (c *Controller) Update(reports []int64) int {
 	return c.UpdateWithRef(Drift(reports, ref), ref)
 }
 
-// InvalidSamples reports how many drift samples were rejected and clamped
-// (NaN, infinite, or negative) since the controller was built. A task
-// handler that emits garbage priorities corrupts Equation 1's signal; the
-// controller sanitizes at the boundary instead of walking its TDF off a
-// poisoned comparison.
-func (c *Controller) InvalidSamples() int64 { return c.invalid }
-
-// sanitizeDrift clamps an invalid drift sample. NaN and -Inf fall back to
+// sanitizeDrift clamps an invalid drift sample: a task handler that emits
+// garbage priorities corrupts Equation 1's signal, so the controller
+// sanitizes at the boundary instead of walking its TDF off a poisoned
+// comparison. NaN and -Inf fall back to
 // the previous interval's drift (no signal → hold the comparison steady);
 // +Inf and negative values clamp to the nearest representable valid value.
 func (c *Controller) sanitizeDrift(pd float64) float64 {
 	switch {
 	case math.IsNaN(pd), math.IsInf(pd, -1):
-		c.invalid++
 		if c.havePrev {
 			return c.pdPrev
 		}
 		return 0
 	case math.IsInf(pd, +1):
-		c.invalid++
 		return math.MaxFloat64
 	case pd < 0:
-		c.invalid++
 		return 0
 	}
 	return pd
@@ -189,7 +181,7 @@ func (c *Controller) sanitizeDrift(pd float64) float64 {
 // UpdateWithRef runs one controller step from a precomputed drift and the
 // reference priority it was measured against, keeping both in the interval
 // record so time-series consumers can reconstruct the feedback loop.
-// Invalid drifts (NaN/Inf/negative) are clamped first; see InvalidSamples.
+// Invalid drifts (NaN/Inf/negative) are clamped first (sanitizeDrift).
 func (c *Controller) UpdateWithRef(pd float64, ref int64) int {
 	pd = c.sanitizeDrift(pd)
 	if c.havePrev { // the first interval has nothing to compare against

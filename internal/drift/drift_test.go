@@ -245,7 +245,7 @@ func TestFixedSchedule(t *testing.T) {
 // negative drift samples; before sanitizeDrift, one NaN made every
 // subsequent pd >= pdPrev comparison false and pinned the controller in
 // the "improving" branch forever. Each invalid sample must be clamped at
-// the boundary and counted, and the controller must keep stepping sanely.
+// the boundary, and the controller must keep stepping sanely.
 func TestControllerSanitizesInvalidDrift(t *testing.T) {
 	c := NewController(Config{InitialTDF: 50, Step: 10})
 	c.UpdateWithRef(100, 0) // baseline; prev=Increase
@@ -254,9 +254,6 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 	// so the controller backs off rather than comparing against NaN.
 	if got := c.UpdateWithRef(math.NaN(), 0); got != 40 {
 		t.Fatalf("NaN sample: TDF = %d, want 40", got)
-	}
-	if c.InvalidSamples() != 1 {
-		t.Fatalf("invalid samples = %d, want 1", c.InvalidSamples())
 	}
 	// The recorded history must hold the sanitized value, not NaN.
 	h := c.History()
@@ -269,23 +266,14 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 
 	// -Inf likewise falls back to the previous interval's drift.
 	c.UpdateWithRef(math.Inf(-1), 0)
-	if c.InvalidSamples() != 2 {
-		t.Fatalf("invalid samples = %d, want 2", c.InvalidSamples())
-	}
 	// +Inf clamps to MaxFloat64: maximal worsening, a real comparison.
 	c.UpdateWithRef(math.Inf(+1), 0)
-	if c.InvalidSamples() != 3 {
-		t.Fatalf("invalid samples = %d, want 3", c.InvalidSamples())
-	}
 	h = c.History()
 	if v := h[len(h)-1].Drift; v != math.MaxFloat64 {
 		t.Fatalf("+Inf sanitized to %v, want MaxFloat64", v)
 	}
 	// Negative drift clamps to zero (Equation 1 cannot go negative).
 	c.UpdateWithRef(-42, 0)
-	if c.InvalidSamples() != 4 {
-		t.Fatalf("invalid samples = %d, want 4", c.InvalidSamples())
-	}
 	h = c.History()
 	if v := h[len(h)-1].Drift; v != 0 {
 		t.Fatalf("negative drift sanitized to %v, want 0", v)
@@ -297,10 +285,6 @@ func TestControllerSanitizesInvalidDrift(t *testing.T) {
 		t.Fatalf("TDF %d escaped [%d, %d] after invalid samples",
 			tdf, c.Config().MinTDF, c.Config().MaxTDF)
 	}
-	// Valid samples never bump the counter.
-	if c.InvalidSamples() != 4 {
-		t.Fatalf("valid sample counted as invalid: %d", c.InvalidSamples())
-	}
 }
 
 // A NaN in the very first interval (no previous drift to fall back to)
@@ -310,9 +294,6 @@ func TestControllerNaNFirstInterval(t *testing.T) {
 	c.UpdateWithRef(math.NaN(), 0)
 	if h := c.History(); h[0].Drift != 0 {
 		t.Fatalf("first-interval NaN stored as %v, want 0", h[0].Drift)
-	}
-	if c.InvalidSamples() != 1 {
-		t.Fatalf("invalid samples = %d, want 1", c.InvalidSamples())
 	}
 	// The baseline is usable: an improving second interval steps the TDF.
 	if got := c.UpdateWithRef(0, 0); got < c.Config().MinTDF {

@@ -74,7 +74,6 @@ type Result struct {
 
 // Experiment is a registered table/figure reproduction.
 type Experiment struct {
-	ID    string
 	Title string
 	Run   func(Options) (Result, error)
 }
@@ -85,7 +84,7 @@ var order []string
 // register adds an experiment whose body sees normalized Options and the
 // input set they select.
 func register(id, title string, body func(Options, *inputSet) (Result, error)) {
-	registry[id] = Experiment{id, title, func(o Options) (Result, error) {
+	registry[id] = Experiment{title, func(o Options) (Result, error) {
 		o = o.normalized()
 		set, err := inputs(o)
 		if err != nil {

@@ -7,7 +7,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a vertex. The paper's inputs fit comfortably in 32 bits.
@@ -81,25 +80,6 @@ func FromEdges(name string, n int, edges []Edge) (*CSR, error) {
 	return &CSR{Name: name, Off: off, Dst: dst, Wt: wt}, nil
 }
 
-// Reverse returns the transpose graph (every edge u->v becomes v->u). Used
-// by the push-pull PageRank workload to walk incoming edges.
-func (g *CSR) Reverse() *CSR {
-	n := g.NumNodes()
-	edges := make([]Edge, 0, g.NumEdges())
-	for u := 0; u < n; u++ {
-		dsts, wts := g.Neighbors(NodeID(u))
-		for i, v := range dsts {
-			edges = append(edges, Edge{Src: v, Dst: NodeID(u), Wt: wts[i]})
-		}
-	}
-	rg, err := FromEdges(g.Name+"-rev", n, edges)
-	if err != nil {
-		// Cannot happen: edges come from a valid graph of the same size.
-		panic(err)
-	}
-	return rg
-}
-
 // Symmetrize returns the undirected closure of g: for every edge u->v the
 // result contains both u->v and v->u with the same weight, with exact
 // duplicate (src, dst, wt) triples removed. Workloads that need symmetric
@@ -133,41 +113,4 @@ func (g *CSR) Symmetrize() *CSR {
 	}
 	sg.X, sg.Y = g.X, g.Y
 	return sg
-}
-
-// SortNeighbors orders every adjacency list by destination ID. Sorted
-// adjacency improves the locality modeled by the simulator's cache and makes
-// graph comparisons deterministic.
-func (g *CSR) SortNeighbors() {
-	n := g.NumNodes()
-	for u := 0; u < n; u++ {
-		lo, hi := g.Off[u], g.Off[u+1]
-		pairSort(g.Dst[lo:hi], g.Wt[lo:hi])
-	}
-}
-
-func pairSort(dst []NodeID, wt []uint32) {
-	idx := make([]int, len(dst))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return dst[idx[a]] < dst[idx[b]] })
-	nd := make([]NodeID, len(dst))
-	nw := make([]uint32, len(wt))
-	for i, j := range idx {
-		nd[i], nw[i] = dst[j], wt[j]
-	}
-	copy(dst, nd)
-	copy(wt, nw)
-}
-
-// MaxWeight returns the largest edge weight, or 0 for an edgeless graph.
-func (g *CSR) MaxWeight() uint32 {
-	var m uint32
-	for _, w := range g.Wt {
-		if w > m {
-			m = w
-		}
-	}
-	return m
 }

@@ -84,12 +84,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Enabled reports whether the mix injects anything at all.
-func (c Config) Enabled() bool {
-	return c.Latency > 0 || c.Throttle > 0 || c.RST > 0 ||
-		c.ShortRead > 0 || c.PartialWrite > 0 || c.Stall > 0
-}
-
 // DefaultMix is a moderate everything-on mix: every connection fault class
 // fires often enough to be exercised by a short soak without making
 // progress hopeless for a retrying client.

@@ -29,9 +29,6 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		re.Throttle != cfg.Throttle {
 		t.Fatalf("round trip lost fields: %+v vs %+v", re, cfg)
 	}
-	if !cfg.Enabled() || (Config{}).Enabled() {
-		t.Fatal("Enabled misclassifies")
-	}
 }
 
 func TestParseSpecDefaultAndErrors(t *testing.T) {

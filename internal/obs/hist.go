@@ -121,29 +121,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// Merge adds every observation of o into h (bucket-wise; max and sum are
-// folded too). o is read atomically but should be quiescent for an exact
-// merge.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(o.total.Load())
-	h.sum.Add(o.sum.Load())
-	m := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if m <= cur || h.max.CompareAndSwap(cur, m) {
-			break
-		}
-	}
-}
-
 // HistSummary is the JSON-friendly view of a histogram of nanosecond
 // latencies: counts plus the SLO quantiles in milliseconds.
 type HistSummary struct {

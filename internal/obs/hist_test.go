@@ -75,8 +75,8 @@ func TestHistogramEmptyAndClamp(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndConcurrency(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
+func TestHistogramConcurrentObserve(t *testing.T) {
+	h := NewHistogram()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -84,21 +84,19 @@ func TestHistogramMergeAndConcurrency(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 5000; i++ {
-				a.Observe(rng.Int63n(1 << 30))
+				h.Observe(rng.Int63n(1 << 30))
 			}
 		}(int64(g))
 	}
 	wg.Wait()
-	b.Observe(1 << 40) // force merge to carry the max across
-	b.Merge(a)
-	if b.Count() != 20001 {
-		t.Fatalf("merged count %d != 20001", b.Count())
+	if h.Count() != 20000 {
+		t.Fatalf("count %d != 20000", h.Count())
 	}
-	if b.Max() != 1<<40 {
-		t.Fatalf("merged max %d != %d", b.Max(), int64(1)<<40)
+	if m := h.Max(); m <= 0 || m >= 1<<30 {
+		t.Fatalf("max %d outside (0, 2^30)", m)
 	}
-	if b.Quantile(0.999) == 0 {
-		t.Fatal("merged quantile should be nonzero")
+	if h.Quantile(0.999) == 0 {
+		t.Fatal("quantile should be nonzero")
 	}
 }
 

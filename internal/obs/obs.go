@@ -270,11 +270,6 @@ func (r *Recorder) row(worker int) *row {
 	return &r.rows[r.cfg.Workers]
 }
 
-// Value reads one worker's counter.
-func (r *Recorder) Value(worker int, c Counter) int64 {
-	return r.row(worker).c[c].Load()
-}
-
 // Total sums a counter across all rows (workers + external).
 func (r *Recorder) Total(c Counter) int64 {
 	var sum int64

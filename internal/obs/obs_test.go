@@ -21,8 +21,8 @@ func TestCountersAddStoreTotal(t *testing.T) {
 	if got := r.Total(CBagsCreated); got != 5 {
 		t.Errorf("Total(bags) = %d, want 5", got)
 	}
-	if got := r.Value(2, CTasksProcessed); got != 42 {
-		t.Errorf("Value(2, processed) = %d, want 42", got)
+	if got := r.Row(2)[CTasksProcessed].Load(); got != 42 {
+		t.Errorf("Row(2)[processed] = %d, want 42", got)
 	}
 	if got := r.Total(CTasksSubmitted); got != 7 {
 		t.Errorf("Total(submitted) = %d, want 7", got)
@@ -115,10 +115,10 @@ func processTasks(r *Recorder, n int64) {
 func TestTaskProcessedSampling(t *testing.T) {
 	r := New(Config{Workers: 1, SampleEvery: 4})
 	processTasks(r, 64)
-	if got := r.Value(0, CTasksProcessed); got != 64 {
+	if got := r.Row(0)[CTasksProcessed].Load(); got != 64 {
 		t.Errorf("processed = %d, want 64 (Store semantics)", got)
 	}
-	if got := r.Value(0, CEdgesExamined); got != 192 {
+	if got := r.Row(0)[CEdgesExamined].Load(); got != 192 {
 		t.Errorf("edges = %d, want 192", got)
 	}
 	evs := r.Events()
@@ -131,7 +131,7 @@ func TestTaskProcessedSampling(t *testing.T) {
 	if got := len(r2.Events()); got != 0 {
 		t.Errorf("disabled sampling still recorded %d events", got)
 	}
-	if got := r2.Value(0, CTasksProcessed); got != 64 {
+	if got := r2.Row(0)[CTasksProcessed].Load(); got != 64 {
 		t.Errorf("disabled sampling lost counters: %d", got)
 	}
 }

@@ -27,9 +27,6 @@ func NewDHeap(arity, capacity int) *DHeap {
 	return &DHeap{arity: arity, items: make([]task.Task, 0, capacity)}
 }
 
-// Arity returns the heap's branching factor.
-func (h *DHeap) Arity() int { return h.arity }
-
 // Len returns the number of queued tasks.
 func (h *DHeap) Len() int { return len(h.items) }
 

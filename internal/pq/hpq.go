@@ -86,9 +86,6 @@ func NewHPQ(hotCap int) *HPQ {
 // Len returns the number of queued tasks across both levels.
 func (q *HPQ) Len() int { return q.size }
 
-// HotLen returns the number of tasks resident in the hot buffer.
-func (q *HPQ) HotLen() int { return len(q.hot) - q.head }
-
 // ColdLen returns the number of tasks in the cold store (bucket ring or
 // fallback heap) — the "software PQ" side of the simulator's cost model.
 func (q *HPQ) ColdLen() int {

@@ -67,11 +67,11 @@ func TestHPQHotEviction(t *testing.T) {
 			}
 		}
 	}
-	if hl := q.HotLen(); hl != capacity {
+	if hl := hotLen(q); hl != capacity {
 		t.Fatalf("HotLen = %d, want %d", hl, capacity)
 	}
-	if q.Len() != q.HotLen()+q.ColdLen() {
-		t.Fatalf("Len %d != HotLen %d + ColdLen %d", q.Len(), q.HotLen(), q.ColdLen())
+	if q.Len() != hotLen(q)+q.ColdLen() {
+		t.Fatalf("Len %d != HotLen %d + ColdLen %d", q.Len(), hotLen(q), q.ColdLen())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestHPQPushCold(t *testing.T) {
 		q.PushCold(tk)
 		ref.Push(tk)
 	}
-	if got := q.HotLen(); got != 0 {
+	if got := hotLen(q); got != 0 {
 		t.Fatalf("PushCold leaked %d tasks into the hot buffer", got)
 	}
 	if got := q.ColdLen(); got != 100 {
@@ -175,3 +175,6 @@ func (q hpqQueue) Pop() (task.Task, bool) {
 	return t, ok
 }
 func (q hpqQueue) Peek() (task.Task, bool) { panic("unused") }
+
+// hotLen is the number of tasks resident in q's hot buffer.
+func hotLen(q *HPQ) int { return len(q.hot) - q.head }

@@ -39,8 +39,8 @@ import (
 // priority inversion is the cross-shard one pick-2 is designed to bound.
 //
 // Concurrency contract: the MultiQueue itself is shared; each worker
-// operates through its own *MQHandle (Handle), which carries the RNG,
-// stickiness state, and stats and implements pq.Queue. Handles are
+// operates through its own *MQHandle (Handle), which carries the RNG
+// and the stickiness state and implements pq.Queue. Handles are
 // single-owner; the shards they touch are protected by the per-shard
 // try-locks. Under contention Pop/Peek may spuriously report empty while
 // another handle holds the last nonempty shard's lock — callers that need
@@ -240,9 +240,6 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	return m
 }
 
-// Shards returns the shard count (c·P).
-func (m *MultiQueue) Shards() int { return len(m.shards) }
-
 // Len sums the shard sizes. The total is a consistent lower/upper bound
 // only at quiescence; mid-flight it may miss or double-count in-transit
 // tasks by at most the number of concurrent operations.
@@ -252,20 +249,6 @@ func (m *MultiQueue) Len() int {
 		n += m.shards[i].size.Load()
 	}
 	return int(n)
-}
-
-// WitnessMin returns the sharded min witness: the minimum cached top across
-// all shards (mqEmptyTop when everything is empty). One atomic load per
-// shard, no locks — the cheap global-minimum estimate the rank-error
-// instrumentation compares popped priorities against.
-func (m *MultiQueue) WitnessMin() int64 {
-	min := int64(mqEmptyTop)
-	for i := range m.shards {
-		if t := m.shards[i].top.Load(); t < min {
-			min = t
-		}
-	}
-	return min
 }
 
 // RankEstimate reports how many shards currently hold a task strictly
@@ -286,14 +269,6 @@ func (m *MultiQueue) RankEstimate(prio int64) (rank int, min int64) {
 	return rank, min
 }
 
-// MQStats counts one handle's coordination behavior.
-type MQStats struct {
-	Pushes    int64 // Push calls
-	Pops      int64 // successful Pop calls
-	LockFails int64 // try-lock failures that forced a shard re-pick
-	Scans     int64 // full-shard scans after pick-2 found both shards empty
-}
-
 // Handle returns a new single-owner view of the MultiQueue, seeded
 // deterministically from the queue's seed and the handle creation order.
 // Each concurrent worker must use its own handle.
@@ -306,8 +281,8 @@ func (m *MultiQueue) Handle() *MQHandle {
 }
 
 // MQHandle is one worker's port into a shared MultiQueue: it carries the
-// shard-choice RNG, the stickiness state, and per-handle stats, and
-// implements pq.Queue. Single-owner, like every pq.Queue.
+// shard-choice RNG and the stickiness state, and implements pq.Queue.
+// Single-owner, like every pq.Queue.
 type MQHandle struct {
 	mq  *MultiQueue
 	rng uint64
@@ -317,15 +292,10 @@ type MQHandle struct {
 	popA      int
 	popB      int
 	popLeft   int
-
-	stats MQStats
 }
 
 // Queue returns the shared MultiQueue behind the handle.
 func (h *MQHandle) Queue() *MultiQueue { return h.mq }
-
-// Stats returns the handle's coordination counters so far.
-func (h *MQHandle) Stats() MQStats { return h.stats }
 
 // next is xorshift64*: cheap, and deterministic per handle.
 func (h *MQHandle) next() uint64 {
@@ -344,7 +314,6 @@ func (h *MQHandle) randShard() int {
 // Push inserts t into the sticky shard, re-randomizing when the sticky run
 // expires or the shard's lock is contended.
 func (h *MQHandle) Push(t task.Task) {
-	h.stats.Pushes++
 	for {
 		if h.pushLeft <= 0 {
 			h.pushShard = h.randShard()
@@ -357,7 +326,6 @@ func (h *MQHandle) Push(t task.Task) {
 			h.pushLeft--
 			return
 		}
-		h.stats.LockFails++
 		h.pushLeft = 0
 	}
 }
@@ -373,7 +341,6 @@ func (h *MQHandle) Pop() (task.Task, bool) {
 			break // both sampled shards empty: scan
 		}
 		if !s.tryLock() {
-			h.stats.LockFails++
 			h.popLeft = 0
 			continue
 		}
@@ -386,7 +353,6 @@ func (h *MQHandle) Pop() (task.Task, bool) {
 		t := s.pop(h.mq.cfg.BatchCap)
 		s.unlock()
 		h.popLeft--
-		h.stats.Pops++
 		return t, true
 	}
 	return h.scanPop()
@@ -416,7 +382,6 @@ func (h *MQHandle) pickPop() (*mqShard, bool) {
 // nonempty one it can lock. Reaching it means pick-2 saw only empty shards,
 // so this is the slow path of an almost-drained queue.
 func (h *MQHandle) scanPop() (task.Task, bool) {
-	h.stats.Scans++
 	n := len(h.mq.shards)
 	start := h.randShard()
 	for i := 0; i < n; i++ {
@@ -425,7 +390,6 @@ func (h *MQHandle) scanPop() (task.Task, bool) {
 			continue
 		}
 		if !s.tryLock() {
-			h.stats.LockFails++
 			continue
 		}
 		if s.dpos == len(s.dbuf) {
@@ -434,7 +398,6 @@ func (h *MQHandle) scanPop() (task.Task, bool) {
 		}
 		t := s.pop(h.mq.cfg.BatchCap)
 		s.unlock()
-		h.stats.Pops++
 		return t, true
 	}
 	return task.Task{}, false
@@ -450,7 +413,6 @@ func (h *MQHandle) Peek() (task.Task, bool) {
 			break
 		}
 		if !s.tryLock() {
-			h.stats.LockFails++
 			h.popLeft = 0
 			continue
 		}

@@ -102,7 +102,7 @@ func TestMultiQueueRankBound(t *testing.T) {
 				t.Fatalf("queue still held %+v after the oracle drained", tk)
 			}
 
-			shards := m.Shards()
+			shards := len(m.shards)
 			mean := float64(rankSum) / float64(pops)
 			meanBound := 2.0 * float64(tc.stickiness*shards)
 			maxBound := 32 * tc.stickiness * shards
@@ -161,8 +161,8 @@ func TestMultiQueueConservationSequential(t *testing.T) {
 			if m.Len() != 0 {
 				t.Fatalf("Len = %d after full drain", m.Len())
 			}
-			if min := m.WitnessMin(); min != mqEmptyTop {
-				t.Fatalf("WitnessMin = %d on an empty queue", min)
+			if _, min := m.RankEstimate(0); min != mqEmptyTop {
+				t.Fatalf("witness min = %d on an empty queue", min)
 			}
 		})
 	}
@@ -261,22 +261,16 @@ func TestMultiQueueHandleBasics(t *testing.T) {
 	if a.Node == b.Node {
 		t.Fatalf("duplicate pop: %+v then %+v", a, b)
 	}
-	if st := h.Stats(); st.Pushes != 2 || st.Pops != 2 {
-		t.Fatalf("stats = %+v, want 2 pushes / 2 pops", st)
-	}
 }
 
 // TestMultiQueueRankEstimate pins the sharded min witness: after pushing a
 // known spread, RankEstimate of a large priority must count every nonempty
-// shard and WitnessMin must be the global minimum.
+// shard and its witness must be the global minimum.
 func TestMultiQueueRankEstimate(t *testing.T) {
 	m := NewMultiQueue(MultiQueueConfig{Workers: 1, Factor: 4, Seed: 9})
 	h := m.Handle()
 	for i := 0; i < 256; i++ {
 		h.Push(task.Task{Node: uint32(i), Prio: int64(i)})
-	}
-	if min := m.WitnessMin(); min != 0 {
-		t.Fatalf("WitnessMin = %d, want 0", min)
 	}
 	rank, min := m.RankEstimate(1 << 30)
 	if min != 0 {

@@ -240,10 +240,10 @@ func TestBoundedKeepsBest(t *testing.T) {
 }
 
 func TestDHeapArityClamp(t *testing.T) {
-	if got := NewDHeap(0, 0).Arity(); got != 2 {
+	if got := NewDHeap(0, 0).arity; got != 2 {
 		t.Fatalf("arity clamp = %d, want 2", got)
 	}
-	if got := NewDHeap(4, 16).Arity(); got != 4 {
+	if got := NewDHeap(4, 16).arity; got != 4 {
 		t.Fatalf("4-ary heap arity = %d, want 4", got)
 	}
 }

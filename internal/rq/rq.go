@@ -14,7 +14,7 @@ import (
 )
 
 // Ring is a bounded multi-producer single-consumer queue of tasks. Producers
-// may call TryPush concurrently; only the owning core may call Pop/Drain.
+// may call TryPushBatch concurrently; only the owning core may call Pop/Drain.
 // Capacities are rounded up to a power of two. The zero value is not usable;
 // construct with NewRing.
 type Ring struct {
@@ -48,9 +48,6 @@ func NewRing(capacity int) *Ring {
 	return r
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Len returns a snapshot of the number of published-but-unconsumed tasks.
 // With concurrent producers it is approximate, as for any concurrent queue.
 //
@@ -72,31 +69,6 @@ func (r *Ring) Len() int {
 		n = len(r.slots)
 	}
 	return n
-}
-
-// TryPush attempts to enqueue t. It returns false when the ring is full,
-// which in HD-CPS triggers the sender's flow-control fallback (pick another
-// core, or spill to the destination's overflow list).
-func (r *Ring) TryPush(t task.Task) bool {
-	for {
-		pos := r.tail.Load()
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos:
-			// Slot free for this ticket: claim it.
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				s.task = t
-				s.seq.Store(pos + 1) // publish (the paper's flag set)
-				return true
-			}
-		case seq < pos:
-			// Slot still holds an unconsumed task a full lap behind: full.
-			return false
-		default:
-			// Another producer claimed this ticket; retry with a new one.
-		}
-	}
 }
 
 // TryPushBatch enqueues a prefix of ts and returns how many tasks were

@@ -11,11 +11,11 @@ import (
 func TestRingFIFO(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 8; i++ {
-		if !r.TryPush(task.Task{Node: uint32(i)}) {
+		if !tryPush(r, task.Task{Node: uint32(i)}) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	if r.TryPush(task.Task{Node: 99}) {
+	if tryPush(r, task.Task{Node: 99}) {
 		t.Fatal("push into full ring succeeded")
 	}
 	for i := 0; i < 8; i++ {
@@ -33,8 +33,8 @@ func TestRingCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {8, 8}, {9, 16}, {32, 32},
 	} {
-		if got := NewRing(tc.in).Cap(); got != tc.want {
-			t.Errorf("NewRing(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewRing(tc.in).slots); got != tc.want {
+			t.Errorf("len(NewRing(%d).slots) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -44,7 +44,7 @@ func TestRingWrapAround(t *testing.T) {
 	// Many laps with interleaved push/pop.
 	for lap := 0; lap < 1000; lap++ {
 		for i := 0; i < 3; i++ {
-			if !r.TryPush(task.Task{Node: uint32(lap*3 + i)}) {
+			if !tryPush(r, task.Task{Node: uint32(lap*3 + i)}) {
 				t.Fatalf("lap %d push %d failed (len=%d)", lap, i, r.Len())
 			}
 		}
@@ -60,7 +60,7 @@ func TestRingWrapAround(t *testing.T) {
 func TestRingLen(t *testing.T) {
 	r := NewRing(16)
 	for i := 0; i < 5; i++ {
-		r.TryPush(task.Task{})
+		tryPush(r, task.Task{})
 	}
 	if r.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", r.Len())
@@ -75,7 +75,7 @@ func TestRingLen(t *testing.T) {
 func TestRingDrain(t *testing.T) {
 	r := NewRing(16)
 	for i := 0; i < 10; i++ {
-		r.TryPush(task.Task{Node: uint32(i)})
+		tryPush(r, task.Task{Node: uint32(i)})
 	}
 	buf := make([]task.Task, 0, 16)
 	buf = r.Drain(buf, 4)
@@ -109,7 +109,7 @@ func TestRingConcurrentProducers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
 				tk := task.Task{Node: uint32(p), Data: uint64(i)}
-				for !r.TryPush(tk) {
+				for !tryPush(r, tk) {
 					// Full: yield and retry, as a flow-controlled sender
 					// would. The yield keeps this test fast on GOMAXPROCS=1.
 					runtime.Gosched()
@@ -303,8 +303,8 @@ func TestRingLenConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				r.TryPush(task.Task{})
-				if n := r.Len(); n < 0 || n > r.Cap() {
+				tryPush(r, task.Task{})
+				if n := r.Len(); n < 0 || n > len(r.slots) {
 					panic("Len out of range") // t.Fatal not allowed off the test goroutine
 				}
 			}
@@ -312,8 +312,8 @@ func TestRingLenConcurrent(t *testing.T) {
 	}
 	deadline := 200000
 	for i := 0; i < deadline; i++ {
-		if n := r.Len(); n < 0 || n > r.Cap() {
-			t.Fatalf("Len = %d out of [0, %d]", n, r.Cap())
+		if n := r.Len(); n < 0 || n > len(r.slots) {
+			t.Fatalf("Len = %d out of [0, %d]", n, len(r.slots))
 		}
 		r.Pop()
 	}
@@ -376,7 +376,7 @@ func BenchmarkRingPush(b *testing.B) {
 			b.ReportAllocs()
 			benchProducers(b, p, func(r *Ring, id, n int) {
 				for i := 0; i < n; i++ {
-					for !r.TryPush(task.Task{Node: uint32(id), Data: uint64(i)}) {
+					for !tryPush(r, task.Task{Node: uint32(id), Data: uint64(i)}) {
 						runtime.Gosched()
 					}
 				}
@@ -420,7 +420,10 @@ func BenchmarkRingPushPop(b *testing.B) {
 	r := NewRing(256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.TryPush(task.Task{Node: uint32(i)})
+		tryPush(r, task.Task{Node: uint32(i)})
 		r.Pop()
 	}
 }
+
+// tryPush enqueues one task through the ring's batch push.
+func tryPush(r *Ring, t task.Task) bool { return r.TryPushBatch([]task.Task{t}) == 1 }

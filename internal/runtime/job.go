@@ -293,9 +293,6 @@ func (j *Job) ID() task.JobID { return j.js.id }
 // Name returns the job's label.
 func (j *Job) Name() string { return j.js.name }
 
-// Cancelled reports whether Cancel has been requested.
-func (j *Job) Cancelled() bool { return j.js.cancelled.Load() }
-
 // Snapshot returns the job's ledger row (see JobStats for the per-job
 // conservation equation and its coherence contract).
 func (j *Job) Snapshot() JobStats { return j.js.stats() }
@@ -346,17 +343,4 @@ func (j *Job) Cancel(ctx context.Context) error {
 	// busy fleet discards on its next scheduling round anyway.
 	j.e.wakeAll()
 	return j.Drain(ctx)
-}
-
-// Quarantined returns the subset of the engine's poison-task list belonging
-// to this job.
-func (j *Job) Quarantined() []QuarantinedTask {
-	all := j.e.faults.snapshot()
-	out := all[:0]
-	for _, q := range all {
-		if q.Task.Job == j.js.id {
-			out = append(out, q)
-		}
-	}
-	return out
 }

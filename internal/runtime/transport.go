@@ -87,7 +87,7 @@ type endpoint struct {
 	out     [][]task.Task
 	pending int
 
-	_pad [4]int64 // reduce false sharing between adjacent endpoints
+	_ [4]int64 // reduce false sharing between adjacent endpoints
 }
 
 // newRingTransport builds the fabric for `workers` endpoints with rings of

@@ -107,8 +107,7 @@ type globalMap struct {
 
 const (
 	pmodWindow   = 32 // pops between adaptation decisions
-	pmodLowFill  = obimChunkSize / 4
-	obimShift    = 2 // OBIM's fixed quantization (needs manual tuning)
+	obimShift    = 2  // OBIM's fixed quantization (needs manual tuning)
 	pmodMaxShift = 6
 )
 

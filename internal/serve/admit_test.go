@@ -172,7 +172,7 @@ func TestServeCountersHaveOneHome(t *testing.T) {
 				req.Header.Set(k, v)
 			}
 			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, req)
+			s.mux.ServeHTTP(rec, req)
 			if rec.Code != tc.status {
 				t.Fatalf("obs %v, %s: status %d %s, want %d", withObs, tc.name, rec.Code, rec.Body, tc.status)
 			}

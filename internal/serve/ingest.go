@@ -460,7 +460,8 @@ func putBody(b *bodyBuf) { bodyPool.Put(b) }
 
 // acceptedLine resets the buffer to {"accepted":n} plus a newline — the
 // buffered 200 body and the progress-ack line, byte-identical to what
-// json.Encoder makes of submitResult — without allocating.
+// json.Encoder makes of a struct with one int64 field tagged "accepted" —
+// without allocating.
 func (b *bodyBuf) acceptedLine(n int64) []byte {
 	b.buf.Reset()
 	line := append(b.buf.AvailableBuffer(), acceptedPrefix...)

@@ -66,7 +66,7 @@ func BenchmarkSubmitIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(srv.mux)
 		defer ts.Close()
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

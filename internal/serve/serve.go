@@ -238,10 +238,6 @@ func (s *Server) Engine() *runtime.Engine { return s.eng }
 // Config.Chaos is unset (the CLI prints them at exit).
 func (s *Server) ChaosStats() *chaos.Stats { return s.faults }
 
-// Handler returns the full mux: the /v1 API, /healthz + /readyz, and the
-// ops plane.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -434,11 +430,6 @@ type TaskSpec struct {
 	Node uint32 `json:"node"`
 	Prio int64  `json:"prio"`
 	Data uint64 `json:"data"`
-}
-
-// submitResult is the 200 body of a submit.
-type submitResult struct {
-	Accepted int64 `json:"accepted"`
 }
 
 // handleDrain blocks until the job is quiescent or ?timeout= (default the

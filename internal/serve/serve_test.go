@@ -14,6 +14,11 @@ import (
 	"hdcps/internal/runtime"
 )
 
+// submitResult is the 200 body of a submit (bodyBuf.acceptedLine writes it).
+type submitResult struct {
+	Accepted int64 `json:"accepted"`
+}
+
 // newTestServer boots a small server; the caller owns Shutdown.
 func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
@@ -28,7 +33,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.mux)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -115,7 +115,7 @@ func TestSigtermPathDrainsExactly(t *testing.T) {
 	}
 	// Land some work through the HTTP handler so the drain has something
 	// to prove.
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	cl := &Client{Base: ts.URL}
 	gen := RefreshGen(s.g.NumNodes(), 11)

@@ -257,13 +257,6 @@ func clampOverlap(confirmed, start, n int64) int64 {
 	return o
 }
 
-// Confirmed returns the stream's durably admitted line count.
-func (ps *PersistentStream) Confirmed() int64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.confirmed
-}
-
 // Close flushes queued lines, closes the request cleanly, and waits for the
 // manager to finish. It returns the stream's terminal error if unconfirmed
 // lines were abandoned.

@@ -220,7 +220,7 @@ func TestPersistentStreamSubmits(t *testing.T) {
 		}
 		total += acc
 	}
-	if got := ps.Confirmed(); got != total {
+	if got := confirmedOf(ps); got != total {
 		t.Fatalf("confirmed %d, want %d", got, total)
 	}
 	if err := ps.Close(); err != nil {
@@ -272,7 +272,7 @@ func TestPersistentStreamConcurrentSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(goroutines * perG * batch)
-	if got := ps.Confirmed(); got != want {
+	if got := confirmedOf(ps); got != want {
 		t.Fatalf("confirmed %d, want %d", got, want)
 	}
 	if err := ps.Close(); err != nil {
@@ -356,7 +356,7 @@ func TestPersistentStreamReconnects(t *testing.T) {
 // stream's connection.
 func TestResetEndsTheAttempt(t *testing.T) {
 	s, _ := newTestServer(t, nil)
-	real := s.Handler()
+	real := s.mux
 	var attempts atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if attempts.Add(1) > 1 {
@@ -614,4 +614,11 @@ func TestParseAcceptedLineMatchesJSON(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { parseAcceptedLine(line) }); allocs != 0 {
 		t.Errorf("parseAcceptedLine allocates %v objects a line, want 0", allocs)
 	}
+}
+
+// confirmedOf reads ps's durably admitted line count.
+func confirmedOf(ps *PersistentStream) int64 {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.confirmed
 }

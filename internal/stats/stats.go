@@ -103,15 +103,6 @@ func (r Run) WorkEfficiency() float64 {
 // AvgDrift returns the mean of the drift trace.
 func (r Run) AvgDrift() float64 { return Mean(r.DriftTrace) }
 
-// Speedup returns base's completion time divided by r's: >1 means r is
-// faster than base.
-func (r Run) Speedup(base Run) float64 {
-	if r.CompletionTime == 0 {
-		return 0
-	}
-	return float64(base.CompletionTime) / float64(r.CompletionTime)
-}
-
 // String gives a one-line summary of the run.
 func (r Run) String() string {
 	var sb strings.Builder

@@ -52,17 +52,6 @@ func TestWorkEfficiency(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	base := Run{CompletionTime: 1000}
-	fast := Run{CompletionTime: 500}
-	if fast.Speedup(base) != 2 {
-		t.Fatalf("speedup = %v", fast.Speedup(base))
-	}
-	if (Run{}).Speedup(base) != 0 {
-		t.Fatal("zero-time run speedup should be 0")
-	}
-}
-
 func TestMeanGeomean(t *testing.T) {
 	if Mean(nil) != 0 || Geomean(nil) != 0 {
 		t.Fatal("empty aggregates should be 0")

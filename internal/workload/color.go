@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"hdcps/internal/graph"
@@ -26,7 +27,12 @@ type Color struct {
 	color []int32    // -1 = uncolored; atomic
 }
 
-const uncolored = int32(-1)
+const (
+	uncolored = int32(-1)
+	// colorStackWords bounds Process's free-color bitset on the stack: a
+	// vertex of degree up to 64·colorStackWords-1 colors without allocating.
+	colorStackWords = 16
+)
 
 // NewColor returns a coloring workload over the symmetrized g.
 func NewColor(g *graph.CSR) *Color {
@@ -111,17 +117,24 @@ func (w *Color) Process(t task.Task, emit func(task.Task)) int {
 		}
 		w.store32(&w.color[u], uncolored)
 	}
-	// Take the smallest color unused by currently colored neighbors.
-	used := make(map[int32]bool, len(dsts))
+	// Take the smallest color unused by currently colored neighbors. It is
+	// at most the degree, so a bitset of deg+1 colors finds it: on the
+	// stack up to colorStackWords words, allocated only for a hub past that.
+	var stack [colorStackWords]uint64
+	used := stack[:]
+	if n := len(dsts)/64 + 1; n > len(stack) {
+		used = make([]uint64, n)
+	}
 	for _, v := range dsts {
-		if c := atomic.LoadInt32(&w.color[v]); v != u && c != uncolored {
-			used[c] = true
+		if c := atomic.LoadInt32(&w.color[v]); v != u && c != uncolored && int(c) <= len(dsts) {
+			used[c/64] |= 1 << (c % 64)
 		}
 	}
-	c := int32(0)
-	for used[c] {
-		c++
+	i := 0
+	for used[i] == ^uint64(0) {
+		i++
 	}
+	c := int32(i*64 + bits.TrailingZeros64(^used[i]))
 	w.store32(&w.color[u], c)
 	// Validate against neighbors that raced us. The later writer of a
 	// conflicting pair is guaranteed to observe the earlier write here, and

@@ -59,9 +59,6 @@ func (w *SSSP) Name() string { return "sssp" }
 // Graph implements Workload.
 func (w *SSSP) Graph() *graph.CSR { return w.g }
 
-// Delta returns the bucket width in use.
-func (w *SSSP) Delta() int64 { return w.delta }
-
 // Dist returns the tentative-distance array (inf for unreachable nodes).
 // Valid after a scheduler has drained all tasks.
 func (w *SSSP) Dist() []int64 { return w.dist }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hdcps/internal/graph"
+	"hdcps/internal/pq"
 	"hdcps/internal/task"
 )
 
@@ -158,11 +159,11 @@ func TestSSSPStaleTaskIsNoop(t *testing.T) {
 func TestSSSPDefaultDelta(t *testing.T) {
 	g := graph.Grid(5, 5, 100, 2)
 	w := NewSSSP(g, 0, 0)
-	if w.Delta() < 1 {
-		t.Fatalf("delta = %d", w.Delta())
+	if w.delta < 1 {
+		t.Fatalf("delta = %d", w.delta)
 	}
 	empty, _ := graph.FromEdges("e", 3, nil)
-	if NewSSSP(empty, 0, 0).Delta() != 1 {
+	if NewSSSP(empty, 0, 0).delta != 1 {
 		t.Fatal("edgeless graph delta should be 1")
 	}
 }
@@ -289,26 +290,34 @@ func TestColorProper(t *testing.T) {
 }
 
 func TestColorPriorityOrderUsesFewColors(t *testing.T) {
-	// On a star graph, degree-priority coloring uses exactly 2 colors.
-	n := 10
-	edges := []graph.Edge{}
-	for i := 1; i < n; i++ {
-		edges = append(edges,
-			graph.Edge{Src: 0, Dst: graph.NodeID(i), Wt: 1},
-			graph.Edge{Src: graph.NodeID(i), Dst: 0, Wt: 1})
-	}
-	g, _ := graph.FromEdges("star", n, edges)
-	w := NewColor(g)
-	RunSequential(w)
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if w.NumColors() != 2 {
-		t.Fatalf("star colored with %d colors, want 2", w.NumColors())
-	}
-	// Hub (highest degree) gets color 0.
-	if w.Colors()[0] != 0 {
-		t.Fatalf("hub color = %d, want 0", w.Colors()[0])
+	// On a star graph, degree-priority coloring uses exactly 2 colors. The
+	// larger star's hub is past Process's stack bitset.
+	for _, n := range []int{10, 64*colorStackWords + 1} {
+		edges := []graph.Edge{}
+		for i := 1; i < n; i++ {
+			edges = append(edges,
+				graph.Edge{Src: 0, Dst: graph.NodeID(i), Wt: 1},
+				graph.Edge{Src: graph.NodeID(i), Dst: 0, Wt: 1})
+		}
+		g, _ := graph.FromEdges("star", n, edges)
+		for _, lifo := range []bool{false, true} {
+			w := NewColor(g)
+			if lifo {
+				runLIFO(w) // the hub colors last, against colored leaves
+			} else {
+				RunSequential(w)
+			}
+			if err := w.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if w.NumColors() != 2 {
+				t.Fatalf("star(%d) colored with %d colors, want 2", n, w.NumColors())
+			}
+			// Hub (highest degree) gets color 0 in priority order.
+			if !lifo && w.Colors()[0] != 0 {
+				t.Fatalf("star(%d) hub color = %d, want 0", n, w.Colors()[0])
+			}
+		}
 	}
 }
 
@@ -501,5 +510,55 @@ func TestRunSequentialAllocsPerRun(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { n = RunSequential(w) })
 	if allocs > 16 {
 		t.Fatalf("RunSequential on pagerank Web(2000): %.0f allocations for %d tasks, want <= 16", allocs, n)
+	}
+}
+
+// TestProcessAllocatesNothing holds every kernel's Process to zero
+// allocations a task, in both modes, on a road and a web input: it replays
+// a strict drain's task sequence from a fresh Reset, so the count is
+// Process's own and not the queue's.
+func TestProcessAllocatesNothing(t *testing.T) {
+	exempt := map[string]string{
+		"mst": "merging two components concatenates their adjacency lists, which are the algorithm's state",
+	}
+	modes := []struct {
+		name  string
+		reset func(Workload)
+	}{{"serial", ResetSerial}, {"shared", Workload.Reset}}
+	inputs := []*graph.CSR{graph.Road(24, 24, 1), graph.Web(2000, 1)}
+	for _, name := range Names() {
+		for _, g := range inputs {
+			for _, m := range modes {
+				t.Run(name+"/"+g.Name+"/"+m.name, func(t *testing.T) {
+					if why, ok := exempt[name]; ok {
+						t.Skip(why)
+					}
+					w, err := New(name, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.reset(w)
+					q := pq.NewBinaryHeap(0)
+					var trace []task.Task
+					for _, s := range w.InitialTasks() {
+						q.Push(s)
+					}
+					for s, ok := q.Pop(); ok; s, ok = q.Pop() {
+						trace = append(trace, s)
+						w.Process(s, q.Push)
+					}
+					discard := func(task.Task) {}
+					allocs := testing.AllocsPerRun(1, func() {
+						m.reset(w)
+						for _, s := range trace {
+							w.Process(s, discard)
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("%.0f allocations over %d tasks, want 0", allocs, len(trace))
+					}
+				})
+			}
+		}
 	}
 }

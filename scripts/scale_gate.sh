@@ -10,8 +10,10 @@
 #             keeps their history);
 #   oversubscribed
 #             two workers per CPU (four on a 2-CPU box) take at most twice
-#             two workers' time (hdcps-bench -scale-gate, a constant: ROADMAP
-#             item 4's exit; the base's binary may not run this cell);
+#             two workers' time (hdcps-bench -scale-gate, a constant: the
+#             exit of the ROADMAP item "Reach a stalled worker's backlog:
+#             steal-when-behind and the oversubscribed fleet"; the base's
+#             binary may not run this cell);
 #   absolute  neither the one- nor the two-worker median is slower than
 #             base-ref's (default HEAD~1), measured now on this box by
 #             base-ref's own hdcps-bench, by more than the 25%
