@@ -161,7 +161,9 @@ func BenchmarkNativeRuntime(b *testing.B) {
 // BenchmarkNativeSolve is one native solve at the benchmark's shapes — sssp on
 // Road(240, 240) and pagerank on Web(10000), graph and engine seed 42 — at one
 // and two workers, the one workload reset by each solve's engine as the
-// benchmark does. Its ns/task (solve wall time over tasks run, engine setup
+// benchmark does. pagerank-copies is the owner-affinity control: two disjoint
+// copies of Web(5000), the second numbered from 5000, so at two workers each
+// copy is exactly one worker's block and no edge crosses the block cut. Its ns/task (solve wall time over tasks run, engine setup
 // included) is the figure a CPU profile of the per-task path divides by:
 //
 //	go test -run '^$' -bench 'NativeSolve/sssp/w2' -cpuprofile cpu.out .
@@ -169,18 +171,19 @@ func BenchmarkNativeRuntime(b *testing.B) {
 // A solve takes 10-60 ms, so bench-smoke's 100x leaves it out.
 func BenchmarkNativeSolve(b *testing.B) {
 	for _, tc := range []struct {
-		name string
-		g    *graph.CSR
+		name, kind string
+		g          *graph.CSR
 	}{
-		{"sssp", graph.Road(240, 240, 42)},
-		{"pagerank", graph.Web(10000, 42)},
+		{"sssp", "sssp", graph.Road(240, 240, 42)},
+		{"pagerank", "pagerank", graph.Web(10000, 42)},
+		{"pagerank-copies", "pagerank", twoCopies(graph.Web(5000, 42))},
 	} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(b *testing.B) {
 				cfg := runtime.DefaultConfig(workers)
 				cfg.Seed = 42
 				// Each solve's engine resets the one workload.
-				w, err := workload.New(tc.name, tc.g)
+				w, err := workload.New(tc.kind, tc.g)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -193,6 +196,75 @@ func BenchmarkNativeSolve(b *testing.B) {
 				b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
 			})
 		}
+	}
+}
+
+// twoCopies is g's disjoint union with itself: node v of the second copy is
+// v + N, N being g's node count.
+func twoCopies(g *graph.CSR) *graph.CSR {
+	n, m := uint32(g.NumNodes()), uint32(g.NumEdges())
+	c := &graph.CSR{
+		Name: g.Name + "-x2",
+		Off:  append([]uint32(nil), g.Off...),
+		Dst:  append([]graph.NodeID(nil), g.Dst...),
+		Wt:   append(append([]uint32(nil), g.Wt...), g.Wt...),
+	}
+	for _, o := range g.Off[1:] {
+		c.Off = append(c.Off, o+m)
+	}
+	for _, v := range g.Dst {
+		c.Dst = append(c.Dst, v+n)
+	}
+	return c
+}
+
+// BenchmarkInputs is input preparation at the benchmark's sizes, seed 42,
+// one step a sub-benchmark with its allocations: generating the graph,
+// workload.New on it (the source seed, the bucket width) and the sequential
+// oracle run on a clone, which is what every benchmark workload pays before
+// its first solve. Profile one step with:
+//
+//	go test -run '^$' -bench 'Inputs/cage-80000/new' -cpuprofile cpu.out .
+func BenchmarkInputs(b *testing.B) {
+	for _, in := range []struct {
+		name, kind string
+		gen        func() *graph.CSR
+	}{
+		{"road-240", "sssp", func() *graph.CSR { return graph.Road(240, 240, 42) }},
+		{"cage-32000", "sssp", func() *graph.CSR { return graph.Cage(32000, 34, 80, 42) }},
+		{"cage-80000", "bfs", func() *graph.CSR { return graph.Cage(80000, 34, 80, 43) }},
+		{"web-10000", "pagerank", func() *graph.CSR { return graph.Web(10000, 42) }},
+		{"web-20000", "sssp", func() *graph.CSR { return graph.Web(20000, 42) }},
+	} {
+		b.Run(in.name+"/generate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in.gen()
+			}
+		})
+		b.Run(in.name+"/new", func(b *testing.B) {
+			g := in.gen()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.New(in.kind, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/oracle", func(b *testing.B) {
+			w, err := workload.New(in.kind, in.gen())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var tasks int64
+			for i := 0; i < b.N; i++ {
+				tasks += workload.RunSequential(w.Clone())
+			}
+			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
+		})
 	}
 }
 

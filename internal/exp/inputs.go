@@ -66,11 +66,15 @@ func sizes(scale string) (sizing, error) {
 // are cached per (scale, seed) because generation dominates small runs.
 type inputSet struct {
 	graphs map[string]*graph.CSR
-	// seq caches each pair's sequential task count on these graphs, the
-	// denominator of work efficiency. Concurrent cells that miss together
-	// compute the same value; mu only protects the map.
-	mu  sync.Mutex
-	seq map[Pair]int64
+	// protos holds each pair's prototype workload, which workloadFor clones,
+	// so the source seed, the symmetrized graph, the bucket width and the
+	// reference answer are computed once a pair, not once a cell. seq caches
+	// each pair's sequential task count on these graphs, the denominator of
+	// work efficiency. Concurrent cells that miss together compute the same
+	// value and keep the first one stored; mu only protects the maps.
+	mu     sync.Mutex
+	protos map[Pair]workload.Workload
+	seq    map[Pair]int64
 }
 
 // inputMu guards inputCache: experiments may build inputs from concurrent
@@ -93,7 +97,7 @@ func inputs(o Options) (*inputSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	s = &inputSet{seq: map[Pair]int64{}, graphs: map[string]*graph.CSR{
+	s = &inputSet{protos: map[Pair]workload.Workload{}, seq: map[Pair]int64{}, graphs: map[string]*graph.CSR{
 		"road": graph.Road(sz.roadW, sz.roadH, o.Seed),
 		"cage": graph.Cage(sz.cageN, 34, 80, o.Seed),
 		"web":  graph.Web(sz.webN, o.Seed),
@@ -109,13 +113,29 @@ func inputs(o Options) (*inputSet, error) {
 	return s, nil
 }
 
-// workloadFor instantiates a fresh workload for a pair.
+// workloadFor returns a fresh instance of a pair's workload: a Clone of the
+// pair's prototype.
 func (s *inputSet) workloadFor(p Pair) (workload.Workload, error) {
-	g, ok := s.graphs[p.Input]
+	s.mu.Lock()
+	proto, ok := s.protos[p]
+	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("exp: unknown input %q", p.Input)
+		g, ok := s.graphs[p.Input]
+		if !ok {
+			return nil, fmt.Errorf("exp: unknown input %q", p.Input)
+		}
+		w, err := workload.New(p.Workload, g)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		if proto, ok = s.protos[p]; !ok {
+			proto = w
+			s.protos[p] = w
+		}
+		s.mu.Unlock()
 	}
-	return workload.New(p.Workload, g)
+	return proto.Clone(), nil
 }
 
 // seqTasks returns p's sequential task count on this set's graphs.

@@ -21,7 +21,8 @@ import (
 // most nodes keep 2-3 undirected street segments (emitted as directed edge
 // pairs) plus sparse long "highway" shortcuts. Weights model segment lengths
 // in 1..1000. The result has tiny average degree and very large diameter,
-// the two properties that make rUSA stress priority schedulers.
+// the two properties that make rUSA stress priority schedulers. Each segment
+// lands in two rows at once, so Road stages its edges for FromEdges.
 func Road(w, h int, seed uint64) *CSR {
 	r := NewRNG(seed ^ 0x0ad)
 	n := w * h
@@ -59,6 +60,23 @@ func Road(w, h int, seed uint64) *CSR {
 	return g
 }
 
+// newRows starts an n-node CSR that a generator fills one row at a time, in
+// node order: append node u's out-edges to Dst and Wt, then endRow. The
+// result is the CSR FromEdges builds from the same edges in the same order,
+// without staging them in a []Edge first.
+func newRows(name string, n, edgeCap int) *CSR {
+	return &CSR{
+		Name: name,
+		Off:  make([]uint32, 1, n+1),
+		Dst:  make([]NodeID, 0, edgeCap),
+		Wt:   make([]uint32, 0, edgeCap),
+	}
+}
+
+// endRow closes the row being appended: the next edges belong to the next
+// node.
+func (g *CSR) endRow() { g.Off = append(g.Off, uint32(len(g.Dst))) }
+
 // attachLatticeCoords assigns (x, y) positions by row-major lattice layout so
 // geometric workloads (A*) have an admissible heuristic to work with.
 func attachLatticeCoords(g *CSR, w, h int) {
@@ -86,7 +104,7 @@ func Cage(n, avgDeg, maxDeg int, seed uint64) *CSR {
 	if band >= n {
 		band = n - 1
 	}
-	edges := make([]Edge, 0, n*avgDeg)
+	g := newRows(fmt.Sprintf("cage-%d", n), n, n*avgDeg)
 	for i := 0; i < n; i++ {
 		// Degree jitters around avgDeg within [avgDeg/2, maxDeg].
 		d := avgDeg/2 + r.Intn(avgDeg)
@@ -109,12 +127,10 @@ func Cage(n, avgDeg, maxDeg int, seed uint64) *CSR {
 			if j == i {
 				continue
 			}
-			edges = append(edges, Edge{NodeID(i), NodeID(j), 1 + r.Uint32n(64)})
+			g.Dst = append(g.Dst, NodeID(j))
+			g.Wt = append(g.Wt, 1+r.Uint32n(64))
 		}
-	}
-	g, err := FromEdges(fmt.Sprintf("cage-%d", n), n, edges)
-	if err != nil {
-		panic(err)
+		g.endRow()
 	}
 	side := int(math.Ceil(math.Sqrt(float64(n))))
 	attachLatticeCoords(g, side, (n+side-1)/side)
@@ -137,7 +153,7 @@ func powerLaw(name string, n, avgDeg int, alpha float64, maxDegFrac float64, see
 	if maxDeg >= n {
 		maxDeg = n - 1
 	}
-	edges := make([]Edge, 0, n*avgDeg)
+	g := newRows(name, n, n*avgDeg)
 	// endpoint pool for preferential attachment; seeded with a small clique
 	// so early samples are valid.
 	pool := make([]NodeID, 0, n*avgDeg/2)
@@ -171,14 +187,12 @@ func powerLaw(name string, n, avgDeg int, alpha float64, maxDegFrac float64, see
 			if v == NodeID(i) {
 				continue
 			}
-			edges = append(edges, Edge{NodeID(i), v, 1 + r.Uint32n(100)})
+			g.Dst = append(g.Dst, v)
+			g.Wt = append(g.Wt, 1+r.Uint32n(100))
 			pool = append(pool, v)
 		}
+		g.endRow()
 		pool = append(pool, NodeID(i))
-	}
-	g, err := FromEdges(name, n, edges)
-	if err != nil {
-		panic(err)
 	}
 	return g
 }
@@ -197,7 +211,8 @@ func LJ(n int, seed uint64) *CSR {
 
 // Grid generates a fully connected w-by-h 4-neighbor lattice with Euclidean
 // coordinates and weights in [1, maxWt]. It is the input for the A* workload
-// (the admissible heuristic needs geometry).
+// (the admissible heuristic needs geometry). Like Road, it emits each
+// lattice edge into two rows at once and stages its edges for FromEdges.
 func Grid(w, h int, maxWt uint32, seed uint64) *CSR {
 	if maxWt == 0 {
 		maxWt = 1

@@ -53,7 +53,9 @@ func (s Stats) String() string {
 
 // LargestComponentSeed returns a node from which a large fraction of the
 // graph is reachable, found by probing a few deterministic candidates with
-// truncated BFS. Workloads use it as the default source so SSSP/BFS/A* do
+// truncated BFS. A candidate that an earlier probe already reached is not
+// probed (it cannot reach more), so on a graph where the first probe reaches
+// every other candidate, one BFS decides. Workloads use it as the default source so SSSP/BFS/A* do
 // meaningful work on generated graphs.
 func LargestComponentSeed(g *CSR) NodeID {
 	n := g.NumNodes()
@@ -66,6 +68,12 @@ func LargestComponentSeed(g *CSR) NodeID {
 	queue := make([]NodeID, 0, 1024)
 	for probe := 0; probe < 8; probe++ {
 		src := NodeID(probe * n / 8)
+		if seen[src] != 0 {
+			// An earlier probe reached src. If that BFS ran out, src
+			// reaches a subset of what it counted; if it stopped at
+			// reachLimit, nothing beats it. Either way src cannot win.
+			continue
+		}
 		epoch++
 		queue = queue[:0]
 		queue = append(queue, src)

@@ -29,8 +29,7 @@ type AStar struct {
 	hscale float64
 	dist   []int64
 
-	refTarget int64
-	haveRef   bool
+	ref *answer[int64] // sequential A*'s target distance
 }
 
 // NewAStar returns an A* search from src to target. delta <= 0 picks the
@@ -43,6 +42,7 @@ func NewAStar(g *graph.CSR, src, target graph.NodeID, delta int64) *AStar {
 		g: g, src: src, target: target, delta: delta,
 		hscale: admissibleScale(g),
 		dist:   make([]int64, g.NumNodes()),
+		ref:    new(answer[int64]),
 	}
 	w.Reset()
 	return w
@@ -138,18 +138,18 @@ func (w *AStar) Process(t task.Task, emit func(task.Task)) int {
 }
 
 // Clone implements Workload.
-func (w *AStar) Clone() Workload { return NewAStar(w.g, w.src, w.target, w.delta) }
+func (w *AStar) Clone() Workload {
+	c := NewAStar(w.g, w.src, w.target, w.delta)
+	c.ref = w.ref
+	return c
+}
 
 // Verify implements Workload: the target distance must equal Dijkstra's.
 // (Non-target distances legitimately differ because of pruning.)
 func (w *AStar) Verify() error {
-	if !w.haveRef {
-		ref := seqAStar(w.g, w.src, w.target, w.hscale)
-		w.refTarget = ref
-		w.haveRef = true
-	}
-	if got := w.dist[w.target]; got != w.refTarget {
-		return fmt.Errorf("astar: target dist = %d, want %d", got, w.refTarget)
+	want := w.ref.get(func() int64 { return seqAStar(w.g, w.src, w.target, w.hscale) })
+	if got := w.dist[w.target]; got != want {
+		return fmt.Errorf("astar: target dist = %d, want %d", got, want)
 	}
 	return nil
 }

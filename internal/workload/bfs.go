@@ -18,12 +18,12 @@ type BFS struct {
 	src   graph.NodeID
 	level []int64
 
-	ref []int64
+	ref *answer[[]int64] // array-queue BFS levels
 }
 
 // NewBFS returns a BFS from src.
 func NewBFS(g *graph.CSR, src graph.NodeID) *BFS {
-	w := &BFS{g: g, src: src, level: make([]int64, g.NumNodes())}
+	w := &BFS{g: g, src: src, level: make([]int64, g.NumNodes()), ref: new(answer[[]int64])}
 	w.Reset()
 	return w
 }
@@ -69,14 +69,16 @@ func (w *BFS) Process(t task.Task, emit func(task.Task)) int {
 }
 
 // Clone implements Workload.
-func (w *BFS) Clone() Workload { return NewBFS(w.g, w.src) }
+func (w *BFS) Clone() Workload {
+	c := NewBFS(w.g, w.src)
+	c.ref = w.ref
+	return c
+}
 
 // Verify implements Workload: compares against an array-queue BFS.
 func (w *BFS) Verify() error {
-	if w.ref == nil {
-		w.ref = refBFS(w.g, w.src)
-	}
-	for i, want := range w.ref {
+	ref := w.ref.get(func() []int64 { return refBFS(w.g, w.src) })
+	for i, want := range ref {
 		if w.level[i] != want {
 			return fmt.Errorf("bfs: level[%d] = %d, want %d", i, w.level[i], want)
 		}

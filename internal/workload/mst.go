@@ -29,10 +29,11 @@ type MST struct {
 	weight int64       // accumulated forest weight (atomic)
 	merges int64       // number of contractions performed (atomic)
 
-	refWeight int64
-	refEdges  int64
-	haveRef   bool
+	ref *answer[forest] // Kruskal's
 }
+
+// forest is a spanning forest's total weight and edge count.
+type forest struct{ weight, edges int64 }
 
 type mstEdge struct {
 	to graph.NodeID
@@ -43,7 +44,7 @@ type mstEdge struct {
 // component must see *every* edge crossing its cut (including the input's
 // in-edges) or the cut property that makes Boruvka correct does not hold.
 func NewMST(g *graph.CSR) *MST {
-	w := &MST{g: g.Symmetrize()}
+	w := &MST{g: g.Symmetrize(), ref: new(answer[forest])}
 	w.Reset()
 	return w
 }
@@ -149,11 +150,11 @@ func (w *MST) Process(t task.Task, emit func(task.Task)) int {
 	return scanned + 1
 }
 
-// Clone implements Workload. It reuses the already-symmetrized graph.
+// Clone implements Workload. It reuses the already-symmetrized graph and the
+// reference answer.
 func (w *MST) Clone() Workload {
-	c := &MST{g: w.g}
+	c := &MST{g: w.g, ref: w.ref}
 	c.Reset()
-	c.refWeight, c.refEdges, c.haveRef = w.refWeight, w.refEdges, w.haveRef
 	return c
 }
 
@@ -161,22 +162,19 @@ func (w *MST) Clone() Workload {
 // Kruskal's (the minimum forest weight is unique even when the forest
 // itself is not).
 func (w *MST) Verify() error {
-	if !w.haveRef {
-		w.refWeight, w.refEdges = kruskal(w.g)
-		w.haveRef = true
+	ref := w.ref.get(func() forest { return kruskal(w.g) })
+	if got := w.Merges(); got != ref.edges {
+		return fmt.Errorf("mst: %d merges, want %d", got, ref.edges)
 	}
-	if got := w.Merges(); got != w.refEdges {
-		return fmt.Errorf("mst: %d merges, want %d", got, w.refEdges)
-	}
-	if got := w.Weight(); got != w.refWeight {
-		return fmt.Errorf("mst: weight %d, want %d", got, w.refWeight)
+	if got := w.Weight(); got != ref.weight {
+		return fmt.Errorf("mst: weight %d, want %d", got, ref.weight)
 	}
 	return nil
 }
 
 // kruskal is the independent reference: sort-and-union over the undirected
-// edge set, returning (forest weight, forest edge count).
-func kruskal(g *graph.CSR) (int64, int64) {
+// edge set, returning the minimum spanning forest's weight and edge count.
+func kruskal(g *graph.CSR) forest {
 	type edge struct {
 		u, v graph.NodeID
 		wt   uint32
@@ -212,5 +210,5 @@ func kruskal(g *graph.CSR) (int64, int64) {
 			count++
 		}
 	}
-	return weight, count
+	return forest{weight, count}
 }

@@ -29,7 +29,7 @@ type PageRank struct {
 	rank     []int64 // atomic
 	residual []int64 // atomic
 
-	ref []int64
+	ref *answer[[]int64] // ranks of a strict-priority sequential run
 }
 
 // pagerank constants: standard damping 0.85 in fixed point.
@@ -51,6 +51,7 @@ func NewPageRank(g *graph.CSR, eps int64) *PageRank {
 		eps:      eps,
 		rank:     make([]int64, g.NumNodes()),
 		residual: make([]int64, g.NumNodes()),
+		ref:      new(answer[[]int64]),
 	}
 	w.Reset()
 	return w
@@ -135,7 +136,11 @@ func (w *PageRank) Process(t task.Task, emit func(task.Task)) int {
 }
 
 // Clone implements Workload.
-func (w *PageRank) Clone() Workload { return NewPageRank(w.g, w.eps) }
+func (w *PageRank) Clone() Workload {
+	c := NewPageRank(w.g, w.eps)
+	c.ref = w.ref
+	return c
+}
 
 // Verify implements Workload. Residual PageRank is an anytime algorithm:
 // any execution order converges to the exact ranks up to the mass still
@@ -148,18 +153,18 @@ func (w *PageRank) Verify() error {
 			return fmt.Errorf("pagerank: node %d residual %d >= eps %d (not converged)", i, r, w.eps)
 		}
 	}
-	if w.ref == nil {
-		c := w.Clone().(*PageRank)
+	ref := w.ref.get(func() []int64 {
+		c := NewPageRank(w.g, w.eps)
 		RunSequential(c)
-		w.ref = c.rank
-	}
+		return c.rank
+	})
 	// Bound: at convergence each node parks < eps of undelivered residual;
 	// damping amplifies parked mass along paths by at most 1/(1-d). Two
 	// converged runs therefore differ by at most ~2*n*eps/(1-d) in L1 norm
 	// (plus negligible fixed-point truncation), so we allow twice that.
 	var l1 int64
 	for i := range w.rank {
-		diff := w.rank[i] - w.ref[i]
+		diff := w.rank[i] - ref[i]
 		if diff < 0 {
 			diff = -diff
 		}

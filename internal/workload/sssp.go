@@ -21,7 +21,7 @@ type SSSP struct {
 	delta int64
 	dist  []int64 // atomic tentative distances
 
-	ref []int64 // sequential Dijkstra distances, computed on first Verify
+	ref *answer[[]int64] // sequential Dijkstra distances
 }
 
 // NewSSSP returns a delta-stepping SSSP from src. delta <= 0 selects a
@@ -31,7 +31,7 @@ func NewSSSP(g *graph.CSR, src graph.NodeID, delta int64) *SSSP {
 	if delta <= 0 {
 		delta = defaultDelta(g)
 	}
-	w := &SSSP{g: g, src: src, delta: delta, dist: make([]int64, g.NumNodes())}
+	w := &SSSP{g: g, src: src, delta: delta, dist: make([]int64, g.NumNodes()), ref: new(answer[[]int64])}
 	w.Reset()
 	return w
 }
@@ -95,14 +95,16 @@ func (w *SSSP) Process(t task.Task, emit func(task.Task)) int {
 }
 
 // Clone implements Workload.
-func (w *SSSP) Clone() Workload { return NewSSSP(w.g, w.src, w.delta) }
+func (w *SSSP) Clone() Workload {
+	c := NewSSSP(w.g, w.src, w.delta)
+	c.ref = w.ref
+	return c
+}
 
 // Verify implements Workload: compares against sequential Dijkstra.
 func (w *SSSP) Verify() error {
-	if w.ref == nil {
-		w.ref = dijkstra(w.g, w.src)
-	}
-	for i, want := range w.ref {
+	ref := w.ref.get(func() []int64 { return dijkstra(w.g, w.src) })
+	for i, want := range ref {
 		if w.dist[i] != want {
 			return fmt.Errorf("sssp: dist[%d] = %d, want %d", i, w.dist[i], want)
 		}

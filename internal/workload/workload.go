@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"hdcps/internal/graph"
@@ -44,11 +45,28 @@ type Workload interface {
 	// compute-cost input).
 	Process(t task.Task, emit func(task.Task)) int
 	// Clone returns a fresh instance with identical parameters and
-	// independent state, used to run the sequential baseline.
+	// independent state, used to run the sequential baseline. It shares the
+	// instance's reference answer (see answer).
 	Clone() Workload
 	// Verify checks the converged state against an independent sequential
 	// reference and returns a descriptive error on mismatch.
 	Verify() error
+}
+
+// answer is a workload's reference answer, shared by the instance that
+// made it and every Clone of it: a clone keeps the graph and the
+// parameters the answer depends on, so the first Verify computes it for all
+// of them, once, and clones that Verify at the same time wait for that one
+// computation.
+type answer[T any] struct {
+	once sync.Once
+	v    T
+}
+
+// get returns the answer, computing it on the first call.
+func (a *answer[T]) get(compute func() T) T {
+	a.once.Do(func() { a.v = compute() })
+	return a.v
 }
 
 // RunSequential drains w's task graph in strict priority order with a

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"hdcps/internal/graph"
@@ -560,5 +561,75 @@ func TestProcessAllocatesNothing(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// refOf is the reference-answer holder of a workload that has one.
+func refOf(w Workload) any {
+	switch w := w.(type) {
+	case *SSSP:
+		return w.ref
+	case *BFS:
+		return w.ref
+	case *AStar:
+		return w.ref
+	case *MST:
+		return w.ref
+	case *PageRank:
+		return w.ref
+	}
+	return nil
+}
+
+// TestCloneSharesReference: every clone of an instance verifies against the
+// one reference answer its prototype holds, clones of clones included, and
+// clones may Verify at once.
+func TestCloneSharesReference(t *testing.T) {
+	g := graph.Road(16, 16, 5)
+	for _, name := range Names() {
+		proto, err := New(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clones := []Workload{proto.Clone(), proto.Clone(), proto.Clone().Clone()}
+		for _, c := range clones {
+			if refOf(c) != refOf(proto) {
+				t.Fatalf("%s: a clone holds its own reference", name)
+			}
+			RunSequential(c)
+		}
+		errs := make(chan error, len(clones))
+		for _, c := range clones {
+			go func() { errs <- c.Verify() }()
+		}
+		for range clones {
+			if err := <-errs; err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+	if a, b := refOf(NewSSSP(g, 0, 0)), refOf(NewSSSP(g, 0, 0)); a == b {
+		t.Fatal("two instances built apart share a reference")
+	}
+}
+
+// TestAnswerComputesOnce: concurrent first calls run the computation once
+// and all return its value.
+func TestAnswerComputesOnce(t *testing.T) {
+	var a answer[int]
+	var calls atomic.Int32
+	got := make(chan int, 8)
+	for i := 0; i < cap(got); i++ {
+		go func() {
+			got <- a.get(func() int { calls.Add(1); return 42 })
+		}()
+	}
+	for i := 0; i < cap(got); i++ {
+		if v := <-got; v != 42 {
+			t.Fatalf("get = %d, want 42", v)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("computed %d times, want once", n)
 	}
 }
