@@ -143,7 +143,7 @@ bench-smoke:
 
 # Bench regression gate: a same-box A/B of the whole benchmark (benchmark/,
 # BENCHMARK.json) between BASE and this tree, judged by `benchmark -compare`
-# (scripts/bench_ab.sh says how). ~5.5 min on 2 CPUs; wall-clock, so out of
+# (cmd/hdcps-ab says how). ~5.5 min on 2 CPUs; wall-clock, so out of
 # Tier-1 and, like scale-gate, to be run alone. What it does not carry,
 # because a Tier-1 test or smoke already holds it: strict queue kinds invert
 # nothing (TestEngineRankCounters), ingest/encode allocate <= 1 per line
@@ -152,45 +152,25 @@ bench-smoke:
 # (hdcps-bench -exp queue-sweep).
 BASE = HEAD~1
 bench-gate:
-	./scripts/bench_ab.sh $(BASE)
+	$(GO) run ./cmd/hdcps-ab $(BASE)
 
-# Scaling gate (scripts/scale_gate.sh says how): sssp on a road graph with one
-# worker, with two and with two per CPU in turn in one process, 25 verified
-# solves each after a discarded warm-up, on hdcps-bench's small scale (road
-# 120x120) and its large scale (road 240x240, the benchmark's sssp-road input).
-# It fails when the two-worker median exceeds limit x the one-worker median,
-# when the oversubscribed median exceeds 2x the two-worker one (a constant in
-# hdcps-bench: the exit of the ROADMAP item "Reach a stalled worker's backlog:
-# steal-when-behind and the oversubscribed fleet"), or when the one- or
-# two-worker median is
-# more than 25% slower than BASE's, measured beside it on this box.
-# History of the ratio, large / small: 1.7-1.9 / 2.0-2.6 before the
-# drift-minimising controller, 1.2-1.4 / 1.5-1.8 with it, 0.73-0.78 / 0.78-0.98
-# with the per-batch ledger and the dispatch gate (limits 1.0 / 1.1), and
-# 0.98-1.14 / 1.10-1.37 since PR 21 (six runs each, alternating with the
-# parent, which read 0.74-0.84 / 0.80-1.23 beside it) — where every absolute
-# time fell: the FIFO bucket ring took 48-52% off the one-worker solve and
-# 29-34% off the two-worker one, so the ratio rose because its denominator
-# fell further than its numerator (at two workers SSSP.Process costs twice its
-# one-worker time on shared dist lines and the fleet runs 17% more tasks;
-# DESIGN.md §9.1). That is the one reason these limits were ever raised, to
-# the top of the measured range + 10%, and why the absolute condition came
-# with it: a ratio cannot tell "one worker got faster" from "two workers got
-# slower". The limits are ratchets again from
-# here: lower them whenever a change makes room. Steal-when-behind made
-# none: 1.00-1.37 / 0.97-1.23 over nine runs (the parent read 1.05-1.48 /
-# 0.96-1.33 beside it in three), so both limits stay; its oversubscribed cell
-# read 1.09-1.25 / 0.99-1.08 times the two-worker median, where the parent's
-# four workers on two CPUs took 8-9 times it. Owner-affine placement (a unit
-# the TDF sends away goes to the worker owning its node) made room: 0.79-0.90 /
-# 0.92-1.17 over nine runs of the final build and 0.74-0.92 / 0.96-1.23 over
-# nine of its first cut (which divided per child; the parent read 0.93-1.09 /
-# 1.05-1.39 beside them in six), oversubscribed 1.05-1.20 / 0.98-1.19. The
-# limits came down to the top of all eighteen + 10%: 1.01 / 1.36. Skips,
-# saying so, on fewer than two CPUs; run it alone — a wall-clock verdict, so
-# it stays out of Tier-1.
+# Scaling gate (cmd/hdcps-ab says how): sssp on a road graph with one worker,
+# with two and with two per CPU in turn in one process, 25 verified solves
+# each after a discarded warm-up, on hdcps-bench's small scale (road 120x120)
+# and its large scale (road 240x240, the benchmark's sssp-road input). It
+# fails when the two-worker median exceeds limit x the one-worker median, when
+# the oversubscribed median exceeds 2x the two-worker one (a constant in
+# hdcps-bench), or when the one- or two-worker median is more than 25% slower
+# than BASE's, measured beside it on this box: a ratio cannot tell "one worker
+# got faster" from "two workers got slower", so the ratio alone is not the
+# gate. Each limit is the top of its measured range + 10% (EXPERIMENTS.md,
+# "Scaling gate history", has every range), and a ratchet: lower it whenever
+# a change makes room. The one rise so far came with a change that took more
+# off the one-worker solve than off the two-worker one, every time falling.
+# Skips, saying so, on fewer than two CPUs; run it alone — a wall-clock
+# verdict, so it stays out of Tier-1.
 scale-gate:
-	./scripts/scale_gate.sh 1.36 1.01 $(BASE)
+	$(GO) run ./cmd/hdcps-ab -scale small=1.36,large=1.01 $(BASE)
 
 # Serving smoke: build hdcps-serve + hdcps-load, boot on an ephemeral port,
 # drive a fixed-rate open-loop run over persistent streams (-retries 1: any

@@ -10,10 +10,12 @@
 //	hdcps-bench -list                # available experiments
 //	hdcps-bench -exp fig8 -scale large -seed 7
 //	hdcps-bench -exp all -par 8      # run the experiment grid on 8 workers
-//	hdcps-bench -scale-gate 1.1      # 2 workers vs 1, 2 per CPU vs 2, on sssp/road
+//	hdcps-bench -scale-gate 1.01 -scale large -reps 25   # 2 workers vs 1, 2 per CPU vs 2, on sssp/road
 //
 // Performance claims and the regression gate are the benchmark's
-// (benchmark/, make bench-gate), not this command's.
+// (benchmark/, make bench-gate), not this command's. make scale-gate runs
+// -scale-gate at the Makefile's limits in this tree and in its base through
+// cmd/hdcps-ab.
 package main
 
 import (

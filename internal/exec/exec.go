@@ -34,13 +34,11 @@ const stallTimeout = 30 * time.Second
 // Spec is a native run's specification. Zero values select the runtime's
 // defaults.
 type Spec struct {
-	// Cores is the native worker count (0 → the runtime's default fleet).
-	Cores int
 	// Seed drives destination selection when the config's own Seed is zero.
 	Seed uint64
-	// Native fully overrides the runtime configuration; Cores is ignored
-	// when set (Seed still applies if Native.Seed is zero, and an unset
-	// Native.Workers is the default fleet).
+	// Native is the runtime configuration (nil: runtime.DefaultConfig with
+	// the default fleet). Seed still applies if Native.Seed is zero, and an
+	// unset Native.Workers is the default fleet.
 	Native *runtime.Config
 	// Chaos, when set, injects this fault mix into the engine's transport
 	// (chaos.Engine); nil runs without faults.
@@ -133,7 +131,7 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 	if len(ws) == 0 || len(ws) != len(jcs) {
 		return stats.Run{}, nil, fmt.Errorf("exec: RunJobs needs matching workloads and job configs (%d vs %d)", len(ws), len(jcs))
 	}
-	cfg := runtime.DefaultConfig(spec.Cores)
+	cfg := runtime.DefaultConfig(0)
 	if spec.Native != nil {
 		cfg = *spec.Native
 		if cfg.Workers <= 0 {

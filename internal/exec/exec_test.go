@@ -73,7 +73,7 @@ func faultCount(s *chaos.Stats) int64 {
 func TestRunJobsOneJobUnderChaos(t *testing.T) {
 	ws, jcs := tenants(t, 1)
 	mix := chaos.Config{Seed: 9, Delay: 0.1, Reorder: 0.3, RingFull: 0.2}
-	r, rep, err := RunJobs(ws, jcs, Spec{Cores: 2, Seed: 9, Chaos: &mix})
+	r, rep, err := RunJobs(ws, jcs, Spec{Native: &runtime.Config{Workers: 2}, Seed: 9, Chaos: &mix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunJobsOneJobUnderChaos(t *testing.T) {
 func TestRunJobsThreeJobsUnderChaos(t *testing.T) {
 	ws, jcs := tenants(t, 3)
 	mix := chaos.DefaultMix(5)
-	r, rep, err := RunJobs(ws, jcs, Spec{Cores: 2, Seed: 5, Chaos: &mix})
+	r, rep, err := RunJobs(ws, jcs, Spec{Native: &runtime.Config{Workers: 2}, Seed: 5, Chaos: &mix})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func fairnessSweep(o Options, _ *inputSet) (Result, error) {
 	}
 	cfg := runtime.DefaultConfig(workers)
 	cfg.Seed = o.Seed
-	run, rep, err := exec.RunJobs(ws, jcs, exec.Spec{Cores: workers, Seed: o.Seed, Native: &cfg})
+	run, rep, err := exec.RunJobs(ws, jcs, exec.Spec{Seed: o.Seed, Native: &cfg})
 	if err != nil {
 		return Result{}, fmt.Errorf("exp: fairness-sweep: %w", err)
 	}

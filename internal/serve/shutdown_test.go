@@ -47,6 +47,8 @@ func TestGracefulShutdownUnderTraffic(t *testing.T) {
 	// closed listener behind it) ends the stream instead of being retried.
 	var clientAccepted atomic.Int64
 	stop := make(chan struct{})
+	landed := make(chan struct{}) // closed once a submit has been admitted
+	var landOnce sync.Once
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -65,6 +67,9 @@ func TestGracefulShutdownUnderTraffic(t *testing.T) {
 				// reports its admitted prefix, and those tasks are in the
 				// engine.
 				clientAccepted.Add(acc)
+				if acc > 0 {
+					landOnce.Do(func() { close(landed) })
+				}
 				if errors.Is(err, errTerminal) {
 					// Anything but 200/429/503(/408) in-band while the server
 					// drains: a submit error mapped to the wrong status.
@@ -76,7 +81,14 @@ func TestGracefulShutdownUnderTraffic(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond) // let traffic land mid-flight
+	// Shut down mid-flight: once traffic has landed, with the senders still
+	// submitting.
+	select {
+	case <-landed:
+	case <-time.After(30 * time.Second):
+		close(stop)
+		t.Fatal("no submit was admitted within 30 s")
+	}
 
 	sctx, cancel := context.WithTimeout(ctx, 90*time.Second)
 	defer cancel()
