@@ -180,15 +180,19 @@ scale-gate:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Fuzz smoke: 20s each of the two differential fuzzers. The zero-alloc
+# Fuzz smoke: 20s each of the three differential fuzzers. The zero-alloc
 # TaskSpec parser against encoding/json — any divergence in accept/reject
-# decision, decoded fields, or fallback error text is a crash — and the native
+# decision, decoded fields, or fallback error text is a crash — the native
 # runtime's bucket-ring queue against a binary heap: same priority sequence,
 # same multiset, FIFO among equal priorities, through ring growth and the
-# span-overflow fallback. CI runs this on every push; longer local runs:
+# span-overflow fallback — and the oracle's BucketHeap against a binary heap:
+# the same task.Less sequence, the same multiset of each (Prio, Node) class,
+# through negative priorities, Job != 0, duplicates and the span-overflow
+# fallback. CI runs this on every push; longer local runs:
 # go test -fuzz FuzzTaskSpecParser ./internal/serve/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzTwoLevelVsBinaryHeap' -fuzztime 20s ./internal/pq/
+	$(GO) test -run '^$$' -fuzz 'FuzzBucketHeapVsBinaryHeap' -fuzztime 20s ./internal/pq/
 
 ci: tier1 vet lint examples race procs chaos serve-chaos serve-smoke scale-gate fuzz-smoke bench-gate

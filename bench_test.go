@@ -222,7 +222,8 @@ func twoCopies(g *graph.CSR) *graph.CSR {
 // one step a sub-benchmark with its allocations: generating the graph,
 // workload.New on it (the source seed, the bucket width) and the sequential
 // oracle run on a clone, which is what every benchmark workload pays before
-// its first solve. Profile one step with:
+// its first solve. road-120 and web-5000 are sim-sweep's inputs, the others
+// those of the solve workloads. Profile one step with:
 //
 //	go test -run '^$' -bench 'Inputs/cage-80000/new' -cpuprofile cpu.out .
 func BenchmarkInputs(b *testing.B) {
@@ -231,9 +232,11 @@ func BenchmarkInputs(b *testing.B) {
 		gen        func() *graph.CSR
 	}{
 		{"road-240", "sssp", func() *graph.CSR { return graph.Road(240, 240, 42) }},
+		{"road-120", "sssp", func() *graph.CSR { return graph.Road(120, 120, 42) }},
 		{"cage-32000", "sssp", func() *graph.CSR { return graph.Cage(32000, 34, 80, 42) }},
 		{"cage-80000", "bfs", func() *graph.CSR { return graph.Cage(80000, 34, 80, 43) }},
 		{"web-10000", "pagerank", func() *graph.CSR { return graph.Web(10000, 42) }},
+		{"web-5000", "pagerank", func() *graph.CSR { return graph.Web(5000, 42) }},
 		{"web-20000", "sssp", func() *graph.CSR { return graph.Web(20000, 42) }},
 	} {
 		b.Run(in.name+"/generate", func(b *testing.B) {

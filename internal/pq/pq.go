@@ -1,15 +1,28 @@
 // Package pq provides the priority queues under the schedulers: a binary
-// heap (the software PQ of the simulated schedulers and the sequential
-// oracles, and the native runtime's heap kind), a d-ary heap (the dheap
-// kind, and the fallback of the two bucket structures), TwoLevel (the native
+// heap (the software PQ of the simulated schedulers, the fallback of
+// BucketHeap and the native runtime's heap kind), a d-ary heap (the dheap
+// kind, and the fallback of TwoLevel and HPQ), TwoLevel (the native
 // runtime's default kind: a ring of per-priority FIFO buckets, exact in Prio
 // and FIFO among equal priorities), HPQ (the simulator's model of a core
 // with the paper's hardware queue: a sorted hot buffer over a mini-heap
-// bucket store, exact under task.Less) and the relaxed MultiQueue (shared
-// shards, one handle per worker). Every binary heap here but DHeap sifts
-// through siftUpTasks and siftDownTasks; so does Bounded (bounded_test.go), a
-// small bounded heap with the hPQ's eviction rule that TestHPQHotEviction
-// holds HPQ's hot tier to as the differential oracle.
+// bucket store, exact under task.Less), BucketHeap (the strict-order
+// oracle's queue, workload.DrainStrict: a window of per-priority 4-ary
+// heaps keyed by Node, exact under task.Less) and the relaxed MultiQueue
+// (shared shards, one handle per worker). Every binary heap here but DHeap
+// sifts through siftUpTasks and siftDownTasks; so does Bounded
+// (bounded_test.go), a small bounded heap with the hPQ's eviction rule that
+// TestHPQHotEviction holds HPQ's hot tier to as the differential oracle.
+//
+// BucketHeap, HPQ and the binary heap of sched.Sequential all pop in
+// task.Less order but break Less-equal ties (one Prio and Node, bag
+// markers of one priority) each in its own way. The oracle's workloads
+// count the same tasks and reach the same state whatever that order
+// (workload.TestDrainStrictMatchesHeap), so its queue is free to be the
+// fastest exact one. The simulator's are not: HPQ is the model of the
+// paper's hardware queue and sched.Sequential charges the cost of the
+// software binary heap it runs, and the simulated cycles depend on the tie
+// order (TestGoldenCycles), so both keep their shapes and BucketHeap
+// cannot stand in for them.
 //
 // All queues are min-queues over task.Task: Pop returns the task with the
 // numerically smallest Prio. Only MultiQueue is safe for concurrent use,

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"hdcps/internal/graph"
@@ -140,6 +141,14 @@ func (w *PageRank) Clone() Workload {
 	c := NewPageRank(w.g, w.eps)
 	c.ref = w.ref
 	return c
+}
+
+// keepReference makes the ranks of the strict-order run that just ended
+// the reference answer, unless one is made already: Verify would compute
+// the same ranks with a run of its own. They are copied, as the next Reset
+// clears the instance's.
+func (w *PageRank) keepReference() {
+	w.ref.get(func() []int64 { return slices.Clone(w.rank) })
 }
 
 // Verify implements Workload. Residual PageRank is an anytime algorithm:

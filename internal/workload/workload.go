@@ -73,18 +73,26 @@ func (a *answer[T]) get(compute func() T) T {
 // single priority queue and returns the number of tasks processed. It is
 // the sequential baseline of the paper's work-efficiency and speedup
 // metrics. Call it on a Clone, not on the instance a scheduler will run.
-// One goroutine drives the whole run, so it starts with ResetSerial.
+// One goroutine drives the whole run, so it starts with ResetSerial. A
+// PageRank's reference answer is this run's ranks, so the run also fills
+// it when no Verify has yet.
 func RunSequential(w Workload) int64 {
 	ResetSerial(w)
-	return DrainStrict(w)
+	n := DrainStrict(w)
+	if pr, ok := w.(*PageRank); ok {
+		pr.keepReference()
+	}
+	return n
 }
 
 // DrainStrict runs w from its InitialTasks to quiescence in strict priority
-// order with one binary heap, in whichever mode the last Reset or
-// ResetSerial left, and returns the number of tasks processed.
+// order, in whichever mode the last Reset or ResetSerial left, and returns
+// the number of tasks processed. Its queue, a pq.BucketHeap, pops in
+// task.Less order, as a binary heap would.
 func DrainStrict(w Workload) int64 {
-	q := pq.NewBinaryHeap(1024)
-	for _, t := range w.InitialTasks() {
+	seeds := w.InitialTasks()
+	q := pq.NewBucketHeap(max(1024, 2*len(seeds)))
+	for _, t := range seeds {
 		q.Push(t)
 	}
 	push := q.Push // one method value a run, not one a task

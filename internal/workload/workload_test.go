@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 
@@ -503,14 +504,91 @@ func TestSerialMatchesShared(t *testing.T) {
 	}
 }
 
-// The oracle allocates per run, not per task: a method value made for each
-// Process call cost one heap allocation a task.
+// The oracle allocates per run, not per task or per bucket growth: a
+// method value made for each Process call would cost one allocation a task,
+// a slice of its own for each bucket one a bucket growth. sssp's tasks
+// carry Data; pagerank's start as one 2,000-task bucket.
 func TestRunSequentialAllocsPerRun(t *testing.T) {
-	w := NewPageRank(graph.Web(2000, 42), 0)
+	for _, w := range []Workload{
+		NewPageRank(graph.Web(2000, 42), 0),
+		NewSSSP(graph.Road(120, 120, 42), 0, 0),
+	} {
+		var n int64
+		allocs := testing.AllocsPerRun(3, func() { n = RunSequential(w) })
+		if allocs > 16 {
+			t.Errorf("RunSequential on %s %s: %.0f allocations for %d tasks, want <= 16", w.Name(), w.Graph().Name, allocs, n)
+		}
+	}
+}
+
+// heapDrain is DrainStrict on one binary heap, the oracle's queue before
+// pq.BucketHeap: the same (Prio, Node) order, with Less-equal tasks in the
+// heap's own order.
+func heapDrain(w Workload) int64 {
+	q := pq.NewBinaryHeap(1024)
+	for _, s := range w.InitialTasks() {
+		q.Push(s)
+	}
 	var n int64
-	allocs := testing.AllocsPerRun(3, func() { n = RunSequential(w) })
-	if allocs > 16 {
-		t.Fatalf("RunSequential on pagerank Web(2000): %.0f allocations for %d tasks, want <= 16", allocs, n)
+	for s, ok := q.Pop(); ok; s, ok = q.Pop() {
+		n++
+		w.Process(s, q.Push)
+	}
+	return n
+}
+
+// DrainStrict's queue pops Less-equal tasks (same Prio and Node) in another
+// order than a binary heap. Every kernel must not care: such tasks are
+// identical (pagerank, color, mst) or stale relaxations that change nothing
+// (sssp, bfs, astar), so both drains process the same number of tasks and
+// leave the same state, bit for bit.
+func TestDrainStrictMatchesHeap(t *testing.T) {
+	graphs := []*graph.CSR{graph.Road(24, 24, 3), graph.Web(600, 3), graph.Cage(1500, 34, 80, 3)}
+	for _, g := range graphs {
+		for _, name := range Names() {
+			bucket, err := New(name, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap := bucket.Clone()
+			ResetSerial(bucket)
+			nBucket := DrainStrict(bucket)
+			ResetSerial(heap)
+			nHeap := heapDrain(heap)
+			if nBucket != nHeap {
+				t.Errorf("%s/%s: %d tasks, %d on a binary heap", name, g.Name, nBucket, nHeap)
+			}
+			if !reflect.DeepEqual(state(bucket), state(heap)) {
+				t.Errorf("%s/%s: state differs from a binary-heap drain", name, g.Name)
+			}
+		}
+	}
+}
+
+// One strict-order run serves PageRank's task count and its reference:
+// after RunSequential on a clone, the reference is made, it is the ranks of
+// an independent binary-heap drain, and Verify runs no drain of its own
+// (it allocates nothing).
+func TestRunSequentialKeepsPageRankReference(t *testing.T) {
+	g := graph.Web(2000, 5)
+	w := NewPageRank(g, 0)
+	RunSequential(w.Clone())
+	indep := NewPageRank(g, 0)
+	ResetSerial(indep)
+	heapDrain(indep)
+	if !reflect.DeepEqual(w.ref.v, indep.rank) {
+		t.Fatal("the reference is not the ranks of a binary-heap drain")
+	}
+	RunSequential(w)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	err := w.Verify()
+	goruntime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("Verify allocated %d times: it computed a reference again", n)
 	}
 }
 
