@@ -185,10 +185,12 @@ serve-smoke:
 # decision, decoded fields, or fallback error text is a crash — the native
 # runtime's bucket-ring queue against a binary heap: same priority sequence,
 # same multiset, FIFO among equal priorities, through ring growth and the
-# span-overflow fallback — and the oracle's BucketHeap against a binary heap:
-# the same task.Less sequence, the same multiset of each (Prio, Node) class,
-# through negative priorities, Job != 0, duplicates and the span-overflow
-# fallback. CI runs this on every push; longer local runs:
+# span-overflow fallback — and, in one target, the oracle's BucketHeap and
+# the simulator's HPQ against a binary heap: the same task.Less sequence, the
+# same multiset of each (Prio, Node) class, through negative priorities,
+# Job != 0, duplicates, pushes past HPQ's hot buffer and both queues'
+# span-overflow fallbacks and HPQ's rewind storm. CI runs this on every push;
+# longer local runs:
 # go test -fuzz FuzzTaskSpecParser ./internal/serve/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/

@@ -22,9 +22,10 @@
 //
 //	hdcps-ab -scale small=1.36,large=1.01 [base-ref]
 //	    The scaling gate (make scale-gate): each tree's own `hdcps-bench
-//	    -scale-gate <limit> -scale <s> -reps 25`, base first. It fails on
-//	    this tree's ratio verdict, or when its one- or two-worker median is
-//	    more than 25% slower than the base's.
+//	    -scale-gate <limit> -scale <s> -reps 25`, scale by scale in the
+//	    order A B B A. It fails on this tree's ratio verdict in either of its
+//	    runs, or when the mean of its two one- or two-worker medians is more
+//	    than 25% slower than the base's.
 //
 // SIGINT and SIGTERM stop the runs; the worktree goes either way.
 package main
@@ -105,19 +106,23 @@ func run(ctx context.Context, cfg config) error {
 	}
 	if cfg.scales != nil {
 		for _, s := range cfg.scales {
-			// The base only lends its medians: its ratio is not this tree's to meet.
 			gate := []string{"go", "run", "./cmd/hdcps-bench", "-scale", s[0], "-reps", "25", "-scale-gate"}
-			base, err := trial(ctx, tmp, "base-"+s[0], wt, append(gate, "1000")...)
-			if err != nil {
-				return err
+			runs := map[byte][][]float64{}
+			for _, name := range order(2) {
+				// The base only lends its medians: its ratio is not this tree's to meet.
+				dir, limit := wt, "1000"
+				if name[0] == 'b' {
+					dir, limit = ".", s[1]
+				}
+				out, err := trial(ctx, tmp, s[0]+"-"+name, dir, append(gate, limit)...)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(os.Stderr, "%s: %s", name, out)
+				runs[name[0]] = append(runs[name[0]], medians(out))
 			}
-			head, err := trial(ctx, tmp, "head-"+s[0], ".", append(gate, s[1])...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "base: %shead: %s", base, head)
-			if b, h := medians(base), medians(head); tooSlow(b, h) {
-				return fmt.Errorf("%s: medians %v ms against the base's %v ms: slower by more than 25%%", s[0], h, b)
+			if b, h := mean(runs['a']), mean(runs['b']); tooSlow(b, h) {
+				return fmt.Errorf("%s: medians %v ms against the base's %v ms (means of two runs): slower by more than 25%%", s[0], h, b)
 			}
 		}
 		return nil
@@ -187,9 +192,23 @@ func medians(report string) []float64 {
 	return []float64{one, two}
 }
 
+// mean is the mean of one side's scale-gate medians, one- and two-worker
+// apart; nil when a run printed none.
+func mean(runs [][]float64) []float64 {
+	m := []float64{0, 0}
+	for _, r := range runs {
+		if r == nil {
+			return nil
+		}
+		m[0] += r[0] / float64(len(runs))
+		m[1] += r[1] / float64(len(runs))
+	}
+	return m
+}
+
 // tooSlow is the scale gate's absolute condition: this tree's one- or
-// two-worker median more than 25% (BENCHMARK.json's timing bound) over the
-// base's. A ratio cannot tell "one worker got faster" from "two workers got
+// two-worker median, the mean of its two runs, more than 25%
+// (BENCHMARK.json's timing bound) over the base's. A ratio cannot tell "one worker got faster" from "two workers got
 // slower", so the ratio limit alone cannot be the gate. Without both sides'
 // medians there is nothing to compare.
 func tooSlow(base, head []float64) bool {

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// The gate's two pairs are A B B A; a claim's pair i runs A first when i is
-// odd, so that a slow stretch of the host falls on both sides.
+// The gate's two pairs are A B B A, and so are a scale's four runs in the
+// scaling gate; a claim's pair i runs A first when i is odd, so that a slow
+// stretch of the host falls on both sides.
 func TestOrder(t *testing.T) {
 	for _, c := range []struct {
 		pairs int
@@ -35,21 +36,27 @@ func TestMedians(t *testing.T) {
 	}
 }
 
+// The scaling gate holds the mean of this tree's two runs to 1.25x the mean
+// of the base's two, one- and two-worker medians apart: one slow run on
+// either side is averaged with its other run, not judged alone.
 func TestTooSlow(t *testing.T) {
-	base := []float64{10, 8}
+	base := [][]float64{{10, 8}, {10, 8}}
 	for _, c := range []struct {
 		name       string
-		base, head []float64
+		base, head [][]float64
 		want       bool
 	}{
-		{"faster", base, []float64{9, 7}, false},
-		{"exactly 1.25x", base, []float64{12.5, 10}, false},
-		{"one worker just above", base, []float64{12.51, 8}, true},
-		{"two workers just above", base, []float64{10, 10.01}, true},
-		{"base skipped", nil, []float64{100, 100}, false},
-		{"both skipped", nil, nil, false},
+		{"faster", base, [][]float64{{9, 7}, {9, 7}}, false},
+		{"exactly 1.25x", base, [][]float64{{12.5, 10}, {12.5, 10}}, false},
+		{"one worker just above", base, [][]float64{{12.51, 8}, {12.51, 8}}, true},
+		{"two workers just above", base, [][]float64{{10, 10.01}, {10, 10.01}}, true},
+		{"one slow run, mean within", base, [][]float64{{14, 8}, {10, 8}}, false},
+		{"one slow run, mean above", base, [][]float64{{16, 8}, {10, 8}}, true},
+		{"a slow base run", [][]float64{{10, 8}, {16, 8}}, [][]float64{{16, 8}, {16, 8}}, false},
+		{"a base run skipped", [][]float64{{10, 8}, nil}, [][]float64{{100, 100}, {100, 100}}, false},
+		{"both skipped", [][]float64{nil, nil}, [][]float64{nil, nil}, false},
 	} {
-		if got := tooSlow(c.base, c.head); got != c.want {
+		if got := tooSlow(mean(c.base), mean(c.head)); got != c.want {
 			t.Errorf("%s: tooSlow(%v, %v) = %v, want %v", c.name, c.base, c.head, got, c.want)
 		}
 	}

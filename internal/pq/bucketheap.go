@@ -10,9 +10,8 @@ import (
 // min-queue exact under task.Less, built for one goroutine draining one
 // workload from its initial tasks to quiescence.
 //
-// It is a power-of-two window of per-priority buckets with an occupancy
-// bitmap and a scan cursor, like TwoLevel's, so a push below the cursor
-// just lowers it. Each bucket is a 4-ary min-heap of 16-byte entries keyed
+// It is a priority window, like TwoLevel's, so a push below the cursor just
+// lowers it. Each bucket is a 4-ary min-heap of 16-byte entries keyed
 // by one uint64, Node<<32 | Job, with Data beside the key: within a
 // priority the order is task.Less's Node order, and a comparison is one
 // integer compare instead of Less's two. The Prio of a popped task is the
@@ -33,16 +32,12 @@ import (
 // allocates once for each doubling of its peak population, not once per
 // bucket growth.
 //
-// A resident priority span wider than bucketHeapMaxW (arbitrary client
-// priorities through hdcps.SequentialTasks) moves the queue, once and for
-// all, into a BinaryHeap under task.Less: still exact, and bounded in
-// memory whatever the priorities.
+// A resident priority span wider than windowMaxW (arbitrary client
+// priorities through hdcps.SequentialTasks) moves the queue into a
+// BinaryHeap under task.Less: still exact, and bounded in memory whatever
+// the priorities.
 type BucketHeap struct {
-	buckets []carve
-	occ     []uint64
-	cur     int64 // scan cursor: lower bound on the resident minimum
-	hi      int64 // upper bound on the resident maximum
-	size    int   // tasks in the buckets (0 once fallen back)
+	window[carve]
 
 	slab []entry // len a power of two
 	// free[k] is 1 + the offset of the first free carve of 1<<k entries,
@@ -68,24 +63,17 @@ type carve struct {
 	off, n, cap uint32
 }
 
-// bucketHeapStartW is the window's initial bucket count and bucketHeapMaxW
-// its cap, TwoLevel's and HPQ's; minCarve is the log2 of a bucket's first
-// carve.
-const (
-	bucketHeapStartW = 256
-	bucketHeapMaxW   = 1 << 16
-	minCarve         = 3
-)
+// minCarve is the log2 of a bucket's first carve.
+const minCarve = 3
 
 // NewBucketHeap returns an empty queue whose slab starts with room for
 // about capacity tasks.
 func NewBucketHeap(capacity int) *BucketHeap {
 	n := 1 << bits.Len(uint(max(capacity, 1<<minCarve)-1))
 	q := &BucketHeap{
-		buckets: make([]carve, bucketHeapStartW),
-		occ:     make([]uint64, bucketHeapStartW/64),
-		slab:    make([]entry, n),
-		freeAt:  make([]uint8, n>>minCarve),
+		window: newWindow[carve](),
+		slab:   make([]entry, n),
+		freeAt: make([]uint8, n>>minCarve),
 	}
 	q.link(0, bits.TrailingZeros(uint(n)))
 	return q
@@ -97,21 +85,16 @@ func (q *BucketHeap) Push(t task.Task) {
 		q.heap.Push(t)
 		return
 	}
-	p := t.Prio
-	if q.size == 0 {
-		q.cur, q.hi = p, p
-	} else if p < q.cur || p > q.hi {
-		if !q.stretch(p) {
-			q.fallBack()
-			q.heap.Push(t)
-			return
-		}
+	if !q.covers(t.Prio) && !q.widen(t.Prio) {
+		q.fallBack()
+		q.heap.Push(t)
+		return
 	}
-	idx := int(p & int64(len(q.buckets)-1))
+	idx := q.index(t.Prio)
 	b := &q.buckets[idx]
 	if b.n == b.cap {
 		if b.cap == 0 {
-			q.occ[idx>>6] |= 1 << uint(idx&63)
+			q.occupy(idx)
 		}
 		q.enlarge(b)
 	}
@@ -138,7 +121,7 @@ func (q *BucketHeap) Pop() (task.Task, bool) {
 	if b.n == 0 {
 		q.release(b.off, b.cap)
 		b.cap = 0
-		q.occ[idx>>6] &^= 1 << uint(idx&63)
+		q.vacate(idx)
 	} else {
 		h[0] = h[b.n]
 		siftDownEntries(h[:b.n], 0)
@@ -148,56 +131,6 @@ func (q *BucketHeap) Pop() (task.Task, bool) {
 	}
 	q.size--
 	return task.Task{Node: uint32(e.key >> 32), Job: task.JobID(e.key), Prio: q.cur, Data: e.data}, true
-}
-
-// front moves the cursor to the first occupied bucket at or above it and
-// returns that bucket's window index. Caller guarantees size > 0.
-func (q *BucketHeap) front() int {
-	w := len(q.buckets)
-	idx := int(q.cur & int64(w-1))
-	if q.buckets[idx].n != 0 {
-		return idx
-	}
-	q.cur += int64(occScan(q.occ, idx, w))
-	return int(q.cur & int64(w-1))
-}
-
-// stretch widens [cur, hi] to take in p, doubling the window while the span
-// does not fit; false means it cannot fit at bucketHeapMaxW. While size > 0
-// every resident priority lies in [cur, cur+W), so window index p & (W-1)
-// is collision-free.
-func (q *BucketHeap) stretch(p int64) bool {
-	lo, hi := min(q.cur, p), max(q.hi, p)
-	for uint64(hi-lo) >= uint64(len(q.buckets)) {
-		if len(q.buckets) == bucketHeapMaxW {
-			return false
-		}
-		q.grow()
-	}
-	q.cur, q.hi = lo, hi
-	return true
-}
-
-// grow doubles the window, re-placing occupied buckets under the wider
-// mask. Each one's priority is cur plus its window distance from cur's
-// slot, unique because the old span fit the old width.
-func (q *BucketHeap) grow() {
-	oldW := len(q.buckets)
-	newW := oldW * 2
-	nb := make([]carve, newW)
-	nocc := make([]uint64, newW/64)
-	base := int(q.cur & int64(oldW-1))
-	for step := 0; step < oldW; step++ {
-		b := q.buckets[(base+step)&(oldW-1)]
-		if b.n == 0 {
-			continue
-		}
-		nidx := int((q.cur + int64(step)) & int64(newW-1))
-		nb[nidx] = b
-		nocc[nidx>>6] |= 1 << uint(nidx&63)
-	}
-	q.buckets = nb
-	q.occ = nocc
 }
 
 // enlarge gives a full bucket a carve twice its size (an empty one its
@@ -324,16 +257,12 @@ func (q *BucketHeap) unlink(off uint32, k int) {
 // buckets. One-way: a span that proved too wide once is assumed to stay so.
 func (q *BucketHeap) fallBack() {
 	h := NewBinaryHeap(q.size + 64)
-	w := len(q.buckets)
-	base := int(q.cur & int64(w-1))
-	for step := 0; step < w; step++ {
-		b := q.buckets[(base+step)&(w-1)]
+	for i, b := range q.buckets {
 		for _, e := range q.slab[b.off : b.off+b.n] {
-			h.Push(task.Task{Node: uint32(e.key >> 32), Job: task.JobID(e.key), Prio: q.cur + int64(step), Data: e.data})
+			h.Push(task.Task{Node: uint32(e.key >> 32), Job: task.JobID(e.key), Prio: q.at(i), Data: e.data})
 		}
 	}
-	q.size = 0
-	q.buckets, q.occ, q.slab, q.freeAt = nil, nil, nil, nil
+	q.window, q.slab, q.freeAt = window[carve]{}, nil, nil
 	q.heap = h
 }
 

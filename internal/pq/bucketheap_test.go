@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"bytes"
 	"cmp"
 	"math/rand"
 	"slices"
@@ -9,52 +10,68 @@ import (
 	"hdcps/internal/task"
 )
 
-// bucketCheck drives a BucketHeap beside a reference BinaryHeap and holds
-// it to the oracle queue's contract: every pop is Less-equal to the
-// reference's, and between two moments at which a (Prio, Node) class has
-// no task queued, both queues pop the same multiset of that class's tasks
-// (Prio, Node, Job, Data). Pushes of a lower class may interrupt a run of
-// one class, so the multisets are compared when the class empties, not
-// when the run ends.
+// bucketCheck drives a BucketHeap and an HPQ beside a reference BinaryHeap
+// and holds both to the oracle queue's contract: every pop is Less-equal to
+// the reference's, and between two moments at which a (Prio, Node) class has
+// no task queued, each queue pops the same multiset of that class's tasks
+// (Prio, Node, Job, Data) as the reference. Pushes of a lower class may
+// interrupt a run of one class, so the multisets are compared when the
+// class empties, not when the run ends. The HPQ's hot buffer holds two
+// tasks, so most of its traffic goes through the cold store's window.
 type bucketCheck struct {
 	t    *testing.T
 	q    *BucketHeap
+	h    *HPQ
 	ref  *BinaryHeap
 	live map[[2]int64]int
-	// popped holds each class's pops since it last emptied: the queue's,
-	// then the reference's.
-	popped map[[2]int64][2][]task.Task
+	// popped holds each class's pops since it last emptied: the
+	// reference's, the BucketHeap's, then the HPQ's.
+	popped map[[2]int64][3][]task.Task
 }
 
 func newBucketCheck(t *testing.T) *bucketCheck {
-	return &bucketCheck{t: t, q: NewBucketHeap(0), ref: NewBinaryHeap(0),
-		live: map[[2]int64]int{}, popped: map[[2]int64][2][]task.Task{}}
+	return &bucketCheck{t: t, q: NewBucketHeap(0), h: NewHPQ(2), ref: NewBinaryHeap(0),
+		live: map[[2]int64]int{}, popped: map[[2]int64][3][]task.Task{}}
 }
 
 func class(t task.Task) [2]int64 { return [2]int64{t.Prio, int64(t.Node)} }
 
-func (c *bucketCheck) push(t task.Task) {
+// push queues t in all three; cold sends it past the HPQ's hot buffer.
+func (c *bucketCheck) push(t task.Task, cold bool) {
 	c.q.Push(t)
+	if cold {
+		c.h.PushCold(t)
+	} else {
+		c.h.PushEx(t)
+	}
 	c.ref.Push(t)
 	c.live[class(t)]++
 }
 
 func (c *bucketCheck) pop() bool {
 	c.t.Helper()
-	want, wok := c.ref.Pop()
-	have, hok := c.q.Pop()
-	if wok != hok {
-		c.t.Fatalf("pop ok=%v, reference ok=%v", hok, wok)
+	var have [3]task.Task
+	var ok [3]bool
+	have[0], ok[0] = c.ref.Pop()
+	have[1], ok[1] = c.q.Pop()
+	have[2], _, ok[2] = c.h.PopEx()
+	want := have[0]
+	for i, name := range []string{"BucketHeap", "HPQ"} {
+		if ok[i+1] != ok[0] {
+			c.t.Fatalf("%s: pop ok=%v, reference ok=%v", name, ok[i+1], ok[0])
+		}
+		if ok[0] && (have[i+1].Less(want) || want.Less(have[i+1])) {
+			c.t.Fatalf("%s: pop %+v, reference %+v", name, have[i+1], want)
+		}
 	}
-	if !hok {
+	if !ok[0] {
 		return false
-	}
-	if have.Less(want) || want.Less(have) {
-		c.t.Fatalf("pop %+v, reference %+v", have, want)
 	}
 	k := class(want)
 	p := c.popped[k]
-	p[0], p[1] = append(p[0], have), append(p[1], want)
+	for i := range p {
+		p[i] = append(p[i], have[i])
+	}
 	c.popped[k] = p
 	if c.live[k]--; c.live[k] == 0 {
 		for _, s := range p {
@@ -62,8 +79,10 @@ func (c *bucketCheck) pop() bool {
 				return cmp.Or(cmp.Compare(a.Job, b.Job), cmp.Compare(a.Data, b.Data))
 			})
 		}
-		if !slices.Equal(p[0], p[1]) {
-			c.t.Fatalf("class %v: popped %v, reference %v", k, p[0], p[1])
+		for i, name := range []string{"BucketHeap", "HPQ"} {
+			if !slices.Equal(p[i+1], p[0]) {
+				c.t.Fatalf("%s: class %v: popped %v, reference %v", name, k, p[i+1], p[0])
+			}
 		}
 		delete(c.popped, k)
 		delete(c.live, k)
@@ -80,18 +99,21 @@ func (c *bucketCheck) drain() {
 	}
 }
 
-// FuzzBucketHeapVsBinaryHeap feeds a byte-driven op stream to the queue and
-// the reference heap under bucketCheck's contract: pop; push a task of a
-// nearby priority, either side; push one that shares the last task's
-// (Prio, Node), with another Data and maybe another Job; push one up to
-// 63·2^14 classes below, past the window's 2^16-bucket cap. Jobs are 0 or
-// 1, Data is a push stamp.
+// FuzzBucketHeapVsBinaryHeap feeds a byte-driven op stream to the
+// BucketHeap, the HPQ and the reference heap under bucketCheck's contract:
+// pop; push a task of a nearby priority, either side; push one that shares
+// the last task's (Prio, Node), with another Data and maybe another Job;
+// push one up to 63·2^14 classes below, past the window's 2^16-bucket cap.
+// Jobs are 0 or 1, Data is a push stamp; an op of 0x40-0x7f pushes past the
+// HPQ's hot buffer (PushCold).
 func FuzzBucketHeapVsBinaryHeap(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0xff, 0x00, 0x7f})
 	f.Add([]byte{0x81, 0x85, 0x89, 0x00, 0x8d, 0x02, 0x02, 0x00, 0x00})       // negative priorities
 	f.Add([]byte{0x05, 0x09, 0x0d, 0xff, 0x11, 0x00, 0xfb, 0x00, 0x00, 0x00}) // a span past the cap
 	f.Add([]byte{0xc1, 0xc1, 0x41, 0xc5, 0x00, 0x00, 0x00})                   // Job != 0
 	f.Add([]byte{0x45, 0x02, 0x02, 0x42, 0x00, 0x02, 0x00, 0x00, 0x00})       // duplicates differing in Data
+	f.Add([]byte{0x01, 0x01, 0x01, 0xff, 0xff, 0x71, 0x00, 0x00})             // an HPQ cold span past the cap
+	f.Add(append(bytes.Repeat([]byte{0xe1}, 48), 0x00, 0x00, 0x00))           // a decreasing run: HPQ's rewind storm
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := newBucketCheck(t)
 		var last task.Task
@@ -108,7 +130,7 @@ func FuzzBucketHeapVsBinaryHeap(f *testing.F) {
 			case 3:
 				tk.Prio -= int64(op>>2) << 14
 			}
-			c.push(tk)
+			c.push(tk, op>>6 == 1)
 			last = tk
 		}
 		c.drain()
@@ -122,7 +144,7 @@ func TestBucketHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := newBucketCheck(t)
 	for i := 0; i < 60_000; i++ {
-		c.push(task.Task{Node: uint32(rng.Intn(1 << 20)), Job: task.JobID(rng.Intn(2)), Prio: int64(rng.Intn(8) - 4), Data: uint64(i)})
+		c.push(task.Task{Node: uint32(rng.Intn(1 << 20)), Job: task.JobID(rng.Intn(2)), Prio: int64(rng.Intn(8) - 4), Data: uint64(i)}, i%5 == 0)
 		if i%3 == 0 {
 			c.pop()
 		}
@@ -133,12 +155,12 @@ func TestBucketHeapOrder(t *testing.T) {
 // TestBucketHeapFallback: a resident span past the window's cap moves the
 // queue into its binary heap with tasks queued, and the order stays exact
 // through the move; a narrow span never moves it, however far the stream
-// travels.
+// travels; a span of windowMaxW priorities is the widest that fits.
 func TestBucketHeapFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := newBucketCheck(t)
 	for i := 0; i < 20000; i++ {
-		c.push(task.Task{Node: uint32(rng.Intn(64)), Job: task.JobID(rng.Intn(2)), Prio: int64(i/4 + rng.Intn(200) - 100), Data: uint64(i)})
+		c.push(task.Task{Node: uint32(rng.Intn(64)), Job: task.JobID(rng.Intn(2)), Prio: int64(i/4 + rng.Intn(200) - 100), Data: uint64(i)}, false)
 		if i%3 == 0 {
 			c.pop()
 		}
@@ -147,11 +169,24 @@ func TestBucketHeapFallback(t *testing.T) {
 		t.Fatal("a 200-class span fell back")
 	}
 	for i := 0; i < 2000; i++ {
-		c.push(task.Task{Node: uint32(rng.Intn(64)), Prio: int64(rng.Intn(1 << 20)), Data: uint64(i)})
+		c.push(task.Task{Node: uint32(rng.Intn(64)), Prio: int64(rng.Intn(1 << 20)), Data: uint64(i)}, false)
 		c.pop()
 	}
 	if c.q.heap == nil {
 		t.Fatal("a 2^20 priority span fit the window")
+	}
+	c.drain()
+
+	c = newBucketCheck(t)
+	for _, p := range []int64{0, windowMaxW - 1} {
+		c.push(task.Task{Prio: p}, true)
+	}
+	if c.q.heap != nil || c.h.heap != nil {
+		t.Fatalf("a span of windowMaxW priorities fell back: BucketHeap %v, HPQ %v", c.q.heap != nil, c.h.heap != nil)
+	}
+	c.push(task.Task{Prio: windowMaxW}, true)
+	if c.q.heap == nil || c.h.heap == nil {
+		t.Fatalf("a span of windowMaxW+1 priorities fit: BucketHeap %v, HPQ %v", c.q.heap == nil, c.h.heap == nil)
 	}
 	c.drain()
 }

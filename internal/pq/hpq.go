@@ -5,18 +5,18 @@ import "hdcps/internal/task"
 // HPQ is the simulator's model of a core's priority queue on a machine with
 // the paper's hardware queue (§III-D): a small fixed-capacity sorted **hot
 // buffer** modeling the 48-entry hPQ in front of a **cold store** — a
-// power-of-two ring of per-priority binary mini-heaps with an occupancy
-// bitmap and a scan cursor, migrating once and for all into a binary heap
-// when the priority stream keeps rewinding the cursor or its resident span
-// outgrows the ring.
+// priority window of binary mini-heaps, migrating once and for all into a
+// binary heap when the priority stream keeps rewinding the cursor or its
+// resident span outgrows the window.
 //
 // Ordering is EXACT under task.Less: every bucket is itself a min-heap and
 // PopEx compares the hot front against the cold minimum, so the pop sequence
 // equals a global heap's — up to the order of Less-equal tasks (bag markers
 // of one priority), which depends on this structure's shape. The simulator's
 // cycle counts depend on that order (TestGoldenCycles), which is why this
-// type is the pre-PR-21 two-level queue kept verbatim rather than a bounded
-// heap over a BinaryHeap, and why the native runtime's FIFO ring
+// type keeps the tie order of the two-level queue the simulator was
+// recorded on, fallback heap included (TestHPQFallback), rather than being
+// a bounded heap over a BinaryHeap, and why the native runtime's FIFO ring
 // (TwoLevel) cannot stand in for it. Only internal/sched/cps.go uses it.
 //
 // Single-owner: no internal locking.
@@ -29,7 +29,7 @@ type HPQ struct {
 	cold coldBuckets
 	// heap is non-nil once the monotonicity detector has fired: the cold
 	// store's contents migrate here and all later spills follow.
-	heap *DHeap
+	heap *BinaryHeap
 
 	rewindScore int
 	size        int
@@ -46,14 +46,6 @@ const (
 	rewindPenalty    = 3
 	rewindForgive    = 1
 	rewindStormScore = 96
-)
-
-// hpqStartW and hpqMaxW bound the cold ring's bucket count: it starts at the
-// first and doubles up to the second; a resident priority span that cannot
-// fit triggers the heap fallback instead of further growth.
-const (
-	hpqStartW = 256
-	hpqMaxW   = 1 << 16
 )
 
 // Bucket-storage slab parameters: fresh mini-heaps start with bucketSeedCap
@@ -75,12 +67,11 @@ func NewHPQ(hotCap int) *HPQ {
 	if hotCap <= 0 {
 		hotCap = 48
 	}
-	q := &HPQ{
-		hot: make([]task.Task, 0, 2*hotCap),
-		cap: hotCap,
+	return &HPQ{
+		hot:  make([]task.Task, 0, 2*hotCap),
+		cap:  hotCap,
+		cold: coldBuckets{window: newWindow[[]task.Task]()},
 	}
-	q.cold.init(hpqStartW, hpqMaxW)
-	return q
 }
 
 // Len returns the number of queued tasks across both levels.
@@ -204,19 +195,18 @@ func (q *HPQ) coldPush(t task.Task) {
 		q.heap.Push(t)
 		return
 	}
-	qp := t.Prio
-	if q.cold.size > 0 && qp < q.cold.curQ {
+	if q.cold.size > 0 && t.Prio < q.cold.cur {
 		q.rewindScore += rewindPenalty
 	} else if q.rewindScore > 0 {
 		q.rewindScore -= rewindForgive
 	}
-	if q.cold.push(t, qp) {
+	if q.cold.push(t) {
 		if q.rewindScore >= rewindStormScore {
 			q.fallBack()
 		}
 		return
 	}
-	// The resident span cannot fit even at hpqMaxW: this priority
+	// The resident span cannot fit even at windowMaxW: this priority
 	// distribution is not bucketable, migrate and insert into the heap.
 	q.fallBack()
 	q.heap.Push(t)
@@ -240,38 +230,25 @@ func (q *HPQ) coldPop() task.Task {
 	return t
 }
 
-// fallBack migrates the bucket ring's contents into a fresh d-ary heap and
-// retires the ring. One-way: a stream that proved non-monotone once is
-// assumed to stay that way (the hot buffer still serves the cache-resident
-// front either way).
+// fallBack migrates the cold buckets' contents, in ring index order, into a
+// fresh binary heap and retires the buckets. One-way: a stream that proved
+// non-monotone once is assumed to stay that way (the hot buffer still
+// serves the cache-resident front either way).
 func (q *HPQ) fallBack() {
-	h := NewDHeap(2, q.cold.size+64)
-	for i := range q.cold.buckets {
-		for _, t := range q.cold.buckets[i] {
+	h := NewBinaryHeap(q.cold.size + 64)
+	for _, b := range q.cold.buckets {
+		for _, t := range b {
 			h.Push(t)
 		}
 	}
-	q.cold.size = 0
-	q.cold.buckets = nil
-	q.cold.occ = nil
-	q.cold.free = nil
-	q.cold.arena = nil
+	q.cold = coldBuckets{}
 	q.heap = h
 }
 
-// coldBuckets is the monotone radix level: a power-of-two ring of
-// per-quantized-priority buckets, each kept as a binary mini-heap under
-// task.Less, plus an occupancy bitmap the scan cursor advances over.
-//
-// Invariant: while size > 0, every resident quantized priority lies in
-// [curQ, curQ+W) with curQ <= the resident minimum and hiQ an upper bound
-// on the resident maximum — ring index q & (W-1) is then collision-free
-// (two's-complement AND handles negative priorities). A push stretching the
-// span doubles W up to maxW; beyond that push reports false and the caller
-// falls back to a comparison heap.
+// coldBuckets is the cold store's bucket level: a priority window whose
+// buckets are binary mini-heaps under task.Less.
 type coldBuckets struct {
-	buckets [][]task.Task
-	occ     []uint64
+	window[[]task.Task]
 	// free recycles the storage of emptied buckets, and arena seeds fresh
 	// ones: new mini-heaps are carved bucketSeedCap entries at a time out of
 	// a shared slab, so filling the ring costs one allocation per
@@ -281,41 +258,14 @@ type coldBuckets struct {
 	// allocation count from O(distinct resident priorities) to O(slabs).
 	free  [][]task.Task
 	arena []task.Task
-	curQ  int64 // scan cursor: lower bound on the resident minimum
-	hiQ   int64 // upper bound on the resident maximum
-	size  int
-	maxW  int
 }
 
-func (c *coldBuckets) init(w, maxW int) {
-	c.buckets = make([][]task.Task, w)
-	c.occ = make([]uint64, w/64)
-	c.maxW = maxW
-}
-
-// push inserts t under quantized priority qp, growing the ring if the
-// resident span demands it. False means the span cannot fit at maxW.
-func (c *coldBuckets) push(t task.Task, qp int64) bool {
-	if c.size == 0 {
-		c.curQ, c.hiQ = qp, qp
-	} else {
-		lo, hi := c.curQ, c.hiQ
-		if qp < lo {
-			lo = qp
-		}
-		if qp > hi {
-			hi = qp
-		}
-		for uint64(hi-lo) >= uint64(len(c.buckets)) {
-			if len(c.buckets)*2 > c.maxW {
-				return false
-			}
-			c.grow()
-		}
-		c.curQ, c.hiQ = lo, hi
+// push inserts t. False means the span cannot fit in the window.
+func (c *coldBuckets) push(t task.Task) bool {
+	if !c.covers(t.Prio) && !c.widen(t.Prio) {
+		return false
 	}
-	w := len(c.buckets)
-	idx := int(qp & int64(w-1))
+	idx := c.index(t.Prio)
 	b := c.buckets[idx]
 	if b == nil {
 		if n := len(c.free); n > 0 {
@@ -332,62 +282,20 @@ func (c *coldBuckets) push(t task.Task, qp int64) bool {
 	b = append(b, t)
 	siftUpTasks(b, len(b)-1)
 	c.buckets[idx] = b
-	c.occ[idx>>6] |= 1 << uint(idx&63)
+	c.occupy(idx)
 	c.size++
 	return true
 }
 
-// grow doubles the ring, re-placing occupied buckets under the wider mask.
-// Bucket indices are reconstructed from the cursor: every resident q is
-// curQ + (its ring distance from curQ's slot), unique because the old span
-// fit the old width.
-func (c *coldBuckets) grow() {
-	oldW := len(c.buckets)
-	newW := oldW * 2
-	nb := make([][]task.Task, newW)
-	nocc := make([]uint64, newW/64)
-	if c.size > 0 {
-		baseIdx := int(c.curQ & int64(oldW-1))
-		for step := 0; step < oldW; step++ {
-			idx := (baseIdx + step) & (oldW - 1)
-			b := c.buckets[idx]
-			if len(b) == 0 {
-				// Parked capacity has no index in the wider ring yet;
-				// salvage it through the freelist.
-				if cap(b) > 0 && len(c.free) < bucketFreeMax {
-					c.free = append(c.free, b)
-				}
-				continue
-			}
-			q := c.curQ + int64(step)
-			nidx := int(q & int64(newW-1))
-			nb[nidx] = b
-			nocc[nidx>>6] |= 1 << uint(nidx&63)
-		}
-	}
-	c.buckets = nb
-	c.occ = nocc
-}
-
-// advance moves the cursor to the first occupied bucket at or above it,
-// scanning the occupancy bitmap a word at a time. Caller guarantees
-// size > 0, so an occupied bucket exists within one lap of the ring.
-func (c *coldBuckets) advance() {
-	w := len(c.buckets)
-	c.curQ += int64(occScan(c.occ, int(c.curQ&int64(w-1)), w))
-}
-
 // peek returns the minimum resident task. Caller guarantees size > 0.
 func (c *coldBuckets) peek() task.Task {
-	c.advance()
-	return c.buckets[int(c.curQ&int64(len(c.buckets)-1))][0]
+	return c.buckets[c.front()][0]
 }
 
 // pop removes and returns the minimum resident task. Caller guarantees
 // size > 0.
 func (c *coldBuckets) pop() task.Task {
-	c.advance()
-	idx := int(c.curQ & int64(len(c.buckets)-1))
+	idx := c.front()
 	b := c.buckets[idx]
 	t := b[0]
 	n := len(b) - 1
@@ -407,7 +315,7 @@ func (c *coldBuckets) pop() task.Task {
 		} else {
 			c.buckets[idx] = b
 		}
-		c.occ[idx>>6] &^= 1 << uint(idx&63)
+		c.vacate(idx)
 	}
 	c.size--
 	return t

@@ -2,6 +2,7 @@ package pq
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hdcps/internal/task"
@@ -100,8 +101,8 @@ func TestHPQPushCold(t *testing.T) {
 
 // TestHPQFallback drives the cold store's two non-monotone detectors: a
 // strictly decreasing stream (every cold push rewinds the cursor) and a
-// priority span wider than the ring can grow. Both must migrate to the heap
-// and keep the pop order exact.
+// priority span wider than the window can grow. Both must migrate to the
+// heap and keep the pop order exact, ties included.
 func TestHPQFallback(t *testing.T) {
 	t.Run("rewind-storm", func(t *testing.T) {
 		q := NewHPQ(4)
@@ -130,6 +131,70 @@ func TestHPQFallback(t *testing.T) {
 			t.Fatal("a 2^39 priority span never overflowed the bucket ring")
 		}
 		drainHPQ(t, "span-overflow", q, ref)
+	})
+	// Cap: a cold span of windowMaxW priorities is the widest that fits.
+	t.Run("cap", func(t *testing.T) {
+		q := NewHPQ(1)
+		ref := NewBinaryHeap(0)
+		for i, p := range []int64{0, windowMaxW - 1, windowMaxW} {
+			tk := task.Task{Node: uint32(i), Prio: p}
+			q.PushCold(tk)
+			ref.Push(tk)
+			if fell := q.heap != nil; fell != (i == 2) {
+				t.Fatalf("a cold span [0, %d]: fallen back %v", p, fell)
+			}
+		}
+		drainHPQ(t, "cap", q, ref)
+	})
+	// Ties: forty tasks in six (Prio, Node) classes fill the cold buckets,
+	// a strictly decreasing run trips the rewind detector with them queued,
+	// and forty more land in the heap. The pops, Data included, must be the
+	// sequence recorded when the fallback heap was a 2-ary DHeap: the
+	// simulated cycles depend on the order of Less-equal tasks
+	// (TestGoldenCycles) wherever a core falls back.
+	t.Run("ties", func(t *testing.T) {
+		want := []uint64{
+			88, 87, 86, 85, 84, 83, 82, 81, 80, 79, 78, 77, 76, 75, 74, 73, 72, 71, 70, 69, 68, 67, 66, 65, 64,
+			63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46, 45, 44, 43, 42, 41, 14, 39,
+			5, 15, 23, 29, 119, 32, 21, 33, 118, 34, 124, 125, 128, 103, 117, 8, 4, 122, 26, 1, 121, 16, 115, 92, 30,
+			90, 100, 101, 97, 20, 111, 106, 37, 27, 114, 38, 94, 123, 3, 31, 2, 19, 7, 9, 113, 116, 102, 99, 98, 40,
+			25, 105, 110, 11, 6, 126, 96, 28, 93, 104, 91, 108, 89, 35, 127, 120, 109, 95, 36, 18, 24, 12, 17, 10, 13,
+			112, 22, 107,
+		}
+		q := NewHPQ(2)
+		rng := rand.New(rand.NewSource(12))
+		var data uint64
+		tie := func() task.Task {
+			data++
+			return task.Task{Prio: rng.Int63n(3), Node: uint32(rng.Intn(2)), Data: data}
+		}
+		var got []uint64
+		pop := func() {
+			tk, _, _ := q.PopEx()
+			got = append(got, tk.Data)
+		}
+		for i := 0; i < 40; i++ {
+			q.PushEx(tie())
+		}
+		for i := 1; i <= 48; i++ {
+			data++
+			q.PushEx(task.Task{Prio: int64(-i), Data: data})
+		}
+		if q.heap == nil {
+			t.Fatal("a 48-task decreasing run never tripped the rewind detector")
+		}
+		for i := 0; i < 40; i++ {
+			q.PushEx(tie())
+			if i%4 == 0 {
+				pop()
+			}
+		}
+		for q.Len() > 0 {
+			pop()
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("popped Data %v,\nrecorded %v", got, want)
+		}
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package pq provides the priority queues under the schedulers: a binary
 // heap (the software PQ of the simulated schedulers, the fallback of
-// BucketHeap and the native runtime's heap kind), a d-ary heap (the dheap
-// kind, and the fallback of TwoLevel and HPQ), TwoLevel (the native
+// BucketHeap and HPQ and the native runtime's heap kind), a d-ary heap (the
+// dheap kind, and TwoLevel's fallback), TwoLevel (the native
 // runtime's default kind: a ring of per-priority FIFO buckets, exact in Prio
 // and FIFO among equal priorities), HPQ (the simulator's model of a core
 // with the paper's hardware queue: a sorted hot buffer over a mini-heap
@@ -12,6 +12,18 @@
 // sifts through siftUpTasks and siftDownTasks; so does Bounded
 // (bounded_test.go), a small bounded heap with the hPQ's eviction rule that
 // TestHPQHotEviction holds HPQ's hot tier to as the differential oracle.
+//
+// TwoLevel, BucketHeap and HPQ's cold store are one shape, the bucket queue
+// over a heap of Wimmer et al. ("Data Structures for Task-based Priority
+// Scheduling"): a priority window (window.go) of per-priority buckets, a
+// power-of-two ring indexed by p & (W-1) with an occupancy bitmap, a scan
+// cursor at or below the lowest queued priority and an upper bound above
+// the highest. A push below the cursor just lowers it; a push that widens
+// the span past the ring doubles it, up to 2^16 buckets; a wider span moves
+// the queue, once and for all, into a comparison heap. The window is written
+// once; each queue supplies only its buckets and their order: FIFO chunks
+// (TwoLevel), 4-ary entry heaps on a buddy slab (BucketHeap), binary
+// mini-heaps behind a rewind-storm detector (HPQ).
 //
 // BucketHeap, HPQ and the binary heap of sched.Sequential all pop in
 // task.Less order but break Less-equal ties (one Prio and Node, bag

@@ -145,14 +145,13 @@ func siftAgainstSwapForm(t *testing.T, seed int64) {
 	})
 
 	t.Run("HPQBuckets", func(t *testing.T) {
-		var c coldBuckets
-		c.init(hpqStartW, hpqMaxW)
+		c := coldBuckets{window: newWindow[[]task.Task]()}
 		ref := map[int64]*swapHeap{}
 		for op := 0; op < 3000; op++ {
 			if c.size == 0 || rng.Intn(5) < 3 {
 				x := tieTask(rng, &seq)
 				x.Prio = rng.Int63n(3) // few buckets, deep heaps
-				if !c.push(x, x.Prio) {
+				if !c.push(x) {
 					t.Fatalf("seed %d op %d: push refused", seed, op)
 				}
 				if ref[x.Prio] == nil {

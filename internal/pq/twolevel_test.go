@@ -28,10 +28,10 @@ func newRingCheck(t *testing.T) *ringCheck {
 }
 
 // spread scales priorities so that a span fits the ring at its cap
-// (twoLevelMaxW buckets) exactly when the unscaled span fits 64 buckets: a
+// (windowMaxW buckets) exactly when the unscaled span fits 64 buckets: a
 // test drives the ring's growth and its span-overflow fallback with the few
 // classes a 64-bucket ring would need.
-const spread = twoLevelMaxW / 64
+const spread = windowMaxW / 64
 
 // spreadQueue is a TwoLevel seen through spread: it queues every priority
 // times spread and hands it back divided, so the generic queue suites reach
@@ -231,7 +231,8 @@ func TestTwoLevelConservationRandom(t *testing.T) {
 // TestTwoLevelFallback pins the fallback's one trigger. A strictly
 // decreasing stream — every push rewinds the cursor, the storm that used to
 // migrate the queue — must stay on the ring; a resident span wider than
-// the ring's cap must migrate, and keep the order exact in Prio.
+// the ring's cap must migrate, and keep the order exact in Prio. A span of
+// windowMaxW priorities is the widest that fits.
 func TestTwoLevelFallback(t *testing.T) {
 	t.Run("rewind-storm", func(t *testing.T) {
 		c := newRingCheck(t)
@@ -252,6 +253,19 @@ func TestTwoLevelFallback(t *testing.T) {
 		}
 		if !c.q.FellBack() {
 			t.Fatal("a 2^39 priority span fit the ring")
+		}
+		c.drain()
+	})
+	t.Run("cap", func(t *testing.T) {
+		c := newRingCheck(t)
+		c.push(0)
+		c.push(windowMaxW - 1)
+		if c.q.FellBack() {
+			t.Fatal("a span of windowMaxW priorities fell back")
+		}
+		c.push(windowMaxW)
+		if !c.q.FellBack() {
+			t.Fatal("a span of windowMaxW+1 priorities fit the window")
 		}
 		c.drain()
 	})
