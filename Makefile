@@ -38,7 +38,8 @@ examples:
 # cut along their units (DESIGN.md §4, §5, §9, §10, §11.1): a non-test file
 # past 700 lines is a unit growing a second job — engine.go was 1,662 lines
 # before it was split, serve.go 919, exp/experiments.go 807 before its figures
-# became declarations; sched/cps.go is the one closest today.
+# became declarations; runtime/worker.go (673) and serve/stream.go (670) are
+# the closest today.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$out"; exit 1; \

@@ -8,7 +8,7 @@
 //	hdcps-run -sched hdcps-sw -workload sssp -input road -cores 40 [-hw] [-scale small]
 //	hdcps-run -sched native -workload sssp -input road -cores 4
 //	hdcps-run -sched native -workload sssp -input road -queue multiqueue
-//	hdcps-run -sched native -workload sssp -input road -trace trace.jsonl -metrics :6060
+//	hdcps-run -sched native -workload sssp -input road -trace trace.jsonl
 //	hdcps-run -sched native -workload sssp -input cage -jobs 4 -weights 4,2,1,1
 //	hdcps-run -chaos "seed=42,delay=0.1,dup=0.02,reorder=0.2" -workload sssp -input road
 //	hdcps-run -list
@@ -17,10 +17,9 @@
 // for a native run. Every native run goes through exec.RunJobs and prints one
 // report: the metrics, the engine's conservation ledger and its verdict, and
 // the check against the sequential reference. -trace writes the run's JSONL
-// trace (schema "hdcps-obs/v5": meta, per-worker counters, sampled events,
-// one job row per tenant, the drift/ref/TDF control series) and -metrics
-// serves expvar + pprof + a live counter snapshot at /debug/obs while the
-// run executes.
+// trace when it ends (Engine.WriteTrace, schema "hdcps-obs/v6": meta,
+// per-worker counters, sampled events, one job row per tenant, the
+// drift/ref/TDF control series).
 //
 // -jobs K runs K clones of the workload as tenants of one engine with
 // fair-share weights from -weights (comma-separated, default all 1), and adds
@@ -33,11 +32,8 @@
 package main
 
 import (
-	_ "expvar" // /debug/vars on the -metrics mux
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // register /debug/pprof on the -metrics server
 	"os"
 	"strconv"
 	"strings"
@@ -68,7 +64,6 @@ func main() {
 		verify    = flag.Bool("verify", true, "verify the workload result against the sequential reference")
 		list      = flag.Bool("list", false, "list schedulers and workloads, then exit")
 		trace     = flag.String("trace", "", "write the native runtime's JSONL observability trace here (\"-\" for stdout; native only)")
-		metrics   = flag.String("metrics", "", "serve expvar/pprof/obs debug HTTP on this address during the run, e.g. :6060 (native only)")
 		chaosSpec = flag.String("chaos", "", "run the native runtime under fault injection with this mix, e.g. \"seed=42,delay=0.1,dup=0.02\" or \"default\"")
 		jobsN     = flag.Int("jobs", 1, "run this many concurrent clones of the workload as tenants of one native engine (native only)")
 		weightsCS = flag.String("weights", "", "comma-separated fair-share weights for -jobs tenants, e.g. 4,2,1,1 (default: all 1)")
@@ -98,8 +93,8 @@ func main() {
 	}
 
 	if *schedName != native && *chaosSpec == "" {
-		if *trace != "" || *metrics != "" || *queueKind != "" || *jobsN > 1 || *weightsCS != "" {
-			fatal(fmt.Errorf("-trace/-metrics/-queue/-jobs/-weights need the native runtime (use -sched native)"))
+		if *trace != "" || *queueKind != "" || *jobsN > 1 || *weightsCS != "" {
+			fatal(fmt.Errorf("-trace/-queue/-jobs/-weights need the native runtime (use -sched native)"))
 		}
 		s, err := sched.ByName(*schedName)
 		if err != nil {
@@ -129,7 +124,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.QueueKind = *queueKind
 	var rec *obs.Recorder
-	if *trace != "" || *metrics != "" {
+	if *trace != "" {
 		rec = obs.New(obs.Config{Workers: cfg.Workers})
 		cfg.Obs = rec
 	}
@@ -140,15 +135,6 @@ func main() {
 			fatal(err)
 		}
 		spec.Chaos = &mix
-	}
-	if *metrics != "" {
-		http.Handle("/debug/obs", rec.Handler())
-		go func() {
-			if err := http.ListenAndServe(*metrics, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "hdcps-run: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "metrics: serving /debug/vars /debug/pprof/ /debug/obs on %s\n", *metrics)
 	}
 
 	ws := []workload.Workload{w}
@@ -170,7 +156,7 @@ func main() {
 	}
 	if len(ws) > 1 {
 		fmt.Printf("jobs:            %d tenants, weights %v\n", len(ws), weights)
-		for i, js := range rep.Jobs {
+		for i, js := range rep.Snapshot.Jobs {
 			fmt.Printf("job %d (%s): weight %d share %.3f (want %.3f) | submitted %d + spawned %d = processed %d + bags %d + quarantined %d + cancelled %d (outstanding %d)\n",
 				i, js.Name, js.Weight, rep.Shares[i], rep.WeightShares[i],
 				js.Submitted, js.Spawned, js.Processed, js.BagsRetired,

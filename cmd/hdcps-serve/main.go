@@ -64,7 +64,7 @@ func main() {
 		quota    = flag.Int64("quota", 1<<16, "job-0 admission quota (outstanding tasks before 429); 0 = unlimited")
 		maxOut   = flag.Int64("max-outstanding", 1<<20, "global outstanding limit before 503 shed; <0 disables")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown engine drain budget")
-		obsOn    = flag.Bool("obs", true, "attach the observability recorder (served at /debug/obs)")
+		obsOn    = flag.Bool("obs", true, "attach the observability recorder (/debug/obs serves the engine's trace)")
 		seedInit = flag.Bool("seed-initial", true, "submit the workload's initial tasks at startup")
 		stallT   = flag.Duration("submit-stall", 0, "slow-client stall guard for submit bodies (0 = 15s default, <0 disables)")
 		ncSpec   = flag.String("netchaos", "", "connection-fault mix, e.g. seed=7,rst=0.02,shortread=0.1 or 'default' (empty disables)")

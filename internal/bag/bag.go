@@ -110,60 +110,13 @@ func cannotBag(n, minSize int) bool {
 	return n < min(minSize, 3)
 }
 
-// Partition implements Algorithm 1's COUNT_PRIORITY + CREATE_BAG step: it
-// groups children by priority (preserving generation order within a group)
-// and splits them into bags and individual tasks according to the policy.
-// nextID supplies fresh bag identifiers. A list that cannot form a bag
-// (cannotBag) comes back as singles unchanged — the same slice, in the order
-// grouping would give it — so the caller must not reuse its children buffer
-// before it is done with singles; everything else does not alias children.
-func Partition(children []task.Task, p Policy, nextID func() uint64) (bags []Bag, singles []task.Task) {
-	minSize, maxSize := p.sizes()
-	if p.Mode == Never || cannotBag(len(children), minSize) {
-		return nil, children
-	}
-	// Group by quantized priority, preserving order within a group.
-	// Children lists are tiny (bounded by node degree), so a simple map of
-	// slices is fine.
-	groups := make(map[int64][]task.Task, 8)
-	order := make([]int64, 0, 8) // deterministic iteration order
-	for _, c := range children {
-		k := c.Prio >> p.QuantShift
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], c)
-	}
-	for _, key := range order {
-		g := groups[key]
-		if len(g) < minSize {
-			singles = append(singles, g...)
-			continue
-		}
-		for len(g) > 0 {
-			n := len(g)
-			if n > maxSize {
-				n = maxSize
-			}
-			if n < minSize {
-				// Remainder smaller than the threshold: ship individually,
-				// matching Algorithm 1's "else SEND(task)" branch.
-				singles = append(singles, g...)
-				break
-			}
-			bags = append(bags, Bag{ID: nextID(), Prio: minPrio(g[:n]), Tasks: g[:n]})
-			g = g[n:]
-		}
-	}
-	return bags, singles
-}
-
-// Partitioner is an allocation-free Partition for hot paths: all scratch
-// (the group index, the returned bags and singles) is reused across calls.
-// The returned slices — including every Bag's Tasks — are valid only until
-// the next Partition call on the same Partitioner and must be copied if
-// retained. Semantics are identical to the package-level Partition, which
-// the tests assert.
+// Partitioner implements Algorithm 1's COUNT_PRIORITY + CREATE_BAG step
+// without allocating: all scratch (the group index, the returned bags and
+// singles) is reused across calls. The returned slices — including every
+// Bag's Tasks — are valid only until the next Partition call on the same
+// Partitioner and must be copied if retained. The tests hold it to a plain
+// map-based reference, Partition in bag_test.go
+// (TestPartitionerMatchesPartition).
 //
 // Children lists are bounded by node degree, so grouping uses a linear key
 // scan instead of a map: for the handful of distinct quantized priorities a
@@ -176,9 +129,13 @@ type Partitioner struct {
 	singles []task.Task
 }
 
-// Partition groups children exactly like the package-level Partition but
-// into reused scratch. See the type comment for the aliasing contract; like
-// Partition's, a list that cannot bag comes back as singles itself.
+// Partition groups children by quantized priority (preserving generation
+// order within a group) and splits them into bags and individual tasks
+// according to the policy; nextID supplies fresh bag identifiers. See the
+// type comment for the aliasing contract. A list that cannot form a bag
+// (cannotBag) comes back as singles unchanged — the same slice, in the order
+// grouping would give it — so the caller must not reuse its children buffer
+// before it is done with singles.
 func (pt *Partitioner) Partition(children []task.Task, p Policy, nextID func() uint64) (bags []Bag, singles []task.Task) {
 	minSize, maxSize := p.sizes()
 	if p.Mode == Never || cannotBag(len(children), minSize) {

@@ -7,6 +7,53 @@ import (
 	"hdcps/internal/task"
 )
 
+// Partition is the reference partitioner: Algorithm 1's COUNT_PRIORITY +
+// CREATE_BAG step written plainly, with a map of fresh group slices, which
+// Partitioner must match bag for bag and single for single
+// (TestPartitionerMatchesPartition). Like Partitioner's, a list that cannot
+// form a bag comes back as singles unchanged; everything else does not
+// alias children.
+func Partition(children []task.Task, p Policy, nextID func() uint64) (bags []Bag, singles []task.Task) {
+	minSize, maxSize := p.sizes()
+	if p.Mode == Never || cannotBag(len(children), minSize) {
+		return nil, children
+	}
+	// Group by quantized priority, preserving order within a group.
+	// Children lists are tiny (bounded by node degree), so a simple map of
+	// slices is fine.
+	groups := make(map[int64][]task.Task, 8)
+	order := make([]int64, 0, 8) // deterministic iteration order
+	for _, c := range children {
+		k := c.Prio >> p.QuantShift
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], c)
+	}
+	for _, key := range order {
+		g := groups[key]
+		if len(g) < minSize {
+			singles = append(singles, g...)
+			continue
+		}
+		for len(g) > 0 {
+			n := len(g)
+			if n > maxSize {
+				n = maxSize
+			}
+			if n < minSize {
+				// Remainder smaller than the threshold: ship individually,
+				// matching Algorithm 1's "else SEND(task)" branch.
+				singles = append(singles, g...)
+				break
+			}
+			bags = append(bags, Bag{ID: nextID(), Prio: minPrio(g[:n]), Tasks: g[:n]})
+			g = g[n:]
+		}
+	}
+	return bags, singles
+}
+
 func mkTasks(prios ...int64) []task.Task {
 	ts := make([]task.Task, len(prios))
 	for i, p := range prios {

@@ -45,9 +45,9 @@ type Spec struct {
 	Chaos *chaos.Config
 }
 
-// JobsReport is a run's outcome: the engine's snapshots, one JobStats row
-// per tenant, the controller's series, the contention-window fairness shares,
-// and the fault side.
+// JobsReport is a run's outcome: the engine's snapshots (Snapshot.Jobs has
+// one JobStats row per tenant), the controller's series, the
+// contention-window fairness shares, and the fault side.
 type JobsReport struct {
 	// Elapsed is Start to the engine-wide Drain's return.
 	Elapsed time.Duration
@@ -58,7 +58,6 @@ type JobsReport struct {
 	// stats.Run is built from it.
 	Snapshot runtime.Snapshot
 	Final    runtime.Snapshot
-	Jobs     []runtime.JobStats
 	// Control is the control plane's series, one point per controller
 	// interval (Engine.ControlTrace).
 	Control []obs.ControlPoint
@@ -177,7 +176,6 @@ func RunJobs(ws []workload.Workload, jcs []runtime.JobConfig, spec Spec) (stats.
 	rep.DrainErr = e.Drain(context.Background())
 	rep.Elapsed = time.Since(started)
 	rep.Snapshot = e.Snapshot()
-	rep.Jobs = rep.Snapshot.Jobs
 	_ = e.Stop(context.Background())
 	rep.Final = e.Snapshot()
 	rep.Control = e.ControlTrace()

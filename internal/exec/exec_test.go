@@ -43,10 +43,10 @@ func checkRun(t *testing.T, ws []workload.Workload, r stats.Run, rep *JobsReport
 	if s := rep.Snapshot; s.Outstanding != 0 || s.Submitted+s.Spawned != s.TasksProcessed+s.BagsRetired+s.Quarantined+s.Cancelled {
 		t.Fatalf("global ledger off: %+v", s)
 	}
-	if len(rep.Jobs) != len(ws) {
-		t.Fatalf("%d job rows, want %d", len(rep.Jobs), len(ws))
+	if len(rep.Snapshot.Jobs) != len(ws) {
+		t.Fatalf("%d job rows, want %d", len(rep.Snapshot.Jobs), len(ws))
 	}
-	for i, j := range rep.Jobs {
+	for i, j := range rep.Snapshot.Jobs {
 		if j.Outstanding != 0 || j.Submitted+j.Spawned != j.Processed+j.BagsRetired+j.Quarantined+j.CancelledTasks {
 			t.Fatalf("job %d ledger off: %+v", i, j)
 		}
@@ -169,8 +169,8 @@ func TestRunJobsTrace(t *testing.T) {
 				t.Fatalf("%d job rows, want %d", len(tr.Jobs), tc.jobs)
 			}
 			for i, j := range tr.Jobs {
-				if j.Name != jcs[i].Name || j.Processed != rep.Jobs[i].Processed {
-					t.Fatalf("job row %d = %+v, want %s with %d processed", i, j, jcs[i].Name, rep.Jobs[i].Processed)
+				if j["name"] != jcs[i].Name || j["processed"] != float64(rep.Snapshot.Jobs[i].Processed) {
+					t.Fatalf("job row %d = %v, want %s with %d processed", i, j, jcs[i].Name, rep.Snapshot.Jobs[i].Processed)
 				}
 			}
 			if len(r.TDFTrace) == 0 || len(tr.Control) != len(r.TDFTrace) {

@@ -122,7 +122,7 @@ func fairnessSweep(o Options, _ *inputSet) (Result, error) {
 		Series: []string{"weight", "want-share", "got-share", "abs-dev", "processed", "spawned"},
 	}
 	for i, t := range tenants {
-		j := rep.Jobs[i]
+		j := rep.Snapshot.Jobs[i]
 		dev := rep.Shares[i] - rep.WeightShares[i]
 		if dev < 0 {
 			dev = -dev

@@ -4,14 +4,12 @@ import "fmt"
 
 // Stats summarizes a graph the way the paper's Table II does.
 type Stats struct {
-	Name    string
-	Nodes   int
-	Edges   int
-	AvgDeg  float64
-	MaxDeg  int
-	MinDeg  int
-	Sources int // nodes with in-degree 0
-	Sinks   int // nodes with out-degree 0
+	Name   string
+	Nodes  int
+	Edges  int
+	AvgDeg float64
+	MaxDeg int
+	MinDeg int
 }
 
 // ComputeStats returns degree statistics for g.
@@ -22,10 +20,6 @@ func ComputeStats(g *CSR) Stats {
 		s.MinDeg = 0
 		return s
 	}
-	inDeg := make([]int, n)
-	for _, v := range g.Dst {
-		inDeg[v]++
-	}
 	for u := 0; u < n; u++ {
 		d := g.OutDegree(NodeID(u))
 		if d > s.MaxDeg {
@@ -33,12 +27,6 @@ func ComputeStats(g *CSR) Stats {
 		}
 		if d < s.MinDeg {
 			s.MinDeg = d
-		}
-		if d == 0 {
-			s.Sinks++
-		}
-		if inDeg[u] == 0 {
-			s.Sources++
 		}
 	}
 	s.AvgDeg = float64(s.Edges) / float64(n)

@@ -1,14 +1,13 @@
 package obs
 
-// Export paths for the recorder: a JSONL trace stream (one self-describing
-// JSON object per line, schema TraceSchema, "hdcps-obs/v5") and an
-// http.Handler serving a point-in-time JSON snapshot. The JSONL layout is
-// deliberately grep/jq-friendly:
+// The export path for the recorder: a JSONL trace stream (one
+// self-describing JSON object per line, schema TraceSchema, "hdcps-obs/v6").
+// The JSONL layout is deliberately grep/jq-friendly:
 //
-//	{"type":"meta","schema":"hdcps-obs/v5","workers":4,...}
+//	{"type":"meta","schema":"hdcps-obs/v6","workers":4,...}
 //	{"type":"counters","worker":0,"tasks_processed":123,...}
-//	{"type":"job","job":0,"name":"job-0","weight":1,"processed":123,...}
 //	{"type":"event","ts_ns":52100,"worker":1,"kind":"tdf-step","tdf":60,...}
+//	{"type":"job","job":0,"name":"job-0","weight":1,"processed":123,...}
 //	{"type":"control","interval":3,"drift":41.5,"ref":12,"tdf":70}
 //
 // v2 extends v1 with the per-job ledger rows ("job" lines), two counters
@@ -20,9 +19,14 @@ package obs
 // task_panics, task_retries (the retry policy is gone; panics equal
 // tasks_quarantined) and hot_spills (always 0), and the "panic" event kind
 // with its "attempt" field; the "quarantine" event carries "job" in place of
-// "attempts"; and it adds the tasks_stolen counter. Counters are written by
-// name, so no other field moves. ReadTrace (trace_read.go) reads the current
-// schema only.
+// "attempts"; and it adds the tasks_stolen counter. v5 adds the counters
+// tasks_bagged and units_kept_local. v6 makes the job line the engine's own
+// runtime.JobStats row and drops its four rank fields (rank_samples,
+// prio_inversions, rank_err_sum, rank_err_max: the sampled rank error is
+// counted per worker, on the counter lines); the serving front-end's /v1
+// JSON takes the same names, and its /debug/obs serves this whole trace.
+// Counters are written by name, so no other field moves.
+// ReadTrace (trace_read.go) reads the current schema only.
 
 import (
 	"bufio"
@@ -30,13 +34,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"time"
 )
 
 // TraceSchema identifies the JSONL trace layout: the one the writers below
 // emit and the only one ReadTrace accepts.
-const TraceSchema = "hdcps-obs/v5"
+const TraceSchema = "hdcps-obs/v6"
 
 // jsonFields renders an event's kind-specific payload. Keeping the mapping
 // here (not on Event) makes the wire names the single source of truth.
@@ -117,35 +120,9 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// JobRow is one job's ledger line in a trace: the per-tenant conservation
-// equation (submitted+spawned == processed+bags_retired+quarantined+
-// cancelled_tasks+outstanding) plus scheduling-quality counters. The obs
-// layer does not depend on the runtime, so the engine maps its JobStats into
-// this wire shape when writing a trace.
-type JobRow struct {
-	Job       uint32 `json:"job"`
-	Name      string `json:"name"`
-	Weight    int    `json:"weight"`
-	Cancelled bool   `json:"cancelled"`
-
-	Outstanding    int64 `json:"outstanding"`
-	Submitted      int64 `json:"submitted"`
-	Spawned        int64 `json:"spawned"`
-	Processed      int64 `json:"processed"`
-	BagsRetired    int64 `json:"bags_retired"`
-	Quarantined    int64 `json:"quarantined"`
-	CancelledTasks int64 `json:"cancelled_tasks"`
-	QuotaRejected  int64 `json:"quota_rejected"`
-
-	RankSamples    int64 `json:"rank_samples"`
-	PrioInversions int64 `json:"prio_inversions"`
-	RankErrorSum   int64 `json:"rank_err_sum"`
-	RankErrorMax   int64 `json:"rank_err_max"`
-}
-
 // WriteLines appends rows to a JSONL trace, one {"type":typ,...} line per
 // row with the row's own JSON fields after the tag: the "event", "job"
-// (JobRow) and "control" (ControlPoint) lines are all written here.
+// (runtime.JobStats) and "control" (ControlPoint) lines are all written here.
 func WriteLines[T any](w io.Writer, typ string, rows []T) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range rows {
@@ -158,47 +135,4 @@ func WriteLines[T any](w io.Writer, typ string, rows []T) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// snapshot is the structure Handler serves.
-type snapshot struct {
-	Schema  string           `json:"schema"`
-	Workers int              `json:"workers"`
-	Totals  map[string]int64 `json:"totals"`
-	Rows    []map[string]any `json:"rows"`
-	Events  uint64           `json:"events_total"`
-}
-
-func (r *Recorder) snapshot() snapshot {
-	s := snapshot{
-		Schema:  TraceSchema,
-		Workers: r.cfg.Workers,
-		Totals:  make(map[string]int64, int(numCounters)),
-		Events:  r.EventCount(),
-	}
-	for _, row := range r.Counters() {
-		line := map[string]any{"worker": row.Worker}
-		for c := Counter(0); c < numCounters; c++ {
-			line[c.String()] = row.Values[c]
-			s.Totals[c.String()] += row.Values[c]
-		}
-		s.Rows = append(s.Rows, line)
-	}
-	return s
-}
-
-// Handler serves the recorder over HTTP: a JSON counter snapshot by
-// default, or the full JSONL trace with ?trace=1.
-func (r *Recorder) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("trace") != "" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = r.WriteJSONL(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.snapshot())
-	})
 }

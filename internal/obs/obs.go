@@ -24,9 +24,10 @@
 //     pays exactly one predictable branch per recording site and allocates
 //     nothing.
 //
-// Export paths: WriteJSONL streams the trace as one JSON object per line
-// (schema documented in the README) and Handler serves a JSON snapshot over
-// HTTP.
+// Export path: WriteJSONL streams the recorder's part of the trace as one
+// JSON object per line (schema documented in the README and export.go);
+// runtime.Engine.WriteTrace appends the job rows and the control series, and
+// is what every trace file and the serving front-end's /debug/obs write.
 package obs
 
 import (

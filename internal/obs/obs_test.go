@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -222,8 +221,9 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 // The job and control appendices come from one writer, WriteLines, which
-// tags each row's own JSON fields with its line type: the bytes are pinned
-// here, the schema's wire shape for both line kinds.
+// tags each row's own JSON fields with its line type: the control bytes are
+// pinned here (the job line's are runtime.JobStats', pinned in
+// internal/runtime's TestEngineWriteTrace).
 func TestWriteControlJSONL(t *testing.T) {
 	pts := []ControlPoint{{Interval: 0, Drift: 1.5, Ref: 10, TDF: 50}, {Interval: 1, Drift: 2.5, Ref: 11, TDF: 60}}
 	var buf bytes.Buffer
@@ -234,39 +234,6 @@ func TestWriteControlJSONL(t *testing.T) {
 		`{"type":"control","interval":1,"drift":2.5,"ref":11,"tdf":60}` + "\n"
 	if buf.String() != want {
 		t.Errorf("control lines:\ngot  %s\nwant %s", buf.String(), want)
-	}
-	buf.Reset()
-	if err := WriteLines(&buf, "job", []JobRow{{Job: 1, Name: "a", Weight: 2, Processed: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	want = `{"type":"job","job":1,"name":"a","weight":2,"cancelled":false,"outstanding":0,"submitted":0,` +
-		`"spawned":0,"processed":3,"bags_retired":0,"quarantined":0,"cancelled_tasks":0,"quota_rejected":0,` +
-		`"rank_samples":0,"prio_inversions":0,"rank_err_sum":0,"rank_err_max":0}` + "\n"
-	if buf.String() != want {
-		t.Errorf("job line:\ngot  %s\nwant %s", buf.String(), want)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	r := New(Config{Workers: 1})
-	r.Row(0)[CIdleParks].Store(3)
-	r.Event(0, EvPark, 0, 0, 0)
-
-	rr := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/obs", nil))
-	var snap map[string]any
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v", err)
-	}
-	totals := snap["totals"].(map[string]any)
-	if totals["idle_parks"] != float64(3) {
-		t.Errorf("totals = %v", totals)
-	}
-
-	rr = httptest.NewRecorder()
-	r.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/obs?trace=1", nil))
-	if !strings.Contains(rr.Body.String(), `"type":"meta"`) {
-		t.Error("?trace=1 did not stream JSONL")
 	}
 }
 

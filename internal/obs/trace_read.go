@@ -1,11 +1,11 @@
 package obs
 
 // Trace read-back: the inverse of WriteJSONL and the WriteLines appendices.
-// Only tests consume a trace through it: the round-trip
-// check that what the writers emit decodes to what they were given
-// (trace_read_test.go), and the check that a native run's trace accounts for
-// the run (internal/exec). It reads the current schema only and skips line
-// types and fields it does not know.
+// Only tests consume a trace through it: the round-trip check that what the
+// writers emit decodes to what they were given (trace_read_test.go), the
+// check that a native run's trace accounts for the run (internal/exec), and
+// the check that /debug/obs agrees with the /v1 endpoints (internal/serve).
+// It reads the current schema only and skips line types it does not know.
 
 import (
 	"bufio"
@@ -23,28 +23,22 @@ type TraceMeta struct {
 	EventsTotal uint64 `json:"events_total"`
 }
 
-// TraceEvent is one decoded {"type":"event"} line. The kind-specific payload
-// stays in Fields (the writer flattens it into the object), so the reader
-// does not need the full event vocabulary to round-trip a trace.
-type TraceEvent struct {
-	TS     int64
-	Worker int
-	Kind   string
-	Fields map[string]any
-}
-
-// Trace is a fully decoded JSONL trace.
+// Trace is a fully decoded JSONL trace. The counters, job and event lines
+// decode to name→value maps without their "type" tag: the writers own the
+// field names (runtime.JobStats names the job line's), so the reader needs no
+// second declaration of any row. Numbers in Jobs and Events are float64s, as
+// encoding/json decodes them.
 type Trace struct {
 	Meta     TraceMeta
 	Counters []map[string]int64 // one map per counters line, "worker" included
-	Jobs     []JobRow
-	Events   []TraceEvent
+	Jobs     []map[string]any   // one map per job line
+	Events   []map[string]any   // one map per event line: "ts_ns", "worker", "kind" and the payload
 	Control  []ControlPoint
 }
 
 // ReadTrace decodes a JSONL trace written by WriteJSONL (plus the job and
 // control appendices). A meta line naming any schema but TraceSchema is an
-// error; unknown line types and fields are skipped.
+// error; unknown line types are skipped.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -57,13 +51,13 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var head struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil {
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		switch head.Type {
+		typ, _ := m["type"].(string)
+		delete(m, "type")
+		switch typ {
 		case "meta":
 			if err := json.Unmarshal(raw, &tr.Meta); err != nil {
 				return nil, fmt.Errorf("obs: trace line %d (meta): %w", line, err)
@@ -73,10 +67,6 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			}
 			sawMeta = true
 		case "counters":
-			var m map[string]any
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d (counters): %w", line, err)
-			}
 			row := make(map[string]int64, len(m))
 			for k, v := range m {
 				if f, ok := v.(float64); ok {
@@ -85,31 +75,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			}
 			tr.Counters = append(tr.Counters, row)
 		case "job":
-			var jr JobRow
-			if err := json.Unmarshal(raw, &jr); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d (job): %w", line, err)
-			}
-			tr.Jobs = append(tr.Jobs, jr)
+			tr.Jobs = append(tr.Jobs, m)
 		case "event":
-			var m map[string]any
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d (event): %w", line, err)
-			}
-			ev := TraceEvent{Fields: m}
-			if v, ok := m["ts_ns"].(float64); ok {
-				ev.TS = int64(v)
-			}
-			if v, ok := m["worker"].(float64); ok {
-				ev.Worker = int(v)
-			}
-			if v, ok := m["kind"].(string); ok {
-				ev.Kind = v
-			}
-			delete(m, "type")
-			delete(m, "ts_ns")
-			delete(m, "worker")
-			delete(m, "kind")
-			tr.Events = append(tr.Events, ev)
+			tr.Events = append(tr.Events, m)
 		case "control":
 			var p ControlPoint
 			if err := json.Unmarshal(raw, &p); err != nil {

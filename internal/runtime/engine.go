@@ -11,17 +11,19 @@ package runtime
 // (place.go) and the mechanism layers the package comment lists; Snapshot and
 // the other read-side views are in snapshot.go.
 //
-// Termination protocol (epoch-aware): every task in the system is counted
-// in `outstanding`, and the count for a task's children is added before any
+// Termination protocol: every task in the system is counted in
+// `outstanding`, and the count for a task's children is added before any
 // child becomes visible to another worker (workers settle their deferred
 // ledger deltas before they ship — see ledger.go), so outstanding can never
 // dip to zero while work exists. A worker that finds outstanding == 0 does not
-// exit — it parks on the fleet's condition variable. Submit increments
-// outstanding, publishes the tasks through the transport, advances the
-// submission epoch, and broadcasts; because the parked worker re-checks
+// exit — it parks on the fleet's condition variable and waits there while
+// outstanding is zero. Submit increments outstanding, publishes the tasks
+// through the transport, and broadcasts; because the parked worker re-checks
 // outstanding under the same lock the broadcast takes, a Submit can never
 // slip between the check and the wait (no lost wakeup). Stop sets the stop
-// flag and broadcasts, which is the only way a parked worker exits.
+// flag and broadcasts, which is the only way a parked worker exits. The
+// submission epoch plays no part in it: it only spreads Submit's blocks over
+// the fleet (firstWorker) and labels Snapshot and StallError.
 
 import (
 	"context"
@@ -57,7 +59,6 @@ const (
 // across simultaneous engines.
 type Engine struct {
 	cfg       Config
-	w         workload.Workload
 	transport *ringTransport
 	// steals is set when workers steal from each other (steal.go): a strict
 	// queue kind and more than one worker.
@@ -97,7 +98,8 @@ type Engine struct {
 	// is attached, else extLocal; every worker count lives in its pub row.
 	ext      *obs.Row
 	extLocal obs.Row
-	// epoch counts Submit calls; parked workers wake when it advances.
+	// epoch counts Submit calls: where the next call's blocks start
+	// (firstWorker), and a label in Snapshot and StallError.
 	epoch atomic.Uint64
 	stop  atomic.Bool
 	state atomic.Int32
@@ -122,7 +124,6 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 	w.Reset()
 	e := &Engine{
 		cfg:     cfg,
-		w:       w,
 		workers: make([]worker, cfg.Workers),
 		obs:     cfg.Obs,
 		quiet:   make(chan struct{}, 1),

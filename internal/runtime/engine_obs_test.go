@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -332,8 +333,9 @@ func TestEngineNilRecorderZeroAllocPerTask(t *testing.T) {
 	}
 }
 
-// WriteTrace emits the full JSONL trace: recorder meta/counters/events plus
-// the control plane's per-interval series.
+// WriteTrace emits the full JSONL trace: recorder meta/counters/events, one
+// job line per tenant — JobStats' own JSON, its bytes pinned here — and the
+// control plane's per-interval series.
 func TestEngineWriteTrace(t *testing.T) {
 	g := graph.Road(24, 24, 5)
 	w, err := workload.New("sssp", g)
@@ -370,6 +372,13 @@ func TestEngineWriteTrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %s", want)
 		}
+	}
+	js := e.DefaultJob().Snapshot()
+	job := fmt.Sprintf(`{"type":"job","job":0,"name":"job-0","weight":1,"cancelled":false,"outstanding":0,`+
+		`"submitted":%d,"spawned":%d,"processed":%d,"bags_retired":%d,"quarantined":0,"cancelled_tasks":0,"quota_rejected":0}`+"\n",
+		js.Submitted, js.Spawned, js.Processed, js.BagsRetired)
+	if strings.Count(out, `"type":"job"`) != 1 || !strings.Contains(out, job) {
+		t.Errorf("trace lacks the one job line %s", job)
 	}
 	if len(e.ControlTrace()) == 0 {
 		t.Error("ControlTrace is empty despite a tight sample interval")

@@ -20,7 +20,6 @@ package runtime
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hdcps/internal/task"
 )
@@ -32,7 +31,6 @@ type QuarantinedTask struct {
 	Task   task.Task
 	Worker int // worker that caught the panic
 	Panic  any // recover() value
-	Time   time.Time
 }
 
 func (q QuarantinedTask) String() string {
@@ -53,7 +51,7 @@ type faultState struct {
 func (fs *faultState) quarantine(t task.Task, worker int, pv any) {
 	fs.mu.Lock()
 	fs.quarantined = append(fs.quarantined, QuarantinedTask{
-		Task: t, Worker: worker, Panic: pv, Time: time.Now(),
+		Task: t, Worker: worker, Panic: pv,
 	})
 	fs.mu.Unlock()
 }

@@ -103,13 +103,7 @@ type jobState struct {
 	outstanding    atomic.Int64
 	rejected       atomic.Int64 // tasks refused by the admission quota
 
-	// Per-job scheduling quality, fed by the engine's sampled pop path.
-	rankSamples atomic.Int64
-	inversions  atomic.Int64
-	rankErrSum  atomic.Int64
-	rankErrMax  atomic.Int64
-
-	_ [4]int64 // keep adjacent jobs' hot counters off one line
+	_ [8]int64 // keep adjacent jobs' hot counters off one line
 }
 
 // newJobState builds the record; cfg must already have defaults applied.
@@ -171,37 +165,31 @@ func (js *jobState) stats() JobStats {
 	s.Submitted = js.submitted.Load()
 	s.Spawned = js.spawned.Load()
 	s.QuotaRejected = js.rejected.Load()
-	s.RankSamples = js.rankSamples.Load()
-	s.PrioInversions = js.inversions.Load()
-	s.RankErrorSum = js.rankErrSum.Load()
-	s.RankErrorMax = js.rankErrMax.Load()
 	return s
 }
 
-// JobStats is one job's row of Snapshot.Jobs: the per-tenant conservation
-// ledger plus scheduling-quality counters. At per-job quiescence
-// (Outstanding == 0 with no concurrent Submit to this job):
+// JobStats is one job's row of Snapshot.Jobs, and its {"type":"job"} line in
+// a trace (Engine.WriteTrace): the per-tenant conservation ledger. At
+// per-job quiescence (Outstanding == 0 with no concurrent Submit to this
+// job):
 //
 //	Submitted + Spawned == Processed + BagsRetired + Quarantined + CancelledTasks
+//
+// The sampled rank error is counted per worker only (Snapshot.RankSamples...).
 type JobStats struct {
-	Job       task.JobID
-	Name      string
-	Weight    int
-	Cancelled bool // the job has been cancelled (terminal)
+	Job       task.JobID `json:"job"`
+	Name      string     `json:"name"`
+	Weight    int        `json:"weight"`
+	Cancelled bool       `json:"cancelled"` // the job has been cancelled (terminal)
 
-	Outstanding    int64 // this job's tasks submitted or spawned but not retired
-	Submitted      int64 // tasks admitted via Submit
-	Spawned        int64 // children + bag units created by this job's tasks
-	Processed      int64 // tasks executed (bag payloads included)
-	BagsRetired    int64 // bag units fully unpacked and retired
-	Quarantined    int64 // poison tasks retired into quarantine
-	CancelledTasks int64 // tasks (and bag payloads) discarded by Cancel
-	QuotaRejected  int64 // tasks refused by the admission quota (not in the ledger)
-
-	RankSamples    int64
-	PrioInversions int64
-	RankErrorSum   int64
-	RankErrorMax   int64
+	Outstanding    int64 `json:"outstanding"`     // this job's tasks submitted or spawned but not retired
+	Submitted      int64 `json:"submitted"`       // tasks admitted via Submit
+	Spawned        int64 `json:"spawned"`         // children + bag units created by this job's tasks
+	Processed      int64 `json:"processed"`       // tasks executed (bag payloads included)
+	BagsRetired    int64 `json:"bags_retired"`    // bag units fully unpacked and retired
+	Quarantined    int64 `json:"quarantined"`     // poison tasks retired into quarantine
+	CancelledTasks int64 `json:"cancelled_tasks"` // tasks (and bag payloads) discarded by Cancel
+	QuotaRejected  int64 `json:"quota_rejected"`  // tasks refused by the admission quota (not in the ledger)
 }
 
 // QuotaError is the admission-control rejection: a Submit would have pushed

@@ -33,8 +33,8 @@
 //
 // And the engine around them: engine.go (job.go, fault.go) is the long-lived
 // fleet's lifecycle — NewEngine / Start / Submit / Drain / Stop with
-// epoch-aware termination, tenants, and the failure model; snapshot.go is
-// the read side (Snapshot, ControlTrace, WriteTrace). A one-shot solve is
+// outstanding-count termination, tenants, and the failure model; snapshot.go
+// is the read side (Snapshot, ControlTrace, WriteTrace). A one-shot solve is
 // that lifecycle too, run to a checked finish by exec.RunJobs.
 //
 // The hot paths follow the levers that "Engineering MultiQueues" and

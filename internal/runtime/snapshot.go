@@ -11,15 +11,16 @@ import (
 	"hdcps/internal/obs"
 )
 
-// WorkerStats is one worker's Snapshot row.
+// WorkerStats is one worker's Snapshot row. Its JSON names, like
+// Snapshot's, are the obs counter names the trace's counter lines use.
 type WorkerStats struct {
-	Processed      int64 // tasks executed (bag payloads included)
-	Bags           int64 // bags created by this worker
-	OverflowSpills int64 // full-ring spills that landed at this worker
-	IdleParks      int64 // times the worker parked on a quiescent fleet
-	Redirects      int64 // flow-control bounces this worker kept local
-	Stolen         int64 // tasks this worker took from peers (steal.go)
-	Parked         bool  // blocked in the park/wake handshake right now
+	Processed      int64 `json:"tasks_processed"`    // tasks executed (bag payloads included)
+	Bags           int64 `json:"bags_created"`       // bags created by this worker
+	OverflowSpills int64 `json:"overflow_spills"`    // full-ring spills that landed at this worker
+	IdleParks      int64 `json:"idle_parks"`         // times the worker parked on a quiescent fleet
+	Redirects      int64 `json:"overflow_redirects"` // flow-control bounces this worker kept local
+	Stolen         int64 `json:"tasks_stolen"`       // tasks this worker took from peers (steal.go)
+	Parked         bool  `json:"parked"`             // blocked in the park/wake handshake right now
 }
 
 // Snapshot is a cheap point-in-time view of a running engine: per-worker
@@ -46,13 +47,13 @@ type WorkerStats struct {
 // flush/park/idle boundaries and may lag by at most one flush interval; once
 // Stop has returned nil every worker has published, and they are exact.
 type Snapshot struct {
-	Epoch       uint64 // Submit calls so far
-	Outstanding int64  // tasks submitted or spawned but not yet retired
-	TDF         int    // current task-distribution factor (percent)
+	Epoch       uint64 `json:"epoch"`       // Submit calls so far
+	Outstanding int64  `json:"outstanding"` // tasks submitted or spawned but not yet retired
+	TDF         int    `json:"tdf"`         // current task-distribution factor (percent)
 
-	TasksProcessed int64
-	BagsCreated    int64
-	EdgesExamined  int64
+	TasksProcessed int64 `json:"tasks_processed"`
+	BagsCreated    int64 `json:"bags_created"`
+	EdgesExamined  int64 `json:"edges_examined"`
 
 	// The conservation ledger (fault.go). At quiescence (Drain returned,
 	// no concurrent Submit):
@@ -61,20 +62,20 @@ type Snapshot struct {
 	//
 	// and Outstanding == 0 — the no-task-loss invariant the chaos harness
 	// asserts at every checkpoint, globally and per job (Jobs).
-	Submitted   int64 // tasks injected via Submit
-	Spawned     int64 // children + bag units created by task processing
-	BagsRetired int64 // bag units fully unpacked and retired
-	Quarantined int64 // poison tasks retired into Engine.Quarantined
-	Cancelled   int64 // tasks discarded by job-scoped Cancel (ledger sink)
-	Redirects   int64 // flow-control bounces kept local (degradation signal)
-	Stolen      int64 // tasks workers took from peers' queues and rings
+	Submitted   int64 `json:"tasks_submitted"`    // tasks injected via Submit
+	Spawned     int64 `json:"tasks_spawned"`      // children + bag units created by task processing
+	BagsRetired int64 `json:"bags_retired"`       // bag units fully unpacked and retired
+	Quarantined int64 `json:"tasks_quarantined"`  // poison tasks retired into Engine.Quarantined
+	Cancelled   int64 `json:"tasks_cancelled"`    // tasks discarded by job-scoped Cancel (ledger sink)
+	Redirects   int64 `json:"overflow_redirects"` // flow-control bounces kept local (degradation signal)
+	Stolen      int64 `json:"tasks_stolen"`       // tasks workers took from peers' queues and rings
 
 	// KeptOffBlock counts the dispatched units (single children and bag
 	// markers) that passed the gate and that the TDF draw left on their
 	// maker, a worker not owning their node — with Stolen, the largest way a
 	// task runs away from its owner's block (place.go). 0 on one worker and
 	// for jobs without a graph, which have no owner.
-	KeptOffBlock int64
+	KeptOffBlock int64 `json:"units_kept_off_block"`
 
 	// Dispatch: BaggedTasks counts tasks shipped inside bags. Of the
 	// Spawned - BaggedTasks dispatched units (single children and bag
@@ -83,16 +84,17 @@ type Snapshot struct {
 	// control plane clamped into range (negative, or at the never-reported
 	// sentinel); when it is about the number of reports, the controller is
 	// blind: it sees drift 0.
-	BaggedTasks  int64
-	KeptLocal    int64
-	DriftClamped int64
+	BaggedTasks  int64 `json:"tasks_bagged"`
+	KeptLocal    int64 `json:"units_kept_local"`
+	DriftClamped int64 `json:"drift_clamped"`
 
 	// Local-queue health (zero when QueueKind is not twolevel):
 	// QueueFallbacks counts the per-job queues whose bucket ring migrated to
 	// the heap because the resident priority span outgrew it. HotSpills is
-	// always 0 — the ring has no hot buffer; benchmark/solve.go reads it.
-	HotSpills      int64
-	QueueFallbacks int64
+	// always 0 — the ring has no hot buffer; benchmark/solve.go reads it, and
+	// it is not served (the trace dropped the counter in v4).
+	HotSpills      int64 `json:"-"`
+	QueueFallbacks int64 `json:"queue_fallbacks"`
 
 	// Scheduling quality (obs-gated: all zero when Config.Obs is nil). The
 	// engine samples the pop path at the recorder's task-sample stride and
@@ -102,16 +104,16 @@ type Snapshot struct {
 	// (mean = sum / samples), RankErrorMax the worst single sample. Strict
 	// kinds must report 0 inversions (structural canary); multiqueue
 	// reports its bounded relaxation.
-	RankSamples    int64
-	PrioInversions int64
-	RankErrorSum   int64
-	RankErrorMax   int64
+	RankSamples    int64 `json:"rank_samples"`
+	PrioInversions int64 `json:"prio_inversions"`
+	RankErrorSum   int64 `json:"rank_err_sum"`
+	RankErrorMax   int64 `json:"rank_err_max"`
 
-	Workers []WorkerStats
+	Workers []WorkerStats `json:"workers"`
 	// Jobs holds one ledger row per registered tenant, indexed by JobID
 	// (job 0 is the engine's default workload). Each row carries the per-job
 	// conservation equation documented on JobStats.
-	Jobs []JobStats
+	Jobs []JobStats `json:"jobs"`
 }
 
 // Snapshot reads the engine's counters without disturbing the workers.
@@ -126,16 +128,12 @@ func (e *Engine) Snapshot() Snapshot {
 	// Submitted) is read last for the same reason: a retirement is only
 	// published after the spawn or submission behind it, so reading the
 	// retire side first keeps it from leading the add side.
-	jobs := *e.jobs.Load()
 	s := Snapshot{
 		Epoch:       e.epoch.Load(),
 		Outstanding: e.outstanding.Load(),
 		TDF:         int(e.control.TDF()),
 		Workers:     make([]WorkerStats, len(e.workers)),
-		Jobs:        make([]JobStats, len(jobs)),
-	}
-	for i, js := range jobs {
-		s.Jobs[i] = js.stats()
+		Jobs:        jobStats(*e.jobs.Load()),
 	}
 	for i := range e.workers {
 		me := &e.workers[i]
@@ -193,46 +191,27 @@ func (e *Engine) Outstanding() int64 { return e.outstanding.Load() }
 func (e *Engine) ControlTrace() []obs.ControlPoint { return e.control.Series() }
 
 // WriteTrace streams the engine's full observability state as JSONL
-// (schema obs.TraceSchema): recorder meta, per-worker counters, per-job
-// ledger rows, the retained event trace, and the control plane's
-// drift/ref/TDF time series. Requires Config.Obs; without a recorder only
-// the control series is written.
+// (schema obs.TraceSchema): recorder meta, per-worker counters, the retained
+// event trace, one JobStats row per tenant, and the control plane's
+// drift/ref/TDF time series. Safe while the fleet runs. Without a recorder
+// (Config.Obs unset) only the control series is written.
 func (e *Engine) WriteTrace(w io.Writer) error {
 	if e.obs != nil {
 		if err := e.obs.WriteJSONL(w); err != nil {
 			return err
 		}
-		if err := obs.WriteLines(w, "job", jobRows(*e.jobs.Load())); err != nil {
+		if err := obs.WriteLines(w, "job", jobStats(*e.jobs.Load())); err != nil {
 			return err
 		}
 	}
 	return obs.WriteLines(w, "control", e.control.Series())
 }
 
-// jobRows adapts the tenants' ledger stats into the obs trace's job-row
-// schema (one {"type":"job"} JSONL line per tenant).
-func jobRows(jobs []*jobState) []obs.JobRow {
-	rows := make([]obs.JobRow, 0, len(jobs))
-	for _, js := range jobs {
-		st := js.stats()
-		rows = append(rows, obs.JobRow{
-			Job:            uint32(st.Job),
-			Name:           st.Name,
-			Weight:         st.Weight,
-			Cancelled:      st.Cancelled,
-			Outstanding:    st.Outstanding,
-			Submitted:      st.Submitted,
-			Spawned:        st.Spawned,
-			Processed:      st.Processed,
-			BagsRetired:    st.BagsRetired,
-			Quarantined:    st.Quarantined,
-			CancelledTasks: st.CancelledTasks,
-			QuotaRejected:  st.QuotaRejected,
-			RankSamples:    st.RankSamples,
-			PrioInversions: st.PrioInversions,
-			RankErrorSum:   st.RankErrorSum,
-			RankErrorMax:   st.RankErrorMax,
-		})
+// jobStats reads every tenant's ledger row, in JobID order.
+func jobStats(jobs []*jobState) []JobStats {
+	rows := make([]JobStats, len(jobs))
+	for i, js := range jobs {
+		rows[i] = js.stats()
 	}
 	return rows
 }

@@ -489,28 +489,18 @@ func (e *Engine) sampleRank(me *worker, q *workerJQ, t task.Task) {
 		rank = 1
 	}
 	me.rankSamples++
-	js := q.js
-	js.rankSamples.Add(1)
 	if rank > 0 {
 		me.inversions++
 		me.rankErrSum += rank
 		if rank > me.rankErrMax {
 			me.rankErrMax = rank
 		}
-		js.inversions.Add(1)
-		js.rankErrSum.Add(rank)
-		for {
-			cur := js.rankErrMax.Load()
-			if rank <= cur || js.rankErrMax.CompareAndSwap(cur, rank) {
-				break
-			}
-		}
 	}
 	me.pub[obs.CRankSamples].Store(me.rankSamples)
 	me.pub[obs.CPrioInversions].Store(me.inversions)
 	me.pub[obs.CRankErrSum].Store(me.rankErrSum)
 	me.pub[obs.CRankErrMax].Store(me.rankErrMax)
-	e.obs.Event(me.id, obs.EvRankSample, rank, t.Prio, int64(js.id))
+	e.obs.Event(me.id, obs.EvRankSample, rank, t.Prio, int64(q.js.id))
 }
 
 // prefetchRow touches the next batched task's CSR row bounds (in its job's

@@ -275,9 +275,10 @@ func (h *cpsHandler) Start(m *sim.Machine) {
 			continue
 		}
 		c := &h.cores[core]
-		bags, singles := bag.Partition(slice, h.cfg.Bags, h.bagIDs.Next)
+		bags, singles := h.part.Partition(slice, h.cfg.Bags, h.bagIDs.Next)
 		for _, b := range bags {
-			h.bags[b.ID] = bagRecord{tasks: b.Tasks, owner: core}
+			// b.Tasks is the partitioner's scratch; the record outlives it.
+			h.bags[b.ID] = bagRecord{tasks: append([]task.Task(nil), b.Tasks...), owner: core}
 			c.pushSW(task.Task{Node: bagTaskNode, Prio: b.Prio, Data: b.ID})
 		}
 		for _, s := range singles {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"hdcps/internal/graph"
 	"hdcps/internal/pq"
 	"hdcps/internal/sim"
 	"hdcps/internal/stats"
@@ -75,9 +74,10 @@ func HWMinnow() Scheduler { return obimScheduler{kind: kindHWMinnow, label: "hwm
 
 func (s obimScheduler) Name() string { return s.label }
 
-func (s obimScheduler) Run(w workload.Workload, cfg sim.Config, seed uint64) stats.Run {
+// Run draws no random numbers: the seed does not apply.
+func (s obimScheduler) Run(w workload.Workload, cfg sim.Config, _ uint64) stats.Run {
 	r, h := simulate(s.label, w, cfg, true, func(mcfg sim.Config) *obimHandler {
-		return newOBIMHandler(s, w, mcfg, seed)
+		return newOBIMHandler(s, w, mcfg)
 	})
 	r.BagsCreated = h.chunksTaken
 	r.BaggedTasks = h.processed
@@ -228,7 +228,6 @@ type obimHandler struct {
 	mcfg  sim.Config
 	g     globalMap
 	cores []obimCore
-	rng   *graph.RNG
 
 	workers int // cores that process tasks (rest are minnows)
 
@@ -246,7 +245,7 @@ const (
 	obimMsgNotify         // worker -> minnow: outbox/prefetch attention
 )
 
-func newOBIMHandler(s obimScheduler, w workload.Workload, mcfg sim.Config, seed uint64) *obimHandler {
+func newOBIMHandler(s obimScheduler, w workload.Workload, mcfg sim.Config) *obimHandler {
 	h := &obimHandler{
 		kind: s.kind,
 		mcfg: mcfg,
@@ -259,7 +258,6 @@ func newOBIMHandler(s obimScheduler, w workload.Workload, mcfg sim.Config, seed 
 			cores:    mcfg.Cores,
 		},
 		cores: make([]obimCore, mcfg.Cores),
-		rng:   graph.NewRNG(seed ^ 0x0b14),
 		idle:  make([]bool, mcfg.Cores),
 	}
 	h.init(w, mcfg)

@@ -188,7 +188,7 @@ func TestServeCountersHaveOneHome(t *testing.T) {
 				t.Errorf("obs %v: Info %s = %d, want 1", withObs, c, v)
 			}
 			if withObs {
-				if got := s.rec.Total(c); got != v {
+				if got := s.eng.Obs().Total(c); got != v {
 					t.Errorf("%s: Info %d, recorder total %d", c, v, got)
 				}
 			}

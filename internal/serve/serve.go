@@ -13,9 +13,9 @@
 //     in-flight requests finish, drains the engine, and then proves with the
 //     chaos Checker that every accepted task is accounted for (processed,
 //     quarantined, or cancelled — never lost) before stopping the fleet.
-//   - The ops plane (pprof, Go's own expvar, the obs recorder's live
-//     snapshot at /debug/obs) hangs off the same mux, so one port serves both
-//     traffic and diagnostics.
+//   - The ops plane (pprof, Go's own expvar, the engine's live trace at
+//     /debug/obs) hangs off the same mux, so one port serves both traffic
+//     and diagnostics.
 //   - The network boundary is hostile: header reads and idle connections are
 //     bounded (slowloris guard), a submit body that stops making progress is
 //     cut by a stall detector, per-request deadlines propagate into
@@ -75,7 +75,8 @@ type Config struct {
 	DefaultQuota int64
 	// DrainTimeout bounds Shutdown's engine drain (default 30s).
 	DrainTimeout time.Duration
-	// Obs attaches an observability recorder (served at /debug/obs).
+	// Obs attaches an observability recorder; /debug/obs serves the
+	// engine's trace (Engine.WriteTrace) when it is set.
 	Obs bool
 	// SeedInitial submits the workload's InitialTasks at startup, so the
 	// algorithm state converges before external traffic lands.
@@ -148,7 +149,6 @@ type Server struct {
 	eng *runtime.Engine
 	g   *graph.CSR
 	wl  workload.Workload
-	rec *obs.Recorder
 	mux *http.ServeMux
 
 	// accepted counts every task this server admitted into the engine
@@ -208,7 +208,6 @@ func New(cfg Config) (*Server, error) {
 		eng:     eng,
 		g:       g,
 		wl:      wl,
-		rec:     rec,
 		streams: newStreamTracker(streamCacheSize),
 		faults:  faults,
 		started: time.Now(),
@@ -252,18 +251,26 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 
 	// Ops plane: Go's own expvar (memstats, cmdline), pprof (explicit routes
-	// — the server never touches the DefaultServeMux), and the obs recorder's
-	// live snapshot.
+	// — the server never touches the DefaultServeMux), and the engine's live
+	// trace.
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	if s.rec != nil {
-		mux.Handle("GET /debug/obs", s.rec.Handler())
+	if s.eng.Obs() != nil {
+		mux.HandleFunc("GET /debug/obs", s.handleObs)
 	}
 	return mux
+}
+
+// handleObs serves the engine's whole trace as it stands (Engine.WriteTrace,
+// schema obs.TraceSchema): counters, events, one job row per tenant, and
+// the control series.
+func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	_ = s.eng.WriteTrace(w) // a failed write is a client gone mid-body: nothing to answer
 }
 
 // errorBody is the JSON error envelope. Accepted carries how many tasks of

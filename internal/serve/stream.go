@@ -81,12 +81,11 @@ type streamWaiter struct {
 // Safe for concurrent Submit calls; lines are confirmed in submission
 // order. Construct with Client.PersistentStream, finish with Close.
 type PersistentStream struct {
-	hc    *http.Client // no overall timeout: the request is open-ended
-	url   string
-	jobID uint32
-	pol   RetryPolicy
-	st    *RetryStats
-	id    string
+	hc  *http.Client // no overall timeout: the request is open-ended
+	url string
+	pol RetryPolicy
+	st  *RetryStats
+	id  string
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -116,13 +115,12 @@ func (c *Client) PersistentStream(jobID uint32, pol RetryPolicy, st *RetryStats)
 	ps := &PersistentStream{
 		// Never the wrapping client's overall Timeout — that clock would
 		// sever every stream that outlives it.
-		hc:    &http.Client{Transport: watchResets(base.Transport), CheckRedirect: base.CheckRedirect, Jar: base.Jar},
-		url:   fmt.Sprintf("%s/v1/jobs/%d/submit", c.Base, jobID),
-		jobID: jobID,
-		pol:   pol.withDefaults(),
-		st:    st,
-		id:    newStreamID(),
-		done:  make(chan struct{}),
+		hc:   &http.Client{Transport: watchResets(base.Transport), CheckRedirect: base.CheckRedirect, Jar: base.Jar},
+		url:  fmt.Sprintf("%s/v1/jobs/%d/submit", c.Base, jobID),
+		pol:  pol.withDefaults(),
+		st:   st,
+		id:   newStreamID(),
+		done: make(chan struct{}),
 	}
 	ps.cond = sync.NewCond(&ps.mu)
 	go ps.run()

@@ -6,8 +6,8 @@ package sim
 // model. Each directed link tracks the cycle at which it next becomes free;
 // a message's flits must serialize through every link on its route.
 type noc struct {
-	w, h int
-	hop  int64
+	w   int
+	hop int64
 	// linkFree[tile*4+dir] is the next free cycle of the directed link
 	// leaving tile in direction dir.
 	linkFree []int64
@@ -24,7 +24,6 @@ const (
 func newNoC(cfg Config) *noc {
 	return &noc{
 		w:        cfg.MeshW,
-		h:        cfg.MeshH,
 		hop:      cfg.HopCycles,
 		linkFree: make([]int64, cfg.MeshW*cfg.MeshH*4),
 	}

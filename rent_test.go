@@ -34,7 +34,10 @@ import (
 // interface declared in the module, in a standard package the module
 // imports, error, or one of the shapes package errors calls (errorsIfaces;
 // promoted methods included), and when it is an embedded field, a field
-// with a struct tag (encoding/json reads it), func main or func init.
+// with a struct tag (encoding/json reads it), func main or func init. A
+// struct field counts only its reads: a reference that is an assignment's
+// target, the field a sync/atomic Store or a discarded Add is called on, or
+// a struct literal's key reads nothing (fieldWrites).
 func TestRent(t *testing.T) {
 	a, err := loadModule()
 	if err != nil {
@@ -101,9 +104,10 @@ type modPkg struct {
 
 // candidate is one audited declaration.
 type candidate struct {
-	key string // import path + "." + Name, Type.Method or Type.Field
-	obj types.Object
-	pos token.Pos
+	key   string // import path + "." + Name, Type.Method or Type.Field
+	obj   types.Object
+	pos   token.Pos
+	owner *types.TypeName // a field's struct type, else nil
 }
 
 type audit struct {
@@ -115,6 +119,11 @@ type audit struct {
 	candidates []candidate
 	used       map[types.Object]bool
 	testFiles  []string
+	// loadSinks are the fields some assignment stores a loaded value into
+	// (an index expression on its right side); mapKeys the types some map
+	// type in non-test code is keyed by.
+	loadSinks map[types.Object]bool
+	mapKeys   map[types.Object]bool
 }
 
 // loadModule lists the module and its standard-library dependencies, then
@@ -138,6 +147,8 @@ func loadModule() (*audit, error) {
 		byPath:     map[string]*modPkg{},
 		stdImports: map[string]*types.Package{},
 		used:       map[types.Object]bool{},
+		loadSinks:  map[types.Object]bool{},
+		mapKeys:    map[types.Object]bool{},
 	}
 	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -224,7 +235,7 @@ func (a *audit) collect() {
 					if !audited || d.Name.Name == "_" || d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && m.pkg.Name() == "main") {
 						continue
 					}
-					a.candidates = append(a.candidates, candidate{keyOf(obj), obj, d.Name.Pos()})
+					a.candidates = append(a.candidates, candidate{keyOf(obj), obj, d.Name.Pos(), nil})
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
@@ -234,7 +245,7 @@ func (a *audit) collect() {
 							if !audited {
 								continue
 							}
-							a.candidates = append(a.candidates, candidate{keyOf(obj), obj, s.Name.Pos()})
+							a.candidates = append(a.candidates, candidate{keyOf(obj), obj, s.Name.Pos(), nil})
 							st, ok := s.Type.(*ast.StructType)
 							if !ok {
 								continue
@@ -246,7 +257,7 @@ func (a *audit) collect() {
 								for _, n := range fld.Names {
 									if n.Name != "_" {
 										key := keyOf(obj) + "." + n.Name
-										a.candidates = append(a.candidates, candidate{key, m.info.Defs[n], n.Pos()})
+										a.candidates = append(a.candidates, candidate{key, m.info.Defs[n], n.Pos(), obj.(*types.TypeName)})
 									}
 								}
 							}
@@ -255,7 +266,7 @@ func (a *audit) collect() {
 								if obj := m.info.Defs[n]; obj != nil {
 									own[obj] = append(own[obj], span{s.Pos(), s.End()})
 									if audited && n.Name != "_" {
-										a.candidates = append(a.candidates, candidate{keyOf(obj), obj, n.Pos()})
+										a.candidates = append(a.candidates, candidate{keyOf(obj), obj, n.Pos(), nil})
 									}
 								}
 							}
@@ -266,9 +277,13 @@ func (a *audit) collect() {
 		}
 	}
 	for _, m := range a.pkgs {
+		writes := a.fieldWrites(m)
 	uses:
 		for id, obj := range m.info.Uses {
 			obj = origin(obj)
+			if writes[id] {
+				continue
+			}
 			for _, s := range own[obj] {
 				if s.from <= id.Pos() && id.Pos() < s.to {
 					continue uses
@@ -278,6 +293,102 @@ func (a *audit) collect() {
 		}
 	}
 	a.markInterfaceMethods()
+}
+
+// fieldWrites returns the references to struct fields in m that read
+// nothing: an assignment's target, the field a sync/atomic Store or a
+// discarded Add is called on, and a key of a struct literal. A field whose
+// every reference is one of these is written and never read. It also
+// records m's load sinks and map key types.
+func (a *audit) fieldWrites(m *modPkg) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	field := func(e ast.Expr) *ast.Ident {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if v, ok := m.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			return sel.Sel
+		}
+		return nil
+	}
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					id := field(lhs)
+					if id == nil {
+						continue
+					}
+					writes[id] = true
+					if len(n.Rhs) == len(n.Lhs) && containsIndex(n.Rhs[i]) {
+						a.loadSinks[origin(m.info.Uses[id])] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				if id := field(n.X); id != nil {
+					writes[id] = true
+				}
+			case *ast.ExprStmt:
+				call, ok := n.X.(*ast.CallExpr)
+				if !ok {
+					break
+				}
+				meth, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || meth.Sel.Name != "Store" && meth.Sel.Name != "Add" {
+					break
+				}
+				if fn, ok := m.info.Uses[meth.Sel].(*types.Func); !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+					break
+				}
+				if id := field(meth.X); id != nil {
+					writes[id] = true
+				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					kv, ok := elt.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+							writes[id] = true
+						}
+					}
+				}
+			case *ast.MapType:
+				if tn := typeNameOf(m.info, n.Key); tn != nil {
+					a.mapKeys[tn] = true
+				}
+			}
+			return true
+		})
+	}
+	return writes
+}
+
+func containsIndex(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		_, ok := n.(*ast.IndexExpr)
+		found = found || ok
+		return !found
+	})
+	return found
+}
+
+// typeNameOf resolves a type expression naming a type (T or pkg.T).
+func typeNameOf(info *types.Info, e ast.Expr) *types.TypeName {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		tn, _ := info.Uses[x].(*types.TypeName)
+		return tn
+	case *ast.SelectorExpr:
+		tn, _ := info.Uses[x.Sel].(*types.TypeName)
+		return tn
+	}
+	return nil
 }
 
 // errorsIfaces are the interface literals through which package errors
@@ -464,6 +575,7 @@ var (
 	reTestProbe = regexp.MustCompile(`^test probe for (Test\w+)$`)
 	reREADME    = regexp.MustCompile(`^public API: README §(.+)$`)
 	reReturned  = regexp.MustCompile(`^names a type returned by (\w+(?:\.\w+)?)$`)
+	reBenchmark = regexp.MustCompile(`^named by (benchmark/\w+\.go)$`)
 )
 
 // checkReason verifies an allowlist reason against the code it cites.
@@ -480,8 +592,33 @@ func (a *audit) checkReason(c candidate, reason string, allow map[string]allowLi
 		return checkREADME(c, reREADME.FindStringSubmatch(reason)[1])
 	case reReturned.MatchString(reason):
 		return a.checkReturned(c, reReturned.FindStringSubmatch(reason)[1], allow)
+	case reason == "load sink":
+		if !a.loadSinks[c.obj] {
+			return errors.New("a load sink is a field some assignment stores an indexed load into")
+		}
+		return nil
+	case reason == "map key field":
+		if c.owner == nil || !a.mapKeys[c.owner] {
+			return errors.New("a map key field is a field of a struct type that keys a map type")
+		}
+		return nil
+	case reBenchmark.MatchString(reason):
+		return checkBenchmark(c, reBenchmark.FindStringSubmatch(reason)[1])
 	}
-	return fmt.Errorf("reason %q is not one of: answer accessor; reached through an anonymous interface at <file:line>; test probe for <TestName>; public API: README §<section>; names a type returned by <facade entry>", reason)
+	return fmt.Errorf("reason %q is not one of: answer accessor; reached through an anonymous interface at <file:line>; test probe for <TestName>; public API: README §<section>; names a type returned by <facade entry>; load sink; map key field; named by benchmark/<file>", reason)
+}
+
+// The benchmark file must mention the name. benchmark/ is edited only with
+// the benchmark, so a field it sets stays while it does.
+func checkBenchmark(c candidate, file string) error {
+	b, err := os.ReadFile(file)
+	if err != nil {
+		return err
+	}
+	if !regexp.MustCompile(`\b` + c.obj.Name() + `\b`).Match(b) {
+		return fmt.Errorf("%s does not mention %s", file, c.obj.Name())
+	}
+	return nil
 }
 
 // An answer accessor is a method of a type that implements
