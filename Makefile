@@ -38,7 +38,7 @@ examples:
 # cut along their units (DESIGN.md §4, §5, §9, §10, §11.1): a non-test file
 # past 700 lines is a unit growing a second job — engine.go was 1,662 lines
 # before it was split, serve.go 919, exp/experiments.go 807 before its figures
-# became declarations; runtime/worker.go (673) and serve/stream.go (670) are
+# became declarations; serve/stream.go (670) and runtime/worker.go (636) are
 # the closest today.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -181,12 +181,15 @@ scale-gate:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Fuzz smoke: 20s each of the three differential fuzzers. The zero-alloc
+# Fuzz smoke: 20s each of the four differential fuzzers. The zero-alloc
 # TaskSpec parser against encoding/json — any divergence in accept/reject
-# decision, decoded fields, or fallback error text is a crash — the native
-# runtime's bucket-ring queue against a binary heap: same priority sequence,
-# same multiset, FIFO among equal priorities, through ring growth and the
-# span-overflow fallback — and, in one target, the oracle's BucketHeap and
+# decision, decoded fields, or fallback error text is a crash — the client's
+# ack-line decoder against encoding/json and the server's writer: a line it
+# takes must decode to exactly {"accepted":n} and be the bytes
+# acceptedLine(n) writes — the native runtime's bucket-ring queue against a
+# binary heap: same priority sequence, same multiset, FIFO among equal
+# priorities, through ring growth and the span-overflow fallback — and, in
+# one target, the oracle's BucketHeap and
 # the simulator's HPQ against a binary heap: the same task.Less sequence, the
 # same multiset of each (Prio, Node) class, through negative priorities,
 # Job != 0, duplicates, pushes past HPQ's hot buffer and both queues'
@@ -195,6 +198,7 @@ serve-smoke:
 # go test -fuzz FuzzTaskSpecParser ./internal/serve/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzAckLine' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzTwoLevelVsBinaryHeap' -fuzztime 20s ./internal/pq/
 	$(GO) test -run '^$$' -fuzz 'FuzzBucketHeapVsBinaryHeap' -fuzztime 20s ./internal/pq/
 

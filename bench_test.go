@@ -1,6 +1,7 @@
 package hdcps
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -126,8 +127,9 @@ func BenchmarkSimSweep(b *testing.B) {
 }
 
 // solveNative is one native solve through exec.RunJobs, failed unless it
-// drained with its ledger exact; it returns the snapshot taken after Stop.
-func solveNative(b *testing.B, w workload.Workload, cfg runtime.Config) runtime.Snapshot {
+// drained with its ledger exact; it returns the run's report, whose Final is
+// the snapshot taken after Stop.
+func solveNative(b *testing.B, w workload.Workload, cfg runtime.Config) *exec.JobsReport {
 	b.Helper()
 	_, rep, err := exec.RunJobs([]workload.Workload{w}, []runtime.JobConfig{{}}, exec.Spec{Native: &cfg})
 	if err == nil {
@@ -136,7 +138,7 @@ func solveNative(b *testing.B, w workload.Workload, cfg runtime.Config) runtime.
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rep.Final
+	return rep
 }
 
 // BenchmarkNativeRuntime measures the goroutine-based HD-CPS runtime on the
@@ -151,7 +153,7 @@ func BenchmarkNativeRuntime(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tasks += solveNative(b, w, runtime.DefaultConfig(4)).TasksProcessed
+				tasks += solveNative(b, w, runtime.DefaultConfig(4)).Final.TasksProcessed
 			}
 			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
 		})
@@ -190,7 +192,7 @@ func BenchmarkNativeSolve(b *testing.B) {
 				b.ResetTimer()
 				var tasks int64
 				for i := 0; i < b.N; i++ {
-					tasks += solveNative(b, w, cfg).TasksProcessed
+					tasks += solveNative(b, w, cfg).Final.TasksProcessed
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
 				b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
@@ -280,8 +282,8 @@ func BenchmarkNativeRuntimeObserved(b *testing.B) {
 	g := graph.Road(48, 48, 42)
 	for _, name := range workload.Names() {
 		b.Run(name, func(b *testing.B) {
-			// A recorder serves one engine: the engine keeps its counts in the
-			// recorder's rows, so each solve gets a fresh one.
+			// Each solve gets a fresh recorder, so its event rings start
+			// empty.
 			cfg := runtime.DefaultConfig(4)
 			var tasks int64
 			for i := 0; i < b.N; i++ {
@@ -289,15 +291,31 @@ func BenchmarkNativeRuntimeObserved(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rec := obs.New(obs.Config{Workers: cfg.Workers})
-				cfg.Obs = rec
-				snap := solveNative(b, w, cfg)
+				cfg.Obs = obs.New(obs.Config{Workers: cfg.Workers})
+				rep := solveNative(b, w, cfg)
+				snap := rep.Final
 				tasks += snap.TasksProcessed
-				if rec.Total(obs.CTasksProcessed) != snap.TasksProcessed ||
-					rec.Total(obs.CTasksBagged) != snap.BaggedTasks ||
-					rec.Total(obs.CUnitsKeptLocal) != snap.KeptLocal {
-					b.Fatal("recorder disagrees with the engine's snapshot")
+				b.StopTimer()
+				var buf bytes.Buffer
+				if err := rep.WriteTrace(&buf); err != nil {
+					b.Fatal(err)
 				}
+				tr, err := obs.ReadTrace(&buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sums := map[string]int64{}
+				for _, row := range tr.Counters {
+					for name, v := range row {
+						sums[name] += v
+					}
+				}
+				if sums[obs.CTasksProcessed.String()] != snap.TasksProcessed ||
+					sums[obs.CTasksBagged.String()] != snap.BaggedTasks ||
+					sums[obs.CUnitsKeptLocal.String()] != snap.KeptLocal {
+					b.Fatal("the trace's counters lines disagree with the engine's snapshot")
+				}
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
 		})

@@ -179,9 +179,13 @@ func main() {
 		fatal(fmt.Errorf("drain stalled: %w", rep.DrainErr))
 	}
 	if rec != nil {
+		var spills, parks int64
+		for _, ws := range rep.Final.Workers {
+			spills += ws.OverflowSpills
+			parks += ws.IdleParks
+		}
 		fmt.Printf("obs:             %d events recorded, %d spills, %d parks, %d TDF steps\n",
-			rec.EventCount(), rec.Total(obs.COverflowSpills),
-			rec.Total(obs.CIdleParks), rec.Total(obs.CTDFSteps))
+			rec.EventCount(), spills, parks, len(rep.Control))
 	}
 	if *trace != "" {
 		if err := writeTrace(*trace, rep); err != nil {

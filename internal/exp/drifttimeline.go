@@ -147,6 +147,11 @@ func driftTimeline(o Options, set *inputSet) (Result, error) {
 			},
 		})
 	}
+	var spills, parks int64
+	for _, ws := range rep.Final.Workers {
+		spills += ws.OverflowSpills
+		parks += ws.IdleParks
+	}
 	moved := false
 	for _, p := range pts {
 		if p.TDF != drift.DefaultConfig().InitialTDF {
@@ -162,7 +167,7 @@ func driftTimeline(o Options, set *inputSet) (Result, error) {
 		fmt.Sprintf("interval rows: one traced adaptive run from TDF %d%% (the paper's 0.5); %d intervals over %d tasks",
 			drift.DefaultConfig().InitialTDF, len(pts), nr.TasksProcessed),
 		fmt.Sprintf("recorder: %d events retained (%d recorded), spills=%d parks=%d",
-			len(rec.Events()), rec.EventCount(), rec.Total(obs.COverflowSpills), rec.Total(obs.CIdleParks)))
+			len(rec.Events()), rec.EventCount(), spills, parks))
 	if !moved {
 		res.Notes = append(res.Notes, "WARNING: TDF never left its initial value — no drift between the workers, or too few intervals at this scale?")
 	}

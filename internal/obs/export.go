@@ -1,7 +1,7 @@
 package obs
 
-// The export path for the recorder: a JSONL trace stream (one
-// self-describing JSON object per line, schema TraceSchema, "hdcps-obs/v6").
+// The export path: a JSONL trace stream (one self-describing JSON object per
+// line, schema TraceSchema, "hdcps-obs/v6").
 // The JSONL layout is deliberately grep/jq-friendly:
 //
 //	{"type":"meta","schema":"hdcps-obs/v6","workers":4,...}
@@ -87,15 +87,18 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// WriteJSONL streams the recorder's state as JSONL: one meta line, one
-// counters line per row, then every retained event in timestamp order.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
+// WriteJSONL streams a trace's head as JSONL: one meta line, one counters
+// line per row — rows are the fleet's workers in order, then the external
+// row, whose line says worker External — then every retained event in
+// timestamp order. The counters are the caller's (the engine's own rows):
+// the recorder keeps none.
+func (r *Recorder) WriteJSONL(w io.Writer, rows []*Row) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	meta := map[string]any{
 		"type":         "meta",
 		"schema":       TraceSchema,
-		"workers":      r.cfg.Workers,
+		"workers":      len(rows) - 1,
 		"ring_size":    r.cfg.RingSize,
 		"sample_every": r.cfg.SampleEvery,
 		"start":        r.start.Format(time.RFC3339Nano),
@@ -105,10 +108,14 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(meta); err != nil {
 		return err
 	}
-	for _, row := range r.Counters() {
-		line := map[string]any{"type": "counters", "worker": row.Worker}
+	for i, row := range rows {
+		worker := i
+		if i == len(rows)-1 {
+			worker = External
+		}
+		line := map[string]any{"type": "counters", "worker": worker}
 		for c := Counter(0); c < numCounters; c++ {
-			line[c.String()] = row.Values[c]
+			line[c.String()] = row[c].Load()
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

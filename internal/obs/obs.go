@@ -1,33 +1,30 @@
-// Package obs is the native runtime's observability layer: low-overhead
-// per-worker metrics counters and ring-buffered event traces that let the
+// Package obs is the native runtime's observability layer: the counter
+// vocabulary its engine counts in and ring-buffered event traces that let the
 // drift/TDF feedback loop — the paper's whole contribution — be watched
 // converging over time instead of inferred from a one-shot snapshot.
 //
 // The design follows the constraints of the engine's hot path:
 //
-//   - Counters are rows of padded atomics, one per worker plus one external
-//     row. The recorder owns no counter: every count has one home, a slot in
-//     its owner's Row, which the owner (the engine, the serving front-end)
-//     keeps locally when no recorder is attached and borrows from the
-//     recorder (Row) when one is. Most slots are written by the worker that
-//     owns the row alone, so an update is an uncontended atomic on a cache
-//     line nothing else writes; the exceptions are overflow spills, which a
-//     sender adds to the destination worker's row, and the external row,
-//     which any submitting goroutine adds to. Readers aggregate rows with
-//     plain atomic loads at any time.
+//   - Counters are named by Counter. The engine owns every count: a worker
+//     keeps its own as plain Counts and publishes them into a Row of padded
+//     atomics it alone writes, except overflow spills, which a sender adds to
+//     the destination worker's row; the engine's external row takes what any
+//     submitting goroutine counts. Readers (runtime.Engine.Snapshot and
+//     WriteTrace) load the rows at any time. The recorder keeps no counter.
 //   - Events land in a per-worker ring buffer guarded by a per-worker
 //     mutex. Events are orders of magnitude rarer than tasks (task events
 //     are sampled, the rest mark bag/spill/park/control transitions), so an
 //     uncontended lock per event is noise; the ring overwrites the oldest
 //     entries, bounding memory for arbitrarily long runs.
-//   - The whole layer hangs off a nil-able *Recorder. A disabled engine
+//   - The event layer hangs off a nil-able *Recorder. A disabled engine
 //     pays exactly one predictable branch per recording site and allocates
 //     nothing.
 //
-// Export path: WriteJSONL streams the recorder's part of the trace as one
-// JSON object per line (schema documented in the README and export.go);
-// runtime.Engine.WriteTrace appends the job rows and the control series, and
-// is what every trace file and the serving front-end's /debug/obs write.
+// Export path: WriteJSONL streams the meta line, the counters lines of the
+// rows it is handed and the recorder's events as one JSON object per line
+// (schema documented in the README and export.go); runtime.Engine.WriteTrace
+// hands it the engine's rows, appends the job rows and the control series,
+// and is what every trace file and the serving front-end's /debug/obs write.
 package obs
 
 import (
@@ -40,9 +37,10 @@ import (
 // Counter identifies one per-worker metric.
 type Counter uint8
 
-// The counter set. CTasksProcessed and CEdgesExamined are gauges mirrored
-// from the worker's run-local totals (stored, not added, so they are exact
-// at quiescence); the rest are monotone event counts.
+// The counter set. A worker's slots are its plain Counts, stored into its Row
+// when it publishes (so exact once it has), except COverflowSpills, which
+// senders add to; the external row's slots are added to. All are monotone
+// event counts but the gauges CQueueFallbacks and CRankErrMax.
 const (
 	CTasksProcessed Counter = iota // tasks retired (bag payloads included)
 	CTasksSubmitted                // tasks injected via Submit (external row)
@@ -179,19 +177,18 @@ const External = -1
 
 // Config sizes a Recorder.
 type Config struct {
-	// Workers is the fleet size the recorder serves: it holds one row per
-	// worker plus the external row. Events from out-of-range worker indices
-	// fold into the external row's ring; Row hands out no counter row for
-	// them, so an undersized recorder never makes two workers share one.
+	// Workers sizes the event rings: one per worker plus the external one.
+	// Events from out-of-range worker indices fold into the external ring.
+	// It does not bound what the trace counts: the counters lines are the
+	// engine's own rows, one per worker of its fleet.
 	Workers int
 	// RingSize is the per-worker event-trace capacity; the ring overwrites
 	// its oldest entries and is allocated lazily on a row's first event.
 	// 0 defaults to 1024.
 	RingSize int
-	// SampleEvery records every Nth task-retirement event per worker and
-	// refreshes the CEdgesExamined counter on the same boundaries (the
-	// CTasksProcessed counter is exact at every task; edges lag by at most
-	// one sample stride until the worker next parks). 0 defaults to 64;
+	// SampleEvery records every Nth task-retirement event per worker; the
+	// engine refreshes its CEdgesExamined slot and samples the pop's rank
+	// error on the same stride. 0 defaults to 64;
 	// values are rounded up to a power of two. Negative disables task
 	// events entirely.
 	SampleEvery int
@@ -217,31 +214,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Row is one owner's counters — a worker's, or the external row's — indexed
-// by Counter.
+// Counts is one owner's counter values indexed by Counter: the plain totals
+// a worker keeps on its hot path, each event site adding to its slot by name.
+type Counts [numCounters]int64
+
+// Row is one owner's published counters — a worker's, or the engine's
+// external row — indexed by Counter.
 type Row [numCounters]atomic.Int64
 
-// row is one worker's slice of the recorder: a padded block of counter
-// atomics plus the event ring. The pad keeps adjacent rows off one cache
-// line, so a worker's own slots stay uncontended even while senders add
-// spills to them.
-type row struct {
-	c Row
-	_ [8]int64
-
+// ring is one worker's event trace. The pad keeps adjacent workers' locks off
+// one cache line.
+type ring struct {
 	mu   sync.Mutex
 	buf  []Event
 	next uint64 // total events appended (ring head = next % len(buf))
+	_    [64]byte
 }
 
-// Recorder collects metrics and traces for one engine. All methods are safe
-// for concurrent use; a nil *Recorder must be guarded by the caller (the
+// Recorder collects the event trace of one engine. All methods are safe for
+// concurrent use; a nil *Recorder must be guarded by the caller (the
 // engine's one-branch contract).
 type Recorder struct {
 	cfg        Config
 	sampleMask int64 // SampleEvery-1 when sampling, -1 when disabled
 	start      time.Time
-	rows       []row // cfg.Workers rows + one shared external row
+	rings      []ring // cfg.Workers rings + one shared external ring
 }
 
 // New builds a recorder for cfg.Workers workers.
@@ -250,57 +247,25 @@ func New(cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:   cfg,
 		start: time.Now(),
-		rows:  make([]row, cfg.Workers+1),
+		rings: make([]ring, cfg.Workers+1),
 	}
 	if cfg.SampleEvery > 0 {
 		r.sampleMask = int64(cfg.SampleEvery) - 1
 	} else {
 		r.sampleMask = -1
 	}
-	// Event rings are allocated lazily on each row's first event, so a
+	// Event rings are allocated lazily on each ring's first event, so a
 	// recorder costs a few cache lines until something actually traces.
 	return r
 }
 
-// row maps a worker index to its row, folding External and out-of-range
-// indices into the shared last row (for events and reads; Row does not fold).
-func (r *Recorder) row(worker int) *row {
+// ring maps a worker index to its ring, folding External and out-of-range
+// indices into the shared last one.
+func (r *Recorder) ring(worker int) *ring {
 	if worker >= 0 && worker < r.cfg.Workers {
-		return &r.rows[worker]
+		return &r.rings[worker]
 	}
-	return &r.rows[r.cfg.Workers]
-}
-
-// Total sums a counter across all rows (workers + external).
-func (r *Recorder) Total(c Counter) int64 {
-	var sum int64
-	for i := range r.rows {
-		sum += r.rows[i].c[c].Load()
-	}
-	return sum
-}
-
-// CounterRow is one row of a counter snapshot.
-type CounterRow struct {
-	Worker int // worker index, or External for the shared row
-	Values [int(numCounters)]int64
-}
-
-// Counters snapshots every row's counters. The rows are internally
-// consistent per counter (atomic loads) but not across counters.
-func (r *Recorder) Counters() []CounterRow {
-	out := make([]CounterRow, len(r.rows))
-	for i := range r.rows {
-		w := i
-		if i == r.cfg.Workers {
-			w = External
-		}
-		out[i].Worker = w
-		for c := Counter(0); c < numCounters; c++ {
-			out[i].Values[c] = r.rows[i].c[c].Load()
-		}
-	}
-	return out
+	return &r.rings[r.cfg.Workers]
 }
 
 // Event appends one trace entry to worker's ring.
@@ -313,7 +278,7 @@ func (r *Recorder) Event(worker int, k EventKind, a, b, c int64) {
 		B:      b,
 		C:      c,
 	}
-	rw := r.row(worker)
+	rw := r.ring(worker)
 	rw.mu.Lock()
 	if rw.buf == nil {
 		rw.buf = make([]Event, r.cfg.RingSize)
@@ -324,28 +289,16 @@ func (r *Recorder) Event(worker int, k EventKind, a, b, c int64) {
 }
 
 // SampleMask returns the task-sampling bitmask: sample when
-// processed&mask == 0 (an EvTask event, and a refresh of the owner's
+// processed&mask == 0 (an EvTask event, and a refresh of the worker's
 // CEdgesExamined slot). A negative mask means task events are disabled.
 func (r *Recorder) SampleMask() int64 { return r.sampleMask }
-
-// Row lends worker's counter row to the row's owner, which writes its counts
-// there in place of a row of its own, so the recorder's view of them is
-// exactly the owner's and an attached recorder costs no extra atomics.
-// External is the one shared row; any other index outside [0, Workers) gets
-// nil, and the owner keeps its own row.
-func (r *Recorder) Row(worker int) *Row {
-	if worker == External || (worker >= 0 && worker < r.cfg.Workers) {
-		return &r.row(worker).c
-	}
-	return nil
-}
 
 // EventCount returns how many events have ever been appended (including
 // entries the rings have since overwritten).
 func (r *Recorder) EventCount() uint64 {
 	var n uint64
-	for i := range r.rows {
-		rw := &r.rows[i]
+	for i := range r.rings {
+		rw := &r.rings[i]
 		rw.mu.Lock()
 		n += rw.next
 		rw.mu.Unlock()
@@ -357,8 +310,8 @@ func (r *Recorder) EventCount() uint64 {
 // sorted by timestamp.
 func (r *Recorder) Events() []Event {
 	var out []Event
-	for i := range r.rows {
-		rw := &r.rows[i]
+	for i := range r.rings {
+		rw := &r.rings[i]
 		rw.mu.Lock()
 		n := rw.next
 		cap64 := uint64(len(rw.buf))

@@ -9,53 +9,58 @@ import (
 	"testing"
 )
 
+// The counters lines are the rows WriteJSONL is handed, whatever the
+// recorder's size: one per worker in order, then the external row, whose line
+// says worker External, each slot by its counter name. The recorder keeps no
+// count of its own.
 func TestCountersAddStoreTotal(t *testing.T) {
-	r := New(Config{Workers: 3})
-	r.Row(0)[CBagsCreated].Add(2)
-	r.Row(1)[CBagsCreated].Add(3)
-	r.Row(2)[CTasksProcessed].Store(41)
-	r.Row(2)[CTasksProcessed].Store(42) // the owner's row: stores are absolute
-	r.Row(External)[CTasksSubmitted].Add(7)
+	r := New(Config{Workers: 1})
+	rows := []*Row{new(Row), new(Row), new(Row), new(Row)} // 3 workers + external
+	rows[0][CBagsCreated].Add(2)
+	rows[1][CBagsCreated].Add(3)
+	rows[2][CTasksProcessed].Store(41)
+	rows[2][CTasksProcessed].Store(42) // the owner's row: stores are absolute
+	rows[3][CTasksSubmitted].Add(7)
 
-	if got := r.Total(CBagsCreated); got != 5 {
-		t.Errorf("Total(bags) = %d, want 5", got)
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf, rows); err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Row(2)[CTasksProcessed].Load(); got != 42 {
-		t.Errorf("Row(2)[processed] = %d, want 42", got)
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Total(CTasksSubmitted); got != 7 {
-		t.Errorf("Total(submitted) = %d, want 7", got)
+	if tr.Meta.Workers != 3 || len(tr.Counters) != 4 {
+		t.Fatalf("meta says %d workers, %d counters lines; want 3 and 4", tr.Meta.Workers, len(tr.Counters))
 	}
-	rows := r.Counters()
-	if len(rows) != 4 { // 3 workers + external
-		t.Fatalf("Counters() returned %d rows, want 4", len(rows))
+	var bags int64
+	for i, line := range tr.Counters {
+		want := int64(i)
+		if i == 3 {
+			want = External
+		}
+		if line["worker"] != want {
+			t.Errorf("counters line %d says worker %d, want %d", i, line["worker"], want)
+		}
+		bags += line["bags_created"]
 	}
-	if rows[3].Worker != External || rows[3].Values[CTasksSubmitted] != 7 {
-		t.Errorf("external row = %+v", rows[3])
+	if bags != 5 || tr.Counters[2]["tasks_processed"] != 42 || tr.Counters[3]["tasks_submitted"] != 7 {
+		t.Errorf("counters lines did not carry the rows: %v", tr.Counters)
 	}
 }
 
 // Out-of-range worker indices never panic: their events fold into the
-// external row's ring, but Row lends them no counter row — two workers
-// sharing one would Store over each other's totals — while External is the
-// one row every caller shares.
+// external ring.
 func TestOutOfRangeWorkerFolds(t *testing.T) {
 	r := New(Config{Workers: 2})
-	for _, w := range []int{2, 99, -5} {
-		if r.Row(w) != nil {
-			t.Errorf("Row(%d) lent a counter row past the recorder's 2 workers", w)
-		}
+	for _, w := range []int{2, 99, -5, External} {
+		r.Event(w, EvPark, 0, 0, 0)
 	}
-	if r.Row(External) != r.Row(External) || r.Row(External) == r.Row(1) {
-		t.Error("Row(External) is not the one shared external row")
+	if evs := r.Events(); len(evs) != 4 || evs[1].Worker != 99 {
+		t.Errorf("events = %+v, want the four park events, worker 99's second", evs)
 	}
-	r.Row(External)[CIdleParks].Add(1)
-	r.Event(99, EvPark, 0, 0, 0)
-	if got := r.Total(CIdleParks); got != 1 {
-		t.Errorf("Total(parks) = %d, want 1", got)
-	}
-	if evs := r.Events(); len(evs) != 1 || evs[0].Worker != 99 {
-		t.Errorf("events = %+v, want the one park event of worker 99", evs)
+	if got := r.rings[2].next; got != 4 {
+		t.Errorf("external ring holds %d events, want all 4", got)
 	}
 }
 
@@ -98,14 +103,11 @@ func TestEventsMergedSorted(t *testing.T) {
 }
 
 // processTasks records n task retirements the way the engine's worker loop
-// does: the processed total stored into the worker's own row every task, the
-// edge total and a task event on the boundaries SampleMask names.
+// does: a task event, carrying the edge total, on the boundaries SampleMask
+// names.
 func processTasks(r *Recorder, n int64) {
-	row := r.Row(0)
 	for i := int64(1); i <= n; i++ {
-		row[CTasksProcessed].Store(i)
 		if m := r.SampleMask(); m >= 0 && i&m == 0 {
-			row[CEdgesExamined].Store(i * 3)
 			r.Event(0, EvTask, 100-i, i, i*3)
 		}
 	}
@@ -114,24 +116,18 @@ func processTasks(r *Recorder, n int64) {
 func TestTaskProcessedSampling(t *testing.T) {
 	r := New(Config{Workers: 1, SampleEvery: 4})
 	processTasks(r, 64)
-	if got := r.Row(0)[CTasksProcessed].Load(); got != 64 {
-		t.Errorf("processed = %d, want 64 (Store semantics)", got)
-	}
-	if got := r.Row(0)[CEdgesExamined].Load(); got != 192 {
-		t.Errorf("edges = %d, want 192", got)
-	}
 	evs := r.Events()
 	if len(evs) != 16 { // every 4th of 64
-		t.Errorf("sampled %d task events, want 16", len(evs))
+		t.Fatalf("sampled %d task events, want 16", len(evs))
 	}
-	// Negative SampleEvery disables task events but keeps counters exact.
+	if last := evs[15]; last.B != 64 || last.C != 192 {
+		t.Errorf("last task event: processed %d, edges %d; want 64 and 192", last.B, last.C)
+	}
+	// Negative SampleEvery disables task events.
 	r2 := New(Config{Workers: 1, SampleEvery: -1})
 	processTasks(r2, 64)
 	if got := len(r2.Events()); got != 0 {
 		t.Errorf("disabled sampling still recorded %d events", got)
-	}
-	if got := r2.Row(0)[CTasksProcessed].Load(); got != 64 {
-		t.Errorf("disabled sampling lost counters: %d", got)
 	}
 }
 
@@ -142,8 +138,8 @@ func TestSampleEveryRoundsToPow2(t *testing.T) {
 	}
 }
 
-// Concurrent writers across counters and rings must be race-clean (run
-// under -race in the race tier).
+// Concurrent writers across rings must be race-clean (run under -race in the
+// race tier).
 func TestConcurrentWriters(t *testing.T) {
 	r := New(Config{Workers: 4, RingSize: 64})
 	var wg sync.WaitGroup
@@ -152,31 +148,30 @@ func TestConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := int64(0); i < 500; i++ {
-				r.Row(w % 4)[CBagsCreated].Add(1)
 				r.Event(w%4, EvBagCreated, i, 2, 0)
 				if i%50 == 0 {
 					_ = r.Events()
-					_ = r.Counters()
-					_ = r.Total(CBagsCreated)
+					_ = r.EventCount()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Total(CBagsCreated); got != 8*500 {
-		t.Errorf("Total = %d, want %d", got, 8*500)
+	if got := r.EventCount(); got != 8*500 {
+		t.Errorf("EventCount = %d, want %d", got, 8*500)
 	}
 }
 
 func TestWriteJSONL(t *testing.T) {
 	r := New(Config{Workers: 2, SampleEvery: 1})
+	rows := []*Row{new(Row), new(Row), new(Row)}
 	r.Event(0, EvTask, 9, 1, 4)
-	r.Row(1)[COverflowSpills].Add(1)
+	rows[1][COverflowSpills].Add(1)
 	r.Event(1, EvSpill, 3, 0, 0)
 	r.Event(0, EvTDFStep, 60, int64(floatBits(12.5)), 7)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := r.WriteJSONL(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -13,9 +13,10 @@ import (
 // decodes it by the writer's names.
 func TestReadTraceV2RoundTrip(t *testing.T) {
 	r := New(Config{Workers: 2, SampleEvery: 1})
+	rows := []*Row{new(Row), new(Row), new(Row)} // 2 workers + the external row
 	r.Event(0, EvTask, 9, 1, 4)
-	r.Row(0)[CIdleParks].Store(3)
-	r.Row(1)[COverflowSpills].Add(1)
+	rows[0][CIdleParks].Store(3)
+	rows[1][COverflowSpills].Add(1)
 	r.Event(1, EvSpill, 3, 0, 0)
 
 	type jobRow struct {
@@ -27,7 +28,7 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 	ctrl := []ControlPoint{{Interval: 0, Drift: 1.5, Ref: 10, TDF: 50}, {Interval: 1, Drift: 2.5, Ref: 11, TDF: 60}}
 
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := r.WriteJSONL(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteLines(&buf, "job", jobs); err != nil {

@@ -31,9 +31,6 @@ const neverReported = int64(1) << 62
 type controlPlane struct {
 	workers int
 	rec     *obs.Recorder // nil when observability is disabled
-	// counters are the engine's worker counter rows: a report's clamp and
-	// the TDF step it closes count on the reporting worker's row.
-	counters []*obs.Row
 
 	// reports is the per-job report matrix: reports[job][worker] holds the
 	// worker's latest priority within that job (atomic access), seeded with
@@ -64,15 +61,13 @@ type controlPlane struct {
 	tdf atomic.Int64
 }
 
-// newControlPlane builds the plane for cfg.Workers workers counting into
-// counters, one row per worker. A one-point Drift range (MinTDF == MaxTDF)
-// pins the TDF there: intervals are measured and recorded but no move can
-// land.
-func newControlPlane(cfg Config, counters []*obs.Row) *controlPlane {
+// newControlPlane builds the plane for cfg.Workers workers. A one-point Drift
+// range (MinTDF == MaxTDF) pins the TDF there: intervals are measured and
+// recorded but no move can land.
+func newControlPlane(cfg Config) *controlPlane {
 	cp := &controlPlane{
 		workers:  cfg.Workers,
 		rec:      cfg.Obs,
-		counters: counters,
 		ctrl:     drift.NewController(cfg.Drift),
 		snapshot: make([]int64, 0, cfg.Workers),
 	}
@@ -121,8 +116,10 @@ func (cp *controlPlane) SampleInterval() int64 {
 // workers reported for the job, so a tenant carrying most of the fleet's
 // work dominates the feedback signal. The published reference is the
 // dominant job's. Workers that have never reported for a job are excluded
-// from that job's snapshot rather than contributing stale zeros.
-func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
+// from that job's snapshot rather than contributing stale zeros. A clamped
+// report and the TDF step an interval's close applies count in n, the
+// reporting worker's counts.
+func (cp *controlPlane) Report(n *obs.Counts, id int, job task.JobID, prio int64) {
 	// Validate at the boundary: a handler that emits a negative priority or
 	// one colliding with the never-reported sentinel would fabricate a huge
 	// drift term (Equation 1's reference is the minimum report) and walk
@@ -133,7 +130,7 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 		} else {
 			prio = neverReported - 1
 		}
-		cp.counters[id][obs.CDriftClamped].Add(1)
+		n[obs.CDriftClamped]++
 	}
 	rows := *cp.reports.Load()
 	if int(job) >= len(rows) {
@@ -182,7 +179,7 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 	tdf := cp.ctrl.Climb(pd, ref)
 	cp.mu.Unlock()
 	cp.tdf.Store(int64(tdf))
-	cp.counters[id][obs.CTDFSteps].Add(1)
+	n[obs.CTDFSteps]++
 	if rec := cp.rec; rec != nil {
 		rec.Event(id, obs.EvTDFStep, int64(tdf), int64(math.Float64bits(pd)), ref)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hdcps/internal/drift"
 	"hdcps/internal/obs"
+	"hdcps/internal/task"
 )
 
 // An interval closes on every W-th report, whichever workers made them: once
@@ -18,19 +19,19 @@ import (
 // idle worker's last priority would pose as drift.
 func TestControlPlaneClosesEveryWReports(t *testing.T) {
 	cfg := Config{Workers: 2}.withDefaults()
-	cp := newControlPlane(cfg, ownRows(cfg.Workers))
+	cp := newTestPlane(cfg)
 	cp.addJob()
-	cp.Report(0, 0, 100)
+	cp.report(0, 0, 100)
 	if h := cp.History(); len(h) != 0 {
 		t.Fatalf("interval closed on one report of two: %v", h)
 	}
-	cp.Report(0, 0, 300) // the second report closes, worker 1 unheard
+	cp.report(0, 0, 300) // the second report closes, worker 1 unheard
 	h := cp.History()
 	if len(h) != 1 || h[0].Drift != 0 {
 		t.Fatalf("history %v, want one interval of drift 0: a never-reported slot leaked into a job's snapshot", h)
 	}
-	cp.Report(1, 1, 1000) // worker 1, job 1 only
-	cp.Report(1, 0, 500)  // job 0 now has both workers: |500-300|/2
+	cp.report(1, 1, 1000) // worker 1, job 1 only
+	cp.report(1, 0, 500)  // job 0 now has both workers: |500-300|/2
 	if h = cp.History(); len(h) != 2 {
 		t.Fatalf("controller updates %d, want 2", len(h))
 	}
@@ -39,8 +40,8 @@ func TestControlPlaneClosesEveryWReports(t *testing.T) {
 		t.Fatalf("drift %v, want %v", h[1].Drift, want)
 	}
 	cp.idle(1)
-	cp.Report(0, 0, 300)
-	cp.Report(0, 0, 300)
+	cp.report(0, 0, 300)
+	cp.report(0, 0, 300)
 	if h = cp.History(); len(h) != 3 || h[2].Drift != 0 {
 		t.Fatalf("history %v, want a third interval of drift 0: an idle worker's last priority posed as drift", h)
 	}
@@ -52,7 +53,7 @@ func TestControlPlaneClosesEveryWReports(t *testing.T) {
 func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 	const workers, n = 4, 500
 	cfg := Config{Workers: workers}.withDefaults()
-	cp := newControlPlane(cfg, ownRows(cfg.Workers))
+	cp := newTestPlane(cfg)
 	var wg sync.WaitGroup
 	total := 0
 	for w := 0; w < workers; w++ {
@@ -65,7 +66,7 @@ func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 		go func(w, reports int) {
 			defer wg.Done()
 			for i := 0; i < reports; i++ {
-				cp.Report(w, 0, int64(i+w))
+				cp.report(w, 0, int64(i+w))
 			}
 		}(w, reports)
 	}
@@ -77,9 +78,9 @@ func TestControlPlaneSingleCloserUnderRace(t *testing.T) {
 
 func TestControlPlaneFullSnapshotDrift(t *testing.T) {
 	cfg := Config{Workers: 4}.withDefaults()
-	cp := newControlPlane(cfg, ownRows(cfg.Workers))
+	cp := newTestPlane(cfg)
 	for i, p := range []int64{100, 200, 300, 400} {
-		cp.Report(i, 0, p)
+		cp.report(i, 0, p)
 	}
 	h := cp.History()
 	if len(h) != 1 {
@@ -93,14 +94,14 @@ func TestControlPlaneFullSnapshotDrift(t *testing.T) {
 
 func TestControlPlaneFixedTDF(t *testing.T) {
 	cfg := Config{Workers: 2, Drift: fixedTDF(70)}.withDefaults()
-	cp := newControlPlane(cfg, ownRows(cfg.Workers))
+	cp := newTestPlane(cfg)
 	if cp.TDF() != 70 {
 		t.Fatalf("TDF %d, want 70", cp.TDF())
 	}
-	cp.Report(0, 0, 5)
-	cp.Report(1, 0, 10)
-	cp.Report(0, 0, 5)
-	cp.Report(1, 0, 105)
+	cp.report(0, 0, 5)
+	cp.report(1, 0, 10)
+	cp.report(0, 0, 5)
+	cp.report(1, 0, 105)
 	if cp.TDF() != 70 {
 		t.Fatalf("fixed TDF moved to %d", cp.TDF())
 	}
@@ -112,7 +113,7 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 
 	// The zero Config pins nothing: it runs the adaptive controller from
 	// drift's default start over drift's default range.
-	cp2 := newControlPlane(Config{Workers: 2}.withDefaults(), ownRows(2))
+	cp2 := newTestPlane(Config{Workers: 2}.withDefaults())
 	if c, d := cp2.ctrl.Config(), drift.DefaultConfig(); cp2.TDF() != int64(d.InitialTDF) || c.MinTDF != d.MinTDF || c.MaxTDF != d.MaxTDF {
 		t.Fatalf("zero Config: TDF %d over [%d, %d], want %d over [%d, %d]",
 			cp2.TDF(), c.MinTDF, c.MaxTDF, d.InitialTDF, d.MinTDF, d.MaxTDF)
@@ -126,17 +127,16 @@ func TestControlPlaneFixedTDF(t *testing.T) {
 // count them, and keep the drift signal finite.
 func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
 	cfg := Config{Workers: 2}.withDefaults()
-	rows := ownRows(cfg.Workers)
-	cp := newControlPlane(cfg, rows)
+	cp := newTestPlane(cfg)
 
-	cp.Report(0, 0, -1<<40)          // negative: clamps to 0
-	cp.Report(1, 0, neverReported+7) // sentinel collision: clamps to neverReported-1
-	for id, row := range rows {
-		if got := row[obs.CDriftClamped].Load(); got != 1 {
-			t.Fatalf("worker %d clamped = %d, want 1 (each report counts on its reporter's row)", id, got)
+	cp.report(0, 0, -1<<40)          // negative: clamps to 0
+	cp.report(1, 0, neverReported+7) // sentinel collision: clamps to neverReported-1
+	for id, n := range cp.n {
+		if got := n[obs.CDriftClamped]; got != 1 {
+			t.Fatalf("worker %d clamped = %d, want 1 (each report counts in its reporter's counts)", id, got)
 		}
 	}
-	if got := rows[1][obs.CTDFSteps].Load(); got != 1 {
+	if got := cp.n[1][obs.CTDFSteps]; got != 1 {
 		t.Fatalf("worker 1 tdf_steps = %d, want 1 (its report closed the interval)", got)
 	}
 	h := cp.History()
@@ -153,26 +153,32 @@ func TestControlPlaneClampsOutOfRangePriorities(t *testing.T) {
 	}
 
 	// In-range reports don't touch the counter.
-	cp.Report(0, 0, 100)
-	cp.Report(1, 0, 200)
-	if got := rows[0][obs.CDriftClamped].Load() + rows[1][obs.CDriftClamped].Load(); got != 2 {
+	cp.report(0, 0, 100)
+	cp.report(1, 0, 200)
+	if got := cp.n[0][obs.CDriftClamped] + cp.n[1][obs.CDriftClamped]; got != 2 {
 		t.Fatalf("in-range report counted as clamped: %d", got)
 	}
 }
 
-// ownRows gives n workers counter rows of their own, as an engine without a
-// recorder does.
-func ownRows(n int) []*obs.Row {
-	rows := make([]*obs.Row, n)
-	for i := range rows {
-		rows[i] = new(obs.Row)
-	}
-	return rows
+// testPlane is a control plane beside one worker's counts per worker, as an
+// engine's workers hold them.
+type testPlane struct {
+	*controlPlane
+	n []obs.Counts
+}
+
+func newTestPlane(cfg Config) *testPlane {
+	return &testPlane{controlPlane: newControlPlane(cfg), n: make([]obs.Counts, cfg.Workers)}
+}
+
+// report is worker id's Report, counting in its counts.
+func (tp *testPlane) report(id int, job task.JobID, prio int64) {
+	tp.Report(&tp.n[id], id, job, prio)
 }
 
 func TestControlPlaneAdaptive(t *testing.T) {
 	cfg := Config{Workers: 2, Drift: drift.Config{InitialTDF: 50, Step: 10}}.withDefaults()
-	cp := newControlPlane(cfg, ownRows(cfg.Workers))
+	cp := newTestPlane(cfg)
 	if cp.TDF() != 50 {
 		t.Fatalf("initial TDF %d, want 50", cp.TDF())
 	}
@@ -189,8 +195,8 @@ func TestControlPlaneAdaptive(t *testing.T) {
 		{60, 40, "worsened after stepping down: reverse"},
 		{20, 50, "improved after stepping up: repeat (the only way up)"},
 	} {
-		cp.Report(0, 0, 100)
-		cp.Report(1, 0, 100+2*s.drift)
+		cp.report(0, 0, 100)
+		cp.report(1, 0, 100+2*s.drift)
 		if got := cp.TDF(); got != s.want {
 			t.Fatalf("interval %d (%s): TDF %d, want %d", i, s.why, got, s.want)
 		}
@@ -201,10 +207,10 @@ func TestControlPlaneAdaptive(t *testing.T) {
 
 	// All-zero drift (every report equal, or every report clamped to zero as
 	// pagerank's negative priorities are) carries no information: hold.
-	flat := newControlPlane(cfg, ownRows(cfg.Workers))
+	flat := newTestPlane(cfg)
 	for i := 0; i < 20; i++ {
-		flat.Report(0, 0, -7)
-		flat.Report(1, 0, -9)
+		flat.report(0, 0, -7)
+		flat.report(1, 0, -9)
 	}
 	if flat.TDF() != 50 || len(flat.History()) != 20 {
 		t.Fatalf("blind controller moved: TDF %d after %d intervals", flat.TDF(), len(flat.History()))

@@ -80,29 +80,30 @@ type Engine struct {
 	// and publishes a fresh slice, so readers (every worker, every Submit)
 	// pay one atomic pointer load and never lock. Jobs are never removed —
 	// a JobID stays valid for the engine's lifetime.
-	jobs  atomic.Pointer[[]*jobState]
-	jobMu sync.Mutex
+	jobs atomic.Pointer[[]*jobState]
+	// stop is set once, by Stop; every worker loads it once a cycle, so it
+	// sits with the read-mostly fields above.
+	stop atomic.Bool
 
 	// outstanding counts every task (and bag) emitted but not yet fully
 	// processed; zero means the system is quiescent. Every worker's settle
 	// writes it, so it has a cache line to itself, whatever the size of the
 	// fields before it: on the line of the read-mostly fields each task
-	// loads (jobs, obsMask, sampleInterval), it cost sssp-road 6% more CPU a
-	// task on a 2-vCPU VM.
+	// loads (jobs, obsMask, sampleInterval, stop), it cost sssp-road 6% more
+	// CPU a task on a 2-vCPU VM. TestEngineCacheLines pins the layout.
 	_           [64]byte
 	outstanding atomic.Int64
 	_           [56]byte
-	// ext is the engine's external counter row: what enters at Submit rather
-	// than in a worker (tasks_submitted, the left side of the conservation
-	// ledger, and quota_rejects). It is the recorder's external row when one
-	// is attached, else extLocal; every worker count lives in its pub row.
-	ext      *obs.Row
-	extLocal obs.Row
+	// ext is the engine's external counter row: what enters at Submit or at
+	// the serving front-end rather than in a worker (tasks_submitted, the
+	// left side of the conservation ledger, quota_rejects and the serve_*
+	// decisions); every worker count lives in its worker's row.
+	ext obs.Row
 	// epoch counts Submit calls: where the next call's blocks start
 	// (firstWorker), and a label in Snapshot and StallError.
 	epoch atomic.Uint64
-	stop  atomic.Bool
 	state atomic.Int32
+	jobMu sync.Mutex
 
 	// faults is the poison-task list (fault.go); the quarantine and restart
 	// counts live in the rows of the workers that caught them.
@@ -130,16 +131,13 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		done:    make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	// Every count has one home: a worker's pub row, or the engine's external
-	// row. The transport and the control plane count into the workers' rows.
-	e.ext = counterRow(cfg.Obs, obs.External, &e.extLocal)
+	// Every count has one home: a worker's row, or the engine's external
+	// row. The transport counts spills into the workers' rows.
 	rows := make([]*obs.Row, cfg.Workers)
 	for i := range e.workers {
-		me := &e.workers[i]
-		me.pub = counterRow(cfg.Obs, i, &me.pubLocal)
-		rows[i] = me.pub
+		rows[i] = &e.workers[i].row
 	}
-	e.control = newControlPlane(cfg, rows)
+	e.control = newControlPlane(cfg)
 	e.sampleInterval = e.control.SampleInterval()
 	// w was already Reset above; NewJob would Reset it again, so seed the
 	// table directly.
@@ -174,19 +172,6 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		e.obsMask = -1
 	}
 	return e
-}
-
-// counterRow is where the owner of row i keeps its counts: the recorder's
-// row i when one is attached and has it, else the owner's own row. A worker
-// past an undersized recorder's rows keeps its own, so no two workers ever
-// share a row.
-func counterRow(rec *obs.Recorder, i int, own *obs.Row) *obs.Row {
-	if rec != nil {
-		if r := rec.Row(i); r != nil {
-			return r
-		}
-	}
-	return own
 }
 
 // Start launches the worker fleet. It returns an error if the engine was
@@ -411,8 +396,8 @@ func (e *Engine) waitQuiescent(ctx context.Context, out *atomic.Int64, mark func
 func (e *Engine) ledgerMark() int64 {
 	m := e.ext[obs.CTasksSubmitted].Load()
 	for i := range e.workers {
-		pub := e.workers[i].pub
-		m += pub[obs.CTasksProcessed].Load() + pub[obs.CTasksQuarantined].Load() + pub[obs.CTasksCancelled].Load()
+		row := &e.workers[i].row
+		m += row[obs.CTasksProcessed].Load() + row[obs.CTasksQuarantined].Load() + row[obs.CTasksCancelled].Load()
 	}
 	return m
 }

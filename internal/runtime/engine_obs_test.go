@@ -76,11 +76,12 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 	}
 	const submitted = int64(submitters * perSubmitter * batch)
 
-	if got := rec.Total(obs.CTasksSubmitted); got != submitted {
-		t.Errorf("recorder submitted = %d, want %d", got, submitted)
+	sums := traceTotals(t, e)
+	if got := sums[obs.CTasksSubmitted.String()]; got != submitted {
+		t.Errorf("trace submitted = %d, want %d", got, submitted)
 	}
-	if got := rec.Total(obs.CTasksProcessed); got != submitted {
-		t.Errorf("recorder processed = %d, want %d (leaf workload: processed == submitted)", got, submitted)
+	if got := sums[obs.CTasksProcessed.String()]; got != submitted {
+		t.Errorf("trace processed = %d, want %d (leaf workload: processed == submitted)", got, submitted)
 	}
 	snap := e.Snapshot()
 	if snap.TasksProcessed != submitted {
@@ -89,7 +90,7 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 	if snap.Outstanding != 0 {
 		t.Errorf("outstanding = %d after Drain", snap.Outstanding)
 	}
-	if got := rec.Total(obs.CEdgesExamined); got != submitted {
+	if got := sums[obs.CEdgesExamined.String()]; got != submitted {
 		t.Errorf("edges = %d, want %d (leaf examines 1 per task)", got, submitted)
 	}
 	if rec.EventCount() == 0 {
@@ -105,9 +106,36 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 func (e *Engine) total(c obs.Counter) int64 {
 	n := e.ext[c].Load()
 	for i := range e.workers {
-		n += e.workers[i].pub[c].Load()
+		n += e.workers[i].row[c].Load()
 	}
 	return n
+}
+
+// traceTotals sums each counter, by name, over the counters lines of e's own
+// trace read back through obs.ReadTrace.
+func traceTotals(t testing.TB, e *Engine) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Meta.Workers != len(e.workers) || len(tr.Counters) != len(e.workers)+1 {
+		t.Errorf("trace of a %d-worker engine: meta says %d workers, %d counters lines",
+			len(e.workers), tr.Meta.Workers, len(tr.Counters))
+	}
+	sums := make(map[string]int64)
+	for _, row := range tr.Counters {
+		for name, v := range row {
+			if name != "worker" {
+				sums[name] += v
+			}
+		}
+	}
+	return sums
 }
 
 // Every engine counter has one home, a slot in an obs.Row, whether or not a
@@ -116,7 +144,8 @@ func (e *Engine) total(c obs.Counter) int64 {
 // worker before Start, a fan-out the bag policy bags (and, run alone,
 // the gate keeps), a batch over the default job's quota — and each API value
 // (Snapshot, ControlTrace, or the rows where no API field exists) must equal
-// the recorder's total, and still count without one.
+// the engine's rows and its trace's counters lines, and still count without a
+// recorder.
 func TestEngineCountersHaveOneHome(t *testing.T) {
 	const poison, fan = graph.NodeID(7), graph.NodeID(1)
 	const quota = 1 << 12
@@ -192,11 +221,11 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 		}
 	}
 
-	rec := obs.New(obs.Config{Workers: 4})
-	e, api := run(rec)
+	e, api := run(obs.New(obs.Config{Workers: 4}))
+	sums := traceTotals(t, e)
 	for c, v := range api {
-		if got := rec.Total(c); got != v {
-			t.Errorf("%s: API value %d, recorder total %d", c, v, got)
+		if got := sums[c.String()]; got != v {
+			t.Errorf("%s: API value %d, trace total %d", c, v, got)
 		}
 		if got := e.total(c); got != v {
 			t.Errorf("%s: API value %d, engine rows %d", c, v, got)
@@ -210,36 +239,71 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 	}
 }
 
-// An undersized recorder once corrupted the ledger: Recorder.Row folded every
-// index past its Workers into the one external row, so workers 2 and 3 of a
-// four-worker engine Stored their processed and spawned totals into the same
-// slots and Snapshot read each slot twice. Such a worker keeps a row of its
-// own now, and the ledger is exact at quiescence.
-func TestEngineUndersizedRecorderKeepsLedgerExact(t *testing.T) {
-	w, err := workload.New("sssp", graph.Road(32, 32, 3))
-	if err != nil {
-		t.Fatal(err)
+// The engine is the one owner of its counts, whatever recorder it is given.
+// A recorder once lent the engine its counter rows: a second engine on a
+// recorder Stored into the first one's rows and added both engines'
+// tasks_submitted, and a recorder sized for fewer workers left the extra
+// workers' counts out of the trace. Here one recorder serves two engines run
+// one after the other, and a recorder built for 2 workers serves a 4-worker
+// engine: each engine's ledger balances, and the counters lines of its own
+// trace sum to its own Snapshot.
+func TestEngineCountsAreItsOwnOverAnyRecorder(t *testing.T) {
+	solve := func(t *testing.T, rec *obs.Recorder, workers int) {
+		w, err := workload.New("sssp", graph.Road(32, 32, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(workers)
+		cfg.Obs = rec
+		e := NewEngine(w, cfg)
+		if err := e.Submit(w.InitialTasks()...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := testCtx(t)
+		if err := e.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Stop(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		snap := e.Snapshot()
+		checkLedger(t, snap)
+		var spills, parks int64
+		for _, ws := range snap.Workers {
+			spills += ws.OverflowSpills
+			parks += ws.IdleParks
+		}
+		sums := traceTotals(t, e)
+		for c, v := range map[obs.Counter]int64{
+			obs.CTasksSubmitted:   snap.Submitted,
+			obs.CTasksSpawned:     snap.Spawned,
+			obs.CTasksProcessed:   snap.TasksProcessed,
+			obs.CBagsRetired:      snap.BagsRetired,
+			obs.CTasksQuarantined: snap.Quarantined,
+			obs.CTasksCancelled:   snap.Cancelled,
+			obs.CEdgesExamined:    snap.EdgesExamined,
+			obs.COverflowSpills:   spills,
+			obs.CIdleParks:        parks,
+		} {
+			if got := sums[c.String()]; got != v {
+				t.Errorf("%d workers: %s sums to %d over the trace, Snapshot %d", workers, c, got, v)
+			}
+		}
 	}
-	cfg := DefaultConfig(4)
-	cfg.Obs = obs.New(obs.Config{Workers: 2})
-	e := NewEngine(w, cfg)
-	if err := e.Submit(w.InitialTasks()...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := testCtx(t)
-	if err := e.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Stop(ctx); err != nil {
-		t.Fatal(err)
-	}
-	checkLedger(t, e.Snapshot())
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("shared", func(t *testing.T) {
+		rec := obs.New(obs.Config{Workers: 2})
+		solve(t, rec, 2)
+		solve(t, rec, 2)
+	})
+	t.Run("undersized", func(t *testing.T) {
+		solve(t, obs.New(obs.Config{Workers: 2}), 4)
+	})
 }
 
 // Snapshot's coherence contract: at any instant, TasksProcessed +

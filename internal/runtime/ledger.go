@@ -48,11 +48,10 @@ type jobDelta struct {
 	out                                        int64
 }
 
-// ledger is one worker's settled totals — what its row of published counters
-// shows — and the set of queues holding unsettled deltas.
+// ledger is the set of one worker's queues holding unsettled deltas; the
+// settled totals are the worker's counts (worker.n).
 type ledger struct {
-	dirty                                      []*workerJQ
-	spawned, processed, bagsRetired, cancelled int64
+	dirty []*workerJQ
 }
 
 func (l *ledger) touch(q *workerJQ) *jobDelta {
@@ -102,18 +101,19 @@ func (e *Engine) settle(me *worker) {
 		return
 	}
 	var out int64
+	n := &me.n
 	for _, q := range l.dirty {
 		d := &q.delta
-		l.spawned += d.spawned
-		l.processed += d.processed
-		l.bagsRetired += d.bagsRetired
-		l.cancelled += d.cancelled
+		n[obs.CTasksSpawned] += d.spawned
+		n[obs.CTasksProcessed] += d.processed
+		n[obs.CBagsRetired] += d.bagsRetired
+		n[obs.CTasksCancelled] += d.cancelled
 		out += d.out
 	}
-	me.pub[obs.CTasksSpawned].Store(l.spawned)
-	me.pub[obs.CTasksProcessed].Store(l.processed)
-	me.pub[obs.CBagsRetired].Store(l.bagsRetired)
-	me.pub[obs.CTasksCancelled].Store(l.cancelled)
+	me.row[obs.CTasksSpawned].Store(n[obs.CTasksSpawned])
+	me.row[obs.CTasksProcessed].Store(n[obs.CTasksProcessed])
+	me.row[obs.CBagsRetired].Store(n[obs.CBagsRetired])
+	me.row[obs.CTasksCancelled].Store(n[obs.CTasksCancelled])
 	for _, q := range l.dirty {
 		js, d := q.js, &q.delta
 		if d.spawned != 0 {

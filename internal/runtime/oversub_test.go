@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"bytes"
 	"context"
 	stdruntime "runtime"
 	"testing"
@@ -16,8 +17,8 @@ import (
 // TestStealOversubscribed runs four workers on one P, the fleet steal-when-
 // behind exists for: a descheduled worker holds tasks in its queue and ring
 // that the running one must reach. The answer must match the sequential
-// oracle, the ledger must balance and the recorder's tasks_stolen must be
-// the snapshot's Stolen; how long it takes is not asserted.
+// oracle, the ledger must balance and the trace's tasks_stolen must be the
+// snapshot's Stolen; how long it takes is not asserted.
 func TestStealOversubscribed(t *testing.T) {
 	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
 	g := graph.Road(64, 64, 3)
@@ -53,8 +54,20 @@ func TestStealOversubscribed(t *testing.T) {
 		if err := w.Verify(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if got := cfg.Obs.Total(obs.CTasksStolen); got != snap.Stolen {
-			t.Errorf("%s: recorder tasks_stolen %d, snapshot Stolen %d", name, got, snap.Stolen)
+		var buf bytes.Buffer
+		if err := e.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := obs.ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stolen int64
+		for _, row := range tr.Counters {
+			stolen += row[obs.CTasksStolen.String()]
+		}
+		if stolen != snap.Stolen {
+			t.Errorf("%s: trace tasks_stolen %d, snapshot Stolen %d", name, stolen, snap.Stolen)
 		}
 		t.Logf("%s: %d tasks, %d stolen", name, snap.TasksProcessed, snap.Stolen)
 	}

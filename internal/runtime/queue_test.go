@@ -319,7 +319,7 @@ func TestEngineRestartMidRun(t *testing.T) {
 // gate's structural canary), multiqueue's rank error must stay bounded —
 // and without a recorder the counters must stay untouched.
 func TestEngineRankCounters(t *testing.T) {
-	run := func(kind string, rec *obs.Recorder) Snapshot {
+	run := func(kind string, rec *obs.Recorder) (Snapshot, *Engine) {
 		w, err := workload.New("sssp", graph.Road(32, 32, 3))
 		if err != nil {
 			t.Fatal(err)
@@ -338,18 +338,17 @@ func TestEngineRankCounters(t *testing.T) {
 		if err := w.Verify(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		return snap
+		return snap, e
 	}
 	for _, kind := range QueueKinds() {
 		t.Run(kind, func(t *testing.T) {
-			rec := obs.New(obs.Config{Workers: 4, SampleEvery: 4})
-			snap := run(kind, rec)
+			snap, e := run(kind, obs.New(obs.Config{Workers: 4, SampleEvery: 4}))
+			sums := traceTotals(t, e)
 			if snap.RankSamples == 0 {
 				t.Fatal("no pops were rank-sampled with obs enabled")
 			}
-			if rec.Total(obs.CRankSamples) != snap.RankSamples {
-				t.Errorf("recorder rank_samples = %d, snapshot %d",
-					rec.Total(obs.CRankSamples), snap.RankSamples)
+			if got := sums[obs.CRankSamples.String()]; got != snap.RankSamples {
+				t.Errorf("trace rank_samples = %d, snapshot %d", got, snap.RankSamples)
 			}
 			if kind == QueueMultiQueue {
 				if snap.PrioInversions > 0 && snap.RankErrorMax <= 0 {
@@ -368,7 +367,7 @@ func TestEngineRankCounters(t *testing.T) {
 		})
 	}
 	t.Run("disabled", func(t *testing.T) {
-		snap := run(QueueMultiQueue, nil)
+		snap, _ := run(QueueMultiQueue, nil)
 		if snap.RankSamples != 0 || snap.PrioInversions != 0 {
 			t.Errorf("rank counters moved without a recorder: %+v", snap)
 		}

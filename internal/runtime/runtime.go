@@ -83,16 +83,11 @@ type Config struct {
 	// or a test watching what crosses the transport. Nil in production.
 	Faults FaultHook
 
-	// Obs, when non-nil, enables the observability layer: the engine keeps
-	// its counters in the recorder's rows instead of rows of its own, and
-	// every runtime layer records sampled task, spill, park and control
-	// events into it. A nil recorder costs the hot path one predictable
-	// branch per event site; the counters count either way. Size it for this
-	// engine's Workers (obs.New(obs.Config{Workers: n})): a worker past the
-	// recorder's rows keeps its counters in a row of its own, which the
-	// engine's views read but the recorder's totals do not. A recorder serves
-	// one engine: a second engine on it would count into the first one's
-	// rows, and neither ledger would balance.
+	// Obs, when non-nil, enables the event trace: every runtime layer records
+	// sampled task, spill, park and control events into it, and the engine
+	// samples its pops' rank error. A nil recorder costs the hot path one
+	// predictable branch per event site. The counters count either way, in
+	// the engine's own rows (Snapshot, WriteTrace).
 	Obs *obs.Recorder
 
 	// DefaultJob parameterizes job 0, the tenant the engine is constructed

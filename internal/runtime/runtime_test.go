@@ -17,6 +17,13 @@ import (
 // series.
 func solve(t *testing.T, w workload.Workload, cfg Config) (Snapshot, []obs.ControlPoint) {
 	t.Helper()
+	e := solveEngine(t, w, cfg)
+	return e.Snapshot(), e.ControlTrace()
+}
+
+// solveEngine is solve returning the stopped engine.
+func solveEngine(t *testing.T, w workload.Workload, cfg Config) *Engine {
+	t.Helper()
 	e := NewEngine(w, cfg)
 	if err := e.Submit(w.InitialTasks()...); err != nil {
 		t.Fatal(err)
@@ -31,7 +38,7 @@ func solve(t *testing.T, w workload.Workload, cfg Config) (Snapshot, []obs.Contr
 	if err := e.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return e.Snapshot(), e.ControlTrace()
+	return e
 }
 
 func TestNativeAllWorkloads(t *testing.T) {

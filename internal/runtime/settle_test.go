@@ -435,7 +435,7 @@ func TestSnapshotLedgerMidRun(t *testing.T) {
 // The dispatch counts live in the workers' rows and are exact in the
 // snapshot after Stop: bagged tasks for a workload that bags, the gate's
 // share for one with a narrow frontier, and the units the TDF draw kept off
-// their owner's block, which a recorder reads from the same slot.
+// their owner's block, which the trace reads from the same slot.
 func TestResultBaggedAndKeptLocal(t *testing.T) {
 	pr := mustWorkload(t, "pagerank", graph.Web(2000, 5))
 	snap, _ := solve(t, pr, DefaultConfig(2))
@@ -445,7 +445,8 @@ func TestResultBaggedAndKeptLocal(t *testing.T) {
 	sp := mustWorkload(t, "sssp", graph.Road(32, 32, 3))
 	cfg := DefaultConfig(2)
 	cfg.Obs = obs.New(obs.Config{Workers: 2})
-	snap, _ = solve(t, sp, cfg)
+	e := solveEngine(t, sp, cfg)
+	snap = e.Snapshot()
 	dispatched := snap.Spawned - snap.BaggedTasks
 	if snap.KeptLocal == 0 || snap.KeptLocal > dispatched {
 		t.Errorf("sssp: gate kept %d of %d dispatched units", snap.KeptLocal, dispatched)
@@ -454,8 +455,8 @@ func TestResultBaggedAndKeptLocal(t *testing.T) {
 		t.Errorf("sssp: the draw kept %d of %d dispatched units off-block (gate kept %d)",
 			snap.KeptOffBlock, dispatched, snap.KeptLocal)
 	}
-	if got := cfg.Obs.Total(obs.CUnitsKeptOffBlock); got != snap.KeptOffBlock {
-		t.Errorf("units_kept_off_block: recorder %d, snapshot %d", got, snap.KeptOffBlock)
+	if got := traceTotals(t, e)[obs.CUnitsKeptOffBlock.String()]; got != snap.KeptOffBlock {
+		t.Errorf("units_kept_off_block: trace %d, snapshot %d", got, snap.KeptOffBlock)
 	}
 	if one, _ := solve(t, sp, DefaultConfig(1)); one.KeptLocal != 0 || one.KeptOffBlock != 0 {
 		t.Errorf("one worker: gate kept %d units, draw %d off-block", one.KeptLocal, one.KeptOffBlock)

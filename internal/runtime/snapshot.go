@@ -42,9 +42,10 @@ type WorkerStats struct {
 //	Submitted + Spawned >= TasksProcessed + BagsRetired + Quarantined + Cancelled
 //
 // (the add side may lag work in progress, the retire side never leads it).
-// The remaining counters (Bags, EdgesExamined, spills, parks, Stolen, and the
-// dispatch counts BaggedTasks, KeptLocal and KeptOffBlock) are published at
-// flush/park/idle boundaries and may lag by at most one flush interval; once
+// The remaining counters (Bags, EdgesExamined, spills, parks, Stolen,
+// DriftClamped, and the dispatch counts BaggedTasks, KeptLocal and
+// KeptOffBlock) are published at flush/park/idle boundaries and may lag by at
+// most one flush interval; once
 // Stop has returned nil every worker has published, and they are exact.
 type Snapshot struct {
 	Epoch       uint64 `json:"epoch"`       // Submit calls so far
@@ -136,39 +137,39 @@ func (e *Engine) Snapshot() Snapshot {
 		Jobs:        jobStats(*e.jobs.Load()),
 	}
 	for i := range e.workers {
-		me := &e.workers[i]
+		me, row := &e.workers[i], &e.workers[i].row
 		ws := WorkerStats{
-			Processed:      me.pub[obs.CTasksProcessed].Load(),
-			Bags:           me.pub[obs.CBagsCreated].Load(),
-			OverflowSpills: me.pub[obs.COverflowSpills].Load(),
-			IdleParks:      me.pub[obs.CIdleParks].Load(),
-			Redirects:      me.pub[obs.COverflowRedirects].Load(),
-			Stolen:         me.pub[obs.CTasksStolen].Load(),
+			Processed:      row[obs.CTasksProcessed].Load(),
+			Bags:           row[obs.CBagsCreated].Load(),
+			OverflowSpills: row[obs.COverflowSpills].Load(),
+			IdleParks:      row[obs.CIdleParks].Load(),
+			Redirects:      row[obs.COverflowRedirects].Load(),
+			Stolen:         row[obs.CTasksStolen].Load(),
 			Parked:         me.parked.Load(),
 		}
 		s.Workers[i] = ws
 		s.TasksProcessed += ws.Processed
 		s.BagsCreated += ws.Bags
-		s.EdgesExamined += me.pub[obs.CEdgesExamined].Load()
-		s.BagsRetired += me.pub[obs.CBagsRetired].Load()
-		s.Quarantined += me.pub[obs.CTasksQuarantined].Load()
-		s.Cancelled += me.pub[obs.CTasksCancelled].Load()
+		s.EdgesExamined += row[obs.CEdgesExamined].Load()
+		s.BagsRetired += row[obs.CBagsRetired].Load()
+		s.Quarantined += row[obs.CTasksQuarantined].Load()
+		s.Cancelled += row[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
 		s.Stolen += ws.Stolen
-		s.KeptOffBlock += me.pub[obs.CUnitsKeptOffBlock].Load()
-		s.BaggedTasks += me.pub[obs.CTasksBagged].Load()
-		s.KeptLocal += me.pub[obs.CUnitsKeptLocal].Load()
-		s.DriftClamped += me.pub[obs.CDriftClamped].Load()
-		s.QueueFallbacks += me.pub[obs.CQueueFallbacks].Load()
-		s.RankSamples += me.pub[obs.CRankSamples].Load()
-		s.PrioInversions += me.pub[obs.CPrioInversions].Load()
-		s.RankErrorSum += me.pub[obs.CRankErrSum].Load()
-		if m := me.pub[obs.CRankErrMax].Load(); m > s.RankErrorMax {
+		s.KeptOffBlock += row[obs.CUnitsKeptOffBlock].Load()
+		s.BaggedTasks += row[obs.CTasksBagged].Load()
+		s.KeptLocal += row[obs.CUnitsKeptLocal].Load()
+		s.DriftClamped += row[obs.CDriftClamped].Load()
+		s.QueueFallbacks += row[obs.CQueueFallbacks].Load()
+		s.RankSamples += row[obs.CRankSamples].Load()
+		s.PrioInversions += row[obs.CPrioInversions].Load()
+		s.RankErrorSum += row[obs.CRankErrSum].Load()
+		if m := row[obs.CRankErrMax].Load(); m > s.RankErrorMax {
 			s.RankErrorMax = m
 		}
 	}
 	for i := range e.workers {
-		s.Spawned += e.workers[i].pub[obs.CTasksSpawned].Load()
+		s.Spawned += e.workers[i].row[obs.CTasksSpawned].Load()
 	}
 	s.Submitted = e.ext[obs.CTasksSubmitted].Load()
 	return s
@@ -177,6 +178,12 @@ func (e *Engine) Snapshot() Snapshot {
 // Obs returns the engine's observability recorder (nil when Config.Obs was
 // unset).
 func (e *Engine) Obs() *obs.Recorder { return e.obs }
+
+// ExternalRow returns the engine's external counter row, where counts that
+// arise outside the worker fleet go: Submit's tasks_submitted and
+// quota_rejects, and the serving front-end's serve_* decisions, which it adds
+// here so the engine's Snapshot and trace are their one home.
+func (e *Engine) ExternalRow() *obs.Row { return &e.ext }
 
 // Outstanding returns the engine-wide count of tasks submitted or spawned
 // but not yet retired — one atomic load, cheap enough for admission checks
@@ -191,13 +198,18 @@ func (e *Engine) Outstanding() int64 { return e.outstanding.Load() }
 func (e *Engine) ControlTrace() []obs.ControlPoint { return e.control.Series() }
 
 // WriteTrace streams the engine's full observability state as JSONL
-// (schema obs.TraceSchema): recorder meta, per-worker counters, the retained
-// event trace, one JobStats row per tenant, and the control plane's
-// drift/ref/TDF time series. Safe while the fleet runs. Without a recorder
-// (Config.Obs unset) only the control series is written.
+// (schema obs.TraceSchema): recorder meta, one counters line per worker row
+// and one for the external row, the retained event trace, one JobStats row
+// per tenant, and the control plane's drift/ref/TDF time series. Safe while
+// the fleet runs. Without a recorder (Config.Obs unset) only the control
+// series is written.
 func (e *Engine) WriteTrace(w io.Writer) error {
 	if e.obs != nil {
-		if err := e.obs.WriteJSONL(w); err != nil {
+		rows := make([]*obs.Row, 0, len(e.workers)+1)
+		for i := range e.workers {
+			rows = append(rows, &e.workers[i].row)
+		}
+		if err := e.obs.WriteJSONL(w, append(rows, &e.ext)); err != nil {
 			return err
 		}
 		if err := obs.WriteLines(w, "job", jobStats(*e.jobs.Load())); err != nil {

@@ -50,6 +50,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"hdcps/internal/obs"
 	"hdcps/internal/task"
 )
 
@@ -241,7 +242,7 @@ func (e *Engine) steal(me *worker, js *jobState) {
 	// A queue out of the peer's rotation is empty, and none at all is as good.
 	p := int64(noFront)
 	if from := peer.sched.lookup(js.id); from != nil && from.active {
-		me.stolen += int64(take(from, mine, func(t task.Task) { e.push(me, t) }))
+		me.n[obs.CTasksStolen] += int64(take(from, mine, func(t task.Task) { e.push(me, t) }))
 		p = front(from)
 	}
 	js.fronts[v].set(p)
@@ -267,6 +268,6 @@ func (e *Engine) drainPeer(me, peer *worker) {
 			continue
 		}
 		e.push(me, t)
-		me.stolen++
+		me.n[obs.CTasksStolen]++
 	}
 }

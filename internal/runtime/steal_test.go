@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hdcps/internal/graph"
+	"hdcps/internal/obs"
 	"hdcps/internal/task"
 )
 
@@ -83,9 +84,9 @@ func TestStealTakes(t *testing.T) {
 		before := front(me.sched.queue(js))
 		e.steal(me, js)
 		mine, theirs := me.sched.queue(js), peer.sched.queue(js)
-		if me.stolen != int64(tc.moved) || mine.len() != len(tc.own)+tc.moved || theirs.len() != len(tc.peer)-tc.moved {
+		if me.n[obs.CTasksStolen] != int64(tc.moved) || mine.len() != len(tc.own)+tc.moved || theirs.len() != len(tc.peer)-tc.moved {
 			t.Errorf("%s: stolen %d, thief holds %d, peer %d; want %d moved", tc.name,
-				me.stolen, mine.len(), theirs.len(), tc.moved)
+				me.n[obs.CTasksStolen], mine.len(), theirs.len(), tc.moved)
 		}
 		if got := js.fronts[1].p.Load(); got != tc.front {
 			t.Errorf("%s: peer's published front %d, want %d", tc.name, got, tc.front)
@@ -156,8 +157,8 @@ func testStealDrainsPeerRing(t *testing.T, faults FaultHook) {
 		t.Errorf("peer's published front %d, want 60", got)
 	}
 	// Two from the peer's queue, three arrivals of jobs it could not take.
-	if me.stolen != 5 {
-		t.Errorf("stolen %d, want 5", me.stolen)
+	if me.n[obs.CTasksStolen] != 5 {
+		t.Errorf("stolen %d, want 5", me.n[obs.CTasksStolen])
 	}
 }
 
@@ -203,8 +204,8 @@ func TestStealSkipsLockedPeer(t *testing.T) {
 	peer.mu.Lock()
 	e.steal(me, e.jobStateFor(0))
 	peer.mu.Unlock()
-	if me.stolen != 0 || peer.sched.queue(e.jobStateFor(0)).len() != 2 {
-		t.Errorf("stole %d from a locked peer", me.stolen)
+	if me.n[obs.CTasksStolen] != 0 || peer.sched.queue(e.jobStateFor(0)).len() != 2 {
+		t.Errorf("stole %d from a locked peer", me.n[obs.CTasksStolen])
 	}
 }
 

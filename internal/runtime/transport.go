@@ -310,8 +310,8 @@ func (e *Engine) redirect(me *worker, ts []task.Task) {
 	for _, t := range ts {
 		e.keep(me, nil, t)
 	}
-	me.redirects += int64(len(ts))
-	me.pub[obs.COverflowRedirects].Store(me.redirects)
+	me.n[obs.COverflowRedirects] += int64(len(ts))
+	me.row[obs.COverflowRedirects].Store(me.n[obs.COverflowRedirects])
 	if rec := e.obs; rec != nil {
 		rec.Event(me.id, obs.EvRedirect, int64(len(ts)), 0, 0)
 	}

@@ -103,3 +103,13 @@ func TestTransportConcurrentInject(t *testing.T) {
 		t.Fatalf("received %d unique tasks, want %d", len(seen), senders*perSender)
 	}
 }
+
+// ownRows gives n workers a counter row each, as an engine's workers hold
+// them.
+func ownRows(n int) []*obs.Row {
+	rows := make([]*obs.Row, n)
+	for i := range rows {
+		rows[i] = new(obs.Row)
+	}
+	return rows
+}

@@ -81,52 +81,21 @@ type worker struct {
 	flushedAt  int64
 	reportedAt int64
 
-	// Diagnostics outside the ledger: plain fields on the hot path, mirrored
-	// into pub by publish at flush/park/exit boundaries (stolen, the tasks
-	// this worker took from peers, as tasks_stolen; bagsOpened and
-	// driftReports as bags_opened and drift_reports; keptLocal, the units the
-	// dispatch gate held back, as units_kept_local; keptOffBlock, the units
-	// the TDF draw left here though a peer owns their node, as
-	// units_kept_off_block; baggedTasks, the tasks put in bags, as
-	// tasks_bagged).
-	bags         int64
-	bagsOpened   int64
-	edges        int64
-	idleParks    int64
-	redirects    int64
-	driftReports int64
-	keptLocal    int64
-	keptOffBlock int64
-	baggedTasks  int64
-	stolen       int64
-
-	// Scheduling-quality accounting (obs-gated: all five stay untouched
-	// when no recorder is attached). popCount strides the sampler at the
-	// recorder's task-sample mask; the rest accumulate the sampled rank
-	// errors Snapshot and the bench gate read. For strict kinds the sample
-	// is a Peek-after-pop structural canary (any inversion is a queue bug);
-	// for multiqueue it is the sharded-witness rank estimate.
-	popCount    int64
-	rankSamples int64
-	inversions  int64
-	rankErrSum  int64
-	rankErrMax  int64
+	// n is the worker's counts, plain and indexed by obs.Counter: every event
+	// site adds to its slot by name, the ledger's terms at settle (ledger.go).
+	// popCount strides the rank sampler at the recorder's task-sample mask.
+	n        obs.Counts
+	popCount int64
 
 	// parked is set while the worker blocks in the park/wake handshake
 	// (Snapshot's WorkerStats.Parked, and so StallError, read it).
 	parked atomic.Bool
 
-	// pub is the worker's counter row, indexed by obs.Counter and the one
-	// home of every count the worker causes: its own pubLocal normally, or
-	// the attached recorder's row for this worker. Sharing the row means an
-	// enabled recorder costs the per-task path no atomics beyond the ones the
-	// engine already pays, and the recorder's view of these counters is
-	// exactly the engine's. The worker is the only writer of every slot but
-	// overflow_spills, which senders add to (transport.go): the four ledger
-	// terms at settle, quarantines and restarts where they happen, the drift
-	// plane's clamped reports and TDF steps in Report, the rest in publish.
-	pub      *obs.Row
-	pubLocal obs.Row
+	// row is the worker's published counters, which Snapshot and WriteTrace
+	// read: the worker stores n there (settle, publish and the rare sites
+	// that must show at once), and senders add overflow_spills to it
+	// (transport.go), the one slot the worker does not write.
+	row obs.Row
 
 	// inTask is set while a task handler runs (processOne): a panic that
 	// unwinds with it set is the task's, and is quarantined; any other is
@@ -145,19 +114,10 @@ type worker struct {
 	_  [64]byte
 }
 
-// publish mirrors the worker-local diagnostics into their atomic shadows (the
-// ledger's terms publish at settle, the rank counters at each sample).
+// publish stores the worker's counts into its row: every slot that moved but
+// overflow_spills, which senders add to. The queue fallbacks are a gauge,
+// recounted here.
 func (me *worker) publish() {
-	me.pub[obs.CBagsCreated].Store(me.bags)
-	me.pub[obs.CBagsOpened].Store(me.bagsOpened)
-	me.pub[obs.CEdgesExamined].Store(me.edges)
-	me.pub[obs.CIdleParks].Store(me.idleParks)
-	me.pub[obs.COverflowRedirects].Store(me.redirects)
-	me.pub[obs.CDriftReports].Store(me.driftReports)
-	me.pub[obs.CTasksStolen].Store(me.stolen)
-	me.pub[obs.CTasksBagged].Store(me.baggedTasks)
-	me.pub[obs.CUnitsKeptLocal].Store(me.keptLocal)
-	me.pub[obs.CUnitsKeptOffBlock].Store(me.keptOffBlock)
 	var fallbacks int64
 	// A thief's ring drain may push into these queues: read them under the
 	// lock.
@@ -168,15 +128,20 @@ func (me *worker) publish() {
 		}
 	}
 	me.mu.Unlock()
-	me.pub[obs.CQueueFallbacks].Store(fallbacks)
+	me.n[obs.CQueueFallbacks] = fallbacks
+	for c := range me.n {
+		if v := me.n[c]; obs.Counter(c) != obs.COverflowSpills && me.row[c].Load() != v {
+			me.row[c].Store(v)
+		}
+	}
 }
 
 // park blocks the worker until work is submitted or the engine stops, and
 // reports whether the worker should keep running.
 func (e *Engine) park(me *worker) bool {
-	me.idleParks++
+	me.n[obs.CIdleParks]++
 	// The caller has settled; publish() flushes the remaining counter slots
-	// (parks, edges, bags), so the recorder is fully caught up whenever the
+	// (parks, edges, bags), so the row is fully caught up whenever the
 	// worker idles; a parked worker reports no priority.
 	me.publish()
 	e.control.idle(me.id)
@@ -248,7 +213,9 @@ func (e *Engine) runWorkerGuarded(id int) (clean bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			clean = false
-			e.workers[id].pub[obs.CWorkerRestarts].Add(1)
+			me := &e.workers[id]
+			me.n[obs.CWorkerRestarts]++
+			me.row[obs.CWorkerRestarts].Store(me.n[obs.CWorkerRestarts])
 			if rec := e.obs; rec != nil {
 				rec.Event(id, obs.EvWorkerRestart, 0, 0, 0)
 			}
@@ -488,18 +455,15 @@ func (e *Engine) sampleRank(me *worker, q *workerJQ, t task.Task) {
 		// heaps by Node).
 		rank = 1
 	}
-	me.rankSamples++
+	me.n[obs.CRankSamples]++
 	if rank > 0 {
-		me.inversions++
-		me.rankErrSum += rank
-		if rank > me.rankErrMax {
-			me.rankErrMax = rank
-		}
+		me.n[obs.CPrioInversions]++
+		me.n[obs.CRankErrSum] += rank
+		me.n[obs.CRankErrMax] = max(me.n[obs.CRankErrMax], rank)
 	}
-	me.pub[obs.CRankSamples].Store(me.rankSamples)
-	me.pub[obs.CPrioInversions].Store(me.inversions)
-	me.pub[obs.CRankErrSum].Store(me.rankErrSum)
-	me.pub[obs.CRankErrMax].Store(me.rankErrMax)
+	for c := obs.CRankSamples; c <= obs.CRankErrMax; c++ {
+		me.row[c].Store(me.n[c])
+	}
 	e.obs.Event(me.id, obs.EvRankSample, rank, t.Prio, int64(q.js.id))
 }
 
@@ -522,7 +486,7 @@ func (me *worker) prefetchRow(q *workerJQ, t task.Task) {
 func (e *Engine) openBag(me *worker, q *workerJQ, t task.Task) {
 	st := &e.workers[int(t.Data>>32)].store
 	s := st.get(uint32(t.Data))
-	me.bagsOpened++
+	me.n[obs.CBagsOpened]++
 	if rec := e.obs; rec != nil {
 		rec.Event(me.id, obs.EvBagOpened, int64(len(s.tasks)), 0, 0)
 	}
@@ -558,7 +522,8 @@ func (e *Engine) runPayload(me *worker, q *workerJQ, ts []task.Task, k int) (nex
 func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
 	me.children = me.children[:0]
 	e.faults.quarantine(t, me.id, pv)
-	me.pub[obs.CTasksQuarantined].Add(1)
+	me.n[obs.CTasksQuarantined]++
+	me.row[obs.CTasksQuarantined].Store(me.n[obs.CTasksQuarantined])
 	if rec := e.obs; rec != nil {
 		rec.Event(me.id, obs.EvQuarantine, t.Prio, int64(js.id), 0)
 	}
@@ -587,18 +552,18 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 		// is behind on the job (steal.go).
 		me.stale = js
 	}
-	me.edges += int64(edges)
+	me.n[obs.CEdgesExamined] += int64(edges)
 	me.tasks++
 	// The task's retirement and its children go into the worker's deferred
 	// deltas only: no shared line is touched here (ledger.go says when they
 	// settle).
 	me.led.retire(q)
-	// With a recorder attached pub IS the recorder's row for this worker, so
-	// only the sampled trace path remains to record here, with an edge-count
-	// refresh so the total lags by at most one sample stride.
+	// With a recorder attached, the sampled trace path records here, with an
+	// edge-count refresh so the row lags by at most one sample stride.
 	if m := e.obsMask; m >= 0 && me.tasks&m == 0 {
-		me.pub[obs.CEdgesExamined].Store(me.edges)
-		e.obs.Event(me.id, obs.EvTask, t.Prio, me.tasks, me.edges)
+		edges := me.n[obs.CEdgesExamined]
+		me.row[obs.CEdgesExamined].Store(edges)
+		e.obs.Event(me.id, obs.EvTask, t.Prio, me.tasks, edges)
 	}
 
 	if len(me.children) > 0 {
@@ -609,15 +574,13 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 		}
 		bags, singles := me.part.Partition(me.children, bag.DefaultPolicy(), me.newBagID)
 		bagged := int64(countTasks(bags))
-		me.baggedTasks += bagged
+		me.n[obs.CTasksBagged] += bagged
 		me.led.spawn(q, int64(len(bags))+bagged+int64(len(singles)))
 		for _, b := range bags {
-			me.bags++
+			me.n[obs.CBagsCreated]++
 			s := me.store.get(uint32(b.ID))
 			s.tasks = append(s.tasks[:0], b.Tasks...)
 			if rec := e.obs; rec != nil {
-				// The bags counter flows through the shared pub row at
-				// publish points; only the trace event is recorded here.
 				rec.Event(me.id, obs.EvBagCreated, b.Prio, int64(len(b.Tasks)), 0)
 			}
 			e.dispatch(me, q, task.Task{Node: bagMarker, Job: t.Job, Prio: b.Prio, Data: b.ID}, b.Tasks[0].Node)
@@ -630,8 +593,8 @@ func (e *Engine) processOne(me *worker, q *workerJQ, t task.Task) {
 	// Drift reporting (Algorithm 3's send threshold).
 	if me.tasks-me.reportedAt >= e.sampleInterval {
 		me.reportedAt = me.tasks
-		me.driftReports++
-		e.control.Report(me.id, js.id, t.Prio)
+		me.n[obs.CDriftReports]++
+		e.control.Report(&me.n, me.id, js.id, t.Prio)
 	}
 }
 
@@ -658,13 +621,13 @@ func (e *Engine) dispatch(me *worker, q *workerJQ, t task.Task, node graph.NodeI
 	dst, kept := place(rng.Uint64(), q.spare, batchK, e.control.TDF(),
 		me.id, owner, len(e.workers), me.sched.shared)
 	if kept {
-		me.keptLocal++
+		me.n[obs.CUnitsKeptLocal]++
 	} else {
 		me.rng = rng
 	}
 	if dst == me.id {
 		if !kept && owner >= 0 && owner != me.id {
-			me.keptOffBlock++
+			me.n[obs.CUnitsKeptOffBlock]++
 		}
 		e.keep(me, q, t)
 		return

@@ -18,9 +18,21 @@ import (
 	"testing"
 	"time"
 
+	"hdcps/internal/graph"
 	"hdcps/internal/obs"
 	"hdcps/internal/runtime"
+	"hdcps/internal/workload"
 )
+
+// bareServer is a Server with nothing behind it but an engine that never
+// starts: the home of the decision counters its replies move.
+func bareServer(t *testing.T) *Server {
+	w, err := workload.New("bfs", graph.Road(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Server{eng: runtime.NewEngine(w, runtime.Config{Workers: 1})}
+}
 
 // counters reads the four boundary counters in a fixed order.
 func (s *Server) counters() [4]int64 {
@@ -60,7 +72,7 @@ func TestFailureTableBothProtocols(t *testing.T) {
 		if !row.match(err) {
 			t.Fatalf("row %d does not match its error %q", i, err)
 		}
-		var s Server
+		s := bareServer(t)
 		var moved [4]int64
 		if at, ok := counterAt[row.counter]; ok {
 			moved[at] = 1
@@ -113,7 +125,7 @@ func TestFailureTableBothProtocols(t *testing.T) {
 	}
 
 	// Off the table is a server bug: 500, nothing counted; nil is the 200.
-	var s Server
+	s := bareServer(t)
 	rec := httptest.NewRecorder()
 	s.reply(rec, nil, errors.New("surprise"), 0)
 	if rec.Code != http.StatusInternalServerError || s.counters() != [4]int64{} {
@@ -146,9 +158,9 @@ func (r *lateReader) Read(p []byte) (int, error) {
 // TestServeCountersHaveOneHome drives each network-boundary decision once
 // through the submit handler — a resumed stream, a body that dies mid-stream,
 // a body slower than its deadline, a submit while draining — and reads them
-// back from Info: with a recorder attached each field equals the recorder's
-// total (the server counts on its external row), and without one they still
-// count.
+// back from Info: with a recorder attached each field equals the sum over the
+// counters lines of the engine's trace (the server counts on the engine's
+// external row), and without one they still count.
 func TestServeCountersHaveOneHome(t *testing.T) {
 	for _, withObs := range []bool{true, false} {
 		s, _ := newTestServer(t, func(c *Config) { c.Obs = withObs })
@@ -188,8 +200,8 @@ func TestServeCountersHaveOneHome(t *testing.T) {
 				t.Errorf("obs %v: Info %s = %d, want 1", withObs, c, v)
 			}
 			if withObs {
-				if got := s.eng.Obs().Total(c); got != v {
-					t.Errorf("%s: Info %d, recorder total %d", c, v, got)
+				if got := traceTotal(t, s.eng, c); got != v {
+					t.Errorf("%s: Info %d, trace total %d", c, v, got)
 				}
 			}
 		}
@@ -302,4 +314,23 @@ func TestDeadlineCutCountsOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// traceTotal sums counter c over the counters lines of e's trace, read back
+// through obs.ReadTrace.
+func traceTotal(t *testing.T, e *runtime.Engine, c obs.Counter) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, row := range tr.Counters {
+		sum += row[c.String()]
+	}
+	return sum
 }

@@ -137,17 +137,11 @@ func (t *streamTracker) record(k streamKey, admitted int64) {
 // is tasks_processed, so a failure row names noCounter explicitly.
 const noCounter = ^obs.Counter(0)
 
-// row is the server's counter row, the one home of its network-boundary
-// decisions (serve_shed, serve_deadline_hits, serve_conn_aborts,
-// serve_resumes): the recorder's external row when one is attached (HTTP
-// handlers run outside the worker fleet), else the server's own — which is
-// also what a zero Server counts into.
-func (s *Server) row() *obs.Row {
-	if s.ext != nil {
-		return s.ext
-	}
-	return &s.own
-}
+// row is where the server counts its network-boundary decisions
+// (serve_shed, serve_deadline_hits, serve_conn_aborts, serve_resumes): the
+// engine's external row, since HTTP handlers run outside the worker fleet,
+// so the engine's Snapshot and trace are their one home.
+func (s *Server) row() *obs.Row { return s.eng.ExternalRow() }
 
 // count moves one decision counter; noCounter moves none.
 func (s *Server) count(c obs.Counter) {

@@ -75,8 +75,9 @@ type Config struct {
 	DefaultQuota int64
 	// DrainTimeout bounds Shutdown's engine drain (default 30s).
 	DrainTimeout time.Duration
-	// Obs attaches an observability recorder; /debug/obs serves the
-	// engine's trace (Engine.WriteTrace) when it is set.
+	// Obs attaches an observability recorder, the engine's event trace;
+	// /debug/obs serves the engine's trace (Engine.WriteTrace) when it is
+	// set. The counters count either way, in the engine's own rows.
 	Obs bool
 	// SeedInitial submits the workload's InitialTasks at startup, so the
 	// algorithm state converges before external traffic lands.
@@ -159,12 +160,10 @@ type Server struct {
 	draining atomic.Bool
 
 	// Network-boundary resilience state (resilience.go): the exactly-once
-	// stream tracker, the counter row the shed/deadline/abort/resume
-	// decisions count on (ext, the recorder's external row, or own; see
-	// row), and the engine-layer fault counters when Config.Chaos is set.
+	// stream tracker and the engine-layer fault counters when Config.Chaos
+	// is set. The shed/deadline/abort/resume decisions count on the engine's
+	// external row (row).
 	streams *streamTracker
-	ext     *obs.Row
-	own     obs.Row
 	faults  *chaos.Stats
 
 	hsMu sync.Mutex
@@ -191,10 +190,8 @@ func New(cfg Config) (*Server, error) {
 	rcfg.Seed = cfg.Seed
 	rcfg.QueueKind = cfg.QueueKind
 	rcfg.DefaultJob = runtime.JobConfig{Name: cfg.Workload, MaxOutstanding: cfg.DefaultQuota}
-	var rec *obs.Recorder
 	if cfg.Obs {
-		rec = obs.New(obs.Config{Workers: cfg.Workers})
-		rcfg.Obs = rec
+		rcfg.Obs = obs.New(obs.Config{Workers: cfg.Workers})
 	}
 	var eng *runtime.Engine
 	var faults *chaos.Stats
@@ -211,9 +208,6 @@ func New(cfg Config) (*Server, error) {
 		streams: newStreamTracker(streamCacheSize),
 		faults:  faults,
 		started: time.Now(),
-	}
-	if rec != nil {
-		s.ext = rec.Row(obs.External)
 	}
 	if cfg.SeedInitial {
 		seeds := wl.InitialTasks()

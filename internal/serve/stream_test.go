@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -553,11 +554,16 @@ func TestStreamBatchIsOneWrite(t *testing.T) {
 	}
 }
 
-// The client reads a progress ack with parseAcceptedLine and every other
-// line with encoding/json, so the fast path must take only lines acceptedLine
-// writes — the progress lines — and read each as encoding/json reads it into
-// ackLine. The terminal lines come from ackWriter.final itself.
-func TestParseAcceptedLineMatchesJSON(t *testing.T) {
+// ackLineRow is one ack line and whether parseAcceptedLine takes it.
+type ackLineRow struct {
+	line string
+	fast bool
+}
+
+// ackLineRows are the lines the ack decoder is held to: the progress lines
+// acceptedLine writes, the terminal lines ackWriter.final writes, and the
+// near misses the fast path must leave to encoding/json.
+func ackLineRows() []ackLineRow {
 	b := getBody()
 	defer putBody(b)
 	progress := func(n int64) string { return strings.TrimSuffix(string(b.acceptedLine(n)), "\n") }
@@ -568,10 +574,7 @@ func TestParseAcceptedLineMatchesJSON(t *testing.T) {
 		a.final(status, msg, retryMs, accepted)
 		return strings.TrimSuffix(rec.Body.String(), "\n")
 	}
-	rows := []struct {
-		line string
-		fast bool // parseAcceptedLine takes it
-	}{
+	return []ackLineRow{
 		{progress(0), true},
 		{progress(1), true},
 		{progress(math.MaxInt64), true},
@@ -596,24 +599,57 @@ func TestParseAcceptedLineMatchesJSON(t *testing.T) {
 		{`{"accepted":5,"final":true}`, false},
 		{"", false},
 	}
-	for _, row := range rows {
-		raw := []byte(row.line)
-		n, fast := parseAcceptedLine(raw)
-		if fast != row.fast {
+}
+
+// checkAckLine holds one line to the decoder's contract: a line
+// parseAcceptedLine takes is one encoding/json reads as exactly
+// ackLine{Accepted: n}, and the bytes acceptedLine(n) writes.
+func checkAckLine(t *testing.T, b *bodyBuf, raw []byte) (fast bool) {
+	t.Helper()
+	n, fast := parseAcceptedLine(raw)
+	if !fast {
+		return false
+	}
+	if w := bytes.TrimSuffix(b.acceptedLine(n), []byte("\n")); !bytes.Equal(w, raw) {
+		t.Errorf("%q: fast path read %d, which acceptedLine writes as %q", raw, n, w)
+	}
+	var want ackLine
+	if err := json.Unmarshal(raw, &want); err != nil || want != (ackLine{Accepted: n}) {
+		t.Errorf("%q: fast path read %d; encoding/json reads %+v, %v", raw, n, want, err)
+	}
+	return true
+}
+
+// The client reads a progress ack with parseAcceptedLine and every other
+// line with encoding/json, so the fast path must take only lines acceptedLine
+// writes — the progress lines — and read each as encoding/json reads it into
+// ackLine. The terminal lines come from ackWriter.final itself.
+func TestParseAcceptedLineMatchesJSON(t *testing.T) {
+	b := getBody()
+	defer putBody(b)
+	for _, row := range ackLineRows() {
+		if fast := checkAckLine(t, b, []byte(row.line)); fast != row.fast {
 			t.Errorf("%s: fast path %v, want %v", row.line, fast, row.fast)
 		}
-		if fast && progress(n) != row.line {
-			t.Errorf("%s: fast path read %d, which acceptedLine writes as %s", row.line, n, progress(n))
-		}
-		var want ackLine
-		if err := json.Unmarshal(raw, &want); fast && (err != nil || want != (ackLine{Accepted: n})) {
-			t.Errorf("%s: fast path read %d; encoding/json reads %+v, %v", row.line, n, want, err)
-		}
 	}
-	line := []byte(progress(math.MaxInt64))
+	line := []byte(`{"accepted":9223372036854775807}`)
 	if allocs := testing.AllocsPerRun(100, func() { parseAcceptedLine(line) }); allocs != 0 {
 		t.Errorf("parseAcceptedLine allocates %v objects a line, want 0", allocs)
 	}
+}
+
+// FuzzAckLine holds the ack-line decoder to encoding/json and to the writer
+// on any bytes: whatever parseAcceptedLine takes decodes to exactly
+// ackLine{Accepted: n} and is what acceptedLine(n) writes.
+func FuzzAckLine(f *testing.F) {
+	for _, row := range ackLineRows() {
+		f.Add([]byte(row.line))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		b := getBody()
+		defer putBody(b)
+		checkAckLine(t, b, raw)
+	})
 }
 
 // confirmedOf reads ps's durably admitted line count.
