@@ -197,9 +197,9 @@ serve-smoke:
 # longer local runs:
 # go test -fuzz FuzzTaskSpecParser ./internal/serve/
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz 'FuzzAckLine' -fuzztime 20s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz 'FuzzTwoLevelVsBinaryHeap' -fuzztime 20s ./internal/pq/
-	$(GO) test -run '^$$' -fuzz 'FuzzBucketHeapVsBinaryHeap' -fuzztime 20s ./internal/pq/
+	$(GO) test -run '^$$' -fuzz 'FuzzTaskSpecParser' -fuzztime 20s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzAckLine' -fuzztime 20s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzTwoLevelVsBinaryHeap' -fuzztime 20s -fuzzminimizetime 1s ./internal/pq/
+	$(GO) test -run '^$$' -fuzz 'FuzzBucketHeapVsBinaryHeap' -fuzztime 20s -fuzzminimizetime 1s ./internal/pq/
 
 ci: tier1 vet lint examples race procs chaos serve-chaos serve-smoke scale-gate fuzz-smoke bench-gate

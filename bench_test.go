@@ -310,10 +310,15 @@ func BenchmarkNativeRuntimeObserved(b *testing.B) {
 						sums[name] += v
 					}
 				}
-				if sums[obs.CTasksProcessed.String()] != snap.TasksProcessed ||
+				var processed int64
+				for _, row := range tr.Jobs {
+					p, _ := row["processed"].(float64)
+					processed += int64(p)
+				}
+				if processed != snap.TasksProcessed ||
 					sums[obs.CTasksBagged.String()] != snap.BaggedTasks ||
 					sums[obs.CUnitsKeptLocal.String()] != snap.KeptLocal {
-					b.Fatal("the trace's counters lines disagree with the engine's snapshot")
+					b.Fatal("the trace's counters and job lines disagree with the engine's snapshot")
 				}
 				b.StartTimer()
 			}

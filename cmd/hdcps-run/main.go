@@ -17,7 +17,7 @@
 // for a native run. Every native run goes through exec.RunJobs and prints one
 // report: the metrics, the engine's conservation ledger and its verdict, and
 // the check against the sequential reference. -trace writes the run's JSONL
-// trace when it ends (Engine.WriteTrace, schema "hdcps-obs/v6": meta,
+// trace when it ends (Engine.WriteTrace, schema "hdcps-obs/v7": meta,
 // per-worker counters, sampled events, one job row per tenant, the
 // drift/ref/TDF control series).
 //

@@ -159,11 +159,12 @@ func TestRunJobsTrace(t *testing.T) {
 				t.Fatalf("meta line %+v", tr.Meta)
 			}
 			var processed int64
-			for _, row := range tr.Counters {
-				processed += row["tasks_processed"]
+			for _, row := range tr.Jobs {
+				p, _ := row["processed"].(float64)
+				processed += int64(p)
 			}
 			if processed != r.TasksProcessed {
-				t.Fatalf("counters sum to %d tasks, the run processed %d", processed, r.TasksProcessed)
+				t.Fatalf("job lines sum to %d tasks, the run processed %d", processed, r.TasksProcessed)
 			}
 			if len(tr.Jobs) != tc.jobs {
 				t.Fatalf("%d job rows, want %d", len(tr.Jobs), tc.jobs)

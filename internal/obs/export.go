@@ -1,11 +1,11 @@
 package obs
 
 // The export path: a JSONL trace stream (one self-describing JSON object per
-// line, schema TraceSchema, "hdcps-obs/v6").
+// line, schema TraceSchema, "hdcps-obs/v7").
 // The JSONL layout is deliberately grep/jq-friendly:
 //
-//	{"type":"meta","schema":"hdcps-obs/v6","workers":4,...}
-//	{"type":"counters","worker":0,"tasks_processed":123,...}
+//	{"type":"meta","schema":"hdcps-obs/v7","workers":4,...}
+//	{"type":"counters","worker":0,"edges_examined":1234,...}
 //	{"type":"event","ts_ns":52100,"worker":1,"kind":"tdf-step","tdf":60,...}
 //	{"type":"job","job":0,"name":"job-0","weight":1,"processed":123,...}
 //	{"type":"control","interval":3,"drift":41.5,"ref":12,"tdf":70}
@@ -25,6 +25,11 @@ package obs
 // prio_inversions, rank_err_sum, rank_err_max: the sampled rank error is
 // counted per worker, on the counter lines); the serving front-end's /v1
 // JSON takes the same names, and its /debug/obs serves this whole trace.
+// v7 drops the seven counters that repeated a term of the conservation
+// ledger (tasks_processed, tasks_submitted, tasks_spawned, bags_retired,
+// tasks_quarantined, tasks_cancelled, quota_rejects): the engine keeps those
+// per job only, and the job lines carry them (processed, submitted, spawned,
+// bags_retired, quarantined, cancelled_tasks, quota_rejected).
 // Counters are written by name, so no other field moves.
 // ReadTrace (trace_read.go) reads the current schema only.
 
@@ -39,7 +44,7 @@ import (
 
 // TraceSchema identifies the JSONL trace layout: the one the writers below
 // emit and the only one ReadTrace accepts.
-const TraceSchema = "hdcps-obs/v6"
+const TraceSchema = "hdcps-obs/v7"
 
 // jsonFields renders an event's kind-specific payload. Keeping the mapping
 // here (not on Event) makes the wire names the single source of truth.

@@ -10,7 +10,8 @@
 //     atomics it alone writes, except overflow spills, which a sender adds to
 //     the destination worker's row; the engine's external row takes what any
 //     submitting goroutine counts. Readers (runtime.Engine.Snapshot and
-//     WriteTrace) load the rows at any time. The recorder keeps no counter.
+//     WriteTrace) load the rows at any time. The recorder keeps no counter,
+//     and the rows keep no ledger term (those are per job, in the engine).
 //   - Events land in a per-worker ring buffer guarded by a per-worker
 //     mutex. Events are orders of magnitude rarer than tasks (task events
 //     are sampled, the rest mark bag/spill/park/control transitions), so an
@@ -40,11 +41,11 @@ type Counter uint8
 // The counter set. A worker's slots are its plain Counts, stored into its Row
 // when it publishes (so exact once it has), except COverflowSpills, which
 // senders add to; the external row's slots are added to. All are monotone
-// event counts but the gauges CQueueFallbacks and CRankErrMax.
+// event counts but the gauges CQueueFallbacks and CRankErrMax. None is a term
+// of the conservation ledger: each job keeps those in rows of its own
+// (runtime's jobState), and the trace's job lines carry them.
 const (
-	CTasksProcessed Counter = iota // tasks retired (bag payloads included)
-	CTasksSubmitted                // tasks injected via Submit (external row)
-	CEdgesExamined                 // edges touched while processing
+	CEdgesExamined  Counter = iota // edges touched while processing
 	CBagsCreated                   // bags partitioned out of child batches
 	CBagsOpened                    // bag payloads unpacked for execution
 	COverflowSpills                // full-ring spills landing at this worker
@@ -52,11 +53,7 @@ const (
 	CDriftReports                  // Algorithm 3 priority reports sent
 	CTDFSteps                      // Algorithm 2 controller updates applied
 
-	// Fault-tolerance counters (the engine's conservation ledger and the
-	// failure paths a chaos run exercises).
-	CTasksSpawned      // children + bag units added by task processing
-	CBagsRetired       // bag units fully unpacked and retired
-	CTasksQuarantined  // tasks whose handler panicked, retired into quarantine
+	// Failure and degradation counters (the paths a chaos run exercises).
 	COverflowRedirects // remote sends bounced back local by flow control
 	CDriftClamped      // out-of-range priority reports clamped by control
 	CWorkerRestarts    // worker loops restarted after an engine-level panic
@@ -86,13 +83,6 @@ const (
 	CRankErrSum     // sum of sampled rank errors (mean = sum / samples)
 	CRankErrMax     // max sampled rank error (gauge, not a sum)
 
-	// Multi-tenant counters (PR 7): the job layer's cancellation sink and
-	// admission control. CTasksCancelled is a gauge mirrored from each
-	// worker's cancellation total; CQuotaRejects counts tasks refused by a
-	// job's MaxOutstanding quota (external row — rejection happens at Submit).
-	CTasksCancelled // tasks discarded by job-scoped Cancel
-	CQuotaRejects   // tasks refused by per-job admission quotas
-
 	// Network-boundary resilience counters (PR 9): the serving front-end's
 	// shed / deadline / abort / resume decisions, recorded on the external
 	// row (they originate in HTTP handlers, not in any worker).
@@ -105,14 +95,12 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	"tasks_processed", "tasks_submitted", "edges_examined", "bags_created",
-	"bags_opened", "overflow_spills", "idle_parks", "drift_reports",
-	"tdf_steps", "tasks_spawned", "bags_retired", "tasks_quarantined",
+	"edges_examined", "bags_created", "bags_opened", "overflow_spills",
+	"idle_parks", "drift_reports", "tdf_steps",
 	"overflow_redirects", "drift_clamped", "worker_restarts",
 	"queue_fallbacks", "tasks_stolen", "units_kept_off_block", "tasks_bagged",
 	"units_kept_local",
 	"rank_samples", "prio_inversions", "rank_err_sum", "rank_err_max",
-	"tasks_cancelled", "quota_rejects",
 	"serve_shed", "serve_deadline_hits", "serve_conn_aborts", "serve_resumes",
 }
 
@@ -172,7 +160,8 @@ type Event struct {
 }
 
 // External is the worker index recorded for events and counters that
-// originate outside the fleet (Engine.Submit, injected work).
+// originate outside the fleet (Engine.Submit's events, the serving
+// front-end's decisions).
 const External = -1
 
 // Config sizes a Recorder.

@@ -18,9 +18,9 @@ func TestCountersAddStoreTotal(t *testing.T) {
 	rows := []*Row{new(Row), new(Row), new(Row), new(Row)} // 3 workers + external
 	rows[0][CBagsCreated].Add(2)
 	rows[1][CBagsCreated].Add(3)
-	rows[2][CTasksProcessed].Store(41)
-	rows[2][CTasksProcessed].Store(42) // the owner's row: stores are absolute
-	rows[3][CTasksSubmitted].Add(7)
+	rows[2][CEdgesExamined].Store(41)
+	rows[2][CEdgesExamined].Store(42) // the owner's row: stores are absolute
+	rows[3][CServeShed].Add(7)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf, rows); err != nil {
@@ -44,7 +44,7 @@ func TestCountersAddStoreTotal(t *testing.T) {
 		}
 		bags += line["bags_created"]
 	}
-	if bags != 5 || tr.Counters[2]["tasks_processed"] != 42 || tr.Counters[3]["tasks_submitted"] != 7 {
+	if bags != 5 || tr.Counters[2]["edges_examined"] != 42 || tr.Counters[3]["serve_shed"] != 7 {
 		t.Errorf("counters lines did not carry the rows: %v", tr.Counters)
 	}
 }
@@ -208,7 +208,10 @@ func TestWriteJSONL(t *testing.T) {
 			t.Errorf("counters line lacks %s: %s", in, lines[1])
 		}
 	}
-	for _, gone := range []string{"task_panics", "task_retries", "hot_spills"} {
+	// v7 drops the ledger terms the job lines carry.
+	for _, gone := range []string{"task_panics", "task_retries", "hot_spills",
+		"tasks_processed", "tasks_submitted", "tasks_spawned", "bags_retired",
+		"tasks_quarantined", "tasks_cancelled", "quota_rejects"} {
 		if strings.Contains(buf.String(), gone) {
 			t.Errorf("retired counter %s still exported", gone)
 		}

@@ -74,7 +74,7 @@ func TestReadTraceV2RoundTrip(t *testing.T) {
 // future incompatible layout, or from a retired one, fails loudly instead of
 // decoding garbage.
 func TestReadTraceRejectsUnknownSchema(t *testing.T) {
-	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1", "hdcps-obs/v3", "hdcps-obs/v4", "hdcps-obs/v5"} {
+	for _, schema := range []string{"hdcps-obs/v99", "hdcps-obs/v1", "hdcps-obs/v3", "hdcps-obs/v4", "hdcps-obs/v5", "hdcps-obs/v6"} {
 		meta := `{"type":"meta","schema":"` + schema + `","workers":1}` + "\n"
 		if _, err := ReadTrace(strings.NewReader(meta)); err == nil {
 			t.Fatalf("schema %s accepted", schema)

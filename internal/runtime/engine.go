@@ -94,10 +94,9 @@ type Engine struct {
 	_           [64]byte
 	outstanding atomic.Int64
 	_           [56]byte
-	// ext is the engine's external counter row: what enters at Submit or at
-	// the serving front-end rather than in a worker (tasks_submitted, the
-	// left side of the conservation ledger, quota_rejects and the serve_*
-	// decisions); every worker count lives in its worker's row.
+	// ext is the engine's external counter row: the serving front-end's
+	// serve_* decisions, which arise in no worker; every worker count lives
+	// in its worker's row, and every ledger term in its job (jobState).
 	ext obs.Row
 	// epoch counts Submit calls: where the next call's blocks start
 	// (firstWorker), and a label in Snapshot and StallError.
@@ -131,8 +130,9 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		done:    make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	// Every count has one home: a worker's row, or the engine's external
-	// row. The transport counts spills into the workers' rows.
+	// Every count has one home: a worker's row, the engine's external row,
+	// or, for a ledger term, its job. The transport counts spills into the
+	// workers' rows.
 	rows := make([]*obs.Row, cfg.Workers)
 	for i := range e.workers {
 		rows[i] = &e.workers[i].row
@@ -153,6 +153,7 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me := &e.workers[i]
 		me.id = i
 		me.sched.cfg = &e.cfg
+		me.sched.self = i
 		me.sched.shared = cfg.QueueKind == QueueMultiQueue
 		me.rng = *graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
 		me.batch = make([]task.Task, batchK)
@@ -271,7 +272,6 @@ func (e *Engine) admit(js *jobState, n int) error {
 	if q := js.quota; q > 0 {
 		if out := js.outstanding.Load(); out+int64(n) > q {
 			js.rejected.Add(int64(n))
-			e.ext[obs.CQuotaRejects].Add(int64(n))
 			if rec := e.obs; rec != nil {
 				rec.Event(obs.External, obs.EvQuotaReject, int64(n), int64(js.id), 0)
 			}
@@ -392,12 +392,11 @@ func (e *Engine) waitQuiescent(ctx context.Context, out *atomic.Int64, mark func
 }
 
 // ledgerMark folds the conservation ledger's moving parts into one value
-// that changes whenever the engine makes progress.
+// that changes whenever the engine makes progress: the jobs' marks summed.
 func (e *Engine) ledgerMark() int64 {
-	m := e.ext[obs.CTasksSubmitted].Load()
-	for i := range e.workers {
-		row := &e.workers[i].row
-		m += row[obs.CTasksProcessed].Load() + row[obs.CTasksQuarantined].Load() + row[obs.CTasksCancelled].Load()
+	var m int64
+	for _, js := range *e.jobs.Load() {
+		m += js.ledgerMark()
 	}
 	return m
 }

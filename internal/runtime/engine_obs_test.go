@@ -34,8 +34,8 @@ func (w *leafWorkload) Process(t task.Task, emit func(task.Task)) int {
 }
 
 // Concurrent-Submit hammer with a recorder attached: after Drain the
-// recorder's processed total, the engine snapshot, and the number of tasks
-// submitted must all agree exactly. Run under -race this also validates the
+// trace's job lines, the engine snapshot, and the number of tasks submitted
+// must all agree exactly. Run under -race this also validates the
 // recorder's hot-path memory accesses.
 func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 	w := newLeafWorkload()
@@ -76,11 +76,11 @@ func TestEngineObsConcurrentSubmitCounts(t *testing.T) {
 	}
 	const submitted = int64(submitters * perSubmitter * batch)
 
-	sums := traceTotals(t, e)
-	if got := sums[obs.CTasksSubmitted.String()]; got != submitted {
+	sums, jobs := traceTotals(t, e), traceJobTotals(t, e)
+	if got := jobs["submitted"]; got != submitted {
 		t.Errorf("trace submitted = %d, want %d", got, submitted)
 	}
-	if got := sums[obs.CTasksProcessed.String()]; got != submitted {
+	if got := jobs["processed"]; got != submitted {
 		t.Errorf("trace processed = %d, want %d (leaf workload: processed == submitted)", got, submitted)
 	}
 	snap := e.Snapshot()
@@ -111,9 +111,8 @@ func (e *Engine) total(c obs.Counter) int64 {
 	return n
 }
 
-// traceTotals sums each counter, by name, over the counters lines of e's own
-// trace read back through obs.ReadTrace.
-func traceTotals(t testing.TB, e *Engine) map[string]int64 {
+// readTrace reads e's own trace back through obs.ReadTrace.
+func readTrace(t testing.TB, e *Engine) *obs.Trace {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := e.WriteTrace(&buf); err != nil {
@@ -123,6 +122,29 @@ func traceTotals(t testing.TB, e *Engine) map[string]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// traceJobTotals sums each numeric field of the trace's job lines, by its
+// name there: the ledger terms summed over the jobs.
+func traceJobTotals(t testing.TB, e *Engine) map[string]int64 {
+	t.Helper()
+	sums := make(map[string]int64)
+	for _, row := range readTrace(t, e).Jobs {
+		for name, v := range row {
+			if f, ok := v.(float64); ok && name != "job" && name != "weight" {
+				sums[name] += int64(f)
+			}
+		}
+	}
+	return sums
+}
+
+// traceTotals sums each counter, by name, over the counters lines of e's own
+// trace.
+func traceTotals(t testing.TB, e *Engine) map[string]int64 {
+	t.Helper()
+	tr := readTrace(t, e)
 	if tr.Meta.Workers != len(e.workers) || len(tr.Counters) != len(e.workers)+1 {
 		t.Errorf("trace of a %d-worker engine: meta says %d workers, %d counters lines",
 			len(e.workers), tr.Meta.Workers, len(tr.Counters))
@@ -138,18 +160,19 @@ func traceTotals(t testing.TB, e *Engine) map[string]int64 {
 	return sums
 }
 
-// Every engine counter has one home, a slot in an obs.Row, whether or not a
-// recorder is attached. One run drives each of them — a poison task, negative
-// priorities reported on every task, a Submit of more than a ring's worth a
-// worker before Start, a fan-out the bag policy bags (and, run alone,
-// the gate keeps), a batch over the default job's quota — and each API value
-// (Snapshot, ControlTrace, or the rows where no API field exists) must equal
-// the engine's rows and its trace's counters lines, and still count without a
+// Every engine count has one home, whether or not a recorder is attached: a
+// slot in an obs.Row, or, for a ledger term, the job. One run drives each of
+// them — a poison task, negative priorities reported on every task, a Submit
+// of more than a ring's worth a worker before Start, a fan-out the bag policy
+// bags (and, run alone, the gate keeps), a batch over the default job's quota
+// — and each API value (Snapshot, ControlTrace, or the rows where no API field
+// exists) must equal the engine's rows and its trace's counters lines, each
+// ledger term the sum of the trace's job lines, and all still count without a
 // recorder.
 func TestEngineCountersHaveOneHome(t *testing.T) {
 	const poison, fan = graph.NodeID(7), graph.NodeID(1)
 	const quota = 1 << 12
-	run := func(rec *obs.Recorder) (*Engine, map[obs.Counter]int64) {
+	run := func(rec *obs.Recorder) (*Engine, map[obs.Counter]int64, map[string]int64) {
 		w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
 			switch tk.Node {
 			case poison:
@@ -207,22 +230,23 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 			rejects += js.QuotaRejected
 		}
 		return e, map[obs.Counter]int64{
-			obs.CTasksSubmitted:   snap.Submitted,
-			obs.CQuotaRejects:     rejects,
-			obs.CTasksQuarantined: snap.Quarantined,
-			obs.COverflowSpills:   spills,
-			obs.CDriftClamped:     snap.DriftClamped,
-			obs.CTasksBagged:      snap.BaggedTasks,
-			obs.CUnitsKeptLocal:   snap.KeptLocal,
-			obs.CTDFSteps:         int64(len(e.ControlTrace())),
-			obs.CDriftReports:     e.total(obs.CDriftReports),
-			obs.CBagsOpened:       e.total(obs.CBagsOpened),
-			obs.CWorkerRestarts:   e.total(obs.CWorkerRestarts),
-		}
+				obs.COverflowSpills: spills,
+				obs.CDriftClamped:   snap.DriftClamped,
+				obs.CTasksBagged:    snap.BaggedTasks,
+				obs.CUnitsKeptLocal: snap.KeptLocal,
+				obs.CTDFSteps:       int64(len(e.ControlTrace())),
+				obs.CDriftReports:   e.total(obs.CDriftReports),
+				obs.CBagsOpened:     e.total(obs.CBagsOpened),
+				obs.CWorkerRestarts: e.total(obs.CWorkerRestarts),
+			}, map[string]int64{
+				"submitted":      snap.Submitted,
+				"quota_rejected": rejects,
+				"quarantined":    snap.Quarantined,
+			}
 	}
 
-	e, api := run(obs.New(obs.Config{Workers: 4}))
-	sums := traceTotals(t, e)
+	e, api, ledger := run(obs.New(obs.Config{Workers: 4}))
+	sums, jobs := traceTotals(t, e), traceJobTotals(t, e)
 	for c, v := range api {
 		if got := sums[c.String()]; got != v {
 			t.Errorf("%s: API value %d, trace total %d", c, v, got)
@@ -231,10 +255,20 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 			t.Errorf("%s: API value %d, engine rows %d", c, v, got)
 		}
 	}
-	_, api = run(nil)
+	for name, v := range ledger {
+		if got := jobs[name]; got != v {
+			t.Errorf("%s: API value %d, trace job lines %d", name, v, got)
+		}
+	}
+	_, api, ledger = run(nil)
 	for c, v := range api {
 		if v == 0 && c != obs.CWorkerRestarts {
 			t.Errorf("%s: zero without a recorder", c)
+		}
+	}
+	for name, v := range ledger {
+		if v == 0 {
+			t.Errorf("%s: zero without a recorder", name)
 		}
 	}
 }
@@ -245,8 +279,8 @@ func TestEngineCountersHaveOneHome(t *testing.T) {
 // tasks_submitted, and a recorder sized for fewer workers left the extra
 // workers' counts out of the trace. Here one recorder serves two engines run
 // one after the other, and a recorder built for 2 workers serves a 4-worker
-// engine: each engine's ledger balances, and the counters lines of its own
-// trace sum to its own Snapshot.
+// engine: each engine's ledger balances, and the counters and job lines of
+// its own trace sum to its own Snapshot.
 func TestEngineCountsAreItsOwnOverAnyRecorder(t *testing.T) {
 	solve := func(t *testing.T, rec *obs.Recorder, workers int) {
 		w, err := workload.New("sssp", graph.Road(32, 32, 3))
@@ -279,20 +313,26 @@ func TestEngineCountsAreItsOwnOverAnyRecorder(t *testing.T) {
 			spills += ws.OverflowSpills
 			parks += ws.IdleParks
 		}
-		sums := traceTotals(t, e)
+		sums, jobs := traceTotals(t, e), traceJobTotals(t, e)
 		for c, v := range map[obs.Counter]int64{
-			obs.CTasksSubmitted:   snap.Submitted,
-			obs.CTasksSpawned:     snap.Spawned,
-			obs.CTasksProcessed:   snap.TasksProcessed,
-			obs.CBagsRetired:      snap.BagsRetired,
-			obs.CTasksQuarantined: snap.Quarantined,
-			obs.CTasksCancelled:   snap.Cancelled,
-			obs.CEdgesExamined:    snap.EdgesExamined,
-			obs.COverflowSpills:   spills,
-			obs.CIdleParks:        parks,
+			obs.CEdgesExamined:  snap.EdgesExamined,
+			obs.COverflowSpills: spills,
+			obs.CIdleParks:      parks,
 		} {
 			if got := sums[c.String()]; got != v {
 				t.Errorf("%d workers: %s sums to %d over the trace, Snapshot %d", workers, c, got, v)
+			}
+		}
+		for name, v := range map[string]int64{
+			"submitted":       snap.Submitted,
+			"spawned":         snap.Spawned,
+			"processed":       snap.TasksProcessed,
+			"bags_retired":    snap.BagsRetired,
+			"quarantined":     snap.Quarantined,
+			"cancelled_tasks": snap.Cancelled,
+		} {
+			if got := jobs[name]; got != v {
+				t.Errorf("%d workers: %s sums to %d over the trace's job lines, Snapshot %d", workers, name, got, v)
 			}
 		}
 	}

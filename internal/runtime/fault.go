@@ -40,8 +40,8 @@ func (q QuarantinedTask) String() string {
 
 // faultState is the engine's mutex-guarded poison list, touched only when a
 // handler panics. Its count is not kept here: each quarantine counts in the
-// row of the worker that caught it (tasks_quarantined), as each worker-loop
-// restart does (worker_restarts).
+// catching worker's row of the task's job (jobRow.quarantined), and each
+// worker-loop restart in the worker's counters (worker_restarts).
 type faultState struct {
 	mu          sync.Mutex
 	quarantined []QuarantinedTask
@@ -118,7 +118,7 @@ var ErrStalled = fmt.Errorf("runtime: no progress within the stall timeout")
 func (e *Engine) stallError(op string, cause error, js *jobState) *StallError {
 	se := &StallError{Op: op, Err: cause, Snapshot: e.Snapshot()}
 	if js != nil {
-		st := js.stats()
+		st := js.stats(nil)
 		se.Job = &st
 	}
 	return se

@@ -23,8 +23,9 @@ package runtime
 // with the same publication ordering: every retirement term is stored before
 // the job's outstanding count drops, and every addition lands before the
 // work becomes visible, so at per-job quiescence (Outstanding == 0) the
-// job's ledger is exact. The chaos Checker asserts both the per-job ledgers
-// and that their sums equal the global ledger.
+// job's ledger is exact. The job is the ledger's one home: the engine-wide
+// terms are the sums of the jobs' (Snapshot), so the chaos Checker's
+// partition identity holds by construction.
 
 import (
 	"context"
@@ -70,8 +71,10 @@ type JobConfig struct {
 	MaxOutstanding int64
 }
 
-// jobState is the engine-side record of one job. The atomic counters form
-// the job's conservation ledger; everything else is immutable after NewJob.
+// jobState is the engine-side record of one job. Its conservation ledger has
+// one home: the retire and spawn terms in rows, one per worker, and the three
+// counts that goroutines other than a worker write or read on a hot path in
+// shared atomics; everything else is immutable after NewJob.
 type jobState struct {
 	id     task.JobID
 	name   string
@@ -88,22 +91,46 @@ type jobState struct {
 	// priority left in its queue — where a thief compares them (steal.go); nil
 	// when the fleet does not steal (multiqueue, or one worker).
 	fronts []frontSlot
+	// rows holds each worker's terms of the job's ledger (jobRow).
+	rows []jobRow
 
 	cancelled atomic.Bool
 
-	// The per-job conservation ledger. Outstanding follows the global
-	// count's ordering contract: incremented before the work is visible,
-	// decremented only after the matching retirement term is stored.
-	submitted      atomic.Int64
-	spawned        atomic.Int64
-	processed      atomic.Int64
-	bagsRetired    atomic.Int64
-	quarantined    atomic.Int64
-	cancelledTasks atomic.Int64
-	outstanding    atomic.Int64
-	rejected       atomic.Int64 // tasks refused by the admission quota
+	// The shared ledger terms: submitted and rejected are written by
+	// submitting goroutines, and outstanding is read by park, Drain and the
+	// quota. Outstanding follows the global count's ordering contract:
+	// incremented before the work is visible, decremented only after the
+	// matching retirement term is stored in a row. Every worker's settle
+	// writes it, so the three keep off the lines of the fields above, which
+	// every task reads; the trailing pad makes the record 256 bytes, a size
+	// class that starts each record on a line (TestEngineCacheLines).
+	_           [56]byte
+	submitted   atomic.Int64
+	outstanding atomic.Int64
+	rejected    atomic.Int64 // tasks refused by the admission quota
+	_           [24]byte
+}
 
-	_ [8]int64 // keep adjacent jobs' hot counters off one line
+// jobRow is one worker's terms of one job's ledger. Only that worker stores
+// into it — at settle, and in handleFault for a quarantine — so a term costs
+// no shared add; readers sum the rows (jobState.stats). The pads keep every
+// row's terms off any line another row, or any other object, shares.
+type jobRow struct {
+	_           [56]byte
+	processed   atomic.Int64 // tasks run to completion (bag payloads included)
+	spawned     atomic.Int64 // children and bag units the job's tasks created
+	bagsRetired atomic.Int64 // bag markers fully unpacked
+	quarantined atomic.Int64 // tasks whose handler panicked
+	cancelled   atomic.Int64 // tasks discarded by the job's cancellation
+	_           [56]byte
+}
+
+// add stores n more into a row term. Only the row's worker writes it, so a
+// load and a store need no read-modify-write.
+func add(c *atomic.Int64, n int64) {
+	if n != 0 {
+		c.Store(c.Load() + n)
+	}
 }
 
 // newJobState builds the record; cfg must already have defaults applied.
@@ -114,6 +141,7 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 		w:      w,
 		weight: int64(jc.Weight),
 		quota:  jc.MaxOutstanding,
+		rows:   make([]jobRow, cfg.Workers),
 	}
 	if js.name == "" {
 		js.name = fmt.Sprintf("job-%d", id)
@@ -142,15 +170,22 @@ func newJobState(id task.JobID, w workload.Workload, jc JobConfig, cfg Config) *
 // job-scoped stall watchdog (any retirement, quarantine, cancellation, or
 // new submission moves it).
 func (js *jobState) ledgerMark() int64 {
-	return js.submitted.Load() + js.processed.Load() + js.bagsRetired.Load() +
-		js.quarantined.Load() + js.cancelledTasks.Load()
+	m := js.submitted.Load()
+	for i := range js.rows {
+		r := &js.rows[i]
+		m += r.processed.Load() + r.bagsRetired.Load() + r.quarantined.Load() + r.cancelled.Load()
+	}
+	return m
 }
 
-// stats snapshots the job's ledger. Outstanding is read first so the same
-// coherence contract the global Snapshot documents holds per job: a task
-// retiring between the reads inflates the retirement side, never hides work.
-// The add side is read last, so the retire side never leads it.
-func (js *jobState) stats() JobStats {
+// stats snapshots the job's ledger, summing its rows, and adds each worker's
+// processed count to byWorker[w].Processed when byWorker is not nil.
+// Outstanding is read first, then every row's retire side, then the add side
+// (every row's spawned, then submitted), so the coherence contract the global
+// Snapshot documents holds per job: a task retiring between the reads
+// inflates the retire side, never hides work, and the retire side never
+// leads the add side.
+func (js *jobState) stats(byWorker []WorkerStats) JobStats {
 	s := JobStats{
 		Job:         js.id,
 		Name:        js.name,
@@ -158,12 +193,21 @@ func (js *jobState) stats() JobStats {
 		Cancelled:   js.cancelled.Load(),
 		Outstanding: js.outstanding.Load(),
 	}
-	s.Processed = js.processed.Load()
-	s.BagsRetired = js.bagsRetired.Load()
-	s.Quarantined = js.quarantined.Load()
-	s.CancelledTasks = js.cancelledTasks.Load()
+	for i := range js.rows {
+		r := &js.rows[i]
+		p := r.processed.Load()
+		s.Processed += p
+		s.BagsRetired += r.bagsRetired.Load()
+		s.Quarantined += r.quarantined.Load()
+		s.CancelledTasks += r.cancelled.Load()
+		if byWorker != nil {
+			byWorker[i].Processed += p
+		}
+	}
+	for i := range js.rows {
+		s.Spawned += js.rows[i].spawned.Load()
+	}
 	s.Submitted = js.submitted.Load()
-	s.Spawned = js.spawned.Load()
 	s.QuotaRejected = js.rejected.Load()
 	return s
 }
@@ -283,7 +327,7 @@ func (j *Job) Name() string { return j.js.name }
 
 // Snapshot returns the job's ledger row (see JobStats for the per-job
 // conservation equation and its coherence contract).
-func (j *Job) Snapshot() JobStats { return j.js.stats() }
+func (j *Job) Snapshot() JobStats { return j.js.stats(nil) }
 
 // Submit injects tasks into this job: each task is stamped with the job's
 // ID, admission-checked against the quota (all-or-nothing), and then follows

@@ -32,7 +32,8 @@ const drrQuantum = 32
 // bags) or how expensive its tasks are. A queue that goes empty forfeits its
 // balance — an unbacklogged tenant banks nothing.
 type jobSched struct {
-	cfg *Config // the engine's: shapes the queues materialized by queue
+	cfg  *Config // the engine's: shapes the queues materialized by queue
+	self int     // the worker's index: its row in each job's ledger
 
 	// jqs is the worker's queue set, indexed by task.JobID and materialized
 	// lazily on a job's first local task. act is the rotation: the queues
@@ -66,7 +67,7 @@ func (s *jobSched) queue(js *jobState) *workerJQ {
 	if q := s.jqs[id]; q != nil {
 		return q
 	}
-	q := newWorkerJQ(*s.cfg, js)
+	q := newWorkerJQ(*s.cfg, js, s.self)
 	s.jqs[id] = q
 	return q
 }

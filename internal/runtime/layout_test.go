@@ -18,8 +18,10 @@ package runtime
 // multiple of 64, so its checks hold at every 8-byte phase.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 const cacheLine = 64
@@ -114,12 +116,64 @@ func TestEngineCacheLines(t *testing.T) {
 		}
 	})
 	t.Run("jobState", func(t *testing.T) {
-		// Workers settle into a job's ledger atomics; every pop loads
-		// cancelled, every prefetch off, every dispatch owners and every
-		// DRR deposit weight.
+		// Workers settle into a job's outstanding and submitters write its
+		// submitted and rejected; every task loads w, every pop cancelled,
+		// every prefetch off, every dispatch owners and every DRR deposit
+		// weight.
 		typ := reflect.TypeOf(jobState{})
 		apart(t, typ, heapPhases(typ),
-			[]string{"submitted", "spawned", "processed", "bagsRetired", "quarantined", "cancelledTasks", "outstanding", "rejected"},
-			[]string{"cancelled", "owners", "off", "weight"})
+			[]string{"submitted", "outstanding", "rejected"},
+			[]string{"w", "cancelled", "owners", "off", "weight"})
+	})
+	t.Run("jobRow", func(t *testing.T) {
+		// Each worker stores into its own row of each job at every settle: a
+		// row's terms share no line with any byte outside the row, at any
+		// phase, so no two workers' rows and nothing else can meet them.
+		typ := reflect.TypeOf(jobRow{})
+		terms := fieldBytes{"terms", fieldSpan(t, typ, "processed").off, fieldSpan(t, typ, "cancelled").end}
+		// Offsets here are one line past the row's, so the byte before it
+		// has one too.
+		row := fieldBytes{"terms", cacheLine + terms.off, cacheLine + terms.end}
+		for _, out := range []fieldBytes{
+			{"the byte before the row", cacheLine - 1, cacheLine},
+			{"the byte after the row", cacheLine + typ.Size(), cacheLine + typ.Size() + 1},
+		} {
+			if shareLine(row, out, everyPhase) {
+				t.Errorf("jobRow terms [%d, %d) can share a cache line with %s", terms.off, terms.end, out.name)
+			}
+		}
+		// And on real jobs, whatever the fleet size: each row's terms on
+		// lines of their own, none shared with another row or with the job's
+		// shared terms and the fields every task reads.
+		for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+			cfg := Config{Workers: workers}.withDefaults()
+			for rep := 0; rep < 8; rep++ {
+				js := newJobState(0, &fnWorkload{}, JobConfig{}, cfg)
+				// Each line goes to one group: a row, the shared terms, or
+				// the read fields.
+				lines := map[uintptr]string{}
+				claim := func(group string, p unsafe.Pointer, size uintptr) {
+					for l := uintptr(p) / cacheLine; l <= (uintptr(p)+size-1)/cacheLine; l++ {
+						if other, ok := lines[l]; ok && other != group {
+							t.Errorf("W=%d: %s share a cache line with %s", workers, group, other)
+						}
+						lines[l] = group
+					}
+				}
+				for w := range js.rows {
+					claim(fmt.Sprintf("rows[%d]", w), unsafe.Pointer(&js.rows[w].processed), terms.end-terms.off)
+				}
+				field := func(group, name string) {
+					sf, _ := reflect.TypeOf(jobState{}).FieldByName(name)
+					claim(group, unsafe.Add(unsafe.Pointer(js), sf.Offset), sf.Type.Size())
+				}
+				for _, f := range []string{"submitted", "outstanding", "rejected"} {
+					field("the shared terms", f)
+				}
+				for _, f := range []string{"w", "cancelled", "owners", "off", "weight"} {
+					field("the read fields", f)
+				}
+			}
+		}
 	})
 }

@@ -5,13 +5,14 @@ package runtime
 //
 //	Submitted + Spawned == Processed + BagsRetired + Quarantined + Cancelled + Outstanding
 //
-// kept per job and for the engine. A worker touches no shared counter while it
+// kept per job, in the job's row for this worker (jobRow), with the engine's
+// totals the sums over the jobs. A worker touches no shared counter while it
 // processes a task. It records each event once, through a verb, in the
 // unsettled delta of the task's job on this worker — retire (a task ran),
 // spawn (its children and bag units), retireBag (a bag was unpacked), cancel
-// (units of a cancelled job were discarded) — and settle applies them, summing
-// the worker's own totals and the engine-wide outstanding move from the
-// per-job deltas.
+// (units of a cancelled job were discarded) — and settle applies them: the
+// terms into the worker's own rows, and the outstanding moves into the jobs'
+// counts and, summed, into the engine's.
 //
 // Contract (settle before ship). Both signs are deferred, so one rule carries
 // the termination invariant: settle before any call that can make a task
@@ -31,12 +32,12 @@ package runtime
 // work exists and never negative, which is also why handleFault may drop a
 // quarantined task from the counts at once.
 //
-// Publication order, inside settle and for any reader: every retire term is
-// stored before the outstanding drop it explains — the worker's totals first,
-// then per job the spawn and retire terms and after them the job's
-// outstanding, and the engine's outstanding last. Readers (Snapshot,
-// jobState.stats) read outstanding first and the add side last, so the retire
-// side never leads the add side and the ledger is exact at quiescence.
+// Publication order, inside settle and for any reader: every row term is
+// stored before the outstanding drop it explains — per job the row's terms,
+// then the job's outstanding, and the engine's outstanding last. Readers
+// (Snapshot, jobState.stats) read outstanding first, then the retire side,
+// then the add side, so the retire side never leads the add side and the
+// ledger is exact at quiescence.
 
 import "hdcps/internal/obs"
 
@@ -49,7 +50,7 @@ type jobDelta struct {
 }
 
 // ledger is the set of one worker's queues holding unsettled deltas; the
-// settled totals are the worker's counts (worker.n).
+// settled terms are the worker's rows of the jobs' ledgers (workerJQ.row).
 type ledger struct {
 	dirty []*workerJQ
 }
@@ -93,43 +94,23 @@ func (l *ledger) cancel(q *workerJQ, n int64) {
 }
 
 // settle applies the worker's unsettled deltas in the publication order the
-// contract above states, and moves the engine's outstanding count by exactly
-// the sum of the per-job moves.
+// contract above states: one shared add per dirty job (its outstanding), and
+// one to the engine's outstanding, by exactly the sum of the per-job moves.
 func (e *Engine) settle(me *worker) {
 	l := &me.led
 	if len(l.dirty) == 0 {
 		return
 	}
 	var out int64
-	n := &me.n
 	for _, q := range l.dirty {
-		d := &q.delta
-		n[obs.CTasksSpawned] += d.spawned
-		n[obs.CTasksProcessed] += d.processed
-		n[obs.CBagsRetired] += d.bagsRetired
-		n[obs.CTasksCancelled] += d.cancelled
-		out += d.out
-	}
-	me.row[obs.CTasksSpawned].Store(n[obs.CTasksSpawned])
-	me.row[obs.CTasksProcessed].Store(n[obs.CTasksProcessed])
-	me.row[obs.CBagsRetired].Store(n[obs.CBagsRetired])
-	me.row[obs.CTasksCancelled].Store(n[obs.CTasksCancelled])
-	for _, q := range l.dirty {
-		js, d := q.js, &q.delta
-		if d.spawned != 0 {
-			js.spawned.Add(d.spawned)
-		}
-		if d.processed != 0 {
-			js.processed.Add(d.processed)
-		}
-		if d.bagsRetired != 0 {
-			js.bagsRetired.Add(d.bagsRetired)
-		}
-		if d.cancelled != 0 {
-			js.cancelledTasks.Add(d.cancelled)
-		}
+		r, d := q.row, &q.delta
+		add(&r.spawned, d.spawned)
+		add(&r.processed, d.processed)
+		add(&r.bagsRetired, d.bagsRetired)
+		add(&r.cancelled, d.cancelled)
 		if d.out != 0 {
-			js.outstanding.Add(d.out)
+			q.js.outstanding.Add(d.out)
+			out += d.out
 		}
 		*d = jobDelta{}
 	}
@@ -152,13 +133,11 @@ func (e *Engine) account(delta int64) {
 }
 
 // enter is the ledger's add side for submission: n admitted tasks of js go
-// into the job's and the engine's counts — the submitted term before the
-// outstanding it explains, per job before engine-wide — before the caller
-// makes any of them visible to a worker.
+// into the job's submitted term, then its outstanding count and the engine's,
+// before the caller makes any of them visible to a worker.
 func (e *Engine) enter(js *jobState, n int64) {
 	js.submitted.Add(n)
 	js.outstanding.Add(n)
-	e.ext[obs.CTasksSubmitted].Add(n)
 	e.outstanding.Add(n)
 	if rec := e.obs; rec != nil {
 		rec.Event(obs.External, obs.EvSubmit, n, int64(js.id), 0)

@@ -16,10 +16,6 @@ import (
 	"hdcps/internal/task"
 )
 
-// LocalQueue is the per-worker private priority queue contract. It is
-// exactly pq.Queue — single-owner, no internal synchronization.
-type LocalQueue = pq.Queue
-
 // Local-queue kinds accepted by Config.QueueKind (see QueueKinds).
 const (
 	// QueueTwoLevel is the default: a ring of per-priority FIFO buckets —
@@ -58,19 +54,17 @@ func CheckQueueKind(kind string) error {
 	return fmt.Errorf("unknown queue kind %q (valid: %s)", kind, strings.Join(QueueKinds(), ", "))
 }
 
-// newLocalQueue builds one queue of the shape named by Config.QueueKind.
-// The worker loop devirtualizes the twolevel and multiqueue shapes
-// (workerJQ.tl / workerJQ.mq), so the interface boxing here is paid once
-// per worker per job. A multiqueue built here is a single-worker instance;
-// fleets share one structure per job via jobState.mq (see newWorkerJQ).
-func newLocalQueue(cfg Config) LocalQueue {
+// newLocalQueue builds one worker's private queue of the strict shape named
+// by Config.QueueKind (pq.Queue: single-owner, no internal synchronization).
+// The worker loop devirtualizes the twolevel shape (workerJQ.tl), so the
+// interface boxing here is paid once per worker per job. A multiqueue
+// fleet shares one structure per job instead (jobState.mq, newWorkerJQ).
+func newLocalQueue(cfg Config) pq.Queue {
 	switch cfg.QueueKind {
 	case QueueHeap:
 		return pq.NewBinaryHeap(64)
 	case QueueDHeap:
 		return pq.NewDHeap(heapArity, 64)
-	case QueueMultiQueue:
-		return pq.NewMultiQueue(pq.MultiQueueConfig{Workers: 1, Seed: cfg.Seed}).Handle()
 	default:
 		return pq.NewTwoLevel(pq.TwoLevelConfig{Arity: heapArity})
 	}
@@ -85,7 +79,7 @@ func newLocalQueue(cfg Config) LocalQueue {
 // itself, under the owner's lock, and reads active there.
 type workerJQ struct {
 	js    *jobState
-	queue LocalQueue
+	queue pq.Queue
 	// tl/mq devirtualize the stock shapes exactly like the worker's old
 	// single queue did — push/pop stay direct calls on the hot path.
 	tl *pq.TwoLevel
@@ -98,8 +92,10 @@ type workerJQ struct {
 	active  bool
 	deficit int64
 
-	// delta is this worker's unsettled move on the job's ledger.
+	// delta is this worker's unsettled move on the job's ledger, and row the
+	// worker's row of it, where settle stores the terms.
 	delta jobDelta
+	row   *jobRow
 
 	// spare is what the dispatch gate reads during a batch: the queue's
 	// length when the cycle start exposed it, plus the units the worker has
@@ -144,10 +140,10 @@ func (q *workerJQ) len() int {
 	return q.queue.Len()
 }
 
-// newWorkerJQ builds one worker's queue for one job: a private queue of the
+// newWorkerJQ builds worker self's queue for one job: a private queue of the
 // configured shape, or a handle into the job's shared MultiQueue.
-func newWorkerJQ(cfg Config, js *jobState) *workerJQ {
-	q := &workerJQ{js: js}
+func newWorkerJQ(cfg Config, js *jobState, self int) *workerJQ {
+	q := &workerJQ{js: js, row: &js.rows[self]}
 	if js.mq != nil {
 		q.queue = js.mq.Handle()
 	} else {

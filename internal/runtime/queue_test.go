@@ -16,8 +16,10 @@ import (
 	"hdcps/internal/workload"
 )
 
-// TestQueueKindSelection pins the QueueKind → concrete queue mapping,
-// including the devirtualized tl view the engine's hot path relies on.
+// TestQueueKindSelection pins the QueueKind → concrete queue mapping of a
+// worker's queue for a job, including the devirtualized tl and mq views the
+// engine's hot path relies on: a multiqueue worker holds a handle into the
+// job's shared structure.
 func TestQueueKindSelection(t *testing.T) {
 	cases := []struct {
 		cfg      Config
@@ -31,7 +33,13 @@ func TestQueueKindSelection(t *testing.T) {
 		{Config{QueueKind: QueueMultiQueue}, false, true},
 	}
 	for _, c := range cases {
-		q := newLocalQueue(c.cfg.withDefaults())
+		cfg := c.cfg.withDefaults()
+		js := newJobState(0, &fnWorkload{}, JobConfig{}, cfg)
+		jq := newWorkerJQ(cfg, js, 0)
+		q := jq.queue
+		if (jq.tl != nil) != c.twoLevel || (jq.mq != nil) != c.multi || (js.mq != nil) != c.multi {
+			t.Errorf("QueueKind %q: tl %v, mq %v, job's shared structure %v", c.cfg.QueueKind, jq.tl != nil, jq.mq != nil, js.mq != nil)
+		}
 		_, isTL := q.(*pq.TwoLevel)
 		if isTL != c.twoLevel {
 			t.Errorf("QueueKind %q: twolevel=%v, want %v", c.cfg.QueueKind, isTL, c.twoLevel)

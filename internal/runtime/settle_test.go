@@ -294,9 +294,9 @@ func TestMultiQueuePushSettles(t *testing.T) {
 }
 
 // After any sequence of verbs, one settle moves the engine's outstanding count
-// by exactly the sum of the per-job moves and the worker's published totals by
-// the sum of the per-job terms: what settle derives cannot part from what the
-// verbs recorded.
+// by exactly the sum of the per-job moves: what settle derives cannot part
+// from what the verbs recorded. (The engine's ledger terms are the jobs' sums
+// by construction: Snapshot adds up the jobs' rows.)
 func TestSettleGlobalMoveIsSumOfJobMoves(t *testing.T) {
 	e, me, q0 := ledgerEngine(t, QueueTwoLevel)
 	j1, err := e.NewJob(&fnWorkload{}, JobConfig{})
@@ -326,22 +326,12 @@ func TestSettleGlobalMoveIsSumOfJobMoves(t *testing.T) {
 		}
 		e.settle(me)
 		snap := e.Snapshot()
-		var jobs JobStats
+		var jobs int64
 		for _, j := range snap.Jobs {
-			jobs.Outstanding += j.Outstanding - base
-			jobs.Spawned += j.Spawned
-			jobs.Processed += j.Processed
-			jobs.BagsRetired += j.BagsRetired
-			jobs.CancelledTasks += j.CancelledTasks
+			jobs += j.Outstanding - base
 		}
-		if got := snap.Outstanding - base; got != jobs.Outstanding {
-			t.Fatalf("round %d: engine outstanding moved %d, the jobs' %d", round, got, jobs.Outstanding)
-		}
-		if snap.Spawned != jobs.Spawned || snap.TasksProcessed != jobs.Processed ||
-			snap.BagsRetired != jobs.BagsRetired || snap.Cancelled != jobs.CancelledTasks {
-			t.Fatalf("round %d: worker totals %d/%d/%d/%d (spawned/processed/bagsRetired/cancelled), jobs sum to %d/%d/%d/%d",
-				round, snap.Spawned, snap.TasksProcessed, snap.BagsRetired, snap.Cancelled,
-				jobs.Spawned, jobs.Processed, jobs.BagsRetired, jobs.CancelledTasks)
+		if got := snap.Outstanding - base; got != jobs {
+			t.Fatalf("round %d: engine outstanding moved %d, the jobs' %d", round, got, jobs)
 		}
 		if len(me.led.dirty) != 0 || qs[0].delta != (jobDelta{}) || qs[1].delta != (jobDelta{}) {
 			t.Fatalf("round %d: deltas left unsettled: %+v %+v", round, qs[0].delta, qs[1].delta)
@@ -460,5 +450,72 @@ func TestResultBaggedAndKeptLocal(t *testing.T) {
 	}
 	if one, _ := solve(t, sp, DefaultConfig(1)); one.KeptLocal != 0 || one.KeptOffBlock != 0 {
 		t.Errorf("one worker: gate kept %d units, draw %d off-block", one.KeptLocal, one.KeptOffBlock)
+	}
+}
+
+// Each job's ledger lives in one row per worker, and every per-worker and
+// engine-wide figure is a sum of those rows: at quiescence after a run of two
+// jobs on four workers, one of them cancelled while backlogged, each worker's
+// Processed is its rows summed over the jobs, the workers sum to the engine's
+// TasksProcessed, and so do the jobs.
+func TestPerWorkerAttribution(t *testing.T) {
+	sssp := mustWorkload(t, "sssp", graph.Road(48, 48, 3))
+	e := NewEngine(sssp, DefaultConfig(4))
+	// A steady job never runs dry: only its cancellation ends it.
+	j1, err := e.NewJob(&steadyWorkload{}, JobConfig{Name: "steady"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	if err := e.Submit(sssp.InitialTasks()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Submit(seedTasks(512)...); err != nil {
+		t.Fatal(err)
+	}
+	for j1.Snapshot().Processed < 4096 {
+		if ctx.Err() != nil {
+			t.Fatal("the steady job made no progress")
+		}
+		stdruntime.Gosched()
+	}
+	if err := j1.Cancel(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sssp.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	checkLedger(t, snap)
+	checkJobLedgers(t, snap)
+	if snap.Jobs[1].CancelledTasks == 0 {
+		t.Error("the cancellation swept nothing")
+	}
+	jobs := *e.jobs.Load()
+	var workers, jobsProcessed int64
+	for w, ws := range snap.Workers {
+		var rows int64
+		for _, js := range jobs {
+			rows += js.rows[w].processed.Load()
+		}
+		if ws.Processed != rows {
+			t.Errorf("worker %d: Processed %d, its rows sum to %d", w, ws.Processed, rows)
+		}
+		workers += ws.Processed
+	}
+	for _, j := range snap.Jobs {
+		jobsProcessed += j.Processed
+	}
+	if workers != snap.TasksProcessed || jobsProcessed != snap.TasksProcessed {
+		t.Errorf("processed: workers sum to %d, jobs to %d, engine %d", workers, jobsProcessed, snap.TasksProcessed)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // WorkerStats is one worker's Snapshot row. Its JSON names, like
 // Snapshot's, are the obs counter names the trace's counter lines use.
 type WorkerStats struct {
-	Processed      int64 `json:"tasks_processed"`    // tasks executed (bag payloads included)
+	Processed      int64 `json:"tasks_processed"`    // tasks executed (bag payloads included): the worker's rows of the jobs, summed
 	Bags           int64 `json:"bags_created"`       // bags created by this worker
 	OverflowSpills int64 `json:"overflow_spills"`    // full-ring spills that landed at this worker
 	IdleParks      int64 `json:"idle_parks"`         // times the worker parked on a quiescent fleet
@@ -24,11 +24,13 @@ type WorkerStats struct {
 }
 
 // Snapshot is a cheap point-in-time view of a running engine: per-worker
-// counters plus the live control-plane state.
+// counters, the jobs' ledgers, plus the live control-plane state.
 //
-// Coherence contract: TasksProcessed is published before a task's
-// retirement can be observed in Outstanding, and Snapshot reads Outstanding
-// before the counters, so for any snapshot
+// Coherence contract: the ledger's engine-wide terms are the sums of the
+// jobs' rows (Jobs), read in the same pass, so they agree with Jobs exactly.
+// A task's retirement term is published before its retirement can be
+// observed in Outstanding, and Snapshot reads Outstanding before the terms,
+// so for any snapshot
 //
 //	TasksProcessed + Outstanding >= tasks submitted before the call
 //
@@ -121,39 +123,37 @@ type Snapshot struct {
 // Safe from any goroutine at any lifecycle stage.
 func (e *Engine) Snapshot() Snapshot {
 	// Read order matters for the coherence contract: Outstanding first,
-	// then the per-worker processed counters. A task retiring between the
-	// two reads inflates TasksProcessed, never loses the task — each
-	// worker stores its processed total before decrementing outstanding,
-	// and sync/atomic's total order makes that store visible to any reader
-	// that observed the decrement. The ledger's add side (Spawned,
-	// Submitted) is read last for the same reason: a retirement is only
-	// published after the spawn or submission behind it, so reading the
-	// retire side first keeps it from leading the add side.
+	// then the jobs' ledgers, each of which reads its own outstanding, then
+	// its retire side, then its add side (jobState.stats). A task retiring
+	// between the reads inflates TasksProcessed, never loses the task — each
+	// worker stores its processed term before decrementing outstanding, and
+	// sync/atomic's total order makes that store visible to any reader that
+	// observed the decrement.
 	s := Snapshot{
 		Epoch:       e.epoch.Load(),
 		Outstanding: e.outstanding.Load(),
 		TDF:         int(e.control.TDF()),
 		Workers:     make([]WorkerStats, len(e.workers)),
-		Jobs:        jobStats(*e.jobs.Load()),
+	}
+	s.Jobs = jobStats(*e.jobs.Load(), s.Workers)
+	for _, j := range s.Jobs {
+		s.Submitted += j.Submitted
+		s.Spawned += j.Spawned
+		s.TasksProcessed += j.Processed
+		s.BagsRetired += j.BagsRetired
+		s.Quarantined += j.Quarantined
+		s.Cancelled += j.CancelledTasks
 	}
 	for i := range e.workers {
-		me, row := &e.workers[i], &e.workers[i].row
-		ws := WorkerStats{
-			Processed:      row[obs.CTasksProcessed].Load(),
-			Bags:           row[obs.CBagsCreated].Load(),
-			OverflowSpills: row[obs.COverflowSpills].Load(),
-			IdleParks:      row[obs.CIdleParks].Load(),
-			Redirects:      row[obs.COverflowRedirects].Load(),
-			Stolen:         row[obs.CTasksStolen].Load(),
-			Parked:         me.parked.Load(),
-		}
-		s.Workers[i] = ws
-		s.TasksProcessed += ws.Processed
+		me, row, ws := &e.workers[i], &e.workers[i].row, &s.Workers[i]
+		ws.Bags = row[obs.CBagsCreated].Load()
+		ws.OverflowSpills = row[obs.COverflowSpills].Load()
+		ws.IdleParks = row[obs.CIdleParks].Load()
+		ws.Redirects = row[obs.COverflowRedirects].Load()
+		ws.Stolen = row[obs.CTasksStolen].Load()
+		ws.Parked = me.parked.Load()
 		s.BagsCreated += ws.Bags
 		s.EdgesExamined += row[obs.CEdgesExamined].Load()
-		s.BagsRetired += row[obs.CBagsRetired].Load()
-		s.Quarantined += row[obs.CTasksQuarantined].Load()
-		s.Cancelled += row[obs.CTasksCancelled].Load()
 		s.Redirects += ws.Redirects
 		s.Stolen += ws.Stolen
 		s.KeptOffBlock += row[obs.CUnitsKeptOffBlock].Load()
@@ -168,10 +168,6 @@ func (e *Engine) Snapshot() Snapshot {
 			s.RankErrorMax = m
 		}
 	}
-	for i := range e.workers {
-		s.Spawned += e.workers[i].row[obs.CTasksSpawned].Load()
-	}
-	s.Submitted = e.ext[obs.CTasksSubmitted].Load()
 	return s
 }
 
@@ -180,9 +176,9 @@ func (e *Engine) Snapshot() Snapshot {
 func (e *Engine) Obs() *obs.Recorder { return e.obs }
 
 // ExternalRow returns the engine's external counter row, where counts that
-// arise outside the worker fleet go: Submit's tasks_submitted and
-// quota_rejects, and the serving front-end's serve_* decisions, which it adds
-// here so the engine's Snapshot and trace are their one home.
+// arise outside the worker fleet go: the serving front-end's serve_*
+// decisions, which it adds here so the engine's Snapshot and trace are their
+// one home. (Submit's counts are ledger terms, kept per job.)
 func (e *Engine) ExternalRow() *obs.Row { return &e.ext }
 
 // Outstanding returns the engine-wide count of tasks submitted or spawned
@@ -212,18 +208,19 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 		if err := e.obs.WriteJSONL(w, append(rows, &e.ext)); err != nil {
 			return err
 		}
-		if err := obs.WriteLines(w, "job", jobStats(*e.jobs.Load())); err != nil {
+		if err := obs.WriteLines(w, "job", jobStats(*e.jobs.Load(), nil)); err != nil {
 			return err
 		}
 	}
 	return obs.WriteLines(w, "control", e.control.Series())
 }
 
-// jobStats reads every tenant's ledger row, in JobID order.
-func jobStats(jobs []*jobState) []JobStats {
+// jobStats reads every tenant's ledger row, in JobID order, adding each
+// worker's processed terms to byWorker when it is not nil.
+func jobStats(jobs []*jobState, byWorker []WorkerStats) []JobStats {
 	rows := make([]JobStats, len(jobs))
 	for i, js := range jobs {
-		rows[i] = js.stats()
+		rows[i] = js.stats(byWorker)
 	}
 	return rows
 }

@@ -105,7 +105,8 @@ func TestStealTakes(t *testing.T) {
 // the peer has a queue for joins that queue (and a better one is then stolen
 // with the rest); an arrival for a job the peer has no queue for, or of a
 // cancelled job, goes through the thief's own push — the peer's queue set
-// never grows, and a cancelled unit lands in the thief's ledger.
+// never grows, and a cancelled unit lands in the thief's ledger: its delta,
+// and after a settle the thief's row of the job, not the peer's.
 //
 // With a fault hook attached the drain goes through it, and one that injects
 // nothing leaves the steal as it is.
@@ -126,6 +127,9 @@ func testStealDrainsPeerRing(t *testing.T, faults FaultHook) {
 		t.Fatal(err)
 	}
 	gone.js.cancelled.Store(true)
+	// The two cancelled arrivals below, as a Submit would have counted them.
+	gone.js.outstanding.Store(2)
+	e.outstanding.Add(2)
 	me, peer := &e.workers[0], &e.workers[1]
 	e.transport.Inject(1, []task.Task{
 		{Node: 1, Prio: 5},         // job 0: into the peer's queue, then stolen
@@ -159,6 +163,13 @@ func testStealDrainsPeerRing(t *testing.T, faults FaultHook) {
 	// Two from the peer's queue, three arrivals of jobs it could not take.
 	if me.n[obs.CTasksStolen] != 5 {
 		t.Errorf("stolen %d, want 5", me.n[obs.CTasksStolen])
+	}
+	e.settle(me)
+	rows := gone.js.rows
+	if got := gone.Snapshot(); rows[me.id].cancelled.Load() != 2 || rows[peer.id].cancelled.Load() != 0 ||
+		got.CancelledTasks != 2 || got.Outstanding != 0 {
+		t.Errorf("settled sweep: thief's row %d, peer's %d, job %+v; want 2 in the thief's row and nothing outstanding",
+			rows[me.id].cancelled.Load(), rows[peer.id].cancelled.Load(), got)
 	}
 }
 

@@ -82,7 +82,8 @@ type worker struct {
 	reportedAt int64
 
 	// n is the worker's counts, plain and indexed by obs.Counter: every event
-	// site adds to its slot by name, the ledger's terms at settle (ledger.go).
+	// site adds to its slot by name. The ledger's terms are not among them:
+	// settle stores those in the worker's rows of the jobs (ledger.go).
 	// popCount strides the rank sampler at the recorder's task-sample mask.
 	n        obs.Counts
 	popCount int64
@@ -228,8 +229,6 @@ func (e *Engine) runWorkerGuarded(id int) (clean bool) {
 func (e *Engine) runWorker(id int) {
 	me := &e.workers[id]
 	defer func() {
-		// Counters first, then the deferred retirements: a reader that sees
-		// outstanding drop must already see the totals behind it.
 		me.publish()
 		e.settle(me)
 	}()
@@ -320,10 +319,10 @@ func (e *Engine) runBatch(me *worker, n int) {
 	for i := 0; i < n; i = e.runBatchFrom(me, i, n) {
 	}
 	me.batchLen = 0
-	// Settle the batch's accumulated retirements in one shared atomic per
-	// counter — the batched loop's other throughput lever besides the
-	// prefetch: up to batchK childless tasks retire for the price of one
-	// outstanding.Add (and one processed-count store) instead of one each.
+	// Settle the batch's accumulated retirements — the batched loop's other
+	// throughput lever besides the prefetch: up to batchK childless tasks
+	// retire for the price of one outstanding.Add a job and one for the
+	// engine (and one processed-count store) instead of one each.
 	e.settle(me)
 }
 
@@ -336,7 +335,7 @@ func (e *Engine) runBatchFrom(me *worker, i, n int) (next int) {
 	defer func() {
 		if me.inTask {
 			me.inTask = false
-			e.handleFault(me, me.batchQ[me.batchPos].js, me.batch[me.batchPos], recover())
+			e.handleFault(me, me.batchQ[me.batchPos], me.batch[me.batchPos], recover())
 			next = me.batchPos + 1
 		}
 	}()
@@ -505,7 +504,7 @@ func (e *Engine) runPayload(me *worker, q *workerJQ, ts []task.Task, k int) (nex
 	defer func() {
 		if me.inTask {
 			me.inTask = false
-			e.handleFault(me, q.js, ts[next], recover())
+			e.handleFault(me, q, ts[next], recover())
 			next++
 		}
 	}()
@@ -515,25 +514,23 @@ func (e *Engine) runPayload(me *worker, q *workerJQ, ts []task.Task, k int) (nex
 	return next
 }
 
-// handleFault quarantines one task whose handler panicked (pv is the recover
-// value): the children it emitted before the panic are discarded (a task's
-// effects land whole or not at all), and the task retires into the poison
-// list, keeping both conservation ledgers balanced so Drain still terminates.
-func (e *Engine) handleFault(me *worker, js *jobState, t task.Task, pv any) {
+// handleFault quarantines one task of q's job whose handler panicked (pv is
+// the recover value): the children it emitted before the panic are discarded
+// (a task's effects land whole or not at all), and the task retires into the
+// poison list, keeping the job's ledger balanced so Drain still terminates.
+func (e *Engine) handleFault(me *worker, q *workerJQ, t task.Task, pv any) {
 	me.children = me.children[:0]
 	e.faults.quarantine(t, me.id, pv)
-	me.n[obs.CTasksQuarantined]++
-	me.row[obs.CTasksQuarantined].Store(me.n[obs.CTasksQuarantined])
 	if rec := e.obs; rec != nil {
-		rec.Event(me.id, obs.EvQuarantine, t.Prio, int64(js.id), 0)
+		rec.Event(me.id, obs.EvQuarantine, t.Prio, int64(q.js.id), 0)
 	}
-	// The quarantine record is in the ledger and this worker's totals are
-	// published (settle) before the task leaves the outstanding counts at
-	// once, per job first, then globally — the ledger's publication order,
+	// The quarantine term is in the worker's row and its deferred terms are
+	// settled before the task leaves the outstanding counts at once, the
+	// job's first, then the engine's — the ledger's publication order,
 	// without waiting for the batch boundary.
-	js.quarantined.Add(1)
+	add(&q.row.quarantined, 1)
 	e.settle(me)
-	js.outstanding.Add(-1)
+	q.js.outstanding.Add(-1)
 	e.account(-1)
 }
 

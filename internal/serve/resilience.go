@@ -134,7 +134,8 @@ func (t *streamTracker) record(k streamKey, admitted int64) {
 }
 
 // noCounter marks a failure that moves no decision counter: the zero Counter
-// is tasks_processed, so a failure row names noCounter explicitly.
+// is a worker's count (edges_examined), so a failure row names noCounter
+// explicitly.
 const noCounter = ^obs.Counter(0)
 
 // row is where the server counts its network-boundary decisions

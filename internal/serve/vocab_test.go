@@ -36,9 +36,10 @@ func decode(t *testing.T, b []byte, out any) {
 
 // TestOneVocabulary: /v1/jobs/{id}, /v1/snapshot and the /debug/obs trace
 // name every count alike and agree on it. A drained job's "processed" is one
-// number in all three, /v1/snapshot's "tasks_processed" is the sum of the
-// trace's per-worker tasks_processed counters, and every count /v1/snapshot
-// serves, engine-wide or per worker, is named as a trace counter.
+// number in all three; each engine-wide ledger term /v1/snapshot serves is
+// the sum of its field over the trace's job lines (the ledger's one home),
+// and so is the workers' tasks_processed; every other count it serves,
+// engine-wide or per worker, is named as a trace counter.
 func TestOneVocabulary(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.Obs = true; c.SeedInitial = false })
 	cl := &Client{Base: ts.URL}
@@ -97,26 +98,52 @@ func TestOneVocabulary(t *testing.T) {
 	if tr.Jobs[id]["name"] != "vocab" || snap.Jobs[id]["name"] != "vocab" {
 		t.Errorf("job names: trace %v, snapshot %v, want vocab", tr.Jobs[id]["name"], snap.Jobs[id]["name"])
 	}
-	var sum int64
-	for _, row := range tr.Counters {
-		sum += row["tasks_processed"]
+	// The engine-wide ledger keys and their job-line names.
+	ledger := map[string]string{
+		"tasks_submitted":   "submitted",
+		"tasks_spawned":     "spawned",
+		"tasks_processed":   "processed",
+		"bags_retired":      "bags_retired",
+		"tasks_quarantined": "quarantined",
+		"tasks_cancelled":   "cancelled_tasks",
 	}
-	if sum == 0 || float64(sum) != snap.TasksProcessed {
-		t.Errorf("/v1/snapshot tasks_processed = %v, the trace's counters sum to %d", snap.TasksProcessed, sum)
-	}
-
 	counters := tr.Counters[0]
-	for k := range raw {
+	for k, v := range raw {
 		switch k {
 		case "epoch", "outstanding", "tdf", "workers", "jobs": // state, not counts
 			continue
 		}
-		if _, ok := counters[k]; !ok {
-			t.Errorf("/v1/snapshot key %q is not a trace counter", k)
+		field, ok := ledger[k]
+		if !ok {
+			if _, ok := counters[k]; !ok {
+				t.Errorf("/v1/snapshot key %q is not a trace counter", k)
+			}
+			continue
+		}
+		if _, ok := counters[k]; ok {
+			t.Errorf("/v1/snapshot ledger key %q is a trace counter too", k)
+		}
+		var sum float64
+		for _, row := range tr.Jobs {
+			n, ok := row[field].(float64)
+			if !ok {
+				t.Fatalf("trace job line %v has no %q", row, field)
+			}
+			sum += n
+		}
+		if v != sum {
+			t.Errorf("/v1/snapshot %s = %v, the trace's job lines sum %s to %v", k, v, field, sum)
 		}
 	}
+	var workers float64
+	for _, w := range snap.Workers {
+		workers += w["tasks_processed"].(float64)
+	}
+	if snap.TasksProcessed == 0 || workers != snap.TasksProcessed {
+		t.Errorf("/v1/snapshot tasks_processed = %v, its workers sum to %v", snap.TasksProcessed, workers)
+	}
 	for k := range snap.Workers[0] {
-		if _, ok := counters[k]; !ok && k != "parked" {
+		if _, ok := counters[k]; !ok && k != "parked" && k != "tasks_processed" {
 			t.Errorf("/v1/snapshot workers key %q is not a trace counter", k)
 		}
 	}
